@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json bench-scale experiments fmt cover apicompat doclint linkcheck
+.PHONY: all build vet test test-short race bench bench-json bench-scale bench-ref bench-ref-compare experiments fmt cover apicompat doclint linkcheck
 
 all: build vet test
 
@@ -24,13 +24,24 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-pass scheduling fast-path report: run the window benchmarks with
-# -benchmem and emit BENCH_lp_fastpath.json (ns/op, allocs/op, cache hit
-# rate) with the committed seed numbers embedded as the baseline.
+# One-pass fast-path report: run the window benchmarks and the tree codec
+# micro-benchmarks (frame and delta codecs) with -benchmem and emit
+# BENCH_lp_fastpath.json (ns/op, allocs/op, cache hit rate, bytes/frame)
+# with the committed seed numbers embedded as the baseline.
 bench-json:
-	$(GO) test -run XXX -bench 'WindowSchedule|AdmitPerRequest|AdmitParallel|WindowTraceOverhead|SpanOverhead' -benchmem . \
+	$(GO) test -run XXX -bench 'WindowSchedule|AdmitPerRequest|AdmitParallel|WindowTraceOverhead|SpanOverhead|FrameCodec|DeltaCodec' -benchmem \
+		. ./internal/treenet ./internal/combining \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_seed.json -o BENCH_lp_fastpath.json
 	@cat BENCH_lp_fastpath.json
+
+# Reference benchmark (BENCHMARK.json, bench/README.md): every workload,
+# three untraced runs on seeds 1..3 plus one traced pass each. To compare
+# two commits, keep the other side's result as bench/out/old.json.
+bench-ref:
+	bash bench/run.sh --workload all --seed 1 --repeat 3 -o bench/out/new.json
+
+bench-ref-compare:
+	bash bench/run.sh -compare bench/out/old.json bench/out/new.json
 
 # Macro-benchmark scale sweep: boot an in-process Layer-7 fleet per grid
 # point (redirector count × tree fanout × offered load), drive it with

@@ -254,6 +254,7 @@ func subRootChaos() {
 			tick(live)
 			mu.Lock()
 			g, ts, ok := nodes[at].Global()
+			g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 			mu.Unlock()
 			if ok && g.Sum[0] == want && ts > after {
 				return

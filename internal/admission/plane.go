@@ -451,17 +451,15 @@ func (cp *pool) admitCommunity(s, p, preferred int, cost float64) (agreement.Pri
 	}
 	// Steal sweep, preferred owner's cells first so affinity survives
 	// shard imbalance.
-	order := make([]int, 0, cp.n)
-	if preferred >= 0 && preferred < cp.n {
-		order = append(order, preferred)
-	}
-	for k := 0; k < cp.n; k++ {
-		if k != preferred {
-			order = append(order, k)
-		}
-	}
 	totalSeen := 0.0
-	for _, k := range order {
+	for i := -1; i < cp.n; i++ {
+		k := i
+		if i < 0 {
+			k = preferred // the sweep's first stop, when there is one
+		}
+		if k < 0 || k >= cp.n || (i >= 0 && k == preferred) {
+			continue
+		}
 		ok, closed, seen := cp.steal(s, cost, func(sib *creditShard) *cell { return &sib.comm[p*cp.n+k] })
 		if closed {
 			return 0, false, false, true

@@ -369,3 +369,29 @@ func TestLeaseCreditFlowsThroughShards(t *testing.T) {
 		t.Fatalf("B admitted %d after lease cleared, want ≤ 14 (planned share + carry)", gotB)
 	}
 }
+
+// TestCommunityStealAndRejectAllocs pins the request path past the local
+// cell: the steal sweep (preferred owner first, then the rest) and the
+// reject it ends in allocate nothing. 16 shards fragment 48 credits below
+// unit cost, so admits gather across shards; cost-2 requests never
+// short-circuit on the dry flag, so every one of them is a full sweep.
+func TestCommunityStealAndRejectAllocs(t *testing.T) {
+	pl, red, a, b := communityPlane(t, 16)
+	warm(t, pl, red, []float64{48, 8}, 3)
+	steals := pl.Steals()
+	rejected := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		if !pl.Admit(a).Admitted {
+			rejected++
+		}
+		if !pl.AdmitCost(a, b, 2).Admitted {
+			rejected++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Admit allocates %v times per call pair on the steal/reject path", allocs)
+	}
+	if pl.Steals() == steals || rejected < 100 {
+		t.Fatalf("path not exercised: %d steals, %d rejects", pl.Steals()-steals, rejected)
+	}
+}

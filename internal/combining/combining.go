@@ -15,6 +15,7 @@ package combining
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,6 +52,12 @@ func NewAggregate(n int) Aggregate {
 // FromLocal wraps one node's local vector as an aggregate.
 func FromLocal(local []float64) Aggregate {
 	a := NewAggregate(len(local))
+	a.setLocal(local)
+	return a
+}
+
+// setLocal overwrites a (already len(local) long) with one node's vector.
+func (a *Aggregate) setLocal(local []float64) {
 	for i, v := range local {
 		a.Sum[i] = v
 		a.Max[i] = v
@@ -58,7 +65,6 @@ func FromLocal(local []float64) Aggregate {
 		a.SumSq[i] = v * v
 	}
 	a.Count = 1
-	return a
 }
 
 // Combine merges other into a (pointwise sum/max/min).
@@ -100,17 +106,20 @@ func (a Aggregate) Variance(i int) float64 {
 	return v
 }
 
-// clone deep-copies the aggregate so stored snapshots cannot alias callers'
-// slices.
-func (a Aggregate) clone() Aggregate {
-	c := Aggregate{
-		Sum:   append([]float64(nil), a.Sum...),
-		Max:   append([]float64(nil), a.Max...),
-		Min:   append([]float64(nil), a.Min...),
-		SumSq: append([]float64(nil), a.SumSq...),
-		Count: a.Count,
-	}
+// Clone deep-copies the aggregate.
+func (a Aggregate) Clone() (c Aggregate) {
+	c.CopyFrom(a)
 	return c
+}
+
+// CopyFrom overwrites a with src, reusing a's slices when they are large
+// enough: how every owned buffer on the tree path is filled.
+func (a *Aggregate) CopyFrom(src Aggregate) {
+	a.Sum = append(a.Sum[:0], src.Sum...)
+	a.Max = append(a.Max[:0], src.Max...)
+	a.Min = append(a.Min[:0], src.Min...)
+	a.SumSq = append(a.SumSq[:0], src.SumSq...)
+	a.Count = src.Count
 }
 
 // ConfigUpdate is a versioned configuration payload piggybacked on the
@@ -161,8 +170,45 @@ type Rejoin struct {
 	AckVersion uint64
 }
 
-// SendFunc transmits a message toward another node.
+// SendFunc transmits a message toward another node. A Report's or
+// Broadcast's Agg aliases a buffer the sending Node reuses: the transport
+// must not retain msg.Agg after Send returns. One that queues or delays
+// delivery copies first (treenet into a recycled slot, the rest via Detach).
 type SendFunc func(to NodeID, msg interface{})
+
+// Detach returns msg with its aggregate deep-copied, so it may outlive the
+// SendFunc or Handler call that produced it.
+func Detach(msg interface{}) interface{} {
+	switch m := msg.(type) {
+	case Report:
+		m.Agg = m.Agg.Clone()
+		return m
+	case Broadcast:
+		m.Agg = m.Agg.Clone()
+		return m
+	}
+	return msg
+}
+
+// neighbor is what a node remembers about one tree neighbor: liveness for
+// parent and children, and for a child its report slot, gates and hop stamp.
+type neighbor struct {
+	heardAt time.Duration
+	heard   bool
+
+	report Aggregate // latest accepted report, copied in; empty when none
+	epoch  int       // epoch of that report; older ones are dropped
+	ack    uint64    // configuration version the child acknowledged
+
+	bcastAt      time.Duration // broadcast forwarded, child lag not yet observed
+	bcastPending bool
+}
+
+// forget drops what a child's reports contributed, keeping its liveness.
+func (nb *neighbor) forget() {
+	nb.report.CopyFrom(Aggregate{})
+	nb.epoch, nb.ack = 0, 0
+}
 
 // Node is one combining-tree participant. All methods are safe for
 // concurrent use: the window loop Ticks it, the transport goroutine feeds
@@ -170,6 +216,10 @@ type SendFunc func(to NodeID, msg interface{})
 // SetConfig from admin handlers. Message sends are asynchronous in every
 // transport (simnet schedules deliveries, treenet enqueues), so the
 // internal lock is never held across a blocking operation.
+//
+// Steady state allocates nothing: child reports are copied into their
+// neighbor slots, the subtree sum is rebuilt in one scratch aggregate, and
+// outgoing broadcasts alias the one global buffer.
 type Node struct {
 	mu sync.Mutex
 
@@ -180,9 +230,8 @@ type Node struct {
 	send        SendFunc
 	now         func() time.Duration
 	local       []float64
-	childAggs   map[NodeID]Aggregate
-	childEpochs map[NodeID]int
-	lastHeard   map[NodeID]time.Duration
+	nbrs        map[NodeID]*neighbor
+	sub         Aggregate // subtree scratch, rebuilt every Tick
 	epoch       int
 	global      Aggregate
 	globalAt    time.Duration
@@ -191,9 +240,8 @@ type Node struct {
 
 	// config is the newest configuration update seen (nil when none);
 	// onConfig fires when a strictly newer version arrives from the parent.
-	config    *ConfigUpdate
-	onConfig  func(*ConfigUpdate)
-	childAcks map[NodeID]uint64
+	config   *ConfigUpdate
+	onConfig func(*ConfigUpdate)
 
 	reportsIn    uint64
 	broadcastsIn uint64
@@ -201,14 +249,13 @@ type Node struct {
 
 	// Hop timing (nil hop disables; all under mu). A non-root stamps
 	// reportSentAt at each Tick and observes the broadcast→report round
-	// trip when the next broadcast lands. A parent stamps bcastSentAt per
-	// child when forwarding a broadcast and observes the child's lag when
-	// its next report arrives. configAt stamps when the current config
-	// version was first held, for per-child epoch-gate crossing lag.
+	// trip when the next broadcast lands. A parent stamps each child's
+	// neighbor.bcastAt when forwarding a broadcast and observes the child's
+	// lag when its next report arrives. configAt stamps when the current
+	// config version was first held, for per-child epoch-gate crossing lag.
 	hop               *HopMetrics
 	reportSentAt      time.Duration
 	reportOutstanding bool
-	bcastSentAt       map[NodeID]time.Duration
 	configAt          time.Duration
 	configAtVer       uint64
 }
@@ -246,19 +293,26 @@ func NewHopMetrics() *HopMetrics {
 func newNode(id NodeID, parent NodeID, children []NodeID, numPrincipals int,
 	send SendFunc, now func() time.Duration) *Node {
 	return &Node{
-		id:          id,
-		parent:      parent,
-		children:    append([]NodeID(nil), children...),
-		numPrin:     numPrincipals,
-		send:        send,
-		now:         now,
-		local:       make([]float64, numPrincipals),
-		childAggs:   make(map[NodeID]Aggregate),
-		childEpochs: make(map[NodeID]int),
-		lastHeard:   make(map[NodeID]time.Duration),
-		childAcks:   make(map[NodeID]uint64),
-		bcastSentAt: make(map[NodeID]time.Duration),
+		id:       id,
+		parent:   parent,
+		children: append([]NodeID(nil), children...),
+		numPrin:  numPrincipals,
+		send:     send,
+		now:      now,
+		local:    make([]float64, numPrincipals),
+		nbrs:     make(map[NodeID]*neighbor),
+		sub:      NewAggregate(numPrincipals),
 	}
+}
+
+// nbr returns id's neighbor state, creating it on first contact.
+func (n *Node) nbr(id NodeID) *neighbor {
+	nb := n.nbrs[id]
+	if nb == nil {
+		nb = &neighbor{}
+		n.nbrs[id] = nb
+	}
+	return nb
 }
 
 // SetHopMetrics arms per-hop timing on this node (nil disables). Call it
@@ -293,15 +347,13 @@ func (n *Node) SetLocal(values []float64) {
 	}
 }
 
-// subtree combines the local vector with the latest child reports.
-func (n *Node) subtree() Aggregate {
-	agg := FromLocal(n.local)
+// subtree rebuilds n.sub: the local vector combined with the latest child
+// reports.
+func (n *Node) subtree() {
+	n.sub.setLocal(n.local)
 	for _, c := range n.children {
-		if ca, ok := n.childAggs[c]; ok {
-			agg.Combine(ca)
-		}
+		n.sub.Combine(n.nbr(c).report)
 	}
-	return agg
 }
 
 // Tick runs one epoch: leaves and intermediates push their subtree aggregate
@@ -310,9 +362,9 @@ func (n *Node) Tick() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.epoch++
-	agg := n.subtree()
+	n.subtree()
 	if n.isRoot() {
-		n.acceptGlobal(Broadcast{Epoch: n.epoch, Agg: agg, Config: n.config})
+		n.acceptGlobal(n.epoch, n.sub, n.config)
 		return
 	}
 	n.msgsOut++
@@ -320,36 +372,39 @@ func (n *Node) Tick() {
 		n.reportSentAt = n.now()
 		n.reportOutstanding = true
 	}
-	n.send(n.parent, Report{Epoch: n.epoch, Agg: agg.clone(), AckVersion: n.configVersion()})
+	n.send(n.parent, Report{Epoch: n.epoch, Agg: n.sub, AckVersion: n.configVersion()})
 }
 
-func (n *Node) acceptGlobal(b Broadcast) {
-	n.global = b.Agg.clone()
+// acceptGlobal copies agg into the node's global buffer and forwards it.
+func (n *Node) acceptGlobal(epoch int, agg Aggregate, cfg *ConfigUpdate) {
+	n.global.CopyFrom(agg)
 	n.globalAt = n.now()
-	n.globalEpoch = b.Epoch
+	n.globalEpoch = epoch
 	n.haveGlobal = true
-	if b.Config != nil && (n.config == nil || b.Config.Version > n.config.Version) {
-		n.config = b.Config
+	if cfg != nil && (n.config == nil || cfg.Version > n.config.Version) {
+		n.config = cfg
 		if n.hop != nil {
 			n.configAt = n.now()
-			n.configAtVer = b.Config.Version
+			n.configAtVer = cfg.Version
 		}
 		if n.onConfig != nil {
-			n.onConfig(b.Config)
+			n.onConfig(cfg)
 		}
 	}
 	for _, c := range n.children {
 		n.msgsOut++
 		if n.hop != nil {
-			n.bcastSentAt[c] = n.now()
+			nb := n.nbr(c)
+			nb.bcastAt, nb.bcastPending = n.now(), true
 		}
 		// Always forward the newest configuration held, not the incoming
 		// one: a reordered older broadcast must not regress descendants.
-		n.send(c, Broadcast{Epoch: b.Epoch, Agg: b.Agg.clone(), Config: n.config})
+		n.send(c, Broadcast{Epoch: epoch, Agg: n.global, Config: n.config})
 	}
 }
 
 // OnMessage processes a Report from a child or a Broadcast from the parent.
+// The aggregate is copied in, so msg.Agg may be a buffer the caller reuses.
 // Unknown message types are ignored, as are messages older (by epoch) than
 // what is already held — TCP transports may reorder deliveries, and a stale
 // report must not overwrite a fresher one.
@@ -359,21 +414,20 @@ func (n *Node) OnMessage(from NodeID, msg interface{}) {
 	switch m := msg.(type) {
 	case Report:
 		n.reportsIn++
-		n.lastHeard[from] = n.now()
-		if n.hop != nil {
-			if sentAt, ok := n.bcastSentAt[from]; ok {
-				n.hop.ChildLag.Observe(n.now() - sentAt)
-				delete(n.bcastSentAt, from)
-			}
+		nb := n.nbr(from)
+		nb.heardAt, nb.heard = n.now(), true
+		if n.hop != nil && nb.bcastPending {
+			n.hop.ChildLag.Observe(n.now() - nb.bcastAt)
+			nb.bcastPending = false
 		}
-		if m.Epoch < n.childEpochs[from] {
+		if m.Epoch < nb.epoch {
 			return
 		}
-		n.childAggs[from] = m.Agg
-		n.childEpochs[from] = m.Epoch
-		if m.AckVersion > n.childAcks[from] {
-			prev := n.childAcks[from]
-			n.childAcks[from] = m.AckVersion
+		nb.report.CopyFrom(m.Agg)
+		nb.epoch = m.Epoch
+		if m.AckVersion > nb.ack {
+			prev := nb.ack
+			nb.ack = m.AckVersion
 			// Epoch-gate crossing: the child just acknowledged the version
 			// this node holds for the first time.
 			if n.hop != nil && n.configAtVer > 0 &&
@@ -383,7 +437,8 @@ func (n *Node) OnMessage(from NodeID, msg interface{}) {
 		}
 	case Broadcast:
 		n.broadcastsIn++
-		n.lastHeard[from] = n.now()
+		nb := n.nbr(from)
+		nb.heardAt, nb.heard = n.now(), true
 		if n.haveGlobal && m.Epoch < n.globalEpoch {
 			return
 		}
@@ -391,21 +446,21 @@ func (n *Node) OnMessage(from NodeID, msg interface{}) {
 			n.hop.RoundTrip.Observe(n.now() - n.reportSentAt)
 			n.reportOutstanding = false
 		}
-		n.acceptGlobal(m)
+		n.acceptGlobal(m.Epoch, m.Agg, m.Config)
 	case Rejoin:
-		n.lastHeard[from] = n.now()
+		nb := n.nbr(from)
+		nb.heardAt, nb.heard = n.now(), true
 		// The restarted child's epoch counter resumed from its durable
 		// position (or zero): drop the pre-crash gate and aggregate so its
 		// fresh reports are accepted rather than rejected as stale.
-		delete(n.childAggs, from)
-		n.childEpochs[from] = 0
-		n.childAcks[from] = m.AckVersion
-		delete(n.bcastSentAt, from)
+		nb.forget()
+		nb.ack = m.AckVersion
+		nb.bcastPending = false
 		// Reply immediately with the newest global + configuration held:
 		// the child converges now, not an epoch round from now.
 		if n.haveGlobal {
 			n.msgsOut++
-			n.send(from, Broadcast{Epoch: n.globalEpoch, Agg: n.global.clone(), Config: n.config})
+			n.send(from, Broadcast{Epoch: n.globalEpoch, Agg: n.global, Config: n.config})
 		}
 	}
 }
@@ -440,15 +495,11 @@ func (n *Node) Reset(epoch int, cu *ConfigUpdate) {
 	n.haveGlobal = false
 	n.globalEpoch = 0
 	n.globalAt = 0
-	n.global = Aggregate{}
+	n.global.CopyFrom(Aggregate{}) // empty, buffers kept
 	for i := range n.local {
 		n.local[i] = 0
 	}
-	n.childAggs = make(map[NodeID]Aggregate)
-	n.childEpochs = make(map[NodeID]int)
-	n.childAcks = make(map[NodeID]uint64)
-	n.lastHeard = make(map[NodeID]time.Duration)
-	n.bcastSentAt = make(map[NodeID]time.Duration)
+	clear(n.nbrs)
 	n.reportOutstanding = false
 	if n.hop != nil && cu != nil {
 		n.configAt = n.now()
@@ -462,12 +513,16 @@ func (n *Node) Reset(epoch int, cu *ConfigUpdate) {
 func (n *Node) LastHeard(neighbor NodeID) (time.Duration, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	at, ok := n.lastHeard[neighbor]
-	return at, ok
+	if nb := n.nbrs[neighbor]; nb != nil {
+		return nb.heardAt, nb.heard
+	}
+	return 0, false
 }
 
 // Global returns the latest global aggregate, its timestamp, and whether one
-// has been received at all.
+// has been received at all. The aggregate aliases the node's global buffer,
+// which the next Tick (root) or Broadcast overwrites: read it under the lock
+// that serializes the caller's Tick/OnMessage calls, or Clone it.
 func (n *Node) Global() (Aggregate, time.Duration, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -539,7 +594,7 @@ func (n *Node) ChildConfigAcks() map[NodeID]uint64 {
 	defer n.mu.Unlock()
 	out := make(map[NodeID]uint64, len(n.children))
 	for _, c := range n.children {
-		out[c] = n.childAcks[c]
+		out[c] = n.nbr(c).ack
 	}
 	return out
 }
@@ -566,15 +621,9 @@ func (n *Node) Reconfigure(parent NodeID, children []NodeID) {
 	n.parent = parent
 	n.children = append(n.children[:0], children...)
 	n.globalEpoch = 0
-	keep := make(map[NodeID]bool, len(children))
-	for _, c := range children {
-		keep[c] = true
-	}
-	for id := range n.childAggs {
-		if !keep[id] {
-			delete(n.childAggs, id)
-			delete(n.childEpochs, id)
-			delete(n.childAcks, id)
+	for id, nb := range n.nbrs {
+		if !slices.Contains(n.children, id) {
+			nb.forget()
 		}
 	}
 	// n.config survives reconfiguration: the newest agreement set stays in

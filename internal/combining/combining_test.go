@@ -33,7 +33,7 @@ func newRig(t testing.TB, n, numPrin, fanout int, delay time.Duration) *rig {
 	for _, id := range ids {
 		id := id
 		send := func(to NodeID, msg interface{}) {
-			r.net.Send(simnet.NodeID(id), simnet.NodeID(to), msg)
+			r.net.Send(simnet.NodeID(id), simnet.NodeID(to), Detach(msg))
 		}
 		r.nodes[id] = NewBuilder(id).Place(r.topo).Principals(numPrin).
 			Transport(send).Clock(r.clock.Now).Build()
@@ -405,5 +405,37 @@ func TestNodeMessageCountersAndEpochs(t *testing.T) {
 	}
 	if sent != 2*(n-1) {
 		t.Fatalf("messages sent = %d, want %d", sent, 2*(n-1))
+	}
+}
+
+// TestTickOnMessageAllocs pins the tree path's steady state over an
+// in-memory pipe: a leaf report and a root broadcast per round, each
+// copied into the receiver's own buffers. The only allocation left per
+// message is the interface box of the Report or Broadcast value handed to
+// the SendFunc; subtree sums, report slots and the global buffer are reused.
+func TestTickOnMessageAllocs(t *testing.T) {
+	const numPrin = 48
+	var root, leaf *Node
+	now := func() time.Duration { return 0 }
+	root = NewBuilder(0).Children(1).Principals(numPrin).Clock(now).Metrics(NewHopMetrics()).
+		Transport(func(to NodeID, msg interface{}) { leaf.OnMessage(0, msg) }).Build()
+	leaf = NewBuilder(1).Parent(0).Principals(numPrin).Clock(now).Metrics(NewHopMetrics()).
+		Transport(func(to NodeID, msg interface{}) { root.OnMessage(1, msg) }).Build()
+	root.SetConfig(&ConfigUpdate{Version: 1, Payload: []byte("set")})
+	local := make([]float64, numPrin)
+	round := func() {
+		local[3]++
+		leaf.SetLocal(local)
+		leaf.Tick()
+		root.Tick()
+	}
+	round()
+	const messages = 2
+	if got := testing.AllocsPerRun(200, round); got != messages {
+		t.Fatalf("a round of %d messages allocates %v times, want one interface box each", messages, got)
+	}
+	g, _, ok := leaf.Global()
+	if !ok || g.Sum[3] != local[3] || g.Count != 2 {
+		t.Fatalf("leaf global = %v (count %d), want sum[3] = %g from 2 nodes", g.Sum[3], g.Count, local[3])
 	}
 }

@@ -16,33 +16,27 @@ package combining
 // deltas, and waits for the next full frame — it never applies a delta to
 // a base it does not hold.
 
-// deltaEntryBytes is the bookkeeping estimate of one suppressed entry's
-// wire cost (four statistics plus an index in the JSON envelope), used for
-// the bytes-saved counter.
-const deltaEntryBytes = 52
-
-// DeltaFrame is the wire form of one delta-compressed aggregate. A full
-// frame (Full true) carries dense statistic vectors of length N; a delta
-// frame carries sparse entries at the positions listed in Idx.
+// DeltaFrame is one delta-compressed aggregate, as the transport's wire
+// codec carries it. A full frame (Full true) carries dense statistic
+// vectors of length N; a delta frame carries sparse entries at the
+// positions listed in Idx. Encode and the wire decoder refill a frame in
+// place, so one frame per stream is reused for every message.
 type DeltaFrame struct {
 	// Seq numbers frames consecutively per sender stream.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Full marks a resync frame carrying the complete vector.
-	Full bool `json:"full,omitempty"`
+	Full bool
 	// N is the principal-vector length.
-	N int `json:"n"`
+	N int
 	// Count is the aggregate's contributing-node count (always carried;
 	// it is one scalar).
-	Count int `json:"count"`
+	Count int
 	// Idx lists the principal indices of the sparse entries (delta frames
 	// only).
-	Idx []int `json:"idx,omitempty"`
+	Idx []int
 	// Sum, Max, Min, SumSq are the statistic values: dense when Full,
 	// parallel to Idx otherwise.
-	Sum   []float64 `json:"sum,omitempty"`
-	Max   []float64 `json:"max,omitempty"`
-	Min   []float64 `json:"min,omitempty"`
-	SumSq []float64 `json:"sumsq,omitempty"`
+	Sum, Max, Min, SumSq []float64
 }
 
 // DeltaStats counts a delta codec's work. Encoder-side counters accumulate
@@ -56,7 +50,9 @@ type DeltaStats struct {
 	EntriesSent uint64
 	// EntriesSuppressed counts entries withheld as under-threshold.
 	EntriesSuppressed uint64
-	// BytesSaved estimates the wire bytes avoided by suppression.
+	// BytesSaved is the wire bytes suppression avoided: dense payload size
+	// minus the sparse payload actually encoded. The codec does not know
+	// wire sizes; the transport that frames the stream fills this in.
 	BytesSaved uint64
 	// Desyncs counts receiver-side sequence gaps (frames discarded until
 	// the next full frame).
@@ -110,30 +106,31 @@ func (e *DeltaEncoder) N() int { return e.n }
 // Stats returns the encoder's counters.
 func (e *DeltaEncoder) Stats() DeltaStats { return e.stats }
 
-// Encode compresses a into the next frame of the stream.
-func (e *DeltaEncoder) Encode(a Aggregate) DeltaFrame {
+// Encode compresses a into the next frame of the stream, refilling f in
+// place (its slices are reused, so a warmed-up frame costs no allocation).
+func (e *DeltaEncoder) Encode(a Aggregate, f *DeltaFrame) {
 	e.seq++
 	e.stats.Frames++
-	full := !e.primed || e.sinceFull >= e.resyncEvery-1
-	f := DeltaFrame{Seq: e.seq, N: e.n, Count: a.Count}
-	if full {
-		f.Full = true
-		f.Sum = append([]float64(nil), a.Sum...)
-		f.Max = append([]float64(nil), a.Max...)
-		f.Min = append([]float64(nil), a.Min...)
-		f.SumSq = append([]float64(nil), a.SumSq...)
-		e.last = a.clone()
+	f.Seq, f.N, f.Count = e.seq, e.n, a.Count
+	f.Full = !e.primed || e.sinceFull >= e.resyncEvery-1
+	f.Idx = f.Idx[:0]
+	if f.Full {
+		f.Sum = append(f.Sum[:0], a.Sum...)
+		f.Max = append(f.Max[:0], a.Max...)
+		f.Min = append(f.Min[:0], a.Min...)
+		f.SumSq = append(f.SumSq[:0], a.SumSq...)
+		e.last.CopyFrom(a)
 		e.primed = true
 		e.sinceFull = 0
 		e.stats.FullFrames++
 		e.stats.EntriesSent += uint64(e.n)
-		return f
+		return
 	}
 	e.sinceFull++
+	f.Sum, f.Max, f.Min, f.SumSq = f.Sum[:0], f.Max[:0], f.Min[:0], f.SumSq[:0]
 	for i := 0; i < e.n && i < len(a.Sum); i++ {
 		if !e.dirty(a, i) {
 			e.stats.EntriesSuppressed++
-			e.stats.BytesSaved += deltaEntryBytes
 			continue
 		}
 		f.Idx = append(f.Idx, i)
@@ -148,33 +145,25 @@ func (e *DeltaEncoder) Encode(a Aggregate) DeltaFrame {
 		e.stats.EntriesSent++
 	}
 	e.last.Count = a.Count
-	return f
 }
 
 // dirty reports whether principal i's entry must be transmitted: a
 // statistic moved beyond the threshold, or any statistic transitioned to
 // exactly zero (zeros are always exact on the wire).
 func (e *DeltaEncoder) dirty(a Aggregate, i int) bool {
-	pairs := [4][2]float64{
-		{a.Sum[i], e.last.Sum[i]},
-		{a.Max[i], e.last.Max[i]},
-		{a.Min[i], e.last.Min[i]},
-		{a.SumSq[i], e.last.SumSq[i]},
+	return e.moved(a.Sum[i], e.last.Sum[i]) || e.moved(a.Max[i], e.last.Max[i]) ||
+		e.moved(a.Min[i], e.last.Min[i]) || e.moved(a.SumSq[i], e.last.SumSq[i])
+}
+
+func (e *DeltaEncoder) moved(cur, prev float64) bool {
+	if cur == 0 && prev != 0 {
+		return true
 	}
-	for _, p := range pairs {
-		cur, prev := p[0], p[1]
-		if cur == 0 && prev != 0 {
-			return true
-		}
-		d := cur - prev
-		if d < 0 {
-			d = -d
-		}
-		if d > e.threshold {
-			return true
-		}
+	d := cur - prev
+	if d < 0 {
+		d = -d
 	}
-	return false
+	return d > e.threshold
 }
 
 // DeltaDecoder reconstructs a sender's aggregate stream. Not
@@ -198,44 +187,57 @@ func (d *DeltaDecoder) Desyncs() uint64 { return d.desyncs }
 // N returns the principal-vector length this decoder was built for.
 func (d *DeltaDecoder) N() int { return d.n }
 
-// Apply folds one frame into the reconstructed state and returns the
-// resulting aggregate. It returns ok false — and the caller must drop the
-// message — when the frame is a delta that does not extend the decoder's
-// sequence (lost frame, sender restart, or length mismatch); the decoder
-// then stays desynchronized until the next full frame.
-func (d *DeltaDecoder) Apply(f DeltaFrame) (Aggregate, bool) {
+// Apply folds one frame into the reconstructed state and copies the
+// resulting aggregate into out (reusing out's slices). It returns false —
+// out is untouched and the caller must drop the message — when the frame
+// is a delta that does not extend the decoder's sequence (lost frame,
+// sender restart, or length mismatch) or is malformed; the decoder then
+// stays desynchronized until the next full frame.
+func (d *DeltaDecoder) Apply(f *DeltaFrame, out *Aggregate) bool {
+	if !d.fold(f) {
+		d.synced = false
+		d.desyncs++
+		return false
+	}
+	d.agg.Count = f.Count
+	d.seq = f.Seq
+	d.synced = true
+	out.CopyFrom(d.agg)
+	return true
+}
+
+// fold writes f's entries into d.agg, reporting whether f was applicable.
+func (d *DeltaDecoder) fold(f *DeltaFrame) bool {
+	if f.N != d.n {
+		return false
+	}
 	if f.Full {
-		if f.N != d.n || len(f.Sum) != d.n {
-			d.synced = false
-			d.desyncs++
-			return Aggregate{}, false
+		if len(f.Sum) != d.n || len(f.Max) != d.n || len(f.Min) != d.n || len(f.SumSq) != d.n {
+			return false
 		}
 		copy(d.agg.Sum, f.Sum)
 		copy(d.agg.Max, f.Max)
 		copy(d.agg.Min, f.Min)
 		copy(d.agg.SumSq, f.SumSq)
-		d.agg.Count = f.Count
-		d.seq = f.Seq
-		d.synced = true
-		return d.agg.clone(), true
+		return true
 	}
-	if !d.synced || f.Seq != d.seq+1 || f.N != d.n {
-		d.synced = false
-		d.desyncs++
-		return Aggregate{}, false
+	if !d.synced || f.Seq != d.seq+1 {
+		return false
+	}
+	k := len(f.Idx)
+	if len(f.Sum) != k || len(f.Max) != k || len(f.Min) != k || len(f.SumSq) != k {
+		return false
+	}
+	for _, i := range f.Idx {
+		if i < 0 || i >= d.n {
+			return false
+		}
 	}
 	for k, i := range f.Idx {
-		if i < 0 || i >= d.n || k >= len(f.Sum) {
-			d.synced = false
-			d.desyncs++
-			return Aggregate{}, false
-		}
 		d.agg.Sum[i] = f.Sum[k]
 		d.agg.Max[i] = f.Max[k]
 		d.agg.Min[i] = f.Min[k]
 		d.agg.SumSq[i] = f.SumSq[k]
 	}
-	d.agg.Count = f.Count
-	d.seq = f.Seq
-	return d.agg.clone(), true
+	return true
 }

@@ -1,6 +1,7 @@
 package combining
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -70,14 +71,18 @@ func TestDeltaPropertyReconstruction(t *testing.T) {
 	vec := make([]float64, n)
 	synced := false
 	sawPostDropResync := false
+	// One frame and one output aggregate for the whole stream: the
+	// in-place API must leave nothing of frame k behind in frame k+1.
+	var f DeltaFrame
+	var got Aggregate
 	for fn := 0; fn < frames; fn++ {
 		truth := randomAgg(r, vec)
-		f := enc.Encode(truth)
+		enc.Encode(truth, &f)
 		if r.next()%11 == 0 && !f.Full {
 			synced = false // drop this delta frame in transit
 			continue
 		}
-		got, ok := dec.Apply(f)
+		ok := dec.Apply(&f, &got)
 		if f.Full {
 			if !ok {
 				t.Fatalf("frame %d: resync frame rejected", fn)
@@ -141,10 +146,12 @@ func TestDeltaZeroThresholdIsExact(t *testing.T) {
 	enc := NewDeltaEncoder(n, 0, 16)
 	dec := NewDeltaDecoder(n)
 	vec := make([]float64, n)
+	var f DeltaFrame
+	var got Aggregate
 	for fn := 0; fn < 200; fn++ {
 		truth := randomAgg(r, vec)
-		got, ok := dec.Apply(enc.Encode(truth))
-		if !ok {
+		enc.Encode(truth, &f)
+		if !dec.Apply(&f, &got) {
 			t.Fatalf("frame %d rejected", fn)
 		}
 		if !aggEqual(got, truth) {
@@ -158,22 +165,25 @@ func TestDeltaZeroThresholdIsExact(t *testing.T) {
 func TestDeltaEncoderReset(t *testing.T) {
 	enc := NewDeltaEncoder(3, 0.1, 64)
 	a := FromLocal([]float64{1, 2, 3})
-	if f := enc.Encode(a); !f.Full {
+	var f DeltaFrame
+	if enc.Encode(a, &f); !f.Full {
 		t.Fatal("first frame not full")
 	}
-	if f := enc.Encode(a); f.Full {
+	if enc.Encode(a, &f); f.Full {
 		t.Fatal("second frame unexpectedly full")
 	}
 	enc.Reset()
-	if f := enc.Encode(a); !f.Full {
+	if enc.Encode(a, &f); !f.Full {
 		t.Fatal("post-reset frame not full")
 	}
 	// A fresh decoder (receiver restart) syncs from the post-reset frame.
 	dec := NewDeltaDecoder(3)
 	enc2 := NewDeltaEncoder(3, 0.1, 64)
-	enc2.Encode(a) // lost before the receiver started
+	enc2.Encode(a, &f) // lost before the receiver started
 	enc2.Reset()
-	if _, ok := dec.Apply(enc2.Encode(a)); !ok {
+	enc2.Encode(a, &f)
+	var got Aggregate
+	if !dec.Apply(&f, &got) {
 		t.Fatal("decoder rejected post-reset full frame")
 	}
 }
@@ -184,19 +194,90 @@ func TestDeltaFrameBoundsChecked(t *testing.T) {
 	dec := NewDeltaDecoder(3)
 	full := DeltaFrame{Seq: 1, Full: true, N: 3, Count: 1,
 		Sum: []float64{1, 2, 3}, Max: []float64{1, 2, 3}, Min: []float64{1, 2, 3}, SumSq: []float64{1, 4, 9}}
-	if _, ok := dec.Apply(full); !ok {
+	var out Aggregate
+	if !dec.Apply(&full, &out) {
 		t.Fatal("full frame rejected")
 	}
 	bad := DeltaFrame{Seq: 2, N: 3, Count: 1, Idx: []int{5}, Sum: []float64{9}, Max: []float64{9}, Min: []float64{9}, SumSq: []float64{81}}
-	if _, ok := dec.Apply(bad); ok {
+	if dec.Apply(&bad, &out) {
 		t.Fatal("out-of-range index accepted")
+	}
+	if out.Sum[0] != 1 {
+		t.Fatalf("rejected frame touched the output: %+v", out)
 	}
 	// Desynced now: even a well-formed successor delta is refused.
 	good := DeltaFrame{Seq: 3, N: 3, Count: 1, Idx: []int{0}, Sum: []float64{9}, Max: []float64{9}, Min: []float64{9}, SumSq: []float64{81}}
-	if _, ok := dec.Apply(good); ok {
+	if dec.Apply(&good, &out) {
 		t.Fatal("delta accepted after desync")
 	}
 	if dec.Desyncs() != 2 {
 		t.Fatalf("desyncs = %d, want 2", dec.Desyncs())
+	}
+}
+
+// deltaStream is a deterministic stream of aggregates in which about a
+// sixth of the principals move per frame and the rest jitter under a 0.1
+// threshold (in every statistic, the square included).
+func deltaStream(n, frames int) []Aggregate {
+	r := &deltaRng{s: 99}
+	base, vec := make([]float64, n), make([]float64, n)
+	out := make([]Aggregate, frames)
+	for f := range out {
+		for i := range vec {
+			if r.next()%6 == 0 {
+				base[i] = 10 * r.float()
+			}
+			vec[i] = base[i] + 0.001*r.float()
+		}
+		out[f] = FromLocal(vec)
+	}
+	return out
+}
+
+// TestDeltaCodecAllocs pins the in-place API: once the frame and the output
+// aggregate have seen one full frame, neither direction allocates — through
+// sparse frames and periodic resyncs alike.
+func TestDeltaCodecAllocs(t *testing.T) {
+	const n = 48
+	stream := deltaStream(n, 64)
+	enc := NewDeltaEncoder(n, 0.1, 8)
+	dec := NewDeltaDecoder(n)
+	var f DeltaFrame
+	var out Aggregate
+	i := 0
+	step := func() {
+		enc.Encode(stream[i%len(stream)], &f)
+		if !dec.Apply(&f, &out) {
+			t.Fatal("in-sequence frame rejected")
+		}
+		i++
+	}
+	step()
+	if got := testing.AllocsPerRun(200, step); got != 0 {
+		t.Fatalf("Encode+Apply allocate %v times per frame", got)
+	}
+}
+
+// BenchmarkDeltaCodec is one Encode plus one Apply per frame of a stream
+// where a sixth of the principals move, resync every 64 frames.
+func BenchmarkDeltaCodec(b *testing.B) {
+	for _, n := range []int{12, 48} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			stream := deltaStream(n, 256)
+			enc := NewDeltaEncoder(n, 0.1, 64)
+			dec := NewDeltaDecoder(n)
+			var f DeltaFrame
+			var out Aggregate
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enc.Encode(stream[i%len(stream)], &f)
+				if !dec.Apply(&f, &out) {
+					b.Fatal("in-sequence frame rejected")
+				}
+			}
+			st := enc.Stats()
+			b.ReportMetric(float64(st.EntriesSent)/float64(st.Frames), "entries/frame")
+		})
 	}
 }

@@ -151,7 +151,7 @@ func (f *Forest) OnMessage(tree int, from NodeID, msg interface{}) {
 
 // ComponentGlobal returns tree t's settled global aggregate (component-
 // local vector length) with its timestamp; ok is false before the first
-// global arrives.
+// global arrives. Like Node.Global, the aggregate aliases the tree's buffer.
 func (f *Forest) ComponentGlobal(t int) (Aggregate, time.Duration, bool) {
 	return f.trees[t].Global()
 }

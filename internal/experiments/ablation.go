@@ -127,7 +127,7 @@ func treeMessages(n int) int {
 		id := id
 		nodes[id] = combining.NewBuilder(id).Place(topo).Principals(1).
 			Transport(func(to combining.NodeID, msg interface{}) {
-				net.Send(simnet.NodeID(id), simnet.NodeID(to), msg)
+				net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
 			}).Clock(clock.Now).Build()
 		net.Handle(simnet.NodeID(id), func(from simnet.NodeID, msg interface{}) {
 			nodes[id].OnMessage(combining.NodeID(from), msg)

@@ -267,6 +267,8 @@ func (f *Fleet) TreeStats() treenet.Stats {
 		sum.Dials += st.Dials
 		sum.Reconnects += st.Reconnects
 		sum.PeersConnected += st.PeersConnected
+		sum.BytesSent += st.BytesSent
+		sum.BytesReceived += st.BytesReceived
 		sum.Delta.Add(st.Delta)
 	}
 	return sum

@@ -255,7 +255,8 @@ func New(cfg Config) (*Sim, error) {
 	for i := 0; i < cfg.Redirectors; i++ {
 		id := combining.NodeID(i)
 		send := func(to combining.NodeID, msg interface{}) {
-			s.Net.Send(simnet.NodeID(id), simnet.NodeID(to), msg)
+			// simnet delivers later; the node reuses its aggregate buffers.
+			s.Net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
 		}
 		rn := &RNode{
 			sim: s,

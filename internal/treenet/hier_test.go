@@ -62,7 +62,9 @@ func TestForestDeltaOverTCP(t *testing.T) {
 			forests[1].Tick()
 			forests[0].Tick()
 			g0, _, ok0 := forests[1].ComponentGlobal(0)
+			g0 = g0.Clone() // Global aliases the node's buffer; the lock is about to go
 			g1, _, ok1 := forests[1].ComponentGlobal(1)
+			g1 = g1.Clone() // Global aliases the node's buffer; the lock is about to go
 			mu.Unlock()
 			if ok0 && ok1 && g0.Sum[0] == want0 && g1.Sum[0] == want1 {
 				return
@@ -90,6 +92,22 @@ func TestForestDeltaOverTCP(t *testing.T) {
 	}
 	if st.Delta.FullFrames == 0 {
 		t.Fatalf("no periodic resync frames: %+v", st.Delta)
+	}
+	// Bytes are measured, not estimated: what suppression saved is payload
+	// that was never written, so it is bounded by the dense payloads of the
+	// frames sent, and what the leaf wrote is what the root read.
+	densePayloads := (st.Delta.EntriesSent + st.Delta.EntriesSuppressed) * denseEntryBytes
+	if st.Delta.BytesSaved >= densePayloads || st.BytesSent == 0 {
+		t.Fatalf("bytes saved %d of %d dense payload bytes, %d sent", st.Delta.BytesSaved, densePayloads, st.BytesSent)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		sent, got := trs[1].Stats().BytesSent, trs[0].Stats().BytesReceived
+		if sent == got {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("leaf sent %d bytes, root received %d", sent, got)
+		}
 	}
 
 	// A real move must still propagate bit-exactly through the codec.
@@ -183,6 +201,7 @@ func TestPlaneSubRootKillOverTCP(t *testing.T) {
 			tick(live)
 			mu.Lock()
 			g, ts, ok := nodes[at].Global()
+			g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 			mu.Unlock()
 			if ok && g.Sum[0] == want && ts > after {
 				return

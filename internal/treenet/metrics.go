@@ -33,6 +33,10 @@ func WriteMetrics(w io.Writer, t *Transport, det Detector) {
 	fmt.Fprintf(w, "rsa_treenet_deadline_errors_total{op=\"write\"} %d\n", st.DeadlineErrorsWrite)
 	obs.WriteMetric(w, "rsa_treenet_write_timeouts_total", "counter",
 		"Peer writes that failed with an expired deadline (stalled but live peer).", float64(st.WriteTimeouts))
+	obs.WriteMetric(w, "rsa_treenet_bytes_sent_total", "counter",
+		"Tree frame bytes written to peer sockets, length prefix included.", float64(st.BytesSent))
+	obs.WriteMetric(w, "rsa_treenet_bytes_received_total", "counter",
+		"Tree frame bytes read from inbound connections, length prefix included.", float64(st.BytesReceived))
 	obs.WriteMetric(w, "rsa_tree_delta_frames_total", "counter",
 		"Delta-compressed aggregate frames encoded.", float64(st.Delta.Frames))
 	obs.WriteMetric(w, "rsa_tree_delta_full_frames_total", "counter",
@@ -42,7 +46,7 @@ func WriteMetrics(w io.Writer, t *Transport, det Detector) {
 	obs.WriteMetric(w, "rsa_tree_delta_entries_suppressed_total", "counter",
 		"Per-principal entries withheld as under-threshold.", float64(st.Delta.EntriesSuppressed))
 	obs.WriteMetric(w, "rsa_tree_delta_bytes_saved_total", "counter",
-		"Estimated wire bytes avoided by delta suppression.", float64(st.Delta.BytesSaved))
+		"Wire bytes avoided by delta suppression: dense payload size minus the sparse payload sent.", float64(st.Delta.BytesSaved))
 	obs.WriteMetric(w, "rsa_tree_delta_desyncs_total", "counter",
 		"Inbound delta streams that hit a sequence gap and waited for a resync.", float64(st.Delta.Desyncs))
 	if det != nil {

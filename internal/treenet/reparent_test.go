@@ -183,6 +183,7 @@ func TestRootKillReparentsOverTCP(t *testing.T) {
 		rig.tick(ids)
 		rig.mu.Lock()
 		g, _, ok := rig.nodes[1].Global()
+		g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 		rig.mu.Unlock()
 		if ok && g.Sum[0] == 60 {
 			break
@@ -209,6 +210,7 @@ func TestRootKillReparentsOverTCP(t *testing.T) {
 		rig.tick(survivors)
 		rig.mu.Lock()
 		g, at, ok := rig.nodes[2].Global()
+		g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 		rig.mu.Unlock()
 		if ok && g.Sum[0] == 50 && at > killedAt {
 			break
@@ -216,6 +218,7 @@ func TestRootKillReparentsOverTCP(t *testing.T) {
 		if time.Now().After(deadline) {
 			rig.mu.Lock()
 			g, at, ok := rig.nodes[2].Global()
+			g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 			rig.mu.Unlock()
 			t.Fatalf("no post-failure global at node 2: got %v (ok=%v, at=%v, killedAt=%v), reparents=%d/%d",
 				g.Sum, ok, at, killedAt, rig.reps[1].Reparents(), rig.reps[2].Reparents())

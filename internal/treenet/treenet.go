@@ -10,10 +10,15 @@
 // messages. Delivery stays best effort, exactly like the paper's scheme
 // assumes: a lost report only means the parent aggregates slightly staler
 // data for one epoch.
+//
+// Messages travel as the binary frames of wire.go. The steady state
+// allocates only the interface box of each delivered message: Send copies
+// into a recycled per-peer slot, and each peer's writer and each inbound
+// connection encode and decode through buffers they own.
 package treenet
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -67,45 +72,57 @@ type Spec struct {
 // Handler receives decoded tree messages. tree is the component-tree index
 // the sender tagged the frame with (0 on a single flat tree). It is called
 // from connection goroutines: implementations must synchronize access to
-// the combining node or forest.
+// the combining node or forest. msg.Agg aliases the connection's decode
+// buffer and is overwritten by the next frame: a handler must not retain it
+// after returning (combining.Node.OnMessage copies it in).
 type Handler func(tree int, from combining.NodeID, msg interface{})
 
-type envelope struct {
-	From int    `json:"from"`
-	Kind string `json:"kind"` // "report", "broadcast", or "rejoin"
-	// Tree is the component-tree index sharing this transport (see
-	// combining.Forest); 0 for a flat single-tree plane.
-	Tree  int                 `json:"tree,omitempty"`
-	Epoch int                 `json:"epoch"`
-	Agg   combining.Aggregate `json:"agg"`
-	// Delta replaces Agg when delta compression is enabled: the receiver
-	// reconstructs the aggregate from its per-stream decoder state.
-	Delta *combining.DeltaFrame `json:"delta,omitempty"`
-	// Configuration piggyback (see combining.ConfigUpdate): reports carry
-	// the acknowledged version, broadcasts the newest update.
-	AckVersion uint64 `json:"ack_version,omitempty"`
-	CfgVersion uint64 `json:"cfg_version,omitempty"`
-	CfgGate    int    `json:"cfg_gate,omitempty"`
-	CfgPayload []byte `json:"cfg_payload,omitempty"`
+// outMsg is one queued message. Slots are recycled through peer.free, so
+// the aggregate copy Send takes reuses its slices.
+type outMsg struct {
+	kind  byte
+	tree  int
+	epoch int
+	ack   uint64
+	agg   combining.Aggregate
+	cfg   *combining.ConfigUpdate
 }
 
 // peer is one neighbor's outbound state: an address, a bounded queue, and a
 // writer goroutine that owns the connection.
 type peer struct {
-	id combining.NodeID
-	ch chan envelope
+	id   combining.NodeID
+	ch   chan *outMsg
+	free chan *outMsg // recycled slots; as many exist as were ever in flight
 
 	mu         sync.Mutex
 	addr       string
 	backoff    time.Duration
 	nextDialAt time.Time
 	everDialed bool
+
+	// enc is used by the writer goroutine alone; encMu lets Stats read the
+	// stream counters.
+	encMu sync.Mutex
+	enc   encoder
 }
 
-func (p *peer) address() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.addr
+// slot returns a recycled message slot, or a new one when all are in flight.
+func (p *peer) slot() *outMsg {
+	select {
+	case m := <-p.free:
+		return m
+	default:
+		return new(outMsg)
+	}
+}
+
+func (p *peer) recycle(m *outMsg) {
+	m.cfg = nil
+	select {
+	case p.free <- m:
+	default:
+	}
 }
 
 // Stats is a snapshot of the transport's health counters, exported through
@@ -130,20 +147,24 @@ type Stats struct {
 	// DeadlineErrorsRead counts SetReadDeadline failures on inbound
 	// connections; each one ends that read loop.
 	DeadlineErrorsRead int
-	// WriteTimeouts counts Encode failures classified as deadline expiry —
+	// WriteTimeouts counts write failures classified as deadline expiry —
 	// a live but stalled peer, distinguishable from outright peer death
 	// (other write errors) in the failure-detector sense.
 	WriteTimeouts int
+	// BytesSent and BytesReceived count whole frames, length prefix
+	// included, as written to and read from the sockets.
+	BytesSent     uint64
+	BytesReceived uint64
 	// Delta aggregates the delta-compression codec counters over every
 	// per-(tree,peer) stream (zero when EnableDelta was never called).
 	Delta combining.DeltaStats
 }
 
-// deltaKey identifies one directed delta stream: a component tree crossed
-// with the far-end node.
-type deltaKey struct {
-	tree int
-	node combining.NodeID
+// deltaParams is the transport-wide delta compression setting.
+type deltaParams struct {
+	on          bool
+	threshold   float64
+	resyncEvery int
 }
 
 // Transport is one node's endpoint.
@@ -157,15 +178,9 @@ type Transport struct {
 	closed bool
 	stats  Stats
 
-	// Delta compression state. Encoders compress outbound aggregates per
-	// (tree, peer) stream; decoders rebuild inbound ones per (tree, from).
-	// Guarded by deltaMu, never held together with mu.
-	deltaMu     sync.Mutex
-	deltaOn     bool
-	deltaThresh float64
-	deltaResync int
-	encoders    map[deltaKey]*combining.DeltaEncoder
-	decoders    map[deltaKey]*combining.DeltaDecoder
+	// delta is under mu. The streams themselves live with their owners:
+	// encoders on the peer, decoders on the inbound connection.
+	delta deltaParams
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -209,7 +224,13 @@ func (t *Transport) SetPeer(id combining.NodeID, addr string) {
 		p.mu.Unlock()
 		return
 	}
-	p := &peer{id: id, ch: make(chan envelope, sendQueueDepth), addr: addr, backoff: backoffBase}
+	p := &peer{
+		id:      id,
+		ch:      make(chan *outMsg, sendQueueDepth),
+		free:    make(chan *outMsg, sendQueueDepth),
+		addr:    addr,
+		backoff: backoffBase,
+	}
 	t.peers[id] = p
 	if !t.closed {
 		t.wg.Add(1)
@@ -218,34 +239,30 @@ func (t *Transport) SetPeer(id combining.NodeID, addr string) {
 }
 
 // SendErrors reports how many sends were dropped so far.
-func (t *Transport) SendErrors() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats.SendErrors
-}
+func (t *Transport) SendErrors() int { return t.Stats().SendErrors }
 
 // Stats returns a snapshot of the transport counters, including the delta
 // codec counters folded over every stream.
 func (t *Transport) Stats() Stats {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	st := t.stats
-	t.mu.Unlock()
-	t.deltaMu.Lock()
-	for _, enc := range t.encoders {
-		st.Delta.Add(enc.Stats())
+	for _, p := range t.peers {
+		p.encMu.Lock()
+		p.enc.addStats(&st.Delta)
+		p.encMu.Unlock()
 	}
-	for _, dec := range t.decoders {
-		st.Delta.Desyncs += dec.Desyncs()
-	}
-	t.deltaMu.Unlock()
 	return st
 }
 
-func (t *Transport) dropSend() {
+// count applies one counter update under the stats lock.
+func (t *Transport) count(update func(*Stats)) {
 	t.mu.Lock()
-	t.stats.SendErrors++
+	update(&t.stats)
 	t.mu.Unlock()
 }
+
+func (t *Transport) dropSend() { t.count(func(st *Stats) { st.SendErrors++ }) }
 
 // EnableDelta turns on delta compression for outbound aggregates: an
 // entry rides the wire only when a statistic moved by more than threshold
@@ -253,62 +270,9 @@ func (t *Transport) dropSend() {
 // stream, with a full-state resync every resyncEvery frames bounding the
 // drift a dropped frame can cause. Call before traffic starts.
 func (t *Transport) EnableDelta(threshold float64, resyncEvery int) {
-	t.deltaMu.Lock()
-	defer t.deltaMu.Unlock()
-	t.deltaOn = true
-	t.deltaThresh = threshold
-	t.deltaResync = resyncEvery
-	t.encoders = make(map[deltaKey]*combining.DeltaEncoder)
-	t.decoders = make(map[deltaKey]*combining.DeltaDecoder)
-}
-
-// encodeDelta compresses agg for the (tree, to) stream, lazily creating
-// (or re-sizing) the encoder. Returns nil when compression is off.
-func (t *Transport) encodeDelta(tree int, to combining.NodeID, agg combining.Aggregate) *combining.DeltaFrame {
-	t.deltaMu.Lock()
-	defer t.deltaMu.Unlock()
-	if !t.deltaOn {
-		return nil
-	}
-	key := deltaKey{tree, to}
-	enc := t.encoders[key]
-	if enc == nil || len(agg.Sum) != enc.N() {
-		enc = combining.NewDeltaEncoder(len(agg.Sum), t.deltaThresh, t.deltaResync)
-		t.encoders[key] = enc
-	}
-	f := enc.Encode(agg)
-	return &f
-}
-
-// decodeDelta reconstructs an inbound aggregate from the (tree, from)
-// stream decoder. ok is false when the stream is desynced (the message
-// must be dropped until a full frame arrives).
-func (t *Transport) decodeDelta(tree int, from combining.NodeID, f *combining.DeltaFrame) (combining.Aggregate, bool) {
-	t.deltaMu.Lock()
-	defer t.deltaMu.Unlock()
-	if t.decoders == nil {
-		t.decoders = make(map[deltaKey]*combining.DeltaDecoder)
-	}
-	key := deltaKey{tree, from}
-	dec := t.decoders[key]
-	if dec == nil || (f.Full && f.N != dec.N()) {
-		dec = combining.NewDeltaDecoder(f.N)
-		t.decoders[key] = dec
-	}
-	return dec.Apply(*f)
-}
-
-// resetEncoders forces the next frame on every stream toward peer id to be
-// a full resync — called after a reconnect, when the far end may have
-// restarted and lost its decoder state.
-func (t *Transport) resetEncoders(id combining.NodeID) {
-	t.deltaMu.Lock()
-	defer t.deltaMu.Unlock()
-	for key, enc := range t.encoders {
-		if key.node == id {
-			enc.Reset()
-		}
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.delta = deltaParams{true, threshold, resyncEvery}
 }
 
 // Send transmits a combining.Report, combining.Broadcast, or
@@ -337,38 +301,32 @@ func (t *Transport) send(tree int, to combining.NodeID, msg interface{}) {
 		t.dropSend()
 		return
 	}
-	env := envelope{From: int(t.self), Tree: tree}
-	switch m := msg.(type) {
+	// Copy into a slot before returning: the caller reuses msg.Agg
+	// (combining.SendFunc). The writer encodes; see writeLoop.
+	m := p.slot()
+	m.tree = tree
+	switch v := msg.(type) {
 	case combining.Report:
-		env.Kind, env.Epoch = "report", m.Epoch
-		env.AckVersion = m.AckVersion
-		if env.Delta = t.encodeDelta(tree, to, m.Agg); env.Delta == nil {
-			env.Agg = m.Agg
-		}
+		m.kind, m.epoch, m.ack = kindReport, v.Epoch, v.AckVersion
+		m.agg.CopyFrom(v.Agg)
 	case combining.Broadcast:
-		env.Kind, env.Epoch = "broadcast", m.Epoch
-		if env.Delta = t.encodeDelta(tree, to, m.Agg); env.Delta == nil {
-			env.Agg = m.Agg
-		}
-		if m.Config != nil {
-			env.CfgVersion = m.Config.Version
-			env.CfgGate = m.Config.GateEpoch
-			env.CfgPayload = m.Config.Payload
+		m.kind, m.epoch, m.ack = kindBroadcast, v.Epoch, 0
+		m.agg.CopyFrom(v.Agg)
+		if v.Config != nil && v.Config.Version > 0 {
+			m.cfg = v.Config
 		}
 	case combining.Rejoin:
-		env.Kind, env.Epoch = "rejoin", m.Epoch
-		env.AckVersion = m.AckVersion
+		m.kind, m.epoch, m.ack = kindRejoin, v.Epoch, v.AckVersion
 	default:
+		p.recycle(m)
 		t.dropSend()
 		return
 	}
 	select {
-	case p.ch <- env:
+	case p.ch <- m:
 	default:
-		t.mu.Lock()
-		t.stats.SendErrors++
-		t.stats.QueueDrops++
-		t.mu.Unlock()
+		p.recycle(m)
+		t.count(func(st *Stats) { st.SendErrors++; st.QueueDrops++ })
 	}
 }
 
@@ -379,14 +337,11 @@ func (t *Transport) send(tree int, to combining.NodeID, msg interface{}) {
 func (t *Transport) writeLoop(p *peer) {
 	defer t.wg.Done()
 	var conn net.Conn
-	var enc *json.Encoder
 	disconnect := func() {
 		if conn != nil {
 			conn.Close()
-			conn, enc = nil, nil
-			t.mu.Lock()
-			t.stats.PeersConnected--
-			t.mu.Unlock()
+			conn = nil
+			t.count(func(st *Stats) { st.PeersConnected-- })
 		}
 	}
 	defer disconnect()
@@ -394,42 +349,49 @@ func (t *Transport) writeLoop(p *peer) {
 		select {
 		case <-t.stop:
 			return
-		case env := <-p.ch:
+		case m := <-p.ch:
 			sent := false
 			for attempt := 0; attempt < 2 && !sent; attempt++ {
-				if conn == nil && !t.redial(p, &conn, &enc) {
+				if conn == nil && !t.redial(p, &conn) {
 					break
 				}
 				if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 					// A socket whose write deadline cannot be armed could
 					// block the writer forever; treat it as dead.
-					t.mu.Lock()
-					t.stats.DeadlineErrorsWrite++
-					t.mu.Unlock()
+					t.count(func(st *Stats) { st.DeadlineErrorsWrite++ })
 					disconnect()
 					continue
 				}
-				if err := enc.Encode(env); err != nil {
+				// Encode here, per attempt, not in Send: a redial resets
+				// the delta streams, and the frame that opens a connection
+				// must be a full one for the far end's fresh decoder.
+				t.mu.Lock()
+				delta := t.delta
+				t.mu.Unlock()
+				p.encMu.Lock()
+				wire, saved := p.enc.encode(t.self, m, delta)
+				p.encMu.Unlock()
+				if _, err := conn.Write(wire); err != nil {
 					if errors.Is(err, os.ErrDeadlineExceeded) {
-						t.mu.Lock()
-						t.stats.WriteTimeouts++
-						t.mu.Unlock()
+						t.count(func(st *Stats) { st.WriteTimeouts++ })
 					}
 					disconnect()
 					continue
 				}
+				t.count(func(st *Stats) { st.BytesSent += uint64(len(wire)); st.Delta.BytesSaved += saved })
 				sent = true
 			}
 			if !sent {
 				t.dropSend()
 			}
+			p.recycle(m)
 		}
 	}
 }
 
 // redial establishes peer p's connection, respecting the backoff window. It
 // reports whether conn is usable afterwards.
-func (t *Transport) redial(p *peer, conn *net.Conn, enc **json.Encoder) bool {
+func (t *Transport) redial(p *peer, conn *net.Conn) bool {
 	p.mu.Lock()
 	addr := p.addr
 	wait := !p.nextDialAt.IsZero() && time.Now().Before(p.nextDialAt)
@@ -454,19 +416,19 @@ func (t *Transport) redial(p *peer, conn *net.Conn, enc **json.Encoder) bool {
 	p.everDialed = true
 	p.mu.Unlock()
 
-	*conn, *enc = c, json.NewEncoder(c)
-	t.mu.Lock()
-	t.stats.Dials++
-	t.stats.PeersConnected++
-	if again {
-		t.stats.Reconnects++
-	}
-	t.mu.Unlock()
-	if again {
-		// The peer may have restarted and lost its decoder state: force a
-		// full resync frame on every delta stream toward it.
-		t.resetEncoders(p.id)
-	}
+	*conn = c
+	t.count(func(st *Stats) {
+		st.Dials++
+		st.PeersConnected++
+		if again {
+			st.Reconnects++
+		}
+	})
+	// The far end decodes each connection with fresh stream state (it may
+	// also have restarted): lead every stream with a full resync frame.
+	p.encMu.Lock()
+	p.enc.reset()
+	p.encMu.Unlock()
 	return true
 }
 
@@ -485,8 +447,8 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// readLoop decodes a stream of envelopes from one inbound connection until
-// the peer hangs up, a decode fails, or the idle deadline expires.
+// readLoop decodes a stream of frames from one inbound connection until
+// the peer hangs up, a frame is malformed, or the idle deadline expires.
 func (t *Transport) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	done := make(chan struct{})
@@ -501,48 +463,29 @@ func (t *Transport) readLoop(conn net.Conn) {
 		case <-done:
 		}
 	}()
-	dec := json.NewDecoder(conn)
+	dec := decoder{br: bufio.NewReader(conn)}
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(idleTimeout)); err != nil {
-			t.mu.Lock()
-			t.stats.DeadlineErrorsRead++
-			t.mu.Unlock()
+			t.count(func(st *Stats) { st.DeadlineErrorsRead++ })
 			return
 		}
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		n, err := dec.read()
+		if err != nil {
 			return
 		}
-		agg := env.Agg
-		if env.Delta != nil {
-			// Desynced stream: drop the message and wait for the sender's
-			// next full frame — the tree just aggregates staler data for a
-			// few epochs, exactly like a lost report.
-			var ok bool
-			if agg, ok = t.decodeDelta(env.Tree, combining.NodeID(env.From), env.Delta); !ok {
-				continue
+		// Desynced stream: drop the message and wait for the sender's
+		// next full frame — the tree just aggregates staler data for a
+		// few epochs, exactly like a lost report.
+		msg, ok := dec.message()
+		t.count(func(st *Stats) {
+			st.BytesReceived += uint64(n)
+			if !ok {
+				st.Delta.Desyncs++
 			}
+		})
+		if ok {
+			t.handler(dec.f.tree, dec.f.from, msg)
 		}
-		var msg interface{}
-		switch env.Kind {
-		case "report":
-			msg = combining.Report{Epoch: env.Epoch, Agg: agg, AckVersion: env.AckVersion}
-		case "broadcast":
-			b := combining.Broadcast{Epoch: env.Epoch, Agg: agg}
-			if env.CfgVersion > 0 {
-				b.Config = &combining.ConfigUpdate{
-					Version:   env.CfgVersion,
-					GateEpoch: env.CfgGate,
-					Payload:   env.CfgPayload,
-				}
-			}
-			msg = b
-		case "rejoin":
-			msg = combining.Rejoin{Epoch: env.Epoch, AckVersion: env.AckVersion}
-		default:
-			continue
-		}
-		t.handler(env.Tree, combining.NodeID(env.From), msg)
 	}
 }
 

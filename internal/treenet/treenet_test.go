@@ -18,7 +18,7 @@ type collector struct {
 func (c *collector) handle(tree int, from combining.NodeID, msg interface{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.msgs = append(c.msgs, msg)
+	c.msgs = append(c.msgs, combining.Detach(msg)) // msg.Agg is the reader's buffer
 	c.from = append(c.from, from)
 }
 
@@ -181,6 +181,7 @@ func TestTreeOverTCP(t *testing.T) {
 		nodes[2].Tick()
 		nodes[0].Tick()
 		g, _, ok := nodes[1].Global()
+		g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 		mu.Unlock()
 		if ok && g.Sum[0] == 60 {
 			return // full aggregate visible at a leaf
