@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json bench-scale bench-ref bench-ref-compare experiments fmt cover apicompat doclint linkcheck
+.PHONY: all build vet test test-short race bench bench-json bench-scale bench-ref bench-ref-compare bench-ref-check experiments fmt cover apicompat doclint linkcheck
 
 all: build vet test
 
@@ -24,13 +24,14 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-pass fast-path report: run the window benchmarks and the tree codec
-# micro-benchmarks (frame and delta codecs) with -benchmem and emit
-# BENCH_lp_fastpath.json (ns/op, allocs/op, cache hit rate, bytes/frame)
-# with the committed seed numbers embedded as the baseline.
+# One-pass fast-path report: run the window benchmarks, the tree codec
+# micro-benchmarks (frame and delta codecs) and the L7 proxy-path
+# micro-benchmarks (one relayed exchange, one refusal) with -benchmem and
+# emit BENCH_lp_fastpath.json (ns/op, allocs/op, cache hit rate,
+# bytes/frame) with the committed seed numbers embedded as the baseline.
 bench-json:
-	$(GO) test -run XXX -bench 'WindowSchedule|AdmitPerRequest|AdmitParallel|WindowTraceOverhead|SpanOverhead|FrameCodec|DeltaCodec' -benchmem \
-		. ./internal/treenet ./internal/combining \
+	$(GO) test -run XXX -bench 'WindowSchedule|AdmitPerRequest|AdmitParallel|WindowTraceOverhead|SpanOverhead|FrameCodec|DeltaCodec|ProxyExchange|Refuse' -benchmem \
+		. ./internal/treenet ./internal/combining ./internal/l7 \
 		| $(GO) run ./cmd/benchjson -baseline BENCH_seed.json -o BENCH_lp_fastpath.json
 	@cat BENCH_lp_fastpath.json
 
@@ -42,6 +43,12 @@ bench-ref:
 
 bench-ref-compare:
 	bash bench/run.sh -compare bench/out/old.json bench/out/new.json
+
+# Pre-flight before submitting a performance change: every workload of
+# BENCHMARK.json for 5 s, untraced and traced, each required to exit 0 with
+# "correct":true and "failed":0 (~2 min).
+bench-ref-check:
+	scripts/bench-ref-check.sh
 
 # Macro-benchmark scale sweep: boot an in-process Layer-7 fleet per grid
 # point (redirector count × tree fanout × offered load), drive it with

@@ -1,13 +1,14 @@
 package l7
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"path"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,10 +118,12 @@ type RedirectorConfig struct {
 // by the scheduler, or to itself when the principal is over quota this
 // window (the implicit-queue self-redirect of §4.1).
 type Redirector struct {
-	cfg   RedirectorConfig
-	srv   *http.Server
-	ln    net.Listener
-	start time.Time
+	cfg     RedirectorConfig
+	srv     *http.Server
+	mux     *http.ServeMux // admin/obs routes, and /svc/ paths needing cleaning
+	ln      net.Listener
+	selfURL string
+	start   time.Time
 
 	// mu guards the window-boundary state only (core redirector, combining
 	// tree, estimate buffer). The request path never takes it: admission
@@ -132,8 +135,10 @@ type Redirector struct {
 	hop    *combining.HopMetrics
 	estBuf []float64 // reused local-estimate buffer (under mu)
 
-	adm *admission.Plane
-	rr  []atomic.Uint32 // round-robin cursor per owner principal
+	adm      *admission.Plane
+	rr       []atomic.Uint32 // round-robin cursor per owner principal
+	relay    *relay
+	backends [][]*upstream // owner principal → its backends' pools
 
 	obsv         *obs.Observer
 	handler      *obs.Handler
@@ -146,7 +151,6 @@ type Redirector struct {
 
 	checker *health.Checker
 	reint   *health.Reinterpreter
-	client  *http.Client
 
 	transport *treenet.Transport
 	reparent  treenet.Detector
@@ -183,12 +187,13 @@ func NewRedirector(cfg RedirectorConfig) (*Redirector, error) {
 		return nil, fmt.Errorf("l7: listen %s: %w", cfg.Addr, err)
 	}
 	r := &Redirector{
-		cfg:   cfg,
-		ln:    ln,
-		start: time.Now(),
-		red:   cfg.Engine.NewRedirector(cfg.ID),
-		rr:    make([]atomic.Uint32, cfg.Engine.NumPrincipals()),
-		done:  make(chan struct{}),
+		cfg:     cfg,
+		ln:      ln,
+		selfURL: "http://" + ln.Addr().String(),
+		start:   time.Now(),
+		red:     cfg.Engine.NewRedirector(cfg.ID),
+		rr:      make([]atomic.Uint32, cfg.Engine.NumPrincipals()),
+		done:    make(chan struct{}),
 	}
 	r.adm, err = admission.New(admission.Config{
 		Redirector: r.red, Engine: cfg.Engine, Shards: cfg.AdmissionShards,
@@ -204,29 +209,24 @@ func NewRedirector(cfg RedirectorConfig) (*Redirector, error) {
 		r.tracer = obs.NewTracer(*cfg.Trace, cfg.ID)
 	}
 
-	// Proxy-mode backend client: pooled transport with dial and
-	// response-header deadlines, so a dead backend costs a bounded error
-	// instead of a request hung on http.DefaultClient forever. With tracing
-	// on, dials feed the tracer's dial-phase histogram (the HTTP client
-	// dials inside the transport, where no request span is in scope).
-	dial := (&net.Dialer{Timeout: 2 * time.Second}).DialContext
-	if r.tracer != nil {
-		tr, inner := r.tracer, dial
-		dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-			dialStart := time.Now()
-			conn, derr := inner(ctx, network, addr)
-			tr.ObserveDial(time.Since(dialStart))
-			return conn, derr
+	// Backend pools: every base URL is parsed once, here; the proxy path
+	// relays over per-backend keep-alive connections (upstream.go) with dial
+	// and response-header deadlines, so a dead backend costs a bounded error.
+	// With tracing on, dials feed the tracer's dial-phase histogram.
+	r.relay = &relay{tracer: r.tracer}
+	r.backends = make([][]*upstream, cfg.Engine.NumPrincipals())
+	for p, bs := range cfg.Backends {
+		if int(p) < 0 || int(p) >= len(r.backends) {
+			continue
 		}
-	}
-	r.client = &http.Client{
-		Transport: &http.Transport{
-			DialContext:           dial,
-			ResponseHeaderTimeout: 10 * time.Second,
-			MaxIdleConns:          256,
-			MaxIdleConnsPerHost:   128,
-			IdleConnTimeout:       30 * time.Second,
-		},
+		for _, b := range bs {
+			u, uerr := r.relay.pool(b)
+			if uerr != nil {
+				ln.Close()
+				return nil, uerr
+			}
+			r.backends[p] = append(r.backends[p], u)
+		}
 	}
 
 	if cfg.Tree != nil {
@@ -487,11 +487,11 @@ func NewRedirector(cfg RedirectorConfig) (*Redirector, error) {
 	}
 	r.handler = obs.NewHandler(hcfg)
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/svc/", r.handle)
-	mux.HandleFunc("/stats", r.handleStats)
-	r.handler.Register(mux)
-	r.srv = &http.Server{Handler: mux}
+	r.mux = http.NewServeMux()
+	r.mux.HandleFunc("/svc/", r.handle)
+	r.mux.HandleFunc("/stats", r.handleStats)
+	r.handler.Register(r.mux)
+	r.srv = &http.Server{Handler: http.HandlerFunc(r.route)}
 	go func() { _ = r.srv.Serve(ln) }()
 
 	r.retryTokens.Store(int64(r.retryBudget()))
@@ -501,7 +501,7 @@ func NewRedirector(cfg RedirectorConfig) (*Redirector, error) {
 }
 
 // URL returns the redirector's base URL.
-func (r *Redirector) URL() string { return "http://" + r.ln.Addr().String() }
+func (r *Redirector) URL() string { return r.selfURL }
 
 // TreeAddr returns the tree transport address ("" without a tree).
 func (r *Redirector) TreeAddr() string {
@@ -803,6 +803,18 @@ func (r *Redirector) principalName(p agreement.Principal) string {
 	return ""
 }
 
+// route is the server's handler: service traffic goes straight to handle,
+// everything else through the mux — admin and observability routes, and the
+// rare /svc/ path that path.Clean would change (an empty, "." or ".."
+// segment), which the mux answers with a redirect to its cleaned form.
+func (r *Redirector) route(w http.ResponseWriter, req *http.Request) {
+	if p := req.URL.Path; strings.HasPrefix(p, "/svc/") && path.Clean(p) == strings.TrimSuffix(p, "/") {
+		r.handle(w, req)
+		return
+	}
+	r.mux.ServeHTTP(w, req)
+}
+
 // handle answers /svc/<org>/<rest> with a redirect (or, in proxy mode, the
 // proxied backend response). When tracing is enabled the request may carry
 // a pre-allocated span (nil-safe stamps, zero allocations); the finished
@@ -824,103 +836,99 @@ func (r *Redirector) handle(w http.ResponseWriter, req *http.Request) {
 	sp = r.tracer.Begin(r.principalName(p))
 	d, det := r.adm.AdmitTraced(p, -1, 1)
 	sp.StampAdmit(spanVerdict(det.Outcome), det.Shard)
-	var target string
+	var target *upstream
 	if d.Admitted {
-		target = r.chooseBackend(d.Owner, "")
+		target = r.chooseBackend(d.Owner, nil)
 		sp.StampBackend()
 	}
 
-	if target == "" {
-		if r.cfg.Proxy {
-			// Single-round-trip variant: tell the client to retry.
-			w.Header().Set("Retry-After", "0")
-			http.Error(w, "over quota this window", http.StatusServiceUnavailable)
-			return
-		}
-		// Self-redirect: the client retries the same URL (implicit queuing).
-		w.Header().Set("Retry-After", "0")
-		http.Redirect(w, req, r.URL()+req.URL.RequestURI(), http.StatusFound)
-		return
-	}
-	if r.cfg.Proxy {
+	switch {
+	case target == nil:
+		r.refuse(w, req)
+	case r.cfg.Proxy:
 		r.proxy(w, req, d.Owner, target, tail, sp)
-		return
+	default:
+		http.Redirect(w, req, target.location(tail, req.URL.RawQuery), http.StatusFound)
 	}
-	http.Redirect(w, req, destURL(target, tail, req.URL.RawQuery), http.StatusFound)
 }
 
-// destURL joins a backend base URL with the request tail and query.
-func destURL(target, tail, query string) string {
-	dest := target + "/" + tail
-	if query != "" {
-		dest += "?" + query
+// The refusal replies are fixed, so their header values are built once and
+// shared by every response (net/http only reads them).
+var (
+	refusalBody    = []byte("over quota this window\n")
+	refusalLength  = []string{strconv.Itoa(len(refusalBody))}
+	refusalType    = []string{"text/plain; charset=utf-8"}
+	refusalNoSniff = []string{"nosniff"}
+	retryAfterNow  = []string{"0"}
+)
+
+// refuse tells the client to come back: 503 in proxy mode (the
+// single-round-trip variant), otherwise a 302 to this redirector itself
+// (implicit queuing). Both carry Retry-After: 0.
+func (r *Redirector) refuse(w http.ResponseWriter, req *http.Request) {
+	h := w.Header()
+	h["Retry-After"] = retryAfterNow
+	h["Content-Type"] = refusalType
+	h["X-Content-Type-Options"] = refusalNoSniff
+	h["Content-Length"] = refusalLength
+	if r.cfg.Proxy {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	} else {
+		h["Location"] = []string{r.selfURL + req.URL.RequestURI()}
+		w.WriteHeader(http.StatusFound)
 	}
-	return dest
+	_, _ = w.Write(refusalBody)
 }
 
 // chooseBackend round-robins over the owner's backends, skipping ones the
-// health checker holds down and the one named by skip (the backend a
-// failover is escaping). Returns "" when no usable backend exists. Safe
-// without the redirector mutex: the cursor is atomic and the checker locks
-// internally.
-func (r *Redirector) chooseBackend(owner agreement.Principal, skip string) string {
-	backends := r.cfg.Backends[owner]
-	if len(backends) == 0 {
-		return ""
-	}
+// health checker holds down and skip (the backend a failover is escaping).
+// Returns nil when no usable backend exists. Safe without the redirector
+// mutex: the cursor is atomic and the checker locks internally.
+func (r *Redirector) chooseBackend(owner agreement.Principal, skip *upstream) *upstream {
+	backends := r.backends[owner]
 	for range backends {
-		idx := int(r.rr[owner].Add(1)-1) % len(backends)
-		b := backends[idx]
-		if b == skip {
-			continue
-		}
-		if r.checker == nil || r.checker.Up(b) {
+		b := backends[int(r.rr[owner].Add(1)-1)%len(backends)]
+		if b != skip && (r.checker == nil || r.checker.Up(b.target)) {
 			return b
 		}
 	}
-	return ""
+	return nil
 }
 
 // proxy relays the request to a backend of owner and the response to the
 // client — one client round trip instead of two. A failed backend exchange
-// is reported to the health checker and retried once against another
-// backend of the same owner (bounded failover, not a retry storm).
-func (r *Redirector) proxy(w http.ResponseWriter, req *http.Request, owner agreement.Principal, target, tail string, sp *obs.Span) {
-	// Buffer the body so a failover attempt can replay it.
-	var body []byte
-	if req.Body != nil {
-		var err error
-		body, err = io.ReadAll(req.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
+// is reported to the health checker and, when the request can be replayed
+// (no body, or one small enough to have been buffered), retried once
+// against another backend of the same owner (bounded failover, not a retry
+// storm).
+func (r *Redirector) proxy(w http.ResponseWriter, req *http.Request, owner agreement.Principal, target *upstream, tail string, sp *obs.Span) {
+	body, err := takeBody(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
+	defer body.release()
 	var lastErr error
-	for attempt := 0; attempt < 2 && target != ""; attempt++ {
-		out, err := http.NewRequest(req.Method, destURL(target, tail, req.URL.RawQuery),
-			bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		out.Header = req.Header.Clone()
-		resp, err := r.client.Do(out)
+	for attempt := 0; attempt < 2 && target != nil; attempt++ {
+		committed, err := r.relay.exchange(target, w, req, tail, &body, sp)
 		if err == nil {
-			defer resp.Body.Close()
-			sp.StampFirstByte()
-			for k, vs := range resp.Header {
-				for _, v := range vs {
-					w.Header().Add(k, v)
-				}
-			}
-			w.WriteHeader(resp.StatusCode)
-			_, _ = io.Copy(w, resp.Body)
 			return
 		}
 		lastErr = err
+		var ce clientError
+		if errors.As(err, &ce) {
+			break
+		}
 		if r.checker != nil {
-			r.checker.ReportFailure(target, r.elapsed())
+			r.checker.ReportFailure(target.target, r.elapsed())
+		}
+		if committed {
+			// The head is out and the body fell short: cut the client's
+			// connection so it cannot mistake the fragment for the whole.
+			panic(http.ErrAbortHandler)
+		}
+		if !body.replayable() {
+			break
 		}
 		// Failover is budgeted per window: a dying fleet must not turn
 		// every admitted request into a second backend exchange.
@@ -930,7 +938,7 @@ func (r *Redirector) proxy(w http.ResponseWriter, req *http.Request, owner agree
 		}
 		r.cfg.Engine.Logger().With("l7").WarnRate(r.warnFailover,
 			"proxy exchange failed; failing over",
-			"backend", target, "err", err)
+			"backend", target.target, "err", err)
 		target = r.chooseBackend(owner, target)
 	}
 	if lastErr == nil {
@@ -979,6 +987,14 @@ func (r *Redirector) extraMetrics(w io.Writer) {
 	obs.WriteMetric(w, "rsa_l7_retry_budget_exhausted_total", "counter",
 		"Proxy failovers suppressed because the window's retry budget was spent.",
 		float64(r.retryExhausted.Load()))
+	obs.WriteMetric(w, "rsa_l7_upstream_dials_total", "counter",
+		"Backend connections the proxy relay dialled.", float64(r.relay.dials.Load()))
+	obs.WriteMetric(w, "rsa_l7_upstream_reuses_total", "counter",
+		"Proxy exchanges that started on a pooled keep-alive backend connection.", float64(r.relay.reuses.Load()))
+	obs.WriteMetric(w, "rsa_l7_upstream_stale_retries_total", "counter",
+		"Pooled backend connections found closed by the backend and replaced by a fresh dial.", float64(r.relay.staleRetries.Load()))
+	obs.WriteMetric(w, "rsa_l7_upstream_idle_conns", "gauge",
+		"Keep-alive backend connections idle in the proxy relay's pools.", float64(r.relay.idleConns()))
 	admission.WriteMetrics(w, r.adm)
 	health.WriteMetrics(w, r.checker, r.reint)
 	treenet.WriteMetrics(w, r.transport, r.reparent)
@@ -1033,7 +1049,7 @@ func (r *Redirector) Close() error {
 				err = cerr
 			}
 		}
-		r.client.CloseIdleConnections()
+		r.relay.close()
 		// Compact the durable record log on the way out so the next boot
 		// replays one record, not the whole run. The caller owns (and
 		// closes) the store itself.
