@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json bench-scale bench-ref bench-ref-compare bench-ref-check experiments fmt cover apicompat doclint linkcheck
+.PHONY: all build vet test test-short race bench bench-json bench-scale bench-ref bench-ref-compare bench-ref-check experiments fmt cover apicompat doclint linkcheck loc
 
 all: build vet test
 
@@ -75,6 +75,11 @@ experiments:
 # scripts/apicompat.allow for deliberate breaks).
 apicompat:
 	scripts/apicompat.sh
+
+# Non-blank, non-comment, non-test Go lines per package (bench/ excluded):
+# the one count simplicity PRs quote before and after.
+loc:
+	scripts/loc.sh
 
 fmt:
 	gofmt -w .

@@ -28,7 +28,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	capacity := flag.Float64("capacity", 320, "service capacity in requests/second")
 	stats := flag.Duration("stats", 10*time.Second, "stats print interval (0 disables)")
-	admin := flag.String("admin", "", "admin listener for /metrics and pprof")
+	admin := flag.String("admin", "", "admin listener for /v1/metrics and pprof")
 	flag.Parse()
 
 	var served func() int64

@@ -1,7 +1,7 @@
 // Command chaos is the CI chaos smoke. Phase 1 boots a single-process
 // Layer-7 enforcement plane (proxy mode, two backends, active health
 // checking), replays a deterministic fault schedule that kills and
-// restarts one backend, and fails unless the /metrics endpoint proves the
+// restarts one backend, and fails unless the /v1/metrics endpoint proves the
 // plane went degraded and recovered — rsa_health_degraded_transitions_total
 // and rsa_health_recovered_transitions_total both ≥ 1 — while requests
 // kept flowing through the surviving backend. Phase 2 boots a two-region

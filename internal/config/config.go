@@ -5,11 +5,12 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -282,106 +283,27 @@ type File struct {
 	StateDir string `json:"state_dir"`
 }
 
-// Field names are canonically snake_case. Earlier revisions accepted
-// camelCase spellings for some of them; each deprecated spelling decodes
-// with a warning emitted once per field per process (a config with three
-// aliased fields warns three times on first parse, then never again, no
-// matter how often a long-lived process reloads it). Keys are scoped by the
-// object that holds them ("" is the top level).
-var fieldAliases = map[string]map[string]string{
-	"": {
-		"windowMS":        "window_ms",
-		"numRedirectors":  "num_redirectors",
-		"stalenessMS":     "staleness_ms",
-		"adminAddr":       "admin_addr",
-		"admissionShards": "admission_shards",
-	},
-	"tree": {
-		"nodeId":           "node_id",
-		"listenAddr":       "listen_addr",
-		"failureTimeoutMS": "failure_timeout_ms",
-	},
-	"health": {
-		"intervalMS":       "interval_ms",
-		"timeoutMS":        "timeout_ms",
-		"failThreshold":    "fail_threshold",
-		"successThreshold": "success_threshold",
-		"backoffMaxMS":     "backoff_max_ms",
-	},
-	"ctrl": {
-		"rolloutLeadEpochs": "rollout_lead_epochs",
-	},
-}
-
-// aliasWarned makes each deprecated spelling warn once per field per
-// process, not once per Parse call (long-lived processes reload configs).
-var aliasWarned sync.Map
+// flatWarned makes each deprecated flat tree key warn once per process, not
+// once per Parse call (long-lived processes reload configs).
+var flatWarned sync.Map
 
 // configLog returns the logger deprecation warnings go to; a package
 // variable so tests can capture and count the warnings.
 var configLog = func() *obs.Logger { return obs.Default().With("config") }
 
-func applyAliases(m map[string]json.RawMessage, scope string) {
-	for old, canon := range fieldAliases[scope] {
-		v, ok := m[old]
-		if !ok {
-			continue
-		}
-		if _, exists := m[canon]; !exists {
-			m[canon] = v
-		}
-		delete(m, old)
-		key := scope + "." + old
-		if _, dup := aliasWarned.LoadOrStore(key, true); !dup {
-			configLog().Warn("deprecated field name",
-				"field", strings.TrimPrefix(key, "."), "use", canon)
-		}
-	}
-}
-
-// canonicalize rewrites deprecated camelCase field spellings to their
-// snake_case forms before the typed decode. Unknown fields pass through
-// untouched; a non-object document is returned as-is for the typed decode
-// to reject with its own error.
-func canonicalize(data []byte) []byte {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return data
-	}
-	applyAliases(raw, "")
-	for scope := range fieldAliases {
-		if scope == "" {
-			continue
-		}
-		sub, ok := raw[scope]
-		if !ok {
-			continue
-		}
-		var sm map[string]json.RawMessage
-		if err := json.Unmarshal(sub, &sm); err != nil || sm == nil {
-			continue
-		}
-		applyAliases(sm, scope)
-		enc, err := json.Marshal(sm)
-		if err != nil {
-			continue
-		}
-		raw[scope] = enc
-	}
-	out, err := json.Marshal(raw)
-	if err != nil {
-		return data
-	}
-	return out
-}
-
-// Parse decodes and sanity-checks a scenario. Deprecated camelCase field
-// spellings are accepted with a warning emitted once per field per process;
-// see fieldAliases.
+// Parse decodes and sanity-checks a scenario. Field names are snake_case
+// only: an unknown key — a typo, or a camelCase spelling retired with the
+// pre-/v1 aliases — is an error naming the key rather than a silent
+// fall-back to the default, and so is anything after the document.
 func Parse(data []byte) (*File, error) {
 	var f File
-	if err := json.Unmarshal(canonicalize(data), &f); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after the scenario document", ErrConfig)
 	}
 	if f.Mode != "community" && f.Mode != "provider" {
 		return nil, fmt.Errorf("%w: mode must be community or provider, got %q", ErrConfig, f.Mode)
@@ -418,7 +340,7 @@ func warnFlatTreeKey(set bool, key string) {
 	if !set {
 		return
 	}
-	if _, dup := aliasWarned.LoadOrStore("tree."+key+"(flat)", true); !dup {
+	if _, dup := flatWarned.LoadOrStore(key, true); !dup {
 		configLog().Warn("deprecated flat tree key",
 			"field", "tree."+key, "use", "tree.topology")
 	}

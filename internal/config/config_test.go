@@ -3,9 +3,11 @@ package config
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -156,47 +158,95 @@ func TestResolvePrincipalsUnknown(t *testing.T) {
 	}
 }
 
-func TestDeprecatedFieldAliases(t *testing.T) {
-	f, err := Parse([]byte(`{
-	  "mode": "community",
-	  "windowMS": 250,
-	  "numRedirectors": 3,
-	  "stalenessMS": 900,
-	  "adminAddr": "127.0.0.1:9100",
-	  "principals": [{"name": "A", "capacity": 10}],
-	  "tree": {"nodeId": 4, "parent": -1, "listenAddr": "127.0.0.1:0", "failureTimeoutMS": 1500},
-	  "health": {"intervalMS": 50, "timeoutMS": 20, "failThreshold": 2, "successThreshold": 3, "backoffMaxMS": 400},
-	  "ctrl": {"enabled": true, "rolloutLeadEpochs": 4}
-	}`))
-	if err != nil {
-		t.Fatal(err)
+// TestRetiredSpellingsRejected pins strict decoding: every camelCase
+// spelling retired with the pre-/v1 aliases — like any other unknown key —
+// fails Parse with an ErrConfig naming the key (instead of silently falling
+// back to the field's default), and so does trailing data.
+func TestRetiredSpellingsRejected(t *testing.T) {
+	const base = `"mode": "community", "principals": [{"name": "A", "capacity": 10}]`
+	cases := []struct{ key, doc string }{
+		{"windowMS", `{` + base + `, "windowMS": 250}`},
+		{"numRedirectors", `{` + base + `, "numRedirectors": 3}`},
+		{"stalenessMS", `{` + base + `, "stalenessMS": 900}`},
+		{"adminAddr", `{` + base + `, "adminAddr": "127.0.0.1:9100"}`},
+		{"admissionShards", `{` + base + `, "admissionShards": 4}`},
+		{"nodeId", `{` + base + `, "tree": {"nodeId": 4}}`},
+		{"listenAddr", `{` + base + `, "tree": {"listenAddr": "127.0.0.1:0"}}`},
+		{"failureTimeoutMS", `{` + base + `, "tree": {"failureTimeoutMS": 1500}}`},
+		{"intervalMS", `{` + base + `, "health": {"intervalMS": 50}}`},
+		{"timeoutMS", `{` + base + `, "health": {"timeoutMS": 20}}`},
+		{"failThreshold", `{` + base + `, "health": {"failThreshold": 2}}`},
+		{"successThreshold", `{` + base + `, "health": {"successThreshold": 3}}`},
+		{"backoffMaxMS", `{` + base + `, "health": {"backoffMaxMS": 400}}`},
+		{"rolloutLeadEpochs", `{` + base + `, "ctrl": {"rolloutLeadEpochs": 4}}`},
+		{"window_ms_typo", `{` + base + `, "window_ms": 100, "window_ms_typo": 1}`},
+		{"trailing data", `{` + base + `} {"mode": "provider"}`},
 	}
-	if f.WindowMS != 250 || f.NumRedirectors != 3 || f.StalenessMS != 900 || f.AdminAddr != "127.0.0.1:9100" {
-		t.Fatalf("top-level aliases not applied: %+v", f)
-	}
-	if f.Tree == nil || f.Tree.NodeID != 4 || f.Tree.ListenAddr != "127.0.0.1:0" || f.Tree.FailureTimeoutMS != 1500 {
-		t.Fatalf("tree aliases not applied: %+v", f.Tree)
-	}
-	if f.Health == nil || f.Health.IntervalMS != 50 || f.Health.TimeoutMS != 20 ||
-		f.Health.FailThreshold != 2 || f.Health.SuccessThreshold != 3 || f.Health.BackoffMaxMS != 400 {
-		t.Fatalf("health aliases not applied: %+v", f.Health)
-	}
-	if f.Ctrl == nil || !f.Ctrl.Enabled || f.Ctrl.RolloutLeadEpochs != 4 {
-		t.Fatalf("ctrl aliases not applied: %+v", f.Ctrl)
+	for _, tc := range cases {
+		_, err := Parse([]byte(tc.doc))
+		if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s: Parse error = %v, want ErrConfig naming the key", tc.key, err)
+		}
 	}
 }
 
-func TestCanonicalFieldWinsOverAlias(t *testing.T) {
-	f, err := Parse([]byte(`{
-	  "mode": "community",
-	  "window_ms": 100, "windowMS": 999,
-	  "principals": [{"name": "A", "capacity": 10}]
-	}`))
-	if err != nil {
-		t.Fatal(err)
+// jsonFence matches the ```json / ```jsonc blocks quoted in the docs, and
+// lineComment the // annotations the jsonc ones carry.
+var (
+	jsonFence   = regexp.MustCompile("(?s)```jsonc?\n(.*?)```")
+	lineComment = regexp.MustCompile(`(?m)\s+//.*$`)
+)
+
+// TestInTreeScenariosParse keeps strict decoding honest against everything
+// the repository itself ships: the scenario files, and the configuration
+// fragments quoted in README.md and OPERATIONS.md (spliced into a minimal
+// scenario).
+func TestInTreeScenariosParse(t *testing.T) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no scenario files found: %v", err)
 	}
-	if f.WindowMS != 100 {
-		t.Fatalf("alias overrode canonical field: window_ms = %d", f.WindowMS)
+	for _, path := range files {
+		if _, err := Load(path); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+	quoted := 0
+	for _, doc := range []string{"../../README.md", "../../OPERATIONS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range jsonFence.FindAllSubmatch(text, -1) {
+			fragment := lineComment.ReplaceAllString(string(m[1]), "")
+			scenario := `{"mode": "community", "principals": [{"name": "A", "capacity": 1}], ` + fragment + `}`
+			if _, err := Parse([]byte(scenario)); err != nil {
+				t.Errorf("%s: quoted block no longer parses: %v\n%s", doc, err, fragment)
+			}
+			quoted++
+		}
+	}
+	if quoted == 0 {
+		t.Fatal("found no quoted JSON blocks in README.md / OPERATIONS.md")
+	}
+}
+
+// TestFlatTreeKeyWarnsOncePerProcess pins the surviving deprecation: the
+// flat tree keys still parse, each warning once per process however often
+// a long-lived process reloads the scenario.
+func TestFlatTreeKeyWarnsOncePerProcess(t *testing.T) {
+	var buf bytes.Buffer
+	oldLog := configLog
+	configLog = func() *obs.Logger { return obs.NewLogger(&buf, obs.LevelWarn).With("config") }
+	flatWarned = sync.Map{}
+	defer func() { configLog = oldLog }()
+	for reload := 0; reload < 3; reload++ {
+		if _, err := Parse([]byte(treeFlat)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := strings.Count(buf.String(), "deprecated flat tree key"); got != 3 {
+		t.Fatalf("warned %d times over 3 parses of 3 flat keys, want exactly 3:\n%s", got, buf.String())
 	}
 }
 
@@ -309,46 +359,6 @@ func TestTopologySpecRejected(t *testing.T) {
 	}`))
 	if err == nil {
 		t.Fatal("duplicate region name accepted")
-	}
-}
-
-// TestAliasWarningOncePerFieldPerProcess pins the documented warning
-// semantics: each deprecated spelling warns exactly once per process — a
-// config with two aliased fields warns twice on first parse, and reloading
-// the same config warns zero more times.
-func TestAliasWarningOncePerFieldPerProcess(t *testing.T) {
-	var buf bytes.Buffer
-	oldLog := configLog
-	configLog = func() *obs.Logger { return obs.NewLogger(&buf, obs.LevelWarn).With("config") }
-	aliasWarned = sync.Map{}
-	defer func() { configLog = oldLog }()
-
-	doc := []byte(`{
-	  "mode": "community",
-	  "windowMS": 250,
-	  "stalenessMS": 900,
-	  "principals": [{"name": "A", "capacity": 10}]
-	}`)
-	for reload := 0; reload < 3; reload++ {
-		if _, err := Parse(doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := strings.Count(buf.String(), "deprecated field name"); got != 2 {
-		t.Fatalf("warned %d times over 3 parses of 2 aliased fields, want exactly 2:\n%s",
-			got, buf.String())
-	}
-	// A not-yet-seen alias still warns — the suppression is per field, not
-	// one warning per process total.
-	if _, err := Parse([]byte(`{
-	  "mode": "community",
-	  "numRedirectors": 2,
-	  "principals": [{"name": "A", "capacity": 10}]
-	}`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "deprecated field name"); got != 3 {
-		t.Fatalf("fresh alias suppressed: %d warnings, want 3:\n%s", got, buf.String())
 	}
 }
 

@@ -73,10 +73,7 @@ func TestBootRestore(t *testing.T) {
 		t.Fatalf("recovered set version = %d, want 3", got)
 	}
 	// The window sequence resumed from the durable record, not from zero.
-	r.mu.Lock()
-	windows := r.red.Windows
-	r.mu.Unlock()
-	if windows < 42 {
+	if windows, _, _ := r.WindowStats(); windows < 42 {
 		t.Fatalf("window sequence = %d, want >= 42 (restored)", windows)
 	}
 

@@ -27,22 +27,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/agreement"
-	"repro/internal/budget"
-	"repro/internal/combining"
 	"repro/internal/core"
-	"repro/internal/ctrlplane"
 	"repro/internal/health"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/topology"
 	"repro/internal/treenet"
 )
-
-// persistCheckpointEvery is how many durable window appends accumulate
-// before the record log is compacted to its newest record.
-const persistCheckpointEvery = 256
 
 // ServiceSpec binds a listener (virtual IP analogue) to a principal.
 type ServiceSpec struct {
@@ -73,9 +65,10 @@ type Config struct {
 	AdmissionShards int
 	// Tree, if non-nil, joins a combining tree of redirectors.
 	Tree *treenet.Spec
-	// TraceDepth is the window-trace ring capacity served at /debug/windows
-	// (0 selects obs.DefaultRingDepth). The Layer-4 switch has no HTTP
-	// server of its own; mount ObsHandler on an admin listener to scrape it.
+	// TraceDepth is the window-trace ring capacity served at
+	// /v1/debug/windows (0 selects obs.DefaultRingDepth). The Layer-4
+	// switch has no HTTP server of its own; mount ObsHandler on an admin
+	// listener to scrape it.
 	TraceDepth int
 	// Trace, if non-nil, enables request-span tracing: per-connection phase
 	// timestamps (admit, park, dial, first byte, close) recorded with zero
@@ -130,55 +123,21 @@ type pendShard struct {
 
 // Redirector is the Layer-4 switch.
 type Redirector struct {
+	// Node is the shared enforcement node: admission, window loop, tree,
+	// rollout, recovery and the admin surface (internal/node).
+	*node.Node
+
 	cfg       Config
-	start     time.Time
 	listeners []net.Listener
 	svcAddrs  map[agreement.Principal]string
 
-	// mu guards the window-boundary state only (core redirector, combining
-	// tree, estimate buffer). The admission path never takes it: per-request
-	// decisions go through the sharded admission plane.
-	mu     sync.Mutex
-	red    *core.Redirector
-	estBuf []float64 // reused local-estimate buffer (under mu)
-
-	adm       *admission.Plane
 	aff       *affinityCache
-	rr        []atomic.Uint32 // round-robin cursor per owner principal
 	pend      []pendShard
 	pendCount []atomic.Int64 // parked connections per principal (MaxPending bound)
 	parkSeq   atomic.Uint32  // round-robin park stripe cursor
 
-	tree      *combining.Forest
-	hop       *combining.HopMetrics
-	transport *treenet.Transport
-	reparent  treenet.Detector
-	topoPlane func() *topology.Plane // nil on a flat layout
-
-	checker *health.Checker
-	reint   *health.Reinterpreter
-
-	obsv    *obs.Observer
-	handler *obs.Handler
-	plane   *ctrlplane.Plane
-	tracer  *obs.Tracer
-	flight  *obs.FlightRecorder
-	names   []string // principal index → name, for span tags
-
-	ticker    *time.Ticker
-	done      chan struct{}
-	closeOnce sync.Once
-	stopped   atomic.Bool // Close drained the pending queues
-	wg        sync.WaitGroup
-
-	// Durable-state scratch (window loop only, under mu): export buffers,
-	// append cadence, and the newest set version already saved.
-	persistM     [][]float64
-	persistT     []float64
-	persistE     []float64
-	persistSince int
-	persistSeq   int
-	savedSet     uint64
+	stopped atomic.Bool // Close drained the pending queues
+	wg      sync.WaitGroup
 
 	// Stats (atomic; admitted/rejected counts live in the admission plane).
 	parked       atomic.Int64
@@ -208,278 +167,27 @@ func NewRedirector(cfg Config) (*Redirector, error) {
 		cfg.AffinityTTL = 30 * time.Second
 	}
 	r := &Redirector{
-		cfg:      cfg,
-		start:    time.Now(),
-		svcAddrs: make(map[agreement.Principal]string),
-		red:      cfg.Engine.NewRedirector(cfg.ID),
-		aff:      newAffinityCache(cfg.AffinityTTL),
-		rr:       make([]atomic.Uint32, cfg.Engine.NumPrincipals()),
-		done:     make(chan struct{}),
+		cfg:       cfg,
+		svcAddrs:  make(map[agreement.Principal]string),
+		aff:       newAffinityCache(cfg.AffinityTTL),
+		pendCount: make([]atomic.Int64, cfg.Engine.NumPrincipals()),
 	}
 	var err error
-	r.adm, err = admission.New(admission.Config{
-		Redirector: r.red, Engine: cfg.Engine, Shards: cfg.AdmissionShards,
+	r.Node, err = node.New(node.Config{
+		Layer: "l4", Engine: cfg.Engine, ID: cfg.ID, Backends: cfg.Backends,
+		Tree: cfg.Tree, AdmissionShards: cfg.AdmissionShards,
+		TraceDepth: cfg.TraceDepth, Trace: cfg.Trace, Flight: cfg.Flight,
+		Health: cfg.Health, Ctrl: cfg.Ctrl, CtrlLead: cfg.CtrlLead,
+		Persist: cfg.Persist, PersistEvery: cfg.PersistEvery,
+		Extra: r.extraMetrics,
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.pend = make([]pendShard, r.adm.Shards())
+	r.pend = make([]pendShard, r.Admission().Shards())
 	for i := range r.pend {
 		r.pend[i].q = make(map[agreement.Principal][]heldConn)
 	}
-	r.pendCount = make([]atomic.Int64, cfg.Engine.NumPrincipals())
-
-	if cfg.Tree != nil {
-		addr := cfg.Tree.ListenAddr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		wiring, werr := cfg.Tree.Resolve()
-		if werr != nil {
-			return nil, werr
-		}
-		r.transport, err = treenet.Listen(cfg.Tree.NodeID, addr, r.onTreeMessage)
-		if err != nil {
-			return nil, err
-		}
-		for id, peerAddr := range cfg.Tree.Peers {
-			r.transport.SetPeer(id, peerAddr)
-		}
-		r.reparent = wiring.Detector
-		r.topoPlane = wiring.Plane
-		// Principal sharding: under the component policy each disjoint
-		// agreement component runs its own tree (independent epochs) over
-		// the shared plane; otherwise one tree carries the full vector.
-		var comps [][]int
-		if top := cfg.Tree.Topology; top != nil {
-			if top.Sharding == topology.ShardComponent {
-				for _, c := range cfg.Engine.System().Components() {
-					ms := make([]int, len(c))
-					for i, p := range c {
-						ms[i] = int(p)
-					}
-					comps = append(comps, ms)
-				}
-			}
-			if d := top.Normalize().Delta; d.Enabled() {
-				r.transport.EnableDelta(d.Threshold, d.ResyncEvery)
-			}
-		}
-		r.hop = combining.NewHopMetrics()
-		r.tree, err = combining.NewForest(combining.ForestConfig{
-			ID: cfg.Tree.NodeID, Parent: wiring.Parent, Children: wiring.Children,
-			NumPrincipals: cfg.Engine.NumPrincipals(), Components: comps,
-			Send: r.transport.TreeSend, Now: r.elapsed, Hop: r.hop,
-		})
-		if err != nil {
-			r.transport.Close()
-			return nil, err
-		}
-		// Configuration updates arriving from the parent stage a new
-		// scheduling generation on the local engine behind the sender's
-		// epoch gate; runWindow swaps once this node's epoch crosses it.
-		// Runs on the transport goroutine under r.mu (OnMessage).
-		r.tree.SetConfigHandler(func(cu *combining.ConfigUpdate) {
-			set, derr := agreement.DecodeSet(cu.Payload)
-			if derr != nil {
-				cfg.Engine.Logger().Error("bad config payload", "version", cu.Version, "err", derr)
-				return
-			}
-			if _, serr := cfg.Engine.StageSet(set, cu.GateEpoch); serr != nil {
-				cfg.Engine.Logger().Error("stage agreement set", "version", cu.Version, "err", serr)
-				return
-			}
-			// Every set the tree delivers becomes durable before the gate
-			// can arrive: a crash after this point recovers the newest
-			// entitlements instead of rejoining blind.
-			if cfg.Persist != nil {
-				if perr := cfg.Persist.SaveSet(set); perr != nil {
-					cfg.Engine.Logger().Error("persist agreement set", "version", cu.Version, "err", perr)
-				}
-			}
-		})
-	}
-
-	// Crash recovery: restore the durable window position, carried credit,
-	// demand estimate and newest agreement set before the first window or
-	// tree tick, then announce a rejoin so the parent unblocks this node's
-	// (rewound) epoch and streams back the current global + configuration.
-	var resumeSet *agreement.Set
-	if cfg.Persist != nil {
-		resumeSet, err = cfg.Persist.LoadNewestSet()
-		if err != nil {
-			if r.transport != nil {
-				r.transport.Close()
-			}
-			return nil, fmt.Errorf("l4: recover agreement set: %w", err)
-		}
-		if resumeSet != nil {
-			// Gate 0: a recovered set the fleet already converged on commits
-			// locally at the next window boundary, no quorum round needed.
-			if _, serr := cfg.Engine.StageSet(resumeSet, 0); serr != nil {
-				cfg.Engine.Logger().Error("restage recovered set", "version", resumeSet.Version, "err", serr)
-				resumeSet = nil
-			} else {
-				r.savedSet = resumeSet.Version
-			}
-		}
-		if ws, ok := cfg.Persist.LastWindow(); ok {
-			r.red.RestoreState(ws.WindowSeq, ws.Estimate, ws.Credit, ws.CreditTotal)
-			r.red.SetRollout(ws.Epoch, ws.SetVersion)
-			if r.tree != nil {
-				var cu *combining.ConfigUpdate
-				if resumeSet != nil {
-					if data, perr := resumeSet.Encode(); perr == nil {
-						cu = &combining.ConfigUpdate{
-							Version: resumeSet.Version, GateEpoch: ws.Gate, Payload: data,
-						}
-					}
-				}
-				r.tree.Reset(ws.Epoch, cu)
-				r.tree.AnnounceRejoin()
-			}
-		}
-	}
-
-	if cfg.Ctrl {
-		// A restarted control-plane host resumes version numbering from the
-		// recovered snapshot, so its next mutation is not discarded
-		// fleet-wide as stale.
-		opt := ctrlplane.Options{Lead: cfg.CtrlLead, Logger: cfg.Engine.Logger(), Resume: resumeSet}
-		if cfg.Persist != nil {
-			// Leases ride the same durable store: the table is saved after
-			// every lease mutation and recovered on restart, so long-lived
-			// reservations survive a crash with bounded loss.
-			store := cfg.Persist
-			logger := cfg.Engine.Logger()
-			opt.SaveLeases = func(t *budget.Table) {
-				if perr := store.SaveLeases(t); perr != nil {
-					logger.Error("persist lease table", "version", t.Version, "err", perr)
-				}
-			}
-			if lt, perr := store.LoadNewestLeases(); perr == nil {
-				opt.ResumeLeases = lt
-			} else {
-				logger.Error("load lease table", "err", perr)
-			}
-		}
-		if r.tree != nil {
-			tree := r.tree
-			opt.Epoch = func() int {
-				r.mu.Lock()
-				defer r.mu.Unlock()
-				return tree.Epoch()
-			}
-			opt.Publish = func(set *agreement.Set, gate int) {
-				// Durable before distributed: a root crash between publish
-				// and fleet convergence must not lose the renegotiation.
-				if cfg.Persist != nil {
-					if perr := cfg.Persist.SaveSet(set); perr != nil {
-						cfg.Engine.Logger().Error("persist agreement set", "version", set.Version, "err", perr)
-					}
-				}
-				data, perr := set.Encode()
-				if perr != nil {
-					cfg.Engine.Logger().Error("encode agreement set", "version", set.Version, "err", perr)
-					return
-				}
-				r.mu.Lock()
-				tree.SetConfig(&combining.ConfigUpdate{Version: set.Version, GateEpoch: gate, Payload: data})
-				r.mu.Unlock()
-			}
-		} else if cfg.Persist != nil {
-			opt.Publish = func(set *agreement.Set, gate int) {
-				if perr := cfg.Persist.SaveSet(set); perr != nil {
-					cfg.Engine.Logger().Error("persist agreement set", "version", set.Version, "err", perr)
-				}
-			}
-		}
-		var perr error
-		r.plane, perr = ctrlplane.New(cfg.Engine.System(), cfg.Engine, opt)
-		if perr != nil {
-			if r.transport != nil {
-				r.transport.Close()
-			}
-			return nil, perr
-		}
-	}
-
-	// Window tracing: the tree snapshot runs inside runWindow under r.mu, so
-	// reading the node directly is safe.
-	r.obsv = cfg.Engine.NewObserver(cfg.ID, nil, cfg.TraceDepth)
-	if r.tree != nil {
-		tree := r.tree
-		r.obsv.SetTreeInfo(func() obs.TreeInfo {
-			reports, broadcasts, sent := tree.MessageCounts()
-			return obs.TreeInfo{
-				Epoch:       tree.Epoch(),
-				GlobalEpoch: tree.GlobalEpoch(),
-				MsgsIn:      reports + broadcasts,
-				MsgsOut:     sent,
-			}
-		})
-	}
-	if cfg.Health != nil {
-		owners := make(map[string]agreement.Principal)
-		for p, bs := range cfg.Backends {
-			for _, b := range bs {
-				owners[b] = p
-			}
-		}
-		r.reint = health.NewReinterpreter(cfg.Engine, owners)
-		r.checker = health.New(*cfg.Health, health.TCPProber(cfg.Health.Timeout))
-		r.checker.OnTransition(r.reint.HandleTransition)
-		r.checker.Watch(r.reint.Targets()...)
-		r.obsv.SetHealthInfo(r.reint.Degraded)
-		r.checker.Start()
-	}
-
-	r.names = cfg.Engine.PrincipalNames()
-	if cfg.Trace != nil {
-		r.tracer = obs.NewTracer(*cfg.Trace, cfg.ID)
-		if cfg.Flight != nil {
-			fl := *cfg.Flight
-			if fl.Logger == nil {
-				fl.Logger = cfg.Engine.Logger().With("flight")
-			}
-			r.flight = obs.NewFlightRecorder(fl)
-			r.flight.BindTracer(r.tracer)
-			r.flight.BindWindows(r.obsv.Ring())
-			r.flight.BindAuditor(r.obsv.Auditor())
-			r.flight.SetCounters(r.adm.CountersSnapshot)
-		}
-	}
-
-	r.red.SetObserver(r.obsv)
-	hcfg := obs.HandlerConfig{
-		Observers: []*obs.Observer{r.obsv},
-		Auditor:   r.obsv.Auditor(),
-		Solver:    cfg.Engine.Stats(),
-		Mode:      cfg.Engine.Mode().String(),
-		Window:    cfg.Engine.Window(),
-		Extra:     r.extraMetrics,
-		Config: func() obs.ConfigInfo {
-			info := cfg.Engine.Rollout()
-			return obs.ConfigInfo{
-				Active:     uint64(info.Active),
-				Staged:     uint64(info.Staged),
-				SetVersion: info.SetVersion,
-				GateEpoch:  info.GateEpoch,
-				Rollouts:   info.Rollouts,
-			}
-		},
-	}
-	if r.plane != nil {
-		hcfg.Control = r.plane.Handler()
-	}
-	if r.tree != nil {
-		hcfg.Topology = r.topologyInfo
-	}
-	if r.tracer != nil {
-		hcfg.Tracer = r.tracer
-		hcfg.Flight = r.flight
-	}
-	r.handler = obs.NewHandler(hcfg)
 
 	for _, svc := range cfg.Services {
 		ln, lerr := net.Listen("tcp", svc.Addr)
@@ -494,173 +202,12 @@ func NewRedirector(cfg Config) (*Redirector, error) {
 		go r.acceptLoop(ln, p)
 	}
 
-	r.ticker = time.NewTicker(cfg.Engine.Window())
-	r.wg.Add(1)
-	go r.windowLoop()
+	r.Start(r.reinject)
 	return r, nil
 }
 
 // Addr returns the listen address serving principal p.
 func (r *Redirector) Addr(p agreement.Principal) string { return r.svcAddrs[p] }
-
-// TreeAddr returns the tree transport address ("" without a tree).
-func (r *Redirector) TreeAddr() string {
-	if r.transport == nil {
-		return ""
-	}
-	return r.transport.Addr()
-}
-
-// SetTreePeer registers a peer address after construction (tests wire nodes
-// once all transports are listening).
-func (r *Redirector) SetTreePeer(id combining.NodeID, addr string) {
-	if r.transport != nil {
-		r.transport.SetPeer(id, addr)
-	}
-}
-
-// TreeStats snapshots the tree transport's health and delta-compression
-// counters (all zero without a tree).
-func (r *Redirector) TreeStats() treenet.Stats {
-	if r.transport == nil {
-		return treenet.Stats{}
-	}
-	return r.transport.Stats()
-}
-
-// BindNode binds a topology node id to the raw backend target currently
-// serving it in the health plane, so chaos harnesses can address members
-// by stable id across restarts and re-parenting (see
-// health.Reinterpreter.BindNode). Errors without health checking.
-func (r *Redirector) BindNode(node int, target string) error {
-	if r.reint == nil {
-		return fmt.Errorf("l4: health checking disabled, no node registry")
-	}
-	return r.reint.BindNode(node, target)
-}
-
-// NodeTarget resolves a bound topology node id to its current raw target
-// ("" when unbound or health checking is off).
-func (r *Redirector) NodeTarget(node int) (string, bool) {
-	if r.reint == nil {
-		return "", false
-	}
-	return r.reint.NodeTarget(node)
-}
-
-func (r *Redirector) elapsed() time.Duration { return time.Since(r.start) }
-
-// topologyInfo snapshots the combining plane for GET /v1/topology. On a
-// hierarchical layout it reports every member's current placement from the
-// (possibly repaired) compiled plane; on a flat layout it reports this
-// node's own neighborhood — the authoritative local view either way.
-func (r *Redirector) topologyInfo() *obs.TopologyInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tree == nil {
-		return nil
-	}
-	self := r.tree.ID()
-	info := &obs.TopologyInfo{Self: int(self)}
-	if r.topoPlane != nil {
-		plane := r.topoPlane()
-		info.Root = int(plane.Root())
-		info.Levels = plane.Levels()
-		for _, id := range plane.Members() {
-			node := obs.TopologyNode{ID: int(id), Parent: -1, Alive: plane.Alive(id)}
-			if pl, ok := plane.Placement(id); ok {
-				node.Region, node.Parent = pl.Region, int(pl.Parent)
-				node.Level, node.SubRoot = pl.Level, pl.SubRoot
-			}
-			info.Nodes = append(info.Nodes, node)
-		}
-	} else {
-		// Flat layout: this node only knows its own placement (and, with a
-		// detector, which neighbors it pruned).
-		parent, children := r.cfg.Tree.Parent, r.cfg.Tree.Children
-		if r.reparent != nil {
-			parent, children = r.reparent.Parent(), r.reparent.Children()
-		}
-		info.Levels = 2
-		if parent < 0 {
-			info.Root = int(self)
-		} else {
-			info.Root = int(parent)
-		}
-		removed := make(map[combining.NodeID]bool)
-		if r.reparent != nil {
-			for _, id := range r.reparent.Removed() {
-				removed[id] = true
-			}
-		}
-		level := 0
-		if parent >= 0 {
-			level = 1
-			info.Nodes = append(info.Nodes, obs.TopologyNode{
-				ID: int(parent), Region: "flat", Parent: -1, Alive: !removed[parent],
-			})
-		}
-		info.Nodes = append(info.Nodes, obs.TopologyNode{
-			ID: int(self), Region: "flat", Parent: int(parent), Level: level, Alive: true,
-		})
-		for _, c := range children {
-			info.Nodes = append(info.Nodes, obs.TopologyNode{
-				ID: int(c), Region: "flat", Parent: int(self), Level: level + 1, Alive: !removed[c],
-			})
-		}
-	}
-	names := r.names
-	for t := 0; t < r.tree.Trees(); t++ {
-		comp := obs.TopologyComponent{
-			Tree:        t,
-			Epoch:       r.tree.Tree(t).Epoch(),
-			GlobalEpoch: r.tree.Tree(t).GlobalEpoch(),
-		}
-		for _, p := range r.tree.Component(t) {
-			if p >= 0 && p < len(names) {
-				comp.Principals = append(comp.Principals, names[p])
-			}
-		}
-		info.Components = append(info.Components, comp)
-	}
-	if r.transport != nil {
-		st := r.transport.Stats()
-		info.DeltaBytesSaved = st.Delta.BytesSaved
-		info.DeltaEntriesSuppressed = st.Delta.EntriesSuppressed
-		info.DeltaEnabled = r.cfg.Tree.Topology != nil && r.cfg.Tree.Topology.Delta.Enabled()
-	}
-	return info
-}
-
-func (r *Redirector) onTreeMessage(tree int, from combining.NodeID, msg interface{}) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tree.OnMessage(tree, from, msg)
-	if _, ok := msg.(combining.Broadcast); ok {
-		r.pushGlobalLocked()
-		// Pre-solve the plan the next window boundary will need while we
-		// are already off the request path; the boundary's solve becomes a
-		// plan-cache hit and never stalls admissions.
-		r.red.Presolve(r.elapsed())
-	}
-}
-
-// pushGlobalLocked publishes the settled aggregates to the engine: the
-// flat single-tree path keeps the uniform SetGlobal semantics, sharded
-// forests stamp each agreement component with its own tree's timestamp.
-func (r *Redirector) pushGlobalLocked() {
-	if r.tree.Trees() == 1 {
-		if agg, at, ok := r.tree.ComponentGlobal(0); ok {
-			r.red.SetGlobal(agg.Sum, at)
-		}
-		return
-	}
-	for t := 0; t < r.tree.Trees(); t++ {
-		if agg, at, ok := r.tree.ComponentGlobal(t); ok {
-			r.red.SetGlobalComponent(r.tree.Component(t), agg.Sum, at)
-		}
-	}
-}
 
 func (r *Redirector) acceptLoop(ln net.Listener, p agreement.Principal) {
 	defer r.wg.Done()
@@ -673,28 +220,6 @@ func (r *Redirector) acceptLoop(ln net.Listener, p agreement.Principal) {
 	}
 }
 
-// principalName maps a principal to its span tag.
-func (r *Redirector) principalName(p agreement.Principal) string {
-	if int(p) >= 0 && int(p) < len(r.names) {
-		return r.names[p]
-	}
-	return ""
-}
-
-// spanVerdict maps an admission outcome to its span verdict.
-func spanVerdict(out admission.Outcome) obs.Verdict {
-	switch out {
-	case admission.OutcomeAdmit:
-		return obs.VerdictAdmit
-	case admission.OutcomeSteal:
-		return obs.VerdictSteal
-	case admission.OutcomeDry:
-		return obs.VerdictDry
-	default:
-		return obs.VerdictReject
-	}
-}
-
 // handleConn is the SYN-time decision: forward now, park, or drop. The
 // whole path is mutex-free — affinity lookup on a striped cache, admission
 // on the sharded plane, backend choice on an atomic cursor. Tracing adds
@@ -703,9 +228,9 @@ func spanVerdict(out admission.Outcome) obs.Verdict {
 func (r *Redirector) handleConn(conn net.Conn, p agreement.Principal) {
 	now := time.Now()
 	client := clientKey(conn)
-	sp := r.tracer.Begin(r.principalName(p))
-	d, det := r.adm.AdmitTraced(p, r.aff.lookup(client, now), 1)
-	sp.StampAdmit(spanVerdict(det.Outcome), det.Shard)
+	sp := r.Begin(p)
+	d, det := r.Admission().AdmitTraced(p, r.aff.lookup(client, now), 1)
+	node.StampAdmit(sp, det)
 	if !d.Admitted {
 		if r.park(conn, client, p, now, sp) {
 			r.parked.Add(1)
@@ -777,17 +302,13 @@ func (r *Redirector) drainShard(sh *pendShard) {
 }
 
 // chooseBackend round-robins over the owner's backends, skipping ones the
-// health checker holds down. Safe without the redirector mutex: the cursor
-// is atomic and the checker locks internally.
+// health checker holds down. Safe without the node mutex: the cursor is
+// atomic and the checker locks internally.
 func (r *Redirector) chooseBackend(owner agreement.Principal) string {
 	backends := r.cfg.Backends[owner]
-	if len(backends) == 0 {
-		return ""
-	}
 	for range backends {
-		idx := int(r.rr[owner].Add(1)-1) % len(backends)
-		b := backends[idx]
-		if r.checker == nil || r.checker.Up(b) {
+		b := backends[r.NextBackend(owner)%len(backends)]
+		if r.BackendUp(b) {
 			return b
 		}
 	}
@@ -801,9 +322,7 @@ func (r *Redirector) chooseBackend(owner agreement.Principal) string {
 func (r *Redirector) spliceOrRepark(conn net.Conn, client string, svc agreement.Principal, backendAddr string, sp *obs.Span) {
 	backend, err := net.DialTimeout("tcp", backendAddr, 2*time.Second)
 	if err != nil {
-		if r.checker != nil {
-			r.checker.ReportFailure(backendAddr, r.elapsed())
-		}
+		r.ReportFailure(backendAddr)
 		r.dialFailures.Add(1)
 		// The pending clock restarts: the connection already waited zero
 		// windows, the dial failure is the backend's fault, not the client's.
@@ -894,19 +413,6 @@ func (r *Redirector) copyHalfFirstByte(dst, src net.Conn, sp *obs.Span, errCount
 	}
 }
 
-// windowLoop drives scheduling windows and reinjects parked connections.
-func (r *Redirector) windowLoop() {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.ticker.C:
-			r.runWindow()
-		}
-	}
-}
-
 type launch struct {
 	conn    net.Conn
 	client  string
@@ -915,46 +421,12 @@ type launch struct {
 	span    *obs.Span
 }
 
-func (r *Redirector) runWindow() {
-	r.mu.Lock()
-	// Parked connections already counted as demand for the estimator when
-	// their admission was attempted.
-	r.estBuf = r.red.LocalEstimateInto(r.estBuf)
-	if r.tree != nil {
-		if r.reparent != nil {
-			r.reparent.Check(r.tree, r.elapsed())
-		}
-		r.tree.SetLocal(r.estBuf)
-		r.tree.Tick()
-		if r.tree.IsRoot() {
-			r.pushGlobalLocked()
-		}
-	} else {
-		r.red.SetGlobal(r.estBuf, r.elapsed())
-	}
-	var epoch, gate int
-	var known uint64
-	if r.tree != nil {
-		// Rollout view for the epoch gate: this node's epoch and the
-		// newest agreement-set version the tree delivered.
-		epoch = r.tree.Epoch()
-		if ge := r.tree.GlobalEpoch(); ge > epoch {
-			epoch = ge
-		}
-		if cu := r.tree.Config(); cu != nil {
-			known, gate = cu.Version, cu.GateEpoch
-		}
-		r.red.SetRollout(epoch, known)
-	}
-	// The plane folds the shards' arrival/admission counters, schedules the
-	// next window, and flips the credit pool — in-flight admits keep
-	// draining the old pool until the new one is published, so the boundary
-	// never stalls them.
-	err := r.adm.StartWindow(r.elapsed())
-	r.persistWindowLocked(epoch, known, gate)
-	r.tracer.StartWindow(uint64(r.red.Windows), uint64(r.cfg.Engine.Version()))
-	r.mu.Unlock()
-	if err != nil {
+// reinject is the node's per-window hook: once the boundary has scheduled
+// the new window it re-admits parked connections against the fresh credits.
+// A boundary whose scheduling failed kept last window's (spent) credits, so
+// there is nothing to reinject against.
+func (r *Redirector) reinject(startErr error) {
+	if startErr != nil {
 		return
 	}
 
@@ -983,60 +455,6 @@ func (r *Redirector) runWindow() {
 	}
 }
 
-// persistWindowLocked appends the just-started window's durable record —
-// carried credit, demand estimate, window sequence, rollout position — to
-// the store, compacting the record log every persistCheckpointEvery
-// appends. Runs at the window boundary under r.mu; a no-op without a
-// store. Persistence errors are logged, never fatal: enforcement continues
-// with a wider crash-loss bound.
-func (r *Redirector) persistWindowLocked(epoch int, known uint64, gate int) {
-	st := r.cfg.Persist
-	if st == nil {
-		return
-	}
-	r.persistSince++
-	every := r.cfg.PersistEvery
-	if every <= 1 {
-		every = 1
-	}
-	if r.persistSince < every {
-		return
-	}
-	r.persistSince = 0
-	n := r.cfg.Engine.NumPrincipals()
-	if r.persistT == nil {
-		r.persistT = make([]float64, n)
-		r.persistM = make([][]float64, n)
-		for i := range r.persistM {
-			r.persistM[i] = make([]float64, n)
-		}
-	}
-	r.red.ExportCredits(r.persistM, r.persistT)
-	r.persistE = r.red.ExportEstimate(r.persistE)
-	ws := persist.WindowState{
-		WindowSeq:  r.red.Windows,
-		Epoch:      epoch,
-		SetVersion: known,
-		Gate:       gate,
-		Estimate:   r.persistE,
-	}
-	if r.cfg.Engine.Mode() == core.Provider {
-		ws.CreditTotal = r.persistT
-	} else {
-		ws.Credit = r.persistM
-	}
-	if err := st.AppendWindow(ws); err != nil {
-		r.cfg.Engine.Logger().Error("persist window record", "window", ws.WindowSeq, "err", err)
-		return
-	}
-	r.persistSeq++
-	if r.persistSeq%persistCheckpointEvery == 0 {
-		if err := st.Checkpoint(); err != nil {
-			r.cfg.Engine.Logger().Error("persist checkpoint", "err", err)
-		}
-	}
-}
-
 // reinjectShard re-admits one stripe's parked connections: expired ones are
 // closed, admitted ones become launches, the rest keep their queue position
 // ahead of connections parked meanwhile.
@@ -1059,7 +477,7 @@ func (r *Redirector) reinjectShard(sh *pendShard, now time.Time) []launch {
 				hc.span.Finish()
 				continue
 			}
-			d, det := r.adm.AdmitTraced(p, r.aff.lookup(hc.client, now), 1)
+			d, det := r.Admission().AdmitTraced(p, r.aff.lookup(hc.client, now), 1)
 			if !d.Admitted {
 				kept = append(kept, hc)
 				continue
@@ -1067,7 +485,7 @@ func (r *Redirector) reinjectShard(sh *pendShard, now time.Time) []launch {
 			r.pendCount[p].Add(-1)
 			r.aff.pin(hc.client, d.Owner, now)
 			hc.span.AddPark(now.Sub(hc.parkedAt))
-			hc.span.StampAdmit(spanVerdict(det.Outcome), det.Shard)
+			node.StampAdmit(hc.span, det)
 			backend := r.chooseBackend(d.Owner)
 			hc.span.StampBackend()
 			launches = append(launches, launch{
@@ -1089,7 +507,7 @@ func (r *Redirector) reinjectShard(sh *pendShard, now time.Time) []launch {
 
 // Stats returns the forwarding counters.
 func (r *Redirector) Stats() (forwarded, parked, dropped, expired int) {
-	admits, _ := r.adm.Counts()
+	admits, _ := r.Admission().Counts()
 	return int(admits), int(r.parked.Load()), int(r.dropped.Load()), int(r.expired.Load())
 }
 
@@ -1106,27 +524,8 @@ func (r *Redirector) CopyErrorStats() (in, out int) {
 	return int(r.copyErrIn.Load()), int(r.copyErrOut.Load())
 }
 
-// Observer exposes the window-trace observer (auditor counters, trace ring).
-func (r *Redirector) Observer() *obs.Observer { return r.obsv }
-
-// Tracer exposes the request-span tracer (nil unless Config.Trace was set).
-func (r *Redirector) Tracer() *obs.Tracer { return r.tracer }
-
-// Flight exposes the SLO flight recorder (nil unless Config.Flight was set).
-func (r *Redirector) Flight() *obs.FlightRecorder { return r.flight }
-
-// Plane exposes the dynamic agreement control plane (nil unless Ctrl was
-// set); its HTTP surface is part of ObsHandler.
-func (r *Redirector) Plane() *ctrlplane.Plane { return r.plane }
-
-// ObsHandler exposes the observability endpoints (/metrics, /debug/windows,
-// pprof) for mounting on an admin listener — the Layer-4 switch itself
-// speaks raw TCP only.
-func (r *Redirector) ObsHandler() *obs.Handler { return r.handler }
-
-// extraMetrics appends the Layer-4 forwarding counters to /metrics. All of
-// them fold per-shard atomics at scrape time; a scrape never contends with
-// the admission path.
+// extraMetrics writes the Layer-4 forwarding counters to /v1/metrics; the
+// node appends the shared admission, health and tree-transport series.
 func (r *Redirector) extraMetrics(w io.Writer) {
 	forwarded, parked, dropped, expired := r.Stats()
 	obs.WriteMetric(w, "rsa_l4_forwarded_total", "counter",
@@ -1147,45 +546,24 @@ func (r *Redirector) extraMetrics(w io.Writer) {
 		"Splice copies ended by a transport error rather than a clean half-close, by direction.")
 	obs.WriteLabeled(w, "rsa_l4_copy_errors_total", "direction", "client_to_backend", float64(in))
 	obs.WriteLabeled(w, "rsa_l4_copy_errors_total", "direction", "backend_to_client", float64(out))
-	admission.WriteMetrics(w, r.adm)
-	health.WriteMetrics(w, r.checker, r.reint)
-	treenet.WriteMetrics(w, r.transport, r.reparent)
-	combining.WriteHopMetrics(w, r.hop)
 }
 
-// Close stops all listeners, the window loop, and parked connections. It
-// waits for in-flight spliced connections to drain, so callers should close
-// or deadline long-lived client connections first.
+// Close stops the node (window loop joined, so no reinjection runs after
+// it; transport closed; durable log checkpointed), the listeners and the
+// parked connections, and returns the node's first error. It waits for
+// in-flight spliced connections to drain, so callers should close or
+// deadline long-lived client connections first.
 func (r *Redirector) Close() error {
-	r.closeOnce.Do(func() {
-		close(r.done)
-		if r.ticker != nil {
-			r.ticker.Stop()
-		}
-		if r.checker != nil {
-			r.checker.Stop()
-		}
-		for _, ln := range r.listeners {
-			ln.Close()
-		}
-		r.stopped.Store(true)
-		for i := range r.pend {
-			r.drainShard(&r.pend[i])
-		}
-		if r.transport != nil {
-			r.transport.Close()
-		}
-		// Compact the durable record log on the way out so the next boot
-		// replays one record, not the whole run. The caller owns (and
-		// closes) the store itself.
-		if r.cfg.Persist != nil {
-			if cerr := r.cfg.Persist.Checkpoint(); cerr != nil {
-				r.cfg.Engine.Logger().Error("persist checkpoint", "err", cerr)
-			}
-		}
-	})
+	err := r.Node.Close()
+	for _, ln := range r.listeners {
+		ln.Close()
+	}
+	r.stopped.Store(true)
+	for i := range r.pend {
+		r.drainShard(&r.pend[i])
+	}
 	r.wg.Wait()
-	return nil
+	return err
 }
 
 func clientKey(conn net.Conn) string {

@@ -128,7 +128,7 @@ func l7Rig(t *testing.T, capacity float64, lbA, lbB float64, n int) (*Backend, [
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if i != j {
-					reds[i].transport.SetPeer(combining.NodeID(j), reds[j].TreeAddr())
+					reds[i].SetTreePeer(combining.NodeID(j), reds[j].TreeAddr())
 				}
 			}
 		}

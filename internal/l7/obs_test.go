@@ -1,6 +1,7 @@
 package l7
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/combining"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // staleRig builds a two-redirector tree (root 0 ← child 1) with a tight
@@ -64,8 +66,8 @@ func staleRig(t *testing.T, staleness, failureTimeout time.Duration) (root, chil
 		t.Cleanup(func() { r.Close() })
 		reds[i] = r
 	}
-	reds[0].transport.SetPeer(1, reds[1].TreeAddr())
-	reds[1].transport.SetPeer(0, reds[0].TreeAddr())
+	reds[0].SetTreePeer(1, reds[1].TreeAddr())
+	reds[1].SetTreePeer(0, reds[0].TreeAddr())
 	return reds[0], reds[1]
 }
 
@@ -161,10 +163,10 @@ func TestRootKillReparentsAndResumesFreshWindows(t *testing.T) {
 	for {
 		if time.Now().After(deadline) {
 			recs := child.Observer().Ring().Snapshot(3)
-			t.Fatalf("child never resumed fresh windows after root kill: reparents=%d trace=%+v",
-				child.reparent.Reparents(), recs)
+			t.Fatalf("child never resumed fresh windows after root kill: root=%d trace=%+v",
+				topologyRoot(t, child), recs)
 		}
-		if child.reparent.Reparents() > 0 {
+		if topologyRoot(t, child) == 1 {
 			recs := child.Observer().Ring().Snapshot(3)
 			fresh := len(recs) == 3
 			for _, rec := range recs {
@@ -178,9 +180,6 @@ func TestRootKillReparentsAndResumesFreshWindows(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if p := child.reparent.Parent(); p != -1 {
-		t.Fatalf("child's parent after reparenting = %d, want -1 (root)", p)
-	}
 	// The fall back and recovery both left an audit trail: some windows ran
 	// conservative during the outage, and the trace has since gone fresh.
 	if aud.Conservative() == 0 {
@@ -188,7 +187,7 @@ func TestRootKillReparentsAndResumesFreshWindows(t *testing.T) {
 	}
 }
 
-// TestObsEndpointsLive scrapes /metrics and /debug/windows from a running
+// TestObsEndpointsLive scrapes /v1/metrics and /v1/debug/windows from a running
 // Layer-7 redirector.
 func TestObsEndpointsLive(t *testing.T) {
 	if testing.Short() {
@@ -209,7 +208,7 @@ func TestObsEndpointsLive(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	body := fetchBody(t, r.URL()+"/metrics")
+	body := fetchBody(t, r.URL()+"/v1/metrics")
 	for _, want := range []string{
 		`rsa_redirector_info{mode="provider",window_ms="20"} 1`,
 		"rsa_windows_total",
@@ -220,17 +219,40 @@ func TestObsEndpointsLive(t *testing.T) {
 		"rsa_l7_rejected_total",
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
+			t.Errorf("/v1/metrics missing %q", want)
 		}
 	}
 
-	windows := fetchBody(t, r.URL()+"/debug/windows?n=4")
+	windows := fetchBody(t, r.URL()+"/v1/debug/windows?n=4")
 	if !strings.Contains(windows, `"records"`) || !strings.Contains(windows, `"window"`) {
-		t.Fatalf("/debug/windows payload = %.200s", windows)
+		t.Fatalf("/v1/debug/windows payload = %.200s", windows)
 	}
 	if !strings.Contains(windows, `"granted"`) {
-		t.Fatal("/debug/windows records lack credit vectors")
+		t.Fatal("/v1/debug/windows records lack credit vectors")
 	}
+
+	// The pre-/v1 aliases are retired on the traffic mux too.
+	for _, path := range []string{"/metrics", "/debug/windows"} {
+		resp, err := http.Get(r.URL() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s on the traffic mux: %s, want 404", path, resp.Status)
+		}
+	}
+}
+
+// topologyRoot reads the tree root a redirector currently reports on
+// GET /v1/topology; a node that pruned its parent reports itself.
+func topologyRoot(t *testing.T, r *Redirector) int {
+	t.Helper()
+	var info obs.TopologyInfo
+	if err := json.Unmarshal([]byte(fetchBody(t, r.URL()+"/v1/topology")), &info); err != nil {
+		t.Fatal(err)
+	}
+	return info.Root
 }
 
 func fetchBody(t *testing.T, url string) string {

@@ -75,14 +75,14 @@ func TestRetryBudgetExhausted(t *testing.T) {
 			t.Fatalf("status %d, want 502 (dead backend) or 503 (no quota yet)", resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(r.URL() + "/metrics")
+	resp, err := http.Get(r.URL() + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), "rsa_l7_retry_budget_exhausted_total") {
-		t.Fatal("rsa_l7_retry_budget_exhausted_total missing from /metrics")
+		t.Fatal("rsa_l7_retry_budget_exhausted_total missing from /v1/metrics")
 	}
 }
 
@@ -150,10 +150,7 @@ func TestBootRestore(t *testing.T) {
 		t.Fatalf("recovered set version = %d, want 3", got)
 	}
 	// The window sequence resumed from the durable record, not from zero.
-	r.mu.Lock()
-	windows := r.red.Windows
-	r.mu.Unlock()
-	if windows < 42 {
+	if windows, _, _ := r.WindowStats(); windows < 42 {
 		t.Fatalf("window sequence = %d, want >= 42 (restored)", windows)
 	}
 

@@ -10,20 +10,15 @@ import (
 	"path"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/agreement"
-	"repro/internal/budget"
-	"repro/internal/combining"
 	"repro/internal/core"
-	"repro/internal/ctrlplane"
 	"repro/internal/health"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/topology"
 	"repro/internal/treenet"
 )
 
@@ -32,10 +27,6 @@ import (
 // dying mid-window, small enough that a dead fleet cannot turn every
 // admitted request into a retry storm.
 const DefaultRetryBudget = 8
-
-// persistCheckpointEvery is how many durable window appends accumulate
-// before the record log is compacted to its newest record.
-const persistCheckpointEvery = 256
 
 // TreeConfig wires a redirector into a combining tree of redirector
 // processes. Peers maps node ids to treenet addresses.
@@ -63,8 +54,8 @@ type RedirectorConfig struct {
 	// §4.1 mentions to avoid HTTP's doubled round trips; over-quota
 	// requests get 503 + Retry-After instead of a self-redirect.
 	Proxy bool
-	// TraceDepth is the window-trace ring capacity served at /debug/windows
-	// (0 selects obs.DefaultRingDepth).
+	// TraceDepth is the window-trace ring capacity served at
+	// /v1/debug/windows (0 selects obs.DefaultRingDepth).
 	TraceDepth int
 	// Health, if non-nil, enables active backend health checking: down
 	// backends are skipped by backend choice, proxy-mode requests fail over
@@ -118,55 +109,19 @@ type RedirectorConfig struct {
 // by the scheduler, or to itself when the principal is over quota this
 // window (the implicit-queue self-redirect of §4.1).
 type Redirector struct {
+	// Node is the shared enforcement node: admission, window loop, tree,
+	// rollout, recovery and the admin surface (internal/node).
+	*node.Node
+
 	cfg     RedirectorConfig
 	srv     *http.Server
 	mux     *http.ServeMux // admin/obs routes, and /svc/ paths needing cleaning
-	ln      net.Listener
 	selfURL string
-	start   time.Time
 
-	// mu guards the window-boundary state only (core redirector, combining
-	// tree, estimate buffer). The request path never takes it: admission
-	// goes through the sharded admission plane, backend choice through an
-	// atomic round-robin cursor.
-	mu     sync.Mutex
-	red    *core.Redirector
-	tree   *combining.Forest
-	hop    *combining.HopMetrics
-	estBuf []float64 // reused local-estimate buffer (under mu)
-
-	adm      *admission.Plane
-	rr       []atomic.Uint32 // round-robin cursor per owner principal
-	relay    *relay
-	backends [][]*upstream // owner principal → its backends' pools
-
-	obsv         *obs.Observer
-	handler      *obs.Handler
-	plane        *ctrlplane.Plane
+	relay        *relay
+	backends     [][]*upstream  // owner principal → its backends' pools
 	lat          *obs.Histogram // per-request handling latency
-	tracer       *obs.Tracer
-	flight       *obs.FlightRecorder
-	names        []string       // principal index → name, for span tags
 	warnFailover *obs.RateLimit // proxy-failover warning gate
-
-	checker *health.Checker
-	reint   *health.Reinterpreter
-
-	transport *treenet.Transport
-	reparent  treenet.Detector
-	topoPlane func() *topology.Plane // nil on a flat layout
-	ticker    *time.Ticker
-	done      chan struct{}
-	closeOnce sync.Once
-
-	// Durable-state scratch (window loop only, under mu): export buffers,
-	// append cadence, and the newest set version already saved.
-	persistM     [][]float64
-	persistT     []float64
-	persistE     []float64
-	persistSince int
-	persistSeq   int
-	savedSet     uint64
 
 	// Proxy failover budget: refilled at each window boundary, drawn by
 	// failover attempts on the request path.
@@ -182,538 +137,71 @@ func NewRedirector(cfg RedirectorConfig) (*Redirector, error) {
 	if len(cfg.Orgs) == 0 || len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("l7: need org and backend maps")
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("l7: listen %s: %w", cfg.Addr, err)
-	}
-	r := &Redirector{
-		cfg:     cfg,
-		ln:      ln,
-		selfURL: "http://" + ln.Addr().String(),
-		start:   time.Now(),
-		red:     cfg.Engine.NewRedirector(cfg.ID),
-		rr:      make([]atomic.Uint32, cfg.Engine.NumPrincipals()),
-		done:    make(chan struct{}),
-	}
-	r.adm, err = admission.New(admission.Config{
-		Redirector: r.red, Engine: cfg.Engine, Shards: cfg.AdmissionShards,
-	})
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-
-	r.names = cfg.Engine.PrincipalNames()
-	r.warnFailover = obs.NewRateLimit(5*time.Second, 1)
-	if cfg.Trace != nil {
-		r.tracer = obs.NewTracer(*cfg.Trace, cfg.ID)
-	}
-
 	// Backend pools: every base URL is parsed once, here; the proxy path
 	// relays over per-backend keep-alive connections (upstream.go) with dial
 	// and response-header deadlines, so a dead backend costs a bounded error.
-	// With tracing on, dials feed the tracer's dial-phase histogram.
-	r.relay = &relay{tracer: r.tracer}
-	r.backends = make([][]*upstream, cfg.Engine.NumPrincipals())
+	r := &Redirector{
+		cfg:          cfg,
+		relay:        &relay{},
+		backends:     make([][]*upstream, cfg.Engine.NumPrincipals()),
+		lat:          obs.NewHistogram(),
+		warnFailover: obs.NewRateLimit(5*time.Second, 1),
+	}
 	for p, bs := range cfg.Backends {
 		if int(p) < 0 || int(p) >= len(r.backends) {
 			continue
 		}
 		for _, b := range bs {
-			u, uerr := r.relay.pool(b)
-			if uerr != nil {
-				ln.Close()
-				return nil, uerr
+			u, err := r.relay.pool(b)
+			if err != nil {
+				return nil, err
 			}
 			r.backends[p] = append(r.backends[p], u)
 		}
 	}
-
-	if cfg.Tree != nil {
-		addr := cfg.Tree.ListenAddr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		wiring, werr := cfg.Tree.Resolve()
-		if werr != nil {
-			ln.Close()
-			return nil, werr
-		}
-		r.transport, err = treenet.Listen(cfg.Tree.NodeID, addr, r.onTreeMessage)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		for id, peerAddr := range cfg.Tree.Peers {
-			r.transport.SetPeer(id, peerAddr)
-		}
-		r.reparent = wiring.Detector
-		r.topoPlane = wiring.Plane
-		// Principal sharding: under the component policy each disjoint
-		// agreement component runs its own tree (independent epochs) over
-		// the shared plane; otherwise one tree carries the full vector.
-		var comps [][]int
-		if top := cfg.Tree.Topology; top != nil {
-			if top.Sharding == topology.ShardComponent {
-				for _, c := range cfg.Engine.System().Components() {
-					ms := make([]int, len(c))
-					for i, p := range c {
-						ms[i] = int(p)
-					}
-					comps = append(comps, ms)
-				}
-			}
-			if d := top.Normalize().Delta; d.Enabled() {
-				r.transport.EnableDelta(d.Threshold, d.ResyncEvery)
-			}
-		}
-		r.hop = combining.NewHopMetrics()
-		r.tree, err = combining.NewForest(combining.ForestConfig{
-			ID: cfg.Tree.NodeID, Parent: wiring.Parent, Children: wiring.Children,
-			NumPrincipals: cfg.Engine.NumPrincipals(), Components: comps,
-			Send: r.transport.TreeSend, Now: r.elapsed, Hop: r.hop,
-		})
-		if err != nil {
-			ln.Close()
-			r.transport.Close()
-			return nil, err
-		}
-		// Configuration updates arriving from the parent stage a new
-		// scheduling generation on the local engine behind the sender's
-		// epoch gate; the window loop swaps once this node's epoch crosses
-		// it. Runs on the transport goroutine under r.mu (OnMessage).
-		r.tree.SetConfigHandler(func(cu *combining.ConfigUpdate) {
-			set, derr := agreement.DecodeSet(cu.Payload)
-			if derr != nil {
-				cfg.Engine.Logger().Error("bad config payload", "version", cu.Version, "err", derr)
-				return
-			}
-			if _, serr := cfg.Engine.StageSet(set, cu.GateEpoch); serr != nil {
-				cfg.Engine.Logger().Error("stage agreement set", "version", cu.Version, "err", serr)
-				return
-			}
-			// Every set the tree delivers becomes durable before the gate
-			// can arrive: a crash after this point recovers the newest
-			// entitlements instead of rejoining blind.
-			if cfg.Persist != nil {
-				if perr := cfg.Persist.SaveSet(set); perr != nil {
-					cfg.Engine.Logger().Error("persist agreement set", "version", cu.Version, "err", perr)
-				}
-			}
-		})
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("l7: listen %s: %w", cfg.Addr, err)
 	}
+	r.selfURL = "http://" + ln.Addr().String()
 
-	// Crash recovery: restore the durable window position, carried credit,
-	// demand estimate and newest agreement set before the first window or
-	// tree tick, then announce a rejoin so the parent unblocks this node's
-	// (rewound) epoch and streams back the current global + configuration.
-	var resumeSet *agreement.Set
-	if cfg.Persist != nil {
-		resumeSet, err = cfg.Persist.LoadNewestSet()
-		if err != nil {
-			ln.Close()
-			if r.transport != nil {
-				r.transport.Close()
-			}
-			return nil, fmt.Errorf("l7: recover agreement set: %w", err)
-		}
-		if resumeSet != nil {
-			// Gate 0: a recovered set the fleet already converged on commits
-			// locally at the next window boundary, no quorum round needed.
-			if _, serr := cfg.Engine.StageSet(resumeSet, 0); serr != nil {
-				cfg.Engine.Logger().Error("restage recovered set", "version", resumeSet.Version, "err", serr)
-				resumeSet = nil
-			} else {
-				r.savedSet = resumeSet.Version
-			}
-		}
-		if ws, ok := cfg.Persist.LastWindow(); ok {
-			r.red.RestoreState(ws.WindowSeq, ws.Estimate, ws.Credit, ws.CreditTotal)
-			r.red.SetRollout(ws.Epoch, ws.SetVersion)
-			if r.tree != nil {
-				var cu *combining.ConfigUpdate
-				if resumeSet != nil {
-					if data, perr := resumeSet.Encode(); perr == nil {
-						cu = &combining.ConfigUpdate{
-							Version: resumeSet.Version, GateEpoch: ws.Gate, Payload: data,
-						}
-					}
-				}
-				r.tree.Reset(ws.Epoch, cu)
-				r.tree.AnnounceRejoin()
-			}
-		}
-	}
-
-	if cfg.Ctrl {
-		// A restarted control-plane host resumes version numbering from the
-		// recovered snapshot, so its next mutation is not discarded
-		// fleet-wide as stale.
-		opt := ctrlplane.Options{Lead: cfg.CtrlLead, Logger: cfg.Engine.Logger(), Resume: resumeSet}
-		if cfg.Persist != nil {
-			// Leases ride the same durable store: the table is saved after
-			// every lease mutation and recovered on restart, so long-lived
-			// reservations survive a crash with bounded loss.
-			store := cfg.Persist
-			logger := cfg.Engine.Logger()
-			opt.SaveLeases = func(t *budget.Table) {
-				if perr := store.SaveLeases(t); perr != nil {
-					logger.Error("persist lease table", "version", t.Version, "err", perr)
-				}
-			}
-			if lt, perr := store.LoadNewestLeases(); perr == nil {
-				opt.ResumeLeases = lt
-			} else {
-				logger.Error("load lease table", "err", perr)
-			}
-		}
-		if r.tree != nil {
-			tree := r.tree
-			opt.Epoch = func() int {
-				r.mu.Lock()
-				defer r.mu.Unlock()
-				return tree.Epoch()
-			}
-			opt.Publish = func(set *agreement.Set, gate int) {
-				// Durable before distributed: a root crash between publish
-				// and fleet convergence must not lose the renegotiation.
-				if cfg.Persist != nil {
-					if perr := cfg.Persist.SaveSet(set); perr != nil {
-						cfg.Engine.Logger().Error("persist agreement set", "version", set.Version, "err", perr)
-					}
-				}
-				data, perr := set.Encode()
-				if perr != nil {
-					cfg.Engine.Logger().Error("encode agreement set", "version", set.Version, "err", perr)
-					return
-				}
-				r.mu.Lock()
-				tree.SetConfig(&combining.ConfigUpdate{Version: set.Version, GateEpoch: gate, Payload: data})
-				r.mu.Unlock()
-			}
-		} else if cfg.Persist != nil {
-			opt.Publish = func(set *agreement.Set, gate int) {
-				if perr := cfg.Persist.SaveSet(set); perr != nil {
-					cfg.Engine.Logger().Error("persist agreement set", "version", set.Version, "err", perr)
-				}
-			}
-		}
-		r.plane, err = ctrlplane.New(cfg.Engine.System(), cfg.Engine, opt)
-		if err != nil {
-			ln.Close()
-			if r.transport != nil {
-				r.transport.Close()
-			}
-			return nil, err
-		}
-	}
-
-	// Window tracing + exposition: one observer per redirector, scraped from
-	// the same mux that serves traffic. The tree snapshot runs inside the
-	// window loop under r.mu, so reading the node directly is safe.
-	r.obsv = cfg.Engine.NewObserver(cfg.ID, nil, cfg.TraceDepth)
-	if r.tree != nil {
-		tree := r.tree
-		r.obsv.SetTreeInfo(func() obs.TreeInfo {
-			reports, broadcasts, sent := tree.MessageCounts()
-			return obs.TreeInfo{
-				Epoch:       tree.Epoch(),
-				GlobalEpoch: tree.GlobalEpoch(),
-				MsgsIn:      reports + broadcasts,
-				MsgsOut:     sent,
-			}
-		})
-	}
-	if cfg.Health != nil {
-		owners := make(map[string]agreement.Principal)
-		for p, bs := range cfg.Backends {
-			for _, b := range bs {
-				owners[b] = p
-			}
-		}
-		r.reint = health.NewReinterpreter(cfg.Engine, owners)
-		r.checker = health.New(*cfg.Health, health.TCPProber(cfg.Health.Timeout))
-		r.checker.OnTransition(r.reint.HandleTransition)
-		r.checker.Watch(r.reint.Targets()...)
-		r.obsv.SetHealthInfo(r.reint.Degraded)
-		r.checker.Start()
-	}
-
-	r.red.SetObserver(r.obsv)
-	r.lat = obs.NewHistogram()
-	hcfg := obs.HandlerConfig{
-		Observers: []*obs.Observer{r.obsv},
-		Auditor:   r.obsv.Auditor(),
-		Solver:    cfg.Engine.Stats(),
-		Mode:      cfg.Engine.Mode().String(),
-		Window:    cfg.Engine.Window(),
-		Extra:     r.extraMetrics,
+	r.Node, err = node.New(node.Config{
+		Layer: "l7", Engine: cfg.Engine, ID: cfg.ID, Backends: cfg.Backends,
+		Tree: cfg.Tree, AdmissionShards: cfg.AdmissionShards,
+		TraceDepth: cfg.TraceDepth, Trace: cfg.Trace, Flight: cfg.Flight,
+		Health: cfg.Health, Ctrl: cfg.Ctrl, CtrlLead: cfg.CtrlLead,
+		Persist: cfg.Persist, PersistEvery: cfg.PersistEvery,
+		Extra: r.extraMetrics,
 		Histograms: []obs.NamedHistogram{{
 			Name: "rsa_l7_request_seconds",
 			Help: "Layer-7 request handling latency (admission + redirect or full proxy exchange).",
 			Hist: r.lat,
 		}},
-		Config: func() obs.ConfigInfo {
-			info := cfg.Engine.Rollout()
-			return obs.ConfigInfo{
-				Active:     uint64(info.Active),
-				Staged:     uint64(info.Staged),
-				SetVersion: info.SetVersion,
-				GateEpoch:  info.GateEpoch,
-				Rollouts:   info.Rollouts,
-			}
-		},
+	})
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
-	if r.plane != nil {
-		hcfg.Control = r.plane.Handler()
-	}
-	if r.tree != nil {
-		hcfg.Topology = r.topologyInfo
-	}
-	if r.tracer != nil {
-		if cfg.Flight != nil {
-			fl := *cfg.Flight
-			if fl.Logger == nil {
-				fl.Logger = cfg.Engine.Logger().With("flight")
-			}
-			r.flight = obs.NewFlightRecorder(fl)
-			r.flight.BindTracer(r.tracer)
-			r.flight.BindWindows(r.obsv.Ring())
-			r.flight.BindAuditor(r.obsv.Auditor())
-			r.flight.SetCounters(r.adm.CountersSnapshot)
-		}
-		hcfg.Tracer = r.tracer
-		hcfg.Flight = r.flight
-	}
-	r.handler = obs.NewHandler(hcfg)
+	// With tracing on, dials feed the tracer's dial-phase histogram.
+	r.relay.tracer = r.Tracer()
 
+	// The observability endpoints are scraped from the same mux that serves
+	// traffic.
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("/svc/", r.handle)
 	r.mux.HandleFunc("/stats", r.handleStats)
-	r.handler.Register(r.mux)
+	r.ObsHandler().Register(r.mux)
 	r.srv = &http.Server{Handler: http.HandlerFunc(r.route)}
 	go func() { _ = r.srv.Serve(ln) }()
 
 	r.retryTokens.Store(int64(r.retryBudget()))
-	r.ticker = time.NewTicker(cfg.Engine.Window())
-	go r.windowLoop()
+	// Each window boundary refills the proxy failover budget.
+	r.Start(func(error) { r.retryTokens.Store(int64(r.retryBudget())) })
 	return r, nil
 }
 
 // URL returns the redirector's base URL.
 func (r *Redirector) URL() string { return r.selfURL }
-
-// TreeAddr returns the tree transport address ("" without a tree).
-func (r *Redirector) TreeAddr() string {
-	if r.transport == nil {
-		return ""
-	}
-	return r.transport.Addr()
-}
-
-// SetTreePeer registers a peer address after construction (fleet harnesses
-// wire nodes once every ephemeral tree port is known).
-func (r *Redirector) SetTreePeer(id combining.NodeID, addr string) {
-	if r.transport != nil {
-		r.transport.SetPeer(id, addr)
-	}
-}
-
-// TreeStats snapshots the tree transport's health and delta-compression
-// counters (all zero without a tree).
-func (r *Redirector) TreeStats() treenet.Stats {
-	if r.transport == nil {
-		return treenet.Stats{}
-	}
-	return r.transport.Stats()
-}
-
-// BindNode binds a topology node id to the raw backend target currently
-// serving it in the health plane, so chaos harnesses can address members
-// by stable id across restarts and re-parenting (see
-// health.Reinterpreter.BindNode). Errors without health checking.
-func (r *Redirector) BindNode(node int, target string) error {
-	if r.reint == nil {
-		return fmt.Errorf("l7: health checking disabled, no node registry")
-	}
-	return r.reint.BindNode(node, target)
-}
-
-// NodeTarget resolves a bound topology node id to its current raw target
-// ("" when unbound or health checking is off).
-func (r *Redirector) NodeTarget(node int) (string, bool) {
-	if r.reint == nil {
-		return "", false
-	}
-	return r.reint.NodeTarget(node)
-}
-
-func (r *Redirector) elapsed() time.Duration { return time.Since(r.start) }
-
-// topologyInfo snapshots the combining plane for GET /v1/topology. On a
-// hierarchical layout it reports every member's current placement from the
-// (possibly repaired) compiled plane; on a flat layout it reports this
-// node's own neighborhood — the authoritative local view either way.
-func (r *Redirector) topologyInfo() *obs.TopologyInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tree == nil {
-		return nil
-	}
-	self := r.tree.ID()
-	info := &obs.TopologyInfo{Self: int(self)}
-	if r.topoPlane != nil {
-		plane := r.topoPlane()
-		info.Root = int(plane.Root())
-		info.Levels = plane.Levels()
-		for _, id := range plane.Members() {
-			node := obs.TopologyNode{ID: int(id), Parent: -1, Alive: plane.Alive(id)}
-			if pl, ok := plane.Placement(id); ok {
-				node.Region, node.Parent = pl.Region, int(pl.Parent)
-				node.Level, node.SubRoot = pl.Level, pl.SubRoot
-			}
-			info.Nodes = append(info.Nodes, node)
-		}
-	} else {
-		// Flat layout: this node only knows its own placement (and, with a
-		// detector, which neighbors it pruned).
-		parent, children := r.cfg.Tree.Parent, r.cfg.Tree.Children
-		if r.reparent != nil {
-			parent, children = r.reparent.Parent(), r.reparent.Children()
-		}
-		info.Levels = 2
-		if parent < 0 {
-			info.Root = int(self)
-		} else {
-			info.Root = int(parent)
-		}
-		removed := make(map[combining.NodeID]bool)
-		if r.reparent != nil {
-			for _, id := range r.reparent.Removed() {
-				removed[id] = true
-			}
-		}
-		level := 0
-		if parent >= 0 {
-			level = 1
-			info.Nodes = append(info.Nodes, obs.TopologyNode{
-				ID: int(parent), Region: "flat", Parent: -1, Alive: !removed[parent],
-			})
-		}
-		info.Nodes = append(info.Nodes, obs.TopologyNode{
-			ID: int(self), Region: "flat", Parent: int(parent), Level: level, Alive: true,
-		})
-		for _, c := range children {
-			info.Nodes = append(info.Nodes, obs.TopologyNode{
-				ID: int(c), Region: "flat", Parent: int(self), Level: level + 1, Alive: !removed[c],
-			})
-		}
-	}
-	names := r.names
-	for t := 0; t < r.tree.Trees(); t++ {
-		comp := obs.TopologyComponent{
-			Tree:        t,
-			Epoch:       r.tree.Tree(t).Epoch(),
-			GlobalEpoch: r.tree.Tree(t).GlobalEpoch(),
-		}
-		for _, p := range r.tree.Component(t) {
-			if p >= 0 && p < len(names) {
-				comp.Principals = append(comp.Principals, names[p])
-			}
-		}
-		info.Components = append(info.Components, comp)
-	}
-	if r.transport != nil {
-		st := r.transport.Stats()
-		info.DeltaBytesSaved = st.Delta.BytesSaved
-		info.DeltaEntriesSuppressed = st.Delta.EntriesSuppressed
-		info.DeltaEnabled = r.cfg.Tree.Topology != nil && r.cfg.Tree.Topology.Delta.Enabled()
-	}
-	return info
-}
-
-func (r *Redirector) onTreeMessage(tree int, from combining.NodeID, msg interface{}) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tree.OnMessage(tree, from, msg)
-	if _, ok := msg.(combining.Broadcast); ok {
-		r.pushGlobalLocked()
-		// Pre-solve the plan the next window boundary will need while we
-		// are already off the request path; the boundary's solve becomes a
-		// plan-cache hit and never stalls admissions.
-		r.red.Presolve(r.elapsed())
-	}
-}
-
-// pushGlobalLocked publishes the settled aggregates to the engine: the
-// flat single-tree path keeps the uniform SetGlobal semantics, sharded
-// forests stamp each agreement component with its own tree's timestamp.
-func (r *Redirector) pushGlobalLocked() {
-	if r.tree.Trees() == 1 {
-		if agg, at, ok := r.tree.ComponentGlobal(0); ok {
-			r.red.SetGlobal(agg.Sum, at)
-		}
-		return
-	}
-	for t := 0; t < r.tree.Trees(); t++ {
-		if agg, at, ok := r.tree.ComponentGlobal(t); ok {
-			r.red.SetGlobalComponent(r.tree.Component(t), agg.Sum, at)
-		}
-	}
-}
-
-func (r *Redirector) windowLoop() {
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-r.ticker.C:
-			r.mu.Lock()
-			r.estBuf = r.red.LocalEstimateInto(r.estBuf)
-			if r.tree != nil {
-				if r.reparent != nil {
-					// Failure detection first: a silent neighbor is pruned
-					// and this epoch's report already goes to the new parent.
-					r.reparent.Check(r.tree, r.elapsed())
-				}
-				r.tree.SetLocal(r.estBuf)
-				r.tree.Tick()
-				if r.tree.IsRoot() {
-					r.pushGlobalLocked()
-				}
-			} else {
-				// Single redirector: its own estimate is the global truth.
-				r.red.SetGlobal(r.estBuf, r.elapsed())
-			}
-			var epoch, gate int
-			var known uint64
-			if r.tree != nil {
-				// Rollout view for the epoch gate: this node's epoch and
-				// the newest agreement-set version the tree delivered.
-				epoch = r.tree.Epoch()
-				if ge := r.tree.GlobalEpoch(); ge > epoch {
-					epoch = ge
-				}
-				if cu := r.tree.Config(); cu != nil {
-					known, gate = cu.Version, cu.GateEpoch
-				}
-				r.red.SetRollout(epoch, known)
-			}
-			// The plane folds the shards' arrival/admission counters,
-			// schedules the next window, and flips the credit pool —
-			// in-flight admits keep draining the old pool until the new
-			// one is published, so the boundary never stalls them.
-			// Scheduling failures leave last window's credits in place;
-			// enforcement degrades gracefully.
-			_ = r.adm.StartWindow(r.elapsed())
-			r.persistWindowLocked(epoch, known, gate)
-			r.tracer.StartWindow(uint64(r.red.Windows), uint64(r.cfg.Engine.Version()))
-			r.mu.Unlock()
-			// Refill the proxy failover budget for the new window.
-			r.retryTokens.Store(int64(r.retryBudget()))
-		}
-	}
-}
 
 // retryBudget resolves the configured per-window failover budget.
 func (r *Redirector) retryBudget() int {
@@ -725,82 +213,6 @@ func (r *Redirector) retryBudget() int {
 	default:
 		return DefaultRetryBudget
 	}
-}
-
-// persistWindowLocked appends the just-started window's durable record —
-// carried credit, demand estimate, window sequence, rollout position — to
-// the store, compacting the record log every persistCheckpointEvery
-// appends. Runs at the window boundary under r.mu; a no-op without a
-// store. Persistence errors are logged, never fatal: enforcement continues
-// with a wider crash-loss bound.
-func (r *Redirector) persistWindowLocked(epoch int, known uint64, gate int) {
-	st := r.cfg.Persist
-	if st == nil {
-		return
-	}
-	r.persistSince++
-	every := r.cfg.PersistEvery
-	if every <= 1 {
-		every = 1
-	}
-	if r.persistSince < every {
-		return
-	}
-	r.persistSince = 0
-	n := r.cfg.Engine.NumPrincipals()
-	if r.persistT == nil {
-		r.persistT = make([]float64, n)
-		r.persistM = make([][]float64, n)
-		for i := range r.persistM {
-			r.persistM[i] = make([]float64, n)
-		}
-	}
-	r.red.ExportCredits(r.persistM, r.persistT)
-	r.persistE = r.red.ExportEstimate(r.persistE)
-	ws := persist.WindowState{
-		WindowSeq:  r.red.Windows,
-		Epoch:      epoch,
-		SetVersion: known,
-		Gate:       gate,
-		Estimate:   r.persistE,
-	}
-	if r.cfg.Engine.Mode() == core.Provider {
-		ws.CreditTotal = r.persistT
-	} else {
-		ws.Credit = r.persistM
-	}
-	if err := st.AppendWindow(ws); err != nil {
-		r.cfg.Engine.Logger().Error("persist window record", "window", ws.WindowSeq, "err", err)
-		return
-	}
-	r.persistSeq++
-	if r.persistSeq%persistCheckpointEvery == 0 {
-		if err := st.Checkpoint(); err != nil {
-			r.cfg.Engine.Logger().Error("persist checkpoint", "err", err)
-		}
-	}
-}
-
-// spanVerdict maps an admission outcome to its span verdict.
-func spanVerdict(out admission.Outcome) obs.Verdict {
-	switch out {
-	case admission.OutcomeAdmit:
-		return obs.VerdictAdmit
-	case admission.OutcomeSteal:
-		return obs.VerdictSteal
-	case admission.OutcomeDry:
-		return obs.VerdictDry
-	default:
-		return obs.VerdictReject
-	}
-}
-
-// principalName maps a principal to its span tag.
-func (r *Redirector) principalName(p agreement.Principal) string {
-	if int(p) >= 0 && int(p) < len(r.names) {
-		return r.names[p]
-	}
-	return ""
 }
 
 // route is the server's handler: service traffic goes straight to handle,
@@ -833,9 +245,9 @@ func (r *Redirector) handle(w http.ResponseWriter, req *http.Request) {
 
 	// Lock-free request path: one sharded-plane admission, one atomic
 	// round-robin backend choice.
-	sp = r.tracer.Begin(r.principalName(p))
-	d, det := r.adm.AdmitTraced(p, -1, 1)
-	sp.StampAdmit(spanVerdict(det.Outcome), det.Shard)
+	sp = r.Begin(p)
+	d, det := r.Admission().AdmitTraced(p, -1, 1)
+	node.StampAdmit(sp, det)
 	var target *upstream
 	if d.Admitted {
 		target = r.chooseBackend(d.Owner, nil)
@@ -882,13 +294,13 @@ func (r *Redirector) refuse(w http.ResponseWriter, req *http.Request) {
 
 // chooseBackend round-robins over the owner's backends, skipping ones the
 // health checker holds down and skip (the backend a failover is escaping).
-// Returns nil when no usable backend exists. Safe without the redirector
-// mutex: the cursor is atomic and the checker locks internally.
+// Returns nil when no usable backend exists. Safe without the node mutex:
+// the cursor is atomic and the checker locks internally.
 func (r *Redirector) chooseBackend(owner agreement.Principal, skip *upstream) *upstream {
 	backends := r.backends[owner]
 	for range backends {
-		b := backends[int(r.rr[owner].Add(1)-1)%len(backends)]
-		if b != skip && (r.checker == nil || r.checker.Up(b.target)) {
+		b := backends[r.NextBackend(owner)%len(backends)]
+		if b != skip && r.BackendUp(b.target) {
 			return b
 		}
 	}
@@ -919,9 +331,7 @@ func (r *Redirector) proxy(w http.ResponseWriter, req *http.Request, owner agree
 		if errors.As(err, &ce) {
 			break
 		}
-		if r.checker != nil {
-			r.checker.ReportFailure(target.target, r.elapsed())
-		}
+		r.ReportFailure(target.target)
 		if committed {
 			// The head is out and the body fell short: cut the client's
 			// connection so it cannot mistake the fragment for the whole.
@@ -953,31 +363,12 @@ func (r *Redirector) RetryBudgetExhausted() uint64 { return r.retryExhausted.Loa
 
 // Stats reports admission counters, folded from the plane's shards.
 func (r *Redirector) Stats() (admitted, rejected int) {
-	a, j := r.adm.Counts()
+	a, j := r.Admission().Counts()
 	return int(a), int(j)
 }
 
-// Observer exposes the window-trace observer (auditor counters, trace ring).
-func (r *Redirector) Observer() *obs.Observer { return r.obsv }
-
-// Tracer exposes the request-span tracer (nil unless Trace was configured).
-func (r *Redirector) Tracer() *obs.Tracer { return r.tracer }
-
-// Flight exposes the SLO flight recorder (nil unless Flight was configured).
-func (r *Redirector) Flight() *obs.FlightRecorder { return r.flight }
-
-// Plane exposes the dynamic agreement control plane (nil unless Ctrl was
-// set). Its HTTP surface is already mounted under /v1 on the redirector's
-// own mux.
-func (r *Redirector) Plane() *ctrlplane.Plane { return r.plane }
-
-// ObsHandler exposes the observability handler, already mounted on the
-// redirector's own mux; cmd front-ends can additionally serve it on a
-// dedicated admin listener.
-func (r *Redirector) ObsHandler() *obs.Handler { return r.handler }
-
-// extraMetrics appends the Layer-7 admission counters plus the health and
-// tree-transport series to /metrics.
+// extraMetrics writes the Layer-7 counters to /v1/metrics; the node appends
+// the shared admission, health and tree-transport series.
 func (r *Redirector) extraMetrics(w io.Writer) {
 	admitted, rejected := r.Stats()
 	obs.WriteMetric(w, "rsa_l7_admitted_total", "counter",
@@ -995,10 +386,6 @@ func (r *Redirector) extraMetrics(w io.Writer) {
 		"Pooled backend connections found closed by the backend and replaced by a fresh dial.", float64(r.relay.staleRetries.Load()))
 	obs.WriteMetric(w, "rsa_l7_upstream_idle_conns", "gauge",
 		"Keep-alive backend connections idle in the proxy relay's pools.", float64(r.relay.idleConns()))
-	admission.WriteMetrics(w, r.adm)
-	health.WriteMetrics(w, r.checker, r.reint)
-	treenet.WriteMetrics(w, r.transport, r.reparent)
-	combining.WriteHopMetrics(w, r.hop)
 }
 
 // statsPayload is the JSON shape served at /stats.
@@ -1016,48 +403,30 @@ type statsPayload struct {
 // handleStats serves operational counters for monitoring.
 func (r *Redirector) handleStats(w http.ResponseWriter, req *http.Request) {
 	admitted, rejected := r.Stats()
-	r.mu.Lock()
+	windows, conservative, hasGlobal := r.WindowStats()
 	p := statsPayload{
 		ID:           r.cfg.ID,
 		Mode:         r.cfg.Engine.Mode().String(),
 		WindowMS:     r.cfg.Engine.Window().Milliseconds(),
 		Admitted:     admitted,
 		Rejected:     rejected,
-		Windows:      r.red.Windows,
-		Conservative: r.red.Conservative,
-		HasGlobal:    r.red.HasGlobal(),
+		Windows:      windows,
+		Conservative: conservative,
+		HasGlobal:    hasGlobal,
 	}
-	r.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(p); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
-// Close stops the redirector.
+// Close stops the HTTP server, then the node (window loop joined, transport
+// closed, durable log checkpointed), and returns the first error.
 func (r *Redirector) Close() error {
-	var err error
-	r.closeOnce.Do(func() {
-		close(r.done)
-		r.ticker.Stop()
-		if r.checker != nil {
-			r.checker.Stop()
-		}
-		err = r.srv.Close()
-		if r.transport != nil {
-			if cerr := r.transport.Close(); err == nil {
-				err = cerr
-			}
-		}
-		r.relay.close()
-		// Compact the durable record log on the way out so the next boot
-		// replays one record, not the whole run. The caller owns (and
-		// closes) the store itself.
-		if r.cfg.Persist != nil {
-			if cerr := r.cfg.Persist.Checkpoint(); err == nil {
-				err = cerr
-			}
-		}
-	})
+	err := r.srv.Close()
+	if cerr := r.Node.Close(); err == nil {
+		err = cerr
+	}
+	r.relay.close()
 	return err
 }

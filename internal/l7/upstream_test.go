@@ -470,7 +470,7 @@ func TestStaleConnectionRedialWithBody(t *testing.T) {
 	if d, u, s := r.relay.dials.Load(), r.relay.reuses.Load(), r.relay.staleRetries.Load(); d+u-s != n {
 		t.Errorf("dials %d + reuses %d - stale retries %d != %d exchanges", d, u, s, n)
 	}
-	if !r.checker.Up(backend.URL) {
+	if !r.BackendUp(backend.URL) {
 		t.Error("a stale pooled connection was reported as a backend failure")
 	}
 }
@@ -500,7 +500,7 @@ func TestEarlyResponseToStreamedBody(t *testing.T) {
 			t.Fatalf("8 MiB POST %d: %d %q, want the backend's 413", i, resp.StatusCode, body)
 		}
 	}
-	if !r.checker.Up(backend.URL) {
+	if !r.BackendUp(backend.URL) {
 		t.Error("an early 413 was reported as a backend failure")
 	}
 	if idle := r.relay.idleConns(); idle != 0 {
@@ -628,7 +628,7 @@ func TestRequestBodyReplayLimit(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
-	if !r.checker.Up(dead.url()) {
+	if !r.BackendUp(dead.url()) {
 		t.Fatal("one failed exchange already marked the backend down")
 	}
 	if status, _ := post(front.URL, bytes.NewReader(big)); status != http.StatusBadGateway {
@@ -637,7 +637,7 @@ func TestRequestBodyReplayLimit(t *testing.T) {
 	if goodRequests.Load() != 1 {
 		t.Fatal("a streamed body was replayed on a second backend")
 	}
-	if r.checker.Up(dead.url()) {
+	if r.BackendUp(dead.url()) {
 		t.Fatal("failed streamed exchange was not reported to the health checker")
 	}
 

@@ -1,0 +1,77 @@
+package node
+
+import (
+	"repro/internal/combining"
+	"repro/internal/obs"
+)
+
+// topologyInfo snapshots the combining plane for GET /v1/topology. On a
+// hierarchical layout it reports every member's current placement from the
+// (possibly repaired) compiled plane; on a flat layout it reports this
+// node's own neighborhood — the authoritative local view either way.
+func (n *Node) topologyInfo() *obs.TopologyInfo {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.tree == nil {
+		return nil
+	}
+	self := n.tree.ID()
+	info := &obs.TopologyInfo{Self: int(self)}
+	if n.wiring.Plane != nil {
+		plane := n.wiring.Plane()
+		info.Root = int(plane.Root())
+		info.Levels = plane.Levels()
+		for _, id := range plane.Members() {
+			node := obs.TopologyNode{ID: int(id), Parent: -1, Alive: plane.Alive(id)}
+			if pl, ok := plane.Placement(id); ok {
+				node.Region, node.Parent = pl.Region, int(pl.Parent)
+				node.Level, node.SubRoot = pl.Level, pl.SubRoot
+			}
+			info.Nodes = append(info.Nodes, node)
+		}
+	} else {
+		// Flat layout: this node only knows its own neighborhood (and, with
+		// a detector, which neighbors it pruned).
+		parent, children := n.cfg.Tree.Parent, n.cfg.Tree.Children
+		removed := make(map[combining.NodeID]bool)
+		if det := n.wiring.Detector; det != nil {
+			parent, children = det.Parent(), det.Children()
+			for _, id := range det.Removed() {
+				removed[id] = true
+			}
+		}
+		add := func(id, parent combining.NodeID, level int) {
+			info.Nodes = append(info.Nodes, obs.TopologyNode{
+				ID: int(id), Region: "flat", Parent: int(parent), Level: level, Alive: !removed[id],
+			})
+		}
+		info.Levels, info.Root = 2, int(self)
+		level := 0
+		if parent >= 0 {
+			info.Root, level = int(parent), 1
+			add(parent, -1, 0)
+		}
+		add(self, parent, level)
+		for _, c := range children {
+			add(c, self, level+1)
+		}
+	}
+	for t := 0; t < n.tree.Trees(); t++ {
+		comp := obs.TopologyComponent{
+			Tree:        t,
+			Epoch:       n.tree.Tree(t).Epoch(),
+			GlobalEpoch: n.tree.Tree(t).GlobalEpoch(),
+		}
+		for _, p := range n.tree.Component(t) {
+			if p >= 0 && p < len(n.names) {
+				comp.Principals = append(comp.Principals, n.names[p])
+			}
+		}
+		info.Components = append(info.Components, comp)
+	}
+	st := n.transport.Stats()
+	info.DeltaBytesSaved = st.Delta.BytesSaved
+	info.DeltaEntriesSuppressed = st.Delta.EntriesSuppressed
+	info.DeltaEnabled = n.cfg.Tree.Topology != nil && n.cfg.Tree.Topology.Delta.Enabled()
+	return info
+}

@@ -18,7 +18,7 @@ import (
 // whose source is nil are simply omitted, so a backend process can serve
 // just pprof plus its Extra counters while a redirector serves the full set.
 type HandlerConfig struct {
-	// Observers supply trace rings for /debug/windows (one per admission
+	// Observers supply trace rings for /v1/debug/windows (one per admission
 	// point in this process).
 	Observers []*Observer
 	// Auditor supplies the conformance counters.
@@ -65,7 +65,7 @@ type NamedHistogram struct {
 	Hist *Histogram
 }
 
-// ConfigInfo is the configuration-version snapshot exported by /metrics
+// ConfigInfo is the configuration-version snapshot exported by /v1/metrics
 // (mirrors core.RolloutInfo without importing core).
 type ConfigInfo struct {
 	// Active and Staged are the engine generations (staged 0 when no
@@ -91,10 +91,8 @@ type ConfigInfo struct {
 //	/v1/leases           lease grant/renew/shrink/revoke (when configured)
 //	/debug/pprof/...     net/http/pprof
 //
-// The pre-versioning paths /metrics and /debug/windows remain as aliases;
-// responses on them carry a Deprecation header and a Link to the successor
-// under /v1. Mount the handler on an existing mux with Register, or serve it
-// directly (it implements http.Handler) on a dedicated admin listener.
+// Mount the handler on an existing mux with Register, or serve it directly
+// (it implements http.Handler) on a dedicated admin listener.
 type Handler struct {
 	cfg HandlerConfig
 	mux *http.ServeMux
@@ -112,16 +110,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// deprecatedAlias wraps a /v1 handler for its legacy path: same behavior,
-// plus RFC 8594-style headers pointing clients at the successor.
-func deprecatedAlias(successor string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		fn(w, r)
-	}
-}
-
 // Register mounts the endpoints on mux (for front-ends that already run an
 // HTTP server, like the Layer-7 redirector).
 func (h *Handler) Register(mux *http.ServeMux) {
@@ -136,8 +124,6 @@ func (h *Handler) Register(mux *http.ServeMux) {
 	if h.cfg.Topology != nil {
 		mux.HandleFunc("/v1/topology", h.serveTopology)
 	}
-	mux.HandleFunc("/metrics", deprecatedAlias("/v1/metrics", h.serveMetrics))
-	mux.HandleFunc("/debug/windows", deprecatedAlias("/v1/debug/windows", h.serveWindows))
 	if h.cfg.Control != nil {
 		mux.Handle("/v1/agreements", h.cfg.Control)
 		mux.Handle("/v1/agreements/", h.cfg.Control)

@@ -296,7 +296,7 @@ func TestHandlerEndpoints(t *testing.T) {
 
 	rr := httptest.NewRecorder()
 	rr.Body.Reset()
-	req := httptest.NewRequest("GET", "/metrics", nil)
+	req := httptest.NewRequest("GET", "/v1/metrics", nil)
 	h.ServeHTTP(rr, req)
 	body := rr.Body.String()
 	for _, want := range []string{
@@ -313,24 +313,24 @@ func TestHandlerEndpoints(t *testing.T) {
 		"rsa_l7_admitted_total 42",
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q\n---\n%s", want, body)
+			t.Errorf("/v1/metrics missing %q\n---\n%s", want, body)
 		}
 	}
 
 	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/windows?n=1", nil))
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/debug/windows?n=1", nil))
 	var payload struct {
 		Records []Record `json:"records"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &payload); err != nil {
-		t.Fatalf("/debug/windows: %v\n%s", err, rr.Body.String())
+		t.Fatalf("/v1/debug/windows: %v\n%s", err, rr.Body.String())
 	}
 	if len(payload.Records) != 1 || payload.Records[0].Window != 2 {
-		t.Fatalf("/debug/windows?n=1 = %+v, want the latest window (2)", payload.Records)
+		t.Fatalf("/v1/debug/windows?n=1 = %+v, want the latest window (2)", payload.Records)
 	}
 
 	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/windows?n=bogus", nil))
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/debug/windows?n=bogus", nil))
 	if rr.Code != 400 {
 		t.Errorf("bad n: status %d, want 400", rr.Code)
 	}
@@ -340,19 +340,28 @@ func TestHandlerEndpoints(t *testing.T) {
 	if rr.Code != 200 {
 		t.Errorf("pprof cmdline: status %d, want 200", rr.Code)
 	}
+
+	// The pre-versioning aliases are retired.
+	for _, path := range []string{"/metrics", "/debug/windows"} {
+		rr = httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if rr.Code != 404 {
+			t.Errorf("GET %s: status %d, want 404", path, rr.Code)
+		}
+	}
 }
 
 func TestHandlerNilSources(t *testing.T) {
 	h := NewHandler(HandlerConfig{})
 	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/metrics", nil))
 	if rr.Code != 200 {
-		t.Fatalf("/metrics with no sources: status %d", rr.Code)
+		t.Fatalf("/v1/metrics with no sources: status %d", rr.Code)
 	}
 	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/windows", nil))
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/debug/windows", nil))
 	if rr.Code != 200 {
-		t.Fatalf("/debug/windows with no observers: status %d", rr.Code)
+		t.Fatalf("/v1/debug/windows with no observers: status %d", rr.Code)
 	}
 }
 
