@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json bench-scale bench-ref bench-ref-compare bench-ref-check experiments fmt cover apicompat doclint linkcheck loc
+.PHONY: all build vet test test-short race bench bench-scale bench-ref bench-ref-compare bench-ref-check experiments fmt cover apicompat doclint linkcheck loc knobs
 
 all: build vet test
 
@@ -24,17 +24,6 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One-pass fast-path report: run the window benchmarks, the tree codec
-# micro-benchmarks (frame and delta codecs) and the L7 proxy-path
-# micro-benchmarks (one relayed exchange, one refusal) with -benchmem and
-# emit BENCH_lp_fastpath.json (ns/op, allocs/op, cache hit rate,
-# bytes/frame) with the committed seed numbers embedded as the baseline.
-bench-json:
-	$(GO) test -run XXX -bench 'WindowSchedule|AdmitPerRequest|AdmitParallel|WindowTraceOverhead|SpanOverhead|FrameCodec|DeltaCodec|ProxyExchange|Refuse' -benchmem \
-		. ./internal/treenet ./internal/combining ./internal/l7 \
-		| $(GO) run ./cmd/benchjson -baseline BENCH_seed.json -o BENCH_lp_fastpath.json
-	@cat BENCH_lp_fastpath.json
-
 # Reference benchmark (BENCHMARK.json, bench/README.md): every workload,
 # three untraced runs on seeds 1..3 plus one traced pass each. To compare
 # two commits, keep the other side's result as bench/out/old.json.
@@ -53,8 +42,9 @@ bench-ref-check:
 # Macro-benchmark scale sweep: boot an in-process Layer-7 fleet per grid
 # point (redirector count × tree fanout × offered load), drive it with
 # open-loop seeded Poisson streams over loopback TCP, and emit
-# BENCH_scale.json (benchjson shape). Fails if any point settles with
-# under-floor windows or transport errors.
+# BENCH_scale.json (untracked: a sweep result is only comparable with
+# another one from the same machine and commit range). Fails if any point
+# settles with under-floor windows or transport errors.
 bench-scale:
 	$(GO) run ./cmd/loadgen -sweep -o BENCH_scale.json
 	@cat BENCH_scale.json
@@ -80,6 +70,11 @@ apicompat:
 # the one count simplicity PRs quote before and after.
 loc:
 	scripts/loc.sh
+
+# Option audit: exported *Config/*Options fields nothing outside their
+# declaring file sets, minus scripts/knobs.allow (also run in CI).
+knobs:
+	scripts/knobs.sh
 
 fmt:
 	gofmt -w .

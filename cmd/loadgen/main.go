@@ -16,8 +16,8 @@
 // Sweep mode (-sweep) is what `make bench-scale` runs: it boots an
 // in-process Layer-7 fleet per point of the scale grid (redirector count ×
 // combining-tree fanout × offered load, see loadgen.DefaultSweep), drives
-// every point over loopback TCP, and writes a BENCH_scale.json report in
-// the same shape cmd/benchjson emits. Every point is asserted to settle
+// every point over loopback TCP, and writes a BENCH_scale.json report
+// (one benchResult per grid point). Every point is asserted to settle
 // with zero under-floor windows and zero transport errors; any violation
 // fails the run.
 package main
@@ -35,8 +35,8 @@ import (
 	"repro/internal/obs"
 )
 
-// benchResult mirrors cmd/benchjson's JSON result shape so BENCH_scale.json
-// and BENCH_lp_fastpath.json read the same way.
+// benchResult is one row of the sweep report, in `go test -bench` terms
+// (iterations, ns/op) plus the point's flat metric map.
 type benchResult struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`

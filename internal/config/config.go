@@ -103,8 +103,10 @@ type TreeSpec struct {
 	Peers      map[string]string `json:"peers"` // node id (decimal) → addr
 	ListenAddr string            `json:"listen_addr"`
 	// Topology, when present, lays the plane out hierarchically and
-	// supersedes the flat Parent/Children/Members/Fanout wiring; the
-	// node's placement is computed from its node_id and the spec.
+	// supersedes the flat Parent/Children wiring; the node's placement is
+	// computed from its node_id and the spec. Combining it with the flat
+	// Members, Fanout or FailureTimeoutMS keys is a Parse error (they
+	// would be ignored).
 	Topology *TopologySpec `json:"topology"`
 	// FailureTimeoutMS, when positive, arms the reparenter: a tree
 	// neighbor silent for this long is cut out of the topology and the
@@ -320,14 +322,31 @@ func Parse(data []byte) (*File, error) {
 		return nil, fmt.Errorf("%w: provider mode needs a provider name", ErrConfig)
 	}
 	if f.Tree != nil {
+		// The flat layout keys are deprecated on their own and an error next
+		// to a topology block, which supersedes them outright: spelling both
+		// would silently drop the flat value (a flat failure_timeout_ms
+		// would boot with detection off).
+		for _, k := range []struct {
+			set      bool
+			key, use string
+		}{
+			{len(f.Tree.Members) > 0, "members", "regions[].members"},
+			{f.Tree.Fanout != 0, "fanout", "fanout"},
+			{f.Tree.FailureTimeoutMS != 0, "failure_timeout_ms", "failure_timeout_ms"},
+		} {
+			if !k.set {
+				continue
+			}
+			if f.Tree.Topology != nil {
+				return nil, fmt.Errorf("%w: tree.%s is ignored when tree.topology is present; set tree.topology.%s",
+					ErrConfig, k.key, k.use)
+			}
+			warnFlatTreeKey(k.key)
+		}
 		if f.Tree.Topology != nil {
 			if err := f.Tree.Topology.Spec().Normalize().Validate(); err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 			}
-		} else {
-			warnFlatTreeKey(len(f.Tree.Members) > 0, "members")
-			warnFlatTreeKey(f.Tree.Fanout != 0, "fanout")
-			warnFlatTreeKey(f.Tree.FailureTimeoutMS != 0, "failure_timeout_ms")
 		}
 	}
 	return &f, nil
@@ -336,10 +355,7 @@ func Parse(data []byte) (*File, error) {
 // warnFlatTreeKey emits a once-per-key-per-process deprecation warning for a
 // flat tree layout key used without a topology spec. Flat configs keep
 // working; the warning steers operators to the declarative form.
-func warnFlatTreeKey(set bool, key string) {
-	if !set {
-		return
-	}
+func warnFlatTreeKey(key string) {
 	if _, dup := flatWarned.LoadOrStore(key, true); !dup {
 		configLog().Warn("deprecated flat tree key",
 			"field", "tree."+key, "use", "tree.topology")

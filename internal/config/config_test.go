@@ -362,6 +362,29 @@ func TestTopologySpecRejected(t *testing.T) {
 	}
 }
 
+// TestFlatTreeKeysRejectedWithTopology pins the mixed form as an error: the
+// topology block supersedes members, fanout and failure_timeout_ms, so a
+// scenario spelling a flat one next to it (the older way to arm failure
+// detection) would otherwise boot with that setting silently dropped.
+func TestFlatTreeKeysRejectedWithTopology(t *testing.T) {
+	for _, tc := range []struct{ key, field string }{
+		{"members", `"members": [0, 1]`},
+		{"fanout", `"fanout": 3`},
+		{"failure_timeout_ms", `"failure_timeout_ms": 2000`},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			raw := strings.Replace(treeHier, `"node_id": 0,`, `"node_id": 0, `+tc.field+`,`, 1)
+			_, err := Parse([]byte(raw))
+			if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "tree."+tc.key+" ") {
+				t.Fatalf("err = %v, want ErrConfig naming tree.%s", err, tc.key)
+			}
+		})
+	}
+	if _, err := Parse([]byte(treeHier)); err != nil {
+		t.Fatalf("topology-only form rejected: %v", err)
+	}
+}
+
 // TestBudgetTreeConfig compiles a scenario-file budget forest into chained
 // agreements alongside flat principals.
 func TestBudgetTreeConfig(t *testing.T) {

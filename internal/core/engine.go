@@ -63,9 +63,6 @@ type Config struct {
 	// redirector falls back to conservative mode; 0 means never (the paper
 	// tolerates arbitrarily lagged estimates once received).
 	Staleness time.Duration
-	// EWMAAlpha smooths the per-window arrival estimator (0 < α ≤ 1);
-	// the default 0.7 favors responsiveness to phase changes.
-	EWMAAlpha float64
 
 	// ProviderPrincipal is the owner of the servers in Provider mode.
 	ProviderPrincipal agreement.Principal
@@ -91,16 +88,6 @@ type Config struct {
 	// System's scalar capacities are ignored: flows are capacity
 	// independent, and entitlements come from these vectors instead.
 	MultiResource *MultiResourceConfig
-
-	// PlanCacheQuantum is the queue-quantization step (requests/window) of
-	// the shared per-window plan cache: redirectors whose global queue
-	// vectors agree to within half a quantum per principal share one LP
-	// solve. Zero selects sched.DefaultQuantum (1e-6); a negative value
-	// disables the cache entirely (every StartWindow solves).
-	PlanCacheQuantum float64
-	// PlanCacheLimit bounds the number of distinct quantized vectors kept
-	// before the cache resets; zero selects sched.DefaultCacheLimit.
-	PlanCacheLimit int
 
 	// RolloutGraceEpochs is the rollout liveness valve: when a staged set
 	// is still unpromoted this many epochs past its gate, any registered
@@ -244,9 +231,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.NumRedirectors <= 0 {
 		cfg.NumRedirectors = 1
 	}
-	if cfg.EWMAAlpha <= 0 || cfg.EWMAAlpha > 1 {
-		cfg.EWMAAlpha = 0.7
-	}
 	n := cfg.System.NumPrincipals()
 	if cfg.Mode != Community && cfg.Mode != Provider {
 		return nil, fmt.Errorf("%w: unknown mode %d", ErrConfig, int(cfg.Mode))
@@ -368,14 +352,11 @@ func (e *Engine) wireState(st *schedState) {
 		st.provider.SetStats(e.stats)
 		st.provider.SetLogger(e.Logger())
 	}
-	if e.cfg.PlanCacheQuantum < 0 {
-		return // caching disabled: every StartWindow solves
-	}
 	switch e.cfg.Mode {
 	case Community:
-		st.plans = sched.NewPlanCache[*sched.Plan](e.cfg.PlanCacheQuantum, e.cfg.PlanCacheLimit, e.stats)
+		st.plans = sched.NewPlanCache[*sched.Plan](sched.DefaultQuantum, sched.DefaultCacheLimit, e.stats)
 	case Provider:
-		st.provPlans = sched.NewPlanCache[*sched.ProviderPlan](e.cfg.PlanCacheQuantum, e.cfg.PlanCacheLimit, e.stats)
+		st.provPlans = sched.NewPlanCache[*sched.ProviderPlan](sched.DefaultQuantum, sched.DefaultCacheLimit, e.stats)
 	}
 }
 
@@ -794,39 +775,29 @@ func (e *Engine) EvictRedirector(id int) {
 }
 
 // communityPlan returns the window plan for the global queue vector n,
-// serving it from the shared plan cache when one is enabled: the R
-// redirectors holding the same quantized aggregate trigger one LP solve per
-// window instead of R. The second result reports whether the plan came from
-// the cache (trace records expose it per window).
+// serving it from the generation's shared plan cache: the R redirectors
+// holding the same quantized aggregate trigger one LP solve per window
+// instead of R. The second result reports whether the plan came from the
+// cache (trace records expose it per window).
 func (e *Engine) communityPlan(st schedState, n []float64) (*sched.Plan, bool, error) {
-	solve := func() (*sched.Plan, error) {
+	return st.plans.Do(n, func() (*sched.Plan, error) {
 		if st.multi != nil {
 			return st.multi.Schedule(n)
 		}
 		return st.community.Schedule(n)
-	}
-	if st.plans == nil {
-		plan, err := solve()
-		return plan, false, err
-	}
-	return st.plans.Do(n, solve)
+	})
 }
 
 // providerPlan is communityPlan's Provider-mode counterpart; the cache key
 // is the full global vector, the solve maps it onto customer indices.
 func (e *Engine) providerPlan(st schedState, n []float64) (*sched.ProviderPlan, bool, error) {
-	solve := func() (*sched.ProviderPlan, error) {
+	return st.provPlans.Do(n, func() (*sched.ProviderPlan, error) {
 		q := make([]float64, len(st.customers))
 		for ci, p := range st.customers {
 			q[ci] = n[p]
 		}
 		return st.provider.Schedule(q)
-	}
-	if st.provPlans == nil {
-		plan, err := solve()
-		return plan, false, err
-	}
-	return st.provPlans.Do(n, solve)
+	})
 }
 
 // Stats exposes the engine's shared fast-path telemetry: plan-cache hit and

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/agreement"
 )
 
 // TestSharedPlanCacheCollapsesSolves is the engine-level fast-path contract:
@@ -41,32 +39,6 @@ func TestSharedPlanCacheCollapsesSolves(t *testing.T) {
 	}
 	if st.Solves() != 1 {
 		t.Fatalf("solves = %d, want 1", st.Solves())
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	s := agreement.New()
-	a := s.MustAddPrincipal("A", 320)
-	b := s.MustAddPrincipal("B", 320)
-	s.MustSetAgreement(b, a, 0.5, 0.5)
-	e, err := NewEngine(Config{
-		Mode:             Community,
-		System:           s,
-		NumRedirectors:   2,
-		PlanCacheQuantum: -1, // disable
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := e.NewRedirector(0), e.NewRedirector(1)
-	for _, r := range []*Redirector{r1, r2} {
-		r.SetGlobal([]float64{80, 40}, 0)
-		if err := r.StartWindow(0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Stats().CacheHits() != 0 || e.Stats().CacheMisses() != 0 {
-		t.Fatalf("disabled cache recorded lookups: %v", e.Stats())
 	}
 }
 

@@ -227,6 +227,10 @@ func (r *Redirector) openWindowRecord(now time.Duration) *obs.Record {
 	return rec
 }
 
+// ewmaAlpha smooths the per-window arrival estimator; 0.7 favors
+// responsiveness to phase changes.
+const ewmaAlpha = 0.7
+
 // StartWindow closes the previous scheduling window and computes admission
 // credits for the next one. now is the current (virtual or wall) time used
 // for staleness checks.
@@ -236,9 +240,8 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 	r.closeWindowRecord()
 	r.Windows++
 	// Fold the finished window's arrivals into the demand estimate.
-	alpha := r.e.cfg.EWMAAlpha
 	for i := 0; i < r.e.n; i++ {
-		r.estimate[i] = alpha*r.arrivals[i] + (1-alpha)*r.estimate[i]
+		r.estimate[i] = ewmaAlpha*r.arrivals[i] + (1-ewmaAlpha)*r.estimate[i]
 		if r.estimate[i] < 1e-9 {
 			r.estimate[i] = 0
 		}
@@ -722,8 +725,7 @@ func (r *Redirector) AddWindowSample(arrivals, admitted []float64, admits, rejec
 // StartWindow will need, using the freshest global aggregate. Called off the
 // request path (on combining-tree broadcast arrival), it makes the window
 // boundary's solve a cache hit so the boundary never stalls on the LP. A
-// no-op when the redirector is blind, the aggregate is stale, or plan
-// caching is disabled.
+// no-op when the redirector is blind or the aggregate is stale.
 func (r *Redirector) Presolve(now time.Duration) {
 	if !r.haveGlob {
 		return
@@ -748,13 +750,9 @@ func (r *Redirector) Presolve(now time.Duration) {
 	}
 	switch r.e.cfg.Mode {
 	case Community:
-		if st.plans != nil {
-			_, _, _ = r.e.communityPlan(st, n)
-		}
+		_, _, _ = r.e.communityPlan(st, n)
 	case Provider:
-		if st.provPlans != nil {
-			_, _, _ = r.e.providerPlan(st, n)
-		}
+		_, _, _ = r.e.providerPlan(st, n)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -22,8 +21,7 @@ const budgetLead = 2
 
 // budgetOutcome is everything one ext-budget run produces: the figure data,
 // the owner's published capacity sampled one reclaim bound after the grant
-// and after the revocation, the under-floor checkpoints, and a digest for
-// the replay check.
+// and after the revocation, and the under-floor checkpoints.
 type budgetOutcome struct {
 	sm *sim.Sim
 	// S's published capacity sampled reclaim-bound windows after the grant
@@ -39,7 +37,6 @@ type budgetOutcome struct {
 	leasedMarkA1, leasedMarkA2, leasedMarkB          int64
 	leasedA1, leasedA2, leasedB                      int64
 	reclaimedMarkA1, reclaimedMarkA2, reclaimedMarkB int64
-	digest                                           uint64
 }
 
 // runBudget executes one deterministic hierarchical-budget run. Provider S
@@ -56,7 +53,7 @@ type budgetOutcome struct {
 // reclaim bound and C runs entirely on lease credit. At t=80 s the lease is
 // revoked mid-run: C's credit vanishes, S's published capacity is restored
 // within reclaim-bound windows, and A1 re-absorbs the idle share.
-func runBudget() (*budgetOutcome, error) {
+func runBudget() (*budgetOutcome, uint64, error) {
 	spec := budget.Spec{Roots: []budget.Node{{
 		Name: "S", Capacity: 160,
 		Children: []budget.Node{
@@ -69,7 +66,7 @@ func runBudget() (*budgetOutcome, error) {
 	}}}
 	s, err := budget.Compile(spec)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	c := s.MustAddPrincipal("C", 0)
 	sp, _ := s.Lookup("S")
@@ -84,7 +81,7 @@ func runBudget() (*budgetOutcome, error) {
 		NumRedirectors:    2,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sm, err := sim.New(sim.Config{
 		Engine:      eng,
@@ -95,11 +92,11 @@ func runBudget() (*budgetOutcome, error) {
 		TraceDepth:  -1,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	plane, err := sm.EnableControlPlane(budgetLead)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sm.NewClient(0, workload.Config{Principal: int(a1), Rate: 300}).SetActive(true)
 	sm.NewClient(1, workload.Config{Principal: int(a2), Rate: 40}).SetActive(true)
@@ -164,38 +161,8 @@ func runBudget() (*budgetOutcome, error) {
 
 	sm.Run(120 * time.Second)
 	out.leaseVersion = plane.LeaseTable().Version
-	out.digest = budgetDigest(out)
-	return out, nil
-}
-
-// budgetDigest folds every per-second rate sample, the auditor's
-// conformance counters, and the lease plane's observable state into one
-// FNV-1a hash: two runs are bit-identical iff their digests match.
-func budgetDigest(out *budgetOutcome) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	rec := out.sm.Recorder
-	for i := 0; i < rec.NumSeries(); i++ {
-		for _, v := range rec.Series(i) {
-			put(math.Float64bits(v))
-		}
-	}
-	for i := 0; i < rec.NumSeries(); i++ {
-		put(uint64(out.sm.Auditor.UnderMC(i)))
-		put(uint64(out.sm.Auditor.OverUB(i)))
-	}
-	put(uint64(out.sm.Auditor.Windows()))
-	put(uint64(out.sm.Auditor.MixedVersion()))
-	put(math.Float64bits(out.capAfterGrant))
-	put(math.Float64bits(out.capAfterRevoke))
-	put(out.leaseVersion)
-	return h.Sum64()
+	return out, sm.Digest(math.Float64bits(out.capAfterGrant),
+		math.Float64bits(out.capAfterRevoke), out.leaseVersion), nil
 }
 
 // ExtBudget is the hierarchical-budget experiment: entitlements fold down a
@@ -209,17 +176,9 @@ func budgetDigest(out *budgetOutcome) uint64 {
 // same bound. The whole run replays bit-identically: the experiment
 // executes twice and compares digests.
 func ExtBudget() (*Result, error) {
-	first, err := runBudget()
+	first, replayIdentical, err := replayed(runBudget)
 	if err != nil {
 		return nil, err
-	}
-	second, err := runBudget()
-	if err != nil {
-		return nil, err
-	}
-	replayIdentical := 0.0
-	if first.digest == second.digest {
-		replayIdentical = 1.0
 	}
 	sm := first.sm
 	aud := sm.Auditor

@@ -66,7 +66,7 @@ func ExtChaos() (*Result, error) {
 	plan := fault.NewSchedule(42).
 		CrashBackend(60*time.Second, "S-srv1").
 		RestartBackend(120*time.Second, "S-srv1")
-	sm.InjectFaults(plan, fault.Hooks{})
+	sm.InjectFaults(plan)
 
 	// Freeze the under-floor counters once each post-fault phase has had
 	// settle time to converge; any increment after that is an enforcement

@@ -204,6 +204,21 @@ func Run(id string) (*Result, error) {
 	return nil, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(IDs(), ", "))
 }
 
+// replayed executes run twice and returns the first outcome with the value
+// every Ext* experiment publishes as identical@replay: 1 when the second
+// run's digest (see sim.Sim.Digest) equals the first's, else 0.
+func replayed[T any](run func() (T, uint64, error)) (T, float64, error) {
+	first, want, err := run()
+	if err != nil {
+		return first, 0, err
+	}
+	_, got, err := run()
+	if err != nil || got != want {
+		return first, 0, err
+	}
+	return first, 1, nil
+}
+
 // trim returns a phase whose mean excludes settle seconds at the start and
 // one second at the end — EWMA warm-up and tree lag.
 func trim(name string, from, to, settle time.Duration) metrics.Phase {

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"repro/internal/agreement"
@@ -15,7 +13,7 @@ import (
 )
 
 // hierOutcome is everything one ext-hier run produces: the figure data
-// plus the plane's post-crash shape and a digest for the replay check.
+// plus the plane's post-crash shape.
 type hierOutcome struct {
 	sm *sim.Sim
 	// Promoted west sub-root placement after the crash.
@@ -29,7 +27,6 @@ type hierOutcome struct {
 	// Under-floor counters at the settled pre-crash mark and once the
 	// repaired plane settled again.
 	preA, preB, postA, postB int64
-	digest                   uint64
 }
 
 // runHier executes one deterministic hierarchical-plane run: six
@@ -38,7 +35,7 @@ type hierOutcome struct {
 // the west regional sub-root (node 3) is killed; the survivors must
 // recompile the plane — promoting node 4 into the global tier — and keep
 // the 70/30 split converged.
-func runHier() (*hierOutcome, error) {
+func runHier() (*hierOutcome, uint64, error) {
 	s := agreement.New()
 	sp := s.MustAddPrincipal("S", 100)
 	a := s.MustAddPrincipal("A", 0)
@@ -52,7 +49,7 @@ func runHier() (*hierOutcome, error) {
 		NumRedirectors:    6,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sm, err := sim.New(sim.Config{
 		Engine:      eng,
@@ -70,7 +67,7 @@ func runHier() (*hierOutcome, error) {
 		MaxBacklog:     100,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// A's demand lands on an east leaf, B's on a west leaf: post-crash
 	// convergence needs aggregates to cross the repaired global tier.
@@ -96,39 +93,7 @@ func runHier() (*hierOutcome, error) {
 		out.leafParent = int(p5.Parent)
 	}
 	out.removed = len(pl.Removed())
-	out.digest = hierDigest(out)
-	return out, nil
-}
-
-// hierDigest folds every per-second rate sample, the auditor's
-// conformance counters, and the repaired plane's shape into one FNV-1a
-// hash: two runs are bit-identical iff their digests match.
-func hierDigest(out *hierOutcome) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	rec := out.sm.Recorder
-	for i := 0; i < rec.NumSeries(); i++ {
-		for _, v := range rec.Series(i) {
-			put(math.Float64bits(v))
-		}
-	}
-	for i := 0; i < rec.NumSeries(); i++ {
-		put(uint64(out.sm.Auditor.UnderMC(i)))
-		put(uint64(out.sm.Auditor.OverUB(i)))
-	}
-	put(uint64(out.sm.Auditor.Windows()))
-	put(uint64(out.sm.Auditor.MixedVersion()))
-	put(uint64(out.sm.Reconfigurations))
-	put(uint64(out.promotedParent))
-	put(uint64(out.leafParent))
-	put(uint64(out.removed))
-	return h.Sum64()
+	return out, sm.Digest(uint64(out.promotedParent), uint64(out.leafParent), uint64(out.removed)), nil
 }
 
 // ExtHierPlane is the hierarchical combining-plane experiment: a
@@ -141,17 +106,9 @@ func hierDigest(out *hierOutcome) uint64 {
 // the whole run replays bit-identically (the experiment executes twice
 // and compares digests).
 func ExtHierPlane() (*Result, error) {
-	first, err := runHier()
+	first, replayIdentical, err := replayed(runHier)
 	if err != nil {
 		return nil, err
-	}
-	second, err := runHier()
-	if err != nil {
-		return nil, err
-	}
-	replayIdentical := 0.0
-	if first.digest == second.digest {
-		replayIdentical = 1.0
 	}
 	subRoot := 0.0
 	if first.promotedSubRoot {

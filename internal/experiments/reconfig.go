@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"time"
 
 	"repro/internal/agreement"
@@ -20,7 +18,7 @@ import (
 const reconfigLead = 2
 
 // reconfigOutcome is everything one ext-reconfig run produces: the figure
-// data, the rollout checkpoints, and a digest for the replay check.
+// data and the rollout checkpoints.
 type reconfigOutcome struct {
 	sm *sim.Sim
 	// gateEpoch is the epoch gate assigned to the renegotiation; swapEpoch
@@ -33,7 +31,6 @@ type reconfigOutcome struct {
 	// Under-floor counters: before the renegotiation (from a settled start)
 	// and after it converged, to run end.
 	preA, preB, postA, postB int64
-	digest                   uint64
 }
 
 // runReconfig executes one deterministic mid-run SLA renegotiation:
@@ -43,7 +40,7 @@ type reconfigOutcome struct {
 // mutation is staged behind an epoch gate of lead 2, piggybacked on the
 // combining tree's broadcasts, and every redirector swaps at the same
 // window boundary.
-func runReconfig() (*reconfigOutcome, error) {
+func runReconfig() (*reconfigOutcome, uint64, error) {
 	s := agreement.New()
 	a := s.MustAddPrincipal("A", 320)
 	b := s.MustAddPrincipal("B", 320)
@@ -55,7 +52,7 @@ func runReconfig() (*reconfigOutcome, error) {
 		NumRedirectors: 2,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sm, err := sim.New(sim.Config{
 		Engine:      eng,
@@ -69,11 +66,11 @@ func runReconfig() (*reconfigOutcome, error) {
 		TraceDepth: -1,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	plane, err := sm.EnableControlPlane(reconfigLead)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sm.NewClient(0, workload.Config{Principal: int(a), Rate: 600}).SetActive(true)
 	sm.NewClient(1, workload.Config{Principal: int(b), Rate: 600}).SetActive(true)
@@ -111,36 +108,7 @@ func runReconfig() (*reconfigOutcome, error) {
 
 	sm.Run(120 * time.Second)
 	out.planeVersion = plane.Version()
-	out.digest = reconfigDigest(out)
-	return out, nil
-}
-
-// reconfigDigest folds every per-second rate sample and the auditor's
-// conformance counters into one FNV-1a hash: two runs are bit-identical iff
-// their digests match.
-func reconfigDigest(out *reconfigOutcome) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	rec := out.sm.Recorder
-	for i := 0; i < rec.NumSeries(); i++ {
-		for _, v := range rec.Series(i) {
-			put(math.Float64bits(v))
-		}
-	}
-	for i := 0; i < rec.NumSeries(); i++ {
-		put(uint64(out.sm.Auditor.UnderMC(i)))
-		put(uint64(out.sm.Auditor.OverUB(i)))
-	}
-	put(uint64(out.sm.Auditor.Windows()))
-	put(uint64(out.sm.Auditor.MixedVersion()))
-	put(uint64(out.rollouts))
-	return h.Sum64()
+	return out, sm.Digest(out.rollouts), nil
 }
 
 // ExtReconfig is the dynamic-reconfiguration experiment: a mid-run SLA
@@ -153,17 +121,9 @@ func reconfigDigest(out *reconfigOutcome) uint64 {
 // its (current-version) mandatory floor. The whole run replays
 // bit-identically: the experiment executes twice and compares digests.
 func ExtReconfig() (*Result, error) {
-	first, err := runReconfig()
+	first, replayIdentical, err := replayed(runReconfig)
 	if err != nil {
 		return nil, err
-	}
-	second, err := runReconfig()
-	if err != nil {
-		return nil, err
-	}
-	replayIdentical := 0.0
-	if first.digest == second.digest {
-		replayIdentical = 1.0
 	}
 	converged := 1.0
 	if first.stagedAfterGate != 0 {

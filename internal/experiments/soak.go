@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"time"
 
@@ -56,14 +54,13 @@ type soakOutcome struct {
 	reconverged               bool // every tree holds the newest set at run end
 	preA, preB                int64
 	postA, postB              int64
-	digest                    uint64
 }
 
 // runSoak executes one deterministic crash/recovery soak: the ext-reconfig
 // renegotiation with a redirector killed just before the new set exists,
 // the root killed just after publishing it, and both restarted from their
 // durable stores minutes (of virtual time) later.
-func runSoak() (*soakOutcome, error) {
+func runSoak() (*soakOutcome, uint64, error) {
 	s := agreement.New()
 	a := s.MustAddPrincipal("A", 320)
 	b := s.MustAddPrincipal("B", 320)
@@ -75,7 +72,7 @@ func runSoak() (*soakOutcome, error) {
 		NumRedirectors: 3,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sm, err := sim.New(sim.Config{
 		Engine:      eng,
@@ -92,19 +89,19 @@ func runSoak() (*soakOutcome, error) {
 		FailureTimeout: 2 * time.Second,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	dir, err := os.MkdirTemp("", "rsa-soak-")
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer os.RemoveAll(dir)
-	if err := sm.EnablePersistence(dir, 1); err != nil {
-		return nil, err
+	if err := sm.EnablePersistence(dir); err != nil {
+		return nil, 0, err
 	}
 	plane, err := sm.EnableControlPlane(soakLead)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Demand spans the fleet so the crashes actually remove load: A arrives
 	// at the root and the middle node, B at the middle node and the leaf.
@@ -120,7 +117,7 @@ func runSoak() (*soakOutcome, error) {
 		CrashRedirector(soakCrashRoot, 0).
 		RestartRedirector(soakRestartLeaf, 2).
 		RestartRedirector(soakRestartRoot, 0)
-	sm.InjectFaults(plan, fault.Hooks{})
+	sm.InjectFaults(plan)
 
 	sm.At(soakRenegotiate, func() {
 		if _, err := plane.SetAgreement("B", "A", 0.25, 0.25); err != nil {
@@ -173,41 +170,9 @@ func runSoak() (*soakOutcome, error) {
 		}
 	}
 	if err := sm.ClosePersistence(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	out.digest = soakDigest(out)
-	return out, nil
-}
-
-// soakDigest folds every rate sample, the auditor's conformance counters,
-// and the recovery bookkeeping into one FNV-1a hash: two runs are
-// bit-identical iff their digests match.
-func soakDigest(out *soakOutcome) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	rec := out.sm.Recorder
-	for i := 0; i < rec.NumSeries(); i++ {
-		for _, v := range rec.Series(i) {
-			put(math.Float64bits(v))
-		}
-	}
-	for i := 0; i < rec.NumSeries(); i++ {
-		put(uint64(out.sm.Auditor.UnderMC(i)))
-		put(uint64(out.sm.Auditor.OverUB(i)))
-	}
-	put(uint64(out.sm.Auditor.Windows()))
-	put(uint64(out.sm.Auditor.Conservative()))
-	put(uint64(out.sm.Auditor.MixedVersion()))
-	put(uint64(out.sm.Reconfigurations))
-	put(out.rollouts)
-	put(out.planeVersion)
-	return h.Sum64()
+	return out, sm.Digest(out.rollouts, out.planeVersion), nil
 }
 
 // ExtSoak is the restart-safety soak: a mid-run renegotiation with the
@@ -221,17 +186,9 @@ func soakDigest(out *soakOutcome) uint64 {
 // mixed-version window, or a version moving backwards. The whole run
 // executes twice and must replay bit-identically.
 func ExtSoak() (*Result, error) {
-	first, err := runSoak()
+	first, replayIdentical, err := replayed(runSoak)
 	if err != nil {
 		return nil, err
-	}
-	second, err := runSoak()
-	if err != nil {
-		return nil, err
-	}
-	replayIdentical := 0.0
-	if first.digest == second.digest {
-		replayIdentical = 1.0
 	}
 	converged := 0.0
 	if first.staged == 0 && first.rollouts == 1 {

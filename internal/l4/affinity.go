@@ -24,16 +24,18 @@ type affinityStripe struct {
 	_  [64]byte
 }
 
-// affinityCache pins client addresses to owners for the affinity TTL — the
+// affinityTTL is how long a client address stays pinned to an owner.
+const affinityTTL = 30 * time.Second
+
+// affinityCache pins client addresses to owners for affinityTTL — the
 // §4.2 "to the extent allowed by the sharing agreements" stickiness — using
 // striped locks so lookups on the admission path stay contention-free.
 type affinityCache struct {
-	ttl     time.Duration
 	stripes [affinityStripes]affinityStripe
 }
 
-func newAffinityCache(ttl time.Duration) *affinityCache {
-	a := &affinityCache{ttl: ttl}
+func newAffinityCache() *affinityCache {
+	a := &affinityCache{}
 	for i := range a.stripes {
 		a.stripes[i].m = make(map[string]affinityEntry)
 	}
@@ -56,7 +58,7 @@ func (a *affinityCache) lookup(client string, now time.Time) agreement.Principal
 	s.mu.Lock()
 	e, ok := s.m[client]
 	s.mu.Unlock()
-	if ok && now.Sub(e.at) < a.ttl {
+	if ok && now.Sub(e.at) < affinityTTL {
 		return e.owner
 	}
 	return agreement.Principal(-1)
@@ -76,7 +78,7 @@ func (a *affinityCache) sweep(now time.Time) {
 		s := &a.stripes[i]
 		s.mu.Lock()
 		for k, e := range s.m {
-			if now.Sub(e.at) > a.ttl {
+			if now.Sub(e.at) > affinityTTL {
 				delete(s.m, k)
 			}
 		}

@@ -57,9 +57,6 @@ type Config struct {
 	// PendingTimeout closes connections parked longer than this
 	// (default 5 s).
 	PendingTimeout time.Duration
-	// AffinityTTL is how long a client address stays pinned to an owner
-	// (default 30 s).
-	AffinityTTL time.Duration
 	// AdmissionShards sets the admission plane's credit shard count
 	// (0 selects GOMAXPROCS; see internal/admission).
 	AdmissionShards int
@@ -95,14 +92,10 @@ type Config struct {
 	// Persist, if non-nil, arms the durable-state plane (internal/persist):
 	// at boot the switch restores its window position, carried credit,
 	// demand estimate and newest agreement set from the store, announces a
-	// tree rejoin from the durable epoch, and resumes appending one window
-	// record per PersistEvery windows. The caller owns the store's
-	// lifecycle; Close checkpoints but does not close it.
+	// tree rejoin from the durable epoch, and resumes appending one record
+	// per window. The caller owns the store's lifecycle; Close checkpoints
+	// but does not close it.
 	Persist *persist.Store
-	// PersistEvery is the durable append cadence in windows (<=1 appends
-	// every window — the tightest crash-loss bound). Ignored without
-	// Persist.
-	PersistEvery int
 }
 
 type heldConn struct {
@@ -163,13 +156,10 @@ func NewRedirector(cfg Config) (*Redirector, error) {
 	if cfg.PendingTimeout <= 0 {
 		cfg.PendingTimeout = 5 * time.Second
 	}
-	if cfg.AffinityTTL <= 0 {
-		cfg.AffinityTTL = 30 * time.Second
-	}
 	r := &Redirector{
 		cfg:       cfg,
 		svcAddrs:  make(map[agreement.Principal]string),
-		aff:       newAffinityCache(cfg.AffinityTTL),
+		aff:       newAffinityCache(),
 		pendCount: make([]atomic.Int64, cfg.Engine.NumPrincipals()),
 	}
 	var err error
@@ -178,8 +168,7 @@ func NewRedirector(cfg Config) (*Redirector, error) {
 		Tree: cfg.Tree, AdmissionShards: cfg.AdmissionShards,
 		TraceDepth: cfg.TraceDepth, Trace: cfg.Trace, Flight: cfg.Flight,
 		Health: cfg.Health, Ctrl: cfg.Ctrl, CtrlLead: cfg.CtrlLead,
-		Persist: cfg.Persist, PersistEvery: cfg.PersistEvery,
-		Extra: r.extraMetrics,
+		Persist: cfg.Persist, Extra: r.extraMetrics,
 	})
 	if err != nil {
 		return nil, err

@@ -88,14 +88,10 @@ type RedirectorConfig struct {
 	// Persist, if non-nil, arms the durable-state plane (internal/persist):
 	// at boot the redirector restores its window position, carried credit,
 	// demand estimate and newest agreement set from the store, announces a
-	// tree rejoin from the durable epoch, and resumes appending one window
-	// record per PersistEvery windows. The caller owns the store's
-	// lifecycle; Close checkpoints but does not close it.
+	// tree rejoin from the durable epoch, and resumes appending one record
+	// per window. The caller owns the store's lifecycle; Close checkpoints
+	// but does not close it.
 	Persist *persist.Store
-	// PersistEvery is the durable append cadence in windows (<=1 appends
-	// every window — the tightest crash-loss bound). Ignored without
-	// Persist.
-	PersistEvery int
 	// RetryBudget caps proxy-mode failover retries per window (0 selects
 	// DefaultRetryBudget, negative disables failover): once a window's
 	// budget is spent, a failed backend exchange fails fast instead of
@@ -170,8 +166,7 @@ func NewRedirector(cfg RedirectorConfig) (*Redirector, error) {
 		Tree: cfg.Tree, AdmissionShards: cfg.AdmissionShards,
 		TraceDepth: cfg.TraceDepth, Trace: cfg.Trace, Flight: cfg.Flight,
 		Health: cfg.Health, Ctrl: cfg.Ctrl, CtrlLead: cfg.CtrlLead,
-		Persist: cfg.Persist, PersistEvery: cfg.PersistEvery,
-		Extra: r.extraMetrics,
+		Persist: cfg.Persist, Extra: r.extraMetrics,
 		Histograms: []obs.NamedHistogram{{
 			Name: "rsa_l7_request_seconds",
 			Help: "Layer-7 request handling latency (admission + redirect or full proxy exchange).",

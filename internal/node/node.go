@@ -67,11 +67,10 @@ type Config struct {
 	// surface; CtrlLead is its rollout gate lead in tree epochs.
 	Ctrl     bool
 	CtrlLead int
-	// Persist, if non-nil, arms durable recovery; PersistEvery is the
-	// append cadence in windows (<=1 appends every window). The caller owns
-	// the store's lifecycle; Close checkpoints but does not close it.
-	Persist      *persist.Store
-	PersistEvery int
+	// Persist, if non-nil, arms durable recovery: one record is appended
+	// every window, so a crash loses at most the in-flight one. The caller
+	// owns the store's lifecycle; Close checkpoints but does not close it.
+	Persist *persist.Store
 	// Extra writes the front-end's own series ahead of the shared
 	// admission/health/tree series on /v1/metrics; Histograms are its
 	// latency distributions.

@@ -105,9 +105,6 @@ func (n *Node) persistWindowLocked(epoch int, known uint64, gate int) {
 	if st == nil {
 		return
 	}
-	if every := n.cfg.PersistEvery; every > 1 && n.red.Windows%every != 0 {
-		return
-	}
 	if n.persistT == nil {
 		np := eng.NumPrincipals()
 		n.persistT = make([]float64, np)

@@ -34,8 +34,6 @@ type HandlerConfig struct {
 	// Histograms are latency distributions exported in the Prometheus
 	// histogram format (per-layer request latency, loadgen distributions).
 	Histograms []NamedHistogram
-	// DisablePprof leaves net/http/pprof unregistered.
-	DisablePprof bool
 
 	// Tracer, when non-nil, serves request spans on /v1/debug/trace and
 	// exports the rsa_trace_* counters.
@@ -131,13 +129,11 @@ func (h *Handler) Register(mux *http.ServeMux) {
 		mux.Handle("/v1/leases", h.cfg.Control)
 		mux.Handle("/v1/leases/", h.cfg.Control)
 	}
-	if !h.cfg.DisablePprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // promMetric emits one un-labeled series with its HELP/TYPE preamble.

@@ -81,65 +81,30 @@ func (s *Sim) SlowServer(name string, factor float64) error {
 // InjectFaults replays the plan on the simulation's virtual clock: backend
 // events crash/restore named servers, partition/heal events cut simnet tree
 // links both ways, latency events reset one-way link delay, slow events
-// rescale server capacity. The extra hooks (zero value is fine) run after
-// the built-in handling of each event, for test-side assertions. Unknown
-// server names panic — a fault plan that misses its target is a test bug,
-// not a tolerable fault.
-func (s *Sim) InjectFaults(plan *fault.Schedule, extra fault.Hooks) {
+// rescale server capacity, redirector events kill and restart enforcers.
+// Unknown server names panic — a fault plan that misses its target is a
+// test bug, not a tolerable fault.
+func (s *Sim) InjectFaults(plan *fault.Schedule) {
 	must := func(err error) {
 		if err != nil {
 			panic(fmt.Sprintf("sim: fault injection: %v", err))
 		}
 	}
 	h := fault.Hooks{
-		BackendDown: func(target string) {
-			must(s.CrashServer(target))
-			if extra.BackendDown != nil {
-				extra.BackendDown(target)
-			}
-		},
-		BackendUp: func(target string) {
-			must(s.RestoreServer(target))
-			if extra.BackendUp != nil {
-				extra.BackendUp(target)
-			}
-		},
+		BackendDown: func(target string) { must(s.CrashServer(target)) },
+		BackendUp:   func(target string) { must(s.RestoreServer(target)) },
 		Partition: func(a, b int) {
 			s.Net.SetPartitioned(simnet.NodeID(a), simnet.NodeID(b), true)
-			if extra.Partition != nil {
-				extra.Partition(a, b)
-			}
 		},
 		Heal: func(a, b int) {
 			s.Net.SetPartitioned(simnet.NodeID(a), simnet.NodeID(b), false)
-			if extra.Heal != nil {
-				extra.Heal(a, b)
-			}
 		},
 		Latency: func(a, b int, d time.Duration) {
 			s.Net.SetDelay(simnet.NodeID(a), simnet.NodeID(b), d)
-			if extra.Latency != nil {
-				extra.Latency(a, b, d)
-			}
 		},
-		SlowBackend: func(target string, factor float64) {
-			must(s.SlowServer(target, factor))
-			if extra.SlowBackend != nil {
-				extra.SlowBackend(target, factor)
-			}
-		},
-		RedirectorDown: func(a int) {
-			s.CrashRedirector(a)
-			if extra.RedirectorDown != nil {
-				extra.RedirectorDown(a)
-			}
-		},
-		RedirectorUp: func(a int) {
-			s.RestartRedirector(a)
-			if extra.RedirectorUp != nil {
-				extra.RedirectorUp(a)
-			}
-		},
+		SlowBackend:    func(target string, factor float64) { must(s.SlowServer(target, factor)) },
+		RedirectorDown: s.FailRedirector,
+		RedirectorUp:   s.RestartRedirector,
 	}
-	plan.Apply(h, func(at time.Duration, fn func()) { s.At(at, fn) })
+	plan.Apply(h, s.At)
 }

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/agreement"
+	"repro/internal/core"
 	"repro/internal/loadgen"
 )
 
@@ -52,5 +55,72 @@ func TestPlayScheduleDeterministicReplay(t *testing.T) {
 		if again := playOnce(t); again != first {
 			t.Fatalf("replay %d diverged: %v vs %v", run, again, first)
 		}
+	}
+}
+
+// divergentDigest runs a three-redirector community fleet whose members
+// never agree on the global aggregate — the tree delay exceeds the window,
+// so the root plans on fresher queues than its children, and demand differs
+// per redirector — with failure detection armed and a mid-run crash and
+// restart, and returns the run's digest.
+func divergentDigest(t *testing.T) uint64 {
+	t.Helper()
+	s := agreement.New()
+	a := s.MustAddPrincipal("A", 320)
+	b := s.MustAddPrincipal("B", 320)
+	s.MustSetAgreement(b, a, 0.5, 0.5)
+	eng, err := core.NewEngine(core.Config{Mode: core.Community, System: s, NumRedirectors: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := New(Config{
+		Engine:      eng,
+		Redirectors: 3,
+		Servers: []ServerSpec{
+			{Owner: a, Capacity: 160, Count: 2},
+			{Owner: b, Capacity: 160, Count: 2},
+		},
+		Names:          []string{"A", "B"},
+		MaxBacklog:     200,
+		TreeDelay:      250 * time.Millisecond,
+		FailureTimeout: 2 * time.Second,
+		TraceDepth:     -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dur = 30 * time.Second
+	for ri, st := range []loadgen.Stream{
+		{Principal: int(a), Rate: 300, Process: loadgen.Poisson, Seed: 21},
+		{Principal: int(b), Rate: 250, Process: loadgen.Bursty, Seed: 22,
+			BurstOn: 2 * time.Second, BurstOff: time.Second},
+		{Principal: int(b), Rate: 350, Process: loadgen.Poisson, Seed: 23},
+	} {
+		sm.PlaySchedule(ri, st.Principal, st.Schedule(dur))
+	}
+	sm.At(10050*time.Millisecond, func() { sm.FailRedirector(2) })
+	sm.At(20050*time.Millisecond, func() { sm.RestartRedirector(2) })
+	sm.Run(dur)
+	if sm.Reconfigurations == 0 {
+		t.Fatal("the crash was never detected: the scenario lost its failure-detection leg")
+	}
+	// One fleet-wide boundary is three redirector windows; more than one LP
+	// solve per boundary means the members planned on different aggregates.
+	if solves, windows := eng.Stats().Solves(), sm.Auditor.Windows(); solves < windows/2 {
+		t.Fatalf("%d solves over %d windows: the redirectors agreed on the aggregate, nothing diverged",
+			solves, windows)
+	}
+	return sm.Digest()
+}
+
+// TestReplayIndependentOfScheduler pins determinism by construction: the
+// same scenario digests identically with one OS thread and with four,
+// because nothing in the simulator runs on a second goroutine.
+func TestReplayIndependentOfScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := divergentDigest(t)
+	runtime.GOMAXPROCS(4)
+	if four := divergentDigest(t); four != one {
+		t.Fatalf("digest %#x at GOMAXPROCS=4, %#x at 1", four, one)
 	}
 }

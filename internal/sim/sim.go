@@ -11,10 +11,11 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"hash/fnv"
+	"math"
 	"time"
 
 	"repro/internal/agreement"
@@ -36,6 +37,9 @@ import (
 // ErrConfig reports invalid simulation configuration.
 var ErrConfig = errors.New("sim: invalid config")
 
+// treeFanout is the flat combining tree's fan-out (the paper's binary tree).
+const treeFanout = 2
+
 // ServerSpec places Count physical servers of the given capacity (req/s)
 // under an owner principal.
 type ServerSpec struct {
@@ -52,8 +56,6 @@ type Config struct {
 	// TreeDelay is the one-way message delay on every combining-tree link
 	// (Figure 8 uses 10 s).
 	TreeDelay time.Duration
-	// TreeFanout is the combining-tree fan-out (default 2).
-	TreeFanout int
 	// Topology, when set, lays the redirectors out hierarchically (regional
 	// sub-trees under a global tier; see internal/topology) instead of the
 	// flat BuildTree layout. Its members must be exactly 0..Redirectors-1.
@@ -76,14 +78,6 @@ type Config struct {
 	// are treated as multiple small ones". Zero keeps the uniform-cost
 	// model used by the figure reproductions (WebBench reports averages).
 	MeanRequestBytes float64
-	// WindowWorkers bounds the goroutines running per-redirector window
-	// solves concurrently at each window boundary (0 means GOMAXPROCS).
-	// When redirectors disagree on the global aggregate — staleness, lag,
-	// or self-inclusion — their distinct LP solves run in parallel; when
-	// they agree, the engine's plan cache already collapses them to one
-	// solve and the workers just perform lookups. Set 1 to force the
-	// serial behavior.
-	WindowWorkers int
 	// TraceDepth enables window tracing: every redirector gets an observer
 	// retaining this many trace records, all folding into one shared
 	// Auditor. Zero disables tracing (the seed behavior); negative selects
@@ -98,7 +92,9 @@ type Sim struct {
 	Net      *simnet.Network
 	Recorder *metrics.Recorder // completed requests per principal
 	Admit    *metrics.Recorder // admitted requests per principal
-	Latency  *metrics.Latency  // response times (first issue → completion)
+	// Latency holds response times (first issue → completion), one
+	// histogram per principal.
+	Latency []*obs.Histogram
 
 	Redirectors []*RNode
 	Servers     map[agreement.Principal][]*cluster.Server
@@ -111,20 +107,17 @@ type Sim struct {
 
 	topo           combining.Topology
 	plane          *topology.Plane // nil on the flat layout
-	fanout         int
 	failed         map[int]bool
 	failureTimeout time.Duration
 	lastReconfig   time.Duration
 	meanBytes      float64
-	windowWorkers  int
 	windowTicker   *vclock.Ticker
 
 	// Durable-state plane (EnablePersistence): one persist.Store per
-	// redirector, written every persistEvery windows; rootStore is also fed
-	// agreement-set snapshots at publish time so a restarted root can
-	// re-broadcast the newest configuration.
-	stores       map[int]*persist.Store
-	persistEvery int
+	// redirector, appended to every window; the control-plane host's store
+	// is also fed agreement-set snapshots at publish time so a restarted
+	// root can re-broadcast the newest configuration.
+	stores map[int]*persist.Store
 
 	// Fault-injection state (see fault.go in this package): servers by
 	// name, their owners and base capacities, which are currently crashed,
@@ -148,16 +141,12 @@ type RNode struct {
 	Tree   *combining.Node
 	estBuf []float64 // reused local-estimate buffer for the tree feed
 
-	// Persistence scratch (EnablePersistence): reused export buffers, the
-	// newest set version already saved durably, and the window countdown to
-	// the next append. Touched only by the goroutine running this node's
-	// window (startOne) — never shared.
-	pm           [][]float64
-	pt           []float64
-	pe           []float64
-	savedSet     uint64
-	sinceAppend  int
-	lastSeenGate int
+	// Persistence scratch (EnablePersistence): reused export buffers and
+	// the newest set version already saved durably.
+	pm       [][]float64
+	pt       []float64
+	pe       []float64
+	savedSet uint64
 }
 
 // New builds a simulation. The engine's window drives both scheduling and
@@ -171,9 +160,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("%w: need at least one server", ErrConfig)
-	}
-	if cfg.TreeFanout < 2 {
-		cfg.TreeFanout = 2
 	}
 	if cfg.MaxBacklog <= 0 {
 		cfg.MaxBacklog = 5000
@@ -195,7 +181,7 @@ func New(cfg Config) (*Sim, error) {
 		Engine:         cfg.Engine,
 		Recorder:       metrics.NewRecorder(time.Second, names),
 		Admit:          metrics.NewRecorder(time.Second, names),
-		Latency:        metrics.NewLatency(names),
+		Latency:        make([]*obs.Histogram, n),
 		Servers:        make(map[agreement.Principal][]*cluster.Server),
 		failed:         make(map[int]bool),
 		failureTimeout: cfg.FailureTimeout,
@@ -204,6 +190,9 @@ func New(cfg Config) (*Sim, error) {
 		owners:         make(map[string]agreement.Principal),
 		baseCap:        make(map[string]float64),
 		crashed:        make(map[string]bool),
+	}
+	for i := range s.Latency {
+		s.Latency[i] = obs.NewHistogram()
 	}
 	s.Net = simnet.New(s.Clock, cfg.TreeDelay)
 
@@ -216,7 +205,7 @@ func New(cfg Config) (*Sim, error) {
 			srv := cluster.NewServer(name, s.Clock, spec.Capacity, cfg.MaxBacklog,
 				func(req cluster.Request, at time.Duration) {
 					s.Recorder.Add(at, req.Principal, 1)
-					s.Latency.Observe(req.Principal, at-req.IssuedAt)
+					s.Latency[req.Principal].Observe(at - req.IssuedAt)
 				})
 			s.Servers[spec.Owner] = append(s.Servers[spec.Owner], srv)
 			s.byName[name] = srv
@@ -248,10 +237,9 @@ func New(cfg Config) (*Sim, error) {
 		s.plane = plane
 		topo = plane.Topology()
 	} else {
-		topo = combining.BuildTree(ids, cfg.TreeFanout)
+		topo = combining.BuildTree(ids, treeFanout)
 	}
 	s.topo = topo
-	s.fanout = cfg.TreeFanout
 	for i := 0; i < cfg.Redirectors; i++ {
 		id := combining.NodeID(i)
 		send := func(to combining.NodeID, msg interface{}) {
@@ -299,11 +287,6 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 
-	s.windowWorkers = cfg.WindowWorkers
-	if s.windowWorkers <= 0 {
-		s.windowWorkers = runtime.GOMAXPROCS(0)
-	}
-
 	// Window driver: refresh tree locals, run a tree epoch, then start the
 	// new scheduling window once same-instant deliveries have drained.
 	s.windowTicker = s.Clock.ScheduleEvery(cfg.Engine.Window(), func() {
@@ -328,21 +311,18 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// startWindows runs every live redirector's window solve, fanning the solves
-// out over a bounded worker pool. The engine's shared plan cache collapses
-// redirectors that agree on the (quantized) global aggregate into one LP
-// solve, so the workers mostly do cache lookups; when views diverge, distinct
-// solves proceed concurrently. Virtual time is frozen while this callback
-// runs, so one timestamp serves every redirector.
+// startWindows runs every live redirector's window solve, one after the
+// other in redirector order. The simulator is serial on purpose: fleets here
+// are a handful of redirectors whose agreeing views the engine's plan cache
+// already collapses into one LP solve, and a replay that is deterministic by
+// construction cannot depend on goroutine scheduling. Virtual time is frozen
+// while this callback runs, so one timestamp serves every redirector.
 func (s *Sim) startWindows() {
 	now := s.Clock.Now()
-	live := make([]*RNode, 0, len(s.Redirectors))
 	for i, rn := range s.Redirectors {
-		if !s.failed[i] {
-			live = append(live, rn)
+		if s.failed[i] {
+			continue
 		}
-	}
-	startOne := func(rn *RNode) error {
 		if rn.Tree.IsRoot() {
 			rn.pushGlobal() // root sees its own broadcast instantly
 		}
@@ -363,51 +343,9 @@ func (s *Sim) startWindows() {
 		}
 		rn.Red.SetRollout(epoch, known)
 		if err := rn.Red.StartWindow(now); err != nil {
-			return err
+			panic(fmt.Sprintf("sim: window schedule failed: %v", err))
 		}
 		rn.persistWindow(epoch, known, gate)
-		return nil
-	}
-	workers := s.windowWorkers
-	if workers > len(live) {
-		workers = len(live)
-	}
-	if workers <= 1 || len(live) <= 1 {
-		for _, rn := range live {
-			if err := startOne(rn); err != nil {
-				panic(fmt.Sprintf("sim: window schedule failed: %v", err))
-			}
-		}
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	work := make(chan *RNode)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rn := range work {
-				if err := startOne(rn); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, rn := range live {
-		work <- rn
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		panic(fmt.Sprintf("sim: window schedule failed: %v", firstErr))
 	}
 }
 
@@ -473,16 +411,12 @@ func (s *Sim) EnableControlPlane(lead int) (*ctrlplane.Plane, error) {
 }
 
 // EnablePersistence arms the durable-state plane: every redirector gets a
-// persist.Store rooted at dir/r<id>, appends a window record every
-// `every` windows (<=1 means every window — the tightest crash-loss
-// bound), and durably saves each agreement-set snapshot it learns of.
-// Call before Run; RestartRedirector uses the stores to recover.
-func (s *Sim) EnablePersistence(dir string, every int) error {
-	if every <= 1 {
-		every = 1
-	}
+// persist.Store rooted at dir/r<id>, appends a window record every window
+// (the tightest crash-loss bound), and durably saves each agreement-set
+// snapshot it learns of. Call before Run; RestartRedirector uses the stores
+// to recover.
+func (s *Sim) EnablePersistence(dir string) error {
 	s.stores = make(map[int]*persist.Store, len(s.Redirectors))
-	s.persistEvery = every
 	for i := range s.Redirectors {
 		st, err := persist.Open(fmt.Sprintf("%s/r%d", dir, i))
 		if err != nil {
@@ -494,9 +428,8 @@ func (s *Sim) EnablePersistence(dir string, every int) error {
 }
 
 // persistWindow appends the just-started window's durable record (credit,
-// estimate, position) to this node's store, honoring the append cadence,
-// and saves any newly learned agreement set. Runs on the goroutine that ran
-// the node's window solve; a no-op when persistence is off.
+// estimate, position) to this node's store and saves any newly learned
+// agreement set; a no-op when persistence is off.
 func (rn *RNode) persistWindow(epoch int, known uint64, gate int) {
 	st := rn.sim.stores[rn.Red.ID()]
 	if st == nil {
@@ -513,12 +446,6 @@ func (rn *RNode) persistWindow(epoch int, known uint64, gate int) {
 			}
 		}
 	}
-	rn.lastSeenGate = gate
-	rn.sinceAppend++
-	if rn.sinceAppend < rn.sim.persistEvery {
-		return
-	}
-	rn.sinceAppend = 0
 	n := rn.sim.Engine.NumPrincipals()
 	if rn.pt == nil {
 		rn.pt = make([]float64, n)
@@ -546,20 +473,16 @@ func (rn *RNode) persistWindow(epoch int, known uint64, gate int) {
 	}
 }
 
-// FailRedirector kills redirector i: it stops participating in the tree
-// and refuses all client submissions. With FailureTimeout set, survivors
-// detect the silence and rebuild the tree around it.
+// FailRedirector kills redirector i (kill -9): it stops participating in
+// the tree and refuses all client submissions, and its in-memory window
+// state is never consulted again — RestartRedirector rebuilds only from the
+// persist store. With FailureTimeout set, survivors detect the silence and
+// rebuild the tree around it.
 func (s *Sim) FailRedirector(i int) {
 	if i >= 0 && i < len(s.Redirectors) {
 		s.failed[i] = true
 	}
 }
-
-// CrashRedirector is FailRedirector with kill -9 semantics for the durable
-// plane: the process's in-memory window state is gone (RestartRedirector
-// rebuilds only from the persist store). In the simulation the two are the
-// same transition — in-memory state is simply never consulted again.
-func (s *Sim) CrashRedirector(i int) { s.FailRedirector(i) }
 
 // RestartRedirector boots redirector i back up from its durable state, the
 // virtual-time twin of a crashed process re-exec'ing: a fresh
@@ -604,7 +527,6 @@ func (s *Sim) RestartRedirector(i int) {
 		rn.Red.SetObserver(s.Observers[i])
 	}
 	rn.savedSet = ws.SetVersion
-	rn.sinceAppend = 0
 	s.failed[i] = false
 	// Tree node: resume from the durable position in place (transport
 	// closures hold the Node pointer), rebuild the topology if failure
@@ -622,7 +544,7 @@ func (s *Sim) RestartRedirector(i int) {
 					ids = append(ids, combining.NodeID(j))
 				}
 			}
-			s.topo = combining.BuildTree(ids, s.fanout)
+			s.topo = combining.BuildTree(ids, treeFanout)
 		}
 		s.topo.Apply(s.liveNodes())
 		s.Reconfigurations++
@@ -797,6 +719,41 @@ func (s *Sim) At(d time.Duration, fn func()) {
 
 // Run advances the simulation until absolute virtual time end.
 func (s *Sim) Run(end time.Duration) { s.Clock.RunUntil(end) }
+
+// Digest folds everything a run observably produced — every per-second
+// completion and admission sample, the auditor's conformance counters when
+// tracing is on, the tree reconfiguration count — and the caller's extra
+// values into one FNV-1a hash: two runs are bit-identical iff their digests
+// match.
+func (s *Sim) Digest(extra ...uint64) uint64 {
+	h := fnv.New64a()
+	put := func(v uint64) {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		_, _ = h.Write(buf[:])
+	}
+	for _, rec := range []*metrics.Recorder{s.Recorder, s.Admit} {
+		for i := 0; i < rec.NumSeries(); i++ {
+			for _, v := range rec.Series(i) {
+				put(math.Float64bits(v))
+			}
+		}
+	}
+	if a := s.Auditor; a != nil {
+		for i := 0; i < s.Recorder.NumSeries(); i++ {
+			put(uint64(a.UnderMC(i)))
+			put(uint64(a.OverUB(i)))
+		}
+		put(uint64(a.Windows()))
+		put(uint64(a.Conservative()))
+		put(uint64(a.MixedVersion()))
+	}
+	put(uint64(s.Reconfigurations))
+	for _, v := range extra {
+		put(v)
+	}
+	return h.Sum64()
+}
 
 // Stop halts the window driver (for tests that re-wire mid-run).
 func (s *Sim) Stop() { s.windowTicker.Stop() }

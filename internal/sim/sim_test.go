@@ -209,11 +209,11 @@ func TestResponseTimesRecorded(t *testing.T) {
 	sm.NewClient(0, workload.Config{Principal: int(b), Rate: 135}).SetActive(true)
 	sm.Run(30 * time.Second)
 
-	if sm.Latency.Count(int(a)) == 0 || sm.Latency.Count(int(b)) == 0 {
+	if sm.Latency[a].Count() == 0 || sm.Latency[b].Count() == 0 {
 		t.Fatal("no latency observations")
 	}
-	meanA := sm.Latency.Mean(int(a)).Seconds()
-	meanB := sm.Latency.Mean(int(b)).Seconds()
+	meanA := sm.Latency[a].Mean().Seconds()
+	meanB := sm.Latency[b].Mean().Seconds()
 	if meanA <= 0 || meanB <= 0 {
 		t.Fatalf("means = %v/%v", meanA, meanB)
 	}
@@ -222,7 +222,7 @@ func TestResponseTimesRecorded(t *testing.T) {
 	if ratio < 0.5 || ratio > 2 {
 		t.Fatalf("response-time ratio = %.2f (A %.3fs, B %.3fs), want ≈1", ratio, meanA, meanB)
 	}
-	if sm.Latency.Quantile(int(a), 0.95) < sm.Latency.Quantile(int(a), 0.5) {
+	if sm.Latency[a].Quantile(0.95) < sm.Latency[a].Quantile(0.5) {
 		t.Fatal("quantiles not monotone")
 	}
 }
@@ -316,10 +316,11 @@ func TestTraceDepthZeroDisablesTracing(t *testing.T) {
 }
 
 // TestControlPlaneRacesParallelWindows runs control-plane mutations from a
-// separate goroutine while the simulation schedules redirector windows on
-// its parallel worker pool — the combination the race detector must bless
-// (CI runs this package under -race). Determinism is irrelevant here; only
-// synchronization is under test.
+// separate goroutine while the simulation's (serial) window loop schedules
+// redirector windows against the same engine — the engine-side locking the
+// real front-ends rely on, which the race detector must bless (CI runs this
+// package under -race). The name predates the serial simulator. Determinism
+// is irrelevant here; only synchronization is under test.
 func TestControlPlaneRacesParallelWindows(t *testing.T) {
 	s := agreement.New()
 	a := s.MustAddPrincipal("A", 320)
