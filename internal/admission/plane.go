@@ -18,6 +18,13 @@
 //     admits never stall on the boundary. Retirement poisons every old cell
 //     with a reserved bit pattern, which atomically recovers the exact
 //     unused credit for the scheduler's ≤1-request carry.
+//   - The plane owns two pools and alternates them: the one retired at the
+//     last boundary — every cell poison — is re-armed cell by cell for the
+//     next window, so a boundary allocates nothing. An admit still holding
+//     the re-armed pool from two windows back finds each cell either poison
+//     (it reloads the current pool) or live (it draws credit that window was
+//     granted); its verdict that a principal is dry carries the generation it
+//     was reached in and lapses when the pool is re-armed (DESIGN.md §11).
 //   - Arrivals and admissions are counted on per-shard cumulative atomics
 //     and folded into the core redirector as one aggregate sample per window
 //     (and folded again, without locks, at metrics scrape time).
@@ -149,16 +156,27 @@ type creditShard struct {
 }
 
 // pool is one window's credit state. Immutable shape; cells mutate via CAS.
+// The plane re-arms a retired pool for a later window instead of allocating
+// a new one, so an admit can hold a pool across its retirement and re-arming.
 type pool struct {
 	mode   core.Mode
 	n      int
 	owner  agreement.Principal // Provider-mode server owner
 	shards []creditShard
+	// gen numbers the window the pool is armed for; the plane never reuses
+	// a value. It changes before the first cell of a re-arming is stored.
+	gen atomic.Uint64
 	// dry[p] short-circuits rejects once a full steal sweep has seen no
 	// credit anywhere for principal p, so saturated principals cost one
-	// atomic load per reject instead of a shard scan.
-	dry []atomic.Bool
+	// atomic load per reject instead of a shard scan. It holds the
+	// generation the sweep started in and counts only while that is still
+	// the pool's: a sweep that outlived its window marks nothing.
+	dry []atomic.Uint64
 }
+
+// isDry reports whether a sweep of the pool's current generation found
+// principal p without credit.
+func (cp *pool) isDry(p int) bool { return cp.dry[p].Load() == cp.gen.Load() }
 
 // Config parameterizes a Plane.
 type Config struct {
@@ -187,6 +205,11 @@ type Plane struct {
 
 	shards []shard
 	cur    atomic.Pointer[pool]
+	// pools are the two credit pools the plane alternates between: cur is
+	// one of them, the other was retired at the last boundary (every cell
+	// poison) and is the next to be armed. gen numbers the armings.
+	pools [2]*pool
+	gen   uint64
 
 	// hints hands out shard indices with per-P (per-core) affinity: a
 	// sync.Pool is the only runtime-blessed way to reach per-P state, and
@@ -255,7 +278,13 @@ func New(cfg Config) (*Plane, error) {
 	pl.hints.New = func() any {
 		return &shardHint{s: pl.hintSeq.Add(1) - 1}
 	}
-	pl.cur.Store(pl.newPool())
+	// The first pool goes live empty; the spare starts as a retired pool is
+	// left, every cell poison.
+	pl.pools = [2]*pool{pl.newPool(), pl.newPool()}
+	pl.arm(pl.pools[0])
+	pl.arm(pl.pools[1])
+	pl.retire(pl.pools[1])
+	pl.cur.Store(pl.pools[0])
 	return pl, nil
 }
 
@@ -267,14 +296,15 @@ func newMatrix(n int) [][]float64 {
 	return m
 }
 
-// newPool allocates an all-zero pool (fresh cells read as 0 credit).
+// newPool allocates an all-zero pool (fresh cells read as 0 credit). Only New
+// calls it: the plane's two pools live as long as the plane.
 func (pl *Plane) newPool() *pool {
 	p := &pool{
 		mode:   pl.mode,
 		n:      pl.n,
 		owner:  pl.owner,
 		shards: make([]creditShard, pl.nshards),
-		dry:    make([]atomic.Bool, pl.n),
+		dry:    make([]atomic.Uint64, pl.n),
 	}
 	for s := range p.shards {
 		if pl.mode == core.Community {
@@ -377,7 +407,7 @@ func (pl *Plane) AdmitTraced(p, preferred agreement.Principal, cost float64) (co
 	out := OutcomeReject
 	// The dry flag distinguishes the saturated-principal reject (whether
 	// this decision short-circuited on it or was the sweep that set it).
-	if cp != nil && cost <= 1 && cp.dry[int(p)].Load() {
+	if cp != nil && cost <= 1 && cp.isDry(int(p)) {
 		out = OutcomeDry
 	}
 	return core.Decision{}, AdmitDetail{Outcome: out, Shard: s}
@@ -386,18 +416,21 @@ func (pl *Plane) AdmitTraced(p, preferred agreement.Principal, cost float64) (co
 // admit runs the decision against this pool. closed reports that the pool
 // was retired before the decision landed (neither admitted nor rejected).
 func (cp *pool) admit(s, p, preferred int, cost float64) (owner agreement.Principal, ok, stole, closed bool) {
-	// Saturated principal: one atomic load, no scan. Oversized requests
+	// Saturated principal: two atomic loads, no scan. Oversized requests
 	// (cost > 1) still scan — dryness is recorded against unit cost.
-	if cp.dry[p].Load() && cost <= 1 {
+	gen := cp.gen.Load()
+	if cp.dry[p].Load() == gen && cost <= 1 {
 		return 0, false, false, false
 	}
 	if cp.mode == core.Provider {
-		return cp.admitProvider(s, p, cost)
+		return cp.admitProvider(s, p, cost, gen)
 	}
-	return cp.admitCommunity(s, p, preferred, cost)
+	return cp.admitCommunity(s, p, preferred, cost, gen)
 }
 
-func (cp *pool) admitProvider(s, p int, cost float64) (agreement.Principal, bool, bool, bool) {
+// admitProvider and admitCommunity take the generation admit read before it
+// looked at any cell: a dry verdict is stamped with it.
+func (cp *pool) admitProvider(s, p int, cost float64, gen uint64) (agreement.Principal, bool, bool, bool) {
 	drawn, closed := cp.shards[s].prov[p].tryDraw(cost)
 	if closed {
 		return 0, false, false, true
@@ -410,12 +443,12 @@ func (cp *pool) admitProvider(s, p int, cost float64) (agreement.Principal, bool
 		return 0, false, false, true
 	}
 	if !ok && seen < epsilon && cost <= 1 {
-		cp.dry[p].Store(true)
+		cp.dry[p].Store(gen)
 	}
 	return cp.owner, ok, ok, false
 }
 
-func (cp *pool) admitCommunity(s, p, preferred int, cost float64) (agreement.Principal, bool, bool, bool) {
+func (cp *pool) admitCommunity(s, p, preferred int, cost float64, gen uint64) (agreement.Principal, bool, bool, bool) {
 	sh := &cp.shards[s]
 	row := sh.comm[p*cp.n : (p+1)*cp.n]
 	if preferred >= 0 && preferred < cp.n {
@@ -472,7 +505,7 @@ func (cp *pool) admitCommunity(s, p, preferred int, cost float64) (agreement.Pri
 	// Nothing anywhere: mark the principal dry for this pool (unit cost
 	// only — a large request failing does not prove small ones will).
 	if totalSeen < epsilon && cost <= 1 {
-		cp.dry[p].Store(true)
+		cp.dry[p].Store(gen)
 	}
 	return 0, false, false, false
 }
@@ -537,12 +570,12 @@ func (cp *pool) steal(s int, cost float64, pick func(*creditShard) *cell) (ok, c
 }
 
 // StartWindow runs one window boundary: fold shard counters into the
-// scheduler, re-import the late carry, schedule the next window, publish its
-// pool, then retire the old pool and collect its leftover for the *next*
-// boundary's carry. Errors come from the scheduler's LP solve; the plane
-// still flips pools (re-arming the previous window's leftover credits, the
-// same fail-static behavior core has). Must be called from the goroutine
-// that owns the redirector's window loop.
+// scheduler, re-import the late carry, schedule the next window, arm the
+// spare pool with its credits and publish it, then retire the old pool and
+// collect its leftover for the *next* boundary's carry. Errors come from the
+// scheduler's LP solve; the plane still flips pools (re-arming the previous
+// window's leftover credits, the same fail-static behavior core has). Must be
+// called from the goroutine that owns the redirector's window loop.
 func (pl *Plane) StartWindow(now time.Duration) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -553,9 +586,14 @@ func (pl *Plane) StartWindow(now time.Duration) error {
 		pl.red.ImportCredits(nil, pl.remTotal)
 	}
 	err := pl.red.StartWindow(now)
-	next := pl.buildPoolLocked()
-	old := pl.cur.Swap(next)
-	pl.collectLocked(old)
+	old := pl.cur.Load()
+	next := pl.pools[0]
+	if next == old {
+		next = pl.pools[1]
+	}
+	pl.arm(next)
+	pl.cur.Store(next)
+	pl.retire(old)
 	return err
 }
 
@@ -584,57 +622,51 @@ func (pl *Plane) foldLocked() {
 	pl.red.AddWindowSample(pl.arrBuf, pl.admBuf, int(admits), int(rejects))
 }
 
-// buildPoolLocked exports the scheduler's fresh credits and splits each
-// value evenly over the shards.
-func (pl *Plane) buildPoolLocked() *pool {
-	next := pl.newPool()
-	inv := 1 / float64(pl.nshards)
+// arm gives a pool a new generation, exports the scheduler's fresh credits
+// and stores an even split of them into the pool's cells, live or poison. The
+// generation goes first, so a dry mark left by, or still to come from, an
+// admit of an earlier arming can never match it.
+func (pl *Plane) arm(p *pool) {
+	pl.gen++
+	p.gen.Store(pl.gen)
 	if pl.mode == core.Community {
 		pl.red.ExportCredits(pl.expMatrix, nil)
-		for p := 0; p < pl.n; p++ {
-			for k := 0; k < pl.n; k++ {
-				share := pl.expMatrix[p][k] * inv
-				for s := range next.shards {
-					next.shards[s].comm[p*pl.n+k].bits.Store(math.Float64bits(share))
-				}
-			}
-		}
 	} else {
 		pl.red.ExportCredits(nil, pl.expTotal)
-		for p := 0; p < pl.n; p++ {
-			share := pl.expTotal[p] * inv
-			for s := range next.shards {
-				next.shards[s].prov[p].bits.Store(math.Float64bits(share))
-			}
-		}
 	}
-	return next
-}
-
-// collectLocked retires every cell of the old pool, accumulating the unused
-// credit that will be imported as carry at the next boundary.
-func (pl *Plane) collectLocked(old *pool) {
-	for p := 0; p < pl.n; p++ {
-		for k := 0; k < pl.n; k++ {
-			pl.remMatrix[p][k] = 0
-		}
-		pl.remTotal[p] = 0
-	}
-	if old == nil {
-		return
-	}
-	for s := range old.shards {
-		sh := &old.shards[s]
-		if old.mode == core.Community {
-			for p := 0; p < pl.n; p++ {
-				for k := 0; k < pl.n; k++ {
-					pl.remMatrix[p][k] += sh.comm[p*pl.n+k].retire()
+	inv := 1 / float64(pl.nshards)
+	for s := range p.shards {
+		sh := &p.shards[s]
+		if pl.mode == core.Community {
+			for i := 0; i < pl.n; i++ {
+				for k, v := range pl.expMatrix[i] {
+					sh.comm[i*pl.n+k].bits.Store(math.Float64bits(v * inv))
 				}
 			}
 		} else {
-			for p := 0; p < pl.n; p++ {
-				pl.remTotal[p] += sh.prov[p].retire()
+			for i, v := range pl.expTotal {
+				sh.prov[i].bits.Store(math.Float64bits(v * inv))
 			}
+		}
+	}
+}
+
+// retire poisons every cell of a pool; the credit the cells still held
+// replaces remMatrix/remTotal — the carry the next boundary imports.
+func (pl *Plane) retire(p *pool) {
+	for i := range pl.remMatrix {
+		for k := range pl.remMatrix[i] {
+			pl.remMatrix[i][k] = 0
+		}
+		pl.remTotal[i] = 0
+	}
+	for s := range p.shards {
+		sh := &p.shards[s]
+		for c := range sh.comm {
+			pl.remMatrix[c/pl.n][c%pl.n] += sh.comm[c].retire()
+		}
+		for c := range sh.prov {
+			pl.remTotal[c] += sh.prov[c].retire()
 		}
 	}
 }

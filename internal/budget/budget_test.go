@@ -1,9 +1,11 @@
 package budget
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -193,7 +195,9 @@ func TestTableRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	restored := NewLedger()
-	restored.Restore(back)
+	if err := restored.Restore(back); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
 	if got := restored.List(); len(got) != 2 || got[0].Holder != "a" || got[1].State != LeaseRevoked {
 		t.Fatalf("restored ledger: %+v", got)
 	}
@@ -201,5 +205,57 @@ func TestTableRoundTrip(t *testing.T) {
 	next, _ := restored.Grant("org", "c", 1, 0)
 	if next.ID != 3 {
 		t.Fatalf("post-restore id = %d, want 3", next.ID)
+	}
+}
+
+// TestRestoreRefusesWhatGrantRefuses feeds Restore tables no ledger could
+// have produced. Each must be refused with an error naming the offending
+// lease, and the ledger must keep what it held.
+func TestRestoreRefusesWhatGrantRefuses(t *testing.T) {
+	ok := Lease{ID: 1, Owner: "org", Holder: "a", Rate: 5, State: LeaseActive}
+	with := func(edit func(*Lease)) Lease {
+		ls := ok
+		ls.ID = 2
+		edit(&ls)
+		return ls
+	}
+	for name, tc := range map[string]struct {
+		table Table
+		names string
+	}{
+		"negative rate":   {Table{Leases: []Lease{ok, with(func(l *Lease) { l.Rate = -5 })}}, "lease 2"},
+		"nan rate":        {Table{Leases: []Lease{ok, with(func(l *Lease) { l.Rate = math.NaN() })}}, "lease 2"},
+		"infinite rate":   {Table{Leases: []Lease{ok, with(func(l *Lease) { l.Rate = math.Inf(1) })}}, "lease 2"},
+		"empty owner":     {Table{Leases: []Lease{ok, with(func(l *Lease) { l.Owner = "" })}}, "lease 2"},
+		"empty holder":    {Table{Leases: []Lease{ok, with(func(l *Lease) { l.Holder = "" })}}, "lease 2"},
+		"negative life":   {Table{Leases: []Lease{ok, with(func(l *Lease) { l.Windows = -3 })}}, "lease 2"},
+		"unknown state":   {Table{Leases: []Lease{ok, with(func(l *Lease) { l.State = "bogus" })}}, "lease 2"},
+		"duplicate id":    {Table{Leases: []Lease{ok, with(func(l *Lease) { l.ID = 1 })}}, "lease id 1"},
+		"zero id":         {Table{Leases: []Lease{ok, with(func(l *Lease) { l.ID = 0 })}}, "lease id 0"},
+		"last id":         {Table{Leases: []Lease{ok, with(func(l *Lease) { l.ID = math.MaxUint64 })}}, "lease id 18446744073709551615"},
+		"exhausted ids":   {Table{NextID: math.MaxUint64, Leases: []Lease{ok}}, "next id 18446744073709551615"},
+		"garbage-in-tail": {Table{Leases: []Lease{ok, with(func(l *Lease) {}), with(func(l *Lease) { l.ID, l.Rate = 3, 0 })}}, "lease 3"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l := NewLedger()
+			held, _ := l.Grant("org", "keep", 9, 0)
+			err := l.Restore(&tc.table)
+			if !errors.Is(err, ErrLease) || !strings.Contains(err.Error(), tc.names) {
+				t.Fatalf("Restore error %v, want an ErrLease naming %q", err, tc.names)
+			}
+			if got := l.List(); len(got) != 1 || got[0] != held {
+				t.Fatalf("a refused table changed the ledger: %+v", got)
+			}
+			if next, _ := l.Grant("org", "next", 1, 0); next.ID != held.ID+1 {
+				t.Fatalf("a refused table moved the id sequence: next id %d", next.ID)
+			}
+		})
+	}
+	l := NewLedger()
+	if _, err := l.Grant("org", "a", math.NaN(), 0); err == nil {
+		t.Fatal("Grant accepted a NaN rate")
+	}
+	if _, err := l.Grant("org", "a", math.Inf(1), 0); err == nil {
+		t.Fatal("Grant accepted an infinite rate")
 	}
 }

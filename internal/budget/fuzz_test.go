@@ -6,10 +6,11 @@ import (
 )
 
 // FuzzDecodeTable feeds arbitrary bytes to the lease-table decoder behind
-// persist's leases-<version>.json. A table that decodes must restore into a
-// ledger whose queries and snapshot do not panic, and decode→encode must be
-// a fixpoint: the re-encoded table decodes, and encodes to the same bytes
-// again.
+// persist's leases-<version>.json. A table that decodes either restores —
+// into a ledger that holds only leases Grant could have produced, whose id
+// sequence cannot wrap, and whose queries and snapshot do not panic — or is
+// refused and leaves the ledger as it was. Decode→encode must be a fixpoint:
+// the re-encoded table decodes, and encodes to the same bytes again.
 func FuzzDecodeTable(f *testing.F) {
 	l := NewLedger()
 	if _, err := l.Grant("S", "C", 40, 0); err != nil {
@@ -45,11 +46,29 @@ func FuzzDecodeTable(f *testing.F) {
 			t.Fatalf("%d leases decoded from %d bytes", len(tbl.Leases), len(data))
 		}
 		restored := NewLedger()
-		restored.Restore(tbl)
-		restored.Tick()
-		_ = restored.ReservedBy("S") + restored.CreditFor("C")
-		if snap := restored.Snapshot(tbl.Version); len(snap.Leases) > len(tbl.Leases) {
-			t.Fatalf("restore grew the table: %d leases from %d", len(snap.Leases), len(tbl.Leases))
+		if err := restored.Restore(tbl); err != nil {
+			if got := restored.Snapshot(0); len(got.Leases) != 0 || got.NextID != 1 {
+				t.Fatalf("a refused table changed the ledger: %+v", got)
+			}
+		} else {
+			seen := make(map[LeaseID]bool)
+			for _, ls := range restored.List() {
+				if ls.Owner == "" || ls.Holder == "" || !validRate(ls.Rate) || ls.Windows < 0 || ls.ID == 0 || seen[ls.ID] {
+					t.Fatalf("restored a lease Grant would refuse: %+v", ls)
+				}
+				seen[ls.ID] = true
+			}
+			fresh, err := restored.Grant("S", "C", 1, 0)
+			if err != nil || fresh.ID == 0 || seen[fresh.ID] {
+				t.Fatalf("grant after restore: lease %+v, err %v", fresh, err)
+			}
+			restored.Tick()
+			if r := restored.ReservedBy("S") + restored.CreditFor("C"); !(r > 0) {
+				t.Fatalf("reserved + credit = %v after a grant of 1", r)
+			}
+			if snap := restored.Snapshot(tbl.Version); len(snap.Leases) > len(tbl.Leases)+1 {
+				t.Fatalf("restore grew the table: %d leases from %d", len(snap.Leases), len(tbl.Leases))
+			}
 		}
 		once, err := EncodeTable(tbl)
 		if err != nil {

@@ -13,6 +13,7 @@ package budget
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -63,8 +64,8 @@ func (l *Ledger) Grant(owner, holder string, rate float64, windows int) (Lease, 
 	if owner == "" || holder == "" {
 		return Lease{}, fmt.Errorf("%w: empty owner or holder", ErrLease)
 	}
-	if rate <= 0 {
-		return Lease{}, fmt.Errorf("%w: rate %v must be positive", ErrLease, rate)
+	if !validRate(rate) {
+		return Lease{}, fmt.Errorf("%w: rate %v must be positive and finite", ErrLease, rate)
 	}
 	if windows < 0 {
 		return Lease{}, fmt.Errorf("%w: windows %d", ErrLease, windows)
@@ -83,6 +84,10 @@ func (l *Ledger) Grant(owner, holder string, rate float64, windows int) (Lease, 
 	l.leases[ls.ID] = ls
 	return *ls, nil
 }
+
+// validRate reports whether rate is a reservable rate: positive, not NaN, not
+// infinite.
+func validRate(rate float64) bool { return rate > 0 && !math.IsInf(rate, 1) }
 
 // Renew extends an active lease by the given number of windows. Renewing an
 // until-revoked lease (Windows 0) is a no-op on the lifetime.
@@ -105,8 +110,8 @@ func (l *Ledger) Renew(id LeaseID, windows int) (Lease, error) {
 // Shrink lowers an active lease's reserved rate — the cooperative half of
 // reclaim: the holder gives capacity back without losing the lease.
 func (l *Ledger) Shrink(id LeaseID, rate float64) (Lease, error) {
-	if rate <= 0 {
-		return Lease{}, fmt.Errorf("%w: rate %v must be positive", ErrLease, rate)
+	if !validRate(rate) {
+		return Lease{}, fmt.Errorf("%w: rate %v must be positive and finite", ErrLease, rate)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -239,24 +244,49 @@ func (l *Ledger) Snapshot(version uint64) *Table {
 }
 
 // Restore replaces the ledger's contents from a snapshot (crash recovery).
-func (l *Ledger) Restore(t *Table) {
+// The table comes off a disk: every lease must be one Grant could have
+// produced and the ledger could have evolved — a named owner and holder, a
+// positive finite rate, a non-negative lifetime, a known state, an id that is
+// unique, non-zero and leaves room for a successor. A table that fails is
+// refused whole, with an error naming the lease, and the ledger keeps what it
+// had.
+func (l *Ledger) Restore(t *Table) error {
 	if t == nil {
-		return
+		return nil
+	}
+	next := t.NextID
+	if next == 0 {
+		next = 1
+	}
+	if next == math.MaxUint64 {
+		return fmt.Errorf("%w: restore: next id %d leaves no id to grant", ErrLease, next)
+	}
+	leases := make(map[LeaseID]*Lease, len(t.Leases))
+	for i := range t.Leases {
+		ls := t.Leases[i]
+		switch {
+		case ls.ID == 0 || uint64(ls.ID) == math.MaxUint64:
+			return fmt.Errorf("%w: restore: lease id %d out of range", ErrLease, ls.ID)
+		case leases[ls.ID] != nil:
+			return fmt.Errorf("%w: restore: duplicate lease id %d", ErrLease, ls.ID)
+		case ls.Owner == "" || ls.Holder == "":
+			return fmt.Errorf("%w: restore: lease %d has an empty owner or holder", ErrLease, ls.ID)
+		case !validRate(ls.Rate):
+			return fmt.Errorf("%w: restore: lease %d has rate %v", ErrLease, ls.ID, ls.Rate)
+		case ls.Windows < 0:
+			return fmt.Errorf("%w: restore: lease %d has %d windows left", ErrLease, ls.ID, ls.Windows)
+		case ls.State != LeaseActive && ls.State != LeaseRevoked && ls.State != LeaseExpired:
+			return fmt.Errorf("%w: restore: lease %d has state %q", ErrLease, ls.ID, ls.State)
+		}
+		leases[ls.ID] = &ls
+		if uint64(ls.ID) >= next {
+			next = uint64(ls.ID) + 1
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.next = t.NextID
-	if l.next == 0 {
-		l.next = 1
-	}
-	l.leases = make(map[LeaseID]*Lease, len(t.Leases))
-	for i := range t.Leases {
-		ls := t.Leases[i]
-		l.leases[ls.ID] = &ls
-		if uint64(ls.ID) >= l.next {
-			l.next = uint64(ls.ID) + 1
-		}
-	}
+	l.next, l.leases = next, leases
+	return nil
 }
 
 // EncodeTable renders a lease table as canonical JSON.

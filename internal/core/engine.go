@@ -354,9 +354,10 @@ func (e *Engine) wireState(st *schedState) {
 	}
 	switch e.cfg.Mode {
 	case Community:
-		st.plans = sched.NewPlanCache[*sched.Plan](sched.DefaultQuantum, sched.DefaultCacheLimit, e.stats)
+		st.plans = sched.NewPlanCache(e.stats, (*sched.Plan).CopyFrom)
 	case Provider:
-		st.provPlans = sched.NewPlanCache[*sched.ProviderPlan](sched.DefaultQuantum, sched.DefaultCacheLimit, e.stats)
+		st.provPlans = sched.NewPlanCache(e.stats, (*sched.ProviderPlan).CopyFrom)
+		st.provQueues = make([]float64, len(st.customers))
 	}
 }
 
@@ -671,8 +672,11 @@ type schedState struct {
 	provider  *sched.Provider
 	customers []agreement.Principal
 	provTotal float64
-	plans     *sched.PlanCache[*sched.Plan]
-	provPlans *sched.PlanCache[*sched.ProviderPlan]
+	plans     *sched.PlanCache[sched.Plan]
+	provPlans *sched.PlanCache[sched.ProviderPlan]
+	// provQueues is the provider solve's customer-indexed queue scratch,
+	// written only under provPlans' lock.
+	provQueues []float64
 }
 
 // snapshot returns the current scheduling state under the read lock.
@@ -774,29 +778,28 @@ func (e *Engine) EvictRedirector(id int) {
 	e.maybePromoteLocked()
 }
 
-// communityPlan returns the window plan for the global queue vector n,
-// serving it from the generation's shared plan cache: the R redirectors
-// holding the same quantized aggregate trigger one LP solve per window
-// instead of R. The second result reports whether the plan came from the
-// cache (trace records expose it per window).
-func (e *Engine) communityPlan(st schedState, n []float64) (*sched.Plan, bool, error) {
-	return st.plans.Do(n, func() (*sched.Plan, error) {
+// communityPlan copies the window plan for the global queue vector n into
+// dst (nil: only warm the cache), serving it from the generation's shared
+// plan cache: the R redirectors holding the same quantized aggregate trigger
+// one LP solve per window instead of R. It reports whether the plan was
+// already cached (trace records expose it per window).
+func (e *Engine) communityPlan(st schedState, n []float64, dst *sched.Plan) (bool, error) {
+	return st.plans.Do(n, dst, func(plan *sched.Plan) error {
 		if st.multi != nil {
-			return st.multi.Schedule(n)
+			return st.multi.ScheduleInto(n, plan)
 		}
-		return st.community.Schedule(n)
+		return st.community.ScheduleInto(n, plan)
 	})
 }
 
 // providerPlan is communityPlan's Provider-mode counterpart; the cache key
 // is the full global vector, the solve maps it onto customer indices.
-func (e *Engine) providerPlan(st schedState, n []float64) (*sched.ProviderPlan, bool, error) {
-	return st.provPlans.Do(n, func() (*sched.ProviderPlan, error) {
-		q := make([]float64, len(st.customers))
+func (e *Engine) providerPlan(st schedState, n []float64, dst *sched.ProviderPlan) (bool, error) {
+	return st.provPlans.Do(n, dst, func(plan *sched.ProviderPlan) error {
 		for ci, p := range st.customers {
-			q[ci] = n[p]
+			st.provQueues[ci] = n[p]
 		}
-		return st.provider.Schedule(q)
+		return st.provider.ScheduleInto(st.provQueues, plan)
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agreement"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // Redirector is one admission point. It is not safe for concurrent use;
@@ -37,6 +38,11 @@ type Redirector struct {
 	rolloutKnown uint64
 
 	nbuf []float64 // scratch for the per-window global n_i vector
+
+	// plan/provPlan receive this window's copy of the cached plan (the one
+	// matching the engine's mode is used).
+	plan     sched.Plan
+	provPlan sched.ProviderPlan
 
 	// credits[p][k]: remaining admissions for principal p toward owner k's
 	// servers this window (Community). Provider mode uses creditsTotal only.
@@ -290,19 +296,7 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 		return nil
 	}
 
-	// Global n_i, with self-inclusion: the aggregate lags, so a principal's
-	// global figure can miss this redirector's own fresh demand. Using
-	// max(global, local) keeps the local fraction ≤ 1.
-	if r.nbuf == nil {
-		r.nbuf = make([]float64, r.e.n)
-	}
-	n := r.nbuf
-	for i := 0; i < r.e.n; i++ {
-		n[i] = r.global[i]
-		if r.estimate[i] > n[i] {
-			n[i] = r.estimate[i]
-		}
-	}
+	n := r.globalDemand()
 	var solveStart time.Time
 	if rec != nil {
 		copy(rec.Global, n)
@@ -314,9 +308,10 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 	switch r.e.cfg.Mode {
 	case Community:
 		// Plans come from the engine's shared cache: redirectors holding the
-		// same quantized aggregate share one LP solve per window. Cached
-		// plans are shared and must not be mutated.
-		plan, hit, err := r.e.communityPlan(st, n)
+		// same quantized aggregate share one LP solve per window, and each
+		// takes its own copy.
+		plan := &r.plan
+		hit, err := r.e.communityPlan(st, n, plan)
 		if rec != nil {
 			rec.SolveNanos = obs.Nanos(time.Since(solveStart))
 			rec.CacheHit = hit
@@ -355,7 +350,8 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 			r.depositLeaseCommunity(rec, i, frac)
 		}
 	case Provider:
-		plan, hit, err := r.e.providerPlan(st, n)
+		plan := &r.provPlan
+		hit, err := r.e.providerPlan(st, n, plan)
 		if rec != nil {
 			rec.SolveNanos = obs.Nanos(time.Since(solveStart))
 			rec.CacheHit = hit
@@ -738,22 +734,32 @@ func (r *Redirector) Presolve(now time.Duration) {
 	// pre-warming the outgoing generation's cache is at worst one wasted
 	// solve per rollout.
 	st := r.e.snapshot()
+	n := r.globalDemand()
+	// A failed solve is not cached; the boundary retries and reports it.
+	switch r.e.cfg.Mode {
+	case Community:
+		_, _ = r.e.communityPlan(st, n, nil)
+	case Provider:
+		_, _ = r.e.providerPlan(st, n, nil)
+	}
+}
+
+// globalDemand fills the redirector's scratch with the global n_i the window
+// LP is solved for, with self-inclusion: the aggregate lags, so a principal's
+// global figure can miss this redirector's own fresh demand. Using
+// max(global, local) keeps the local fraction ≤ 1.
+func (r *Redirector) globalDemand() []float64 {
 	if r.nbuf == nil {
 		r.nbuf = make([]float64, r.e.n)
 	}
 	n := r.nbuf
-	for i := 0; i < r.e.n; i++ {
+	for i := range n {
 		n[i] = r.global[i]
 		if r.estimate[i] > n[i] {
 			n[i] = r.estimate[i]
 		}
 	}
-	switch r.e.cfg.Mode {
-	case Community:
-		_, _, _ = r.e.communityPlan(st, n)
-	case Provider:
-		_, _, _ = r.e.providerPlan(st, n)
-	}
+	return n
 }
 
 // CreditsRemaining reports the remaining admissions for principal p across

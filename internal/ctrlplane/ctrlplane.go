@@ -121,11 +121,19 @@ func New(sys *agreement.System, eng *core.Engine, opt Options) (*Plane, error) {
 		nominal: make(map[string]float64),
 	}
 	if opt.ResumeLeases != nil {
-		p.ledger.Restore(opt.ResumeLeases)
+		// Later snapshots must supersede this one whether or not it is usable.
 		p.leaseVersion = opt.ResumeLeases.Version
-		// The resumed agreement set already carries the capacity set-asides;
-		// the credit side is engine-local state and must be re-installed.
-		p.pushLeaseCreditsLocked()
+		if err := p.ledger.Restore(opt.ResumeLeases); err != nil {
+			// A table that decodes but could not have come from a ledger is
+			// not enforced: the host starts without leases and says so.
+			p.log().Error("recovered lease table refused; starting without leases",
+				"version", opt.ResumeLeases.Version, "err", err)
+		} else {
+			// The resumed agreement set already carries the capacity
+			// set-asides; the credit side is engine-local state and must be
+			// re-installed.
+			p.pushLeaseCreditsLocked()
+		}
 	}
 	return p, nil
 }

@@ -136,6 +136,35 @@ func TestLeaseResume(t *testing.T) {
 	}
 }
 
+// TestLeaseResumeRefusesGarbage boots a host whose newest durable lease table
+// decodes but holds a lease no ledger could have granted. It must come up
+// without leases — nothing of the table enforced, not even its sound entries —
+// and its next snapshot must supersede the refused one.
+func TestLeaseResumeRefusesGarbage(t *testing.T) {
+	sys, eng := testEngine(t)
+	table := &budget.Table{Version: 7, NextID: 3, Leases: []budget.Lease{
+		{ID: 1, Owner: "A", Holder: "B", Rate: 60, State: budget.LeaseActive},
+		{ID: 2, Owner: "A", Holder: "B", Rate: -5, State: budget.LeaseActive},
+	}}
+	var saved *budget.Table
+	plane, err := New(sys, eng, Options{ResumeLeases: table, SaveLeases: func(t *budget.Table) { saved = t }})
+	if err != nil {
+		t.Fatalf("a refused lease table failed the boot: %v", err)
+	}
+	if rates := eng.LeaseCredits(); rates != nil {
+		t.Fatalf("lease credits %v installed from a refused table", rates)
+	}
+	if got := plane.LeaseTable(); len(got.Leases) != 0 {
+		t.Fatalf("ledger holds %+v from a refused table", got.Leases)
+	}
+	if _, err := plane.GrantLease("A", "B", 10, 0); err != nil {
+		t.Fatal(err)
+	}
+	if saved == nil || saved.Version <= table.Version || len(saved.Leases) != 1 {
+		t.Fatalf("snapshot after the boot: %+v, want one lease at a version above %d", saved, table.Version)
+	}
+}
+
 // TestLeaseHTTP exercises the /v1/leases admin surface end to end.
 func TestLeaseHTTP(t *testing.T) {
 	sys, eng := testEngine(t)

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzSolveTwoVar feeds arbitrary two-variable programs with up to three
-// rows into the solver: it must never panic, and optimal solutions must be
-// feasible for the constraints it was given.
+// rows into the solver: it must never panic, optimal solutions must be
+// feasible for the constraints it was given, and the non-zero-only pivot must
+// end on the dense oracle's tableau.
 func FuzzSolveTwoVar(f *testing.F) {
 	f.Add(3.0, 2.0, 1.0, 1.0, 4.0, int8(0), 1.0, 3.0, 6.0, int8(0))
 	f.Add(-1.0, -1.0, 1.0, 1.0, 4.0, int8(1), 0.0, 1.0, 2.0, int8(2))
@@ -37,5 +38,6 @@ func FuzzSolveTwoVar(f *testing.F) {
 		if sol.Status == Optimal && !feasible(p, sol.X, 1e-4*(1+math.Abs(b1)+math.Abs(b2))) {
 			t.Fatalf("optimal point infeasible: %v for %+v", sol.X, p)
 		}
+		checkPivotDifferential(t, NewSolver(), &tableau{}, p, []float64{1, 1})
 	})
 }

@@ -28,6 +28,8 @@ type tableau struct {
 	zrhs float64   // current objective value c_B·B⁻¹b
 
 	objScratch []float64 // phase-1 objective buffer
+
+	nz []int // columns where the current pivot row is non-zero (pivot scratch)
 }
 
 // newTableau allocates a fresh tableau for p (the one-shot Solve path).
@@ -102,6 +104,7 @@ func (t *tableau) init(p *Problem, reserveLex bool) {
 	t.basis = t.basis[:m]
 	if cap(t.z) < stride {
 		t.z = make([]float64, stride)
+		t.nz = make([]int, stride)
 	}
 
 	slackCol := n
@@ -172,13 +175,22 @@ func (t *tableau) setObjective(obj []float64) {
 }
 
 // pivot makes column c basic in row r via Gauss–Jordan elimination, updating
-// the objective row alongside.
+// the objective row alongside. The scheduling programs are sparse — a bound
+// row touches one structural column — so the scaling pass records where the
+// pivot row is non-zero and the eliminations visit only those columns: every
+// skipped term is x − f·0, which leaves x as it was (up to the sign of a
+// zero, which nothing downstream can observe), so bases, pivot order and
+// solutions are those of the dense loop.
 func (t *tableau) pivot(r, c int) {
 	prow := t.a[r]
-	pv := prow[c]
-	inv := 1 / pv
-	for j := 0; j < t.cols; j++ {
-		prow[j] *= inv
+	inv := 1 / prow[c]
+	nz := t.nz[:0]
+	for j, v := range prow {
+		v *= inv
+		prow[j] = v
+		if v != 0 {
+			nz = append(nz, j)
+		}
 	}
 	t.b[r] *= inv
 	prow[c] = 1 // remove roundoff on the pivot itself
@@ -187,12 +199,12 @@ func (t *tableau) pivot(r, c int) {
 		if i == r {
 			continue
 		}
-		f := t.a[i][c]
+		row := t.a[i]
+		f := row[c]
 		if f == 0 {
 			continue
 		}
-		row := t.a[i]
-		for j := 0; j < t.cols; j++ {
+		for _, j := range nz {
 			row[j] -= f * prow[j]
 		}
 		row[c] = 0
@@ -201,9 +213,8 @@ func (t *tableau) pivot(r, c int) {
 			t.b[i] = 0
 		}
 	}
-	f := t.z[c]
-	if f != 0 {
-		for j := 0; j < t.cols; j++ {
+	if f := t.z[c]; f != 0 {
+		for _, j := range nz {
 			t.z[j] -= f * prow[j]
 		}
 		t.z[c] = 0
@@ -224,35 +235,47 @@ func (t *tableau) run(maxCols int) bool {
 		if iter > limit {
 			panic(fmt.Sprintf("lp: simplex did not terminate in %d pivots (m=%d cols=%d)", limit, t.m, t.cols))
 		}
-		enter := -1
-		for j := 0; j < maxCols; j++ {
-			if t.z[j] < -eps {
-				enter = j
-				break
-			}
-		}
+		leave, enter := t.choose(maxCols)
 		if enter < 0 {
 			return true // optimal
-		}
-		leave := -1
-		best := 0.0
-		for i := 0; i < t.m; i++ {
-			aic := t.a[i][enter]
-			if aic <= eps {
-				continue
-			}
-			ratio := t.b[i] / aic
-			if leave < 0 || ratio < best-eps ||
-				(ratio < best+eps && t.basis[i] < t.basis[leave]) {
-				leave = i
-				best = ratio
-			}
 		}
 		if leave < 0 {
 			return false // unbounded
 		}
 		t.pivot(leave, enter)
 	}
+}
+
+// choose picks the next pivot by Bland's rule: the lowest-index column with a
+// negative reduced cost enters (−1: the basis is optimal), and the row with
+// the smallest ratio leaves, ties going to the lowest basic index (−1: no row
+// bounds the entering column).
+func (t *tableau) choose(maxCols int) (leave, enter int) {
+	enter = -1
+	for j := 0; j < maxCols; j++ {
+		if t.z[j] < -eps {
+			enter = j
+			break
+		}
+	}
+	if enter < 0 {
+		return -1, -1
+	}
+	leave = -1
+	best := 0.0
+	for i := 0; i < t.m; i++ {
+		aic := t.a[i][enter]
+		if aic <= eps {
+			continue
+		}
+		ratio := t.b[i] / aic
+		if leave < 0 || ratio < best-eps ||
+			(ratio < best+eps && t.basis[i] < t.basis[leave]) {
+			leave = i
+			best = ratio
+		}
+	}
+	return leave, enter
 }
 
 // phase1 finds an initial basic feasible solution. It reports false when the
@@ -329,6 +352,14 @@ func (t *tableau) phase2() bool {
 // tableau built with init(p, true). It reports false when the secondary
 // objective is unbounded; the caller then keeps the pass-1 solution.
 func (t *tableau) lexReopt(primObj []float64, floor float64, obj2 []float64) bool {
+	t.appendFloor(primObj, floor)
+	t.setObjective(obj2)
+	return t.run(t.cols)
+}
+
+// appendFloor is lexReopt's row surgery: the floor row and its surplus column
+// join the tableau, which stays in canonical form.
+func (t *tableau) appendFloor(primObj []float64, floor float64) {
 	// Artificial columns are dead after phase 1 (all nonbasic at zero); zero
 	// them out so the unrestricted run below can never pivot one back in.
 	for i := 0; i < t.m; i++ {
@@ -386,9 +417,6 @@ func (t *tableau) lexReopt(primObj []float64, floor float64, obj2 []float64) boo
 	t.b[t.m] = rhs
 	t.basis[t.m] = surplus
 	t.m++
-
-	t.setObjective(obj2)
-	return t.run(t.cols)
 }
 
 // extract reads the structural variable values out of the basis.

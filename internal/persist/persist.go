@@ -14,10 +14,13 @@
 //     discipline as leases-<version>.json, so long-lived reservations
 //     survive a crash with at most one un-synced mutation lost.
 //   - A small append-only window log ("wal") of WindowState records, each
-//     framed as [4-byte length][4-byte CRC32][JSON payload] and fsynced on
-//     append. Replay at Open validates frames in order and truncates the
-//     log at the first torn or corrupt record, so a crash mid-append costs
-//     at most the record being written. The newest valid record wins.
+//     framed as [4-byte length][4-byte CRC32][payload] and fsynced on
+//     append; the payload is a versioned binary record (see recordVersion).
+//     Replay at Open validates frames in order and truncates the log at the
+//     first torn or corrupt record, so a crash mid-append costs at most the
+//     record being written. The newest valid record wins. A sound frame
+//     written under another record version is not corruption: Open refuses
+//     the log by name instead of cutting it back to a cold start.
 //
 // Recovery is therefore bounded by the append cadence: a process that
 // persists once per scheduling window loses at most one window of carried
@@ -26,11 +29,11 @@ package persist
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -56,6 +59,30 @@ const frameHeader = 8
 // a torn length word).
 const maxRecordBytes = 16 << 20
 
+// A frame's payload is one window record, everything little-endian:
+//
+//	u8   record version
+//	i64  window sequence
+//	i64  tree epoch
+//	u64  acknowledged agreement-set version
+//	i64  rollout gate epoch
+//	u32  credit rows r, then r × vector
+//	vector  provider credit totals
+//	vector  demand estimate
+//
+// where a vector is a u32 count followed by that many float64 as raw
+// IEEE-754 bits, and an absent (nil) slice is a zero count. A record must
+// parse to its last byte. recordVersion changes whenever this layout does;
+// a log holding any other version is refused (OPERATIONS.md §7).
+const (
+	recordVersion   = 1
+	recordFixedSize = 1 + 4*8 + 3*4 // an empty record: version, four ints, three counts
+)
+
+// errRecordVersion is what Open returns for a sound frame whose record
+// version this build does not read.
+var errRecordVersion = errors.New("persist: unsupported window-record version")
+
 // WindowState is one durable window record: everything a restarted
 // redirector needs to resume enforcement where it left off — its position
 // (window sequence, tree epoch, acknowledged set version) and its carried
@@ -64,36 +91,41 @@ const maxRecordBytes = 16 << 20
 type WindowState struct {
 	// WindowSeq is the redirector's window counter after the recorded
 	// window started.
-	WindowSeq int `json:"window_seq"`
+	WindowSeq int
 	// Epoch is the combining-tree epoch the node had reached.
-	Epoch int `json:"epoch"`
+	Epoch int
 	// SetVersion is the newest agreement-set version acknowledged.
-	SetVersion uint64 `json:"set_version"`
+	SetVersion uint64
 	// Gate is the rollout gate epoch attached to that set version (the
 	// combining.ConfigUpdate a restarted node reconstructs and
 	// re-broadcasts).
-	Gate int `json:"gate,omitempty"`
+	Gate int
 	// Credit is the Community credit matrix credits[p][k]; nil in
 	// Provider mode.
-	Credit [][]float64 `json:"credit,omitempty"`
+	Credit [][]float64
 	// CreditTotal is the Provider per-principal credit vector; nil in
 	// Community mode.
-	CreditTotal []float64 `json:"credit_total,omitempty"`
+	CreditTotal []float64
 	// Estimate is the EWMA per-principal demand estimate
 	// (requests/window).
-	Estimate []float64 `json:"estimate,omitempty"`
+	Estimate []float64
 }
 
 // Store is a crash-safe state directory. All methods are safe for
 // concurrent use; appends and checkpoints serialize on an internal mutex.
+// The store keeps nothing of its callers': a record is encoded into a buffer
+// the store owns before AppendWindow returns, and LastWindow decodes a new
+// one.
 type Store struct {
 	dir string
 
-	mu     sync.Mutex
-	wal    *os.File
-	last   WindowState
-	have   bool
-	closed bool
+	mu  sync.Mutex
+	wal *os.File
+	// last is the newest durable record's frame, what Checkpoint rewrites
+	// and LastWindow decodes (empty on a cold start); next is where the
+	// following append is encoded. The two swap once a frame is on disk.
+	last, next []byte
+	closed     bool
 }
 
 // Open creates (if necessary) and opens the state directory, replaying the
@@ -128,11 +160,15 @@ func (s *Store) replay() error {
 	}
 	valid := 0
 	for valid < len(data) {
-		rec, n, ok := decodeFrame(data[valid:])
-		if !ok {
+		_, n, err := decodeFrame(data[valid:])
+		if errors.Is(err, errRecordVersion) {
+			return fmt.Errorf("%w (%s, offset %d; this build reads version %d)",
+				err, filepath.Join(s.dir, walName), valid, recordVersion)
+		}
+		if err != nil {
 			break
 		}
-		s.last, s.have = rec, true
+		s.last = append(s.last[:0], data[valid:valid+n]...)
 		valid += n
 	}
 	if valid < len(data) {
@@ -151,69 +187,149 @@ func (s *Store) replay() error {
 	return nil
 }
 
-// decodeFrame parses one framed record from the front of data. ok is false
-// when the frame is torn (short) or fails its CRC.
-func decodeFrame(data []byte) (WindowState, int, bool) {
-	var rec WindowState
+var errFrame = errors.New("persist: torn or corrupt frame")
+
+// decodeFrame parses one framed record from the front of data and reports
+// the bytes it spans. The error is errFrame when the frame is torn (short),
+// fails its CRC or does not parse, and wraps errRecordVersion when the frame
+// is sound but written under another record version.
+func decodeFrame(data []byte) (WindowState, int, error) {
 	if len(data) < frameHeader {
-		return rec, 0, false
+		return WindowState{}, 0, errFrame
 	}
 	length := binary.LittleEndian.Uint32(data[0:4])
 	sum := binary.LittleEndian.Uint32(data[4:8])
 	if length == 0 || length > maxRecordBytes || frameHeader+int(length) > len(data) {
-		return rec, 0, false
+		return WindowState{}, 0, errFrame
 	}
 	payload := data[frameHeader : frameHeader+int(length)]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return rec, 0, false
+		return WindowState{}, 0, errFrame
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, 0, false
-	}
-	return rec, frameHeader + int(length), true
+	rec, err := decodeRecord(payload)
+	return rec, frameHeader + int(length), err
 }
 
-// encodeFrame renders one record with its length+CRC frame.
-func encodeFrame(ws WindowState) ([]byte, error) {
-	payload, err := json.Marshal(ws)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+// decodeRecord parses a frame's payload. Every count is checked against the
+// bytes still unread before anything is allocated for it.
+func decodeRecord(b []byte) (WindowState, error) {
+	var rec WindowState
+	if b[0] != recordVersion {
+		return rec, fmt.Errorf("%w %d", errRecordVersion, b[0])
 	}
-	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeader:], payload)
-	return buf, nil
+	if len(b) < recordFixedSize {
+		return rec, errFrame
+	}
+	rec.WindowSeq = int(int64(binary.LittleEndian.Uint64(b[1:])))
+	rec.Epoch = int(int64(binary.LittleEndian.Uint64(b[9:])))
+	rec.SetVersion = binary.LittleEndian.Uint64(b[17:])
+	rec.Gate = int(int64(binary.LittleEndian.Uint64(b[25:])))
+	rows := int(binary.LittleEndian.Uint32(b[33:]))
+	b = b[37:]
+	if rows > len(b)/4 {
+		return rec, errFrame
+	}
+	if rows > 0 {
+		rec.Credit = make([][]float64, rows)
+	}
+	var ok bool
+	for i := range rec.Credit {
+		if rec.Credit[i], b, ok = readVector(b); !ok {
+			return rec, errFrame
+		}
+	}
+	if rec.CreditTotal, b, ok = readVector(b); !ok {
+		return rec, errFrame
+	}
+	if rec.Estimate, b, ok = readVector(b); !ok || len(b) != 0 {
+		return rec, errFrame
+	}
+	return rec, nil
+}
+
+// readVector parses one counted float64 vector off the front of b (nil for a
+// zero count) and returns the rest.
+func readVector(b []byte) (v []float64, rest []byte, ok bool) {
+	if len(b) < 4 {
+		return nil, b, false
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	b = b[4:]
+	if n > len(b)/8 {
+		return nil, b, false
+	}
+	if n > 0 {
+		v = make([]float64, n)
+	}
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return v, b[8*n:], true
+}
+
+// appendFrame appends ws's record, framed with its length and CRC, to dst.
+func appendFrame(dst []byte, ws *WindowState) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, recordVersion)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ws.WindowSeq)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ws.Epoch)))
+	dst = binary.LittleEndian.AppendUint64(dst, ws.SetVersion)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ws.Gate)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ws.Credit)))
+	for _, row := range ws.Credit {
+		dst = appendVector(dst, row)
+	}
+	dst = appendVector(dst, ws.CreditTotal)
+	dst = appendVector(dst, ws.Estimate)
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
+func appendVector(dst []byte, v []float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
 }
 
 // AppendWindow durably appends one window record (write + fsync). The
-// record becomes the new LastWindow.
+// record becomes the new LastWindow. ws is encoded before AppendWindow
+// returns; the store keeps no reference to its slices.
 func (s *Store) AppendWindow(ws WindowState) error {
-	buf, err := encodeFrame(ws)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if _, err := s.wal.Write(buf); err != nil {
+	s.next = appendFrame(s.next[:0], &ws)
+	if len(s.next)-frameHeader > maxRecordBytes {
+		return fmt.Errorf("persist: append: record of %d bytes exceeds the %d-byte limit", len(s.next)-frameHeader, maxRecordBytes)
+	}
+	if _, err := s.wal.Write(s.next); err != nil {
 		return fmt.Errorf("persist: append: %w", err)
 	}
 	if err := s.wal.Sync(); err != nil {
 		return fmt.Errorf("persist: append: %w", err)
 	}
-	s.last, s.have = ws, true
+	s.last, s.next = s.next, s.last
 	return nil
 }
 
 // LastWindow returns the newest valid window record (replayed at Open or
-// appended since); ok is false on a cold start.
+// appended since), decoded into slices the caller owns; ok is false on a
+// cold start.
 func (s *Store) LastWindow() (WindowState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.last, s.have
+	if len(s.last) == 0 {
+		return WindowState{}, false
+	}
+	// The frame was validated when it was replayed, or encoded here.
+	rec, _, err := decodeFrame(s.last)
+	return rec, err == nil
 }
 
 // Checkpoint compacts the window log down to its newest record, committing
@@ -225,13 +341,10 @@ func (s *Store) Checkpoint() error {
 	if s.closed {
 		return ErrClosed
 	}
-	if !s.have {
+	if len(s.last) == 0 {
 		return nil
 	}
-	buf, err := encodeFrame(s.last)
-	if err != nil {
-		return err
-	}
+	buf := s.last
 	path := filepath.Join(s.dir, walName)
 	tmp, err := os.CreateTemp(s.dir, walName+".tmp*")
 	if err != nil {

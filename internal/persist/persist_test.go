@@ -102,10 +102,7 @@ func TestTornFinalRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Simulate the crash: hand-append a torn third record.
-			torn, err := encodeFrame(WindowState{WindowSeq: 3, Epoch: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
+			torn := appendFrame(nil, &WindowState{WindowSeq: 3, Epoch: 5})
 			f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -410,7 +407,9 @@ func TestLeaseTableRoundTripAndNewest(t *testing.T) {
 		t.Fatalf("newest lease table: %+v", got)
 	}
 	restored := budget.NewLedger()
-	restored.Restore(got)
+	if err := restored.Restore(got); err != nil {
+		t.Fatal(err)
+	}
 	if restored.ReservedBy("org") != 40 {
 		t.Fatalf("restored reservation = %v, want 40", restored.ReservedBy("org"))
 	}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"encoding/binary"
 	"math"
 	"sync"
 	"time"
@@ -9,125 +8,153 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultQuantum is the queue-vector quantization step (requests/window)
-// plan caches use when the caller does not pick one. Queue estimates that
-// differ by less than half a quantum per principal map to the same cached
-// plan; 1e-6 of a request is far below any behavioral difference the credit
-// scheme can express, so hits are effectively exact.
+// DefaultQuantum is the queue-vector quantization step (requests/window) of
+// every plan cache. Queue estimates that differ by less than half a quantum
+// per principal map to the same cached plan; 1e-6 of a request is far below
+// any behavioral difference the credit scheme can express, so hits are
+// effectively exact.
 const DefaultQuantum = 1e-6
 
-// DefaultCacheLimit bounds the number of distinct quantized vectors a plan
-// cache holds before it discards its contents and starts over.
-const DefaultCacheLimit = 4096
+// CacheCap is the number of plans a cache holds. A cache serves the windows
+// of one scheduling generation, and what those look up is small and recent:
+// a redirector process asks for two vectors a window (the broadcast-time
+// Presolve and the boundary, a demand estimate apart), the R = 6 redirectors
+// of the simulator for at most six. Sixteen covers both with room for a
+// window of lag, and keeps a lookup a scan of a few cache lines.
+const CacheCap = 16
 
 // PlanCache memoizes window scheduling decisions, keyed by the quantized
 // global queue vector. The paper's design has every one of the R redirectors
 // solve the window LP over the *same* global aggregate; sharing one cache
-// turns those R identical solves into one solve plus R−1 lookups. Lookups
-// for a vector whose solve is still in flight block until it finishes
-// (singleflight), so concurrent windows never duplicate work.
+// turns those R identical solves into one solve plus R−1 lookups.
 //
-// Cached plans are shared; callers must treat them as immutable. The cache
-// must be discarded when the scheduler it memoizes is rebuilt (entitlement
-// or capacity changes), which is why the engine owns and re-creates it.
+// The cache is a fixed ring of at most CacheCap entries, each owning its key
+// and its plan buffers, filled lazily and recycled by CLOCK: a hit marks its
+// entry, the hand skips (and unmarks) marked entries, so a vector looked up
+// every window outlives any number of one-shot vectors in between. Nothing
+// the cache owns leaves it: Do copies the plan into the caller's buffer while
+// it holds the lock, and the same lock is the single-flight — a lookup that
+// arrives during a solve waits for it, and the scheduler behind solve, which
+// has one solver state, is never entered twice.
+//
+// The cache must be discarded when the scheduler it memoizes is rebuilt
+// (entitlement or capacity changes), which is why the engine owns and
+// re-creates it.
 type PlanCache[P any] struct {
-	quantum float64
-	limit   int
-	stats   *metrics.SolverStats
+	stats *metrics.SolverStats
+	copy  func(dst, src *P)
 
 	mu      sync.Mutex
-	entries map[string]*cacheEntry[P]
+	entries []cacheEntry[P]
+	hand    int
+	probe   []int64 // quantized key of the lookup in progress
 }
 
 type cacheEntry[P any] struct {
-	done chan struct{} // closed once plan/err are set
-	plan P
-	err  error
+	key   []int64
+	plan  P
+	valid bool // false: never solved, or the solve failed
+	ref   bool // looked up since the hand last passed
 }
 
-// NewPlanCache builds a cache. quantum ≤ 0 selects DefaultQuantum, limit ≤ 0
-// selects DefaultCacheLimit. stats may be nil.
-func NewPlanCache[P any](quantum float64, limit int, stats *metrics.SolverStats) *PlanCache[P] {
-	if quantum <= 0 {
-		quantum = DefaultQuantum
-	}
-	if limit <= 0 {
-		limit = DefaultCacheLimit
-	}
-	return &PlanCache[P]{
-		quantum: quantum,
-		limit:   limit,
-		stats:   stats,
-		entries: make(map[string]*cacheEntry[P]),
-	}
+// NewPlanCache builds an empty cache. copyPlan deep-copies a plan into a
+// caller-owned buffer (reusing what the buffer already holds); stats may be
+// nil.
+func NewPlanCache[P any](stats *metrics.SolverStats, copyPlan func(dst, src *P)) *PlanCache[P] {
+	return &PlanCache[P]{stats: stats, copy: copyPlan}
 }
-
-// Quantum reports the quantization step.
-func (c *PlanCache[P]) Quantum() float64 { return c.quantum }
 
 // maxQuanta keeps the quantized coordinate inside int64 range; queue lengths
 // anywhere near it are saturated to one shared key.
 const maxQuanta = float64(1 << 62)
 
-// appendKey appends the quantized fixed-point encoding of queues to dst.
-func (c *PlanCache[P]) appendKey(dst []byte, queues []float64) []byte {
-	var buf [8]byte
+// quantize appends the fixed-point encoding of queues to dst.
+func quantize(dst []int64, queues []float64) []int64 {
 	for _, q := range queues {
-		v := math.Round(q / c.quantum)
+		v := math.Round(q / DefaultQuantum)
 		if v > maxQuanta {
 			v = maxQuanta
 		} else if v < -maxQuanta {
 			v = -maxQuanta
 		}
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		dst = append(dst, buf[:]...)
+		dst = append(dst, int64(v))
 	}
 	return dst
 }
 
-// Do returns the plan for queues, invoking solve at most once per distinct
-// quantized vector. hit reports whether the plan came from the cache (either
-// already present or computed by a concurrent caller). Failed solves are not
-// retained, so a transient error does not poison the vector's key.
-func (c *PlanCache[P]) Do(queues []float64, solve func() (P, error)) (plan P, hit bool, err error) {
-	key := c.appendKey(make([]byte, 0, 8*len(queues)), queues)
-
+// Do copies the plan for queues into dst (nil: only make sure the plan is
+// cached), invoking solve at most once per resident quantized vector. solve
+// fills the entry's own plan, whose buffers it may reuse. hit reports whether
+// the plan was already cached. Failed solves are not retained, so a transient
+// error does not poison the vector's key; dst is left alone on error.
+func (c *PlanCache[P]) Do(queues []float64, dst *P, solve func(plan *P) error) (hit bool, err error) {
 	c.mu.Lock()
-	if e, ok := c.entries[string(key)]; ok {
-		c.mu.Unlock()
-		<-e.done
+	defer c.mu.Unlock()
+	c.probe = quantize(c.probe[:0], queues)
+	e := c.find()
+	if hit = e != nil; hit {
+		e.ref = true
 		c.stats.CacheHit()
-		return e.plan, true, e.err
+	} else {
+		e = c.victim()
+		e.key, c.probe = c.probe, e.key
+		c.stats.CacheMiss()
+		start := time.Now()
+		err = solve(&e.plan)
+		c.stats.RecordSolve(time.Since(start))
+		e.valid = err == nil
 	}
-	if len(c.entries) >= c.limit {
-		// Epoch eviction: wholesale reset is O(1) amortized and keeps the
-		// steady-state working set (a handful of vectors) hot again within
-		// one window.
-		c.entries = make(map[string]*cacheEntry[P])
+	if err == nil && dst != nil {
+		c.copy(dst, &e.plan)
 	}
-	e := &cacheEntry[P]{done: make(chan struct{})}
-	skey := string(key)
-	c.entries[skey] = e
-	c.mu.Unlock()
+	return hit, err
+}
 
-	c.stats.CacheMiss()
-	start := time.Now()
-	e.plan, e.err = solve()
-	c.stats.RecordSolve(time.Since(start))
-	close(e.done)
-	if e.err != nil {
-		c.mu.Lock()
-		if c.entries[skey] == e {
-			delete(c.entries, skey)
+// find returns the valid entry whose key equals the probe, or nil.
+func (c *PlanCache[P]) find() *cacheEntry[P] {
+next:
+	for i := range c.entries {
+		e := &c.entries[i]
+		if !e.valid || len(e.key) != len(c.probe) {
+			continue
 		}
-		c.mu.Unlock()
+		for j, v := range c.probe {
+			if e.key[j] != v {
+				continue next
+			}
+		}
+		return e
 	}
-	return e.plan, false, e.err
+	return nil
+}
+
+// victim returns the entry a miss overwrites: a new one while the ring is
+// still growing, otherwise the first one the hand reaches that has not been
+// looked up since its last pass.
+func (c *PlanCache[P]) victim() *cacheEntry[P] {
+	if len(c.entries) < CacheCap {
+		c.entries = append(c.entries, cacheEntry[P]{})
+		return &c.entries[len(c.entries)-1]
+	}
+	for {
+		e := &c.entries[c.hand]
+		c.hand = (c.hand + 1) % CacheCap
+		if !e.ref {
+			return e
+		}
+		e.ref = false
+	}
 }
 
 // Len reports the number of cached vectors (diagnostics and tests).
 func (c *PlanCache[P]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	n := 0
+	for i := range c.entries {
+		if c.entries[i].valid {
+			n++
+		}
+	}
+	return n
 }

@@ -184,48 +184,6 @@ func TestProviderFastMatchesSlow(t *testing.T) {
 	}
 }
 
-// TestCommunityScheduleParallel drives one scheduler from many goroutines
-// with distinct vectors; the pooled per-worker states must not interfere
-// (run with -race).
-func TestCommunityScheduleParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	acc := randomAccess(rng, 3)
-	c, err := NewCommunity(acc, []float64{200, 150, 100}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queues := make([][]float64, 16)
-	want := make([]*Plan, len(queues))
-	for g := range queues {
-		queues[g] = []float64{1 + float64(g)*7, 30 + float64(g), 5 + 2*float64(g)}
-		want[g], err = c.scheduleSlow(queues[g])
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan error, len(queues))
-	for g := range queues {
-		go func(g int) {
-			for rep := 0; rep < 20; rep++ {
-				plan, err := c.Schedule(queues[g])
-				if err != nil {
-					done <- err
-					return
-				}
-				if math.Abs(plan.Theta-want[g].Theta) > 1e-6 {
-					t.Errorf("goroutine %d: theta %g, want %g", g, plan.Theta, want[g].Theta)
-				}
-			}
-			done <- nil
-		}(g)
-	}
-	for range queues {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // FuzzPlanCacheKey checks the quantization invariant: two vectors mapping to
 // the same cache key differ by at most one quantum per coordinate, so a
 // cache hit can only substitute a plan whose input was within quantization
@@ -241,15 +199,14 @@ func FuzzPlanCacheKey(f *testing.F) {
 				return // schedulers reject these before any cache lookup
 			}
 		}
-		c := NewPlanCache[int](DefaultQuantum, 16, nil)
-		ka := string(c.appendKey(nil, []float64{a0, a1}))
-		kb := string(c.appendKey(nil, []float64{b0, b1}))
-		same := ka == kb
+		ka := quantize(nil, []float64{a0, a1})
+		kb := quantize(nil, []float64{b0, b1})
+		same := ka[0] == kb[0] && ka[1] == kb[1]
 		if same {
 			for i, pair := range [][2]float64{{a0, b0}, {a1, b1}} {
-				if math.Abs(pair[0]-pair[1]) > c.Quantum() {
+				if math.Abs(pair[0]-pair[1]) > DefaultQuantum {
 					t.Fatalf("colliding keys but coordinate %d differs by %g > quantum %g",
-						i, math.Abs(pair[0]-pair[1]), c.Quantum())
+						i, math.Abs(pair[0]-pair[1]), DefaultQuantum)
 				}
 			}
 		} else if a0 == b0 && a1 == b1 {

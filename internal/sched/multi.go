@@ -67,7 +67,18 @@ func NewMultiCommunity(accs []*agreement.Access, capacity, cost [][]float64) (*M
 }
 
 // Schedule solves the multi-dimensional max–min LP for the given global
-// queue lengths (requests per window).
+// queue lengths (requests per window) into a new Plan.
+func (m *MultiCommunity) Schedule(queues []float64) (*Plan, error) {
+	plan := new(Plan)
+	if err := m.ScheduleInto(queues, plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// ScheduleInto is Schedule writing into plan, whose buffers it reuses (the
+// program itself is still rebuilt per call). On error plan's contents are
+// unspecified.
 //
 // Model: maximize θ subject to, for every principal i with n_i > 0,
 //
@@ -77,13 +88,13 @@ func NewMultiCommunity(accs []*agreement.Access, capacity, cost [][]float64) (*M
 //	                                      binding minimum across dimensions)
 //	x_ik ≤ min_d (MI_d+OI_d)[k][i]/cost[i][d]   (per-pair entitlements)
 //	Σ_i x_ik·cost[i][d] ≤ V_k_d ∀k,d     (per-dimension capacities)
-func (m *MultiCommunity) Schedule(queues []float64) (*Plan, error) {
+func (m *MultiCommunity) ScheduleInto(queues []float64, plan *Plan) error {
 	if len(queues) != m.n {
-		return nil, fmt.Errorf("%w: queues length %d, want %d", ErrInput, len(queues), m.n)
+		return fmt.Errorf("%w: queues length %d, want %d", ErrInput, len(queues), m.n)
 	}
 	for i, q := range queues {
 		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-			return nil, fmt.Errorf("%w: queue[%d] = %v", ErrInput, i, q)
+			return fmt.Errorf("%w: queue[%d] = %v", ErrInput, i, q)
 		}
 	}
 
@@ -146,10 +157,10 @@ func (m *MultiCommunity) Schedule(queues []float64) (*Plan, error) {
 
 	sol, err := b.Solve()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("sched: multi-community LP %v", sol.Status)
+		return fmt.Errorf("sched: multi-community LP %v", sol.Status)
 	}
 	thetaStar := b.Value(sol, theta)
 
@@ -164,9 +175,9 @@ func (m *MultiCommunity) Schedule(queues []float64) (*Plan, error) {
 		sol = sol2
 	}
 
-	plan := &Plan{X: make([][]float64, m.n), Total: make([]float64, m.n), Theta: thetaStar}
+	plan.reset(m.n)
+	plan.Theta = thetaStar
 	for i := 0; i < m.n; i++ {
-		plan.X[i] = make([]float64, m.n)
 		for k := 0; k < m.n; k++ {
 			if x[i][k] >= 0 {
 				v := b.Value(sol, x[i][k])
@@ -178,7 +189,7 @@ func (m *MultiCommunity) Schedule(queues []float64) (*Plan, error) {
 			}
 		}
 	}
-	return plan, nil
+	return nil
 }
 
 // pairLimit is the number of i's requests owner k can entitle: the binding

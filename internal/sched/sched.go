@@ -19,10 +19,13 @@
 // Because the paper re-solves every 100 ms window, both schedulers compile
 // their constraint structure once at construction: each Schedule call only
 // rewrites the handful of coefficients that depend on the queue vector and
-// re-solves on a pooled lp.Solver whose tableau memory persists across
-// windows, with the lexicographic second pass warm-started from the first
-// pass's basis. The allocating from-scratch path is kept as scheduleSlow for
-// differential tests; fast and slow plans are byte-identical.
+// re-solves on the scheduler's own lp.Solver, whose tableau memory persists
+// across windows, with the lexicographic second pass warm-started from the
+// first pass's basis, and writes the result into a plan the caller owns. A
+// scheduler therefore has one solve in flight at a time: callers serialize
+// (the engine does, on the lock of the generation's PlanCache). The
+// allocating from-scratch path is kept as scheduleSlow for differential
+// tests; fast and slow plans are byte-identical.
 //
 // All quantities are in requests per time window: callers scale rate
 // entitlements (req/s) by the window duration before building a scheduler.
@@ -32,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/agreement"
@@ -75,19 +77,25 @@ type Community struct {
 	capRow   []int
 	locRow   []int
 
-	// states pools per-worker template clones + solvers so that distinct
-	// queue vectors can be scheduled in parallel.
-	states sync.Pool
+	st solveState
 
 	stats     *metrics.SolverStats
 	logger    *obs.Logger
 	warnLimit *obs.RateLimit
 }
 
-// commState is one worker's mutable solve state.
-type commState struct {
+// solveState is a scheduler's mutable solve state: its own copy of the
+// template, whose queue-dependent entries every Schedule call rewrites, and
+// the solver whose tableau memory carries over from window to window. The
+// template itself stays untouched, so a later generation can be re-derived
+// from it while this one is solving.
+type solveState struct {
 	p      *lp.Problem
 	solver *lp.Solver
+}
+
+func newSolveState(tmpl *lp.Problem) solveState {
+	return solveState{p: tmpl.Clone(), solver: lp.NewSolver()}
 }
 
 // NewCommunity builds a community scheduler. capacity[k] is owner k's server
@@ -105,9 +113,7 @@ func NewCommunity(acc *agreement.Access, capacity, locality []float64) (*Communi
 	c := &Community{n: n, acc: acc, capacity: capacity, locality: locality}
 	c.warnLimit = obs.NewRateLimit(5*time.Second, 1)
 	c.compile()
-	c.states.New = func() any {
-		return &commState{p: c.tmpl.Clone(), solver: lp.NewSolver()}
-	}
+	c.st = newSolveState(c.tmpl)
 	return c, nil
 }
 
@@ -154,9 +160,7 @@ func NewCommunityFrom(prev *Community, acc *agreement.Access, capacity, locality
 			cons[r].RHS = locality[k]
 		}
 	}
-	c.states.New = func() any {
-		return &commState{p: c.tmpl.Clone(), solver: lp.NewSolver()}
-	}
+	c.st = newSolveState(c.tmpl)
 	return c, nil
 }
 
@@ -308,24 +312,62 @@ type Plan struct {
 	Theta float64
 }
 
+// reset sizes the plan for n principals and zeroes it, keeping its buffers
+// (the rows of X share one backing array) when they already fit.
+func (p *Plan) reset(n int) {
+	if len(p.X) != n || len(p.Total) != n {
+		flat := make([]float64, n*n)
+		p.X = make([][]float64, n)
+		for i := range p.X {
+			p.X[i], flat = flat[:n:n], flat[n:]
+		}
+		p.Total = make([]float64, n)
+	}
+	for i := range p.X {
+		for k := range p.X[i] {
+			p.X[i][k] = 0
+		}
+		p.Total[i] = 0
+	}
+	p.Theta = 0
+}
+
+// CopyFrom makes p a deep copy of src, reusing p's buffers when they fit.
+func (p *Plan) CopyFrom(src *Plan) {
+	p.reset(len(src.Total))
+	for i := range src.X {
+		copy(p.X[i], src.X[i])
+	}
+	copy(p.Total, src.Total)
+	p.Theta = src.Theta
+}
+
 // Schedule solves the community LP for the given global queue lengths
-// (requests per window, indexed by principal). Distinct queue vectors may be
-// scheduled concurrently; each call checks out pooled solver state.
+// (requests per window, indexed by principal) into a new Plan.
 func (c *Community) Schedule(queues []float64) (*Plan, error) {
+	plan := new(Plan)
+	if err := c.ScheduleInto(queues, plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// ScheduleInto is Schedule writing into plan, whose buffers it reuses: the
+// per-window form, which allocates nothing once plan has been through it. On
+// error plan's contents are unspecified. Not safe for concurrent use.
+func (c *Community) ScheduleInto(queues []float64, plan *Plan) error {
 	if len(queues) != c.n {
-		return nil, fmt.Errorf("%w: queues length %d, want %d", ErrInput, len(queues), c.n)
+		return fmt.Errorf("%w: queues length %d, want %d", ErrInput, len(queues), c.n)
 	}
 	for i, q := range queues {
 		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-			return nil, fmt.Errorf("%w: queue[%d] = %v", ErrInput, i, q)
+			return fmt.Errorf("%w: queue[%d] = %v", ErrInput, i, q)
 		}
 	}
 
-	st := c.states.Get().(*commState)
-	defer c.states.Put(st)
-	plan, err := c.solveFast(st, queues, true)
+	err := c.solveFast(queues, true, plan)
 	if err == nil {
-		return plan, nil
+		return nil
 	}
 	// Mandatory floors can only be infeasible if entitlements exceed
 	// capacities (possible when the caller's Access and capacity vectors
@@ -335,13 +377,14 @@ func (c *Community) Schedule(queues []float64) (*Plan, error) {
 	total := c.stats.FloorFallback()
 	c.log().WarnRate(c.warnLimit, "community window infeasible with mandatory floors; retrying without floors",
 		"reason", "entitlements exceed capacities", "err", err, "fallbacks", total)
-	return c.solveFast(st, queues, false)
+	return c.solveFast(queues, false, plan)
 }
 
-// solveFast rewrites the queue-dependent entries of the worker's template in
-// place and solves it on the worker's persistent solver.
-func (c *Community) solveFast(st *commState, queues []float64, floors bool) (*Plan, error) {
-	cons := st.p.Constraints
+// solveFast rewrites the queue-dependent entries of the scheduler's template
+// copy in place, solves it on the persistent solver and reads the assignment
+// out into plan.
+func (c *Community) solveFast(queues []float64, floors bool, plan *Plan) error {
+	cons := c.st.p.Constraints
 	for i := 0; i < c.n; i++ {
 		q := queues[i]
 		if r := c.servedRow[i]; r >= 0 {
@@ -360,30 +403,19 @@ func (c *Community) solveFast(st *commState, queues []float64, floors bool) (*Pl
 		}
 	}
 
-	sol, err := st.solver.SolveLex(st.p, lexTol, c.obj2)
+	sol, err := c.st.solver.SolveLex(c.st.p, lexTol, c.obj2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("sched: community LP %v", sol.Status)
+		return fmt.Errorf("sched: community LP %v", sol.Status)
 	}
-	return c.extractPlan(sol.X, sol.Primary), nil
-}
-
-// extractPlan copies the LP assignment into a Plan (one backing allocation).
-func (c *Community) extractPlan(x []float64, theta float64) *Plan {
-	n := c.n
-	plan := &Plan{
-		X:     make([][]float64, n),
-		Total: make([]float64, n),
-		Theta: theta,
-	}
-	flat := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		plan.X[i], flat = flat[:n:n], flat[n:]
-		for k := 0; k < n; k++ {
+	plan.reset(c.n)
+	plan.Theta = sol.Primary
+	for i := 0; i < c.n; i++ {
+		for k := 0; k < c.n; k++ {
 			if v := c.xv[i][k]; v >= 0 {
-				val := x[v]
+				val := sol.X[v]
 				if val < 0 {
 					val = 0
 				}
@@ -392,7 +424,7 @@ func (c *Community) extractPlan(x []float64, theta float64) *Plan {
 			}
 		}
 	}
-	return plan
+	return nil
 }
 
 // scheduleSlow is the allocating reference path: it rebuilds the whole
@@ -520,7 +552,7 @@ type Provider struct {
 	// re-derive the template under renegotiated entitlements.
 	capRow int
 
-	states sync.Pool
+	st solveState
 
 	stats     *metrics.SolverStats
 	logger    *obs.Logger
@@ -548,9 +580,7 @@ func NewProvider(mc, oc, prices []float64, capacity float64) (*Provider, error) 
 	p := &Provider{n: n, mc: mc, oc: oc, prices: prices, capacity: capacity}
 	p.warnLimit = obs.NewRateLimit(5*time.Second, 1)
 	p.compile()
-	p.states.New = func() any {
-		return &commState{p: p.tmpl.Clone(), solver: lp.NewSolver()}
-	}
+	p.st = newSolveState(p.tmpl)
 	return p, nil
 }
 
@@ -583,9 +613,7 @@ func NewProviderFrom(prev *Provider, mc, oc, prices []float64, capacity float64)
 	p.warnLimit = obs.NewRateLimit(5*time.Second, 1)
 	p.tmpl = prev.tmpl.Clone()
 	p.tmpl.Constraints[p.capRow].RHS = capacity
-	p.states.New = func() any {
-		return &commState{p: p.tmpl.Clone(), solver: lp.NewSolver()}
-	}
+	p.st = newSolveState(p.tmpl)
 	return p, nil
 }
 
@@ -654,21 +682,49 @@ type ProviderPlan struct {
 	Income float64
 }
 
-// Schedule solves the provider LP for the given per-customer queue lengths.
-// Distinct queue vectors may be scheduled concurrently.
+// reset sizes the plan for n customers and zeroes it, keeping its buffer
+// when it already fits.
+func (pp *ProviderPlan) reset(n int) {
+	if len(pp.X) != n {
+		pp.X = make([]float64, n)
+	}
+	for i := range pp.X {
+		pp.X[i] = 0
+	}
+	pp.Income = 0
+}
+
+// CopyFrom makes pp a deep copy of src, reusing pp's buffer when it fits.
+func (pp *ProviderPlan) CopyFrom(src *ProviderPlan) {
+	pp.reset(len(src.X))
+	copy(pp.X, src.X)
+	pp.Income = src.Income
+}
+
+// Schedule solves the provider LP for the given per-customer queue lengths
+// into a new ProviderPlan.
 func (p *Provider) Schedule(queues []float64) (*ProviderPlan, error) {
+	plan := new(ProviderPlan)
+	if err := p.ScheduleInto(queues, plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// ScheduleInto is Schedule writing into plan, whose buffer it reuses: the
+// per-window form, which allocates nothing once plan has been through it. On
+// error plan's contents are unspecified. Not safe for concurrent use.
+func (p *Provider) ScheduleInto(queues []float64, plan *ProviderPlan) error {
 	if len(queues) != p.n {
-		return nil, fmt.Errorf("%w: queues length %d, want %d", ErrInput, len(queues), p.n)
+		return fmt.Errorf("%w: queues length %d, want %d", ErrInput, len(queues), p.n)
 	}
 	for i, q := range queues {
 		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-			return nil, fmt.Errorf("%w: queue[%d] = %v", ErrInput, i, q)
+			return fmt.Errorf("%w: queue[%d] = %v", ErrInput, i, q)
 		}
 	}
 
-	st := p.states.Get().(*commState)
-	defer p.states.Put(st)
-	cons := st.p.Constraints
+	cons := p.st.p.Constraints
 	for i := 0; i < p.n; i++ {
 		q := queues[i]
 		lo := math.Min(p.mc[i], q)                               // mandatory, clipped to demand
@@ -682,9 +738,9 @@ func (p *Provider) Schedule(queues []float64) (*ProviderPlan, error) {
 		cons[p.hiRow[i]].RHS = hi
 	}
 
-	sol, err := st.solver.SolveLex(st.p, lexTol, p.obj2)
+	sol, err := p.st.solver.SolveLex(p.st.p, lexTol, p.obj2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if sol.Status != lp.Optimal {
 		// Mandatory floors exceed capacity: serve mandatory shares scaled
@@ -693,13 +749,15 @@ func (p *Provider) Schedule(queues []float64) (*ProviderPlan, error) {
 		total := p.stats.FloorFallback()
 		p.log().WarnRate(p.warnLimit, "provider window not optimal with mandatory floors; scaling mandatory shares to capacity",
 			"reason", "entitlements exceed capacity", "status", sol.Status, "fallbacks", total)
-		return p.scaledMandatory(queues), nil
+		p.scaledMandatory(queues, plan)
+		return nil
 	}
-	return p.extractPlan(sol.X), nil
+	p.extractPlan(sol.X, plan)
+	return nil
 }
 
-func (p *Provider) extractPlan(x []float64) *ProviderPlan {
-	plan := &ProviderPlan{X: make([]float64, p.n)}
+func (p *Provider) extractPlan(x []float64, plan *ProviderPlan) {
+	plan.reset(p.n)
 	for i := 0; i < p.n; i++ {
 		v := x[i]
 		if v < 0 {
@@ -708,7 +766,6 @@ func (p *Provider) extractPlan(x []float64) *ProviderPlan {
 		plan.X[i] = v
 		plan.Income += p.prices[i] * (v - p.mc[i])
 	}
-	return plan
 }
 
 // scheduleSlow is the allocating reference path for differential tests.
@@ -740,32 +797,34 @@ func (p *Provider) scheduleSlow(queues []float64) (*ProviderPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	plan := new(ProviderPlan)
 	if sol.Status != lp.Optimal {
 		// The same capacity-scaling degradation as the fast path: count and
 		// log it here too, so the reference path never falls back invisibly.
 		total := p.stats.FloorFallback()
 		p.log().WarnRate(p.warnLimit, "provider window not optimal with mandatory floors; scaling mandatory shares to capacity",
 			"reason", "entitlements exceed capacity", "status", sol.Status, "fallbacks", total)
-		return p.scaledMandatory(queues), nil
+		p.scaledMandatory(queues, plan)
+		return plan, nil
 	}
-	return p.extractPlan(sol.X), nil
+	p.extractPlan(sol.X, plan)
+	return plan, nil
 }
 
 // scaledMandatory distributes capacity proportionally to clipped mandatory
 // demands — the safe fallback when floors alone exceed capacity.
-func (p *Provider) scaledMandatory(queues []float64) *ProviderPlan {
-	plan := &ProviderPlan{X: make([]float64, p.n)}
+func (p *Provider) scaledMandatory(queues []float64, plan *ProviderPlan) {
+	plan.reset(p.n)
 	total := 0.0
 	for i := 0; i < p.n; i++ {
 		total += math.Min(p.mc[i], queues[i])
 	}
 	if total <= 0 {
-		return plan
+		return
 	}
 	scale := math.Min(1, p.capacity/total)
 	for i := 0; i < p.n; i++ {
 		plan.X[i] = math.Min(p.mc[i], queues[i]) * scale
 		plan.Income += p.prices[i] * (plan.X[i] - p.mc[i])
 	}
-	return plan
 }
