@@ -211,13 +211,6 @@ type Plane struct {
 	pools [2]*pool
 	gen   uint64
 
-	// hints hands out shard indices with per-P (per-core) affinity: a
-	// sync.Pool is the only runtime-blessed way to reach per-P state, and
-	// Get/Put of a tiny box is allocation-free in steady state. New() fires
-	// only when a P has no cached box, assigning shards round-robin.
-	hints   sync.Pool
-	hintSeq atomic.Uint32
-
 	// mu serializes window boundaries only; no request-path method takes it.
 	mu sync.Mutex
 	// Fold bookkeeping: last cumulative counter values per shard (under mu).
@@ -238,6 +231,19 @@ type Plane struct {
 type deciderLast struct {
 	admits, rejects uint64
 }
+
+// hints hands out shard hints with per-P (per-core) affinity: a sync.Pool
+// is the only runtime-blessed way to reach per-P state, and Get/Put of a tiny
+// box is allocation-free in steady state. New fires only when a P has no
+// cached box, numbering boxes round-robin; a plane reduces the number modulo
+// its shard count. The pool is package-level on purpose: the runtime keeps
+// every pool it has seen reachable for up to two GC cycles, and a pool
+// embedded in a Plane (or a New closure over one) would keep a dropped plane
+// — and the redirector and engine behind it — alive that long.
+var (
+	hints   = sync.Pool{New: func() any { return &shardHint{s: hintSeq.Add(1) - 1} }}
+	hintSeq atomic.Uint32
+)
 
 type shardHint struct{ s uint32 }
 
@@ -274,9 +280,6 @@ func New(cfg Config) (*Plane, error) {
 		pl.shards[s].admitted = make([]counter, n)
 		pl.lastArr[s] = make([]float64, n)
 		pl.lastAdm[s] = make([]float64, n)
-	}
-	pl.hints.New = func() any {
-		return &shardHint{s: pl.hintSeq.Add(1) - 1}
 	}
 	// The first pool goes live empty; the spare starts as a retired pool is
 	// left, every cell poison.
@@ -321,9 +324,9 @@ func (pl *Plane) Shards() int { return pl.nshards }
 
 // hint returns the caller's shard index with per-core affinity.
 func (pl *Plane) hint() int {
-	h := pl.hints.Get().(*shardHint)
+	h := hints.Get().(*shardHint)
 	s := int(h.s) % pl.nshards
-	pl.hints.Put(h)
+	hints.Put(h)
 	return s
 }
 

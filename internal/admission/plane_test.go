@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,6 +76,28 @@ func warm(t testing.TB, pl *Plane, red *core.Redirector, demand []float64, windo
 			t.Fatal(err)
 		}
 		now += 100 * time.Millisecond
+	}
+}
+
+// TestDroppedPlaneIsCollected: once its owner drops a plane, one GC cycle
+// must free it. The runtime keeps every sync.Pool it has handed a value out
+// of reachable for up to two cycles, so a pool inside the plane kept the
+// plane — and the redirector, engine and observer rings behind it — alive
+// across every reboot that replaced it.
+func TestDroppedPlaneIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		pl, red, a, b := communityPlane(t, 4)
+		warm(t, pl, red, []float64{8, 4}, 3)
+		pl.Admit(a)
+		pl.Admit(b)
+		runtime.SetFinalizer(pl, func(*Plane) { close(collected) })
+	}()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dropped plane outlived a GC cycle")
 	}
 }
 

@@ -275,11 +275,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // buildState derives a complete new scheduling generation — entitlements,
 // scheduler, fresh plan caches — from flows and the given capacity vector
-// (requests/second). When the active generation's scheduler is structurally
-// compatible, the new one is re-derived from its compiled template
-// (sched.NewCommunityFrom / NewProviderFrom) instead of recompiled. Nothing
-// visible to redirectors changes until the caller commits or stages the
-// result. Callers hold e.mu or own e exclusively.
+// (requests/second). Nothing visible to redirectors changes until the caller
+// commits or stages the result. Callers hold e.mu or own e exclusively.
 func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (schedState, error) {
 	var st schedState
 	rateAccess, err := flows.Access(capacities)
@@ -304,7 +301,7 @@ func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (sched
 				loc[i] = c * e.windowS
 			}
 		}
-		community, err := sched.NewCommunityFrom(e.cur.community, access, capWin, loc)
+		community, err := sched.NewCommunity(access, capWin, loc)
 		if err != nil {
 			return st, err
 		}
@@ -327,7 +324,7 @@ func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (sched
 			prices = append(prices, price)
 		}
 		provTotal := capacities[p] * e.windowS
-		provider, err := sched.NewProviderFrom(e.cur.provider, mc, oc, prices, provTotal)
+		provider, err := sched.NewProvider(mc, oc, prices, provTotal)
 		if err != nil {
 			return st, err
 		}

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/sched"
 )
 
@@ -25,20 +26,28 @@ func ExampleProvider_Schedule() {
 	// Output: A=512 B=128 income=0
 }
 
-// Waterfilling reproduces the Figure 7 community split without an LP
-// solver: A has twice B's load, so it is served at twice B's rate.
-func ExampleWaterfill_Schedule() {
-	w, err := sched.NewWaterfill(
-		[]float64{50, 50},   // mandatory
-		[]float64{200, 200}, // optional
-		250)
+// The Figure 7 window decision: A and B both hold [0.2, 1] agreements with a
+// 250 req/s owner and A has twice B's load, so the max–min plan serves A at
+// twice B's rate.
+func ExampleCommunity_Schedule() {
+	s := agreement.New()
+	owner := s.MustAddPrincipal("S", 250)
+	a := s.MustAddPrincipal("A", 0)
+	b := s.MustAddPrincipal("B", 0)
+	s.MustSetAgreement(owner, a, 0.2, 1)
+	s.MustSetAgreement(owner, b, 0.2, 1)
+	acc, err := s.SystemAccess()
 	if err != nil {
 		panic(err)
 	}
-	plan, err := w.Schedule([]float64{270, 135})
+	c, err := sched.NewCommunity(acc, s.Capacities(), nil)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("A=%.1f B=%.1f theta=%.3f\n", plan.X[0], plan.X[1], plan.Theta)
+	plan, err := c.Schedule([]float64{0, 270, 135})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("A=%.1f B=%.1f theta=%.3f\n", plan.Total[a], plan.Total[b], plan.Theta)
 	// Output: A=166.7 B=83.3 theta=0.617
 }

@@ -11,34 +11,38 @@
 //   - Provider: maximize the provider's income Σ_i p_i (x_i − MC_i) subject
 //     to capacity and agreement bounds.
 //
-// Both models are solved as linear programs (internal/lp) and then re-solved
-// lexicographically to maximize total throughput at the optimal primary
-// objective, so the plans are work-conserving: no server capacity is left
-// idle while admissible requests wait.
+// Both are linear programs, and both are solved exactly without a simplex
+// (the paper's §3.1.2 leaves the solving method open): the community program
+// is a parametric max-flow over a principal → owner network, θ found by a
+// Newton search over its min cuts; the provider program is a fractional
+// knapsack filled in price order. Each then maximizes total throughput at the
+// optimal primary objective — the lexicographic second pass — so the plans
+// are work-conserving: no server capacity is left idle while admissible
+// requests wait. The tests check both against the same programs solved by
+// internal/lp: θ, throughput, income and every constraint agree within 1e-6.
+// MultiCommunity, whose per-dimension costs break the flow structure, is the
+// one scheduler still solved as an LP.
 //
-// Because the paper re-solves every 100 ms window, both schedulers compile
-// their constraint structure once at construction: each Schedule call only
-// rewrites the handful of coefficients that depend on the queue vector and
-// re-solves on the scheduler's own lp.Solver, whose tableau memory persists
-// across windows, with the lexicographic second pass warm-started from the
-// first pass's basis, and writes the result into a plan the caller owns. A
-// scheduler therefore has one solve in flight at a time: callers serialize
-// (the engine does, on the lock of the generation's PlanCache). The
-// allocating from-scratch path is kept as scheduleSlow for differential
-// tests; fast and slow plans are byte-identical.
+// A scheduler preallocates its working state at construction and writes each
+// result into a plan the caller owns, so a Schedule call allocates nothing
+// once that plan has been through it. It has one solve in flight at a time:
+// callers serialize (the engine does, on the lock of the generation's
+// PlanCache).
 //
 // All quantities are in requests per time window: callers scale rate
 // entitlements (req/s) by the window duration before building a scheduler.
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/agreement"
-	"repro/internal/lp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
@@ -46,9 +50,9 @@ import (
 // ErrInput reports malformed scheduler input.
 var ErrInput = errors.New("sched: invalid input")
 
-// lexTol is how far below its optimum the primary objective may sit during
-// the lexicographic throughput pass.
-const lexTol = 1e-9
+// errFloors reports mandatory floors no plan can carry; ScheduleInto answers
+// it, and only it, by retrying without floors.
+var errFloors = errors.New("sched: mandatory floors exceed capacities")
 
 // Community schedules a community context. Construct with NewCommunity.
 type Community struct {
@@ -57,51 +61,21 @@ type Community struct {
 	capacity []float64 // per-owner server capacity, requests/window
 	locality []float64 // optional per-owner push caps c_i (nil: none)
 
-	// Compiled fast-path structure: tmpl is the LP for an all-positive
-	// queue vector; the row indices below locate the entries Schedule
-	// rewrites per call. xv[i][k] is the LP variable carrying traffic from
-	// principal i to owner k (-1 when no entitlement exists).
-	tmpl      *lp.Problem
-	obj2      []float64 // lexicographic throughput objective
-	xv        [][]lp.Var
-	servedRow []int // Σ_k x_ik − θ n_i ≥ 0      (θ coefficient ← −n_i)
-	demandRow []int // Σ_k x_ik ≤ n_i            (RHS ← n_i)
-	floorRow  []int // Σ_k x_ik ≥ min(n_i, MC_i) (RHS ← floor, 0 on fallback)
-	blockRow  []int // θ n_i ≤ 0 for unentitled i (θ coefficient ← n_i)
-	// Bound/capacity row positions, recorded so NewCommunityFrom can
-	// re-derive an existing template's bounds under renegotiated
-	// entitlements without recompiling: varHiRow[v] is variable v's upper
-	// bound row (x_ik ≤ MI+OI), capRow/locRow[k] owner k's capacity and
-	// locality rows (-1 when absent).
-	varHiRow []int
-	capRow   []int
-	locRow   []int
-
-	st solveState
+	net   flowNet
+	floor []float64 // this solve's floors min(n_i, MC_i); 0 without floors
+	order []int     // queued entitled principals by floor_i/n_i ascending
+	steps int       // flow solves of the last θ search (tests)
 
 	stats     *metrics.SolverStats
 	logger    *obs.Logger
 	warnLimit *obs.RateLimit
 }
 
-// solveState is a scheduler's mutable solve state: its own copy of the
-// template, whose queue-dependent entries every Schedule call rewrites, and
-// the solver whose tableau memory carries over from window to window. The
-// template itself stays untouched, so a later generation can be re-derived
-// from it while this one is solving.
-type solveState struct {
-	p      *lp.Problem
-	solver *lp.Solver
-}
-
-func newSolveState(tmpl *lp.Problem) solveState {
-	return solveState{p: tmpl.Clone(), solver: lp.NewSolver()}
-}
-
 // NewCommunity builds a community scheduler. capacity[k] is owner k's server
 // capacity in requests per window; acc must come from the same principal
 // numbering. locality, if non-nil, caps the requests this redirector may
-// push to each owner's servers per window (the paper's c_i extension).
+// push to each owner's servers per window (the paper's c_i extension; +Inf
+// leaves an owner uncapped).
 func NewCommunity(acc *agreement.Access, capacity, locality []float64) (*Community, error) {
 	n := len(acc.MC)
 	if len(capacity) != n {
@@ -110,85 +84,27 @@ func NewCommunity(acc *agreement.Access, capacity, locality []float64) (*Communi
 	if locality != nil && len(locality) != n {
 		return nil, fmt.Errorf("%w: locality length %d, want %d", ErrInput, len(locality), n)
 	}
-	c := &Community{n: n, acc: acc, capacity: capacity, locality: locality}
-	c.warnLimit = obs.NewRateLimit(5*time.Second, 1)
-	c.compile()
-	c.st = newSolveState(c.tmpl)
-	return c, nil
-}
-
-// NewCommunityFrom builds a community scheduler for renegotiated
-// entitlements by re-deriving the bounds of prev's compiled template: when
-// the new Access has the same entitlement sparsity and mandatory-floor
-// pattern (the common case for a pure [lb, ub] or capacity renegotiation),
-// the constraint layout is identical and only the upper-bound, capacity, and
-// locality rows need new right-hand sides — no recompilation, and the
-// template stays row-for-row identical to a fresh compile, so plans are
-// bit-identical too. Structurally incompatible inputs fall back to a full
-// NewCommunity. prev is read-only and remains valid: in-flight windows on
-// the previous generation are unaffected.
-func NewCommunityFrom(prev *Community, acc *agreement.Access, capacity, locality []float64) (*Community, error) {
-	n := len(acc.MC)
-	if prev == nil || prev.n != n || !prev.compatible(acc, locality) {
-		return NewCommunity(acc, capacity, locality)
-	}
-	if len(capacity) != n {
-		return nil, fmt.Errorf("%w: capacity length %d, want %d", ErrInput, len(capacity), n)
+	u := make([]float64, n)
+	for k := 0; k < n; k++ {
+		if v := capacity[k]; v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w: capacity[%d] = %v", ErrInput, k, v)
+		}
+		u[k] = capacity[k]
+		if locality != nil {
+			if v := locality[k]; v < 0 || math.IsNaN(v) {
+				return nil, fmt.Errorf("%w: locality[%d] = %v", ErrInput, k, v)
+			}
+			u[k] = math.Min(u[k], locality[k])
+		}
 	}
 	c := &Community{
 		n: n, acc: acc, capacity: capacity, locality: locality,
-		obj2: prev.obj2, xv: prev.xv,
-		servedRow: prev.servedRow, demandRow: prev.demandRow,
-		floorRow: prev.floorRow, blockRow: prev.blockRow,
-		varHiRow: prev.varHiRow, capRow: prev.capRow, locRow: prev.locRow,
+		net:   newFlowNet(n, func(i, k int) float64 { return acc.MI[k][i] + acc.OI[k][i] }, u),
+		floor: make([]float64, n),
+		order: make([]int, 0, n),
 	}
 	c.warnLimit = obs.NewRateLimit(5*time.Second, 1)
-	c.tmpl = prev.tmpl.Clone()
-	cons := c.tmpl.Constraints
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			if v := c.xv[i][k]; v >= 0 {
-				cons[c.varHiRow[v]].RHS = acc.MI[k][i] + acc.OI[k][i]
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		if r := c.capRow[k]; r >= 0 {
-			cons[r].RHS = capacity[k]
-		}
-		if r := c.locRow[k]; r >= 0 {
-			cons[r].RHS = locality[k]
-		}
-	}
-	c.st = newSolveState(c.tmpl)
 	return c, nil
-}
-
-// compatible reports whether acc/locality produce the same compiled row
-// structure as the receiver's: same entitlement sparsity (which x variables
-// exist), same floor pattern (which floor rows exist), and the same locality
-// row pattern.
-func (c *Community) compatible(acc *agreement.Access, locality []float64) bool {
-	if len(acc.MC) != c.n {
-		return false
-	}
-	if (c.locality == nil) != (locality == nil) {
-		return false
-	}
-	for i := 0; i < c.n; i++ {
-		if (c.acc.MC[i] > 0) != (acc.MC[i] > 0) {
-			return false
-		}
-		for k := 0; k < c.n; k++ {
-			if (c.acc.MI[k][i]+c.acc.OI[k][i] > 0) != (acc.MI[k][i]+acc.OI[k][i] > 0) {
-				return false
-			}
-		}
-		if locality != nil && math.IsInf(c.locality[i], 1) != math.IsInf(locality[i], 1) {
-			return false
-		}
-	}
-	return true
 }
 
 // SetStats wires shared fast-path telemetry (may be nil). Typically called
@@ -204,100 +120,6 @@ func (c *Community) log() *obs.Logger {
 		return c.logger
 	}
 	return obs.Default().With("sched")
-}
-
-// compile builds the constraint template once. It emits rows in exactly the
-// order the from-scratch path does for an all-positive queue vector, so the
-// fast path's pivot sequence — and therefore its plans — are identical.
-func (c *Community) compile() {
-	n := c.n
-	b := lp.NewBuilder()
-	theta := b.NewVar(1)
-	b.Bound(theta, 0, 1)
-	c.varHiRow = append(c.varHiRow[:0], b.NumConstraints()-1)
-
-	c.xv = make([][]lp.Var, n)
-	for i := 0; i < n; i++ {
-		c.xv[i] = make([]lp.Var, n)
-		for k := 0; k < n; k++ {
-			c.xv[i][k] = -1
-			if hi := c.acc.MI[k][i] + c.acc.OI[k][i]; hi > 0 {
-				v := b.NewVar(0)
-				b.Bound(v, 0, hi)
-				c.varHiRow = append(c.varHiRow, b.NumConstraints()-1)
-				c.xv[i][k] = v
-			}
-		}
-	}
-
-	c.servedRow = filled(n, -1)
-	c.demandRow = filled(n, -1)
-	c.floorRow = filled(n, -1)
-	c.blockRow = filled(n, -1)
-	for i := 0; i < n; i++ {
-		// Placeholder coefficients/RHS (for n_i = 1) are rewritten by every
-		// Schedule call before solving.
-		terms := []lp.Term{lp.T(theta, -1)}
-		var sum []lp.Term
-		for k := 0; k < n; k++ {
-			if c.xv[i][k] >= 0 {
-				terms = append(terms, lp.T(c.xv[i][k], 1))
-				sum = append(sum, lp.T(c.xv[i][k], 1))
-			}
-		}
-		if len(sum) == 0 {
-			// No entitlement anywhere: θ must account for an unserved queue.
-			c.blockRow[i] = b.NumConstraints()
-			b.Constrain(lp.LE, 0, lp.T(theta, 1))
-			continue
-		}
-		c.servedRow[i] = b.NumConstraints()
-		b.Constrain(lp.GE, 0, terms...)
-		c.demandRow[i] = b.NumConstraints()
-		b.Constrain(lp.LE, 1, sum...)
-		// Mandatory floor Σ_k x_ik ≥ min(n_i, MC_i) — the paper's lower
-		// bound, clipped to demand instead of dropped so a principal whose
-		// queue is below its mandatory level is still served in full.
-		if c.acc.MC[i] > 0 {
-			c.floorRow[i] = b.NumConstraints()
-			b.Constrain(lp.GE, 1, sum...)
-		}
-	}
-
-	// Server capacity: Σ_i x_ik ≤ V_k, and locality caps.
-	c.capRow = filled(n, -1)
-	c.locRow = filled(n, -1)
-	for k := 0; k < n; k++ {
-		var load []lp.Term
-		for i := 0; i < n; i++ {
-			if c.xv[i][k] >= 0 {
-				load = append(load, lp.T(c.xv[i][k], 1))
-			}
-		}
-		if len(load) == 0 {
-			continue
-		}
-		c.capRow[k] = b.NumConstraints()
-		b.Constrain(lp.LE, c.capacity[k], load...)
-		if c.locality != nil && !math.IsInf(c.locality[k], 1) {
-			c.locRow[k] = b.NumConstraints()
-			b.Constrain(lp.LE, c.locality[k], load...)
-		}
-	}
-
-	c.tmpl = b.Problem()
-	c.obj2 = make([]float64, b.NumVars())
-	for j := 1; j < len(c.obj2); j++ {
-		c.obj2[j] = 1 // every x variable; θ stays out of the throughput pass
-	}
-}
-
-func filled(n, v int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
 }
 
 // Plan is the result of a community scheduling decision.
@@ -342,7 +164,7 @@ func (p *Plan) CopyFrom(src *Plan) {
 	p.Theta = src.Theta
 }
 
-// Schedule solves the community LP for the given global queue lengths
+// Schedule solves the community program for the given global queue lengths
 // (requests per window, indexed by principal) into a new Plan.
 func (c *Community) Schedule(queues []float64) (*Plan, error) {
 	plan := new(Plan)
@@ -365,9 +187,9 @@ func (c *Community) ScheduleInto(queues []float64, plan *Plan) error {
 		}
 	}
 
-	err := c.solveFast(queues, true, plan)
-	if err == nil {
-		return nil
+	err := c.solve(queues, true, plan)
+	if !errors.Is(err, errFloors) {
+		return err
 	}
 	// Mandatory floors can only be infeasible if entitlements exceed
 	// capacities (possible when the caller's Access and capacity vectors
@@ -377,163 +199,126 @@ func (c *Community) ScheduleInto(queues []float64, plan *Plan) error {
 	total := c.stats.FloorFallback()
 	c.log().WarnRate(c.warnLimit, "community window infeasible with mandatory floors; retrying without floors",
 		"reason", "entitlements exceed capacities", "err", err, "fallbacks", total)
-	return c.solveFast(queues, false, plan)
+	return c.solve(queues, false, plan)
 }
 
-// solveFast rewrites the queue-dependent entries of the scheduler's template
-// copy in place, solves it on the persistent solver and reads the assignment
-// out into plan.
-func (c *Community) solveFast(queues []float64, floors bool, plan *Plan) error {
-	cons := c.st.p.Constraints
-	for i := 0; i < c.n; i++ {
-		q := queues[i]
-		if r := c.servedRow[i]; r >= 0 {
-			cons[r].Coeffs[0] = -q
-			cons[c.demandRow[i]].RHS = q
-		}
-		if r := c.floorRow[i]; r >= 0 {
-			floor := 0.0
-			if floors {
-				floor = math.Min(q, c.acc.MC[i])
+// maxSteps bounds the θ search: the minimal min cuts it visits shrink
+// strictly, so it needs at most one flow solve per node of the network and
+// one more to confirm θ*. Running out is a solver error, never a fallback.
+func (c *Community) maxSteps() int { return 2*c.n + 4 }
+
+// solve computes θ* and the throughput-maximal flow at θ* into plan.
+//
+// θ is feasible iff the max-flow with source capacities L_i(θ) =
+// max(θ·n_i, floor_i) saturates all of them. The search starts at θ = 1 (0
+// when a queued principal has no entitlement: its queue can never be served)
+// and, while θ is infeasible, takes the source side S of the min cut and
+// steps to the largest θ' with Σ_{i∈S} L_i(θ') = cut(S) — Newton's method on
+// the concave function min over cuts of cut(S) − Σ_{i∈S} L_i(θ), so θ falls
+// monotonically onto θ*. Floors that overflow a cut at θ = 0 return
+// errFloors. The throughput pass then raises the source capacities to n_i
+// and keeps augmenting; augmenting paths never take flow off a source edge,
+// so every principal keeps at least L_i(θ*).
+func (c *Community) solve(queues []float64, floors bool, plan *Plan) error {
+	g := &c.net
+	theta, total := 1.0, 0.0
+	c.order = c.order[:0]
+	for i, q := range queues {
+		c.floor[i] = 0
+		total += q
+		if g.outDeg[i] == 0 {
+			if q > 0 {
+				theta = 0
 			}
-			cons[r].RHS = floor
+			continue
 		}
-		if r := c.blockRow[i]; r >= 0 {
-			cons[r].Coeffs[0] = q
+		if floors {
+			c.floor[i] = math.Min(q, c.acc.MC[i])
 		}
+		if q > 0 {
+			c.order = append(c.order, i)
+		}
+	}
+	slices.SortFunc(c.order, func(a, b int) int {
+		return cmp.Compare(c.floor[a]/queues[a], c.floor[b]/queues[b])
+	})
+	eps, tol := 1e-12*math.Max(1, total), 1e-9*math.Max(1, total)
+
+	for c.steps = 1; ; c.steps++ {
+		if c.steps > c.maxSteps() {
+			return fmt.Errorf("sched: community θ search did not converge in %d flow solves", c.maxSteps())
+		}
+		want, got := 0.0, 0.0
+		for i, q := range queues {
+			l := math.Max(theta*q, c.floor[i])
+			g.cap[g.srcEdge[i]] = l
+			want += l
+		}
+		g.reset()
+		g.maxflow(eps)
+		for i := range queues {
+			got += g.sourceFlow(i)
+		}
+		if want-got <= tol {
+			break
+		}
+		if theta == 0 {
+			return errFloors
+		}
+		next := c.newton(queues, tol)
+		if next < 0 {
+			return errFloors
+		}
+		theta = math.Min(next, theta)
 	}
 
-	sol, err := c.st.solver.SolveLex(c.st.p, lexTol, c.obj2)
-	if err != nil {
-		return err
+	for i, q := range queues {
+		g.cap[g.srcEdge[i]] = q
 	}
-	if sol.Status != lp.Optimal {
-		return fmt.Errorf("sched: community LP %v", sol.Status)
-	}
+	g.maxflow(eps)
 	plan.reset(c.n)
-	plan.Theta = sol.Primary
-	for i := 0; i < c.n; i++ {
-		for k := 0; k < c.n; k++ {
-			if v := c.xv[i][k]; v >= 0 {
-				val := sol.X[v]
-				if val < 0 {
-					val = 0
-				}
-				plan.X[i][k] = val
-				plan.Total[i] += val
-			}
-		}
+	plan.Theta = theta
+	for _, p := range g.pairs {
+		v := math.Max(g.flow[p.e], 0)
+		plan.X[p.i][p.k] = v
+		plan.Total[p.i] += v
 	}
 	return nil
 }
 
-// scheduleSlow is the allocating reference path: it rebuilds the whole
-// program through a Builder on every call and solves it on a fresh solver.
-// Differential tests assert the fast path matches it byte for byte.
-func (c *Community) scheduleSlow(queues []float64) (*Plan, error) {
-	plan, err := c.solveSlow(queues, true)
-	if err == nil {
-		return plan, nil
-	}
-	return c.solveSlow(queues, false)
-}
-
-func (c *Community) solveSlow(queues []float64, floors bool) (*Plan, error) {
-	n := c.n
-	b := lp.NewBuilder()
-	theta := b.NewVar(1)
-	b.Bound(theta, 0, 1)
-
-	// x[i][k] variables only where an entitlement exists.
-	x := make([][]lp.Var, n)
-	for i := 0; i < n; i++ {
-		x[i] = make([]lp.Var, n)
-		for k := 0; k < n; k++ {
-			x[i][k] = -1
-			if queues[i] <= 0 {
-				continue
-			}
-			if hi := c.acc.MI[k][i] + c.acc.OI[k][i]; hi > 0 {
-				x[i][k] = b.NewVar(0)
-				b.Bound(x[i][k], 0, hi)
-			}
+// newton returns the largest θ at which the principals S on the source side
+// of the last min cut fit through it, Σ_{i∈S} max(θ·n_i, floor_i) = cut(S),
+// or -1 when their floors alone overflow it. The left side is convex and
+// piecewise linear with breakpoints floor_i/n_i, walked in c.order.
+func (c *Community) newton(queues []float64, tol float64) float64 {
+	g := &c.net
+	cut := g.cutCapacity()
+	inS := func(i int) bool { return g.level[principalNode(i)] >= 0 }
+	fl, slope := 0.0, 0.0 // Σ floor_i of S below its breakpoint; Σ n_i above
+	for _, i := range c.order {
+		if inS(i) {
+			fl += c.floor[i]
 		}
 	}
-
-	for i := 0; i < n; i++ {
-		if queues[i] <= 0 {
+	if fl > cut+tol {
+		return -1
+	}
+	lo := 0.0
+	for _, i := range c.order {
+		if !inS(i) {
 			continue
 		}
-		terms := []lp.Term{lp.T(theta, -queues[i])}
-		var sum []lp.Term
-		for k := 0; k < n; k++ {
-			if x[i][k] >= 0 {
-				terms = append(terms, lp.T(x[i][k], 1))
-				sum = append(sum, lp.T(x[i][k], 1))
+		b := c.floor[i] / queues[i]
+		if slope > 0 {
+			if th := (cut - fl) / slope; th <= b {
+				return math.Max(th, lo)
 			}
 		}
-		if len(sum) == 0 {
-			b.Constrain(lp.LE, 0, lp.T(theta, queues[i]))
-			continue
-		}
-		// Σ_k x_ik − θ n_i ≥ 0.
-		b.Constrain(lp.GE, 0, terms...)
-		// Σ_k x_ik ≤ n_i.
-		b.Constrain(lp.LE, queues[i], sum...)
-		if floors {
-			if floor := math.Min(queues[i], c.acc.MC[i]); floor > 0 {
-				b.Constrain(lp.GE, floor, sum...)
-			}
-		}
+		fl -= c.floor[i]
+		slope += queues[i]
+		lo = b
 	}
-
-	for k := 0; k < n; k++ {
-		var load []lp.Term
-		for i := 0; i < n; i++ {
-			if x[i][k] >= 0 {
-				load = append(load, lp.T(x[i][k], 1))
-			}
-		}
-		if len(load) == 0 {
-			continue
-		}
-		b.Constrain(lp.LE, c.capacity[k], load...)
-		if c.locality != nil && !math.IsInf(c.locality[k], 1) {
-			b.Constrain(lp.LE, c.locality[k], load...)
-		}
-	}
-
-	obj2 := make([]float64, b.NumVars())
-	for j := 1; j < len(obj2); j++ {
-		obj2[j] = 1
-	}
-	sol, err := lp.SolveLex(b.Problem(), lexTol, obj2)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, fmt.Errorf("sched: community LP %v", sol.Status)
-	}
-
-	plan := &Plan{
-		X:     make([][]float64, n),
-		Total: make([]float64, n),
-		Theta: sol.Primary,
-	}
-	for i := 0; i < n; i++ {
-		plan.X[i] = make([]float64, n)
-		for k := 0; k < n; k++ {
-			if x[i][k] >= 0 {
-				v := sol.X[x[i][k]]
-				if v < 0 {
-					v = 0
-				}
-				plan.X[i][k] = v
-				plan.Total[i] += v
-			}
-		}
-	}
-	return plan, nil
+	return math.Max((cut-fl)/slope, lo)
 }
 
 // Provider schedules a single service provider's servers across customers.
@@ -542,17 +327,7 @@ type Provider struct {
 	mc, oc   []float64 // per-customer entitlements, requests/window
 	prices   []float64
 	capacity float64 // aggregate server capacity, requests/window
-
-	// Compiled fast-path structure (see Community for the pattern).
-	tmpl  *lp.Problem
-	obj2  []float64
-	loRow []int // x_i ≥ min(MC_i, n_i)                 (RHS ← lo)
-	hiRow []int // x_i ≤ min(MC_i+OC_i, n_i, capacity)  (RHS ← hi)
-	// capRow is the aggregate capacity row, recorded so NewProviderFrom can
-	// re-derive the template under renegotiated entitlements.
-	capRow int
-
-	st solveState
+	byPrice  []int   // customers by descending price, ties by ascending index
 
 	stats     *metrics.SolverStats
 	logger    *obs.Logger
@@ -577,60 +352,13 @@ func NewProvider(mc, oc, prices []float64, capacity float64) (*Provider, error) 
 			return nil, fmt.Errorf("%w: negative entitlement or price for customer %d", ErrInput, i)
 		}
 	}
-	p := &Provider{n: n, mc: mc, oc: oc, prices: prices, capacity: capacity}
+	p := &Provider{n: n, mc: mc, oc: oc, prices: prices, capacity: capacity, byPrice: make([]int, n)}
+	for i := range p.byPrice {
+		p.byPrice[i] = i
+	}
+	sort.SliceStable(p.byPrice, func(a, b int) bool { return prices[p.byPrice[a]] > prices[p.byPrice[b]] })
 	p.warnLimit = obs.NewRateLimit(5*time.Second, 1)
-	p.compile()
-	p.st = newSolveState(p.tmpl)
 	return p, nil
-}
-
-// NewProviderFrom builds a provider scheduler for renegotiated entitlements
-// by re-deriving the bounds of prev's compiled template. Schedule rewrites
-// the per-customer lo/hi rows from mc/oc/capacity on every call, so when the
-// floor pattern (mc_i > 0) and the compiled price objective are unchanged
-// only the aggregate capacity row needs a new right-hand side. Incompatible
-// inputs fall back to a full NewProvider; prev remains valid either way.
-func NewProviderFrom(prev *Provider, mc, oc, prices []float64, capacity float64) (*Provider, error) {
-	if prev == nil || !prev.compatible(mc, prices) {
-		return NewProvider(mc, oc, prices, capacity)
-	}
-	n := len(mc)
-	if len(oc) != n || len(prices) != n {
-		return nil, fmt.Errorf("%w: mc/oc/prices lengths %d/%d/%d", ErrInput, n, len(oc), len(prices))
-	}
-	if capacity < 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("%w: capacity %v", ErrInput, capacity)
-	}
-	for i := 0; i < n; i++ {
-		if mc[i] < 0 || oc[i] < 0 {
-			return nil, fmt.Errorf("%w: negative entitlement for customer %d", ErrInput, i)
-		}
-	}
-	p := &Provider{
-		n: n, mc: mc, oc: oc, prices: prices, capacity: capacity,
-		obj2: prev.obj2, loRow: prev.loRow, hiRow: prev.hiRow, capRow: prev.capRow,
-	}
-	p.warnLimit = obs.NewRateLimit(5*time.Second, 1)
-	p.tmpl = prev.tmpl.Clone()
-	p.tmpl.Constraints[p.capRow].RHS = capacity
-	p.st = newSolveState(p.tmpl)
-	return p, nil
-}
-
-// compatible reports whether mc/prices produce the same compiled row
-// structure and objective as the receiver's: the same floor pattern (which
-// lo rows exist) and identical per-request prices (compiled into the
-// objective, not rewritten per call).
-func (p *Provider) compatible(mc, prices []float64) bool {
-	if len(mc) != p.n || len(prices) != p.n {
-		return false
-	}
-	for i := 0; i < p.n; i++ {
-		if (p.mc[i] > 0) != (mc[i] > 0) || p.prices[i] != prices[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SetStats wires shared fast-path telemetry (may be nil).
@@ -645,33 +373,6 @@ func (p *Provider) log() *obs.Logger {
 		return p.logger
 	}
 	return obs.Default().With("sched")
-}
-
-// compile builds the provider template, mirroring the from-scratch build
-// order for an all-positive queue vector.
-func (p *Provider) compile() {
-	b := lp.NewBuilder()
-	p.loRow = filled(p.n, -1)
-	p.hiRow = filled(p.n, -1)
-	var all []lp.Term
-	for i := 0; i < p.n; i++ {
-		v := b.NewVar(p.prices[i])
-		if p.mc[i] > 0 {
-			p.loRow[i] = b.NumConstraints()
-			b.Constrain(lp.GE, p.mc[i], lp.T(v, 1))
-		}
-		p.hiRow[i] = b.NumConstraints()
-		b.Constrain(lp.LE, math.Min(p.mc[i]+p.oc[i], p.capacity), lp.T(v, 1))
-		all = append(all, lp.T(v, 1))
-	}
-	p.capRow = b.NumConstraints()
-	b.Constrain(lp.LE, p.capacity, all...)
-
-	p.tmpl = b.Problem()
-	p.obj2 = make([]float64, p.n)
-	for j := range p.obj2 {
-		p.obj2[j] = 1
-	}
 }
 
 // ProviderPlan is the result of a provider scheduling decision.
@@ -701,8 +402,8 @@ func (pp *ProviderPlan) CopyFrom(src *ProviderPlan) {
 	pp.Income = src.Income
 }
 
-// Schedule solves the provider LP for the given per-customer queue lengths
-// into a new ProviderPlan.
+// Schedule solves the provider program for the given per-customer queue
+// lengths into a new ProviderPlan.
 func (p *Provider) Schedule(queues []float64) (*ProviderPlan, error) {
 	plan := new(ProviderPlan)
 	if err := p.ScheduleInto(queues, plan); err != nil {
@@ -714,6 +415,12 @@ func (p *Provider) Schedule(queues []float64) (*ProviderPlan, error) {
 // ScheduleInto is Schedule writing into plan, whose buffer it reuses: the
 // per-window form, which allocates nothing once plan has been through it. On
 // error plan's contents are unspecified. Not safe for concurrent use.
+//
+// The program has one coupling row, capacity, so it is a fractional
+// knapsack: every customer first gets its floor min(MC_i, n_i), then the
+// remaining capacity goes to customers in descending price order, each up
+// to min(MC_i+OC_i, n_i, V). Zero-price customers come last and still fill,
+// which is the throughput pass at optimal income.
 func (p *Provider) ScheduleInto(queues []float64, plan *ProviderPlan) error {
 	if len(queues) != p.n {
 		return fmt.Errorf("%w: queues length %d, want %d", ErrInput, len(queues), p.n)
@@ -724,91 +431,36 @@ func (p *Provider) ScheduleInto(queues []float64, plan *ProviderPlan) error {
 		}
 	}
 
-	cons := p.st.p.Constraints
-	for i := 0; i < p.n; i++ {
-		q := queues[i]
-		lo := math.Min(p.mc[i], q)                               // mandatory, clipped to demand
-		hi := math.Min(math.Min(p.mc[i]+p.oc[i], q), p.capacity) // agreement + demand
-		if hi < lo {
-			hi = lo
-		}
-		if r := p.loRow[i]; r >= 0 {
-			cons[r].RHS = lo
-		}
-		cons[p.hiRow[i]].RHS = hi
+	plan.reset(p.n)
+	rem := p.capacity
+	for i, q := range queues {
+		plan.X[i] = math.Min(p.mc[i], q) // mandatory, clipped to demand
+		rem -= plan.X[i]
 	}
-
-	sol, err := p.st.solver.SolveLex(p.st.p, lexTol, p.obj2)
-	if err != nil {
-		return err
-	}
-	if sol.Status != lp.Optimal {
+	if rem < -1e-9*math.Max(1, p.capacity) {
 		// Mandatory floors exceed capacity: serve mandatory shares scaled
 		// proportionally instead of failing the window, and surface the
 		// entitlement/capacity disagreement.
 		total := p.stats.FloorFallback()
-		p.log().WarnRate(p.warnLimit, "provider window not optimal with mandatory floors; scaling mandatory shares to capacity",
-			"reason", "entitlements exceed capacity", "status", sol.Status, "fallbacks", total)
+		p.log().WarnRate(p.warnLimit, "provider window infeasible with mandatory floors; scaling mandatory shares to capacity",
+			"reason", "entitlements exceed capacity", "fallbacks", total)
 		p.scaledMandatory(queues, plan)
 		return nil
 	}
-	p.extractPlan(sol.X, plan)
+	for _, i := range p.byPrice {
+		if rem <= 0 {
+			break
+		}
+		hi := math.Min(math.Min(p.mc[i]+p.oc[i], queues[i]), p.capacity) // agreement + demand
+		if add := math.Min(hi-plan.X[i], rem); add > 0 {
+			plan.X[i] += add
+			rem -= add
+		}
+	}
+	for i, x := range plan.X {
+		plan.Income += p.prices[i] * (x - p.mc[i])
+	}
 	return nil
-}
-
-func (p *Provider) extractPlan(x []float64, plan *ProviderPlan) {
-	plan.reset(p.n)
-	for i := 0; i < p.n; i++ {
-		v := x[i]
-		if v < 0 {
-			v = 0
-		}
-		plan.X[i] = v
-		plan.Income += p.prices[i] * (v - p.mc[i])
-	}
-}
-
-// scheduleSlow is the allocating reference path for differential tests.
-func (p *Provider) scheduleSlow(queues []float64) (*ProviderPlan, error) {
-	b := lp.NewBuilder()
-	xs := make([]lp.Var, p.n)
-	var all []lp.Term
-	for i := 0; i < p.n; i++ {
-		q := queues[i]
-		if q < 0 || math.IsNaN(q) || math.IsInf(q, 0) {
-			return nil, fmt.Errorf("%w: queue[%d] = %v", ErrInput, i, q)
-		}
-		xs[i] = b.NewVar(p.prices[i])
-		lo := math.Min(p.mc[i], q)
-		hi := math.Min(math.Min(p.mc[i]+p.oc[i], q), p.capacity)
-		if hi < lo {
-			hi = lo
-		}
-		b.Bound(xs[i], lo, hi)
-		all = append(all, lp.T(xs[i], 1))
-	}
-	b.Constrain(lp.LE, p.capacity, all...)
-
-	obj2 := make([]float64, p.n)
-	for j := range obj2 {
-		obj2[j] = 1
-	}
-	sol, err := lp.SolveLex(b.Problem(), lexTol, obj2)
-	if err != nil {
-		return nil, err
-	}
-	plan := new(ProviderPlan)
-	if sol.Status != lp.Optimal {
-		// The same capacity-scaling degradation as the fast path: count and
-		// log it here too, so the reference path never falls back invisibly.
-		total := p.stats.FloorFallback()
-		p.log().WarnRate(p.warnLimit, "provider window not optimal with mandatory floors; scaling mandatory shares to capacity",
-			"reason", "entitlements exceed capacity", "status", sol.Status, "fallbacks", total)
-		p.scaledMandatory(queues, plan)
-		return plan, nil
-	}
-	p.extractPlan(sol.X, plan)
-	return plan, nil
 }
 
 // scaledMandatory distributes capacity proportionally to clipped mandatory

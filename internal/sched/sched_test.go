@@ -1,12 +1,14 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/agreement"
+	"repro/internal/metrics"
 )
 
 const tol = 1e-6
@@ -104,6 +106,129 @@ func TestCommunityFig7ThetaSplit(t *testing.T) {
 	}
 	if math.Abs(plan.Theta-250.0/405) > 1e-6 {
 		t.Fatalf("theta = %g, want %g", plan.Theta, 250.0/405)
+	}
+}
+
+// onePool builds a community with one owner, principal 0, of the given
+// capacity and one principal per entry of mc/oc holding [mc, mc+oc] of it. A
+// single pool is plain water-filling — floors first, then a common served
+// fraction rising until capacity or a cap binds — and the tests named after
+// it pin that arithmetic on the flow solver.
+func onePool(t testing.TB, mc, oc []float64, capacity float64) *Community {
+	t.Helper()
+	n := len(mc) + 1
+	acc := &agreement.Access{MI: make([][]float64, n), OI: make([][]float64, n), MC: make([]float64, n), OC: make([]float64, n)}
+	for k := range acc.MI {
+		acc.MI[k], acc.OI[k] = make([]float64, n), make([]float64, n)
+	}
+	for i := range mc {
+		acc.MI[0][i+1], acc.OI[0][i+1] = mc[i], oc[i]
+		acc.MC[i+1], acc.OC[i+1] = mc[i], oc[i]
+	}
+	capacities := make([]float64, n)
+	capacities[0] = capacity
+	c, err := NewCommunity(acc, capacities, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetLogger(quietLogger)
+	return c
+}
+
+func TestWaterfillBasicSplit(t *testing.T) {
+	// Figure 7 arithmetic: both [0.2,1] of 250, queues 270/135.
+	plan, err := onePool(t, []float64{50, 50}, []float64{200, 200}, 250).Schedule([]float64{0, 270, 135})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, wantB := 250.0*270/405, 250.0*135/405
+	if math.Abs(plan.Total[1]-wantA) > 1e-6 || math.Abs(plan.Total[2]-wantB) > 1e-6 {
+		t.Fatalf("totals = %v, want [0 %g %g]", plan.Total, wantA, wantB)
+	}
+	if math.Abs(plan.Theta-250.0/405) > 1e-9 {
+		t.Fatalf("theta = %v", plan.Theta)
+	}
+}
+
+func TestWaterfillFloorsBind(t *testing.T) {
+	// Figure 6 arithmetic: B's 135 below its 256 floor, A absorbs the rest.
+	plan, err := onePool(t, []float64{64, 256}, []float64{256, 64}, 320).Schedule([]float64{0, 270, 135})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(plan.Total[2]-135) > 1e-6 || math.Abs(plan.Total[1]-185) > 1e-6 {
+		t.Fatalf("totals = %v, want [0 185 135]", plan.Total)
+	}
+}
+
+// TestWaterfillOverloadedFloorsScale: floors beyond the pool are dropped and
+// counted; the max–min split without them is proportional to the queues.
+func TestWaterfillOverloadedFloorsScale(t *testing.T) {
+	c := onePool(t, []float64{300, 100}, []float64{0, 0}, 200)
+	stats := &metrics.SolverStats{}
+	c.SetStats(stats)
+	plan, err := c.Schedule([]float64{0, 300, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(plan.Total[1]-150) > 1e-6 || math.Abs(plan.Total[2]-50) > 1e-6 {
+		t.Fatalf("totals = %v, want proportional [0 150 50]", plan.Total)
+	}
+	if stats.FloorFallbacks() != 1 {
+		t.Fatalf("floor fallbacks = %d, want 1", stats.FloorFallbacks())
+	}
+}
+
+func TestWaterfillZeroAndEdgeInputs(t *testing.T) {
+	c := onePool(t, []float64{10}, []float64{10}, 100)
+	plan, err := c.Schedule([]float64{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Total[1] != 0 || plan.Theta != 1 {
+		t.Fatalf("plan = %+v, want nothing served at θ = 1", plan)
+	}
+	if _, err := c.Schedule([]float64{0, -1}); err == nil {
+		t.Fatal("negative queue accepted")
+	}
+	if _, err := c.Schedule([]float64{1, 2, 3}); err == nil {
+		t.Fatal("wrong length accepted")
+	}
+	for _, bad := range []float64{-1, math.Inf(1), math.NaN()} {
+		if _, err := NewCommunity(c.acc, []float64{bad, 0}, nil); err == nil {
+			t.Fatalf("capacity %v accepted", bad)
+		}
+	}
+	// +Inf locality leaves an owner uncapped.
+	for _, bad := range []float64{-1, math.Inf(-1), math.NaN()} {
+		if _, err := NewCommunity(c.acc, []float64{100, 0}, []float64{bad, 0}); err == nil {
+			t.Fatalf("locality %v accepted", bad)
+		}
+	}
+}
+
+// TestQuickWaterfillMatchesLP holds random single pools to the LP oracle.
+func TestQuickWaterfillMatchesLP(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(5)
+		capacity := float64(100 + rng.Intn(400))
+		mc := make([]float64, n)
+		oc := make([]float64, n)
+		queues := make([]float64, n+1)
+		budget := 1.0
+		for i := 0; i < n; i++ {
+			frac := rng.Float64() * budget
+			budget -= frac
+			mc[i] = frac * capacity
+			oc[i] = rng.Float64() * capacity
+			queues[i+1] = float64(rng.Intn(600))
+		}
+		checkCommunity(t, onePool(t, mc, oc, capacity), queues)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -529,6 +654,60 @@ func BenchmarkProviderSchedule(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.Schedule(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ringCommunity is window_churn's agreement graph (bench/window.go) at its
+// 50 ms window: twelve peers owning 100 requests/window each, peer i granting
+// [0.2, 0.5] to peer i+1 and [0.1, 0.3] to peer i+5 — one connected
+// component. ringQueues are demand vectors around its capacity, as that
+// workload's random walk offers them.
+func ringCommunity(t testing.TB) (*Community, [][]float64) {
+	t.Helper()
+	const n = 12
+	s := agreement.New()
+	ps := make([]agreement.Principal, n)
+	for i := range ps {
+		ps[i] = s.MustAddPrincipal(fmt.Sprintf("P%02d", i), 100)
+	}
+	for i := range ps {
+		s.MustSetAgreement(ps[i], ps[(i+1)%n], 0.2, 0.5)
+		s.MustSetAgreement(ps[i], ps[(i+5)%n], 0.1, 0.3)
+	}
+	acc, err := s.SystemAccess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCommunity(acc, s.Capacities(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	queues := make([][]float64, 64)
+	for v := range queues {
+		queues[v] = make([]float64, n)
+		for i := range queues[v] {
+			queues[v][i] = 80 + 70*rng.Float64()
+		}
+	}
+	return c, queues
+}
+
+func TestCommunityRingMatchesLP(t *testing.T) {
+	c, queues := ringCommunity(t)
+	for _, q := range queues {
+		checkCommunity(t, c, q)
+	}
+}
+
+func BenchmarkCommunityRing12(b *testing.B) {
+	c, queues := ringCommunity(b)
+	var plan Plan
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := c.ScheduleInto(queues[i%len(queues)], &plan); err != nil {
 			b.Fatal(err)
 		}
 	}
