@@ -15,9 +15,11 @@
 package agreement
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -51,8 +53,22 @@ type System struct {
 	names      []string
 	capacities []float64
 	byName     map[string]Principal
-	// edges[owner][user] = [lb, ub]; absent means no agreement.
-	edges []map[Principal][2]float64
+	// out[owner] lists owner's direct agreements sorted by user. The lists
+	// are the fold's adjacency, and every sum over an owner's edges runs in
+	// their order. A list is never written once installed — SetAgreement and
+	// ApplySet replace it — so clones share them.
+	out [][]flowEdge
+}
+
+// flowEdge is one direct agreement in its owner's edge list.
+type flowEdge struct {
+	to     Principal
+	lb, ub float64
+}
+
+// find locates user in owner's list: its index, or where it would go.
+func (s *System) find(owner, user Principal) (int, bool) {
+	return slices.BinarySearchFunc(s.out[owner], user, func(e flowEdge, u Principal) int { return cmp.Compare(e.to, u) })
 }
 
 // New returns an empty agreement system.
@@ -74,7 +90,7 @@ func (s *System) AddPrincipal(name string, capacity float64) (Principal, error) 
 	p := Principal(len(s.names))
 	s.names = append(s.names, name)
 	s.capacities = append(s.capacities, capacity)
-	s.edges = append(s.edges, nil)
+	s.out = append(s.out, nil)
 	s.byName[name] = p
 	return p, nil
 }
@@ -149,24 +165,36 @@ func (s *System) SetAgreement(owner, user Principal, lb, ub float64) error {
 	if math.IsNaN(lb) || math.IsNaN(ub) || lb < 0 || ub < lb || ub > 1 {
 		return fmt.Errorf("%w: [%v, %v]", ErrBadBounds, lb, ub)
 	}
-	if lb == 0 && ub == 0 {
-		delete(s.edges[owner], user)
+	at, found := s.find(owner, user)
+	old := s.out[owner]
+	remove := lb == 0 && ub == 0
+	if remove && !found {
 		return nil
 	}
-	// The sum of mandatory grants out of a currency cannot exceed its face.
-	total := lb
-	for u, b := range s.edges[owner] {
-		if u != user {
-			total += b[0]
+	if !remove {
+		// The sum of mandatory grants out of a currency cannot exceed its face.
+		total := lb
+		for _, e := range old {
+			if e.to != user {
+				total += e.lb
+			}
+		}
+		if total > 1+1e-12 {
+			return fmt.Errorf("%w: %s would grant %.3f mandatorily", ErrOverCommitted, s.names[owner], total)
 		}
 	}
-	if total > 1+1e-12 {
-		return fmt.Errorf("%w: %s would grant %.3f mandatorily", ErrOverCommitted, s.names[owner], total)
+	// Copy on write: the installed list may be shared with clones.
+	next := append(make([]flowEdge, 0, len(old)+1), old[:at]...)
+	if !remove {
+		next = append(next, flowEdge{to: user, lb: lb, ub: ub})
 	}
-	if s.edges[owner] == nil {
-		s.edges[owner] = make(map[Principal][2]float64)
+	if found {
+		at++
 	}
-	s.edges[owner][user] = [2]float64{lb, ub}
+	if next = append(next, old[at:]...); len(next) == 0 {
+		next = nil
+	}
+	s.out[owner] = next
 	return nil
 }
 
@@ -183,41 +211,41 @@ func (s *System) AgreementBetween(owner, user Principal) (lb, ub float64, ok boo
 	if !s.valid(owner) {
 		return 0, 0, false
 	}
-	b, ok := s.edges[owner][user]
-	return b[0], b[1], ok
+	at, ok := s.find(owner, user)
+	if !ok {
+		return 0, 0, false
+	}
+	e := s.out[owner][at]
+	return e.lb, e.ub, true
 }
 
 // Agreements returns all direct agreements in a deterministic order
 // (by owner, then user).
 func (s *System) Agreements() []Agreement {
-	var out []Agreement
-	for o := range s.edges {
-		users := make([]Principal, 0, len(s.edges[o]))
-		for u := range s.edges[o] {
-			users = append(users, u)
-		}
-		sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-		for _, u := range users {
-			b := s.edges[o][u]
-			out = append(out, Agreement{Owner: Principal(o), User: u, LB: b[0], UB: b[1]})
+	total := 0
+	for _, es := range s.out {
+		total += len(es)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Agreement, 0, total)
+	for o, es := range s.out {
+		for _, e := range es {
+			out = append(out, Agreement{Owner: Principal(o), User: e.to, LB: e.lb, UB: e.ub})
 		}
 	}
 	return out
 }
 
 // mandatoryOut is Σ_j lb_pj — the fraction of p's currency granted away
-// mandatorily (the "leak" in Figure 5b). Summation runs in sorted user order
-// so the float result is identical across calls; fold determinism (and with
-// it the control plane's bit-reproducible rollouts) depends on it.
+// mandatorily (the "leak" in Figure 5b), summed in p's list order so the
+// float result is identical across calls; fold determinism (and with it the
+// control plane's bit-reproducible rollouts) depends on it.
 func (s *System) mandatoryOut(p Principal) float64 {
-	users := make([]Principal, 0, len(s.edges[p]))
-	for u := range s.edges[p] {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 	total := 0.0
-	for _, u := range users {
-		total += s.edges[p][u][0]
+	for _, e := range s.out[p] {
+		total += e.lb
 	}
 	return total
 }
@@ -263,9 +291,9 @@ func (s *System) Components() [][]Principal {
 			parent[rb] = ra
 		}
 	}
-	for o := range s.edges {
-		for u := range s.edges[o] {
-			union(o, int(u))
+	for o, es := range s.out {
+		for _, e := range es {
+			union(o, int(e.to))
 		}
 	}
 	groups := make(map[int][]Principal)

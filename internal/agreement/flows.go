@@ -1,9 +1,6 @@
 package agreement
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Flows holds the capacity-independent path sums of Figure 5, precomputed so
 // that entitlements under any capacity vector are a cheap scaling (the paper:
@@ -18,11 +15,10 @@ import (
 // simple paths of products with exactly one (ub−lb) optional hop followed by
 // upper bounds (formula 2).
 type Flows struct {
-	n      int
-	MT     [][]float64
-	OT     [][]float64
-	sumLB  []float64 // Σ_j lb_ij per principal i
-	system *System
+	n     int
+	MT    [][]float64
+	OT    [][]float64
+	sumLB []float64 // Σ_j lb_ij per principal i
 }
 
 // maxPathExpansions bounds the simple-path enumeration. The paper argues the
@@ -38,7 +34,7 @@ const maxPathExpansions = 4_000_000
 func (s *System) Flows() (*Flows, error) {
 	n := len(s.names)
 	f := s.emptyFlows()
-	w := &folder{f: f, adj: s.flowAdjacency(), visited: make([]bool, n)}
+	w := &folder{f: f, adj: s.out, visited: make([]bool, n)}
 	for k := 0; k < n; k++ {
 		if err := w.foldRow(k); err != nil {
 			return nil, err
@@ -69,13 +65,26 @@ func (s *System) RefoldFrom(prev *Flows, dirty []Principal) (*Flows, error) {
 	if len(dirty) == 0 {
 		return prev, nil
 	}
-	adj := s.flowAdjacency()
-	rev := make([][]int, n)
-	for o := range adj {
-		for _, e := range adj[o] {
-			rev[e.to] = append(rev[e.to], o)
+	// The owners with an edge into u are from[at[u]:at[u+1]]: the reverse
+	// graph in two arrays, filled by counting.
+	at := make([]int, n+1)
+	for _, es := range s.out {
+		for _, e := range es {
+			at[e.to+1]++
 		}
 	}
+	for u := 1; u <= n; u++ {
+		at[u] += at[u-1]
+	}
+	from := make([]int, at[n])
+	for o, es := range s.out {
+		for _, e := range es {
+			from[at[e.to]] = o
+			at[e.to]++
+		}
+	}
+	copy(at[1:], at[:n]) // each at[u] now holds u+1's start: shift them back
+	at[0] = 0
 	affected := make([]bool, n)
 	queue := make([]int, 0, n)
 	for _, d := range dirty {
@@ -88,9 +97,9 @@ func (s *System) RefoldFrom(prev *Flows, dirty []Principal) (*Flows, error) {
 		}
 	}
 	for len(queue) > 0 {
-		at := queue[0]
+		u := queue[0]
 		queue = queue[1:]
-		for _, src := range rev[at] {
+		for _, src := range from[at[u]:at[u+1]] {
 			if !affected[src] {
 				affected[src] = true
 				queue = append(queue, src)
@@ -99,7 +108,7 @@ func (s *System) RefoldFrom(prev *Flows, dirty []Principal) (*Flows, error) {
 	}
 
 	f := s.emptyFlows()
-	w := &folder{f: f, adj: adj, visited: make([]bool, n)}
+	w := &folder{f: f, adj: s.out, visited: make([]bool, n)}
 	for k := 0; k < n; k++ {
 		if !affected[k] {
 			copy(f.MT[k], prev.MT[k])
@@ -118,38 +127,15 @@ func (s *System) RefoldFrom(prev *Flows, dirty []Principal) (*Flows, error) {
 func (s *System) emptyFlows() *Flows {
 	n := len(s.names)
 	f := &Flows{
-		n:      n,
-		MT:     newMatrix(n),
-		OT:     newMatrix(n),
-		sumLB:  make([]float64, n),
-		system: s,
+		n:     n,
+		MT:    newMatrix(n),
+		OT:    newMatrix(n),
+		sumLB: make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		f.sumLB[i] = s.mandatoryOut(Principal(i))
 	}
 	return f
-}
-
-// flowEdge is one directed agreement edge in adjacency-list form.
-type flowEdge struct {
-	to     int
-	lb, ub float64
-}
-
-// flowAdjacency builds the adjacency lists sorted by target principal, so
-// floating-point path sums always accumulate in the same order: two folds of
-// the same graph — full or incremental — are bit-identical. The control
-// plane's reproducible-rollout guarantee relies on this.
-func (s *System) flowAdjacency() [][]flowEdge {
-	n := len(s.names)
-	adj := make([][]flowEdge, n)
-	for o := 0; o < n; o++ {
-		for u, b := range s.edges[o] {
-			adj[o] = append(adj[o], flowEdge{to: int(u), lb: b[0], ub: b[1]})
-		}
-		sort.Slice(adj[o], func(i, j int) bool { return adj[o][i].to < adj[o][j].to })
-	}
-	return adj
 }
 
 // folder runs the Figure-5 simple-path enumeration for one fold (or refold),
@@ -165,7 +151,7 @@ type folder struct {
 func (w *folder) foldRow(k int) error {
 	w.f.MT[k][k] = 1 // a currency always includes its own physical backing
 	w.visited[k] = true
-	err := w.dfs(k, k, 1, 0)
+	err := w.dfs(k, Principal(k), 1, 0)
 	w.visited[k] = false
 	return err
 }
@@ -173,7 +159,7 @@ func (w *folder) foldRow(k int) error {
 // dfs walks simple paths from source k carrying two running products:
 // mand = Π lb over the path so far, and opt = Σ over choices of the
 // optional hop r of (Π_{<r} lb)·(ub_r−lb_r)·(Π_{>r} ub).
-func (w *folder) dfs(k, at int, mand, opt float64) error {
+func (w *folder) dfs(k int, at Principal, mand, opt float64) error {
 	for _, e := range w.adj[at] {
 		if w.visited[e.to] {
 			continue
@@ -238,32 +224,42 @@ type Access struct {
 //	OI_ki   = V_k·(OT[k][i] + Σ_j lb_ij·MT[k][i]) (formula 4: optional inflow
 //	          plus the mandatory value i granted away but may reclaim while
 //	          its grantees leave it unused)
-func (f *Flows) Access(v []float64) (*Access, error) {
-	if len(v) != f.n {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimensionLength, len(v), f.n)
+func (f *Flows) Access(v []float64) (*Access, error) { return f.ScaledAccess(v, 1) }
+
+// ScaledAccess is Access with every entitlement multiplied by scale once it
+// is computed (and each aggregate once it is summed) — the per-window form a
+// scheduler wants (scale = window length in seconds), built in one pass.
+// Every value is exactly Access's value times scale, so scale 1 is Access.
+func (f *Flows) ScaledAccess(v []float64, scale float64) (*Access, error) {
+	n := f.n
+	if len(v) != n {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimensionLength, len(v), n)
 	}
+	sums := make([]float64, 3*n)
 	a := &Access{
-		MI:    newMatrix(f.n),
-		OI:    newMatrix(f.n),
-		MC:    make([]float64, f.n),
-		OC:    make([]float64, f.n),
-		Gross: make([]float64, f.n),
+		MI:    newMatrix(n),
+		OI:    newMatrix(n),
+		MC:    sums[:n:n],
+		OC:    sums[n : 2*n : 2*n],
+		Gross: sums[2*n:],
 	}
-	for i := 0; i < f.n; i++ {
+	for i := 0; i < n; i++ {
 		leak := 1 - f.sumLB[i]
 		if leak < 0 {
 			leak = 0
 		}
-		for k := 0; k < f.n; k++ {
-			gross := v[k] * f.MT[k][i]
-			a.Gross[i] += gross
-			mi := gross * leak
-			oi := v[k]*f.OT[k][i] + f.sumLB[i]*gross
-			a.MI[k][i] = mi
-			a.OI[k][i] = oi
-			a.MC[i] += mi
-			a.OC[i] += oi
+		var gross, mc, oc float64
+		for k := 0; k < n; k++ {
+			g := v[k] * f.MT[k][i]
+			gross += g
+			mi := g * leak
+			oi := v[k]*f.OT[k][i] + f.sumLB[i]*g
+			a.MI[k][i] = mi * scale
+			a.OI[k][i] = oi * scale
+			mc += mi
+			oc += oi
 		}
+		a.Gross[i], a.MC[i], a.OC[i] = gross*scale, mc*scale, oc*scale
 	}
 	return a, nil
 }

@@ -1,9 +1,12 @@
 package agreement
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // SetPrincipal is one principal's entry in a Set snapshot. A departed
@@ -50,28 +53,17 @@ func DecodeSet(data []byte) (*Set, error) {
 	return &s, nil
 }
 
-// Clone returns a deep copy of the system. The control plane validates
-// mutations against a clone before committing them to the live engine.
+// Clone returns an independent copy of the system. The control plane
+// validates mutations against a clone before committing them to the live
+// engine. Edge lists are shared, not copied: neither system ever writes into
+// an installed list.
 func (s *System) Clone() *System {
-	c := &System{
-		names:      append([]string(nil), s.names...),
-		capacities: append([]float64(nil), s.capacities...),
-		byName:     make(map[string]Principal, len(s.byName)),
-		edges:      make([]map[Principal][2]float64, len(s.edges)),
+	return &System{
+		names:      slices.Clone(s.names),
+		capacities: slices.Clone(s.capacities),
+		byName:     maps.Clone(s.byName),
+		out:        slices.Clone(s.out),
 	}
-	for name, p := range s.byName {
-		c.byName[name] = p
-	}
-	for o, m := range s.edges {
-		if m == nil {
-			continue
-		}
-		c.edges[o] = make(map[Principal][2]float64, len(m))
-		for u, b := range m {
-			c.edges[o][u] = b
-		}
-	}
-	return c
 }
 
 // ApplySet reconciles the system in place with the snapshot: capacities are
@@ -79,9 +71,12 @@ func (s *System) Clone() *System {
 // principal universe is fixed — the set must name the same principals in the
 // same order (join/leave are capacity and agreement changes over a
 // pre-declared universe, keeping Principal indices stable fleet-wide). The
-// whole set is validated before anything is mutated; on error the system is
-// unchanged. On success it returns the owners whose outgoing agreements
-// changed — the dirty set for RefoldFrom.
+// set's agreements may come in any order; when a pair repeats, its last
+// entry with a non-zero bound wins, and a [0, 0] entry only ever means
+// "absent" — it never cancels another entry for the same pair. The whole set
+// is validated before anything is mutated; on error the system is unchanged.
+// On success it returns the owners whose outgoing agreements changed — the
+// dirty set for RefoldFrom.
 func (s *System) ApplySet(set *Set) ([]Principal, error) {
 	n := len(s.names)
 	if set == nil || len(set.Principals) != n {
@@ -99,8 +94,9 @@ func (s *System) ApplySet(set *Set) ([]Principal, error) {
 			return nil, fmt.Errorf("%w: %q has capacity %v", ErrBadCapacity, p.Name, p.Capacity)
 		}
 	}
-	// Build and validate the desired edge maps before touching anything.
-	desired := make([]map[Principal][2]float64, n)
+	// Validate, then bucket the edges by owner on one backing array (a
+	// counting sort: end[o] is where owner o's bucket ends once filled).
+	end := make([]int, n+1)
 	for _, a := range set.Agreements {
 		if !s.valid(a.Owner) || !s.valid(a.User) {
 			return nil, fmt.Errorf("%w: %d→%d", ErrUnknown, int(a.Owner), int(a.User))
@@ -111,45 +107,53 @@ func (s *System) ApplySet(set *Set) ([]Principal, error) {
 		if math.IsNaN(a.LB) || math.IsNaN(a.UB) || a.LB < 0 || a.UB < a.LB || a.UB > 1 {
 			return nil, fmt.Errorf("%w: [%v, %v]", ErrBadBounds, a.LB, a.UB)
 		}
-		if a.LB == 0 && a.UB == 0 {
-			continue // an explicit removal: simply absent from the desired state
+		if a.LB != 0 || a.UB != 0 {
+			end[a.Owner+1]++
 		}
-		if desired[a.Owner] == nil {
-			desired[a.Owner] = make(map[Principal][2]float64)
-		}
-		desired[a.Owner][a.User] = [2]float64{a.LB, a.UB}
 	}
-	for o := 0; o < n; o++ {
+	for o := 1; o <= n; o++ {
+		end[o] += end[o-1]
+	}
+	edges := make([]flowEdge, end[n])
+	for _, a := range set.Agreements {
+		if a.LB != 0 || a.UB != 0 {
+			edges[end[a.Owner]] = flowEdge{to: a.User, lb: a.LB, ub: a.UB}
+			end[a.Owner]++
+		}
+	}
+	// Sort each bucket by user (stably, so a repeated pair's entries keep set
+	// order) and keep each pair's last entry.
+	desired := make([][]flowEdge, n)
+	for o, lo := 0, 0; o < n; o++ {
+		bucket := edges[lo:end[o]:end[o]]
+		lo = end[o]
+		slices.SortStableFunc(bucket, func(a, b flowEdge) int { return cmp.Compare(a.to, b.to) })
+		kept := bucket[:0]
 		total := 0.0
-		for _, b := range desired[o] {
-			total += b[0]
+		for i, e := range bucket {
+			if i+1 < len(bucket) && bucket[i+1].to == e.to {
+				continue
+			}
+			kept = append(kept, e)
+			total += e.lb
 		}
 		if total > 1+1e-12 {
 			return nil, fmt.Errorf("%w: %s would grant %.3f mandatorily", ErrOverCommitted, s.names[o], total)
 		}
+		if len(kept) > 0 {
+			desired[o] = kept
+		}
 	}
-	// Commit: capacities, then edges, collecting the dirty owners.
+	// Commit: capacities, then the changed owners' lists.
 	for i, p := range set.Principals {
 		s.capacities[i] = p.Capacity
 	}
 	var dirty []Principal
 	for o := 0; o < n; o++ {
-		if !edgesEqual(s.edges[o], desired[o]) {
-			s.edges[o] = desired[o]
+		if !slices.Equal(s.out[o], desired[o]) {
+			s.out[o] = desired[o]
 			dirty = append(dirty, Principal(o))
 		}
 	}
 	return dirty, nil
-}
-
-func edgesEqual(a, b map[Principal][2]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for u, ba := range a {
-		if bb, ok := b[u]; !ok || bb != ba {
-			return false
-		}
-	}
-	return true
 }

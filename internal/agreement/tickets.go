@@ -100,22 +100,19 @@ func (s *System) CurrenciesWithFaces(faces []float64) ([]Currency, error) {
 			MandatoryValue: acc.MC[i],
 			OptionalValue:  acc.OC[i],
 		}
-		for _, a := range s.Agreements() {
-			if a.Owner != Principal(i) {
-				continue
-			}
-			if a.LB > 0 {
+		for _, e := range s.out[i] {
+			if e.lb > 0 {
 				c.Issued = append(c.Issued, Ticket{
-					Kind: Mandatory, Issuer: a.Owner, Holder: a.User,
-					Face: a.LB * faces[i],
-					Real: a.LB * acc.Gross[i],
+					Kind: Mandatory, Issuer: Principal(i), Holder: e.to,
+					Face: e.lb * faces[i],
+					Real: e.lb * acc.Gross[i],
 				})
 			}
-			if a.UB > a.LB {
+			if e.ub > e.lb {
 				c.Issued = append(c.Issued, Ticket{
-					Kind: Optional, Issuer: a.Owner, Holder: a.User,
-					Face: (a.UB - a.LB) * faces[i],
-					Real: (a.UB-a.LB)*acc.Gross[i] + a.UB*optIn[i],
+					Kind: Optional, Issuer: Principal(i), Holder: e.to,
+					Face: (e.ub - e.lb) * faces[i],
+					Real: (e.ub-e.lb)*acc.Gross[i] + e.ub*optIn[i],
 				})
 			}
 		}

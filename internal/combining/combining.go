@@ -124,9 +124,10 @@ func (a *Aggregate) CopyFrom(src Aggregate) {
 
 // ConfigUpdate is a versioned configuration payload piggybacked on the
 // tree's own epoch messages: the control plane hands the root an encoded
-// agreement-set snapshot, every downward Broadcast carries the newest one,
-// and upward Reports acknowledge the version each node holds. No extra
-// messages are spent — distribution rides the existing 2(n−1)/epoch flow.
+// agreement-set snapshot, downward Broadcasts carry the newest one to every
+// child whose last report does not acknowledge it, and upward Reports
+// acknowledge the version each node holds. No extra messages are spent —
+// distribution rides the existing 2(n−1)/epoch flow.
 // A ConfigUpdate is immutable once published; nodes share the pointer.
 type ConfigUpdate struct {
 	// Version is the fleet-wide agreement-set version (monotonic).
@@ -148,7 +149,9 @@ type Report struct {
 }
 
 // Broadcast flows down the tree: the global aggregate computed at the root,
-// plus the newest configuration update (nil when none has been published).
+// plus the newest configuration update while the receiving child's last
+// report does not acknowledge it (nil otherwise, and when none has been
+// published).
 type Broadcast struct {
 	Epoch  int
 	Agg    Aggregate
@@ -159,9 +162,10 @@ type Broadcast struct {
 // its last durable (epoch, configuration version) position. The parent
 // resets the child's stale-report gate (the restarted process counts epochs
 // from its restored position, which may trail what the parent last heard)
-// and immediately replies with the current global broadcast and newest
-// configuration, so the child converges before its next scheduling window
-// instead of waiting out a full epoch round.
+// and immediately replies with the current global broadcast — carrying the
+// newest configuration unless AckVersion shows the child holds it — so the
+// child converges before its next scheduling window instead of waiting out a
+// full epoch round.
 type Rejoin struct {
 	// Epoch is the sender's restored local epoch (0 on a cold start).
 	Epoch int
@@ -196,9 +200,10 @@ type neighbor struct {
 	heardAt time.Duration
 	heard   bool
 
-	report Aggregate // latest accepted report, copied in; empty when none
-	epoch  int       // epoch of that report; older ones are dropped
-	ack    uint64    // configuration version the child acknowledged
+	report  Aggregate // latest accepted report, copied in; empty when none
+	epoch   int       // epoch of that report; older ones are dropped
+	ack     uint64    // configuration version the child last reported holding
+	gateAck uint64    // highest version it acknowledged, for the gate-lag stamp
 
 	bcastAt      time.Duration // broadcast forwarded, child lag not yet observed
 	bcastPending bool
@@ -207,7 +212,7 @@ type neighbor struct {
 // forget drops what a child's reports contributed, keeping its liveness.
 func (nb *neighbor) forget() {
 	nb.report.CopyFrom(Aggregate{})
-	nb.epoch, nb.ack = 0, 0
+	nb.epoch, nb.ack, nb.gateAck = 0, 0, 0
 }
 
 // Node is one combining-tree participant. All methods are safe for
@@ -397,9 +402,10 @@ func (n *Node) acceptGlobal(epoch int, agg Aggregate, cfg *ConfigUpdate) {
 			nb := n.nbr(c)
 			nb.bcastAt, nb.bcastPending = n.now(), true
 		}
-		// Always forward the newest configuration held, not the incoming
-		// one: a reordered older broadcast must not regress descendants.
-		n.send(c, Broadcast{Epoch: epoch, Agg: n.global, Config: n.config})
+		// Forward the newest configuration held, not the incoming one (a
+		// reordered older broadcast must not regress descendants), and only
+		// to a child that has not acknowledged it yet.
+		n.send(c, Broadcast{Epoch: epoch, Agg: n.global, Config: n.configFor(n.nbr(c))})
 	}
 }
 
@@ -420,14 +426,20 @@ func (n *Node) OnMessage(from NodeID, msg interface{}) {
 			n.hop.ChildLag.Observe(n.now() - nb.bcastAt)
 			nb.bcastPending = false
 		}
+		// The ack is what the child holds now, not a high-water mark, and it
+		// is taken before the epoch gate: a child that restarted without a
+		// Rejoin (none sent, or lost in transit) reports a lower version in
+		// reports the gate drops as stale, and the next broadcast carries
+		// the set again.
+		nb.ack = m.AckVersion
 		if m.Epoch < nb.epoch {
 			return
 		}
 		nb.report.CopyFrom(m.Agg)
 		nb.epoch = m.Epoch
-		if m.AckVersion > nb.ack {
-			prev := nb.ack
-			nb.ack = m.AckVersion
+		if m.AckVersion > nb.gateAck {
+			prev := nb.gateAck
+			nb.gateAck = m.AckVersion
 			// Epoch-gate crossing: the child just acknowledged the version
 			// this node holds for the first time.
 			if n.hop != nil && n.configAtVer > 0 &&
@@ -454,13 +466,14 @@ func (n *Node) OnMessage(from NodeID, msg interface{}) {
 		// position (or zero): drop the pre-crash gate and aggregate so its
 		// fresh reports are accepted rather than rejected as stale.
 		nb.forget()
-		nb.ack = m.AckVersion
+		nb.ack, nb.gateAck = m.AckVersion, m.AckVersion
 		nb.bcastPending = false
-		// Reply immediately with the newest global + configuration held:
-		// the child converges now, not an epoch round from now.
+		// Reply immediately with the newest global, and the configuration
+		// unless the child's durable state already holds it: the child
+		// converges now, not an epoch round from now.
 		if n.haveGlobal {
 			n.msgsOut++
-			n.send(from, Broadcast{Epoch: n.globalEpoch, Agg: n.global, Config: n.config})
+			n.send(from, Broadcast{Epoch: n.globalEpoch, Agg: n.global, Config: n.configFor(nb)})
 		}
 	}
 }
@@ -579,6 +592,18 @@ func (n *Node) SetConfigHandler(fn func(*ConfigUpdate)) {
 	n.onConfig = fn
 }
 
+// configFor is the configuration a broadcast to a child carries: the newest
+// held while the version the child last reported (in a Report or a Rejoin)
+// is older, else nothing — the set is not re-sent to a child that holds it.
+// A restarted child reports what its durable state holds, possibly 0, and a
+// new or re-parented child starts at 0, so each gets the set again.
+func (n *Node) configFor(nb *neighbor) *ConfigUpdate {
+	if n.config == nil || nb.ack >= n.config.Version {
+		return nil
+	}
+	return n.config
+}
+
 // configVersion is the version this node acknowledges upward.
 func (n *Node) configVersion() uint64 {
 	if n.config == nil {
@@ -587,8 +612,8 @@ func (n *Node) configVersion() uint64 {
 	return n.config.Version
 }
 
-// ChildConfigAcks returns the newest configuration version each current
-// child has acknowledged — the root's rollout-progress view.
+// ChildConfigAcks returns the configuration version each current child last
+// reported holding — the root's rollout-progress view.
 func (n *Node) ChildConfigAcks() map[NodeID]uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()

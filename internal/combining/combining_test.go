@@ -348,6 +348,35 @@ func TestOutOfOrderMessagesIgnored(t *testing.T) {
 	}
 }
 
+// TestConfigResentToRestartedChild pins that a broadcast skips the set only
+// while the child's last report acknowledges it: a child that restarts
+// without a Rejoin reports version 0 in reports the epoch gate drops as
+// stale, and the next broadcast carries the set again.
+func TestConfigResentToRestartedChild(t *testing.T) {
+	var last Broadcast
+	root := NewBuilder(0).Children(1).Transport(func(_ NodeID, msg interface{}) {
+		last = msg.(Broadcast)
+	}).Clock(func() time.Duration { return 0 }).Build()
+	cu := &ConfigUpdate{Version: 5, GateEpoch: 2, Payload: []byte("set")}
+	root.SetConfig(cu)
+	steps := []struct {
+		report Report
+		want   *ConfigUpdate
+	}{
+		{Report{Epoch: 1, AckVersion: 0}, cu},  // not yet held
+		{Report{Epoch: 9, AckVersion: 5}, nil}, // acknowledged
+		{Report{Epoch: 1, AckVersion: 0}, cu},  // restarted, no Rejoin: stale epoch, ack 0
+		{Report{Epoch: 2, AckVersion: 5}, nil}, // holds it again
+	}
+	for i, s := range steps {
+		root.OnMessage(1, s.report)
+		root.Tick()
+		if last.Config != s.want {
+			t.Fatalf("step %d: broadcast after %+v carried %v, want %v", i, s.report, last.Config, s.want)
+		}
+	}
+}
+
 func TestLastHeardTracksNeighbors(t *testing.T) {
 	at := 7 * time.Second
 	n := NewBuilder(0).Children(1).Transport(func(NodeID, interface{}) {}).

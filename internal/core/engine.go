@@ -279,11 +279,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 // commits or stages the result. Callers hold e.mu or own e exclusively.
 func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (schedState, error) {
 	var st schedState
-	rateAccess, err := flows.Access(capacities)
+	access, err := flows.ScaledAccess(capacities, e.windowS)
 	if err != nil {
 		return st, err
 	}
-	access := scaleAccess(rateAccess, e.windowS)
 
 	switch e.cfg.Mode {
 	case Community:
@@ -308,8 +307,8 @@ func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (sched
 		st.access, st.community = access, community
 	case Provider:
 		p := e.cfg.ProviderPrincipal
-		var customers []agreement.Principal
-		var mc, oc, prices []float64
+		customers := make([]agreement.Principal, 0, e.n-1)
+		mc, oc, prices := make([]float64, 0, e.n-1), make([]float64, 0, e.n-1), make([]float64, 0, e.n-1)
 		for i := 0; i < e.n; i++ {
 			if agreement.Principal(i) == p {
 				continue
@@ -834,29 +833,6 @@ func (e *Engine) NewObserver(id int, auditor *obs.Auditor, ringDepth int) *obs.O
 		Auditor:    auditor,
 		Logger:     e.cfg.Logger,
 	})
-}
-
-func scaleAccess(a *agreement.Access, f float64) *agreement.Access {
-	n := len(a.MC)
-	out := &agreement.Access{
-		MI:    make([][]float64, n),
-		OI:    make([][]float64, n),
-		MC:    make([]float64, n),
-		OC:    make([]float64, n),
-		Gross: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		out.MI[i] = make([]float64, n)
-		out.OI[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			out.MI[i][j] = a.MI[i][j] * f
-			out.OI[i][j] = a.OI[i][j] * f
-		}
-		out.MC[i] = a.MC[i] * f
-		out.OC[i] = a.OC[i] * f
-		out.Gross[i] = a.Gross[i] * f
-	}
-	return out
 }
 
 // NumPrincipals reports the number of principals in the system.

@@ -102,17 +102,23 @@ type Record struct {
 	Served  []float64 `json:"served"`
 }
 
+// recordVectors is how many principal-wide vectors a Record carries.
+const recordVectors = 7
+
 // NewRecord pre-allocates a record for n principals.
 func NewRecord(n int) *Record {
-	return &Record{
-		Local:   make([]float64, n),
-		Global:  make([]float64, n),
-		Granted: make([]float64, n),
-		Floor:   make([]float64, n),
-		Ceil:    make([]float64, n),
-		Arrived: make([]float64, n),
-		Served:  make([]float64, n),
+	r := &Record{}
+	r.carve(make([]float64, recordVectors*n), n)
+	return r
+}
+
+// carve points r's vectors at consecutive n-long pieces of flat, each capped
+// at its length, and returns what is left of flat.
+func (r *Record) carve(flat []float64, n int) []float64 {
+	for _, v := range [recordVectors]*[]float64{&r.Local, &r.Global, &r.Granted, &r.Floor, &r.Ceil, &r.Arrived, &r.Served} {
+		*v, flat = flat[:n:n], flat[n:]
 	}
+	return flat
 }
 
 // copyInto deep-copies r into dst, which must be pre-sized for the same

@@ -267,6 +267,25 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestNewRingAllocs pins a default-depth ring at three allocations — the
+// ring, its slots and one backing array for every slot's vectors — where a
+// record per slot cost 2048 on every node boot and recovery. Each vector is
+// capped at its length, so a slot can never grow into its neighbour's.
+func TestNewRingAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(10, func() { NewRing(0, 48) }); got > 3 {
+		t.Fatalf("NewRing allocates %v times, pin 3", got)
+	}
+	r := NewRing(4, 3)
+	for i := range r.slots {
+		rec := &r.slots[i].rec
+		for _, v := range [][]float64{rec.Local, rec.Global, rec.Granted, rec.Floor, rec.Ceil, rec.Arrived, rec.Served} {
+			if len(v) != 3 || cap(v) != 3 {
+				t.Fatalf("slot %d vector len %d cap %d, want 3 and 3", i, len(v), cap(v))
+			}
+		}
+	}
+}
+
 func TestHandlerEndpoints(t *testing.T) {
 	o := NewObserver(ObserverConfig{Redirector: 0, Names: []string{"A", "B"}, RingDepth: 8})
 	rec := o.NewRecord()

@@ -25,15 +25,16 @@ type ringSlot struct {
 }
 
 // NewRing builds a ring retaining the last depth records of principals-wide
-// vectors. depth ≤ 0 selects DefaultRingDepth.
+// vectors. depth ≤ 0 selects DefaultRingDepth. Every slot's vectors are cut
+// from one backing array, each capped at its own length.
 func NewRing(depth, principals int) *Ring {
 	if depth <= 0 {
 		depth = DefaultRingDepth
 	}
 	r := &Ring{depth: uint64(depth), slots: make([]ringSlot, depth)}
+	flat := make([]float64, depth*recordVectors*principals)
 	for i := range r.slots {
-		rec := NewRecord(principals)
-		r.slots[i].rec = *rec
+		flat = r.slots[i].rec.carve(flat, principals)
 	}
 	return r
 }

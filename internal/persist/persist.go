@@ -12,7 +12,9 @@
 //     agreement.Set's Encode/DecodeSet, the same bytes the combining tree
 //     piggybacks. Lease tables (internal/budget) follow the identical
 //     discipline as leases-<version>.json, so long-lived reservations
-//     survive a crash with at most one un-synced mutation lost.
+//     survive a crash with at most one un-synced mutation lost. The newest
+//     two versions of each kind are kept — the second is the fallback for
+//     a corrupt newest — and a save deletes the rest.
 //   - A small append-only window log ("wal") of WindowState records, each
 //     framed as [4-byte length][4-byte CRC32][payload] and fsynced on
 //     append; the payload is a versioned binary record (see recordVersion).
@@ -36,6 +38,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -126,6 +129,27 @@ type Store struct {
 	// following append is encoded. The two swap once a frame is on disk.
 	last, next []byte
 	closed     bool
+
+	// snapMu guards the snapshot versions held on disk, listed once by Open
+	// and kept current by every save, ascending.
+	snapMu sync.Mutex
+	sets   snapshots
+	leases snapshots
+}
+
+// snapshotsKept is how many versions of each snapshot kind a save leaves on
+// disk: the newest, and one to fall back on if the newest will not decode.
+const snapshotsKept = 2
+
+// snapshots is one kind of versioned snapshot file (set- or leases-) and the
+// versions of it on disk.
+type snapshots struct {
+	prefix   string
+	versions []uint64 // ascending
+}
+
+func (k *snapshots) path(dir string, v uint64) string {
+	return filepath.Join(dir, k.prefix+strconv.FormatUint(v, 10)+".json")
 }
 
 // Open creates (if necessary) and opens the state directory, replaying the
@@ -143,12 +167,36 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	s := &Store{dir: dir, wal: f}
+	s := &Store{dir: dir, wal: f, sets: snapshots{prefix: "set-"}, leases: snapshots{prefix: "leases-"}}
+	if err := s.listSnapshots(); err != nil {
+		f.Close()
+		return nil, err
+	}
 	if err := s.replay(); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return s, nil
+}
+
+// listSnapshots records the snapshot versions already in the directory.
+func (s *Store) listSnapshots() error {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	kinds := []*snapshots{&s.sets, &s.leases}
+	for _, e := range entries {
+		for _, k := range kinds {
+			if v, ok := versionedFileName(e.Name(), k.prefix); ok {
+				k.versions = append(k.versions, v)
+			}
+		}
+	}
+	for _, k := range kinds {
+		slices.Sort(k.versions)
+	}
+	return nil
 }
 
 // replay scans the window log from the start, remembering the newest valid
@@ -380,21 +428,52 @@ func (s *Store) Checkpoint() error {
 }
 
 // SaveSet durably stores an agreement-set snapshot as set-<version>.json
-// (temp file + fsync + atomic rename + directory fsync). Snapshots are
-// immutable per version; re-saving a version is a cheap no-op.
+// (temp file + fsync + atomic rename + directory fsync), then deletes all but
+// the newest two set snapshots. Snapshots are immutable per version:
+// re-saving a held version, or saving one older than both held, is a no-op.
 func (s *Store) SaveSet(set *agreement.Set) error {
 	if set == nil {
 		return errors.New("persist: nil set")
 	}
-	path := filepath.Join(s.dir, setFileName(set.Version))
-	if _, err := os.Stat(path); err == nil {
+	return s.save(&s.sets, set.Version, set.Encode)
+}
+
+// SaveLeases durably stores a lease-table snapshot as leases-<version>.json,
+// under the same commit discipline and retention as SaveSet. A crash between
+// a lease mutation and this save costs at most that one mutation — the same
+// bounded loss as the window log.
+func (s *Store) SaveLeases(t *budget.Table) error {
+	if t == nil {
+		return errors.New("persist: nil lease table")
+	}
+	return s.save(&s.leases, t.Version, func() ([]byte, error) { return budget.EncodeTable(t) })
+}
+
+// save commits version v of kind k and prunes k to the newest snapshotsKept
+// versions.
+func (s *Store) save(k *snapshots, v uint64, encode func() ([]byte, error)) error {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	at, held := slices.BinarySearch(k.versions, v)
+	if held || len(k.versions)-at >= snapshotsKept {
 		return nil
 	}
-	data, err := set.Encode()
+	data, err := encode()
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	return s.commitFile(path, "set", data)
+	kind := strings.TrimSuffix(k.prefix, "-")
+	if err := s.commitFile(k.path(s.dir, v), kind, data); err != nil {
+		return err
+	}
+	k.versions = slices.Insert(k.versions, at, v)
+	for len(k.versions) > snapshotsKept {
+		if err := os.Remove(k.path(s.dir, k.versions[0])); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("persist: prune %s: %w", kind, err)
+		}
+		k.versions = k.versions[1:]
+	}
+	return nil
 }
 
 // commitFile durably writes data under path by temp file + fsync + atomic
@@ -422,85 +501,43 @@ func (s *Store) commitFile(path, kind string, data []byte) error {
 	return syncDir(s.dir)
 }
 
-// SaveLeases durably stores a lease-table snapshot as leases-<version>.json,
-// under the same commit discipline as SaveSet. Tables are immutable per
-// version; re-saving a version is a cheap no-op. A crash between a lease
-// mutation and this save costs at most that one mutation — the same bounded
-// loss as the window log.
-func (s *Store) SaveLeases(t *budget.Table) error {
-	if t == nil {
-		return errors.New("persist: nil lease table")
-	}
-	path := filepath.Join(s.dir, leaseFileName(t.Version))
-	if _, err := os.Stat(path); err == nil {
-		return nil
-	}
-	data, err := budget.EncodeTable(t)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	return s.commitFile(path, "leases", data)
-}
-
-// LoadNewestLeases returns the highest-versioned decodable lease table in
-// the directory, or (nil, nil) on a cold start. Undecodable files are
-// skipped like agreement-set snapshots.
+// LoadNewestLeases returns the newest decodable lease table, or (nil, nil)
+// on a cold start. Like LoadNewestSet it reads newest-first and stops at the
+// first file that decodes.
 func (s *Store) LoadNewestLeases() (*budget.Table, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var best *budget.Table
-	for _, e := range entries {
-		v, ok := versionedFileName(e.Name(), "leases-")
-		if !ok {
-			continue
-		}
-		if best != nil && v <= best.Version {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			continue
-		}
+	return loadNewest(s, &s.leases, func(data []byte, v uint64) (*budget.Table, bool) {
 		t, err := budget.DecodeTable(data)
-		if err != nil || t.Version != v {
-			continue
-		}
-		best = t
-	}
-	return best, nil
+		return t, err == nil && t.Version == v
+	})
 }
 
-// LoadNewestSet returns the highest-versioned decodable agreement-set
-// snapshot in the directory, or (nil, nil) on a cold start. Undecodable
-// snapshot files are skipped, not fatal: a valid older version beats
-// refusing to start.
+// LoadNewestSet returns the newest decodable agreement-set snapshot, or
+// (nil, nil) on a cold start. Snapshots are read newest-version-first and the
+// first that decodes wins; an undecodable one is skipped, not fatal — a valid
+// older version beats refusing to start. Only the versions found by Open or
+// saved since are considered, so the cost does not grow with the history.
 func (s *Store) LoadNewestSet() (*agreement.Set, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var best *agreement.Set
-	for _, e := range entries {
-		v, ok := setFileVersion(e.Name())
-		if !ok {
-			continue
-		}
-		if best != nil && v <= best.Version {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
+	return loadNewest(s, &s.sets, func(data []byte, v uint64) (*agreement.Set, bool) {
+		set, err := agreement.DecodeSet(data)
+		return set, err == nil && set.Version == v
+	})
+}
+
+// loadNewest decodes k's snapshots newest-first and returns the first good one.
+func loadNewest[T any](s *Store, k *snapshots, decode func(data []byte, v uint64) (*T, bool)) (*T, error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	for i := len(k.versions) - 1; i >= 0; i-- {
+		v := k.versions[i]
+		data, err := os.ReadFile(k.path(s.dir, v))
 		if err != nil {
 			continue
 		}
-		set, err := agreement.DecodeSet(data)
-		if err != nil || set.Version != v {
-			continue
+		if t, ok := decode(data, v); ok {
+			return t, nil
 		}
-		best = set
 	}
-	return best, nil
+	return nil, nil
 }
 
 // Dir returns the store's state directory.
@@ -519,21 +556,6 @@ func (s *Store) Close() error {
 		return fmt.Errorf("persist: %w", err)
 	}
 	return s.wal.Close()
-}
-
-// setFileName renders the snapshot file name for a set version.
-func setFileName(version uint64) string {
-	return fmt.Sprintf("set-%d.json", version)
-}
-
-// leaseFileName renders the snapshot file name for a lease-table version.
-func leaseFileName(version uint64) string {
-	return fmt.Sprintf("leases-%d.json", version)
-}
-
-// setFileVersion parses a snapshot file name; ok is false for other files.
-func setFileVersion(name string) (uint64, bool) {
-	return versionedFileName(name, "set-")
 }
 
 // versionedFileName parses "<prefix><version>.json"; ok is false otherwise.

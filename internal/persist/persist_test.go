@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -151,7 +152,6 @@ func TestDuplicateRecordsNewestWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := openStore(t, dir)
-	defer s2.Close()
 	ws, ok := s2.LastWindow()
 	if !ok || ws.Epoch != 2 || ws.Estimate[0] != 9 {
 		t.Fatalf("duplicate window replay = %+v, want the newest write", ws)
@@ -173,7 +173,10 @@ func TestDuplicateRecordsNewestWins(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "set-9.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	set, err := s2.LoadNewestSet()
+	s2.Close()
+	s3 := openStore(t, dir)
+	defer s3.Close()
+	set, err := s3.LoadNewestSet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,6 +402,9 @@ func TestLeaseTableRoundTripAndNewest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "leases-3.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	s.Close()
+	s = openStore(t, dir)
+	defer s.Close()
 	got, err := s.LoadNewestLeases()
 	if err != nil {
 		t.Fatal(err)
@@ -412,5 +418,88 @@ func TestLeaseTableRoundTripAndNewest(t *testing.T) {
 	}
 	if restored.ReservedBy("org") != 40 {
 		t.Fatalf("restored reservation = %v, want 40", restored.ReservedBy("org"))
+	}
+}
+
+// TestSnapshotRetention pins what a long-lived state directory holds: after
+// 100 saves of each kind only the newest two versions remain; a corrupt
+// newest falls back to the one before it; a save older than both held is a
+// no-op; and reading the newest snapshot back costs the same however many
+// were ever saved.
+func TestSnapshotRetention(t *testing.T) {
+	sys := agreement.New()
+	a := sys.MustAddPrincipal("A", 100)
+	b := sys.MustAddPrincipal("B", 100)
+	sys.MustSetAgreement(a, b, 0.2, 0.5)
+	ledger := budget.NewLedger()
+	if _, err := ledger.Grant("A", "B", 10, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Both histories end at version 100, so the file read back is the same.
+	fill := func(dir string, saves int) {
+		s := openStore(t, dir)
+		defer s.Close()
+		for v := uint64(101 - saves); v <= 100; v++ {
+			if err := s.SaveSet(sys.Snapshot(v)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SaveLeases(ledger.Snapshot(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	long, short := t.TempDir(), t.TempDir()
+	fill(long, 100)
+	fill(short, 3)
+
+	entries, err := os.ReadDir(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if e.Name() != walName {
+			names = append(names, e.Name())
+		}
+	}
+	want := []string{"leases-100.json", "leases-99.json", "set-100.json", "set-99.json"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("after 100 saves the directory holds %v, want %v", names, want)
+	}
+
+	// Reading back costs the same after 3 saves as after 100.
+	loadAllocs := func(dir string) float64 {
+		s := openStore(t, dir)
+		defer s.Close()
+		return testing.AllocsPerRun(20, func() {
+			if set, err := s.LoadNewestSet(); err != nil || set == nil {
+				t.Fatalf("LoadNewestSet = (%v, %v)", set, err)
+			}
+		})
+	}
+	if l, sh := loadAllocs(long), loadAllocs(short); l != sh {
+		t.Fatalf("LoadNewestSet allocates %v times after 100 saves and %v after 3", l, sh)
+	}
+
+	// A torn newest snapshot falls back to the previous version.
+	for _, torn := range []string{"set-100.json", "leases-100.json"} {
+		if err := os.WriteFile(filepath.Join(long, torn), []byte("{torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := openStore(t, long)
+	defer s.Close()
+	if set, err := s.LoadNewestSet(); err != nil || set == nil || set.Version != 99 {
+		t.Fatalf("corrupt newest set: LoadNewestSet = (%+v, %v), want version 99", set, err)
+	}
+	if tbl, err := s.LoadNewestLeases(); err != nil || tbl == nil || tbl.Version != 99 {
+		t.Fatalf("corrupt newest lease table: LoadNewestLeases = (%+v, %v), want version 99", tbl, err)
+	}
+	// A stale version is not written back.
+	if err := s.SaveSet(sys.Snapshot(50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(long, "set-50.json")); !os.IsNotExist(err) {
+		t.Fatalf("a save older than both held versions reached the disk (stat err %v)", err)
 	}
 }

@@ -81,9 +81,14 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Far more sends than the queue holds: all must return immediately.
-		for i := 0; i < sendQueueDepth*4; i++ {
-			tr.Send(1, combining.Report{Epoch: i, Agg: agg})
+		// Bursts of far more sends than the queue holds, until one overflows
+		// it: all must return immediately. Repeated because the writer drops
+		// a dead peer's messages without waiting and, under -race, can drain
+		// the queue as fast as a single burst fills it.
+		for burst := 0; burst < 200 && tr.Stats().QueueDrops == 0; burst++ {
+			for i := 0; i < sendQueueDepth*4; i++ {
+				tr.Send(1, combining.Report{Epoch: i, Agg: agg})
+			}
 		}
 	}()
 	select {

@@ -262,8 +262,9 @@ func (d *decoder) message() (msg interface{}, ok bool) {
 	if f.kind == kindReport {
 		return combining.Report{Epoch: f.epoch, Agg: agg, AckVersion: f.ack}, true
 	}
-	// Broadcasts repeat the configuration every epoch; combining shares
-	// one immutable update, re-made only when (version, gate) moves on.
+	// Broadcasts repeat the configuration until this node acknowledges it;
+	// combining shares one immutable update, re-made only when (version,
+	// gate) moves on.
 	var cfg *combining.ConfigUpdate
 	if f.hasCfg && f.cfg.Version > 0 {
 		if d.cfg == nil || d.cfg.Version != f.cfg.Version || d.cfg.GateEpoch != f.cfg.GateEpoch {
