@@ -1,6 +1,7 @@
 package l4
 
 import (
+	"net/netip"
 	"sync"
 	"time"
 
@@ -20,7 +21,7 @@ type affinityEntry struct {
 
 type affinityStripe struct {
 	mu sync.Mutex
-	m  map[string]affinityEntry
+	m  map[netip.Addr]affinityEntry
 	_  [64]byte
 }
 
@@ -37,23 +38,23 @@ type affinityCache struct {
 func newAffinityCache() *affinityCache {
 	a := &affinityCache{}
 	for i := range a.stripes {
-		a.stripes[i].m = make(map[string]affinityEntry)
+		a.stripes[i].m = make(map[netip.Addr]affinityEntry)
 	}
 	return a
 }
 
-// stripe hashes the client key onto its stripe (FNV-1a, inlined to avoid an
-// allocation per lookup).
-func (a *affinityCache) stripe(client string) *affinityStripe {
+// stripe hashes the client address onto its stripe (FNV-1a over its 16-byte
+// form, inlined to avoid an allocation per lookup).
+func (a *affinityCache) stripe(client netip.Addr) *affinityStripe {
 	h := uint32(2166136261)
-	for i := 0; i < len(client); i++ {
-		h = (h ^ uint32(client[i])) * 16777619
+	for _, b := range client.As16() {
+		h = (h ^ uint32(b)) * 16777619
 	}
 	return &a.stripes[h%affinityStripes]
 }
 
 // lookup returns the live pinned owner for client, or -1.
-func (a *affinityCache) lookup(client string, now time.Time) agreement.Principal {
+func (a *affinityCache) lookup(client netip.Addr, now time.Time) agreement.Principal {
 	s := a.stripe(client)
 	s.mu.Lock()
 	e, ok := s.m[client]
@@ -65,7 +66,7 @@ func (a *affinityCache) lookup(client string, now time.Time) agreement.Principal
 }
 
 // pin records (or refreshes) the client's owner.
-func (a *affinityCache) pin(client string, owner agreement.Principal, now time.Time) {
+func (a *affinityCache) pin(client netip.Addr, owner agreement.Principal, now time.Time) {
 	s := a.stripe(client)
 	s.mu.Lock()
 	s.m[client] = affinityEntry{owner: owner, at: now}

@@ -10,8 +10,8 @@
 //     (internal/admission), so concurrent accepts never serialize on a
 //     shared mutex;
 //   - admitted connections are spliced byte-for-byte to a backend (the NAT
-//     rewrite) with pooled 32 KiB buffers (and the kernel splice(2) fast
-//     path when both ends are TCP), preserving client→server affinity to
+//     rewrite) by the kernel's splice(2) when both ends are TCP, through a
+//     pooled 32 KiB buffer otherwise, preserving client→server affinity to
 //     the extent the agreements allow;
 //   - connections over quota are parked in sharded pending queues and
 //     reinjected in later windows, exactly like the paper's kernel thread
@@ -19,10 +19,12 @@
 package l4
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,20 +100,28 @@ type Config struct {
 	Persist *persist.Store
 }
 
-type heldConn struct {
+// flow is one client connection from accept to close. It is parked,
+// re-parked and launched as one value, and carries the join of its two
+// splice halves.
+type flow struct {
 	conn     net.Conn
-	client   string
-	parkedAt time.Time
+	client   netip.Addr
+	svc      agreement.Principal
+	accepted time.Time // PendingTimeout counts from here, across re-parks
+	parkedAt time.Time // start of the current park, for the span's park time
 	span     *obs.Span // nil when the request was not sampled for tracing
+	backend  string
+	halves   sync.WaitGroup
 }
 
-// pendShard is one stripe of the parked-connection state. Parking and
-// reinjection lock one stripe at a time, so the accept path never waits on
-// a fleet-wide reinjection pass.
+// pendShard is one stripe of the parked-connection state, indexed by
+// principal. Parking and reinjection lock one stripe at a time, so the
+// accept path never waits on a fleet-wide reinjection pass; reinjection
+// swaps q with spare, so neither table is reallocated per window.
 type pendShard struct {
-	mu sync.Mutex
-	q  map[agreement.Principal][]heldConn
-	_  [64]byte
+	mu       sync.Mutex
+	q, spare [][]*flow
+	_        [64]byte
 }
 
 // Redirector is the Layer-4 switch.
@@ -128,6 +138,7 @@ type Redirector struct {
 	pend      []pendShard
 	pendCount []atomic.Int64 // parked connections per principal (MaxPending bound)
 	parkSeq   atomic.Uint32  // round-robin park stripe cursor
+	dials     dialDeadline
 
 	stopped atomic.Bool // Close drained the pending queues
 	wg      sync.WaitGroup
@@ -175,7 +186,8 @@ func NewRedirector(cfg Config) (*Redirector, error) {
 	}
 	r.pend = make([]pendShard, r.Admission().Shards())
 	for i := range r.pend {
-		r.pend[i].q = make(map[agreement.Principal][]heldConn)
+		r.pend[i].q = make([][]*flow, len(r.pendCount))
+		r.pend[i].spare = make([][]*flow, len(r.pendCount))
 	}
 
 	for _, svc := range cfg.Services {
@@ -216,28 +228,34 @@ func (r *Redirector) acceptLoop(ln net.Listener, p agreement.Principal) {
 // sampling is off).
 func (r *Redirector) handleConn(conn net.Conn, p agreement.Principal) {
 	now := time.Now()
-	client := clientKey(conn)
-	sp := r.Begin(p)
-	d, det := r.Admission().AdmitTraced(p, r.aff.lookup(client, now), 1)
-	node.StampAdmit(sp, det)
+	f := &flow{conn: conn, client: clientKey(conn), svc: p, accepted: now, span: r.Begin(p)}
+	d, det := r.Admission().AdmitTraced(p, r.aff.lookup(f.client, now), 1)
+	node.StampAdmit(f.span, det)
 	if !d.Admitted {
-		if r.park(conn, client, p, now, sp) {
+		if r.park(f, now) {
 			r.parked.Add(1)
 		}
 		return
 	}
-	r.aff.pin(client, d.Owner, now)
-	backend := r.chooseBackend(d.Owner)
-	sp.StampBackend()
-	if backend == "" {
-		conn.Close()
-		sp.Finish()
+	r.forward(f, d.Owner, now)
+}
+
+// forward pins an admitted connection's client to its owner and hands the
+// connection to a goroutine that dials and splices, or closes it when the
+// owner has no live backend.
+func (r *Redirector) forward(f *flow, owner agreement.Principal, now time.Time) {
+	r.aff.pin(f.client, owner, now)
+	f.backend = r.chooseBackend(owner)
+	f.span.StampBackend()
+	if f.backend == "" {
+		f.conn.Close()
+		f.span.Finish()
 		return
 	}
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		r.spliceOrRepark(conn, client, p, backend, sp)
+		r.spliceOrRepark(f)
 	}()
 }
 
@@ -246,25 +264,22 @@ func (r *Redirector) handleConn(conn net.Conn, p agreement.Principal) {
 // the connection was dropped (bound hit or redirector stopped) instead.
 // The span (nil when untraced) rides the queue entry; park/drop verdicts
 // are stamped here, expiry and reinjection at the reinject pass.
-func (r *Redirector) park(conn net.Conn, client string, p agreement.Principal, now time.Time, sp *obs.Span) bool {
+func (r *Redirector) park(f *flow, now time.Time) bool {
 	if r.stopped.Load() {
-		conn.Close()
-		sp.SetVerdict(obs.VerdictDrop)
-		sp.Finish()
+		drop(f)
 		return false
 	}
-	if r.pendCount[p].Add(1) > int64(r.cfg.MaxPending) {
-		r.pendCount[p].Add(-1)
+	if r.pendCount[f.svc].Add(1) > int64(r.cfg.MaxPending) {
+		r.pendCount[f.svc].Add(-1)
 		r.dropped.Add(1)
-		conn.Close()
-		sp.SetVerdict(obs.VerdictDrop)
-		sp.Finish()
+		drop(f)
 		return false
 	}
-	sp.SetVerdict(obs.VerdictPark)
+	f.span.SetVerdict(obs.VerdictPark)
+	f.parkedAt = now
 	sh := &r.pend[int(r.parkSeq.Add(1))%len(r.pend)]
 	sh.mu.Lock()
-	sh.q[p] = append(sh.q[p], heldConn{conn: conn, client: client, parkedAt: now, span: sp})
+	sh.q[f.svc] = append(sh.q[f.svc], f)
 	sh.mu.Unlock()
 	if r.stopped.Load() {
 		// Close raced the enqueue; drain again so the connection cannot
@@ -274,19 +289,24 @@ func (r *Redirector) park(conn net.Conn, client string, p agreement.Principal, n
 	return true
 }
 
+// drop closes a connection the switch will not serve.
+func drop(f *flow) {
+	f.conn.Close()
+	f.span.SetVerdict(obs.VerdictDrop)
+	f.span.Finish()
+}
+
 // drainShard closes and forgets every connection parked on the stripe.
 func (r *Redirector) drainShard(sh *pendShard) {
 	sh.mu.Lock()
-	taken := sh.q
-	sh.q = make(map[agreement.Principal][]heldConn)
-	sh.mu.Unlock()
-	for p, queue := range taken {
-		for _, hc := range queue {
-			hc.conn.Close()
-			hc.span.SetVerdict(obs.VerdictDrop)
-			hc.span.Finish()
+	defer sh.mu.Unlock()
+	for p, queue := range sh.q {
+		for _, f := range queue {
+			drop(f)
 		}
 		r.pendCount[p].Add(-int64(len(queue)))
+		clear(queue)
+		sh.q[p] = queue[:0]
 	}
 }
 
@@ -304,30 +324,59 @@ func (r *Redirector) chooseBackend(owner agreement.Principal) string {
 	return ""
 }
 
+// dialer dials every backend; the bound comes from the dial's context.
+var dialer net.Dialer
+
+// dialSlice is how long one deadline context is handed out to dials. Its
+// deadline lies two slices after it was made, so every dial is bounded by
+// one to two slices (1–2 s), and a context with its timer is made once per
+// slice instead of once per dial.
+const dialSlice = time.Second
+
+// dialDeadline holds the current slice's shared deadline context.
+type dialDeadline struct {
+	mu     sync.Mutex
+	ctx    context.Context
+	until  time.Time // the last instant ctx is handed out
+	cancel context.CancelFunc
+}
+
+// get returns the deadline context for a dial starting at now. A replaced
+// context is not cancelled: dials of its slice may still be running, and its
+// own deadline, at most one slice later, releases it.
+func (d *dialDeadline) get(now time.Time) context.Context {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.ctx == nil || now.After(d.until) {
+		d.ctx, d.cancel = context.WithDeadline(context.Background(), now.Add(2*dialSlice))
+		d.until = now.Add(dialSlice)
+	}
+	return d.ctx
+}
+
 // spliceOrRepark dials the backend and splices. A failed dial is not a
 // silent connection drop: the failure feeds the health checker and the
 // untouched client connection goes back to the pending queue (respecting
-// MaxPending) for reinjection toward a healthier backend next window.
-func (r *Redirector) spliceOrRepark(conn net.Conn, client string, svc agreement.Principal, backendAddr string, sp *obs.Span) {
-	backend, err := net.DialTimeout("tcp", backendAddr, 2*time.Second)
+// MaxPending) for reinjection toward a healthier backend next window. It
+// keeps its accept time, so PendingTimeout bounds its whole stay: a backend
+// that never answers cannot hold it, and a credit per window, forever.
+func (r *Redirector) spliceOrRepark(f *flow) {
+	backend, err := dialer.DialContext(r.dials.get(time.Now()), "tcp", f.backend)
 	if err != nil {
-		r.ReportFailure(backendAddr)
+		r.ReportFailure(f.backend)
 		r.dialFailures.Add(1)
-		// The pending clock restarts: the connection already waited zero
-		// windows, the dial failure is the backend's fault, not the client's.
-		if r.park(conn, client, svc, time.Now(), sp) {
+		if r.park(f, time.Now()) {
 			r.reparked.Add(1)
 		}
 		return
 	}
-	sp.StampDial()
-	r.splice(conn, backend, sp)
+	f.span.StampDial()
+	r.splice(f, backend)
 }
 
-// copyBufs pools the splice buffers: 32 KiB is io.Copy's own default and
-// large enough that a buffered copy of a short-lived connection needs one
-// refill at most. Pooling removes a per-connection-direction allocation from
-// the data path.
+// copyBufs pools the buffers of splice halves that the kernel cannot move:
+// a non-TCP destination, and the traced first-byte read. 32 KiB is io.Copy's
+// own default.
 var copyBufs = sync.Pool{
 	New: func() any { b := make([]byte, 32<<10); return &b },
 }
@@ -336,78 +385,72 @@ var copyBufs = sync.Pool{
 // propagating the client's half-close to the backend. A traced connection
 // stamps first-byte on the backend→client direction and finishes its span
 // once both halves drain.
-func (r *Redirector) splice(client, backend net.Conn, sp *obs.Span) {
-	defer client.Close()
-	defer backend.Close()
-	done := make(chan struct{})
+func (r *Redirector) splice(f *flow, backend net.Conn) {
+	f.halves.Add(1)
 	go func() {
-		r.copyHalf(backend, client, &r.copyErrIn)
-		if tc, ok := backend.(*net.TCPConn); ok {
-			_ = tc.CloseWrite()
+		defer f.halves.Done()
+		copyHalf(backend, f.conn, &r.copyErrIn)
+		if hc, ok := backend.(interface{ CloseWrite() error }); ok {
+			_ = hc.CloseWrite()
 		}
-		close(done)
 	}()
-	if sp != nil {
-		r.copyHalfFirstByte(client, backend, sp, &r.copyErrOut)
+	if f.span != nil {
+		copyHalfFirstByte(f.conn, backend, f.span, &r.copyErrOut)
 	} else {
-		r.copyHalf(client, backend, &r.copyErrOut)
+		copyHalf(f.conn, backend, &r.copyErrOut)
 	}
-	<-done
-	sp.Finish()
+	f.halves.Wait()
+	backend.Close()
+	f.conn.Close()
+	f.span.Finish()
 }
 
-// copyHalf shuttles one splice direction through a pooled buffer and
-// classifies how it ended: a clean half-close (EOF, or our own shutdown
-// closing the socket) is the normal end of a TCP conversation, anything
-// else — connection reset, broken pipe, a timeout — is a transport error
-// worth counting. When dst is a *net.TCPConn, io.CopyBuffer defers to its
-// ReadFrom and the kernel moves the bytes (splice(2)/sendfile on Linux)
-// without touching the buffer at all.
-func (r *Redirector) copyHalf(dst, src net.Conn, errCounter *atomic.Int64) {
-	bp := copyBufs.Get().(*[]byte)
-	_, err := io.CopyBuffer(dst, src, *bp)
-	copyBufs.Put(bp)
-	if err != nil && !errors.Is(err, net.ErrClosed) {
-		errCounter.Add(1)
+// copyHalf copies one splice direction until src ends. A *net.TCPConn dst
+// takes src through its ReadFrom, where Linux moves the bytes with splice(2)
+// and no user-space buffer. io.CopyBuffer reaches the same splice, but tries
+// src's WriteTo first, which (since Go 1.22) boxes src in a wrapper on every
+// call and never uses the buffer it was given. Any other dst copies through
+// a pooled buffer.
+func copyHalf(dst, src net.Conn, errCounter *atomic.Int64) {
+	var err error
+	if tc, ok := dst.(*net.TCPConn); ok {
+		_, err = tc.ReadFrom(src)
+	} else {
+		bp := copyBufs.Get().(*[]byte)
+		_, err = io.CopyBuffer(dst, src, *bp)
+		copyBufs.Put(bp)
 	}
+	countCopyErr(err, errCounter)
 }
 
 // copyHalfFirstByte is copyHalf for a traced backend→client direction: the
 // first read is taken by hand so the span's first-byte stamp lands on real
-// response bytes, then the remainder goes through io.CopyBuffer (which still
-// defers to the kernel splice fast path for the bulk of the transfer).
-func (r *Redirector) copyHalfFirstByte(dst, src net.Conn, sp *obs.Span, errCounter *atomic.Int64) {
+// response bytes, then copyHalf moves the rest.
+func copyHalfFirstByte(dst, src net.Conn, sp *obs.Span, errCounter *atomic.Int64) {
 	bp := copyBufs.Get().(*[]byte)
-	defer copyBufs.Put(bp)
-	buf := *bp
-	n, rerr := src.Read(buf)
+	n, err := src.Read(*bp)
 	if n > 0 {
 		sp.StampFirstByte()
-		if _, werr := dst.Write(buf[:n]); werr != nil {
-			if !errors.Is(werr, net.ErrClosed) {
-				errCounter.Add(1)
-			}
-			return
+		if _, werr := dst.Write((*bp)[:n]); werr != nil {
+			err = werr
 		}
 	}
-	if rerr != nil {
-		if rerr != io.EOF && !errors.Is(rerr, net.ErrClosed) {
-			errCounter.Add(1)
-		}
+	copyBufs.Put(bp)
+	if err != nil {
+		countCopyErr(err, errCounter)
 		return
 	}
-	_, err := io.CopyBuffer(dst, src, buf)
-	if err != nil && !errors.Is(err, net.ErrClosed) {
-		errCounter.Add(1)
-	}
+	copyHalf(dst, src, errCounter)
 }
 
-type launch struct {
-	conn    net.Conn
-	client  string
-	svc     agreement.Principal
-	backend string
-	span    *obs.Span
+// countCopyErr classifies how a splice half ended: a clean half-close (EOF,
+// or our own shutdown closing the socket) is the normal end of a TCP
+// conversation, anything else — connection reset, broken pipe, a timeout —
+// is a transport error worth counting.
+func countCopyErr(err error, errCounter *atomic.Int64) {
+	if err != nil && err != io.EOF && !errors.Is(err, net.ErrClosed) {
+		errCounter.Add(1)
+	}
 }
 
 // reinject is the node's per-window hook: once the boundary has scheduled
@@ -418,80 +461,59 @@ func (r *Redirector) reinject(startErr error) {
 	if startErr != nil {
 		return
 	}
-
-	// Reinjection: stripe by stripe, oldest parked connections first, while
-	// credits last. Only one stripe's lock is held at a time, so the accept
-	// path keeps parking concurrently.
+	// Stripe by stripe, oldest parked connections first, while credits last.
+	// Only one stripe's lock is held at a time, so the accept path keeps
+	// parking concurrently.
 	now := time.Now()
-	var launches []launch
 	for i := range r.pend {
-		launches = append(launches, r.reinjectShard(&r.pend[i], now)...)
+		r.reinjectShard(&r.pend[i], now)
 	}
 	r.aff.sweep(now)
-
-	for _, l := range launches {
-		if l.backend == "" {
-			l.conn.Close()
-			l.span.Finish()
-			continue
-		}
-		l := l
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.spliceOrRepark(l.conn, l.client, l.svc, l.backend, l.span)
-		}()
-	}
 }
 
 // reinjectShard re-admits one stripe's parked connections: expired ones are
-// closed, admitted ones become launches, the rest keep their queue position
+// closed, admitted ones are forwarded, the rest keep their queue position
 // ahead of connections parked meanwhile.
-func (r *Redirector) reinjectShard(sh *pendShard, now time.Time) []launch {
+func (r *Redirector) reinjectShard(sh *pendShard, now time.Time) {
 	sh.mu.Lock()
 	taken := sh.q
-	sh.q = make(map[agreement.Principal][]heldConn)
+	sh.q, sh.spare = sh.spare, nil
 	sh.mu.Unlock()
 
-	var launches []launch
 	for p, queue := range taken {
 		kept := queue[:0]
-		for _, hc := range queue {
-			if now.Sub(hc.parkedAt) > r.cfg.PendingTimeout {
-				hc.conn.Close()
+		for _, f := range queue {
+			if now.Sub(f.accepted) > r.cfg.PendingTimeout {
+				f.conn.Close()
 				r.expired.Add(1)
 				r.pendCount[p].Add(-1)
-				hc.span.AddPark(now.Sub(hc.parkedAt))
-				hc.span.SetVerdict(obs.VerdictExpire)
-				hc.span.Finish()
+				f.span.AddPark(now.Sub(f.parkedAt))
+				f.span.SetVerdict(obs.VerdictExpire)
+				f.span.Finish()
 				continue
 			}
-			d, det := r.Admission().AdmitTraced(p, r.aff.lookup(hc.client, now), 1)
+			d, det := r.Admission().AdmitTraced(f.svc, r.aff.lookup(f.client, now), 1)
 			if !d.Admitted {
-				kept = append(kept, hc)
+				kept = append(kept, f)
 				continue
 			}
 			r.pendCount[p].Add(-1)
-			r.aff.pin(hc.client, d.Owner, now)
-			hc.span.AddPark(now.Sub(hc.parkedAt))
-			node.StampAdmit(hc.span, det)
-			backend := r.chooseBackend(d.Owner)
-			hc.span.StampBackend()
-			launches = append(launches, launch{
-				conn: hc.conn, client: hc.client, svc: p,
-				backend: backend, span: hc.span,
-			})
+			f.span.AddPark(now.Sub(f.parkedAt))
+			node.StampAdmit(f.span, det)
+			r.forward(f, d.Owner, now)
 		}
-		if len(kept) > 0 {
-			sh.mu.Lock()
-			sh.q[p] = append(kept, sh.q[p]...)
-			sh.mu.Unlock()
-		}
+		clear(queue[len(kept):])
+		taken[p] = kept
 	}
-	if r.stopped.Load() {
-		r.drainShard(sh)
+
+	sh.mu.Lock()
+	for p, parked := range sh.q {
+		taken[p] = append(taken[p], parked...)
+		clear(parked)
+		sh.q[p] = parked[:0]
 	}
-	return launches
+	sh.q, sh.spare = taken, sh.q
+	sh.mu.Unlock()
 }
 
 // Stats returns the forwarding counters.
@@ -552,13 +574,19 @@ func (r *Redirector) Close() error {
 		r.drainShard(&r.pend[i])
 	}
 	r.wg.Wait()
+	if r.dials.cancel != nil {
+		r.dials.cancel() // every dial has returned
+	}
 	return err
 }
 
-func clientKey(conn net.Conn) string {
-	host, _, err := net.SplitHostPort(conn.RemoteAddr().String())
-	if err != nil {
-		return conn.RemoteAddr().String()
+// clientKey is conn's affinity key: the client's IP address, unmapped so an
+// IPv4 client reached through a dual-stack listener (::ffff:a.b.c.d) and
+// one reached over IPv4 share a pin. Conns that are not TCP share the zero
+// key.
+func clientKey(conn net.Conn) netip.Addr {
+	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+		return ta.AddrPort().Addr().Unmap()
 	}
-	return host
+	return netip.Addr{}
 }
