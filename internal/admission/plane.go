@@ -6,6 +6,8 @@
 //
 // The design is credit sharding with work stealing:
 //
+//   - New publishes window 0's credits — the redirector's blind grant, armed
+//     at construction — so a plane admits from the moment it exists.
 //   - At each window boundary the freshly scheduled credits are split evenly
 //     across GOMAXPROCS-aligned shards. A steady-state admit is one CAS on a
 //     cache-line-padded credit cell belonging to the caller's shard.
@@ -247,8 +249,10 @@ var (
 
 type shardHint struct{ s uint32 }
 
-// New builds a Plane over the given redirector/engine pair and publishes an
-// empty initial pool (all admits reject until the first StartWindow).
+// New builds a Plane over the given redirector/engine pair and publishes
+// window 0: the first pool is armed with the credit the redirector holds
+// (its blind grant, see core.Engine.NewRedirector), so admits succeed from
+// the moment New returns. Restore durable state into the redirector first.
 func New(cfg Config) (*Plane, error) {
 	if cfg.Redirector == nil || cfg.Engine == nil {
 		return nil, fmt.Errorf("admission: Redirector and Engine are required")
@@ -281,11 +285,11 @@ func New(cfg Config) (*Plane, error) {
 		pl.lastArr[s] = make([]float64, n)
 		pl.lastAdm[s] = make([]float64, n)
 	}
-	// The first pool goes live empty; the spare starts as a retired pool is
-	// left, every cell poison.
+	// The first pool goes live with window 0's grant; the spare starts as a
+	// retired pool is left, every cell poison, but with nothing left over:
+	// window 0's unspent credit is pool 0's, collected when it retires.
 	pl.pools = [2]*pool{pl.newPool(), pl.newPool()}
 	pl.arm(pl.pools[0])
-	pl.arm(pl.pools[1])
 	pl.retire(pl.pools[1])
 	pl.cur.Store(pl.pools[0])
 	return pl, nil

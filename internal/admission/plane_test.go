@@ -101,13 +101,51 @@ func TestDroppedPlaneIsCollected(t *testing.T) {
 	}
 }
 
-func TestAdmitBeforeFirstWindowRejects(t *testing.T) {
-	pl, _, a, _ := communityPlane(t, 4)
-	if d := pl.Admit(a); d.Admitted {
-		t.Fatal("admitted against an empty initial pool")
+// TestWindowZeroPublishedAtNew: New publishes the redirector's window-0
+// blind grant (R = 1: A's 32 own + 16 on B, B's 16 own), spendable in full
+// through the shards before any StartWindow and not a request beyond it.
+func TestWindowZeroPublishedAtNew(t *testing.T) {
+	pl, _, a, b := communityPlane(t, 4)
+	if got := pl.CreditsRemaining(a); got != 48 {
+		t.Fatalf("window 0 credit for A = %v, want 48", got)
 	}
-	if admits, rejects := pl.Counts(); admits != 0 || rejects != 1 {
-		t.Fatalf("counts = %d/%d, want 0/1", admits, rejects)
+	if got := pl.CreditsRemaining(b); got != 16 {
+		t.Fatalf("window 0 credit for B = %v, want 16", got)
+	}
+	for i := 0; i < 48; i++ {
+		if !pl.Admit(a).Admitted {
+			t.Fatalf("request %d rejected inside window 0's grant", i)
+		}
+	}
+	if pl.Admit(a).Admitted {
+		t.Fatal("admitted past window 0's grant")
+	}
+	if admits, rejects := pl.Counts(); admits != 48 || rejects != 1 {
+		t.Fatalf("counts = %d/%d, want 48/1", admits, rejects)
+	}
+}
+
+// TestWindowZeroSpentCarriesNothing pins where window 0's leftover goes. The
+// spare pool starts retired with nothing left over, so the first boundary
+// carries nothing (an armed-then-retired spare would hand it window 0's
+// grant as phantom carry); window 0's own pool retires there, and its
+// leftover — none for A, which spent it all — funds the second boundary.
+func TestWindowZeroSpentCarriesNothing(t *testing.T) {
+	pl, _, a, b := communityPlane(t, 4)
+	for pl.Admit(a).Admitted {
+	}
+	// No global view: both boundaries are blind, granting exactly 48 and 16.
+	if err := pl.StartWindow(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if ga, gb := pl.CreditsRemaining(a), pl.CreditsRemaining(b); ga != 48 || gb != 16 {
+		t.Fatalf("window 1 credit A/B = %v/%v, want 48/16 (no carry yet)", ga, gb)
+	}
+	if err := pl.StartWindow(200 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if ga, gb := pl.CreditsRemaining(a), pl.CreditsRemaining(b); ga != 48 || gb != 16+1 {
+		t.Fatalf("window 2 credit A/B = %v/%v, want 48/17 (window 0 carried 0 for A, 1 for B)", ga, gb)
 	}
 }
 
@@ -213,8 +251,12 @@ func TestFoldDeliversArrivals(t *testing.T) {
 	if est[a] < 100 {
 		t.Fatalf("estimate[a] = %v after 200 arrivals, want majority folded", est[a])
 	}
-	if red.Rejected != 200 {
-		t.Fatalf("rejected = %d, want 200 (empty initial pool)", red.Rejected)
+	// Every decision reached the scheduler, split as the shards made it
+	// against window 0's grant.
+	admits, rejects := pl.Counts()
+	if red.Admitted+red.Rejected != 200 || uint64(red.Admitted) != admits || uint64(red.Rejected) != rejects {
+		t.Fatalf("folded %d admits + %d rejects, shards counted %d + %d of 200",
+			red.Admitted, red.Rejected, admits, rejects)
 	}
 }
 
@@ -258,10 +300,11 @@ func TestConcurrentAdmitWindowSwap(t *testing.T) {
 	wg.Wait()
 
 	// Provider capacity is 640 req/s × 100 ms = 64 credits/window; with
-	// carry (≤1 per principal per window) total admissions are bounded by
-	// windows × (64 + 2). The bound fails loudly if pool swaps double-count
-	// credits or resurrect retired pools.
-	limit := float64(windows) * (64 + 2)
+	// carry (≤1 per principal per window) total admissions over window 0 and
+	// the windows after it are bounded by (windows + 1) × (64 + 2). The
+	// bound fails loudly if pool swaps double-count credits or resurrect
+	// retired pools.
+	limit := float64(windows+1) * (64 + 2)
 	if got := float64(admitted.Load()); got > limit {
 		t.Fatalf("admitted %v requests over %d windows, conservation bound %v", got, windows, limit)
 	}

@@ -164,6 +164,21 @@ func TestPoolRotationStress(t *testing.T) {
 
 			n := pl.n
 			armed, collected := make([]float64, n), make([]float64, n)
+			// account books the pool just armed and the one just retired:
+			// window 0's pool at New (nothing retired), then each boundary's.
+			account := func() {
+				for p := 0; p < n; p++ {
+					for k := 0; k < n; k++ {
+						armed[p] += pl.expMatrix[p][k]
+						collected[p] += pl.remMatrix[p][k]
+					}
+					if pl.mode == core.Provider {
+						armed[p] += pl.expTotal[p]
+						collected[p] += pl.remTotal[p]
+					}
+				}
+			}
+			account()
 			// An admit in flight can hold less than its cost in gathered
 			// fragments outside every cell; only more than all of them could
 			// hold proves a dry mark wrong.
@@ -195,15 +210,8 @@ func TestPoolRotationStress(t *testing.T) {
 				}
 				checkDry(w)
 				now += 100 * time.Millisecond
+				account()
 				for p := 0; p < n; p++ {
-					for k := 0; k < n; k++ {
-						armed[p] += pl.expMatrix[p][k]
-						collected[p] += pl.remMatrix[p][k]
-					}
-					if pl.mode == core.Provider {
-						armed[p] += pl.expTotal[p]
-						collected[p] += pl.remTotal[p]
-					}
 					admitted := 0.0
 					for s := range pl.shards {
 						admitted += pl.shards[s].admitted[p].load()

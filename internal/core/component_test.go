@@ -58,21 +58,23 @@ func TestMixedComponentWindowGating(t *testing.T) {
 		t.Fatalf("Conservative=%d Partial=%d, want 0/1", r.Conservative, r.Partial)
 	}
 	// C runs conservatively: half of its mandatory entitlements (own 32 +
-	// partner 16 per window ⇒ 24), exactly like a fully blind window.
+	// partner 16 per window ⇒ 24), exactly like a fully blind window, plus
+	// one request per owner cell carried from window 0's unspent blind grant.
 	admitted := 0
 	for i := 0; i < 100; i++ {
 		if r.Admit(c).Admitted {
 			admitted++
 		}
 	}
-	if admitted != 24 {
-		t.Fatalf("stale-component admissions for C = %d, want 24", admitted)
+	if admitted != 26 {
+		t.Fatalf("stale-component admissions for C = %d, want 26", admitted)
 	}
 	// A was planned against its fresh aggregate with zero local estimate:
-	// the plan grants it nothing here (frac 0), so admissions stay 0 —
-	// the point is it took the planned path, not the blind share.
-	if d := r.Admit(a); d.Admitted {
-		t.Fatal("fresh principal drew blind-share credit")
+	// the plan grants it nothing here (frac 0), so it holds exactly window
+	// 0's carry, one request per owner cell — the point is it took the
+	// planned path, not the blind share.
+	if got := r.CreditsRemaining(a); got != 2 {
+		t.Fatalf("fresh principal holds %v credits, want 2 (window 0's carry only)", got)
 	}
 
 	// Both components fresh: a normal planned window, no new partials.

@@ -189,7 +189,8 @@ func TestConservativeFallbackHalvesMandatory(t *testing.T) {
 	e, a, b := providerEngine(t, 2)
 	r := e.NewRedirector(0)
 	// No SetGlobal at all: conservative mode. B's mandatory is 128 req/s =
-	// 12.8/window; half (two redirectors) = 6.4.
+	// 12.8/window; half (two redirectors) = 6.4, plus the one request window
+	// 0 (the same 6.4, unspent) carries.
 	if err := r.StartWindow(0); err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +200,8 @@ func TestConservativeFallbackHalvesMandatory(t *testing.T) {
 			count++
 		}
 	}
-	if count != 6 {
-		t.Fatalf("conservative admissions for B = %d, want 6 (half of 12.8)", count)
+	if count != 7 {
+		t.Fatalf("conservative admissions for B = %d, want 7 (half of 12.8, plus 1 carried)", count)
 	}
 	if r.Conservative != 1 {
 		t.Fatalf("Conservative windows = %d", r.Conservative)
@@ -218,7 +219,9 @@ func TestCommunityConservativeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Blind community mode: half of each per-pair mandatory entitlement.
-	// A: MI[A][A]=32, MI[B][A]=16 per window ⇒ half = 16 + 8 = 24.
+	// A: MI[A][A]=32, MI[B][A]=16 per window ⇒ half = 16 + 8 = 24, plus one
+	// request per owner cell carried from window 0's identical, unspent
+	// grant.
 	admitted, owners := 0, map[agreement.Principal]int{}
 	for i := 0; i < 100; i++ {
 		if d := r.Admit(a); d.Admitted {
@@ -226,11 +229,11 @@ func TestCommunityConservativeFallback(t *testing.T) {
 			owners[d.Owner]++
 		}
 	}
-	if admitted != 24 {
-		t.Fatalf("blind community admissions = %d, want 24", admitted)
+	if admitted != 26 {
+		t.Fatalf("blind community admissions = %d, want 26", admitted)
 	}
-	if owners[a] != 16 || owners[b] != 8 {
-		t.Fatalf("owner split = %v, want A:16 B:8", owners)
+	if owners[a] != 17 || owners[b] != 9 {
+		t.Fatalf("owner split = %v, want A:17 B:9", owners)
 	}
 	r.SetGlobal([]float64{10, 10}, 0)
 	if !r.HasGlobal() {
@@ -505,11 +508,17 @@ func TestUpdateSystemRefoldsAgreements(t *testing.T) {
 func TestRejectionsCounted(t *testing.T) {
 	e, a, _ := communityEngine(t, 1)
 	r := e.NewRedirector(0)
-	// No windows started: no credits at all.
-	if d := r.Admit(a); d.Admitted {
-		t.Fatal("admitted without credits")
+	// No windows started: window 0 holds A's blind grant, 48 (R = 1), and
+	// nothing more.
+	for i := 0; i < 48; i++ {
+		if d := r.Admit(a); !d.Admitted {
+			t.Fatalf("request %d rejected inside window 0's grant", i)
+		}
 	}
-	if r.Rejected != 1 || r.Admitted != 0 {
+	if d := r.Admit(a); d.Admitted {
+		t.Fatal("admitted past window 0's grant")
+	}
+	if r.Rejected != 1 || r.Admitted != 48 {
 		t.Fatalf("counters = admitted %d rejected %d", r.Admitted, r.Rejected)
 	}
 }
@@ -561,11 +570,26 @@ func TestObserverRecordsWindows(t *testing.T) {
 	pump(t, r, demand, windows)
 
 	// A window's record commits when the next window opens, so after w
-	// StartWindow calls w-1 records are in the ring.
+	// StartWindow calls window 0 (traced from SetObserver) and windows
+	// 1..w-1 are in the ring.
 	recs := o.Ring().Snapshot(0)
-	if len(recs) != windows-1 {
-		t.Fatalf("ring holds %d records, want %d", len(recs), windows-1)
+	if len(recs) != windows {
+		t.Fatalf("ring holds %d records, want %d", len(recs), windows)
 	}
+	// Window 0 is blind: the full mandatory claim (R = 1) is grant, floor
+	// and ceiling at once, with nothing carried on a cold start.
+	boot := recs[0]
+	if boot.Window != 0 || !boot.Conservative || boot.HaveGlobal {
+		t.Fatalf("first record = window %d conservative=%v global=%v, want blind window 0",
+			boot.Window, boot.Conservative, boot.HaveGlobal)
+	}
+	for p, mc := range []float64{48, 16} {
+		if boot.Granted[p] != mc || boot.Floor[p] != mc || boot.Ceil[p] != mc {
+			t.Fatalf("window 0 principal %d granted/floor/ceil = %g/%g/%g, want %g",
+				p, boot.Granted[p], boot.Floor[p], boot.Ceil[p], mc)
+		}
+	}
+	recs = recs[1:]
 	for i, rec := range recs {
 		if rec.Window != uint64(i+1) {
 			t.Fatalf("record %d has window %d", i, rec.Window)
@@ -605,11 +629,11 @@ func TestObserverRecordsWindows(t *testing.T) {
 	}
 
 	aud := o.Auditor()
-	if aud.Windows() != int64(windows-1) {
-		t.Fatalf("auditor windows = %d, want %d", aud.Windows(), windows-1)
+	if aud.Windows() != int64(windows) {
+		t.Fatalf("auditor windows = %d, want %d", aud.Windows(), windows)
 	}
-	if aud.Conservative() != 0 || aud.NoGlobal() != 0 || aud.SolveErrors() != 0 {
-		t.Fatalf("auditor flags = conservative=%d noGlobal=%d solveErr=%d",
+	if aud.Conservative() != 1 || aud.NoGlobal() != 1 || aud.SolveErrors() != 0 {
+		t.Fatalf("auditor flags = conservative=%d noGlobal=%d solveErr=%d, want 1/1/0 (window 0)",
 			aud.Conservative(), aud.NoGlobal(), aud.SolveErrors())
 	}
 	if got := aud.OverUB(int(a)) + aud.OverUB(int(b)); got != 0 {
@@ -649,10 +673,14 @@ func TestObserverTracesConservativeWindows(t *testing.T) {
 		}
 	}
 	recs := o.Ring().Snapshot(0)
-	if len(recs) != 2 {
-		t.Fatalf("ring holds %d records, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("ring holds %d records, want 3", len(recs))
 	}
-	fresh, stale := recs[0], recs[1]
+	boot, fresh, stale := recs[0], recs[1], recs[2]
+	if boot.Window != 0 || !boot.Conservative || boot.Granted[a] != 16 {
+		t.Fatalf("window 0 = (%d, conservative=%v, granted %g), want blind with 16",
+			boot.Window, boot.Conservative, boot.Granted[a])
+	}
 	if fresh.Conservative || !fresh.HaveGlobal {
 		t.Fatalf("fresh window flagged conservative=%v global=%v", fresh.Conservative, fresh.HaveGlobal)
 	}
@@ -666,7 +694,7 @@ func TestObserverTracesConservativeWindows(t *testing.T) {
 	if math.Abs(stale.Granted[a]-16) > 1e-6 || math.Abs(stale.Floor[a]-16) > 1e-6 {
 		t.Fatalf("conservative grant = %g floor = %g, want 16", stale.Granted[a], stale.Floor[a])
 	}
-	if o.Auditor().Conservative() != 1 {
-		t.Fatalf("auditor conservative = %d, want 1", o.Auditor().Conservative())
+	if o.Auditor().Conservative() != 2 {
+		t.Fatalf("auditor conservative = %d, want 2 (window 0 and the stale window)", o.Auditor().Conservative())
 	}
 }

@@ -17,9 +17,11 @@ func TestLeaseDepositProviderConservative(t *testing.T) {
 	if err := r.StartWindow(0); err != nil {
 		t.Fatal(err)
 	}
+	// Baseline: B's blind 12.8 plus the one request carried from window 0's
+	// identical, unspent grant.
 	base := r.CreditsRemaining(b)
-	if base <= 0 {
-		t.Fatalf("no baseline credit for B: %v", base)
+	if !approx(base, 12.8+1) {
+		t.Fatalf("baseline credit for B = %v, want 13.8", base)
 	}
 
 	total := make([]float64, e.NumPrincipals())
@@ -31,10 +33,10 @@ func TestLeaseDepositProviderConservative(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := r.CreditsRemaining(b)
-	// Conservative claim replaces (not accumulates) the mandatory share; the
-	// delta over baseline is the per-window lease deposit plus the standard
-	// ≤1-request carry from the untouched first window.
-	if want := base + 10 + 1; !approx(got, want) {
+	// Conservative claim replaces (not accumulates) the mandatory share and
+	// each window carries one request from the untouched one before; the
+	// delta over baseline is the per-window lease deposit.
+	if want := base + 10; !approx(got, want) {
 		t.Fatalf("leased blind credit for B = %v, want %v", got, want)
 	}
 
@@ -45,8 +47,8 @@ func TestLeaseDepositProviderConservative(t *testing.T) {
 	if err := r.StartWindow(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.CreditsRemaining(b); !approx(got, base+1) {
-		t.Fatalf("credit after lease clear = %v, want baseline+carry %v", got, base+1)
+	if got := r.CreditsRemaining(b); !approx(got, base) {
+		t.Fatalf("credit after lease clear = %v, want baseline %v", got, base)
 	}
 }
 
@@ -58,7 +60,12 @@ func TestLeaseDepositCommunityConservative(t *testing.T) {
 	if err := r.StartWindow(0); err != nil {
 		t.Fatal(err)
 	}
+	// Baseline: A's blind 32 + 16 plus one request per owner cell carried
+	// from window 0's identical, unspent grant.
 	base := r.CreditsRemaining(a)
+	if !approx(base, 48+2) {
+		t.Fatalf("baseline credit for A = %v, want 50", base)
+	}
 
 	matrix := make([][]float64, e.NumPrincipals())
 	for i := range matrix {
@@ -71,9 +78,9 @@ func TestLeaseDepositCommunityConservative(t *testing.T) {
 	if err := r.StartWindow(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	// base + the 5-request deposit + one carried request per funded owner
-	// cell (A holds credit on both A's and B's servers).
-	if got, want := r.CreditsRemaining(a), base+5+2; !approx(got, want) {
+	// base + the 5-request deposit: the carry, one request per funded owner
+	// cell (A holds credit on both A's and B's servers), is in both.
+	if got, want := r.CreditsRemaining(a), base+5; !approx(got, want) {
 		t.Fatalf("leased blind credit for A = %v, want %v", got, want)
 	}
 	// The deposit must be directed at owner B: admitting for A drains it.

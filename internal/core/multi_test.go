@@ -100,7 +100,8 @@ func TestMultiEngineConservativeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A's request-denominated mandatory: min(0.5·1000, 0.5·400/10) = 20/s
-	// = 2/window; conservative half ⇒ 1/window.
+	// = 2/window; conservative half ⇒ 1/window, plus the one request window
+	// 0's identical, unspent grant carries.
 	if got := e.Access().MC[a]; math.Abs(got-2) > 1e-9 {
 		t.Fatalf("synthetic MC[A]/window = %v, want 2", got)
 	}
@@ -114,8 +115,8 @@ func TestMultiEngineConservativeFallback(t *testing.T) {
 			admitted++
 		}
 	}
-	if admitted != 1 {
-		t.Fatalf("blind multi admissions = %d, want 1", admitted)
+	if admitted != 2 {
+		t.Fatalf("blind multi admissions = %d, want 2", admitted)
 	}
 	if !strings.Contains(e.DescribeEntitlements(), "20.0") {
 		t.Fatalf("DescribeEntitlements = %q", e.DescribeEntitlements())

@@ -60,6 +60,11 @@ type Redirector struct {
 	pending     *obs.Record
 	pendingOpen bool
 
+	// boot is window 0 — construction to the first StartWindow — as armed:
+	// its grant, floor and ceiling, kept so an observer attached before any
+	// boundary can trace it. Nil once the first boundary has run.
+	boot *obs.Record
+
 	// Window telemetry.
 	Admitted     int
 	Rejected     int
@@ -79,6 +84,12 @@ type Redirector struct {
 // any eviction recorded against the id is cleared (the fresh instance is
 // re-admitted through the laggard conservative-fallback path until it
 // learns the current set).
+//
+// The redirector serves from the moment it exists: window 0, the span
+// before the first StartWindow, is a blind window holding exactly the
+// conservative claim of every other blind window — MC_i/R of each mandatory
+// entitlement (§3.2, Figure 8 phase 1) plus any lease deposit at the same
+// scale.
 func (e *Engine) NewRedirector(id int) *Redirector {
 	e.mu.Lock()
 	e.registered[id] = true
@@ -92,11 +103,37 @@ func (e *Engine) NewRedirector(id int) *Redirector {
 		creditsTotal: make([]float64, e.n),
 		credits:      make([][]float64, e.n),
 		admittedP:    make([]float64, e.n),
+		boot:         obs.NewRecord(e.n),
 	}
 	for i := range r.credits {
 		r.credits[i] = make([]float64, e.n)
 	}
+	r.armWindowZero()
 	return r
+}
+
+// armWindowZero grants window 0 the blind claim on top of the carry of
+// whatever credit the redirector holds — none on a cold start, the restored
+// credit after RestoreState — and records the grant for its trace.
+func (r *Redirector) armWindowZero() {
+	st := r.e.snapshot()
+	r.boot.ConfigVersion = uint64(st.version)
+	r.conservativeCredits(st, r.boot)
+	if r.obsv != nil {
+		r.openWindowZeroRecord()
+	}
+}
+
+// openWindowZeroRecord opens window 0's trace record from the armed grant:
+// a blind window numbered 0, committed by the first StartWindow.
+func (r *Redirector) openWindowZeroRecord() {
+	rec := r.openWindowRecord(0)
+	rec.Window = 0
+	rec.Conservative = true
+	rec.ConfigVersion = r.boot.ConfigVersion
+	copy(rec.Granted, r.boot.Granted)
+	copy(rec.Floor, r.boot.Floor)
+	copy(rec.Ceil, r.boot.Ceil)
 }
 
 // ID returns the redirector's identity.
@@ -184,13 +221,17 @@ func (r *Redirector) SetRollout(epoch int, known uint64) {
 // SetObserver attaches a window-trace observer (nil detaches). The
 // redirector fills one record per scheduling window and commits it when the
 // next window closes it; the record path performs zero heap allocations.
-// Call from the goroutine that owns the redirector.
+// Attached before the first StartWindow, it also traces window 0. Call from
+// the goroutine that owns the redirector.
 func (r *Redirector) SetObserver(o *obs.Observer) {
 	r.obsv = o
 	r.pendingOpen = false
 	r.pending = nil
 	if o != nil {
 		r.pending = o.NewRecord()
+		if r.boot != nil {
+			r.openWindowZeroRecord()
+		}
 	}
 }
 
@@ -244,6 +285,7 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 	// Close the finished window's trace record while its arrivals and
 	// admissions are still intact.
 	r.closeWindowRecord()
+	r.boot = nil
 	r.Windows++
 	// Fold the finished window's arrivals into the demand estimate.
 	for i := 0; i < r.e.n; i++ {
@@ -681,8 +723,10 @@ func (r *Redirector) ExportEstimate(dst []float64) []float64 {
 // slices skip that piece; slices shorter than NumPrincipals restore a
 // prefix. Call before the first StartWindow, from the goroutine that owns
 // the redirector. The restored credits are the recovered process's carry
-// basis — at most one window of credit (the one in flight at the crash) is
-// lost, bounded by the persist append cadence.
+// basis: window 0 is re-armed to the blind grant of the current generation
+// plus the ≤1-request carry of each restored cell, so a restore never mints
+// more than the carry bound. At most one window of credit (the one in
+// flight at the crash) is lost, bounded by the persist append cadence.
 func (r *Redirector) RestoreState(windows int, estimate []float64, credits [][]float64, total []float64) {
 	if windows > r.Windows {
 		r.Windows = windows
@@ -690,6 +734,10 @@ func (r *Redirector) RestoreState(windows int, estimate []float64, credits [][]f
 	for i := 0; i < r.e.n && i < len(estimate); i++ {
 		r.estimate[i] = estimate[i]
 	}
+	for i := range r.credits {
+		clear(r.credits[i])
+	}
+	clear(r.creditsTotal)
 	for i := 0; i < r.e.n && i < len(credits); i++ {
 		for k := 0; k < r.e.n && k < len(credits[i]); k++ {
 			r.credits[i][k] = credits[i][k]
@@ -697,6 +745,9 @@ func (r *Redirector) RestoreState(windows int, estimate []float64, credits [][]f
 	}
 	for i := 0; i < r.e.n && i < len(total); i++ {
 		r.creditsTotal[i] = total[i]
+	}
+	if r.boot != nil {
+		r.armWindowZero()
 	}
 }
 

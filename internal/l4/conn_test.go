@@ -444,8 +444,8 @@ func BenchmarkConnection(b *testing.B) {
 		}
 		return nil
 	}
-	// The switch admits nothing before its first window boundary, and its
-	// credit then follows the demand it has seen: warm it up.
+	// The switch starts on window 0's blind claim, and from its first
+	// boundary its credit follows the demand it has seen: warm it up.
 	for i := 0; i < 2000; i++ {
 		if err := do(); err != nil {
 			b.Fatal(err)

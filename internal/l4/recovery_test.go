@@ -101,3 +101,46 @@ func TestBootRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWindowZeroFirstConnectionSpliced: the first connection a fresh switch
+// accepts is spliced to a backend on window 0's blind grant, before any
+// window boundary — nothing parks waiting for one.
+func TestWindowZeroFirstConnectionSpliced(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket test")
+	}
+	s := agreement.New()
+	sp := s.MustAddPrincipal("S", 100)
+	c := s.MustAddPrincipal("C", 0)
+	s.MustSetAgreement(sp, c, 0.5, 1)
+	// A window far longer than the test: every decision here is window 0's.
+	eng, err := core.NewEngine(core.Config{
+		Mode: core.Provider, System: s, ProviderPrincipal: sp, Window: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bk, err := NewBackend("127.0.0.1:0", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bk.Close()
+	r, err := NewRedirector(Config{
+		Engine:   eng,
+		Services: []ServiceSpec{{Principal: c, Addr: "127.0.0.1:0"}},
+		Backends: map[agreement.Principal][]string{sp: {bk.Addr()}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if ok, err := Do(r.Addr(c), "GET /first", 5*time.Second); err != nil || !ok {
+		t.Fatalf("first connection: ok=%v err=%v", ok, err)
+	}
+	if forwarded, parked, _, _ := r.Stats(); forwarded != 1 || parked != 0 {
+		t.Fatalf("forwarded %d, parked %d; want the first connection spliced at once", forwarded, parked)
+	}
+	if windows, _, _ := r.WindowStats(); windows != 0 {
+		t.Fatalf("%d window boundaries ran; the test needs window 0", windows)
+	}
+}

@@ -484,9 +484,11 @@ func (r *Redirector) reinjectShard(sh *pendShard, now time.Time) {
 		kept := queue[:0]
 		for _, f := range queue {
 			if now.Sub(f.accepted) > r.cfg.PendingTimeout {
-				f.conn.Close()
+				// Count before closing: a client that sees the close may
+				// read the counters at once.
 				r.expired.Add(1)
 				r.pendCount[p].Add(-1)
+				f.conn.Close()
 				f.span.AddPark(now.Sub(f.parkedAt))
 				f.span.SetVerdict(obs.VerdictExpire)
 				f.span.Finish()

@@ -55,7 +55,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	defer r.Close()
 
-	// Hammer the dead fleet: early requests are 503 (estimator warm-up);
+	// Hammer the dead fleet: requests past a window's credit are 503;
 	// once two admitted requests land in one window, the first spends the
 	// single failover token and the second is cut off by the empty budget.
 	// Every exchange fails instantly (connection refused), so this loop is
@@ -176,5 +176,52 @@ func TestBootRestore(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWindowZeroFirstProxiedRequest: the first request a fresh proxy
+// receives is relayed (200) on window 0's blind grant, not refused with a
+// 503 until the first window boundary.
+func TestWindowZeroFirstProxiedRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket test")
+	}
+	s := agreement.New()
+	sp := s.MustAddPrincipal("S", 100)
+	a := s.MustAddPrincipal("A", 0)
+	s.MustSetAgreement(sp, a, 0.5, 1)
+	// A window far longer than the test: every decision here is window 0's.
+	eng, err := core.NewEngine(core.Config{
+		Mode: core.Provider, System: s, ProviderPrincipal: sp, Window: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := NewBackend("127.0.0.1:0", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	r, err := NewRedirector(RedirectorConfig{
+		Engine: eng, Addr: "127.0.0.1:0",
+		Orgs:     map[string]agreement.Principal{"acme": a},
+		Backends: map[agreement.Principal][]string{sp: {backend.URL()}},
+		Proxy:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	resp, err := http.Get(r.URL() + "/svc/acme/first?size=64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(body) != 64 {
+		t.Fatalf("first proxied request: status %d, %d bytes; want 200 with 64", resp.StatusCode, len(body))
+	}
+	if windows, _, _ := r.WindowStats(); windows != 0 {
+		t.Fatalf("%d window boundaries ran; the test needs window 0", windows)
 	}
 }

@@ -122,9 +122,11 @@ type Node struct {
 	persistSeq int
 }
 
-// New builds a node: admission plane, tree membership, crash recovery and
-// rejoin, control plane, health plane and the observability handler. The
-// window loop does not run until Start.
+// New builds a node: tree membership, crash recovery and rejoin, the
+// admission plane, control plane, health plane and the observability
+// handler. The window loop does not run until Start, but the node admits
+// from the moment New returns: window 0 is a blind window (see
+// core.Engine.NewRedirector), plus the carried credit of a restored node.
 func New(cfg Config) (*Node, error) {
 	eng := cfg.Engine
 	n := &Node{
@@ -135,13 +137,6 @@ func New(cfg Config) (*Node, error) {
 		names: eng.PrincipalNames(),
 		done:  make(chan struct{}),
 	}
-	var err error
-	n.adm, err = admission.New(admission.Config{
-		Redirector: n.red, Engine: eng, Shards: cfg.AdmissionShards,
-	})
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Trace != nil {
 		n.tracer = obs.NewTracer(*cfg.Trace, cfg.ID)
 	}
@@ -149,14 +144,21 @@ func New(cfg Config) (*Node, error) {
 	// from the moment it listens — a restarted node's parent may already be
 	// redialling with a queued broadcast — so inbound frames must wait until
 	// the forest exists, the durable position is restored and the rejoin is
-	// announced.
+	// announced. The admission plane comes last: it publishes window 0 from
+	// the redirector's credit, which the restore re-arms.
 	var resumeSet *agreement.Set
+	var err error
 	n.mu.Lock()
 	if cfg.Tree != nil {
 		err = n.joinTreeLocked()
 	}
 	if err == nil && cfg.Persist != nil {
 		resumeSet, err = n.recoverLocked()
+	}
+	if err == nil {
+		n.adm, err = admission.New(admission.Config{
+			Redirector: n.red, Engine: eng, Shards: cfg.AdmissionShards,
+		})
 	}
 	n.mu.Unlock()
 	if err == nil && cfg.Ctrl {
@@ -244,8 +246,9 @@ func (n *Node) joinTreeLocked() error {
 }
 
 // recoverLocked restores the durable window position, carried credit,
-// demand estimate and newest agreement set before the first window or tree
-// tick, then announces a rejoin so the parent unblocks this node's
+// demand estimate and newest agreement set before the admission plane
+// publishes window 0 and before the first window or tree tick, then
+// announces a rejoin so the parent unblocks this node's
 // (rewound) epoch and streams back the current global + configuration. It
 // returns the recovered agreement set (nil on a cold start), which the
 // control plane resumes its version numbering from.
@@ -263,11 +266,13 @@ func (n *Node) recoverLocked() (*agreement.Set, error) {
 			resumeSet = nil
 		}
 	}
+	// Restore even without a window record: it re-arms window 0 against the
+	// recovered set's entitlements.
 	ws, ok := st.LastWindow()
+	n.red.RestoreState(ws.WindowSeq, ws.Estimate, ws.Credit, ws.CreditTotal)
 	if !ok {
 		return resumeSet, nil
 	}
-	n.red.RestoreState(ws.WindowSeq, ws.Estimate, ws.Credit, ws.CreditTotal)
 	n.red.SetRollout(ws.Epoch, ws.SetVersion)
 	if n.tree != nil {
 		var cu *combining.ConfigUpdate
@@ -375,7 +380,11 @@ func (n *Node) wireObservability() {
 		n.obsv.SetHealthInfo(n.reint.Degraded)
 		n.checker.Start()
 	}
+	// Under mu: attaching opens window 0's record, which snapshots the tree
+	// that transport goroutines are already feeding.
+	n.mu.Lock()
 	n.red.SetObserver(n.obsv)
+	n.mu.Unlock()
 	if n.tracer != nil && cfg.Flight != nil {
 		fl := *cfg.Flight
 		if fl.Logger == nil {

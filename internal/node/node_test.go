@@ -73,11 +73,12 @@ func (d *spyDetector) Reparents() int               { return 0 }
 func (d *spyDetector) Removed() []combining.NodeID  { return nil }
 
 // TestBoundaryOrderAndHookLockRule drives the window loop through two
-// boundaries on each node shape (window 1's trace record is committed when
-// window 2 starts) and reads the order of a boundary's steps off what each
-// step leaves behind: the detector ran before the tree tick (each check saw
-// the pre-tick epoch), tick and root push ran before StartWindow (window
-// 1's record carries the post-tick epoch and, at a root, a global view),
+// boundaries on each node shape (window 0's trace record is committed when
+// window 1 starts, window 1's when window 2 does) and reads the order of a
+// boundary's steps off what each step leaves behind: the detector ran
+// before the tree tick (each check saw the pre-tick epoch), tick and root
+// push ran before StartWindow (window 1's record carries the post-tick
+// epoch and, at a root, a global view),
 // the rollout view and StartWindow ran before the durable append (the
 // record holds the post-tick epoch and the window just started), the
 // tracer's window moved after StartWindow (a span begun in the hook is
@@ -167,10 +168,10 @@ func TestBoundaryOrderAndHookLockRule(t *testing.T) {
 			if s.windows != 2 {
 				t.Fatalf("second hook saw %d windows started, want 2 (one hook per boundary, after it)", s.windows)
 			}
-			if len(s.records) != 1 || s.records[0].Window != 1 {
-				t.Fatalf("window trace at the second hook = %+v, want exactly window 1", s.records)
+			if len(s.records) != 2 || s.records[0].Window != 0 || !s.records[0].Conservative || s.records[1].Window != 1 {
+				t.Fatalf("window trace at the second hook = %+v, want exactly the blind window 0 and window 1", s.records)
 			}
-			if rec := s.records[0]; rec.TreeEpoch != tc.tick || rec.HaveGlobal != tc.wantGlobal {
+			if rec := s.records[1]; rec.TreeEpoch != tc.tick || rec.HaveGlobal != tc.wantGlobal {
 				t.Fatalf("window 1 scheduled at tree epoch %d (global %v), want %d (%v): tick and root push precede StartWindow",
 					rec.TreeEpoch, rec.HaveGlobal, tc.tick, tc.wantGlobal)
 			}

@@ -46,8 +46,9 @@ type Auditor struct {
 	// window number observed in it. Two redirectors committing the same
 	// window number with different configuration versions bump mixedVersion
 	// — the epoch-gate invariant ("no window mixes old and new
-	// entitlements") as a scrapeable counter. Windows are 1-based, so the
-	// zero slot never aliases a real observation.
+	// entitlements") as a scrapeable counter. Window 0 is each redirector's
+	// own boot window, aligned with no other redirector's, so it is not
+	// compared and the zero slot never aliases a real observation.
 	versionSlots [versionSlotCount]atomic.Uint64
 	mixedVersion atomic.Int64
 
@@ -102,7 +103,7 @@ func (a *Auditor) Observe(rec *Record) {
 	if rec.Degraded {
 		a.degraded.Add(1)
 	}
-	if rec.ConfigVersion > 0 {
+	if rec.ConfigVersion > 0 && rec.Window > 0 {
 		slot := &a.versionSlots[rec.Window%versionSlotCount]
 		packed := rec.Window<<16 | (rec.ConfigVersion & 0xffff)
 		for {

@@ -41,7 +41,10 @@ import (
 type Record struct {
 	// Redirector is the admission point that ran the window.
 	Redirector int `json:"redirector"`
-	// Window is the redirector's window sequence number (1-based).
+	// Window is the redirector's window sequence number. Window 0 is the
+	// blind window a redirector runs from construction (or restart) to its
+	// first boundary; scheduled windows count from 1, or on from the
+	// restored sequence after a restart.
 	Window uint64 `json:"window"`
 	// AtNanos is the redirector-relative time the window opened.
 	AtNanos int64 `json:"at_ns"`

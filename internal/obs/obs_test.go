@@ -406,3 +406,25 @@ func TestHandlerControlMounts(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedVersionSkipsWindowZero: window 0 is each redirector's own boot
+// window, so two of them under different configuration versions are not a
+// mixed-version window; the same window number of a scheduled window is.
+func TestMixedVersionSkipsWindowZero(t *testing.T) {
+	aud := NewAuditor([]string{"A"})
+	commit := func(window, version uint64) {
+		rec := NewRecord(1)
+		rec.Window, rec.ConfigVersion = window, version
+		aud.Observe(rec)
+	}
+	commit(0, 1)
+	commit(0, 2) // a redirector restarted after a rollout
+	if got := aud.MixedVersion(); got != 0 {
+		t.Fatalf("boot windows under versions 1 and 2 counted %d mixed", got)
+	}
+	commit(5, 1)
+	commit(5, 2)
+	if got := aud.MixedVersion(); got != 1 {
+		t.Fatalf("window 5 under versions 1 and 2 counted %d mixed, want 1", got)
+	}
+}
