@@ -250,18 +250,13 @@ func treeSpec(f *config.File) (*treenet.Spec, error) {
 		return nil, nil
 	}
 	spec := &treenet.Spec{
-		NodeID:         combining.NodeID(f.Tree.NodeID),
-		Parent:         combining.NodeID(f.Tree.Parent),
-		ListenAddr:     f.Tree.ListenAddr,
-		Peers:          make(map[combining.NodeID]string, len(f.Tree.Peers)),
-		Fanout:         f.Tree.Fanout,
-		FailureTimeout: time.Duration(f.Tree.FailureTimeoutMS) * time.Millisecond,
+		NodeID:     combining.NodeID(f.Tree.NodeID),
+		Parent:     combining.NodeID(f.Tree.Parent),
+		ListenAddr: f.Tree.ListenAddr,
+		Peers:      make(map[combining.NodeID]string, len(f.Tree.Peers)),
 	}
 	for _, c := range f.Tree.Children {
 		spec.Children = append(spec.Children, combining.NodeID(c))
-	}
-	for _, m := range f.Tree.Members {
-		spec.Members = append(spec.Members, combining.NodeID(m))
 	}
 	for idStr, addr := range f.Tree.Peers {
 		n, err := strconv.Atoi(idStr)

@@ -273,33 +273,6 @@ func TestCapacityRescalingWithoutReflow(t *testing.T) {
 	}
 }
 
-func TestMultiAccess(t *testing.T) {
-	s, a, b, _ := figure3System(t)
-	f, err := s.Flows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two resource dimensions: transaction rate and bandwidth.
-	dims := [][]float64{{1000, 1500, 0}, {50, 10, 0}}
-	accs, err := f.MultiAccess(dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accs) != 2 {
-		t.Fatalf("got %d dimensions", len(accs))
-	}
-	if math.Abs(accs[0].MC[a]-600) > tol {
-		t.Errorf("dim 0 MC[A] = %g", accs[0].MC[a])
-	}
-	// Bandwidth: A grants 40% of 50 to B → B gross 10+20=30, MC = 30·0.4 = 12.
-	if math.Abs(accs[1].MC[b]-12) > tol {
-		t.Errorf("dim 1 MC[B] = %g, want 12", accs[1].MC[b])
-	}
-	if _, err := f.MultiAccess([][]float64{{1, 2}}); err == nil {
-		t.Fatal("wrong-length dimension accepted")
-	}
-}
-
 // TestCycleSafety checks that cyclic agreement graphs terminate and never
 // allocate more mandatory entitlement than physical capacity.
 func TestCycleSafety(t *testing.T) {

@@ -274,19 +274,3 @@ func (s *System) SystemAccess() (*Access, error) {
 	}
 	return f.Access(s.capacities)
 }
-
-// MultiAccess computes one Access per resource dimension for systems whose
-// capacities are vectors (paper §3.1.1: "In case of multiple resource types,
-// above quantities should be represented as vectors"). dims[d][p] is
-// principal p's capacity in dimension d.
-func (f *Flows) MultiAccess(dims [][]float64) ([]*Access, error) {
-	out := make([]*Access, len(dims))
-	for d, v := range dims {
-		a, err := f.Access(v)
-		if err != nil {
-			return nil, fmt.Errorf("dimension %d: %w", d, err)
-		}
-		out[d] = a
-	}
-	return out, nil
-}

@@ -240,32 +240,14 @@ func TestBuildTreeShape(t *testing.T) {
 	}
 }
 
-func TestRemoveNodeReparenting(t *testing.T) {
-	ids := []NodeID{0, 1, 2, 3, 4, 5, 6}
-	topo := BuildTree(ids, 2)
-	// Node 1 (children 3,4) fails: 3 and 4 re-parent to 0.
-	topo2 := topo.RemoveNode(1)
-	if topo2.Parent[3] != 0 || topo2.Parent[4] != 0 {
-		t.Fatalf("orphans not re-parented: %v", topo2.Parent)
-	}
-	if _, ok := topo2.Parent[1]; ok {
-		t.Fatal("failed node still present")
-	}
-	// Root fails: smallest orphan becomes root.
-	topo3 := topo.RemoveNode(0)
-	if topo3.Root != 1 || topo3.Parent[1] != -1 || topo3.Parent[2] != 1 {
-		t.Fatalf("root replacement wrong: root=%d parents=%v", topo3.Root, topo3.Parent)
-	}
-}
-
 func TestReconfigureDropsStaleChildren(t *testing.T) {
 	r := newRig(t, 3, 1, 2, 0)
 	r.nodes[1].SetLocal([]float64{100})
 	r.nodes[2].SetLocal([]float64{50})
 	r.tickAll()
 	r.clock.RunFor(time.Millisecond)
-	// Node 2 fails; rebuild and re-apply the topology.
-	topo2 := r.topo.RemoveNode(2)
+	// Node 2 fails; rebuild over the survivors and re-apply the topology.
+	topo2 := BuildTree([]NodeID{0, 1}, 2)
 	live := map[NodeID]*Node{0: r.nodes[0], 1: r.nodes[1]}
 	topo2.Apply(live)
 	r.topo = topo2

@@ -36,54 +36,6 @@ func BuildTree(ids []NodeID, fanout int) Topology {
 	return t
 }
 
-// RemoveNode rebuilds the topology without the failed node: its children are
-// re-parented to the failed node's parent (or one of them becomes the new
-// root if the root failed). The returned topology shares no state with t.
-func (t Topology) RemoveNode(failed NodeID) Topology {
-	out := Topology{
-		Parent:   make(map[NodeID]NodeID, len(t.Parent)),
-		Children: make(map[NodeID][]NodeID, len(t.Children)),
-	}
-	for id, p := range t.Parent {
-		if id == failed {
-			continue
-		}
-		out.Parent[id] = p
-	}
-	orphans := append([]NodeID(nil), t.Children[failed]...)
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-
-	if failed == t.Root {
-		if len(orphans) == 0 {
-			// Tree may still contain other nodes only if failed had no
-			// children — then the tree had exactly one node.
-			out.Root = -1
-			return out
-		}
-		newRoot := orphans[0]
-		out.Root = newRoot
-		out.Parent[newRoot] = -1
-		for _, o := range orphans[1:] {
-			out.Parent[o] = newRoot
-		}
-	} else {
-		out.Root = t.Root
-		gp := t.Parent[failed]
-		for _, o := range orphans {
-			out.Parent[o] = gp
-		}
-	}
-	for id, p := range out.Parent {
-		if p >= 0 {
-			out.Children[p] = append(out.Children[p], id)
-		}
-	}
-	for _, cs := range out.Children {
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	}
-	return out
-}
-
 // Depth returns the number of edges on the longest root-to-leaf path.
 func (t Topology) Depth() int {
 	depth := func(id NodeID) int {

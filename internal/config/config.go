@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/agreement"
@@ -47,10 +46,11 @@ type TopologyRegion struct {
 	Members []int  `json:"members"`
 }
 
-// TopologySpec is the declarative multi-level combining-plane layout:
-// named regions compile to regional sub-trees whose sub-roots join a
-// global tier (see internal/topology). When present it supersedes the
-// flat parent/children/members wiring of the enclosing TreeSpec.
+// TopologySpec is the declarative combining-plane layout: named regions
+// compile to regional sub-trees whose sub-roots join a global tier (see
+// internal/topology); a flat tree is one region. When present it
+// supersedes the parent/children wiring of the enclosing TreeSpec, and it
+// is where failure detection is armed.
 type TopologySpec struct {
 	Regions []TopologyRegion `json:"regions"`
 	// Fanout bounds children per interior node (default 2).
@@ -68,7 +68,7 @@ type TopologySpec struct {
 	DeltaResyncEvery int `json:"delta_resync_every"`
 	// FailureTimeoutMS, when positive, arms hierarchy-aware failure
 	// detection: a tree neighbor silent for this long is removed and the
-	// plane recompiles without it.
+	// plane repaired around it.
 	FailureTimeoutMS int `json:"failure_timeout_ms"`
 }
 
@@ -102,31 +102,12 @@ type TreeSpec struct {
 	Children   []int             `json:"children"`
 	Peers      map[string]string `json:"peers"` // node id (decimal) → addr
 	ListenAddr string            `json:"listen_addr"`
-	// Topology, when present, lays the plane out hierarchically and
-	// supersedes the flat Parent/Children wiring; the node's placement is
-	// computed from its node_id and the spec. Combining it with the flat
-	// Members, Fanout or FailureTimeoutMS keys is a Parse error (they
-	// would be ignored).
+	// Topology, when present, lays the plane out (one region for a flat
+	// tree, several for a hierarchy) and supersedes the flat
+	// Parent/Children wiring; the node's placement is computed from its
+	// node_id and the spec. Failure detection is armed only here
+	// (topology.failure_timeout_ms).
 	Topology *TopologySpec `json:"topology"`
-	// FailureTimeoutMS, when positive, arms the reparenter: a tree
-	// neighbor silent for this long is cut out of the topology and the
-	// node rewires itself around it.
-	//
-	// Deprecated: with a topology spec, set topology.failure_timeout_ms
-	// instead.
-	FailureTimeoutMS int `json:"failure_timeout_ms"`
-	// Members lists every node id in the tree (defaults to this node plus
-	// the peer map's keys). The reparenter rebuilds topologies from this
-	// set, so all nodes must agree on it.
-	//
-	// Deprecated: declare a topology spec instead; it carries the member
-	// set per region.
-	Members []int `json:"members"`
-	// Fanout is the tree arity used when rebuilding topologies after a
-	// failure (default 2).
-	//
-	// Deprecated: with a topology spec, set topology.fanout instead.
-	Fanout int `json:"fanout"`
 }
 
 // HealthSpec configures active backend health checking. A zero/missing spec
@@ -285,14 +266,6 @@ type File struct {
 	StateDir string `json:"state_dir"`
 }
 
-// flatWarned makes each deprecated flat tree key warn once per process, not
-// once per Parse call (long-lived processes reload configs).
-var flatWarned sync.Map
-
-// configLog returns the logger deprecation warnings go to; a package
-// variable so tests can capture and count the warnings.
-var configLog = func() *obs.Logger { return obs.Default().With("config") }
-
 // Parse decodes and sanity-checks a scenario. Field names are snake_case
 // only: an unknown key — a typo, or a camelCase spelling retired with the
 // pre-/v1 aliases — is an error naming the key rather than a silent
@@ -321,45 +294,12 @@ func Parse(data []byte) (*File, error) {
 	if f.Mode == "provider" && f.Provider == "" {
 		return nil, fmt.Errorf("%w: provider mode needs a provider name", ErrConfig)
 	}
-	if f.Tree != nil {
-		// The flat layout keys are deprecated on their own and an error next
-		// to a topology block, which supersedes them outright: spelling both
-		// would silently drop the flat value (a flat failure_timeout_ms
-		// would boot with detection off).
-		for _, k := range []struct {
-			set      bool
-			key, use string
-		}{
-			{len(f.Tree.Members) > 0, "members", "regions[].members"},
-			{f.Tree.Fanout != 0, "fanout", "fanout"},
-			{f.Tree.FailureTimeoutMS != 0, "failure_timeout_ms", "failure_timeout_ms"},
-		} {
-			if !k.set {
-				continue
-			}
-			if f.Tree.Topology != nil {
-				return nil, fmt.Errorf("%w: tree.%s is ignored when tree.topology is present; set tree.topology.%s",
-					ErrConfig, k.key, k.use)
-			}
-			warnFlatTreeKey(k.key)
-		}
-		if f.Tree.Topology != nil {
-			if err := f.Tree.Topology.Spec().Normalize().Validate(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-			}
+	if f.Tree != nil && f.Tree.Topology != nil {
+		if err := f.Tree.Topology.Spec().Normalize().Validate(); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}
 	}
 	return &f, nil
-}
-
-// warnFlatTreeKey emits a once-per-key-per-process deprecation warning for a
-// flat tree layout key used without a topology spec. Flat configs keep
-// working; the warning steers operators to the declarative form.
-func warnFlatTreeKey(key string) {
-	if _, dup := flatWarned.LoadOrStore(key, true); !dup {
-		configLog().Warn("deprecated flat tree key",
-			"field", "tree."+key, "use", "tree.topology")
-	}
 }
 
 // Load reads and parses a scenario file.

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -9,10 +8,8 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/topology"
 )
 
@@ -231,27 +228,9 @@ func TestInTreeScenariosParse(t *testing.T) {
 	}
 }
 
-// TestFlatTreeKeyWarnsOncePerProcess pins the surviving deprecation: the
-// flat tree keys still parse, each warning once per process however often
-// a long-lived process reloads the scenario.
-func TestFlatTreeKeyWarnsOncePerProcess(t *testing.T) {
-	var buf bytes.Buffer
-	oldLog := configLog
-	configLog = func() *obs.Logger { return obs.NewLogger(&buf, obs.LevelWarn).With("config") }
-	flatWarned = sync.Map{}
-	defer func() { configLog = oldLog }()
-	for reload := 0; reload < 3; reload++ {
-		if _, err := Parse([]byte(treeFlat)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := strings.Count(buf.String(), "deprecated flat tree key"); got != 3 {
-		t.Fatalf("warned %d times over 3 parses of 3 flat keys, want exactly 3:\n%s", got, buf.String())
-	}
-}
-
 // treeFlat and treeHier are the same two-node deployment written in the
-// deprecated flat tree form and the declarative topology form.
+// flat tree form (explicit parent and children, no failure detection) and
+// the declarative topology form.
 const treeFlat = `{
   "mode": "community",
   "window_ms": 100,
@@ -259,8 +238,7 @@ const treeFlat = `{
   "principals": [{"name": "A", "capacity": 10}],
   "tree": {
     "node_id": 0, "parent": -1, "children": [1],
-    "peers": {"1": "127.0.0.1:7001"}, "listen_addr": "127.0.0.1:7000",
-    "members": [0, 1], "fanout": 2, "failure_timeout_ms": 1500
+    "peers": {"1": "127.0.0.1:7001"}, "listen_addr": "127.0.0.1:7000"
   }
 }`
 
@@ -320,7 +298,7 @@ func TestTreeConfigRoundTrip(t *testing.T) {
 	if flat.Tree.Topology != nil {
 		t.Fatalf("flat form grew a topology: %+v", flat.Tree.Topology)
 	}
-	if len(flat.Tree.Members) != 2 || flat.Tree.Fanout != 2 || flat.Tree.FailureTimeoutMS != 1500 {
+	if flat.Tree.Parent != -1 || !reflect.DeepEqual(flat.Tree.Children, []int{1}) {
 		t.Fatalf("flat keys not preserved: %+v", flat.Tree)
 	}
 
@@ -362,10 +340,13 @@ func TestTopologySpecRejected(t *testing.T) {
 	}
 }
 
-// TestFlatTreeKeysRejectedWithTopology pins the mixed form as an error: the
-// topology block supersedes members, fanout and failure_timeout_ms, so a
-// scenario spelling a flat one next to it (the older way to arm failure
-// detection) would otherwise boot with that setting silently dropped.
+// TestFlatTreeKeysRejectedWithTopology pins the removal of the flat
+// failure-detection keys: members, fanout and failure_timeout_ms directly
+// under tree are unknown keys, refused by name both in the flat form and
+// next to a topology block (where topology.fanout and
+// topology.failure_timeout_ms are the spellings that remain), so a
+// scenario written for the older form fails its boot instead of running
+// without failure detection.
 func TestFlatTreeKeysRejectedWithTopology(t *testing.T) {
 	for _, tc := range []struct{ key, field string }{
 		{"members", `"members": [0, 1]`},
@@ -373,15 +354,19 @@ func TestFlatTreeKeysRejectedWithTopology(t *testing.T) {
 		{"failure_timeout_ms", `"failure_timeout_ms": 2000`},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
-			raw := strings.Replace(treeHier, `"node_id": 0,`, `"node_id": 0, `+tc.field+`,`, 1)
-			_, err := Parse([]byte(raw))
-			if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "tree."+tc.key+" ") {
-				t.Fatalf("err = %v, want ErrConfig naming tree.%s", err, tc.key)
+			for form, doc := range map[string]string{"flat": treeFlat, "topology": treeHier} {
+				raw := strings.Replace(doc, `"node_id": 0,`, `"node_id": 0, `+tc.field+`,`, 1)
+				_, err := Parse([]byte(raw))
+				if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+					t.Fatalf("%s form: err = %v, want ErrConfig naming %q", form, err, tc.key)
+				}
 			}
 		})
 	}
-	if _, err := Parse([]byte(treeHier)); err != nil {
-		t.Fatalf("topology-only form rejected: %v", err)
+	for _, doc := range []string{treeFlat, treeHier} {
+		if _, err := Parse([]byte(doc)); err != nil {
+			t.Fatalf("form without the removed keys rejected: %v", err)
+		}
 	}
 }
 

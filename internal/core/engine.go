@@ -82,13 +82,6 @@ type Config struct {
 	// the mandatory rate and overloads servers. Never enable in production.
 	AggressiveWhenBlind bool
 
-	// MultiResource switches Community mode to the multi-dimensional
-	// scheduler of §3.1.1 ("in case of multiple resource types, above
-	// quantities should be represented as vectors"). When set, the
-	// System's scalar capacities are ignored: flows are capacity
-	// independent, and entitlements come from these vectors instead.
-	MultiResource *MultiResourceConfig
-
 	// RolloutGraceEpochs is the rollout liveness valve: when a staged set
 	// is still unpromoted this many epochs past its gate, any registered
 	// redirector that has not crossed is presumed dead and evicted from
@@ -105,16 +98,6 @@ type Config struct {
 	Logger *obs.Logger
 }
 
-// MultiResourceConfig declares vector capacities and per-request costs.
-type MultiResourceConfig struct {
-	// Capacities[d][p] is principal p's capacity in dimension d, in
-	// units/second (for example requests/s and KB/s).
-	Capacities [][]float64
-	// Costs[p][d] is how many units of dimension d one request of
-	// principal p consumes.
-	Costs [][]float64
-}
-
 // Version numbers the engine's immutable scheduling generations. Every
 // accepted mutation — capacity re-interpretation, agreement renegotiation, a
 // control-plane set rollout — produces the next Version; a window is
@@ -129,11 +112,11 @@ type Version uint64
 //
 // # Mutator contract
 //
-// UpdateCapacities, UpdateMultiResource, UpdateSystem, SetAgreement, and
-// StageSet share one locked rebuild path: each validates its input, derives
-// a complete new generation (entitlements, scheduler, plan caches) under
-// e.mu, and either commits it atomically or rolls the configuration back,
-// returning the Version now active. They are safe to call concurrently with
+// UpdateCapacities, UpdateSystem, SetAgreement, and StageSet share one
+// locked rebuild path: each validates its input, derives a complete new
+// generation (entitlements, scheduler, plan caches) under e.mu, and either
+// commits it atomically or rolls the configuration back, returning the
+// Version now active. They are safe to call concurrently with
 // each other and with running redirector windows: a window that raced the
 // mutation finishes on the generation it snapshotted, and the next
 // StartWindow picks up the new one. Plan caches are created fresh exactly
@@ -243,14 +226,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Mode == Community && cfg.LocalityCaps != nil && len(cfg.LocalityCaps) != n {
 		return nil, fmt.Errorf("%w: locality caps length %d, want %d", ErrConfig, len(cfg.LocalityCaps), n)
 	}
-	if cfg.MultiResource != nil {
-		if cfg.Mode != Community {
-			return nil, fmt.Errorf("%w: multi-resource requires Community mode", ErrConfig)
-		}
-		if len(cfg.MultiResource.Capacities) == 0 {
-			return nil, fmt.Errorf("%w: multi-resource needs at least one dimension", ErrConfig)
-		}
-	}
 
 	flows, err := cfg.System.Flows()
 	if err != nil {
@@ -286,9 +261,6 @@ func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (sched
 
 	switch e.cfg.Mode {
 	case Community:
-		if e.cfg.MultiResource != nil {
-			return e.buildMulti(flows)
-		}
 		capWin := make([]float64, e.n)
 		for i := 0; i < e.n; i++ {
 			capWin[i] = capacities[i] * e.windowS
@@ -368,102 +340,6 @@ func (e *Engine) commitLocked(flows *agreement.Flows, st schedState) {
 	e.rolloutGate.Store(0)
 }
 
-// buildMulti builds the multi-dimensional scheduler and a synthetic
-// request-denominated Access (the binding minimum across dimensions) used
-// for conservative fallback and introspection.
-func (e *Engine) buildMulti(flows *agreement.Flows) (schedState, error) {
-	var st schedState
-	mr := e.cfg.MultiResource
-	dims := len(mr.Capacities)
-	capWin := make([][]float64, dims)
-	for d := range mr.Capacities {
-		if len(mr.Capacities[d]) != e.n {
-			return st, fmt.Errorf("%w: multi capacity dim %d has %d principals, want %d",
-				ErrConfig, d, len(mr.Capacities[d]), e.n)
-		}
-		capWin[d] = make([]float64, e.n)
-		for p, v := range mr.Capacities[d] {
-			capWin[d][p] = v * e.windowS
-		}
-	}
-	accs, err := flows.MultiAccess(capWin)
-	if err != nil {
-		return st, err
-	}
-	multi, err := sched.NewMultiCommunity(accs, capWin, mr.Costs)
-	if err != nil {
-		return st, err
-	}
-
-	// Synthetic per-request entitlements: per pair, the binding minimum
-	// across dimensions of entitlement/cost.
-	access := &agreement.Access{
-		MI: make([][]float64, e.n),
-		OI: make([][]float64, e.n),
-		MC: make([]float64, e.n),
-		OC: make([]float64, e.n),
-	}
-	reqLimit := func(get func(a *agreement.Access) float64, i int) float64 {
-		lim := -1.0
-		for d := 0; d < dims; d++ {
-			if e.cfg.MultiResource.Costs[i][d] <= 0 {
-				continue
-			}
-			v := get(accs[d]) / e.cfg.MultiResource.Costs[i][d]
-			if lim < 0 || v < lim {
-				lim = v
-			}
-		}
-		if lim < 0 {
-			return 0
-		}
-		return lim
-	}
-	for k := 0; k < e.n; k++ {
-		access.MI[k] = make([]float64, e.n)
-		access.OI[k] = make([]float64, e.n)
-	}
-	for i := 0; i < e.n; i++ {
-		for k := 0; k < e.n; k++ {
-			k := k
-			mi := reqLimit(func(a *agreement.Access) float64 { return a.MI[k][i] }, i)
-			total := reqLimit(func(a *agreement.Access) float64 { return a.MI[k][i] + a.OI[k][i] }, i)
-			if total < mi {
-				total = mi
-			}
-			access.MI[k][i] = mi
-			access.OI[k][i] = total - mi
-			access.MC[i] += mi
-			access.OC[i] += total - mi
-		}
-	}
-	st.access, st.multi = access, multi
-	e.wireState(&st)
-	return st, nil
-}
-
-// UpdateMultiResource re-interprets the agreements against new capacity
-// vectors in multi-resource mode (the §2.2 dynamic property, vectorized) and
-// returns the Version now active. See the Engine mutator contract: the whole
-// rebuild runs under e.mu, the configuration is rolled back on error, and
-// the new generation gets fresh plan caches.
-func (e *Engine) UpdateMultiResource(capacities [][]float64) (Version, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cfg.MultiResource == nil {
-		return e.version, fmt.Errorf("%w: engine is not multi-resource", ErrConfig)
-	}
-	old := e.cfg.MultiResource.Capacities
-	e.cfg.MultiResource.Capacities = capacities
-	st, err := e.buildMulti(e.flows)
-	if err != nil {
-		e.cfg.MultiResource.Capacities = old
-		return e.version, err
-	}
-	e.commitLocked(e.flows, st)
-	return e.version, nil
-}
-
 // UpdateCapacities re-interprets the agreements against new physical
 // resource levels (requests/second, indexed by principal) without
 // re-enumerating agreement paths — the paper's §2.2 dynamic-interpretation
@@ -477,9 +353,6 @@ func (e *Engine) UpdateCapacities(capacities []float64) (Version, error) {
 	// probe goroutines, concurrently with window scheduling and each other.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cfg.MultiResource != nil {
-		return e.version, fmt.Errorf("%w: use UpdateMultiResource on a multi-resource engine", ErrConfig)
-	}
 	if len(capacities) != e.n {
 		return e.version, fmt.Errorf("%w: %d capacities for %d principals", ErrConfig, len(capacities), e.n)
 	}
@@ -664,7 +537,6 @@ type schedState struct {
 	version   Version
 	access    *agreement.Access
 	community *sched.Community
-	multi     *sched.MultiCommunity
 	provider  *sched.Provider
 	customers []agreement.Principal
 	provTotal float64
@@ -781,9 +653,6 @@ func (e *Engine) EvictRedirector(id int) {
 // already cached (trace records expose it per window).
 func (e *Engine) communityPlan(st schedState, n []float64, dst *sched.Plan) (bool, error) {
 	return st.plans.Do(n, dst, func(plan *sched.Plan) error {
-		if st.multi != nil {
-			return st.multi.ScheduleInto(n, plan)
-		}
 		return st.community.ScheduleInto(n, plan)
 	})
 }

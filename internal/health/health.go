@@ -205,7 +205,8 @@ func (c *Checker) Snapshot() map[string]bool {
 	return out
 }
 
-// Probes reports total probes run.
+// Probes reports total probes run; each one counted is already folded into
+// its target's state.
 func (c *Checker) Probes() uint64 { return c.probes.Load() }
 
 // Failures reports how many probes failed.
@@ -240,11 +241,12 @@ func (c *Checker) Advance(now time.Duration) time.Duration {
 
 	for _, t := range due {
 		err := c.probe(t)
-		c.probes.Add(1)
+		c.apply(t, err == nil, now)
+		// Counted once recorded: a counted probe's result is visible to Up.
 		if err != nil {
 			c.failures.Add(1)
 		}
-		c.apply(t, err == nil, now)
+		c.probes.Add(1)
 	}
 
 	c.mu.Lock()

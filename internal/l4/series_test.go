@@ -10,11 +10,11 @@ import (
 	"time"
 
 	"repro/internal/agreement"
-	"repro/internal/combining"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/persist"
+	"repro/internal/topology"
 	"repro/internal/treenet"
 )
 
@@ -56,8 +56,8 @@ func TestMetricsSeriesGolden(t *testing.T) {
 		Services: []ServiceSpec{{Principal: a, Addr: "127.0.0.1:0"}},
 		Backends: map[agreement.Principal][]string{sp: {bk.Addr()}},
 		Tree: &treenet.Spec{
-			NodeID: 0, Parent: -1,
-			Members: []combining.NodeID{0}, FailureTimeout: time.Second,
+			NodeID: 0, FailureTimeout: time.Second,
+			Topology: &topology.Spec{Regions: []topology.Region{{Name: "flat", Members: []int{0}}}},
 		},
 		Health:  &health.Options{Interval: 50 * time.Millisecond},
 		Trace:   &obs.TraceConfig{SampleEvery: 1},

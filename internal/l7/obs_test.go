@@ -12,12 +12,14 @@ import (
 	"repro/internal/combining"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/topology"
 )
 
 // staleRig builds a two-redirector tree (root 0 ← child 1) with a tight
 // staleness bound so killing the root starves the child of broadcasts. A
-// positive failureTimeout arms the reparenter: survivors prune silent
-// neighbors and rewire instead of staying conservative forever.
+// positive failureTimeout arms failure detection — a treenet.PlaneReparenter
+// over the pair's one-region plane — so survivors prune silent neighbors and
+// rewire instead of staying conservative forever.
 func staleRig(t *testing.T, staleness, failureTimeout time.Duration) (root, child *Redirector) {
 	t.Helper()
 	s := agreement.New()
@@ -47,16 +49,12 @@ func staleRig(t *testing.T, staleness, failureTimeout time.Duration) (root, chil
 
 	reds := make([]*Redirector, 2)
 	for i := 0; i < 2; i++ {
-		parent := combining.NodeID(-1)
-		children := []combining.NodeID{1}
-		if i == 1 {
-			parent, children = 0, nil
-		}
+		// The flat tree 0 → 1 is the one-region plane over {0, 1}.
 		r, err := NewRedirector(RedirectorConfig{
 			Engine: eng, ID: i, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
 			Tree: &TreeConfig{
-				NodeID: combining.NodeID(i), Parent: parent, Children: children,
-				Members:        []combining.NodeID{0, 1},
+				NodeID:         combining.NodeID(i),
+				Topology:       &topology.Spec{Regions: []topology.Region{{Name: "flat", Members: []int{0, 1}}}},
 				FailureTimeout: failureTimeout,
 			},
 		})
@@ -130,9 +128,9 @@ func TestStalenessFallbackTraced(t *testing.T) {
 }
 
 // TestRootKillReparentsAndResumesFreshWindows is the recovery counterpart of
-// TestStalenessFallbackTraced: with the reparenter armed, killing the tree
-// root drives the child conservative only transiently — it prunes the silent
-// root from its topology, promotes itself, and resumes fresh
+// TestStalenessFallbackTraced: with the plane detector armed, killing the
+// tree root drives the child conservative only transiently — it prunes the
+// silent root from its plane, promotes itself, and resumes fresh
 // (non-conservative, global-bearing) windows without a process restart.
 func TestRootKillReparentsAndResumesFreshWindows(t *testing.T) {
 	if testing.Short() {

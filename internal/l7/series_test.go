@@ -10,11 +10,11 @@ import (
 	"time"
 
 	"repro/internal/agreement"
-	"repro/internal/combining"
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/persist"
+	"repro/internal/topology"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics_series.golden from this build")
@@ -55,8 +55,8 @@ func TestMetricsSeriesGolden(t *testing.T) {
 		Orgs:     map[string]agreement.Principal{"acme": a},
 		Backends: map[agreement.Principal][]string{sp: {backend.URL()}},
 		Tree: &TreeConfig{
-			NodeID: 0, Parent: -1,
-			Members: []combining.NodeID{0}, FailureTimeout: time.Second,
+			NodeID: 0, FailureTimeout: time.Second,
+			Topology: &topology.Spec{Regions: []topology.Region{{Name: "flat", Members: []int{0}}}},
 		},
 		Health:  &health.Options{Interval: 50 * time.Millisecond},
 		Trace:   &obs.TraceConfig{SampleEvery: 1},

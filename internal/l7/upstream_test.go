@@ -17,6 +17,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -594,6 +595,14 @@ func bodySum(t *testing.T) (*httptest.Server, *atomic.Int64) {
 // TestRequestBodyReplayLimit: a small declared body is buffered and survives
 // a failover; a large or unknown-length one streams through once with
 // bounded memory and is never sent to a second backend.
+//
+// The dead backend accepts TCP, so the health checker's first probe of it
+// succeeds and resets its failure count. That probe runs on the checker's
+// goroutine as the rig starts; the test waits for it before the first
+// exchange; otherwise it can land between the two failed exchanges and
+// leave the backend up with one failure counted. The checker counts a probe
+// only after recording its result, so once both probes are counted the dead
+// backend's success is recorded, whichever backend was probed first.
 func TestRequestBodyReplayLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-socket test")
@@ -604,6 +613,11 @@ func TestRequestBodyReplayLimit(t *testing.T) {
 	hc := &health.Options{Interval: time.Hour, FailThreshold: 2}
 	r, owner := relayRig(t, hc, dead.url(), good.URL)
 	front := relayFront(t, r, owner)
+	for deadline := time.Now().Add(5 * time.Second); healthProbes(t, r) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the health checker never probed both backends")
+		}
+	}
 
 	post := func(base string, body io.Reader) (int, string) {
 		resp, err := http.Post(base+"/upload", "application/octet-stream", body)
@@ -660,6 +674,22 @@ func TestRequestBodyReplayLimit(t *testing.T) {
 	if status != http.StatusOK || got != sum(big[:300000])+" [chunked]" {
 		t.Fatalf("chunked POST: %d %q", status, got)
 	}
+}
+
+// healthProbes reads rsa_health_probes_total off r's metrics endpoint.
+func healthProbes(t *testing.T, r *Redirector) int {
+	t.Helper()
+	for _, line := range strings.Split(fetchBody(t, r.URL()+"/v1/metrics"), "\n") {
+		if v, ok := strings.CutPrefix(line, "rsa_health_probes_total "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("rsa_health_probes_total %q: %v", v, err)
+			}
+			return int(n)
+		}
+	}
+	t.Fatal("no rsa_health_probes_total series")
+	return 0
 }
 
 // TestRelayHTTPS: an https backend is dialled through crypto/tls on the same

@@ -152,7 +152,6 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 				Parent:     topo.Parent[combining.NodeID(i)],
 				Children:   topo.Children[combining.NodeID(i)],
 				ListenAddr: "127.0.0.1:0",
-				Fanout:     cfg.Fanout,
 				// On the hierarchical grid the redirector takes placement
 				// (and delta compression) from the plane spec instead.
 				Topology: spec,

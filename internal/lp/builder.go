@@ -28,8 +28,8 @@ type Builder struct {
 func NewBuilder() *Builder { return &Builder{} }
 
 // Var adds a variable (implicitly ≥ 0) with the given objective coefficient
-// and returns its handle. The name is used only in String/diagnostics; hot
-// paths should prefer NewVar, which skips name bookkeeping entirely.
+// and returns its handle. The name is used only in String/diagnostics; large
+// generated programs may prefer NewVar, which skips name bookkeeping.
 func (b *Builder) Var(name string, objCoeff float64) Var {
 	if b.names == nil {
 		b.names = make([]string, len(b.obj), len(b.obj)+1)
@@ -41,7 +41,7 @@ func (b *Builder) Var(name string, objCoeff float64) Var {
 
 // NewVar adds an unnamed variable (implicitly ≥ 0) with the given objective
 // coefficient. Diagnostics render such variables as x<index>; no per-variable
-// string is ever built, keeping builders off the allocation hot path.
+// string is ever built.
 func (b *Builder) NewVar(objCoeff float64) Var {
 	if b.names != nil {
 		b.names = append(b.names, "")
@@ -52,11 +52,6 @@ func (b *Builder) NewVar(objCoeff float64) Var {
 
 // NumVars reports how many variables have been declared.
 func (b *Builder) NumVars() int { return len(b.obj) }
-
-// NumConstraints reports how many constraint rows have been emitted. Callers
-// compiling a reusable template read it before Constrain/Bound to record the
-// row indices they will mutate per solve.
-func (b *Builder) NumConstraints() int { return len(b.cons) }
 
 // Constrain appends the row Σ terms (rel) rhs.
 func (b *Builder) Constrain(rel Relation, rhs float64, terms ...Term) {

@@ -38,6 +38,6 @@ func FuzzSolveTwoVar(f *testing.F) {
 		if sol.Status == Optimal && !feasible(p, sol.X, 1e-4*(1+math.Abs(b1)+math.Abs(b2))) {
 			t.Fatalf("optimal point infeasible: %v for %+v", sol.X, p)
 		}
-		checkPivotDifferential(t, NewSolver(), &tableau{}, p, []float64{1, 1})
+		checkPivotDifferential(t, p, []float64{1, 1})
 	})
 }

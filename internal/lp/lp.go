@@ -1,10 +1,13 @@
 // Package lp implements a small, dependency-free linear programming solver
 // based on the two-phase primal simplex method over dense tableaus.
 //
-// The solver targets the scheduling problems that arise in agreement
-// enforcement (see internal/sched): a few dozen variables and constraints per
-// 100 ms scheduling window. At that scale an exact dense simplex with Bland's
-// anti-cycling rule is both fast and numerically dependable.
+// It is the value oracle for internal/sched, not a per-window solver: the
+// schedulers solve their programs combinatorially, and their tests state the
+// same programs here (SolveLex for the lexicographic second pass) and require
+// θ, throughput, income and every constraint to agree. No production package
+// imports it. At the oracle's scale — a few hundred rows — an exact dense
+// simplex with Bland's anti-cycling rule is both fast and numerically
+// dependable.
 //
 // Problems are stated in the form
 //
@@ -140,34 +143,73 @@ func Solve(p *Problem) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
 	}
-	n := len(p.Objective)
-	t := newTableau(p)
-	t.obj2 = p.Objective
+	t := newTableau(p, false)
 	if !t.phase1() {
 		return &Solution{Status: Infeasible}, nil
 	}
-	if !t.phase2() {
+	if !t.phase2(p.Objective) {
 		return &Solution{Status: Unbounded}, nil
 	}
-	x := t.extract(n)
-	obj := 0.0
-	for j := 0; j < n; j++ {
-		obj += p.Objective[j] * x[j]
-	}
-	return &Solution{Status: Optimal, X: x, Objective: obj}, nil
+	x := t.extract(len(p.Objective))
+	return &Solution{Status: Optimal, X: x, Objective: dot(p.Objective, x)}, nil
 }
 
-// Clone returns a deep copy of p: mutating one does not affect the other.
-// Schedulers use it to stamp out per-worker copies of a compiled constraint
-// template (see internal/sched).
-func (p *Problem) Clone() *Problem {
-	obj := make([]float64, len(p.Objective))
-	copy(obj, p.Objective)
-	cons := make([]Constraint, len(p.Constraints))
-	for i, c := range p.Constraints {
-		coeffs := make([]float64, len(c.Coeffs))
-		copy(coeffs, c.Coeffs)
-		cons[i] = Constraint{Coeffs: coeffs, Rel: c.Rel, RHS: c.RHS}
+// LexSolution is the result of a lexicographic SolveLex call.
+type LexSolution struct {
+	Status Status
+	// X is the assignment after the secondary pass (length =
+	// len(Problem.Objective)). Meaningful only when Status == Optimal.
+	X []float64
+	// Primary is the optimal value of the problem's own objective, attained
+	// in the first pass and held (within the tolerance) by X.
+	Primary float64
+	// Secondary is obj2·X.
+	Secondary float64
+}
+
+// SolveLex solves p lexicographically: first it maximizes p.Objective, then —
+// holding that objective within tol of its optimum — it maximizes obj2
+// (indexed by structural variable, zero-padded) starting from the first
+// pass's optimal basis. Warm-starting skips the second phase 1 entirely: the
+// floor row "p.Objective·x ≥ Primary − tol" is appended to the solved tableau
+// with its own surplus column and the basis stays feasible by construction.
+//
+// If the secondary pass fails (unbounded secondary objective), the first
+// pass's solution is returned unchanged, mirroring a from-scratch
+// lexicographic re-solve that keeps the primary solution on failure.
+func SolveLex(p *Problem, tol float64, obj2 []float64) (*LexSolution, error) {
+	if err := validate(p); err != nil {
+		return nil, err
 	}
-	return &Problem{Objective: obj, Constraints: cons}
+	if len(obj2) > len(p.Objective) {
+		return nil, fmt.Errorf("%w: secondary objective has %d coefficients for %d variables",
+			ErrBadProblem, len(obj2), len(p.Objective))
+	}
+	return newTableau(p, true).solveLex(p, tol, obj2), nil
+}
+
+// solveLex runs SolveLex's two passes on t, a tableau fresh from
+// newTableau(p, true).
+func (t *tableau) solveLex(p *Problem, tol float64, obj2 []float64) *LexSolution {
+	if !t.phase1() {
+		return &LexSolution{Status: Infeasible}
+	}
+	if !t.phase2(p.Objective) {
+		return &LexSolution{Status: Unbounded}
+	}
+	n := len(p.Objective)
+	x := t.extract(n)
+	primary := dot(p.Objective, x)
+	if t.lexReopt(p.Objective, primary-tol, obj2) {
+		x = t.extract(n)
+	}
+	return &LexSolution{Status: Optimal, X: x, Primary: primary, Secondary: dot(obj2, x)}
+}
+
+func dot(a, b []float64) float64 {
+	v := 0.0
+	for i := range a {
+		v += a[i] * b[i]
+	}
+	return v
 }

@@ -60,11 +60,10 @@ func (t *tableau) runDense(maxCols int) bool {
 	}
 }
 
-// denseSolveLex is Solver.SolveLex with every pivot taken by pivotDense: the
-// same phases in the same order, so a difference in the final tableau can
-// only come from the elimination loops.
+// denseSolveLex is SolveLex with every pivot taken by pivotDense: the same
+// phases in the same order on the same fresh tableau, so a difference in the
+// final tableau can only come from the elimination loops.
 func denseSolveLex(t *tableau, p *Problem, tol float64, obj2 []float64) Status {
-	t.init(p, true)
 	if t.artStart != t.cols {
 		obj := make([]float64, t.cols)
 		for j := t.artStart; j < t.cols; j++ {
@@ -115,22 +114,22 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a == 0 && b == 0)
 }
 
-// checkPivotDifferential solves p with the production solver and with the
-// dense oracle and requires the two final tableaus to agree: status, row
-// count, basis, right-hand sides and reduced costs.
-func checkPivotDifferential(t *testing.T, s *Solver, dense *tableau, p *Problem, obj2 []float64) {
+// checkPivotDifferential solves p with SolveLex's passes and with the dense
+// oracle and requires the two final tableaus to agree: status, row count,
+// basis, right-hand sides and reduced costs.
+func checkPivotDifferential(t *testing.T, p *Problem, obj2 []float64) {
 	t.Helper()
-	sol, err := s.SolveLex(p, 1e-9, obj2)
-	if err != nil {
+	if err := validate(p); err != nil {
 		t.Fatalf("SolveLex: %v", err)
 	}
+	got, dense := newTableau(p, true), newTableau(p, true)
+	sol := got.solveLex(p, 1e-9, obj2)
 	if st := denseSolveLex(dense, p, 1e-9, obj2); st != sol.Status {
 		t.Fatalf("status %v, dense oracle %v", sol.Status, st)
 	}
 	if sol.Status != Optimal {
 		return
 	}
-	got := &s.t
 	if got.m != dense.m || got.cols != dense.cols {
 		t.Fatalf("shape %d×%d, dense oracle %d×%d", got.m, got.cols, dense.m, dense.cols)
 	}
@@ -220,7 +219,6 @@ func providerShaped(rng *rand.Rand, n int) (*Problem, []float64) {
 
 func TestDifferentialSparseDensePivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	s, dense := NewSolver(), &tableau{}
 	shaped := 1000
 	if testing.Short() {
 		shaped = 100
@@ -233,35 +231,20 @@ func TestDifferentialSparseDensePivot(t *testing.T) {
 		} else {
 			p, obj2 = providerShaped(rng, 1+rng.Intn(47))
 		}
-		checkPivotDifferential(t, s, dense, p, obj2)
+		checkPivotDifferential(t, p, obj2)
 	}
 	for iter := 0; iter < 500; iter++ {
 		p, obj2 := randomLexProblem(rng)
-		checkPivotDifferential(t, s, dense, p, obj2)
-	}
-}
-
-func TestSolveLexWarmAllocs(t *testing.T) {
-	p, obj2 := communityShaped(rand.New(rand.NewSource(1)), 12)
-	s := NewSolver()
-	solve := func() {
-		if sol, err := s.SolveLex(p, 1e-9, obj2); err != nil || sol.Status != Optimal {
-			t.Fatalf("status=%v err=%v", sol.Status, err)
-		}
-	}
-	solve()
-	if n := testing.AllocsPerRun(5, solve); n != 0 {
-		t.Fatalf("warm SolveLex allocates %v times per solve, want 0", n)
+		checkPivotDifferential(t, p, obj2)
 	}
 }
 
 func BenchmarkSolveLex(b *testing.B) {
 	b.Run("community-n=12", func(b *testing.B) {
 		p, obj2 := communityShaped(rand.New(rand.NewSource(1)), 12)
-		s := NewSolver()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if sol, err := s.SolveLex(p, 1e-9, obj2); err != nil || sol.Status != Optimal {
+			if sol, err := SolveLex(p, 1e-9, obj2); err != nil || sol.Status != Optimal {
 				b.Fatalf("status=%v err=%v", sol.Status, err)
 			}
 		}

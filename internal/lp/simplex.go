@@ -6,44 +6,27 @@ import "fmt"
 // the current basis always form an identity submatrix, and the objective row
 // z holds reduced costs (z[j] = c_B·B⁻¹A_j − c_j) so that optimality is
 // "all z[j] ≥ 0" and the entering rule is "most negative / Bland".
-//
-// All backing storage (the flat coefficient buffer, RHS, basis, objective
-// rows) is grown on demand and reused across init calls, so a long-lived
-// tableau — via Solver — performs no per-solve allocations once warm.
 type tableau struct {
 	m    int // constraint rows (may shrink if redundant rows are dropped)
 	n    int // structural variables
 	cols int // structural + slack/surplus + artificial columns
 
 	a     [][]float64 // m × cols constraint matrix
-	flat  []float64   // backing storage for a
 	b     []float64   // RHS, kept ≥ 0
 	basis []int       // basis[i] = column basic in row i
 
 	artStart int // first artificial column; artificials occupy [artStart, cols)
 
-	obj2 []float64 // structural objective for phase 2 (length n)
-
 	z    []float64 // reduced-cost row for the active objective
 	zrhs float64   // current objective value c_B·B⁻¹b
-
-	objScratch []float64 // phase-1 objective buffer
 
 	nz []int // columns where the current pivot row is non-zero (pivot scratch)
 }
 
-// newTableau allocates a fresh tableau for p (the one-shot Solve path).
-func newTableau(p *Problem) *tableau {
-	t := &tableau{}
-	t.init(p, false)
-	return t
-}
-
-// init sizes the tableau for p and fills in the initial canonical form,
-// reusing any backing storage from a previous solve. With reserveLex set,
+// newTableau builds the initial canonical form of p. With reserveLex set,
 // one extra row and one extra column are reserved so that lexReopt can later
 // append a floor constraint without reallocating.
-func (t *tableau) init(p *Problem, reserveLex bool) {
+func newTableau(p *Problem, reserveLex bool) *tableau {
 	m := len(p.Constraints)
 	n := len(p.Objective)
 
@@ -75,37 +58,21 @@ func (t *tableau) init(p *Problem, reserveLex bool) {
 	if reserveLex {
 		stride, rows = cols+1, m+1
 	}
-	t.m, t.n, t.cols = m, n, cols
-	t.artStart = n + slacks
-
-	need := rows * stride
-	if cap(t.flat) < need {
-		t.flat = make([]float64, need)
-	} else {
-		t.flat = t.flat[:need]
-		for i := range t.flat {
-			t.flat[i] = 0
-		}
+	t := &tableau{
+		m: m, n: n, cols: cols,
+		artStart: n + slacks,
+		a:        make([][]float64, rows),
+		b:        make([]float64, m, rows),
+		basis:    make([]int, m, rows),
+		z:        make([]float64, stride),
+		nz:       make([]int, stride),
 	}
-	if cap(t.a) < rows {
-		t.a = make([][]float64, rows)
-	}
-	t.a = t.a[:rows]
+	flat := make([]float64, rows*stride)
 	for i := 0; i < rows; i++ {
 		// Three-index slices: a row may grow only into its reserved column.
-		t.a[i] = t.flat[i*stride : i*stride+cols : (i+1)*stride]
+		t.a[i] = flat[i*stride : i*stride+cols : (i+1)*stride]
 	}
 	t.a = t.a[:m]
-	if cap(t.b) < rows {
-		t.b = make([]float64, rows)
-		t.basis = make([]int, rows)
-	}
-	t.b = t.b[:m]
-	t.basis = t.basis[:m]
-	if cap(t.z) < stride {
-		t.z = make([]float64, stride)
-		t.nz = make([]int, stride)
-	}
 
 	slackCol := n
 	artCol := t.artStart
@@ -142,14 +109,12 @@ func (t *tableau) init(p *Problem, reserveLex bool) {
 			artCol++
 		}
 	}
+	return t
 }
 
 // setObjective installs the reduced-cost row for "maximize obj·x" (obj indexed
 // by column, zero-padded) under the current basis.
 func (t *tableau) setObjective(obj []float64) {
-	if cap(t.z) < t.cols {
-		t.z = make([]float64, t.cols)
-	}
 	t.z = t.z[:t.cols]
 	for j := range t.z {
 		t.z[j] = 0
@@ -284,13 +249,7 @@ func (t *tableau) phase1() bool {
 	if t.artStart == t.cols {
 		return true // pure-slack basis is already feasible
 	}
-	if cap(t.objScratch) < t.cols {
-		t.objScratch = make([]float64, t.cols)
-	}
-	obj := t.objScratch[:t.cols]
-	for j := range obj {
-		obj[j] = 0
-	}
+	obj := make([]float64, t.cols)
 	for j := t.artStart; j < t.cols; j++ {
 		obj[j] = -1 // maximize −Σ artificials
 	}
@@ -336,12 +295,12 @@ func (t *tableau) evictArtificials() {
 	}
 }
 
-// phase2 optimizes the structural objective from the feasible basis produced
-// by phase1. It reports false when the program is unbounded. Artificial
+// phase2 optimizes the structural objective obj from the feasible basis
+// produced by phase1. It reports false when the program is unbounded. Artificial
 // columns are excluded from entering; after evictArtificials none is basic,
 // so they stay at zero.
-func (t *tableau) phase2() bool {
-	t.setObjective(t.obj2)
+func (t *tableau) phase2(obj []float64) bool {
+	t.setObjective(obj)
 	return t.run(t.artStart)
 }
 
@@ -419,18 +378,9 @@ func (t *tableau) appendFloor(primObj []float64, floor float64) {
 	t.m++
 }
 
-// extract reads the structural variable values out of the basis.
+// extract reads the n structural variable values out of the basis.
 func (t *tableau) extract(n int) []float64 {
 	x := make([]float64, n)
-	t.extractInto(x)
-	return x
-}
-
-// extractInto writes the structural variable values into x (len n).
-func (t *tableau) extractInto(x []float64) {
-	for j := range x {
-		x[j] = 0
-	}
 	for i := 0; i < t.m; i++ {
 		if t.basis[i] < len(x) {
 			v := t.b[i]
@@ -440,4 +390,5 @@ func (t *tableau) extractInto(x []float64) {
 			x[t.basis[i]] = v
 		}
 	}
+	return x
 }

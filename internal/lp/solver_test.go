@@ -80,10 +80,9 @@ func randomLexProblem(rng *rand.Rand) (*Problem, []float64) {
 
 func TestSolveLexMatchesColdTwoPass(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewSolver()
 	for iter := 0; iter < 300; iter++ {
 		p, obj2 := randomLexProblem(rng)
-		warm, err := s.SolveLex(p, 1e-9, obj2)
+		warm, err := SolveLex(p, 1e-9, obj2)
 		if err != nil {
 			t.Fatalf("iter %d: SolveLex: %v", iter, err)
 		}
@@ -106,34 +105,6 @@ func TestSolveLexMatchesColdTwoPass(t *testing.T) {
 	}
 }
 
-func TestSolverReuseMatchesSolve(t *testing.T) {
-	// One Solver across problems of different shapes must reproduce the
-	// package-level Solve exactly — tableau reuse may not leak state.
-	rng := rand.New(rand.NewSource(11))
-	s := NewSolver()
-	for iter := 0; iter < 200; iter++ {
-		p, _ := randomLexProblem(rng)
-		got, err := s.Solve(p)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		want := mustSolve(t, p)
-		if got.Status != want.Status {
-			t.Fatalf("iter %d: status %v vs %v", iter, got.Status, want.Status)
-		}
-		if got.Status == Optimal {
-			if math.Abs(got.Objective-want.Objective) > 1e-6 {
-				t.Fatalf("iter %d: objective %g vs %g", iter, got.Objective, want.Objective)
-			}
-			for j := range want.X {
-				if math.Abs(got.X[j]-want.X[j]) > 1e-6 {
-					t.Fatalf("iter %d: x = %v, want %v", iter, got.X, want.X)
-				}
-			}
-		}
-	}
-}
-
 func TestSolveLexInfeasible(t *testing.T) {
 	p := &Problem{
 		Objective: []float64{1},
@@ -142,7 +113,7 @@ func TestSolveLexInfeasible(t *testing.T) {
 			{Coeffs: []float64{1}, Rel: LE, RHS: 1},
 		},
 	}
-	sol, err := NewSolver().SolveLex(p, 1e-9, []float64{1})
+	sol, err := SolveLex(p, 1e-9, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +129,7 @@ func TestSolveLexUnbounded(t *testing.T) {
 			{Coeffs: []float64{0, 1}, Rel: LE, RHS: 1},
 		},
 	}
-	sol, err := NewSolver().SolveLex(p, 1e-9, []float64{1, 1})
+	sol, err := SolveLex(p, 1e-9, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +148,7 @@ func TestSolveLexImprovesSecondary(t *testing.T) {
 			{Coeffs: []float64{1, 1}, Rel: LE, RHS: 3},
 		},
 	}
-	sol, err := NewSolver().SolveLex(p, 1e-9, []float64{1, 1})
+	sol, err := SolveLex(p, 1e-9, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,24 +164,10 @@ func TestSolveLexImprovesSecondary(t *testing.T) {
 }
 
 func TestSolverValidatesInput(t *testing.T) {
-	s := NewSolver()
-	if _, err := s.Solve(&Problem{Objective: []float64{math.NaN()}}); err == nil {
+	if _, err := Solve(&Problem{Objective: []float64{math.NaN()}}); err == nil {
 		t.Fatal("NaN objective accepted")
 	}
-	if _, err := s.SolveLex(&Problem{Objective: []float64{1}}, 1e-9, []float64{1, 2}); err == nil {
+	if _, err := SolveLex(&Problem{Objective: []float64{1}}, 1e-9, []float64{1, 2}); err == nil {
 		t.Fatal("mismatched obj2 length accepted")
-	}
-}
-
-func BenchmarkSolverReuse(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	p, obj2 := randomLexProblem(rng)
-	s := NewSolver()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.SolveLex(p, 1e-9, obj2); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

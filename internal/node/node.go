@@ -99,7 +99,7 @@ type Node struct {
 
 	hop       *combining.HopMetrics
 	transport *treenet.Transport
-	wiring    treenet.Wiring // Detector nil without failure detection, Plane nil on a flat layout
+	wiring    treenet.Wiring // Detector nil without failure detection, Plane nil on a flat layout without it
 
 	checker *health.Checker
 	reint   *health.Reinterpreter

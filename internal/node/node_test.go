@@ -59,7 +59,6 @@ func freeAddr(t *testing.T) string {
 // spyDetector is a treenet.Detector that never repairs anything and records
 // the forest epoch each Check call saw.
 type spyDetector struct {
-	parent combining.NodeID
 	epochs []int
 }
 
@@ -67,10 +66,7 @@ func (d *spyDetector) Check(node treenet.TreeNode, _ time.Duration) bool {
 	d.epochs = append(d.epochs, node.(*combining.Forest).Epoch())
 	return false
 }
-func (d *spyDetector) Parent() combining.NodeID     { return d.parent }
-func (d *spyDetector) Children() []combining.NodeID { return nil }
-func (d *spyDetector) Reparents() int               { return 0 }
-func (d *spyDetector) Removed() []combining.NodeID  { return nil }
+func (d *spyDetector) Reparents() int { return 0 }
 
 // TestBoundaryOrderAndHookLockRule drives the window loop through two
 // boundaries on each node shape (window 0's trace record is committed when
@@ -116,7 +112,7 @@ func TestBoundaryOrderAndHookLockRule(t *testing.T) {
 			defer n.Close()
 			var spy *spyDetector
 			if tc.detector {
-				spy = &spyDetector{parent: tc.tree.Parent}
+				spy = &spyDetector{}
 				n.wiring.Detector = spy
 			}
 

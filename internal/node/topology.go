@@ -1,14 +1,12 @@
 package node
 
-import (
-	"repro/internal/combining"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
-// topologyInfo snapshots the combining plane for GET /v1/topology. On a
-// hierarchical layout it reports every member's current placement from the
-// (possibly repaired) compiled plane; on a flat layout it reports this
-// node's own neighborhood — the authoritative local view either way.
+// topologyInfo snapshots the combining plane for GET /v1/topology. With a
+// compiled plane (a topology spec, or a flat tree with failure detection)
+// it reports every member's current placement from the (possibly repaired)
+// plane; on a flat layout without one it reports this node's own
+// neighborhood — the authoritative local view either way.
 func (n *Node) topologyInfo() *obs.TopologyInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -30,30 +28,21 @@ func (n *Node) topologyInfo() *obs.TopologyInfo {
 			info.Nodes = append(info.Nodes, node)
 		}
 	} else {
-		// Flat layout: this node only knows its own neighborhood (and, with
-		// a detector, which neighbors it pruned).
-		parent, children := n.cfg.Tree.Parent, n.cfg.Tree.Children
-		removed := make(map[combining.NodeID]bool)
-		if det := n.wiring.Detector; det != nil {
-			parent, children = det.Parent(), det.Children()
-			for _, id := range det.Removed() {
-				removed[id] = true
-			}
-		}
-		add := func(id, parent combining.NodeID, level int) {
+		parent := n.cfg.Tree.Parent
+		add := func(id, parent, level int) {
 			info.Nodes = append(info.Nodes, obs.TopologyNode{
-				ID: int(id), Region: "flat", Parent: int(parent), Level: level, Alive: !removed[id],
+				ID: id, Region: "flat", Parent: parent, Level: level, Alive: true,
 			})
 		}
 		info.Levels, info.Root = 2, int(self)
 		level := 0
 		if parent >= 0 {
 			info.Root, level = int(parent), 1
-			add(parent, -1, 0)
+			add(int(parent), -1, 0)
 		}
-		add(self, parent, level)
-		for _, c := range children {
-			add(c, self, level+1)
+		add(int(self), int(parent), level)
+		for _, c := range n.cfg.Tree.Children {
+			add(int(c), int(self), level+1)
 		}
 	}
 	for t := 0; t < n.tree.Trees(); t++ {

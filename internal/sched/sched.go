@@ -20,8 +20,6 @@
 // are work-conserving: no server capacity is left idle while admissible
 // requests wait. The tests check both against the same programs solved by
 // internal/lp: θ, throughput, income and every constraint agree within 1e-6.
-// MultiCommunity, whose per-dimension costs break the flow structure, is the
-// one scheduler still solved as an LP.
 //
 // A scheduler preallocates its working state at construction and writes each
 // result into a plan the caller owns, so a Schedule call allocates nothing

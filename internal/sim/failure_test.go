@@ -123,6 +123,35 @@ func TestFailedRedirectorRefusesClients(t *testing.T) {
 	}
 }
 
+// TestRestartLeavesOutUndetectedFailure overlaps two failures: redirector 1
+// dies just before the pruned redirector 2 restarts, too recently for
+// failure detection to have removed it. The rebuilt tree must leave 1 out
+// all the same, and the two live redirectors must aggregate through it.
+func TestRestartLeavesOutUndetectedFailure(t *testing.T) {
+	sm, a, _ := failureRig(t)
+	sm.NewClient(0, workload.Config{Principal: int(a), Rate: 100}).SetActive(true)
+	sm.Run(10 * time.Second)
+	sm.FailRedirector(2)
+	sm.Run(20 * time.Second)
+	if sm.Plane().Alive(2) {
+		t.Fatal("failure of redirector 2 never detected")
+	}
+	sm.FailRedirector(1)
+	sm.RestartRedirector(2)
+	pl := sm.Plane()
+	if pl.Alive(1) || !pl.Alive(2) {
+		t.Fatalf("restarted plane %s, want 1 left out and 2 back", pl)
+	}
+	if p2, _ := pl.Placement(2); p2.Parent != 0 {
+		t.Fatalf("restarted redirector 2 under %d, want the root 0", p2.Parent)
+	}
+	sm.Run(30 * time.Second)
+	g, at, ok := sm.Redirectors[0].Tree.Global()
+	if !ok || g.Count != 2 || at < 25*time.Second {
+		t.Fatalf("root aggregate count = %d at %v (ok=%v), want a fresh count of 2", g.Count, at, ok)
+	}
+}
+
 func TestFailRedirectorBounds(t *testing.T) {
 	sm, _, _ := failureRig(t)
 	sm.FailRedirector(-1) // no-op

@@ -134,8 +134,8 @@ func TestHierSubRootFailureRejoinsGlobalTier(t *testing.T) {
 }
 
 // TestHierSubRootRestartRestoresPlacement restarts the killed sub-root
-// (no durable state: cold rejoin) and checks the plane recompiles back to
-// the original placement.
+// (no durable state: cold rejoin) and checks the plane is restored to the
+// original placement.
 func TestHierSubRootRestartRestoresPlacement(t *testing.T) {
 	sm, a, _ := hierRig(t)
 	sm.NewClient(1, workload.Config{Principal: int(a), Rate: 150}).SetActive(true)

@@ -37,9 +37,6 @@ import (
 // ErrConfig reports invalid simulation configuration.
 var ErrConfig = errors.New("sim: invalid config")
 
-// treeFanout is the flat combining tree's fan-out (the paper's binary tree).
-const treeFanout = 2
-
 // ServerSpec places Count physical servers of the given capacity (req/s)
 // under an owner principal.
 type ServerSpec struct {
@@ -58,9 +55,10 @@ type Config struct {
 	TreeDelay time.Duration
 	// Topology, when set, lays the redirectors out hierarchically (regional
 	// sub-trees under a global tier; see internal/topology) instead of the
-	// flat BuildTree layout. Its members must be exactly 0..Redirectors-1.
-	// Failure detection and restarts recompile the plane, so a dead
-	// regional sub-root re-parents its region into the global tier.
+	// flat binary tree, the one-region plane topology.FromFlat. Its members
+	// must be exactly 0..Redirectors-1. Failure detection and restarts
+	// repair the plane, so a dead regional sub-root is replaced from its own
+	// region in the global tier.
 	Topology *topology.Spec
 	// Names labels the recorder series; defaults to P0, P1, ...
 	Names []string
@@ -106,7 +104,7 @@ type Sim struct {
 	Observers []*obs.Observer
 
 	topo           combining.Topology
-	plane          *topology.Plane // nil on the flat layout
+	plane          *topology.Plane
 	failed         map[int]bool
 	failureTimeout time.Duration
 	lastReconfig   time.Duration
@@ -218,28 +216,26 @@ func New(cfg Config) (*Sim, error) {
 	for i := range ids {
 		ids[i] = combining.NodeID(i)
 	}
-	var topo combining.Topology
+	var err error
 	if cfg.Topology != nil {
-		plane, perr := topology.Compile(*cfg.Topology)
-		if perr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrConfig, perr)
-		}
-		members := plane.Members()
-		if len(members) != cfg.Redirectors {
-			return nil, fmt.Errorf("%w: topology has %d members for %d redirectors",
-				ErrConfig, len(members), cfg.Redirectors)
-		}
-		for i, id := range members {
-			if int(id) != i {
-				return nil, fmt.Errorf("%w: topology members must be 0..%d", ErrConfig, cfg.Redirectors-1)
-			}
-		}
-		s.plane = plane
-		topo = plane.Topology()
+		s.plane, err = topology.Compile(*cfg.Topology)
 	} else {
-		topo = combining.BuildTree(ids, treeFanout)
+		s.plane, err = topology.FromFlat(ids, topology.DefaultFanout)
 	}
-	s.topo = topo
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	members := s.plane.Members()
+	if len(members) != cfg.Redirectors {
+		return nil, fmt.Errorf("%w: topology has %d members for %d redirectors",
+			ErrConfig, len(members), cfg.Redirectors)
+	}
+	for i, id := range members {
+		if id != ids[i] {
+			return nil, fmt.Errorf("%w: topology members must be 0..%d", ErrConfig, cfg.Redirectors-1)
+		}
+	}
+	s.topo = s.plane.Topology()
 	for i := 0; i < cfg.Redirectors; i++ {
 		id := combining.NodeID(i)
 		send := func(to combining.NodeID, msg interface{}) {
@@ -250,7 +246,7 @@ func New(cfg Config) (*Sim, error) {
 			sim: s,
 			Red: cfg.Engine.NewRedirector(i),
 		}
-		rn.Tree = combining.NewBuilder(id).Place(topo).Principals(n).
+		rn.Tree = combining.NewBuilder(id).Place(s.topo).Principals(n).
 			Transport(send).Clock(s.Clock.Now).Build()
 		s.Redirectors = append(s.Redirectors, rn)
 		s.Net.Handle(simnet.NodeID(id), func(from simnet.NodeID, msg interface{}) {
@@ -492,7 +488,8 @@ func (s *Sim) FailRedirector(i int) {
 // record, the tree node is Reset to the durable (epoch, configuration) and
 // announces a rejoin to its parent, and — if failure detection had removed
 // the node — the topology is deterministically rebuilt to include it
-// again. Without EnablePersistence the restart is a cold start.
+// again and to leave out every redirector still down. Without
+// EnablePersistence the restart is a cold start.
 func (s *Sim) RestartRedirector(i int) {
 	if i < 0 || i >= len(s.Redirectors) || !s.failed[i] {
 		return
@@ -534,18 +531,15 @@ func (s *Sim) RestartRedirector(i int) {
 	rn.Tree.Reset(ws.Epoch, cu)
 	id := combining.NodeID(i)
 	if _, present := s.topo.Parent[id]; !present {
-		if s.plane != nil {
-			s.plane = s.plane.Restore(id)
-			s.topo = s.plane.Topology()
-		} else {
-			ids := make([]combining.NodeID, 0, len(s.Redirectors))
-			for j := range s.Redirectors {
-				if !s.failed[j] {
-					ids = append(ids, combining.NodeID(j))
-				}
+		// The rebuilt tree leaves out every redirector that is down, also
+		// one failure detection has not pruned yet.
+		for j := range s.Redirectors {
+			if s.failed[j] {
+				s.plane = s.plane.Remove(combining.NodeID(j))
 			}
-			s.topo = combining.BuildTree(ids, treeFanout)
 		}
+		s.plane = s.plane.Restore(id)
+		s.topo = s.plane.Topology()
 		s.topo.Apply(s.liveNodes())
 		s.Reconfigurations++
 	} else {
@@ -602,12 +596,8 @@ func (s *Sim) detectFailures() {
 	if _, present := s.topo.Parent[combining.NodeID(suspect)]; !present {
 		return // already removed
 	}
-	if s.plane != nil {
-		s.plane = s.plane.Remove(combining.NodeID(suspect))
-		s.topo = s.plane.Topology()
-	} else {
-		s.topo = s.topo.RemoveNode(combining.NodeID(suspect))
-	}
+	s.plane = s.plane.Remove(combining.NodeID(suspect))
+	s.topo = s.plane.Topology()
 	s.topo.Apply(s.liveNodes())
 	// Rollout liveness valve: a member the tree gave up on cannot
 	// acknowledge a staged set, so drop it from the promotion quorum (it is
@@ -770,8 +760,8 @@ func (s *Sim) ClosePersistence() error {
 	return first
 }
 
-// Plane returns the current (possibly repaired) hierarchical plane, nil
-// when the simulation runs the flat layout.
+// Plane returns the current (possibly repaired) plane: the compiled
+// Config.Topology, or the one-region plane of the flat binary tree.
 func (s *Sim) Plane() *topology.Plane { return s.plane }
 
 // SetTreeDelay changes the delay on every tree link (before or during a

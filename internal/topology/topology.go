@@ -7,20 +7,21 @@
 // named regions with member lists, a shared fanout, the principal-sharding
 // policy, and the delta-compression tuning for upstream queue vectors.
 // Compile turns a Spec into a Plane — the concrete parent/child wiring —
-// deterministically, so every node that holds the same Spec (and the same
-// set of removed peers) computes the same tree without coordination.
+// deterministically, so every node that holds the same Spec (and has removed
+// the same peers in the same order) computes the same tree without
+// coordination.
 //
 // The Plane stays a single rooted tree (regional sub-trees hang off the
 // global tier), so the per-epoch combining protocol of internal/combining
 // runs unchanged across levels: regional sub-trees settle locally each
 // window and sub-roots roll the aggregate up into the global tier.
 //
-// Failure handling is hierarchy-aware and purely functional: Remove
-// returns a new Plane recompiled without the failed node. A failed
-// regional sub-root is replaced by the next member of its own region, and
-// that replacement re-attaches to the global tier — survivors never
-// re-parent to a leaf of a foreign region, which is exactly the bug the
-// old flat BuildTree rebuild had.
+// Failure handling is local, hierarchy-aware and purely functional: Remove
+// returns a new Plane in which only the failed node's parent and children
+// moved. Orphans re-parent to the failed node's parent; at a regional
+// sub-root the lowest orphan of its own region is promoted and takes over
+// the sub-root's global-tier edges — survivors never re-parent to a leaf of
+// a foreign region. A flat tree is the one-region plane (FromFlat).
 package topology
 
 import (
@@ -166,15 +167,15 @@ type Placement struct {
 }
 
 // Plane is a compiled plane: the concrete rooted tree for a Spec minus a
-// set of removed (failed) nodes. Planes are immutable; Remove and Restore
-// return recompiled copies.
+// sequence of removed (failed) nodes. Planes are immutable; Remove and
+// Restore return new copies.
 type Plane struct {
-	spec    Spec
-	removed map[combining.NodeID]bool
-	root    combining.NodeID
-	nodes   map[combining.NodeID]*Placement
-	order   []combining.NodeID // sorted live ids
-	levels  int
+	spec     Spec
+	removals []combining.NodeID // removed ids, in the order they failed
+	root     combining.NodeID
+	nodes    map[combining.NodeID]*Placement
+	order    []combining.NodeID // sorted live ids
+	levels   int
 }
 
 // Compile validates and compiles a spec into its plane.
@@ -183,7 +184,7 @@ func Compile(spec Spec) (*Plane, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return compile(spec, nil)
+	return compile(spec, nil), nil
 }
 
 // FromFlat wraps a flat member list as a single-region spec and compiles
@@ -200,36 +201,26 @@ func FromFlat(members []combining.NodeID, fanout int) (*Plane, error) {
 	})
 }
 
-// compile builds the plane for spec minus removed. It never fails once the
-// spec validated, except when every member is removed.
-func compile(spec Spec, removed map[combining.NodeID]bool) (*Plane, error) {
+// compile lays a validated spec out over every member — a BuildTree
+// sub-tree per region under a BuildTree global tier of the regions' roots —
+// and then drops removals in order. Every removal must name a member still
+// live at its turn, and at least one member must survive them all.
+func compile(spec Spec, removals []combining.NodeID) *Plane {
 	p := &Plane{
-		spec:    spec,
-		removed: make(map[combining.NodeID]bool, len(removed)),
-		nodes:   make(map[combining.NodeID]*Placement),
-	}
-	for id := range removed {
-		p.removed[id] = true
+		spec:     spec,
+		removals: removals,
+		nodes:    make(map[combining.NodeID]*Placement),
 	}
 
-	// Per-region sub-trees over the live members.
 	var subRoots []combining.NodeID
-	regionOf := make(map[combining.NodeID]string)
 	for _, r := range spec.Regions {
-		var live []combining.NodeID
-		for _, m := range r.Members {
-			id := combining.NodeID(m)
-			if !p.removed[id] {
-				live = append(live, id)
-				regionOf[id] = r.Name
-			}
+		ids := make([]combining.NodeID, len(r.Members))
+		for i, m := range r.Members {
+			ids[i] = combining.NodeID(m)
 		}
-		if len(live) == 0 {
-			continue // region fully failed; drop it from the tier
-		}
-		topo := combining.BuildTree(live, spec.Fanout)
+		topo := combining.BuildTree(ids, spec.Fanout)
 		subRoots = append(subRoots, topo.Root)
-		for _, id := range live {
+		for _, id := range ids {
 			p.nodes[id] = &Placement{
 				ID:       id,
 				Region:   r.Name,
@@ -238,9 +229,6 @@ func compile(spec Spec, removed map[combining.NodeID]bool) (*Plane, error) {
 				SubRoot:  id == topo.Root,
 			}
 		}
-	}
-	if len(subRoots) == 0 {
-		return nil, fmt.Errorf("topology: no live members")
 	}
 
 	// Global tier over the sub-roots; the global root dual-hats as its own
@@ -253,13 +241,85 @@ func compile(spec Spec, removed map[combining.NodeID]bool) (*Plane, error) {
 		n.Children = append(n.Children, tier.Children[sr]...)
 	}
 
+	for _, id := range removals {
+		p.drop(id)
+	}
+
 	// Levels by walk from the root (the tree is connected by construction).
 	p.levels = assignLevels(p.nodes, p.root)
 	for id := range p.nodes {
 		p.order = append(p.order, id)
 	}
 	sort.Slice(p.order, func(i, j int) bool { return p.order[i] < p.order[j] })
-	return p, nil
+	return p
+}
+
+// drop removes the live node f by the local repair rule, under which only
+// f's parent and children move. f's children re-parent to f's parent,
+// unless f roots a sub-tree: at a regional sub-root the lowest orphan of
+// f's own region is promoted into f's place — its sub-root and its
+// global-tier edges — and adopts the other orphans; at the global root of a
+// region with no other live member the lowest global-tier orphan is. On a
+// one-region plane this is the flat rule: orphans to the grandparent, the
+// lowest orphan promoted at the root.
+func (p *Plane) drop(f combining.NodeID) {
+	n := p.nodes[f]
+	delete(p.nodes, f)
+	var regional, tier []combining.NodeID
+	for _, c := range n.Children {
+		if p.nodes[c].Region == n.Region {
+			regional = append(regional, c)
+		} else {
+			tier = append(tier, c)
+		}
+	}
+	sortIDs(regional)
+	sortIDs(tier)
+	orphans := append(regional, tier...)
+
+	if n.Parent < 0 || (n.SubRoot && len(regional) > 0) {
+		heir := p.nodes[orphans[0]]
+		heir.Parent, heir.SubRoot = n.Parent, true
+		heir.Children = append(heir.Children, orphans[1:]...)
+		for _, o := range orphans[1:] {
+			p.nodes[o].Parent = heir.ID
+		}
+		p.sortChildren(heir)
+		orphans = orphans[:1]
+	} else {
+		for _, o := range orphans {
+			p.nodes[o].Parent = n.Parent
+		}
+	}
+	if n.Parent < 0 {
+		p.root = orphans[0]
+		return
+	}
+	par := p.nodes[n.Parent]
+	var kids []combining.NodeID // nil when none are left, as compiled
+	for _, c := range par.Children {
+		if c != f {
+			kids = append(kids, c)
+		}
+	}
+	par.Children = append(kids, orphans...)
+	p.sortChildren(par)
+}
+
+// sortChildren restores the compiled child order: the node's own region's
+// children first, then its global-tier children, each ascending.
+func (p *Plane) sortChildren(n *Placement) {
+	sort.Slice(n.Children, func(i, j int) bool {
+		a, b := p.nodes[n.Children[i]], p.nodes[n.Children[j]]
+		if aTier, bTier := a.Region != n.Region, b.Region != n.Region; aTier != bTier {
+			return bTier
+		}
+		return a.ID < b.ID
+	})
+}
+
+func sortIDs(ids []combining.NodeID) {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // parentOf reads a node's parent from a flat topology (-1 at its root).
@@ -323,52 +383,39 @@ func (p *Plane) Alive(id combining.NodeID) bool {
 
 // Removed returns the removed node ids in ascending order.
 func (p *Plane) Removed() []combining.NodeID {
-	ids := make([]combining.NodeID, 0, len(p.removed))
-	for id := range p.removed {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := append([]combining.NodeID(nil), p.removals...)
+	sortIDs(ids)
 	return ids
 }
 
-// Remove returns the plane recompiled without the failed node. Removal is
-// hierarchy-aware: a failed sub-root is replaced from within its own
-// region and the replacement re-attaches to the global tier; orphans never
-// cross into a sibling region. Removing the last live node returns the
-// plane unchanged (a plane always has a root).
+// Remove returns the plane without the failed node, repaired locally: only
+// the failed node's parent and children move (see drop), so a survivor that
+// is not its neighbor — and so cannot observe the failure — already holds
+// its repaired placement. A failed sub-root is replaced from within its own
+// region and the replacement takes over its global-tier edges; orphans
+// never cross into a sibling region. Removing the last live node returns
+// the plane unchanged (a plane always has a root).
 func (p *Plane) Remove(failed combining.NodeID) *Plane {
-	if !p.Alive(failed) {
+	if !p.Alive(failed) || len(p.nodes) == 1 {
 		return p
 	}
-	removed := make(map[combining.NodeID]bool, len(p.removed)+1)
-	for id := range p.removed {
-		removed[id] = true
-	}
-	removed[failed] = true
-	np, err := compile(p.spec, removed)
-	if err != nil {
-		return p
-	}
-	return np
+	return compile(p.spec, append(p.removals[:len(p.removals):len(p.removals)], failed))
 }
 
-// Restore returns the plane recompiled with a previously removed node
-// back in place (used when a crashed redirector rejoins).
+// Restore returns the plane with a previously removed node back in place
+// (used when a crashed redirector rejoins): the spec's full layout with the
+// other removals repaired in their original order.
 func (p *Plane) Restore(id combining.NodeID) *Plane {
-	if !p.removed[id] {
-		return p
-	}
-	removed := make(map[combining.NodeID]bool, len(p.removed))
-	for r := range p.removed {
+	kept := make([]combining.NodeID, 0, len(p.removals))
+	for _, r := range p.removals {
 		if r != id {
-			removed[r] = true
+			kept = append(kept, r)
 		}
 	}
-	np, err := compile(p.spec, removed)
-	if err != nil {
+	if len(kept) == len(p.removals) {
 		return p
 	}
-	return np
+	return compile(p.spec, kept)
 }
 
 // Topology flattens the plane into the combining-package topology shape

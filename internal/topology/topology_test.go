@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/combining"
@@ -129,10 +130,11 @@ func TestRemoveGlobalRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	np := p.Remove(0)
-	// East promotes 1; the new global root is the lowest sub-root.
+	// East promotes its lowest orphan, 1, into 0's place: east's sub-root
+	// and the global root, adopting 0's other children.
 	n1, _ := np.Placement(1)
-	if !n1.SubRoot {
-		t.Fatalf("placement(1) = %+v, want sub-root", n1)
+	if !n1.SubRoot || np.Root() != 1 || !reflect.DeepEqual(n1.Children, []combining.NodeID{2, 3, 4}) {
+		t.Fatalf("placement(1) = %+v, root %d; want the global root over 2, 3 and west's 4", n1, np.Root())
 	}
 	root, _ := np.Placement(np.Root())
 	if !root.SubRoot || root.Parent != -1 {
@@ -163,6 +165,95 @@ func TestRemoveWholeRegion(t *testing.T) {
 	last := np.Remove(1)
 	if last.Root() != 1 {
 		t.Fatalf("root = %d, want the sole survivor 1", last.Root())
+	}
+}
+
+// TestRemoveMovesOnlyNeighbors pins the local repair rule on one-region
+// planes of 1–9 members and on multi-region planes: removing any live node,
+// one after another until one survives, leaves a rooted tree in which no
+// survivor but the removed node's parent and children changed parent,
+// children or sub-root role. Failure detection is local — only those
+// neighbors notice — so this is what keeps every survivor's placement
+// consistent with its neighbors'.
+func TestRemoveMovesOnlyNeighbors(t *testing.T) {
+	specs := []Spec{
+		twoRegions(),
+		{Regions: []Region{
+			{Name: "a", Members: []int{0, 10, 11, 12}},
+			{Name: "b", Members: []int{1, 5}},
+			{Name: "c", Members: []int{2, 3, 4, 6, 7}},
+			{Name: "d", Members: []int{8}},
+		}, Fanout: 2},
+	}
+	for n := 1; n <= 9; n++ {
+		for fanout := 2; fanout <= 3; fanout++ {
+			members := make([]int, n)
+			for i := range members {
+				members[i] = i
+			}
+			specs = append(specs, Spec{Regions: []Region{{Name: "flat", Members: members}}, Fanout: fanout})
+		}
+	}
+	for _, spec := range specs {
+		base, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each first failure, then the rest in a fixed stride order.
+		for _, first := range base.Members() {
+			p := base
+			next := first
+			for len(p.Members()) > 1 {
+				np := p.Remove(next)
+				checkLocalRepair(t, p, np, next)
+				p = np
+				live := p.Members()
+				next = live[(int(next)*7+3)%len(live)]
+			}
+		}
+	}
+}
+
+// checkLocalRepair asserts np is a rooted tree over p's members minus
+// failed in which only failed's neighbors in p moved.
+func checkLocalRepair(t *testing.T, p, np *Plane, failed combining.NodeID) {
+	t.Helper()
+	old, _ := p.Placement(failed)
+	moved := map[combining.NodeID]bool{old.Parent: true}
+	for _, c := range old.Children {
+		moved[c] = true
+	}
+	if np.Alive(failed) || len(np.Members()) != len(p.Members())-1 {
+		t.Fatalf("%s minus %d: members %v", p, failed, np.Members())
+	}
+	for _, id := range np.Members() {
+		was, _ := p.Placement(id)
+		now, _ := np.Placement(id)
+		same := was.Parent == now.Parent && was.SubRoot == now.SubRoot &&
+			reflect.DeepEqual(was.Children, now.Children)
+		if !same && !moved[id] {
+			t.Fatalf("%s minus %d: non-neighbor %d moved from %+v to %+v", p, failed, id, was, now)
+		}
+		if (now.Parent < 0) != (id == np.Root()) {
+			t.Fatalf("%s minus %d: node %d parent %d, root %d", p, failed, id, now.Parent, np.Root())
+		}
+		for _, c := range now.Children {
+			if cp, _ := np.Placement(c); cp.Parent != id {
+				t.Fatalf("%s minus %d: %d lists child %d whose parent is %d", p, failed, id, c, cp.Parent)
+			}
+		}
+		if par, ok := np.Placement(now.Parent); now.Parent >= 0 && (!ok || !now.SubRoot && par.Region != now.Region) {
+			t.Fatalf("%s minus %d: node %d (region %s) under %+v", p, failed, id, now.Region, par)
+		}
+		// The parent chain reaches the root within one hop per member.
+		at := id
+		for hops := 0; at != np.Root(); hops++ {
+			pl, ok := np.Placement(at)
+			if !ok || hops > len(np.Members()) {
+				t.Fatalf("%s minus %d: node %d does not reach the root", p, failed, id)
+			}
+			at = pl.Parent
+		}
 	}
 }
 

@@ -9,6 +9,24 @@ import (
 	"repro/internal/topology"
 )
 
+// TreeNode is the slice of combining.Node (or combining.Forest) a failure
+// detector needs: observing neighbor silence and rewiring the placement.
+type TreeNode interface {
+	LastHeard(nb combining.NodeID) (time.Duration, bool)
+	Reconfigure(parent combining.NodeID, children []combining.NodeID)
+}
+
+// Detector is a tree failure detector; PlaneReparenter is the
+// implementation. Callers must never store a typed-nil concrete detector in
+// a Detector variable — use an untyped nil instead.
+type Detector interface {
+	// Check inspects self's neighbors at time now and repairs the local
+	// topology around a silent one; it reports whether a repair happened.
+	Check(node TreeNode, now time.Duration) bool
+	// Reparents counts repairs.
+	Reparents() int
+}
+
 // Wiring is a resolved Spec: the node's concrete placement plus the
 // failure detector matching the layout. Plane is nil on a flat layout;
 // Detector is nil when failure detection is disabled.
@@ -16,62 +34,58 @@ type Wiring struct {
 	Parent   combining.NodeID
 	Children []combining.NodeID
 	Detector Detector
-	// Plane returns the current (possibly repaired) hierarchical plane.
+	// Plane returns the current (possibly repaired) compiled plane.
 	Plane func() *topology.Plane
 }
 
 // Resolve turns the spec into concrete tree wiring. With a Topology the
-// placement comes from the compiled hierarchical plane (superseding the
-// flat Parent/Children/Members fields); otherwise the flat fields are used
-// as before. The detector tracks the same layout so repairs and placement
-// never diverge.
+// placement comes from the compiled plane (superseding the flat
+// Parent/Children fields), and the detector tracks the same plane, so
+// repairs and placement never diverge. A flat spec keeps its explicit
+// Parent/Children and has no failure detection: a flat tree that needs it
+// is written as a one-region Topology, whose layout is combining.BuildTree's.
 func (s *Spec) Resolve() (Wiring, error) {
-	if s.Topology != nil {
-		plane, err := topology.Compile(*s.Topology)
-		if err != nil {
-			return Wiring{}, err
-		}
-		pl, ok := plane.Placement(s.NodeID)
-		if !ok {
-			return Wiring{}, fmt.Errorf("treenet: node %d not in topology", s.NodeID)
-		}
-		w := Wiring{Parent: pl.Parent, Children: pl.Children, Plane: func() *topology.Plane { return plane }}
+	if s.Topology == nil {
 		if s.FailureTimeout > 0 {
-			rep, err := NewPlaneReparenter(s.NodeID, *s.Topology, s.FailureTimeout)
-			if err != nil {
-				return Wiring{}, err
-			}
-			w.Detector = rep
-			w.Plane = rep.Plane
+			return Wiring{}, fmt.Errorf("treenet: failure detection needs a topology (a flat tree is a one-region topology)")
 		}
-		return w, nil
+		return Wiring{Parent: s.Parent, Children: s.Children}, nil
 	}
-	w := Wiring{Parent: s.Parent, Children: s.Children}
+	plane, err := topology.Compile(*s.Topology)
+	if err != nil {
+		return Wiring{}, err
+	}
+	pl, ok := plane.Placement(s.NodeID)
+	if !ok {
+		return Wiring{}, fmt.Errorf("treenet: node %d not in topology", s.NodeID)
+	}
+	w := Wiring{Parent: pl.Parent, Children: pl.Children, Plane: func() *topology.Plane { return plane }}
 	if s.FailureTimeout > 0 {
-		members := s.Members
-		if len(members) == 0 {
-			members = append(members, s.NodeID)
-			for id := range s.Peers {
-				members = append(members, id)
-			}
-		}
-		fanout := s.Fanout
-		if fanout < 2 {
-			fanout = 2
-		}
-		w.Detector = NewReparenter(s.NodeID, members, fanout, s.FailureTimeout)
+		rep := &PlaneReparenter{self: s.NodeID, timeout: s.FailureTimeout, plane: plane}
+		w.Detector = rep
+		w.Plane = rep.Plane
 	}
 	return w, nil
 }
 
-// PlaneReparenter is the hierarchical counterpart of Reparenter: the same
-// local silent-neighbor detection, but repairs recompile the declarative
-// topology.Spec minus the removed set (topology.Plane.Remove) instead of
-// pruning a flat BuildTree layout. Because the recompile is a pure
-// function of (spec, removed set), every survivor that observes the same
-// failure computes the same repaired plane — in particular, when a
-// regional sub-root dies its region's survivors re-parent through the
-// promoted member into the global tier, never sideways to a sibling leaf.
+// PlaneReparenter is the failure detector that lets a real-TCP combining
+// tree survive dead peers. Every node runs one over the same compiled
+// topology.Plane; on detecting a silent neighbor it repairs the plane
+// without it (topology.Plane.Remove) and rewires its own combining node. No
+// coordination protocol is needed: the repair is a pure function of (spec,
+// removal sequence) that moves only the failed node's parent and children,
+// so every survivor that observes the failure computes the same placements,
+// and every survivor that cannot observe it already holds its own — in
+// particular, when a regional sub-root dies its region's survivors
+// re-parent through the promoted member into the global tier, never
+// sideways to a sibling leaf.
+//
+// Detection is local: a node only prunes neighbors it can observe (parent
+// and children) via combining.Node.LastHeard. A node that missed an earlier
+// failure (it was not that node's neighbor) can misplace itself when a later
+// failure makes it an orphan, until it observes the earlier node's silence
+// too; the paper's single-failure story (§3.2) is what this guarantees, and
+// conservative MC/R claiming covers the gap.
 type PlaneReparenter struct {
 	mu         sync.Mutex
 	self       combining.NodeID
@@ -84,8 +98,9 @@ type PlaneReparenter struct {
 
 // NewPlaneReparenter builds a detector for node self over the plane
 // compiled from spec. timeout is how long a tree neighbor may stay silent
-// before it is declared dead (0 disables detection), with the same grace
-// windows as Reparenter.
+// before it is declared dead (0 disables detection); detection is
+// suppressed for one timeout after start and after every repair, giving new
+// neighbors a chance to be heard from.
 func NewPlaneReparenter(self combining.NodeID, spec topology.Spec, timeout time.Duration) (*PlaneReparenter, error) {
 	plane, err := topology.Compile(spec)
 	if err != nil {
@@ -111,16 +126,6 @@ func (r *PlaneReparenter) Parent() combining.NodeID {
 	return -1
 }
 
-// Children returns self's current children.
-func (r *PlaneReparenter) Children() []combining.NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if pl, ok := r.plane.Placement(r.self); ok {
-		return append([]combining.NodeID(nil), pl.Children...)
-	}
-	return nil
-}
-
 // Reparents reports how many times this node rewired itself.
 func (r *PlaneReparenter) Reparents() int {
 	r.mu.Lock()
@@ -135,10 +140,12 @@ func (r *PlaneReparenter) Removed() []combining.NodeID {
 	return r.plane.Removed()
 }
 
-// Check inspects self's plane neighbors at time now and, if one has been
-// silent past the failure timeout, recompiles the plane without it and
-// reconfigures node to the repaired placement. Same locking contract as
-// Reparenter.Check.
+// Check inspects self's plane neighbors at time now (on the same clock the
+// combining node's `now` callback uses) and, if one has been silent past
+// the failure timeout, repairs the plane without it and reconfigures
+// node to the repaired placement. It reports whether a repair happened.
+// Callers already serialize node access (the window loop); Check must run
+// under that same lock.
 func (r *PlaneReparenter) Check(node TreeNode, now time.Duration) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -165,6 +172,8 @@ func (r *PlaneReparenter) Check(node TreeNode, now time.Duration) bool {
 	var failed combining.NodeID = -1
 	for _, nb := range neighbors {
 		at, heard := node.LastHeard(nb)
+		// A neighbor never heard from is measured from the end of the last
+		// grace window; one heard from is measured from its last message.
 		silentSince := r.graceUntil - r.timeout
 		if heard && at > silentSince {
 			silentSince = at

@@ -105,12 +105,14 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 	}
 }
 
-// treeRig is a 3-node combining tree over real TCP with reparenters.
+// treeRig is a flat combining tree over real TCP — the one-region plane —
+// each node wired and guarded by what Spec.Resolve gives it: its placement
+// and its PlaneReparenter.
 type treeRig struct {
 	mu    sync.Mutex
 	nodes map[combining.NodeID]*combining.Node
 	trs   map[combining.NodeID]*Transport
-	reps  map[combining.NodeID]*Reparenter
+	wires map[combining.NodeID]Wiring
 	start time.Time
 }
 
@@ -121,10 +123,9 @@ func newTreeRig(t *testing.T, ids []combining.NodeID, timeout time.Duration) *tr
 	rig := &treeRig{
 		nodes: make(map[combining.NodeID]*combining.Node),
 		trs:   make(map[combining.NodeID]*Transport),
-		reps:  make(map[combining.NodeID]*Reparenter),
+		wires: make(map[combining.NodeID]Wiring),
 		start: time.Now(),
 	}
-	topo := combining.BuildTree(ids, 2)
 	for _, id := range ids {
 		id := id
 		tr, err := Listen(id, "127.0.0.1:0", func(tree int, from combining.NodeID, msg interface{}) {
@@ -145,8 +146,13 @@ func newTreeRig(t *testing.T, ids []combining.NodeID, timeout time.Duration) *tr
 				rig.trs[id].SetPeer(other, rig.trs[other].Addr())
 			}
 		}
-		rig.nodes[id] = combining.NewBuilder(id).Place(topo).Transport(rig.trs[id].Send).Clock(rig.now).Build()
-		rig.reps[id] = NewReparenter(id, ids, 2, timeout)
+		w, err := (&Spec{NodeID: id, Topology: flatTopology(ids, 2), FailureTimeout: timeout}).Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig.wires[id] = w
+		rig.nodes[id] = combining.NewBuilder(id).Parent(w.Parent).Children(w.Children...).
+			Transport(rig.trs[id].Send).Clock(rig.now).Build()
 	}
 	return rig
 }
@@ -160,7 +166,7 @@ func (r *treeRig) tick(live []combining.NodeID) {
 		r.nodes[live[i]].Tick()
 	}
 	for _, id := range live {
-		r.reps[id].Check(r.nodes[id], r.now())
+		r.wires[id].Detector.Check(r.nodes[id], r.now())
 	}
 }
 
@@ -226,17 +232,27 @@ func TestRootKillReparentsOverTCP(t *testing.T) {
 			g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 			rig.mu.Unlock()
 			t.Fatalf("no post-failure global at node 2: got %v (ok=%v, at=%v, killedAt=%v), reparents=%d/%d",
-				g.Sum, ok, at, killedAt, rig.reps[1].Reparents(), rig.reps[2].Reparents())
+				g.Sum, ok, at, killedAt, rig.wires[1].Detector.Reparents(), rig.wires[2].Detector.Reparents())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if p := rig.reps[1].Parent(); p != -1 {
+	if p := parentIn(rig.wires[1], 1); p != -1 {
 		t.Fatalf("node 1 parent = %d, want -1 (new root)", p)
 	}
-	if p := rig.reps[2].Parent(); p != 1 {
+	if p := parentIn(rig.wires[2], 2); p != 1 {
 		t.Fatalf("node 2 parent = %d, want 1", p)
 	}
-	if rig.reps[1].Reparents() == 0 || rig.reps[2].Reparents() == 0 {
+	if rig.wires[1].Detector.Reparents() == 0 || rig.wires[2].Detector.Reparents() == 0 {
 		t.Fatal("survivors never recorded a reparent")
 	}
+}
+
+// parentIn reads id's parent from its detector's current plane (-2 when the
+// plane no longer places it).
+func parentIn(w Wiring, id combining.NodeID) combining.NodeID {
+	pl, ok := w.Plane().Placement(id)
+	if !ok {
+		return -2
+	}
+	return pl.Parent
 }

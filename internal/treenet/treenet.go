@@ -54,18 +54,16 @@ type Spec struct {
 	Peers    map[combining.NodeID]string
 	// ListenAddr is the tree transport bind address (default 127.0.0.1:0).
 	ListenAddr string
-	// Members lists every tree node id. When set (with Fanout), the
-	// redirector can rebuild the topology locally after a peer failure; see
-	// Reparenter.
-	Members []combining.NodeID
-	// Fanout is the tree fan-out Members was laid out with (default 2).
+	// Fanout records the fan-out the flat Parent/Children were laid out
+	// with; the wiring itself is Parent/Children.
 	Fanout int
 	// FailureTimeout is how long a tree neighbor may stay silent before the
-	// node re-parents around it (0 disables failure detection).
+	// node re-parents around it (0 disables failure detection). It needs a
+	// Topology: a flat tree with failure detection is the one-region plane.
 	FailureTimeout time.Duration
-	// Topology, when set, supersedes Members/Fanout: the node takes its
-	// placement (and its failure repairs) from the hierarchical plane
-	// compiled from this spec instead of the flat BuildTree layout.
+	// Topology, when set, supersedes Parent/Children: the node takes its
+	// placement (and its failure repairs) from the plane compiled from this
+	// spec.
 	Topology *topology.Spec
 }
 

@@ -49,10 +49,6 @@ const (
 // EngineConfig parameterizes an enforcement engine.
 type EngineConfig = core.Config
 
-// MultiResourceConfig declares vector capacities and per-request costs for
-// multi-dimensional enforcement (§3.1.1).
-type MultiResourceConfig = core.MultiResourceConfig
-
 // Engine holds the folded agreement state shared by all redirectors of a
 // deployment.
 type Engine = core.Engine
