@@ -276,7 +276,14 @@ func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (sched
 		if err != nil {
 			return st, err
 		}
-		st.access, st.community = access, community
+		rowCap := make([]float64, e.n)
+		for k := range rowCap {
+			rowCap[k] = capWin[k]
+			if loc != nil {
+				rowCap[k] = min(rowCap[k], loc[k])
+			}
+		}
+		st.access, st.community, st.rowCap = access, community, rowCap
 	case Provider:
 		p := e.cfg.ProviderPrincipal
 		customers := make([]agreement.Principal, 0, e.n-1)
@@ -540,6 +547,10 @@ type schedState struct {
 	provider  *sched.Provider
 	customers []agreement.Principal
 	provTotal float64
+	// rowCap[k] is owner k's capacity row in the community program (its
+	// server capacity, under the locality cap when one is set), in
+	// requests/window: what the split measures a plan's slack against.
+	rowCap    []float64
 	plans     *sched.PlanCache[sched.Plan]
 	provPlans *sched.PlanCache[sched.ProviderPlan]
 	// provQueues is the provider solve's customer-indexed queue scratch,

@@ -39,6 +39,12 @@ type Redirector struct {
 
 	nbuf []float64 // scratch for the per-window global n_i vector
 
+	// Scratch for the credit split's slack top-up (topUpCommunity and
+	// topUpProvider): frac[i] is this window's local share of principal i's
+	// planned grant (-1 for a stale principal), cells one capacity row.
+	frac  []float64
+	cells []slackCell
+
 	// plan/provPlan receive this window's copy of the cached plan (the one
 	// matching the engine's mode is used).
 	plan     sched.Plan
@@ -104,6 +110,8 @@ func (e *Engine) NewRedirector(id int) *Redirector {
 		credits:      make([][]float64, e.n),
 		admittedP:    make([]float64, e.n),
 		boot:         obs.NewRecord(e.n),
+		frac:         make([]float64, e.n),
+		cells:        make([]slackCell, 0, e.n),
 	}
 	for i := range r.credits {
 		r.credits[i] = make([]float64, e.n)
@@ -119,6 +127,7 @@ func (r *Redirector) armWindowZero() {
 	st := r.e.snapshot()
 	r.boot.ConfigVersion = uint64(st.version)
 	r.conservativeCredits(st, r.boot)
+	r.recordCells(r.boot)
 	if r.obsv != nil {
 		r.openWindowZeroRecord()
 	}
@@ -134,6 +143,7 @@ func (r *Redirector) openWindowZeroRecord() {
 	copy(rec.Granted, r.boot.Granted)
 	copy(rec.Floor, r.boot.Floor)
 	copy(rec.Ceil, r.boot.Ceil)
+	rec.Cells = r.boot.Cells
 }
 
 // ID returns the redirector's identity.
@@ -268,6 +278,7 @@ func (r *Redirector) openWindowRecord(now time.Duration) *obs.Record {
 		rec.Global[i], rec.Granted[i], rec.Floor[i], rec.Ceil[i] = 0, 0, 0, 0
 		rec.Arrived[i], rec.Served[i] = 0, 0
 	}
+	rec.Cells = 0
 	r.obsv.FillTree(rec)
 	r.obsv.FillHealth(rec)
 	r.pendingOpen = true
@@ -335,6 +346,7 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 			}
 		}
 		r.conservativeCredits(st, rec)
+		r.recordCells(rec)
 		return nil
 	}
 
@@ -368,12 +380,14 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 				// conservative share while the rest of the window plans
 				// normally.
 				r.conservativeCommunity(st, rec, i)
+				r.frac[i] = -1
 				continue
 			}
 			frac := 0.0
 			if n[i] > 0 {
 				frac = r.estimate[i] / n[i]
 			}
+			r.frac[i] = frac
 			carried := 0.0
 			for k := 0; k < r.e.n; k++ {
 				c := carry(r.credits[i][k])
@@ -391,6 +405,7 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 			}
 			r.depositLeaseCommunity(rec, i, frac)
 		}
+		r.topUpCommunity(st, plan, rec)
 	case Provider:
 		plan := &r.provPlan
 		hit, err := r.e.providerPlan(st, n, plan)
@@ -414,12 +429,14 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 				// Stale component: conservative share on top of the carried
 				// credit installed above.
 				r.conservativeProvider(st, rec, int(p), r.creditsTotal[p])
+				r.frac[p] = -1
 				continue
 			}
 			frac := 0.0
 			if n[p] > 0 {
 				frac = r.estimate[p] / n[p]
 			}
+			r.frac[p] = frac
 			r.creditsTotal[p] += plan.X[ci] * frac
 			if rec != nil {
 				rec.Granted[p] = plan.X[ci] * frac
@@ -432,11 +449,35 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 			}
 			r.depositLeaseProvider(rec, int(p), frac)
 		}
+		r.topUpProvider(st, plan, rec)
 	}
 	if fresh != nil {
 		r.Partial++
 	}
+	r.recordCells(rec)
 	return nil
+}
+
+// recordCells notes in rec the most credit cells any principal's credit is
+// spread over: the owners holding some of it in community mode, one in
+// provider mode. The auditor allows one stranded request fraction per cell.
+func (r *Redirector) recordCells(rec *obs.Record) {
+	if rec == nil {
+		return
+	}
+	rec.Cells = 1
+	if r.e.cfg.Mode != Community {
+		return
+	}
+	for _, row := range r.credits {
+		cells := 0
+		for _, c := range row {
+			if c > 0 {
+				cells++
+			}
+		}
+		rec.Cells = max(rec.Cells, cells)
+	}
 }
 
 // freshMask returns the per-principal aggregate-freshness mask for a
@@ -472,6 +513,148 @@ func (r *Redirector) freshAt(i int, now time.Duration) bool {
 		return false
 	}
 	return r.e.cfg.Staleness <= 0 || now-r.globalAtP[i] <= r.e.cfg.Staleness
+}
+
+// slackTol is the relative slack under which a capacity row counts as full:
+// a saturated plan's row sum may sit a rounding error below capacity, and
+// that window must split exactly as if it did not.
+const slackTol = 1e-9
+
+// rowSlack is what a plan using used of a row of capacity c leaves, 0 for a
+// full row.
+func rowSlack(c, used float64) float64 {
+	if c-used <= slackTol*max(1, c) {
+		return 0
+	}
+	return c - used
+}
+
+// slackCell is one credit cell a top-up may raise: principal p's local grant
+// x·frac, toward its floor share floor/R and then, with demand, toward ub.
+// lifted and added are the result: the part of the top-up that reached the
+// floor share, and the whole top-up.
+type slackCell struct {
+	p                  int
+	floor, ub, x, frac float64
+	demand             bool
+	lifted, added      float64
+}
+
+// fillRatio is the fraction of want that budget covers.
+func fillRatio(budget, want float64) float64 {
+	if want <= budget {
+		return 1
+	}
+	return budget / want
+}
+
+// spendSlack spends budget, one redirector's share of a capacity row's
+// slack, over the row's cells at share = 1/R: first every cell toward its
+// floor share floor·share, then the cells with demand toward their bound,
+// each cell by at most (ub − x)·share. Where a stage's wants exceed what is
+// left of the budget they are scaled down together.
+func spendSlack(budget, share float64, cells []slackCell) {
+	want := 0.0
+	for j := range cells {
+		c := &cells[j]
+		c.added = max(0, (c.ub-c.x)*share) // the cell's room, until the last pass
+		c.lifted = min(max(0, c.floor*share-c.x*c.frac), c.added)
+		want += c.lifted
+	}
+	fill := fillRatio(budget, want)
+	budget = max(0, budget-want)
+	want = 0
+	for j := range cells {
+		c := &cells[j]
+		c.lifted *= fill
+		if c.demand {
+			want += c.added - c.lifted
+		}
+	}
+	spread := fillRatio(budget, want)
+	for j := range cells {
+		c := &cells[j]
+		room := c.added
+		c.added = c.lifted
+		if c.demand {
+			c.added += (room - c.lifted) * spread
+		}
+	}
+}
+
+// topUpCommunity spends the slack the window plan leaves in each owner's
+// capacity row. The local split x·frac follows the estimate, and an estimate
+// lags arrivals, so a redirector with idle capacity behind it would refuse
+// whatever arrives above its own past average. Each row's slack is split
+// evenly over the R redirectors (spendSlack): a redirector's part first lifts
+// every fresh principal's cell to its floor share MI[k][i]/R (the claim a
+// blind window makes), then goes to the principals it sees demand from, up to
+// the cell's bound MI+OI. A cell's top-up is at most (MI+OI − X)/R and a
+// row's at most its slack/R, so the fleet stays within every agreement bound
+// and every capacity row. A row with no slack adds nothing: a saturated plan
+// splits exactly as x·frac.
+func (r *Redirector) topUpCommunity(st schedState, plan *sched.Plan, rec *obs.Record) {
+	share := 1 / float64(r.e.cfg.NumRedirectors)
+	mi, oi := st.access.MI, st.access.OI
+	for k := 0; k < r.e.n; k++ {
+		used := 0.0
+		for i := 0; i < r.e.n; i++ {
+			used += plan.X[i][k]
+		}
+		free := rowSlack(st.rowCap[k], used)
+		if free == 0 {
+			continue
+		}
+		cells := r.cells[:0]
+		for i := 0; i < r.e.n; i++ {
+			if r.frac[i] >= 0 {
+				cells = append(cells, slackCell{p: i, floor: mi[k][i], ub: mi[k][i] + oi[k][i],
+					x: plan.X[i][k], frac: r.frac[i], demand: r.estimate[i] > 0})
+			}
+		}
+		spendSlack(free*share, share, cells)
+		for _, c := range cells {
+			r.credits[c.p][k] += c.added
+			recordTopUp(rec, c)
+		}
+	}
+}
+
+// topUpProvider is topUpCommunity for the provider program's one capacity
+// row: floor shares MC_i/R first, then demand up to MC_i+OC_i.
+func (r *Redirector) topUpProvider(st schedState, plan *sched.ProviderPlan, rec *obs.Record) {
+	used := 0.0
+	for _, x := range plan.X {
+		used += x
+	}
+	free := rowSlack(st.provTotal, used)
+	if free == 0 {
+		return
+	}
+	share := 1 / float64(r.e.cfg.NumRedirectors)
+	mc, oc := st.access.MC, st.access.OC
+	cells := r.cells[:0]
+	for ci, p := range st.customers {
+		if r.frac[p] >= 0 {
+			cells = append(cells, slackCell{p: int(p), floor: mc[p], ub: mc[p] + oc[p],
+				x: plan.X[ci], frac: r.frac[p], demand: r.estimate[p] > 0})
+		}
+	}
+	spendSlack(free*share, share, cells)
+	for _, c := range cells {
+		r.creditsTotal[c.p] += c.added
+		recordTopUp(rec, c)
+	}
+}
+
+// recordTopUp adds a cell's top-up to the window record: all of it to the
+// grant and the ceiling, the part that reached the floor share to the floor.
+func recordTopUp(rec *obs.Record, c slackCell) {
+	if rec != nil {
+		rec.Granted[c.p] += c.added
+		rec.Floor[c.p] += c.lifted
+		rec.Ceil[c.p] += c.added
+	}
 }
 
 // markSolveErr tags the pending record of a window whose LP failed: the

@@ -7,9 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"path"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -100,17 +97,18 @@ type RedirectorConfig struct {
 	RetryBudget int
 }
 
-// Redirector is the Layer-7 switch: an HTTP server answering every request
-// for /svc/<org>/... with a 302 — either to a backend of the owner chosen
-// by the scheduler, or to itself when the principal is over quota this
-// window (the implicit-queue self-redirect of §4.1).
+// Redirector is the Layer-7 switch: an HTTP/1.1 server answering every
+// request for /svc/<org>/... with a 302 — either to a backend of the owner
+// chosen by the scheduler, or to itself when the principal is over quota
+// this window (the implicit-queue self-redirect of §4.1) — or, in proxy
+// mode, with the backend's response or a 503.
 type Redirector struct {
 	// Node is the shared enforcement node: admission, window loop, tree,
 	// rollout, recovery and the admin surface (internal/node).
 	*node.Node
 
 	cfg     RedirectorConfig
-	srv     *http.Server
+	srv     *server        // the HTTP/1.1 listener loop (inbound.go)
 	mux     *http.ServeMux // admin/obs routes, and /svc/ paths needing cleaning
 	selfURL string
 
@@ -183,11 +181,10 @@ func NewRedirector(cfg RedirectorConfig) (*Redirector, error) {
 	// The observability endpoints are scraped from the same mux that serves
 	// traffic.
 	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("/svc/", r.handle)
 	r.mux.HandleFunc("/stats", r.handleStats)
 	r.ObsHandler().Register(r.mux)
-	r.srv = &http.Server{Handler: http.HandlerFunc(r.route)}
-	go func() { _ = r.srv.Serve(ln) }()
+	r.srv = newServer(r, ln, (*inConn).admit)
+	go r.srv.serve()
 
 	r.retryTokens.Store(int64(r.retryBudget()))
 	// Each window boundary refills the proxy failover budget.
@@ -210,83 +207,6 @@ func (r *Redirector) retryBudget() int {
 	}
 }
 
-// route is the server's handler: service traffic goes straight to handle,
-// everything else through the mux — admin and observability routes, and the
-// rare /svc/ path that path.Clean would change (an empty, "." or ".."
-// segment), which the mux answers with a redirect to its cleaned form.
-func (r *Redirector) route(w http.ResponseWriter, req *http.Request) {
-	if p := req.URL.Path; strings.HasPrefix(p, "/svc/") && path.Clean(p) == strings.TrimSuffix(p, "/") {
-		r.handle(w, req)
-		return
-	}
-	r.mux.ServeHTTP(w, req)
-}
-
-// handle answers /svc/<org>/<rest> with a redirect (or, in proxy mode, the
-// proxied backend response). When tracing is enabled the request may carry
-// a pre-allocated span (nil-safe stamps, zero allocations); the finished
-// span's ID is attached to the latency histogram bucket as an exemplar.
-func (r *Redirector) handle(w http.ResponseWriter, req *http.Request) {
-	handleStart := time.Now()
-	var sp *obs.Span
-	defer func() { r.lat.ObserveExemplar(time.Since(handleStart), sp.Finish()) }()
-	rest := strings.TrimPrefix(req.URL.Path, "/svc/")
-	org, tail, _ := strings.Cut(rest, "/")
-	p, ok := r.cfg.Orgs[org]
-	if !ok {
-		http.NotFound(w, req)
-		return
-	}
-
-	// Lock-free request path: one sharded-plane admission, one atomic
-	// round-robin backend choice.
-	sp = r.Begin(p)
-	d, det := r.Admission().AdmitTraced(p, -1, 1)
-	node.StampAdmit(sp, det)
-	var target *upstream
-	if d.Admitted {
-		target = r.chooseBackend(d.Owner, nil)
-		sp.StampBackend()
-	}
-
-	switch {
-	case target == nil:
-		r.refuse(w, req)
-	case r.cfg.Proxy:
-		r.proxy(w, req, d.Owner, target, tail, sp)
-	default:
-		http.Redirect(w, req, target.location(tail, req.URL.RawQuery), http.StatusFound)
-	}
-}
-
-// The refusal replies are fixed, so their header values are built once and
-// shared by every response (net/http only reads them).
-var (
-	refusalBody    = []byte("over quota this window\n")
-	refusalLength  = []string{strconv.Itoa(len(refusalBody))}
-	refusalType    = []string{"text/plain; charset=utf-8"}
-	refusalNoSniff = []string{"nosniff"}
-	retryAfterNow  = []string{"0"}
-)
-
-// refuse tells the client to come back: 503 in proxy mode (the
-// single-round-trip variant), otherwise a 302 to this redirector itself
-// (implicit queuing). Both carry Retry-After: 0.
-func (r *Redirector) refuse(w http.ResponseWriter, req *http.Request) {
-	h := w.Header()
-	h["Retry-After"] = retryAfterNow
-	h["Content-Type"] = refusalType
-	h["X-Content-Type-Options"] = refusalNoSniff
-	h["Content-Length"] = refusalLength
-	if r.cfg.Proxy {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	} else {
-		h["Location"] = []string{r.selfURL + req.URL.RequestURI()}
-		w.WriteHeader(http.StatusFound)
-	}
-	_, _ = w.Write(refusalBody)
-}
-
 // chooseBackend round-robins over the owner's backends, skipping ones the
 // health checker holds down and skip (the backend a failover is escaping).
 // Returns nil when no usable backend exists. Safe without the node mutex:
@@ -302,22 +222,22 @@ func (r *Redirector) chooseBackend(owner agreement.Principal, skip *upstream) *u
 	return nil
 }
 
-// proxy relays the request to a backend of owner and the response to the
+// proxy relays c's request to a backend of owner and the response to the
 // client — one client round trip instead of two. A failed backend exchange
 // is reported to the health checker and, when the request can be replayed
 // (no body, or one small enough to have been buffered), retried once
 // against another backend of the same owner (bounded failover, not a retry
 // storm).
-func (r *Redirector) proxy(w http.ResponseWriter, req *http.Request, owner agreement.Principal, target *upstream, tail string, sp *obs.Span) {
-	body, err := takeBody(req)
+func (r *Redirector) proxy(c *inConn, owner agreement.Principal, target *upstream, tail []byte, sp *obs.Span) {
+	body, err := takeBody(&c.body, c.req.bodyLength())
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		c.writeBadGateway(err)
 		return
 	}
 	defer body.release()
 	var lastErr error
 	for attempt := 0; attempt < 2 && target != nil; attempt++ {
-		committed, err := r.relay.exchange(target, w, req, tail, &body, sp)
+		committed, err := r.relay.exchange(target, c, tail, &body, sp)
 		if err == nil {
 			return
 		}
@@ -328,9 +248,10 @@ func (r *Redirector) proxy(w http.ResponseWriter, req *http.Request, owner agree
 		}
 		r.ReportFailure(target.target)
 		if committed {
-			// The head is out and the body fell short: cut the client's
+			// The head is out and the body fell short: end the client's
 			// connection so it cannot mistake the fragment for the whole.
-			panic(http.ErrAbortHandler)
+			c.closeAfter = true
+			return
 		}
 		if !body.replayable() {
 			break
@@ -349,7 +270,7 @@ func (r *Redirector) proxy(w http.ResponseWriter, req *http.Request, owner agree
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no usable backend")
 	}
-	http.Error(w, lastErr.Error(), http.StatusBadGateway)
+	c.writeBadGateway(lastErr)
 }
 
 // RetryBudgetExhausted reports how many proxy failovers were suppressed
@@ -415,10 +336,11 @@ func (r *Redirector) handleStats(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// Close stops the HTTP server, then the node (window loop joined, transport
-// closed, durable log checkpointed), and returns the first error.
+// Close stops the HTTP server and its connections, then the node (window
+// loop joined, transport closed, durable log checkpointed), and returns the
+// first error.
 func (r *Redirector) Close() error {
-	err := r.srv.Close()
+	err := r.srv.close()
 	if cerr := r.Node.Close(); err == nil {
 		err = cerr
 	}

@@ -2,13 +2,13 @@ package l7
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/textproto"
 	"net/url"
 	"strconv"
 	"strings"
@@ -20,10 +20,11 @@ import (
 )
 
 // The proxy path's backend side: a raw HTTP/1.1 relay over pooled keep-alive
-// connections. The inbound side is net/http's server; everything between
-// w.Header() and the backend socket is here, so one proxied request costs a
-// head write, a head parse and a body copy — no client request object, no
-// header clone, no per-connection goroutines.
+// connections. The inbound side is inbound.go's server loop; the relay writes
+// the request head from the parsed inbound head and the backend's response
+// head, less its hop-by-hop headers, straight into the client connection's
+// writer, so one proxied request costs a head write, a head parse and a body
+// copy — no request object, no header map, no per-connection goroutines.
 
 const (
 	dialTimeout           = 2 * time.Second
@@ -76,12 +77,13 @@ type upstream struct {
 }
 
 // upConn is one backend connection with the buffers it reuses: the response
-// reader and a scratch buffer that holds the request head while it is
-// written and the response head while it is parsed.
+// reader, a scratch buffer that holds the request head while it is written
+// and the response head while it is parsed, and that head's header lines.
 type upConn struct {
 	conn      net.Conn
 	br        *bufio.Reader
 	scratch   []byte
+	fields    []field // the response head's header lines, into scratch
 	idleSince time.Time
 }
 
@@ -112,22 +114,17 @@ func parseUpstream(target string) (*upstream, error) {
 	return up, nil
 }
 
-// appendURI appends the backend request target for tail (the decoded path
-// under /svc/<org>/) and the raw query.
-func (u *upstream) appendURI(dst []byte, tail, query string) []byte {
+// appendURI appends the backend request target for tail (the path under
+// /svc/<org>/, escaped) and the raw query.
+func (u *upstream) appendURI(dst []byte, tail, query []byte) []byte {
 	dst = append(dst, u.base...)
 	dst = append(dst, '/')
-	dst = append(dst, (&url.URL{Path: tail}).EscapedPath()...)
-	if query != "" {
+	dst = append(dst, tail...)
+	if len(query) > 0 {
 		dst = append(dst, '?')
 		dst = append(dst, query...)
 	}
 	return dst
-}
-
-// location is the absolute URL a redirect-mode 302 points at.
-func (u *upstream) location(tail, query string) string {
-	return string(u.appendURI([]byte(u.origin), tail, query))
 }
 
 // get pops the most recently used idle connection, or nil. An expired top
@@ -155,7 +152,7 @@ func (u *upstream) get(now time.Time) *upConn {
 func (u *upstream) put(c *upConn) {
 	c.idleSince = time.Now()
 	if cap(c.scratch) > maxKeptScratch {
-		c.scratch = nil
+		c.scratch, c.fields = nil, nil
 	}
 	u.mu.Lock()
 	if u.closed || len(u.idle) >= maxIdlePerBackend {
@@ -251,23 +248,23 @@ type reqBody struct {
 	length int64     // declared length of stream, -1 when unknown
 }
 
-// takeBody buffers a body whose declared length is at most maxReplayBody and
-// leaves anything else to be streamed. A read error is the client's.
-func takeBody(req *http.Request) (reqBody, error) {
-	n := req.ContentLength
+// takeBody buffers a body of declared length n (-1: unknown) read from src
+// when n is at most maxReplayBody, and leaves anything else to be streamed.
+// A read error is the client's.
+func takeBody(src io.Reader, n int64) (reqBody, error) {
 	switch {
-	case n == 0 || req.Body == nil || req.Body == http.NoBody:
+	case n == 0 || src == nil:
 		return reqBody{}, nil
 	case n > 0 && n <= maxReplayBody:
 		bp := relayBufs.Get().(*[]byte)
 		b := reqBody{buf: (*bp)[:n], pooled: bp}
-		if _, err := io.ReadFull(req.Body, b.buf); err != nil {
+		if _, err := io.ReadFull(src, b.buf); err != nil {
 			b.release()
 			return reqBody{}, err
 		}
 		return b, nil
 	default:
-		return reqBody{stream: req.Body, length: n}, nil
+		return reqBody{stream: src, length: n}, nil
 	}
 }
 
@@ -285,8 +282,8 @@ func (b *reqBody) replayable() bool { return b.stream == nil }
 // not be read): no backend is blamed and nothing is retried.
 type clientError struct{ error }
 
-// exchange relays req to u and the response to w. committed reports that the
-// response head has been handed to w, after which no other reply can be
+// exchange relays c's request to u and the response to c. committed reports
+// that the response head is in c's writer, after which no other reply can be
 // sent. A reused connection that fails before one response byte arrived was
 // closed by the backend while idle (nothing watches a pooled connection for
 // that): it is replaced by a fresh dial once, transparently, for every
@@ -294,45 +291,45 @@ type clientError struct{ error }
 // failover would replay anyway. Such a failure says nothing about the
 // backend's health and is not returned. A streamed body cannot be sent
 // twice, so it is not risked on a pooled connection.
-func (rl *relay) exchange(u *upstream, w http.ResponseWriter, req *http.Request, tail string, body *reqBody, sp *obs.Span) (committed bool, err error) {
-	var c *upConn
+func (rl *relay) exchange(u *upstream, c *inConn, tail []byte, body *reqBody, sp *obs.Span) (committed bool, err error) {
+	var uc *upConn
 	if body.replayable() {
-		c = u.get(time.Now())
+		uc = u.get(time.Now())
 	}
 	for {
-		reused := c != nil
+		reused := uc != nil
 		if reused {
 			rl.reuses.Add(1)
-		} else if c, err = rl.dial(u); err != nil {
+		} else if uc, err = rl.dial(u); err != nil {
 			return false, err
 		}
 		var stale bool
-		committed, stale, err = roundTrip(c, u, w, req, tail, body, sp)
+		committed, stale, err = roundTrip(uc, u, c, tail, body, sp)
 		if !stale || !reused {
 			return committed, err
 		}
 		rl.staleRetries.Add(1)
-		c = nil
+		uc = nil
 	}
 }
 
-// roundTrip performs one exchange on c and then pools or closes it. stale
+// roundTrip performs one exchange on uc and then pools or closes it. stale
 // reports a failure before any response byte was read.
-func roundTrip(c *upConn, u *upstream, w http.ResponseWriter, req *http.Request, tail string, body *reqBody, sp *obs.Span) (committed, stale bool, err error) {
+func roundTrip(uc *upConn, u *upstream, c *inConn, tail []byte, body *reqBody, sp *obs.Span) (committed, stale bool, err error) {
 	reusable := false
 	defer func() {
 		if reusable {
-			u.put(c)
+			u.put(uc)
 		} else {
-			c.conn.Close()
+			uc.conn.Close()
 		}
 	}()
 
-	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	c.scratch = appendRequestHead(c.scratch[:0], u, req, tail, body)
-	_, werr := c.conn.Write(c.scratch)
+	_ = uc.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	uc.scratch = appendRequestHead(uc.scratch[:0], u, &c.req, tail, body)
+	_, werr := uc.conn.Write(uc.scratch)
 	if werr == nil {
-		werr = writeBody(c.conn, body)
+		werr = writeBody(uc.conn, body)
 	}
 	wait := responseHeaderTimeout
 	if werr != nil {
@@ -345,8 +342,8 @@ func roundTrip(c *upConn, u *upstream, w http.ResponseWriter, req *http.Request,
 		// The connection is spent either way.
 		wait = earlyResponseWait
 	}
-	_ = c.conn.SetReadDeadline(time.Now().Add(wait))
-	if _, err = c.br.Peek(1); err != nil {
+	_ = uc.conn.SetReadDeadline(time.Now().Add(wait))
+	if _, err = uc.br.Peek(1); err != nil {
 		if werr != nil {
 			return false, true, werr
 		}
@@ -354,92 +351,94 @@ func roundTrip(c *upConn, u *upstream, w http.ResponseWriter, req *http.Request,
 		var ne net.Error
 		return false, !(errors.As(err, &ne) && ne.Timeout()), err
 	}
-	h := w.Header()
 	var head respHead
-	if head, c.scratch, err = readResponseHead(c.br, c.scratch[:0], h); err != nil {
-		clear(h)
+	if head, uc.scratch, err = readResponseHead(uc.br, uc.scratch[:0], uc.fields[:0]); err != nil {
 		return false, false, err
 	}
+	uc.fields = head.fields[:0]
 	sp.StampFirstByte()
-	w.WriteHeader(head.status)
-
+	isHead := c.req.isHead()
+	w, rechunk := c.relayHead(&head, isHead)
 	var complete bool
-	if complete, err = relayBody(w, c, req.Method, head); err != nil {
+	if complete, err = relayBody(w, uc, isHead, head); err != nil {
 		return true, false, err
 	}
-	reusable = werr == nil && complete && !head.close && c.br.Buffered() == 0
+	if rechunk {
+		c.chunked.close() // the body ended, at EOF when it had no length
+	}
+	reusable = werr == nil && complete && !head.close && uc.br.Buffered() == 0
 	return true, false, nil
 }
 
-// hopByHop reports whether a header (canonical form) is meaningful for one
-// connection only and must not cross the relay (RFC 9110 §7.6.1). Expect is
-// dropped with them: by the time the head is written the body is on hand.
-func hopByHop(key string) bool {
-	switch key {
-	case "Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer",
-		"Transfer-Encoding", "Upgrade", "Expect":
-		return true
-	}
-	return false
-}
+// hopByHopNames are the headers meaningful for one connection only, which
+// must not cross the relay (RFC 9110 §7.6.1). Expect is dropped with them:
+// by the time the head is written the body is on hand.
+var hopByHopNames = []string{"Connection", "Keep-Alive", "Proxy-Connection", "Te", "Trailer",
+	"Transfer-Encoding", "Upgrade", "Expect"}
 
-// connectionNames reports whether key is listed in a Connection header.
-func connectionNames(connection []string, key string) bool {
-	for _, v := range connection {
-		if listed(v, key) {
+// hopByHop reports whether a header name, in any case, is one of
+// hopByHopNames.
+func hopByHop(name []byte) bool {
+	for _, h := range hopByHopNames {
+		if asciiEqualFold(name, h) {
 			return true
 		}
 	}
 	return false
 }
 
-// listed reports whether a comma-separated header value holds token.
-func listed(list, token string) bool {
-	for list != "" {
-		var item string
-		item, list, _ = strings.Cut(list, ",")
-		if strings.EqualFold(textproto.TrimString(item), token) {
+// endToEnd reports whether a header line crosses the relay: not hop-by-hop,
+// not named by a Connection header among fields, and not one of the framing
+// or routing headers the relay writes itself.
+func endToEnd(fields []field, name []byte) bool {
+	return !hopByHop(name) && !asciiEqualFold(name, "Content-Length") && !asciiEqualFold(name, "Host") &&
+		!namedByConnection(fields, name)
+}
+
+// namedByConnection reports whether name is listed in one of the Connection
+// fields among fields.
+func namedByConnection(fields []field, name []byte) bool {
+	for _, f := range fields {
+		if asciiEqualFold(f.name, "Connection") && listedBytes(f.value, name) {
 			return true
 		}
 	}
 	return false
 }
 
-// appendRequestHead writes the request line and the end-to-end headers
-// straight from req.Header, with the relay's own Host and body framing. The
-// inbound server has already validated every name and value.
-func appendRequestHead(dst []byte, u *upstream, req *http.Request, tail string, body *reqBody) []byte {
-	dst = append(dst, req.Method...)
+// appendRequestHead writes the request line and the end-to-end header lines
+// of the inbound request, with the relay's own Host and body framing. The
+// inbound parser has already validated every name and value.
+func appendRequestHead(dst []byte, u *upstream, req *inRequest, tail []byte, body *reqBody) []byte {
+	dst = append(dst, req.method...)
 	dst = append(dst, ' ')
-	dst = u.appendURI(dst, tail, req.URL.RawQuery)
+	dst = u.appendURI(dst, tail, req.query)
 	dst = append(dst, " HTTP/1.1\r\nHost: "...)
 	dst = append(dst, u.host...)
-	dst = append(dst, "\r\n"...)
-	connection := req.Header["Connection"]
-	for k, vs := range req.Header {
-		if hopByHop(k) || k == "Content-Length" || (connection != nil && connectionNames(connection, k)) {
-			continue
-		}
-		for _, v := range vs {
-			dst = append(dst, k...)
-			dst = append(dst, ": "...)
-			dst = append(dst, v...)
-			dst = append(dst, "\r\n"...)
+	for _, f := range req.fields {
+		if endToEnd(req.fields, f.name) {
+			dst = appendField(dst, f)
 		}
 	}
-	switch {
+	switch m := string(req.method); {
 	case body.stream != nil && body.length < 0:
-		dst = append(dst, "Transfer-Encoding: chunked\r\n"...)
+		dst = append(dst, "\r\nTransfer-Encoding: chunked"...)
 	case body.stream != nil:
-		dst = append(dst, "Content-Length: "...)
+		dst = append(dst, "\r\nContent-Length: "...)
 		dst = strconv.AppendInt(dst, body.length, 10)
-		dst = append(dst, "\r\n"...)
-	case len(body.buf) > 0 || req.Method == "POST" || req.Method == "PUT" || req.Method == "PATCH":
-		dst = append(dst, "Content-Length: "...)
+	case len(body.buf) > 0 || m == "POST" || m == "PUT" || m == "PATCH":
+		dst = append(dst, "\r\nContent-Length: "...)
 		dst = strconv.AppendInt(dst, int64(len(body.buf)), 10)
-		dst = append(dst, "\r\n"...)
 	}
-	return append(dst, "\r\n"...)
+	return append(dst, "\r\n\r\n"...)
+}
+
+// appendField appends "\r\nName: value".
+func appendField(dst []byte, f field) []byte {
+	dst = append(dst, "\r\n"...)
+	dst = append(dst, f.name...)
+	dst = append(dst, ": "...)
+	return append(dst, f.value...)
 }
 
 // writeBody sends the request body after the head: the buffered copy in one
@@ -497,30 +496,31 @@ func writeBody(conn net.Conn, body *reqBody) error {
 	return nil
 }
 
-// respHead is what the relay needs from a response head beyond the headers.
+// respHead is a parsed response head. Its slices point into the upstream
+// connection's scratch buffer and live until the next exchange on it.
 type respHead struct {
 	status  int
-	length  int64 // declared Content-Length, -1 when absent
+	reason  []byte  // the status line after the code, as sent
+	fields  []field // every header line in order, hop-by-hop ones included
+	length  int64   // declared Content-Length, -1 when absent
 	chunked bool
 	close   bool // the connection must not be reused
+	date    bool // the backend sent a Date
 }
 
 var errMalformedHead = errors.New("malformed response head")
 
 // readResponseHead reads response heads from br until a final (non-1xx) one
-// and parses it into h: end-to-end headers under their canonical names,
-// every name and value a substring of one string copy of the head, the
-// value slices carved from one backing array. Hop-by-hop headers are
-// consumed, not copied. Nothing is sized by a number the backend sent.
-// scratch is the read buffer, returned (possibly grown) for reuse.
-func readResponseHead(br *bufio.Reader, scratch []byte, h http.Header) (respHead, []byte, error) {
+// and parses it in place: scratch is the read buffer and fields the header
+// line slice, both returned (possibly grown) for reuse. Nothing is sized by
+// a number the backend sent.
+func readResponseHead(br *bufio.Reader, scratch []byte, fields []field) (respHead, []byte, error) {
 	for interim := 0; ; interim++ {
-		var lines int
 		var err error
-		if scratch, lines, err = readHeadBlock(br, scratch[:0]); err != nil {
+		if scratch, err = readHeadBlock(br, scratch[:0]); err != nil {
 			return respHead{}, scratch, err
 		}
-		head, err := parseHead(string(scratch), lines, h)
+		head, err := parseHead(scratch, fields[:0])
 		if err != nil {
 			return respHead{}, scratch, err
 		}
@@ -531,19 +531,18 @@ func readResponseHead(br *bufio.Reader, scratch []byte, h http.Header) (respHead
 		if interim == maxInterim || head.status == http.StatusSwitchingProtocols {
 			return respHead{}, scratch, fmt.Errorf("%w: unexpected %d response", errMalformedHead, head.status)
 		}
-		clear(h)
+		fields = head.fields
 	}
 }
 
-// readHeadBlock appends one head (through its blank line) to dst and counts
-// its lines. Lines longer than the reader's buffer arrive in fragments.
-func readHeadBlock(br *bufio.Reader, dst []byte) ([]byte, int, error) {
-	lines := 0
+// readHeadBlock appends one head (through its blank line) to dst. Lines
+// longer than the reader's buffer arrive in fragments.
+func readHeadBlock(br *bufio.Reader, dst []byte) ([]byte, error) {
 	for lineStart := 0; ; {
 		frag, err := br.ReadSlice('\n')
 		dst = append(dst, frag...)
 		if len(dst) > maxResponseHead {
-			return dst, 0, fmt.Errorf("%w: longer than %d bytes", errMalformedHead, maxResponseHead)
+			return dst, fmt.Errorf("%w: longer than %d bytes", errMalformedHead, maxResponseHead)
 		}
 		if err == bufio.ErrBufferFull {
 			continue
@@ -552,143 +551,91 @@ func readHeadBlock(br *bufio.Reader, dst []byte) ([]byte, int, error) {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
-			return dst, 0, err
+			return dst, err
 		}
 		if line := dst[lineStart:]; len(line) == 1 || (len(line) == 2 && line[0] == '\r') {
-			return dst, lines, nil
+			return dst, nil
 		}
-		lines++
 		lineStart = len(dst)
 	}
 }
 
-// parseHead parses one head block (lines counted by readHeadBlock) into h.
-func parseHead(block string, lines int, h http.Header) (respHead, error) {
-	head := respHead{length: -1}
-	line, rest := cutLine(block)
+// parseHead parses one head block, appending its header lines to fields.
+func parseHead(block []byte, fields []field) (respHead, error) {
+	head := respHead{length: -1, fields: fields}
+	line, rest := cutLineBytes(block)
 	// "HTTP/1.x SSS[ reason]"
-	if len(line) < 12 || line[:7] != "HTTP/1." || line[7] < '0' || line[7] > '9' || line[8] != ' ' ||
+	if len(line) < 12 || string(line[:7]) != "HTTP/1." || !isDigit(line[7]) || line[8] != ' ' ||
 		(len(line) > 12 && line[12] != ' ') {
 		return head, fmt.Errorf("%w: status line %.64q", errMalformedHead, line)
 	}
-	for i := 9; i < 12; i++ {
-		if line[i] < '0' || line[i] > '9' {
+	for _, c := range line[9:12] {
+		if !isDigit(c) {
 			return head, fmt.Errorf("%w: status line %.64q", errMalformedHead, line)
 		}
-		head.status = head.status*10 + int(line[i]-'0')
+		head.status = head.status*10 + int(c-'0')
 	}
 	if head.status < 100 {
 		return head, fmt.Errorf("%w: status %d", errMalformedHead, head.status)
 	}
-	keepAlive := false
-	var connection []string // Connection header values, to drop what they name
-	vals := make([]string, 0, lines-1)
-	for rest != "" {
-		line, rest = cutLine(rest)
-		if line == "" {
+	if head.reason = line[min(len(line), 13):]; !validFieldValue(head.reason) {
+		return head, fmt.Errorf("%w: status line %.64q", errMalformedHead, line)
+	}
+	http10, keepAlive := line[7] == '0', false
+	for len(rest) > 0 {
+		line, rest = cutLineBytes(rest)
+		if len(line) == 0 {
 			break
 		}
-		colon := strings.IndexByte(line, ':')
-		if colon <= 0 || !isToken(line[:colon]) {
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 || !isTokenBytes(line[:colon]) {
 			return head, fmt.Errorf("%w: header line %.64q", errMalformedHead, line)
 		}
-		key, v := canonicalKey(line[:colon]), textproto.TrimString(line[colon+1:])
-		switch key {
-		case "Connection":
-			connection = append(connection, v)
-			keepAlive = keepAlive || listed(v, "keep-alive")
-			head.close = head.close || listed(v, "close")
-			continue
-		case "Transfer-Encoding":
-			if !strings.EqualFold(v, "chunked") || head.chunked {
+		name, v := line[:colon], trimOWS(line[colon+1:])
+		if !validFieldValue(v) {
+			return head, fmt.Errorf("%w: header line %.64q", errMalformedHead, line)
+		}
+		switch {
+		case asciiEqualFold(name, "Connection"):
+			keepAlive = keepAlive || listedBytes(v, "keep-alive")
+			head.close = head.close || listedBytes(v, "close")
+		case asciiEqualFold(name, "Transfer-Encoding"):
+			if !asciiEqualFold(v, "chunked") || head.chunked {
 				return head, fmt.Errorf("%w: transfer encoding %.64q", errMalformedHead, v)
 			}
 			head.chunked = true
-			continue
-		case "Content-Length":
+		case asciiEqualFold(name, "Content-Length"):
 			n, err := parseLength(v)
 			if err != nil || (head.length >= 0 && n != head.length) {
 				return head, fmt.Errorf("%w: content length %.64q", errMalformedHead, v)
 			}
-			if head.length >= 0 {
-				continue // repeated with the same value: one copy goes on
-			}
 			head.length = n
-		default:
-			if hopByHop(key) {
-				continue
-			}
+		case asciiEqualFold(name, "Date"):
+			head.date = true
 		}
-		vals = append(vals, v)
-		if prev := h[key]; prev != nil {
-			h[key] = append(prev, v)
-		} else {
-			h[key] = vals[len(vals)-1 : len(vals) : len(vals)]
-		}
-	}
-	if connection != nil {
-		for k := range h {
-			if connectionNames(connection, k) {
-				delete(h, k)
-			}
-		}
+		head.fields = append(head.fields, field{name, v})
 	}
 	if head.chunked {
 		// Transfer-Encoding overrides a Content-Length sent beside it.
-		delete(h, "Content-Length")
 		head.length = -1
 	}
-	if strings.HasPrefix(block, "HTTP/1.0") && !keepAlive {
+	if http10 && !keepAlive {
 		head.close = true
 	}
 	return head, nil
 }
 
-// cutLine splits s after its first line, dropping the line's CRLF or LF.
-func cutLine(s string) (line, rest string) {
-	line, rest, _ = strings.Cut(s, "\n")
-	return strings.TrimSuffix(line, "\r"), rest
-}
-
-// isToken reports whether s is a non-empty RFC 9110 token (a header name).
-func isToken(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9') || c == '-' {
-			continue
-		}
-		if !strings.ContainsRune("!#$%&'*+.^_`|~", rune(c)) {
-			return false
-		}
-	}
-	return s != ""
-}
-
-// canonicalKey is textproto.CanonicalMIMEHeaderKey without the copy when
-// the name already is canonical, which backends' names nearly always are.
-func canonicalKey(s string) string {
-	upper := true
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (upper && 'a' <= c && c <= 'z') || (!upper && 'A' <= c && c <= 'Z') {
-			return textproto.CanonicalMIMEHeaderKey(s)
-		}
-		upper = c == '-'
-	}
-	return s
-}
-
 // parseLength parses a Content-Length value: decimal digits only.
-func parseLength(s string) (int64, error) {
-	if s == "" || len(s) > 18 {
+func parseLength(s []byte) (int64, error) {
+	if len(s) == 0 || len(s) > 18 {
 		return 0, errMalformedHead
 	}
 	var n int64
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
+	for _, c := range s {
+		if !isDigit(c) {
 			return 0, errMalformedHead
 		}
-		n = n*10 + int64(s[i]-'0')
+		n = n*10 + int64(c-'0')
 	}
 	return n, nil
 }
@@ -697,8 +644,8 @@ func parseLength(s string) (int64, error) {
 // whether the backend's side of the exchange ended where the connection can
 // carry another. A backend failure is returned; a client that stopped
 // reading is not one (the exchange just ends, incomplete).
-func relayBody(w io.Writer, c *upConn, method string, head respHead) (complete bool, err error) {
-	if method == "HEAD" || head.status == http.StatusNoContent || head.status == http.StatusNotModified {
+func relayBody(w io.Writer, c *upConn, isHead bool, head respHead) (complete bool, err error) {
+	if isHead || !bodyAllowed(head.status) {
 		return true, nil
 	}
 	// The response-header deadline has done its job; a body that is not
@@ -787,18 +734,10 @@ func relayChunked(w io.Writer, c *upConn) (bool, error) {
 			return false, err
 		}
 	}
-	for total := 0; ; {
-		line, err := c.br.ReadSlice('\n')
-		if err != nil {
-			return false, fmt.Errorf("chunked trailer: %w", err)
-		}
-		if len(line) == 1 || (len(line) == 2 && line[0] == '\r') {
-			return true, nil
-		}
-		if total += len(line); total > maxResponseHead {
-			return false, fmt.Errorf("%w: chunked trailer longer than %d bytes", errMalformedHead, maxResponseHead)
-		}
+	if err := skipTrailer(c.br); err != nil {
+		return false, err
 	}
+	return true, nil
 }
 
 var errMalformedChunk = errors.New("malformed chunked encoding")

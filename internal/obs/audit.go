@@ -12,14 +12,15 @@ import (
 const auditTol = 1e-6
 
 // carrySlack is the ≤1 request of unused credit §4.1's scheme carries across
-// windows: a window may legitimately admit up to one request beyond its
-// fresh grant.
+// windows, per credit cell: a window may legitimately admit up to one request
+// beyond its fresh grant, or one fewer per cell than a fractional share.
 const carrySlack = 1.0
 
 // Auditor folds committed window records into the paper's enforcement
 // invariant: every window, each principal must be served at least its
 // mandatory entitlement share (clipped to observed demand) and at most its
-// mandatory+optional ceiling. All counters are atomic; one auditor is
+// mandatory+optional ceiling, both within the whole request per credit cell
+// the carry moves between windows. All counters are atomic; one auditor is
 // typically shared by every redirector of a process. A nil *Auditor is a
 // valid no-op receiver.
 //
@@ -130,13 +131,16 @@ func (a *Auditor) Observe(rec *Record) {
 		served, demand := rec.Served[i], rec.Arrived[i]
 		a.served[i].Add(served)
 		a.arrived[i].Add(demand)
-		// Under-enforcement: demand at or above the mandatory share existed
-		// and the window still served less than that share.
+		// Under-enforcement: the window admitted less than min(Floor,
+		// Arrived) — its floor share, or every request when fewer arrived —
+		// by more than the carry leaves room for. Requests are whole and a
+		// share is not: a grant of 13.6 in one cell admits 13, and one spread
+		// over several owners' cells up to one fewer per cell.
 		floor := rec.Floor[i]
 		if demand < floor {
 			floor = demand
 		}
-		if served+auditTol < floor {
+		if served+carrySlack*float64(max(1, rec.Cells))+auditTol < floor {
 			a.underMC[i].Add(1)
 			if fn := a.onUnderFloor.Load(); fn != nil {
 				(*fn)(rec, i)

@@ -103,6 +103,11 @@ type Record struct {
 	// admissions made during the window, in average-request cost units.
 	Arrived []float64 `json:"arrived"`
 	Served  []float64 `json:"served"`
+	// Cells is the most credit cells any principal's credit was spread over
+	// this window: the owners holding some of it in community mode, one in
+	// provider mode. Admission spends a cell in whole requests, so each may
+	// leave up to one request's fraction for the carry to move on.
+	Cells int `json:"cells"`
 }
 
 // recordVectors is how many principal-wide vectors a Record carries.

@@ -170,6 +170,36 @@ func TestAuditorVerdicts(t *testing.T) {
 	}
 }
 
+// TestAuditorUnderFloorWholeRequests: a window is judged against
+// min(Floor, Arrived) in whole requests, with the one request of slack per
+// credit cell the carry gives.
+func TestAuditorUnderFloorWholeRequests(t *testing.T) {
+	for _, c := range []struct {
+		cells           int
+		arrived, served float64
+		under           int64
+	}{
+		{0, 13, 13, 0}, // every request served
+		{1, 14, 13, 0}, // a share of 13.6 admits 13 whole requests
+		{1, 14, 12, 1}, // one request short beyond the carry
+		{1, 20, 12, 1},
+		{0, 0, 0, 0},
+		{3, 14, 11, 0}, // 13.6 over three owners' cells: up to one short per cell
+		{3, 14, 10, 1},
+	} {
+		a := NewAuditor([]string{"B"})
+		rec := NewRecord(1)
+		rec.Window, rec.HaveGlobal = 7, true
+		rec.Floor, rec.Ceil, rec.Cells = []float64{13.6}, []float64{30}, c.cells
+		rec.Arrived, rec.Served = []float64{c.arrived}, []float64{c.served}
+		a.Observe(rec)
+		if got := a.UnderMC(0); got != c.under {
+			t.Errorf("share 13.6 in %d cells, %v arrived, %v admitted: %d under-floor windows, want %d",
+				c.cells, c.arrived, c.served, got, c.under)
+		}
+	}
+}
+
 func TestAuditorNilSafe(t *testing.T) {
 	var a *Auditor
 	a.Observe(NewRecord(1))
