@@ -8,8 +8,12 @@
 // variance (the paper's "other aggregate queue metrics").
 //
 // The package is transport-agnostic: a Node is driven by Tick/OnMessage and
-// emits messages through a send callback. internal/sim wires nodes to
-// simnet; cmd/redirector wires them to TCP.
+// emits messages through a send callback. Messages are lent on send and
+// delivered by value: the SendFunc gets a pointer to a Report, Broadcast or
+// Rejoin the node reuses, valid only for the call, and OnMessage takes the
+// value form (Detach converts one into the other). So a steady-state epoch
+// allocates nothing inside a node. internal/sim wires nodes to simnet;
+// cmd/redirector wires them to TCP.
 package combining
 
 import (
@@ -174,24 +178,42 @@ type Rejoin struct {
 	AckVersion uint64
 }
 
-// SendFunc transmits a message toward another node. A Report's or
-// Broadcast's Agg aliases a buffer the sending Node reuses: the transport
-// must not retain msg.Agg after Send returns. One that queues or delays
-// delivery copies first (treenet into a recycled slot, the rest via Detach).
-type SendFunc func(to NodeID, msg interface{})
+// Message is what a Node lends its SendFunc: a *Report, *Broadcast or
+// *Rejoin, and nothing else (the interface is sealed, so passing a value
+// form is a compile error rather than a message a transport drops). The
+// pointer and its Agg, which aliases the sending node's reused buffers, are
+// valid only for the duration of the SendFunc call; a Broadcast's Config is
+// immutable and may be kept.
+type Message interface{ message() }
 
-// Detach returns msg with its aggregate deep-copied, so it may outlive the
-// SendFunc or Handler call that produced it.
-func Detach(msg interface{}) interface{} {
+func (*Report) message()    {}
+func (*Broadcast) message() {}
+func (*Rejoin) message()    {}
+
+// SendFunc transmits a message toward another node. The message is lent (see
+// Message): the transport must not retain msg or its Agg after the call
+// returns. One that queues or delays delivery copies first (treenet into a
+// recycled slot, the rest via Detach). Delivery is by value: the receiving
+// end hands Report, Broadcast and Rejoin values to OnMessage.
+type SendFunc func(to NodeID, msg Message)
+
+// Detach returns the owned value form of a lent message — a Report,
+// Broadcast or Rejoin with its aggregate deep-copied — so it may outlive the
+// SendFunc call and be delivered to OnMessage later.
+func Detach(msg Message) interface{} {
 	switch m := msg.(type) {
-	case Report:
-		m.Agg = m.Agg.Clone()
-		return m
-	case Broadcast:
-		m.Agg = m.Agg.Clone()
-		return m
+	case *Report:
+		r := *m
+		r.Agg = r.Agg.Clone()
+		return r
+	case *Broadcast:
+		b := *m
+		b.Agg = b.Agg.Clone()
+		return b
+	case *Rejoin:
+		return *m
 	}
-	return msg
+	return nil
 }
 
 // neighbor is what a node remembers about one tree neighbor: liveness for
@@ -224,7 +246,10 @@ func (nb *neighbor) forget() {
 //
 // Steady state allocates nothing: child reports are copied into their
 // neighbor slots, the subtree sum is rebuilt in one scratch aggregate, and
-// outgoing broadcasts alias the one global buffer.
+// every outgoing message is lent — the node fills its one Report, Broadcast
+// or Rejoin field under its lock and hands the SendFunc a pointer to it, the
+// report aliasing the subtree scratch and broadcasts the one global buffer.
+// Incoming messages arrive as values and are copied in.
 type Node struct {
 	mu sync.Mutex
 
@@ -251,6 +276,11 @@ type Node struct {
 	reportsIn    uint64
 	broadcastsIn uint64
 	msgsOut      uint64
+
+	// The lent outgoing messages (see Message), refilled for each send.
+	outReport Report
+	outBcast  Broadcast
+	outRejoin Rejoin
 
 	// Hop timing (nil hop disables; all under mu). A non-root stamps
 	// reportSentAt at each Tick and observes the broadcast→report round
@@ -377,7 +407,8 @@ func (n *Node) Tick() {
 		n.reportSentAt = n.now()
 		n.reportOutstanding = true
 	}
-	n.send(n.parent, Report{Epoch: n.epoch, Agg: n.sub, AckVersion: n.configVersion()})
+	n.outReport = Report{Epoch: n.epoch, Agg: n.sub, AckVersion: n.configVersion()}
+	n.send(n.parent, &n.outReport)
 }
 
 // acceptGlobal copies agg into the node's global buffer and forwards it.
@@ -405,12 +436,15 @@ func (n *Node) acceptGlobal(epoch int, agg Aggregate, cfg *ConfigUpdate) {
 		// Forward the newest configuration held, not the incoming one (a
 		// reordered older broadcast must not regress descendants), and only
 		// to a child that has not acknowledged it yet.
-		n.send(c, Broadcast{Epoch: epoch, Agg: n.global, Config: n.configFor(n.nbr(c))})
+		n.outBcast = Broadcast{Epoch: epoch, Agg: n.global, Config: n.configFor(n.nbr(c))}
+		n.send(c, &n.outBcast)
 	}
 }
 
-// OnMessage processes a Report from a child or a Broadcast from the parent.
-// The aggregate is copied in, so msg.Agg may be a buffer the caller reuses.
+// OnMessage processes a Report from a child, a Broadcast from the parent or a
+// Rejoin from a restarted child, each delivered as a value (Detach turns a
+// lent Message into one). The aggregate is copied in, so msg.Agg may be a
+// buffer the caller reuses.
 // Unknown message types are ignored, as are messages older (by epoch) than
 // what is already held — TCP transports may reorder deliveries, and a stale
 // report must not overwrite a fresher one.
@@ -473,7 +507,8 @@ func (n *Node) OnMessage(from NodeID, msg interface{}) {
 		// converges now, not an epoch round from now.
 		if n.haveGlobal {
 			n.msgsOut++
-			n.send(from, Broadcast{Epoch: n.globalEpoch, Agg: n.global, Config: n.configFor(nb)})
+			n.outBcast = Broadcast{Epoch: n.globalEpoch, Agg: n.global, Config: n.configFor(nb)}
+			n.send(from, &n.outBcast)
 		}
 	}
 }
@@ -490,7 +525,8 @@ func (n *Node) AnnounceRejoin() {
 		return
 	}
 	n.msgsOut++
-	n.send(n.parent, Rejoin{Epoch: n.epoch, AckVersion: n.configVersion()})
+	n.outRejoin = Rejoin{Epoch: n.epoch, AckVersion: n.configVersion()}
+	n.send(n.parent, &n.outRejoin)
 }
 
 // Reset rewinds the node to a restarted process's state: the epoch counter

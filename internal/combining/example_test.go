@@ -12,9 +12,11 @@ import (
 func Example() {
 	var root, leaf *combining.Node
 	now := func() time.Duration { return 0 }
-	// Deliver messages synchronously for the example.
-	toRoot := func(to combining.NodeID, msg interface{}) { root.OnMessage(1, msg) }
-	toLeaf := func(to combining.NodeID, msg interface{}) { leaf.OnMessage(0, msg) }
+	// Deliver messages synchronously for the example. A node lends each
+	// message for the duration of the send; Detach gives the value form
+	// OnMessage takes.
+	toRoot := func(to combining.NodeID, msg combining.Message) { root.OnMessage(1, combining.Detach(msg)) }
+	toLeaf := func(to combining.NodeID, msg combining.Message) { leaf.OnMessage(0, combining.Detach(msg)) }
 	root = combining.NewBuilder(0).Children(1).Principals(2).
 		Transport(toLeaf).Clock(now).Build()
 	leaf = combining.NewBuilder(1).Parent(0).Principals(2).
@@ -37,7 +39,7 @@ func Example() {
 func ExampleNewBuilder() {
 	now := func() time.Duration { return 0 }
 	solo := combining.NewBuilder(0).Principals(3).
-		Transport(func(to combining.NodeID, msg interface{}) {}).
+		Transport(func(to combining.NodeID, msg combining.Message) {}).
 		Clock(now).Build()
 
 	solo.SetLocal([]float64{4, 2, 0})

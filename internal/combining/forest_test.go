@@ -17,7 +17,7 @@ func twoNodeForest(t *testing.T) (root, leaf *Forest) {
 			ID: id, Parent: parent, Children: children,
 			NumPrincipals: 3, Components: comps,
 			Send: func(tree int) SendFunc {
-				return func(to NodeID, msg interface{}) { deliver(tree, id, msg) }
+				return func(to NodeID, msg Message) { deliver(tree, id, Detach(msg)) }
 			},
 			Now: now,
 		})

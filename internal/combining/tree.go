@@ -76,6 +76,7 @@ type PairwiseExchanger struct {
 	send    SendFunc
 	local   []float64
 	latest  map[NodeID][]float64
+	out     Report // lent to send, like Node's
 }
 
 // NewPairwiseExchanger constructs the baseline node.
@@ -95,11 +96,12 @@ func (p *PairwiseExchanger) SetLocal(values []float64) { copy(p.local, values) }
 
 // Tick unicasts the local vector to every peer.
 func (p *PairwiseExchanger) Tick() {
+	p.out = Report{Agg: FromLocal(p.local)}
 	for _, peer := range p.peers {
 		if peer == p.id {
 			continue
 		}
-		p.send(peer, Report{Agg: FromLocal(p.local)})
+		p.send(peer, &p.out)
 	}
 }
 

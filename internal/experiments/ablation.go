@@ -126,7 +126,7 @@ func treeMessages(n int) int {
 	for _, id := range ids {
 		id := id
 		nodes[id] = combining.NewBuilder(id).Place(topo).Principals(1).
-			Transport(func(to combining.NodeID, msg interface{}) {
+			Transport(func(to combining.NodeID, msg combining.Message) {
 				net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
 			}).Clock(clock.Now).Build()
 		net.Handle(simnet.NodeID(id), func(from simnet.NodeID, msg interface{}) {
@@ -163,8 +163,8 @@ func pairwiseMessages(n int) int {
 	for i := 0; i < n; i++ {
 		i := i
 		ex := combining.NewPairwiseExchanger(combining.NodeID(i), peers, 1,
-			func(to combining.NodeID, msg interface{}) {
-				net.Send(simnet.NodeID(i), simnet.NodeID(to), msg)
+			func(to combining.NodeID, msg combining.Message) {
+				net.Send(simnet.NodeID(i), simnet.NodeID(to), combining.Detach(msg))
 			})
 		ex.Tick()
 	}

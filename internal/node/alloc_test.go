@@ -13,9 +13,9 @@ import (
 )
 
 // memNet is an in-memory tree transport for a fleet driven from one
-// goroutine: Send copies the message into a recycled slot (the aggregate a
-// sender hands over is only valid until Send returns) and deliver hands the
-// queued messages to their receivers' onTreeMessage in order.
+// goroutine: Send copies the lent message into a recycled slot (it is only
+// valid until Send returns) and deliver hands the queued messages to their
+// receivers' onTreeMessage in order, as values.
 type memNet struct {
 	nodes []*Node
 	queue []memMsg
@@ -31,7 +31,7 @@ type memMsg struct {
 
 func (m *memNet) sender(from combining.NodeID) func(int) combining.SendFunc {
 	return func(int) combining.SendFunc {
-		return func(to combining.NodeID, msg interface{}) {
+		return func(to combining.NodeID, msg combining.Message) {
 			if len(m.queue) == cap(m.queue) {
 				m.queue = append(m.queue, memMsg{})
 			} else {
@@ -40,15 +40,15 @@ func (m *memNet) sender(from combining.NodeID) func(int) combining.SendFunc {
 			slot := &m.queue[len(m.queue)-1]
 			slot.to, slot.from = to, from
 			switch v := msg.(type) {
-			case combining.Report:
+			case *combining.Report:
 				agg := slot.report.Agg
 				agg.CopyFrom(v.Agg)
-				slot.kind, slot.report = 'r', v
+				slot.kind, slot.report = 'r', *v
 				slot.report.Agg = agg
-			case combining.Broadcast:
+			case *combining.Broadcast:
 				agg := slot.bcast.Agg
 				agg.CopyFrom(v.Agg)
-				slot.kind, slot.bcast = 'b', v
+				slot.kind, slot.bcast = 'b', *v
 				slot.bcast.Agg = agg
 			default:
 				panic(fmt.Sprintf("memNet: unexpected %T", msg))
@@ -77,22 +77,20 @@ func (m *memNet) deliver() {
 //
 // Inside the system a boundary allocates nothing: scheduling
 // (core.TestWindowBoundaryAllocs), the pool flip
-// (admission.TestStartWindowAllocs) and the durable append
-// (persist.TestAppendWindowAllocs) are pinned at zero. What is left is the
-// tree's messages crossing an interface-typed seam: combining.Node.Tick and
-// acceptGlobal build a Report or Broadcast value and pass it to
-// n.send(to, Report{…}) as an interface{}, which boxes it — 7 reports and 7
-// broadcasts, 14 boxes per 8-node cycle, 1.75 per node-window. (A real
-// transport boxes each message once more on the receiving side, to call the
-// handler; memNet's direct call does not.) Removing them means typed send and
-// handler signatures across combining, treenet and the reference benchmark's
-// own driver, which is frozen: it needs the benchmark PR ROADMAP item 3
-// describes.
+// (admission.TestStartWindowAllocs), the durable append
+// (persist.TestAppendWindowAllocs) and the tree's messages
+// (combining.TestTickOnMessageAllocs) are pinned at zero, so the cycle is
+// too. A combining node lends each Report and Broadcast to its SendFunc as a
+// pointer to a field it reuses, and memNet delivers the copied value through
+// direct calls that do not let it escape. What a real transport adds is one
+// delivery box per message: treenet hands each decoded value to its Handler
+// through a func value, which boxes it on the heap
+// (treenet.TestReportRoundTripAllocs) — 14 per 8-node cycle.
 func TestWindowCycleAllocBudget(t *testing.T) {
 	const (
 		nodes      = 8
 		principals = 12
-		budget     = 2.0 // allocations per node-window
+		budget     = 0.0 // allocations per node-window
 	)
 	ids := make([]combining.NodeID, nodes)
 	for i := range ids {

@@ -273,7 +273,7 @@ func TestBootUnderBroadcastFlood(t *testing.T) {
 				return
 			default:
 			}
-			parent.Send(1, combining.Broadcast{Epoch: epoch, Agg: agg})
+			parent.Send(1, &combining.Broadcast{Epoch: epoch, Agg: agg})
 			time.Sleep(20 * time.Microsecond)
 		}
 	}()

@@ -238,8 +238,8 @@ func New(cfg Config) (*Sim, error) {
 	s.topo = s.plane.Topology()
 	for i := 0; i < cfg.Redirectors; i++ {
 		id := combining.NodeID(i)
-		send := func(to combining.NodeID, msg interface{}) {
-			// simnet delivers later; the node reuses its aggregate buffers.
+		send := func(to combining.NodeID, msg combining.Message) {
+			// simnet delivers later; the node only lends msg.
 			s.Net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
 		}
 		rn := &RNode{

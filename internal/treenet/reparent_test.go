@@ -27,7 +27,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	send.SetPeer(1, addr)
 
 	agg := combining.FromLocal([]float64{1})
-	send.Send(1, combining.Report{Epoch: 1, Agg: agg})
+	send.Send(1, &combining.Report{Epoch: 1, Agg: agg})
 	c.wait(t, 1)
 
 	// Kill the receiver; the established connection breaks.
@@ -44,7 +44,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	defer recv2.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		send.Send(1, combining.Report{Epoch: 2, Agg: agg})
+		send.Send(1, &combining.Report{Epoch: 2, Agg: agg})
 		c.mu.Lock()
 		got := len(c.msgs)
 		c.mu.Unlock()
@@ -87,7 +87,7 @@ func TestQueueOverflowDropsNotBlocks(t *testing.T) {
 		// the queue as fast as a single burst fills it.
 		for burst := 0; burst < 200 && tr.Stats().QueueDrops == 0; burst++ {
 			for i := 0; i < sendQueueDepth*4; i++ {
-				tr.Send(1, combining.Report{Epoch: i, Agg: agg})
+				tr.Send(1, &combining.Report{Epoch: i, Agg: agg})
 			}
 		}
 	}()

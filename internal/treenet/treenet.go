@@ -11,10 +11,13 @@
 // assumes: a lost report only means the parent aggregates slightly staler
 // data for one epoch.
 //
-// Messages travel as the binary frames of wire.go. The steady state
-// allocates only the interface box of each delivered message: Send copies
-// into a recycled per-peer slot, and each peer's writer and each inbound
-// connection encode and decode through buffers they own.
+// Messages travel as the binary frames of wire.go. Sending follows the
+// combining package's lend-on-send rule: Send takes the *Report, *Broadcast
+// or *Rejoin a node lends it and copies it into a recycled per-peer slot
+// before returning, so sending allocates nothing. Delivery is by value: the
+// Handler gets a Report, Broadcast or Rejoin, and that interface box is the
+// one allocation a message costs in the steady state — each peer's writer
+// and each inbound connection encode and decode through buffers they own.
 package treenet
 
 import (
@@ -67,7 +70,8 @@ type Spec struct {
 	Topology *topology.Spec
 }
 
-// Handler receives decoded tree messages. tree is the component-tree index
+// Handler receives decoded tree messages as values: a combining.Report,
+// combining.Broadcast or combining.Rejoin. tree is the component-tree index
 // the sender tagged the frame with (0 on a single flat tree). It is called
 // from connection goroutines: implementations must synchronize access to
 // the combining node or forest. msg.Agg aliases the connection's decode
@@ -273,24 +277,24 @@ func (t *Transport) EnableDelta(threshold float64, resyncEvery int) {
 	t.delta = deltaParams{true, threshold, resyncEvery}
 }
 
-// Send transmits a combining.Report, combining.Broadcast, or
-// combining.Rejoin to a peer on tree 0. It satisfies combining.SendFunc
-// and never blocks: the message is queued for the peer's writer goroutine,
-// and dropped (counted) if the queue is full, the peer is unknown, or the
-// transport is closed.
-func (t *Transport) Send(to combining.NodeID, msg interface{}) {
+// Send transmits a lent *combining.Report, *combining.Broadcast or
+// *combining.Rejoin to a peer on tree 0. It satisfies combining.SendFunc
+// and never blocks: the message is copied into a slot queued for the
+// peer's writer goroutine, and dropped (counted) if the queue is full, the
+// peer is unknown, the message is nil, or the transport is closed.
+func (t *Transport) Send(to combining.NodeID, msg combining.Message) {
 	t.send(0, to, msg)
 }
 
 // TreeSend returns the SendFunc for one component tree: frames it produces
 // are tagged with the tree index so the receiving forest can route them.
 func (t *Transport) TreeSend(tree int) combining.SendFunc {
-	return func(to combining.NodeID, msg interface{}) {
+	return func(to combining.NodeID, msg combining.Message) {
 		t.send(tree, to, msg)
 	}
 }
 
-func (t *Transport) send(tree int, to combining.NodeID, msg interface{}) {
+func (t *Transport) send(tree int, to combining.NodeID, msg combining.Message) {
 	t.mu.Lock()
 	p, ok := t.peers[to]
 	closed := t.closed
@@ -299,21 +303,21 @@ func (t *Transport) send(tree int, to combining.NodeID, msg interface{}) {
 		t.dropSend()
 		return
 	}
-	// Copy into a slot before returning: the caller reuses msg.Agg
-	// (combining.SendFunc). The writer encodes; see writeLoop.
+	// Copy into a slot before returning: msg is only lent
+	// (combining.Message). The writer encodes; see writeLoop.
 	m := p.slot()
 	m.tree = tree
 	switch v := msg.(type) {
-	case combining.Report:
+	case *combining.Report:
 		m.kind, m.epoch, m.ack = kindReport, v.Epoch, v.AckVersion
 		m.agg.CopyFrom(v.Agg)
-	case combining.Broadcast:
+	case *combining.Broadcast:
 		m.kind, m.epoch, m.ack = kindBroadcast, v.Epoch, 0
 		m.agg.CopyFrom(v.Agg)
 		if v.Config != nil && v.Config.Version > 0 {
 			m.cfg = v.Config
 		}
-	case combining.Rejoin:
+	case *combining.Rejoin:
 		m.kind, m.epoch, m.ack = kindRejoin, v.Epoch, v.AckVersion
 	default:
 		p.recycle(m)

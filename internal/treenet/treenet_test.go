@@ -18,7 +18,13 @@ type collector struct {
 func (c *collector) handle(tree int, from combining.NodeID, msg interface{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.msgs = append(c.msgs, combining.Detach(msg)) // msg.Agg is the reader's buffer
+	switch m := msg.(type) { // msg.Agg is the reader's buffer: keep a copy
+	case combining.Report:
+		msg = combining.Detach(&m)
+	case combining.Broadcast:
+		msg = combining.Detach(&m)
+	}
+	c.msgs = append(c.msgs, msg)
 	c.from = append(c.from, from)
 }
 
@@ -53,8 +59,8 @@ func TestReportAndBroadcastRoundTrip(t *testing.T) {
 	send.SetPeer(1, recv.Addr())
 
 	agg := combining.FromLocal([]float64{3, 7})
-	send.Send(1, combining.Report{Epoch: 4, Agg: agg})
-	send.Send(1, combining.Broadcast{Epoch: 5, Agg: agg})
+	send.Send(1, &combining.Report{Epoch: 4, Agg: agg})
+	send.Send(1, &combining.Broadcast{Epoch: 5, Agg: agg})
 	c.wait(t, 2)
 
 	c.mu.Lock()
@@ -82,19 +88,77 @@ func TestReportAndBroadcastRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReportRoundTripAllocs pins what one tree message costs over a real
+// transport: a lent *Report sent between two loopback Transports with delta
+// compression on, encoded, decoded and handed to the Handler, allocates
+// exactly once — the heap box the decoded Report value reaches the Handler
+// in. The send goes through a SendFunc value, as a combining node makes it,
+// and takes no box: the message is a pointer, copied into a recycled slot.
+// The writer and reader encode and decode through buffers they own.
+func TestReportRoundTripAllocs(t *testing.T) {
+	const numPrin = 12
+	got := make(chan int, 1)
+	recv, err := Listen(1, "127.0.0.1:0", func(_ int, _ combining.NodeID, msg interface{}) {
+		if r, ok := msg.(combining.Report); ok {
+			got <- r.Epoch
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := Listen(0, "127.0.0.1:0", func(int, combining.NodeID, interface{}) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+	send.EnableDelta(0.5, 16)
+	send.SetPeer(1, recv.Addr())
+
+	// One watchdog for the whole test: a timer per round would be counted.
+	stuck := make(chan struct{})
+	defer time.AfterFunc(30*time.Second, func() { close(stuck) }).Stop()
+	var sendFn combining.SendFunc = send.Send
+	rep := &combining.Report{Agg: combining.FromLocal(make([]float64, numPrin))}
+	round := func() {
+		rep.Epoch++
+		rep.Agg.Sum[rep.Epoch%numPrin] = float64(rep.Epoch) // one entry moves
+		sendFn(1, rep)
+		select {
+		case e := <-got:
+			if e != rep.Epoch {
+				t.Fatalf("delivered epoch %d, want %d", e, rep.Epoch)
+			}
+		case <-stuck:
+			t.Fatalf("report %d not delivered", rep.Epoch)
+		}
+	}
+	// Warm up: the dial, both delta streams and every buffer and slot.
+	for i := 0; i < 40; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(200, round); n != 1 {
+		t.Fatalf("a report round trip allocates %v times, want 1 (the delivery box)", n)
+	}
+	if st := send.Stats(); st.SendErrors != 0 || st.Delta.Frames == 0 {
+		t.Fatalf("send errors %d, delta frames %d: want a clean delta stream", st.SendErrors, st.Delta.Frames)
+	}
+}
+
 func TestSendToUnknownPeerCounted(t *testing.T) {
 	tr, err := Listen(0, "127.0.0.1:0", func(int, combining.NodeID, interface{}) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.Send(9, combining.Report{})
+	tr.Send(9, &combining.Report{})
 	if tr.SendErrors() != 1 {
 		t.Fatalf("SendErrors = %d", tr.SendErrors())
 	}
-	// Unknown message type also counted.
+	// A nil message, the one non-message the sealed type admits, is also
+	// counted.
 	tr.SetPeer(1, "127.0.0.1:1")
-	tr.Send(1, "garbage")
+	tr.Send(1, nil)
 	if tr.SendErrors() != 2 {
 		t.Fatalf("SendErrors = %d", tr.SendErrors())
 	}
@@ -114,7 +178,7 @@ func TestSendToDeadPeerCounted(t *testing.T) {
 	addr := dead.Addr()
 	dead.Close()
 	tr.SetPeer(1, addr)
-	tr.Send(1, combining.Report{Agg: combining.FromLocal([]float64{1})})
+	tr.Send(1, &combining.Report{Agg: combining.FromLocal([]float64{1})})
 	deadline := time.Now().Add(5 * time.Second)
 	for tr.SendErrors() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -136,7 +200,7 @@ func TestCloseIsIdempotentAndStopsSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.SetPeer(1, "127.0.0.1:1")
-	tr.Send(1, combining.Report{})
+	tr.Send(1, &combining.Report{})
 	if tr.SendErrors() == 0 {
 		t.Fatal("send after close not dropped")
 	}
