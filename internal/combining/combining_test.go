@@ -246,10 +246,11 @@ func TestReconfigureDropsStaleChildren(t *testing.T) {
 	r.nodes[2].SetLocal([]float64{50})
 	r.tickAll()
 	r.clock.RunFor(time.Millisecond)
-	// Node 2 fails; rebuild over the survivors and re-apply the topology.
+	// Node 2 fails; rebuild over the survivors and re-place each of them.
 	topo2 := BuildTree([]NodeID{0, 1}, 2)
-	live := map[NodeID]*Node{0: r.nodes[0], 1: r.nodes[1]}
-	topo2.Apply(live)
+	for _, id := range []NodeID{0, 1} {
+		r.nodes[id].Reconfigure(topo2.Parent[id], topo2.Children[id])
+	}
 	r.topo = topo2
 	delete(r.nodes, 2)
 	r.tickAll()

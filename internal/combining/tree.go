@@ -55,17 +55,6 @@ func (t Topology) Depth() int {
 	return max
 }
 
-// Apply reconfigures a set of live nodes to this topology.
-func (t Topology) Apply(nodes map[NodeID]*Node) {
-	for id, n := range nodes {
-		p, ok := t.Parent[id]
-		if !ok {
-			continue
-		}
-		n.Reconfigure(p, t.Children[id])
-	}
-}
-
 // PairwiseExchanger is the O(n²) baseline the paper compares the combining
 // tree against: every node unicasts its local vector to every other node
 // each epoch and sums whatever it has heard.

@@ -89,7 +89,6 @@ func runBudget() (*budgetOutcome, uint64, error) {
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 80, Count: 2}},
 		Names:       []string{"S", "T1", "A1", "A2", "B", "C"},
 		MaxBacklog:  200,
-		TraceDepth:  -1,
 	})
 	if err != nil {
 		return nil, 0, err

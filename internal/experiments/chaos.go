@@ -49,15 +49,11 @@ func ExtChaos() (*Result, error) {
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 200, Count: 2}},
 		Names:       []string{"S", "A", "B"},
 		MaxBacklog:  200,
-		TraceDepth:  -1,
 	})
 	if err != nil {
 		return nil, err
 	}
 	reint := sm.EnableCapacityReinterpretation()
-	for _, o := range sm.Observers {
-		o.SetHealthInfo(reint.Degraded)
-	}
 	sm.NewClient(0, workload.Config{Principal: int(a), Rate: 600}).SetActive(true)
 	sm.NewClient(1, workload.Config{Principal: int(b), Rate: 200}).SetActive(true)
 

@@ -63,7 +63,6 @@ func runReconfig() (*reconfigOutcome, uint64, error) {
 		},
 		Names:      []string{"A", "B"},
 		MaxBacklog: 200,
-		TraceDepth: -1,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -94,7 +93,7 @@ func runReconfig() (*reconfigOutcome, uint64, error) {
 		info := eng.Rollout()
 		out.stagedAfterGate = info.Staged
 		out.rollouts = info.Rollouts
-		out.swapEpoch = sm.Redirectors[0].Tree.Epoch()
+		out.swapEpoch = sm.Redirectors[0].Tree().Epoch()
 	})
 
 	// Under-floor audit bounds: settled windows before the renegotiation,

@@ -83,7 +83,6 @@ func runSoak() (*soakOutcome, uint64, error) {
 		},
 		Names:      []string{"A", "B"},
 		MaxBacklog: 200,
-		TraceDepth: -1,
 		// Failure detection drives both the tree rebuilds and the rollout
 		// quorum evictions; 2 s is well clear of the (zero-delay) tree RTT.
 		FailureTimeout: 2 * time.Second,
@@ -164,7 +163,7 @@ func runSoak() (*soakOutcome, uint64, error) {
 	out.planeVersion = plane.Version()
 	out.reconverged = true
 	for _, rn := range sm.Redirectors {
-		cu := rn.Tree.Config()
+		cu := rn.Tree().Config()
 		if cu == nil || cu.Version != plane.Version() {
 			out.reconverged = false
 		}

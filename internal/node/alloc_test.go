@@ -15,7 +15,7 @@ import (
 // memNet is an in-memory tree transport for a fleet driven from one
 // goroutine: Send copies the lent message into a recycled slot (it is only
 // valid until Send returns) and deliver hands the queued messages to their
-// receivers' onTreeMessage in order, as values.
+// receivers' members in order, as values.
 type memNet struct {
 	nodes []*Node
 	queue []memMsg
@@ -61,17 +61,18 @@ func (m *memNet) deliver() {
 	for ; m.head < len(m.queue); m.head++ {
 		msg := &m.queue[m.head]
 		if msg.kind == 'r' {
-			m.nodes[msg.to].onTreeMessage(0, msg.from, msg.report)
+			m.nodes[msg.to].m.OnMessage(0, msg.from, msg.report)
 		} else {
-			m.nodes[msg.to].onTreeMessage(0, msg.from, msg.bcast)
+			m.nodes[msg.to].m.OnMessage(0, msg.from, msg.bcast)
 		}
 	}
 	m.queue, m.head = m.queue[:0], 0
 }
 
 // TestWindowCycleAllocBudget runs the window plane of an 8-node fleet — each
-// node its own 12-principal engine, admission plane, durable store and tree
-// node, wired by memNet in a binary tree — through back-to-back cycles with
+// node a Member with its own 12-principal engine, admission plane, durable
+// store and tree node, wired by memNet in a binary tree, under a Node that
+// runs its boundary — through back-to-back cycles with
 // demand that moves every window (the plan cache never hits), and fails when
 // a cycle allocates more than budget times per node-window.
 //
@@ -119,19 +120,11 @@ func TestWindowCycleAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		n, err := New(Config{Layer: "test", Engine: eng, ID: i, Persist: st, AdmissionShards: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
+		cfg := Config{Layer: "test", Engine: eng, ID: i, Persist: st, AdmissionShards: 2}
+		n := &Node{cfg: cfg, start: time.Now()}
 		id := combining.NodeID(i)
-		n.mu.Lock()
-		n.hop = combining.NewHopMetrics()
-		n.tree, err = combining.NewForest(combining.ForestConfig{
-			ID: id, Parent: topo.Parent[id], Children: topo.Children[id],
-			NumPrincipals: principals, Send: net.sender(id), Now: n.elapsed, Hop: n.hop,
-		})
-		n.mu.Unlock()
+		n.m, err = NewMember(cfg, &Placement{ID: id, Parent: topo.Parent[id], Children: topo.Children[id]},
+			net.sender(id), n.elapsed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,9 +142,9 @@ func TestWindowCycleAllocBudget(t *testing.T) {
 			for p := range arrivals {
 				arrivals[p] = 4 + float64((cycle*5+i*3+p*7)%19) + float64(cycle)/512
 			}
-			n.mu.Lock()
-			n.red.AddWindowSample(arrivals, nil, 0, 0)
-			n.mu.Unlock()
+			n.m.mu.Lock()
+			n.m.red.AddWindowSample(arrivals, nil, 0, 0)
+			n.m.mu.Unlock()
 			if err := n.boundary(); err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +160,7 @@ func TestWindowCycleAllocBudget(t *testing.T) {
 	solvesBefore := root.cfg.Engine.Stats().Solves()
 	cyclesBefore := cycle
 	perCycle := testing.AllocsPerRun(50, runCycle)
-	if _, _, ok := root.tree.ComponentGlobal(0); !ok || root.cfg.Engine.Stats().Solves()-solvesBefore < int64(cycle-cyclesBefore) {
+	if _, _, ok := root.m.tree.ComponentGlobal(0); !ok || root.cfg.Engine.Stats().Solves()-solvesBefore < int64(cycle-cyclesBefore) {
 		t.Fatalf("the fleet is not exchanging aggregates and solving every window")
 	}
 	if perNodeWindow := perCycle / nodes; perNodeWindow > budget {

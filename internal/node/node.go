@@ -1,16 +1,23 @@
 // Package node is the enforcement node both redirector front-ends run on.
 // The paper's Layer-4 and Layer-7 redirectors (§4) are two packet/HTTP
 // skins over one mechanism — window estimate → combining tree → schedule →
-// credits — and Node is that mechanism: it owns the core redirector and the
-// sharded admission plane, the combining forest with its tree transport and
-// failure detector, the epoch-gated configuration rollout, durable recovery
-// and rejoin, the control-plane and lease wiring, the observability surface,
-// the backend health plane, and the ticker-driven window boundary.
+// credits — and it lives here in two layers:
+//
+//   - Member is that mechanism without a socket or a wall clock: the core
+//     redirector and the sharded admission plane, the combining forest and
+//     the two-phase window boundary, the epoch-gated configuration rollout,
+//     durable recovery and rejoin, the control-plane and lease wiring, and
+//     the window observer. The simulator (internal/sim) runs one Member per
+//     redirector over simnet and vclock.
+//   - Node wraps a Member for a real process: the treenet transport and its
+//     failure detector, the backend health plane, request tracing and the
+//     flight recorder, the admin handler, and the ticker that runs both
+//     boundary phases back to back.
 //
 // A front-end embeds *Node, builds it with New, hands Start its per-window
 // hook, and keeps only what is its own: listeners and connection handling.
 // On the request path it uses Begin, Admission().AdmitTraced, StampAdmit,
-// NextBackend and BackendUp — none of which takes the node mutex.
+// NextBackend and BackendUp — none of which takes the member mutex.
 package node
 
 import (
@@ -22,7 +29,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/agreement"
-	"repro/internal/budget"
 	"repro/internal/combining"
 	"repro/internal/core"
 	"repro/internal/ctrlplane"
@@ -83,90 +89,63 @@ type Config struct {
 type Node struct {
 	cfg   Config
 	start time.Time
+	m     *Member
+	// booted is closed once m is set (or the boot failed): the transport
+	// accepts from the moment it listens, and inbound frames wait for it.
+	booted chan struct{}
 
-	// mu guards the window-boundary state only (core redirector, combining
-	// forest, estimate and persist buffers). The request path never takes
-	// it: admission goes through the sharded plane, backend choice through
-	// atomic round-robin cursors.
-	mu     sync.Mutex
-	red    *core.Redirector
-	tree   *combining.Forest
-	estBuf []float64 // reused local-estimate buffer
-
-	adm   *admission.Plane
 	rr    []atomic.Uint32 // round-robin cursor per owner principal
 	names []string        // principal index → name, for span tags
 
-	hop       *combining.HopMetrics
 	transport *treenet.Transport
 	wiring    treenet.Wiring // Detector nil without failure detection, Plane nil on a flat layout without it
 
 	checker *health.Checker
 	reint   *health.Reinterpreter
 
-	obsv    *obs.Observer
 	handler *obs.Handler
-	plane   *ctrlplane.Plane
 	tracer  *obs.Tracer
 	flight  *obs.FlightRecorder
 
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-
-	// Durable-state scratch (window boundary only, under mu): export
-	// buffers and the append count that paces log compaction.
-	persistM   [][]float64
-	persistT   []float64
-	persistE   []float64
-	persistSeq int
 }
 
-// New builds a node: tree membership, crash recovery and rejoin, the
-// admission plane, control plane, health plane and the observability
-// handler. The window loop does not run until Start, but the node admits
-// from the moment New returns: window 0 is a blind window (see
-// core.Engine.NewRedirector), plus the carried credit of a restored node.
+// New builds a node: tree transport, the member (tree membership, crash
+// recovery and rejoin, the admission plane, control plane), the health plane
+// and the observability handler. The window loop does not run until Start,
+// but the node admits from the moment New returns: window 0 is a blind
+// window (see core.Engine.NewRedirector), plus the carried credit of a
+// restored node.
 func New(cfg Config) (*Node, error) {
 	eng := cfg.Engine
 	n := &Node{
-		cfg:   cfg,
-		start: time.Now(),
-		red:   eng.NewRedirector(cfg.ID),
-		rr:    make([]atomic.Uint32, eng.NumPrincipals()),
-		names: eng.PrincipalNames(),
-		done:  make(chan struct{}),
+		cfg:    cfg,
+		start:  time.Now(),
+		booted: make(chan struct{}),
+		rr:     make([]atomic.Uint32, eng.NumPrincipals()),
+		names:  eng.PrincipalNames(),
+		done:   make(chan struct{}),
 	}
 	if cfg.Trace != nil {
 		n.tracer = obs.NewTracer(*cfg.Trace, cfg.ID)
 	}
-	// Join the tree and restore durable state under mu: the transport accepts
-	// from the moment it listens — a restarted node's parent may already be
-	// redialling with a queued broadcast — so inbound frames must wait until
-	// the forest exists, the durable position is restored and the rejoin is
-	// announced. The admission plane comes last: it publishes window 0 from
-	// the redirector's credit, which the restore re-arms.
-	var resumeSet *agreement.Set
+	var place *Placement
+	var send func(int) combining.SendFunc
 	var err error
-	n.mu.Lock()
 	if cfg.Tree != nil {
-		err = n.joinTreeLocked()
-	}
-	if err == nil && cfg.Persist != nil {
-		resumeSet, err = n.recoverLocked()
+		place, err = n.listen()
+		send = n.transport.TreeSend
 	}
 	if err == nil {
-		n.adm, err = admission.New(admission.Config{
-			Redirector: n.red, Engine: eng, Shards: cfg.AdmissionShards,
-		})
+		n.m, err = NewMember(cfg, place, send, n.elapsed, nil)
 	}
-	n.mu.Unlock()
+	close(n.booted)
 	if err == nil && cfg.Ctrl {
-		n.plane, err = n.newControlPlane(resumeSet)
+		_, err = n.m.EnableControlPlane(cfg.CtrlLead)
 	}
 	if err != nil {
-		// Not under mu: Close waits for transport readers, and a reader may
-		// be waiting for mu inside onTreeMessage.
 		if n.transport != nil {
 			n.transport.Close()
 		}
@@ -176,9 +155,9 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// joinTreeLocked starts the tree transport and builds the combining forest
-// over it.
-func (n *Node) joinTreeLocked() error {
+// listen starts the tree transport and returns this node's placement in the
+// resolved plane.
+func (n *Node) listen() (*Placement, error) {
 	spec, eng := n.cfg.Tree, n.cfg.Engine
 	addr := spec.ListenAddr
 	if addr == "" {
@@ -186,20 +165,20 @@ func (n *Node) joinTreeLocked() error {
 	}
 	wiring, err := spec.Resolve()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n.wiring = wiring
 	n.transport, err = treenet.Listen(spec.NodeID, addr, n.onTreeMessage)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for id, peerAddr := range spec.Peers {
 		n.transport.SetPeer(id, peerAddr)
 	}
+	place := &Placement{ID: spec.NodeID, Parent: wiring.Parent, Children: wiring.Children}
 	// Principal sharding: under the component policy each disjoint
 	// agreement component runs its own tree (independent epochs) over the
 	// shared plane; otherwise one tree carries the full vector.
-	var comps [][]int
 	if top := spec.Topology; top != nil {
 		if top.Sharding == topology.ShardComponent {
 			for _, c := range eng.System().Components() {
@@ -207,165 +186,46 @@ func (n *Node) joinTreeLocked() error {
 				for i, p := range c {
 					ms[i] = int(p)
 				}
-				comps = append(comps, ms)
+				place.Components = append(place.Components, ms)
 			}
 		}
 		if d := top.Normalize().Delta; d.Enabled() {
 			n.transport.EnableDelta(d.Threshold, d.ResyncEvery)
 		}
 	}
-	n.hop = combining.NewHopMetrics()
-	n.tree, err = combining.NewForest(combining.ForestConfig{
-		ID: spec.NodeID, Parent: wiring.Parent, Children: wiring.Children,
-		NumPrincipals: eng.NumPrincipals(), Components: comps,
-		Send: n.transport.TreeSend, Now: n.elapsed, Hop: n.hop,
-	})
-	if err != nil {
-		return err
-	}
-	// Configuration updates arriving from the parent stage a new scheduling
-	// generation on the local engine behind the sender's epoch gate; the
-	// window boundary swaps once this node's epoch crosses it. Runs on the
-	// transport goroutine under mu (OnMessage).
-	n.tree.SetConfigHandler(func(cu *combining.ConfigUpdate) {
-		set, derr := agreement.DecodeSet(cu.Payload)
-		if derr != nil {
-			eng.Logger().Error("bad config payload", "version", cu.Version, "err", derr)
-			return
-		}
-		if _, serr := eng.StageSet(set, cu.GateEpoch); serr != nil {
-			eng.Logger().Error("stage agreement set", "version", cu.Version, "err", serr)
-			return
-		}
-		// Every set the tree delivers becomes durable before the gate can
-		// arrive: a crash after this point recovers the newest entitlements
-		// instead of rejoining blind.
-		n.saveSet(set)
-	})
-	return nil
+	return place, nil
 }
 
-// recoverLocked restores the durable window position, carried credit,
-// demand estimate and newest agreement set before the admission plane
-// publishes window 0 and before the first window or tree tick, then
-// announces a rejoin so the parent unblocks this node's
-// (rewound) epoch and streams back the current global + configuration. It
-// returns the recovered agreement set (nil on a cold start), which the
-// control plane resumes its version numbering from.
-func (n *Node) recoverLocked() (*agreement.Set, error) {
-	st, eng := n.cfg.Persist, n.cfg.Engine
-	resumeSet, err := st.LoadNewestSet()
-	if err != nil {
-		return nil, fmt.Errorf("%s: recover agreement set: %w", n.cfg.Layer, err)
-	}
-	if resumeSet != nil {
-		// Gate 0: a recovered set the fleet already converged on commits
-		// locally at the next window boundary, no quorum round needed.
-		if _, serr := eng.StageSet(resumeSet, 0); serr != nil {
-			eng.Logger().Error("restage recovered set", "version", resumeSet.Version, "err", serr)
-			resumeSet = nil
-		}
-	}
-	// Restore even without a window record: it re-arms window 0 against the
-	// recovered set's entitlements.
-	ws, ok := st.LastWindow()
-	n.red.RestoreState(ws.WindowSeq, ws.Estimate, ws.Credit, ws.CreditTotal)
-	if !ok {
-		return resumeSet, nil
-	}
-	n.red.SetRollout(ws.Epoch, ws.SetVersion)
-	if n.tree != nil {
-		var cu *combining.ConfigUpdate
-		if resumeSet != nil {
-			cu = n.configUpdate(resumeSet, ws.Gate)
-		}
-		n.tree.Reset(ws.Epoch, cu)
-		n.tree.AnnounceRejoin()
-	}
-	return resumeSet, nil
-}
-
-// saveSet makes an agreement set durable (a no-op without a store).
-// Persistence errors are logged, never fatal: enforcement continues with a
-// wider crash-loss bound.
-func (n *Node) saveSet(set *agreement.Set) {
-	if st := n.cfg.Persist; st != nil {
-		if err := st.SaveSet(set); err != nil {
-			n.cfg.Engine.Logger().Error("persist agreement set", "version", set.Version, "err", err)
-		}
+// onTreeMessage is the transport's handler (connection goroutines).
+func (n *Node) onTreeMessage(tree int, from combining.NodeID, msg interface{}) {
+	<-n.booted
+	if n.m != nil { // nil: the boot failed and New is closing the transport
+		n.m.OnMessage(tree, from, msg)
 	}
 }
 
-// configUpdate wraps an agreement set for the tree's downward broadcasts
-// (nil, logged, when the set does not encode).
-func (n *Node) configUpdate(set *agreement.Set, gate int) *combining.ConfigUpdate {
-	data, err := set.Encode()
-	if err != nil {
-		n.cfg.Engine.Logger().Error("encode agreement set", "version", set.Version, "err", err)
-		return nil
+// boundary runs one window boundary under the member's mutex: failure
+// detection → the member's Tick and StartWindow → tracer window. It returns
+// StartWindow's scheduling error.
+func (n *Node) boundary() error {
+	m := n.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.tree != nil && n.wiring.Detector != nil {
+		// Failure detection first: a silent neighbor is pruned and this
+		// epoch's report already goes to the new parent.
+		n.wiring.Detector.Check(m.tree, n.elapsed())
 	}
-	return &combining.ConfigUpdate{Version: set.Version, GateEpoch: gate, Payload: data}
+	m.tickLocked()
+	err := m.startWindowLocked()
+	n.tracer.StartWindow(uint64(m.red.Windows), uint64(n.cfg.Engine.Version()))
+	return err
 }
 
-// newControlPlane attaches the dynamic agreement control plane. A restarted
-// host resumes version numbering from the recovered snapshot, so its next
-// mutation is not discarded fleet-wide as stale.
-func (n *Node) newControlPlane(resume *agreement.Set) (*ctrlplane.Plane, error) {
-	eng := n.cfg.Engine
-	logger := eng.Logger()
-	opt := ctrlplane.Options{Lead: n.cfg.CtrlLead, Logger: logger, Resume: resume}
-	if st := n.cfg.Persist; st != nil {
-		// Leases ride the same durable store: the table is saved after
-		// every lease mutation and recovered on restart, so long-lived
-		// reservations survive a crash with bounded loss.
-		opt.SaveLeases = func(t *budget.Table) {
-			if err := st.SaveLeases(t); err != nil {
-				logger.Error("persist lease table", "version", t.Version, "err", err)
-			}
-		}
-		var err error
-		if opt.ResumeLeases, err = st.LoadNewestLeases(); err != nil {
-			logger.Error("load lease table", "err", err)
-		}
-		opt.Publish = func(set *agreement.Set, gate int) { n.saveSet(set) }
-	}
-	if tree := n.tree; tree != nil {
-		opt.Epoch = func() int {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return tree.Epoch()
-		}
-		opt.Publish = func(set *agreement.Set, gate int) {
-			// Durable before distributed: a root crash between publish and
-			// fleet convergence must not lose the renegotiation.
-			n.saveSet(set)
-			if cu := n.configUpdate(set, gate); cu != nil {
-				n.mu.Lock()
-				tree.SetConfig(cu)
-				n.mu.Unlock()
-			}
-		}
-	}
-	return ctrlplane.New(eng.System(), eng, opt)
-}
-
-// wireObservability builds the window observer, the health plane, the
-// flight recorder and the admin handler. The observer's tree snapshot runs
-// inside the window boundary under mu, so it reads the forest directly.
+// wireObservability builds the health plane, the flight recorder and the
+// admin handler around the member's window observer.
 func (n *Node) wireObservability() {
-	cfg, eng := n.cfg, n.cfg.Engine
-	n.obsv = eng.NewObserver(cfg.ID, nil, cfg.TraceDepth)
-	if tree := n.tree; tree != nil {
-		n.obsv.SetTreeInfo(func() obs.TreeInfo {
-			reports, broadcasts, sent := tree.MessageCounts()
-			return obs.TreeInfo{
-				Epoch:       tree.Epoch(),
-				GlobalEpoch: tree.GlobalEpoch(),
-				MsgsIn:      reports + broadcasts,
-				MsgsOut:     sent,
-			}
-		})
-	}
+	cfg, eng, obsv := n.cfg, n.cfg.Engine, n.m.obsv
 	if cfg.Health != nil {
 		owners := make(map[string]agreement.Principal)
 		for p, bs := range cfg.Backends {
@@ -377,14 +237,9 @@ func (n *Node) wireObservability() {
 		n.checker = health.New(*cfg.Health, health.TCPProber(cfg.Health.Timeout))
 		n.checker.OnTransition(n.reint.HandleTransition)
 		n.checker.Watch(n.reint.Targets()...)
-		n.obsv.SetHealthInfo(n.reint.Degraded)
+		obsv.SetHealthInfo(n.reint.Degraded)
 		n.checker.Start()
 	}
-	// Under mu: attaching opens window 0's record, which snapshots the tree
-	// that transport goroutines are already feeding.
-	n.mu.Lock()
-	n.red.SetObserver(n.obsv)
-	n.mu.Unlock()
 	if n.tracer != nil && cfg.Flight != nil {
 		fl := *cfg.Flight
 		if fl.Logger == nil {
@@ -392,14 +247,14 @@ func (n *Node) wireObservability() {
 		}
 		n.flight = obs.NewFlightRecorder(fl)
 		n.flight.BindTracer(n.tracer)
-		n.flight.BindWindows(n.obsv.Ring())
-		n.flight.BindAuditor(n.obsv.Auditor())
-		n.flight.SetCounters(n.adm.CountersSnapshot)
+		n.flight.BindWindows(obsv.Ring())
+		n.flight.BindAuditor(obsv.Auditor())
+		n.flight.SetCounters(n.m.adm.CountersSnapshot)
 	}
 
 	hcfg := obs.HandlerConfig{
-		Observers: []*obs.Observer{n.obsv},
-		Auditor:   n.obsv.Auditor(),
+		Observers: []*obs.Observer{obsv},
+		Auditor:   obsv.Auditor(),
 		Solver:    eng.Stats(),
 		Mode:      eng.Mode().String(),
 		Window:    eng.Window(),
@@ -409,10 +264,10 @@ func (n *Node) wireObservability() {
 			if cfg.Extra != nil {
 				cfg.Extra(w)
 			}
-			admission.WriteMetrics(w, n.adm)
+			admission.WriteMetrics(w, n.m.adm)
 			health.WriteMetrics(w, n.checker, n.reint)
 			treenet.WriteMetrics(w, n.transport, n.wiring.Detector)
-			combining.WriteHopMetrics(w, n.hop)
+			combining.WriteHopMetrics(w, n.m.hop)
 		},
 		Histograms: cfg.Histograms,
 		Tracer:     n.tracer,
@@ -429,8 +284,8 @@ func (n *Node) wireObservability() {
 			}
 		},
 	}
-	if n.plane != nil {
-		hcfg.Control = n.plane.Handler()
+	if n.m.ctrl != nil {
+		hcfg.Control = n.m.ctrl.Handler()
 	}
 	n.handler = obs.NewHandler(hcfg)
 }
@@ -440,7 +295,8 @@ func (n *Node) elapsed() time.Duration { return time.Since(n.start) }
 // Start runs the window loop: one boundary per engine window, each followed
 // by onWindow with the boundary's scheduling error (nil on success; on
 // failure last window's credits stay in place). The hook runs on the loop
-// goroutine outside mu, so it may call any Node method except Close.
+// goroutine outside the member mutex, so it may call any Node method except
+// Close.
 func (n *Node) Start(onWindow func(startErr error)) {
 	n.wg.Add(1)
 	go func() {
@@ -498,10 +354,9 @@ func (n *Node) principalName(p agreement.Principal) string {
 	return ""
 }
 
-// Admission exposes the sharded admission plane: front-ends admit on it
-// directly (AdmitTraced) and read its counters; the window boundary is the
-// node's.
-func (n *Node) Admission() *admission.Plane { return n.adm }
+// Admission exposes the member's sharded admission plane: front-ends admit
+// on it directly (AdmitTraced) and read its counters.
+func (n *Node) Admission() *admission.Plane { return n.m.adm }
 
 // StampAdmit records an AdmitTraced outcome on a span (nil-safe).
 func StampAdmit(sp *obs.Span, det admission.AdmitDetail) {
@@ -545,9 +400,7 @@ func (n *Node) ReportFailure(target string) {
 // WindowStats snapshots the window loop's position: windows started,
 // windows scheduled conservatively, and whether a global view has arrived.
 func (n *Node) WindowStats() (windows, conservative int, hasGlobal bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.red.Windows, n.red.Conservative, n.red.HasGlobal()
+	return n.m.WindowStats()
 }
 
 // TreeAddr returns the tree transport address ("" without a tree).
@@ -596,7 +449,7 @@ func (n *Node) NodeTarget(node int) (string, bool) {
 }
 
 // Observer exposes the window-trace observer (auditor counters, trace ring).
-func (n *Node) Observer() *obs.Observer { return n.obsv }
+func (n *Node) Observer() *obs.Observer { return n.m.obsv }
 
 // Tracer exposes the request-span tracer (nil unless Trace was configured).
 func (n *Node) Tracer() *obs.Tracer { return n.tracer }
@@ -606,7 +459,7 @@ func (n *Node) Flight() *obs.FlightRecorder { return n.flight }
 
 // Plane exposes the dynamic agreement control plane (nil unless Ctrl was
 // set); its HTTP surface is part of ObsHandler.
-func (n *Node) Plane() *ctrlplane.Plane { return n.plane }
+func (n *Node) Plane() *ctrlplane.Plane { return n.m.ctrl }
 
 // ObsHandler exposes the versioned admin/observability endpoints
 // (/v1/metrics, /v1/debug/windows, pprof, ...) for mounting on the

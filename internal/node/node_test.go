@@ -130,10 +130,10 @@ func TestBoundaryOrderAndHookLockRule(t *testing.T) {
 			calls := 0
 			n.Start(func(startErr error) {
 				if calls++; calls == 2 {
-					s := seen{startErr: startErr, muFree: n.mu.TryLock()}
+					s := seen{startErr: startErr, muFree: n.m.mu.TryLock()}
 					if s.muFree {
-						s.windows = n.red.Windows
-						n.mu.Unlock()
+						s.windows = n.m.red.Windows
+						n.m.mu.Unlock()
 					}
 					s.records = n.Observer().Ring().Snapshot(4)
 					if st != nil {

@@ -8,12 +8,13 @@ import "repro/internal/obs"
 // plane; on a flat layout without one it reports this node's own
 // neighborhood — the authoritative local view either way.
 func (n *Node) topologyInfo() *obs.TopologyInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.tree == nil {
+	m := n.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.tree == nil {
 		return nil
 	}
-	self := n.tree.ID()
+	self := m.tree.ID()
 	info := &obs.TopologyInfo{Self: int(self)}
 	if n.wiring.Plane != nil {
 		plane := n.wiring.Plane()
@@ -45,13 +46,13 @@ func (n *Node) topologyInfo() *obs.TopologyInfo {
 			add(int(c), int(self), level+1)
 		}
 	}
-	for t := 0; t < n.tree.Trees(); t++ {
+	for t := 0; t < m.tree.Trees(); t++ {
 		comp := obs.TopologyComponent{
 			Tree:        t,
-			Epoch:       n.tree.Tree(t).Epoch(),
-			GlobalEpoch: n.tree.Tree(t).GlobalEpoch(),
+			Epoch:       m.tree.Tree(t).Epoch(),
+			GlobalEpoch: m.tree.Tree(t).GlobalEpoch(),
 		}
-		for _, p := range n.tree.Component(t) {
+		for _, p := range m.tree.Component(t) {
 			if p >= 0 && p < len(n.names) {
 				comp.Principals = append(comp.Principals, n.names[p])
 			}

@@ -58,7 +58,7 @@ func TestLeafFailureReconfigures(t *testing.T) {
 		t.Fatal("failure never detected")
 	}
 	// The surviving tree must have exactly two members.
-	g, _, ok := sm.Redirectors[0].Tree.Global()
+	g, _, ok := sm.Redirectors[0].Tree().ComponentGlobal(0)
 	if !ok || g.Count != 2 {
 		t.Fatalf("surviving aggregate count = %d (ok=%v), want 2", g.Count, ok)
 	}
@@ -75,7 +75,7 @@ func TestRootFailurePromotesNewRoot(t *testing.T) {
 	sm.NewClient(1, workload.Config{Principal: int(a), Rate: 150}).SetActive(true)
 	sm.Run(20 * time.Second)
 
-	if !sm.Redirectors[0].Tree.IsRoot() {
+	if !sm.Redirectors[0].Tree().IsRoot() {
 		t.Fatal("node 0 should start as root")
 	}
 	sm.FailRedirector(0)
@@ -84,17 +84,17 @@ func TestRootFailurePromotesNewRoot(t *testing.T) {
 	if sm.Reconfigurations == 0 {
 		t.Fatal("root failure never detected")
 	}
-	var newRoot *combining.Node
+	var newRoot *combining.Forest
 	for i := 1; i < 3; i++ {
-		if sm.Redirectors[i].Tree.IsRoot() {
-			newRoot = sm.Redirectors[i].Tree
+		if sm.Redirectors[i].Tree().IsRoot() {
+			newRoot = sm.Redirectors[i].Tree()
 		}
 	}
 	if newRoot == nil {
 		t.Fatal("no new root emerged")
 	}
 	// Broadcasts flow again: the new root's global view is fresh.
-	_, at, ok := newRoot.Global()
+	_, at, ok := newRoot.ComponentGlobal(0)
 	if !ok || at < 40*time.Second {
 		t.Fatalf("new root global stale: at=%v ok=%v", at, ok)
 	}
@@ -146,7 +146,7 @@ func TestRestartLeavesOutUndetectedFailure(t *testing.T) {
 		t.Fatalf("restarted redirector 2 under %d, want the root 0", p2.Parent)
 	}
 	sm.Run(30 * time.Second)
-	g, at, ok := sm.Redirectors[0].Tree.Global()
+	g, at, ok := sm.Redirectors[0].Tree().ComponentGlobal(0)
 	if !ok || g.Count != 2 || at < 25*time.Second {
 		t.Fatalf("root aggregate count = %d at %v (ok=%v), want a fresh count of 2", g.Count, at, ok)
 	}

@@ -16,11 +16,16 @@ import (
 // model for fault injection: when a server crashes (CrashServer), its
 // owner's effective capacity shrinks proportionally and the engine
 // recomputes every entitlement against the new level; a restore reverses
-// it. Call before Run. The returned re-interpreter exposes degraded /
-// recovered transition counters for assertions.
+// it. Every member's window trace flags the windows scheduled while a
+// server is down (obs.Record.Degraded). Call before Run. The returned
+// re-interpreter exposes degraded / recovered transition counters for
+// assertions.
 func (s *Sim) EnableCapacityReinterpretation() *health.Reinterpreter {
 	if s.reint == nil {
 		s.reint = health.NewReinterpreter(s.Engine, s.owners)
+		for _, rn := range s.Redirectors {
+			rn.Observer().SetHealthInfo(s.reint.Degraded)
+		}
 	}
 	return s.reint
 }

@@ -75,7 +75,7 @@ func TestHierarchicalLayoutMatchesPlane(t *testing.T) {
 	// regions and enforcement converges.
 	sm.NewClient(4, workload.Config{Principal: int(a), Rate: 150}).SetActive(true)
 	sm.Run(30 * time.Second)
-	g, _, ok := sm.Redirectors[5].Tree.Global()
+	g, _, ok := sm.Redirectors[5].Tree().ComponentGlobal(0)
 	if !ok || g.Count != 6 {
 		t.Fatalf("west leaf global count = %d (ok=%v), want 6", g.Count, ok)
 	}
@@ -118,7 +118,7 @@ func TestHierSubRootFailureRejoinsGlobalTier(t *testing.T) {
 	}
 	// Survivors still aggregate all five members and broadcasts stay fresh
 	// down in the repaired west region.
-	g, at, ok := sm.Redirectors[5].Tree.Global()
+	g, at, ok := sm.Redirectors[5].Tree().ComponentGlobal(0)
 	if !ok || g.Count != 5 {
 		t.Fatalf("survivor aggregate count = %d (ok=%v), want 5", g.Count, ok)
 	}
@@ -156,7 +156,7 @@ func TestHierSubRootRestartRestoresPlacement(t *testing.T) {
 	if !ok || !p3.SubRoot || p3.Parent != 0 {
 		t.Fatalf("restarted node placement = %+v, want west sub-root under 0", p3)
 	}
-	g, _, ok := sm.Redirectors[0].Tree.Global()
+	g, _, ok := sm.Redirectors[0].Tree().ComponentGlobal(0)
 	if !ok || g.Count != 6 {
 		t.Fatalf("post-restart aggregate count = %d (ok=%v), want 6", g.Count, ok)
 	}

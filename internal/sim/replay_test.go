@@ -84,7 +84,6 @@ func divergentDigest(t *testing.T) uint64 {
 		MaxBacklog:     200,
 		TreeDelay:      250 * time.Millisecond,
 		FailureTimeout: 2 * time.Second,
-		TraceDepth:     -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,15 @@
-// Package sim wires the enforcement engine, combining tree, simulated
-// servers and synthetic clients together over virtual time. It is the
-// harness behind every figure reproduction: the paper's multi-minute testbed
-// runs execute deterministically in milliseconds.
+// Package sim runs the paper's testbed in virtual time: simulated servers
+// (internal/cluster), a simulated LAN (internal/simnet) and a virtual clock
+// (internal/vclock) around the real enforcement members. It is the harness
+// behind every figure reproduction: the paper's multi-minute testbed runs
+// execute deterministically in milliseconds.
 //
-// Topology mirrors Figure 4: clients submit requests to redirector nodes;
-// each redirector runs a core.Redirector (window credits from the LP) and a
-// combining.Node (global queue aggregation); admitted requests go to the
-// least-loaded server of the owner the scheduler chose; completions are
-// recorded per principal per second.
+// Topology mirrors Figure 4: clients submit requests to redirectors; each
+// redirector is a node.Member — the core redirector, its admission plane,
+// the combining forest, the window boundary, durable recovery and the window
+// observer, exactly as l4 and l7 run them — with its tree messages carried
+// by simnet; admitted requests go to the least-loaded server of the owner
+// the scheduler chose; completions are recorded per principal per second.
 package sim
 
 import (
@@ -19,13 +21,13 @@ import (
 	"time"
 
 	"repro/internal/agreement"
-	"repro/internal/budget"
 	"repro/internal/cluster"
 	"repro/internal/combining"
 	"repro/internal/core"
 	"repro/internal/ctrlplane"
 	"repro/internal/health"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/simnet"
@@ -76,11 +78,6 @@ type Config struct {
 	// are treated as multiple small ones". Zero keeps the uniform-cost
 	// model used by the figure reproductions (WebBench reports averages).
 	MeanRequestBytes float64
-	// TraceDepth enables window tracing: every redirector gets an observer
-	// retaining this many trace records, all folding into one shared
-	// Auditor. Zero disables tracing (the seed behavior); negative selects
-	// obs.DefaultRingDepth.
-	TraceDepth int
 }
 
 // Sim is a running simulation.
@@ -97,11 +94,9 @@ type Sim struct {
 	Redirectors []*RNode
 	Servers     map[agreement.Principal][]*cluster.Server
 
-	// Auditor aggregates SLA conformance across all redirectors when
-	// Config.TraceDepth enables tracing (nil otherwise). Observers holds the
-	// per-redirector trace rings in redirector order.
-	Auditor   *obs.Auditor
-	Observers []*obs.Observer
+	// Auditor aggregates SLA conformance across every redirector's window
+	// trace (each member's observer folds into it).
+	Auditor *obs.Auditor
 
 	topo           combining.Topology
 	plane          *topology.Plane
@@ -111,11 +106,8 @@ type Sim struct {
 	meanBytes      float64
 	windowTicker   *vclock.Ticker
 
-	// Durable-state plane (EnablePersistence): one persist.Store per
-	// redirector, appended to every window; the control-plane host's store
-	// is also fed agreement-set snapshots at publish time so a restarted
-	// root can re-broadcast the newest configuration.
-	stores map[int]*persist.Store
+	// One persist.Store per redirector (EnablePersistence); nil without.
+	stores []*persist.Store
 
 	// Fault-injection state (see fault.go in this package): servers by
 	// name, their owners and base capacities, which are currently crashed,
@@ -131,20 +123,12 @@ type Sim struct {
 	Reconfigurations int
 }
 
-// RNode is one redirector node: admission engine + tree participant. It
-// implements workload.Sink.
+// RNode is one redirector: the enforcement member it currently runs (a
+// restart swaps in a freshly booted one). It implements workload.Sink.
 type RNode struct {
-	sim    *Sim
-	Red    *core.Redirector
-	Tree   *combining.Node
-	estBuf []float64 // reused local-estimate buffer for the tree feed
-
-	// Persistence scratch (EnablePersistence): reused export buffers and
-	// the newest set version already saved durably.
-	pm       [][]float64
-	pt       []float64
-	pe       []float64
-	savedSet uint64
+	*node.Member
+	sim *Sim
+	id  int
 }
 
 // New builds a simulation. The engine's window drives both scheduling and
@@ -181,9 +165,11 @@ func New(cfg Config) (*Sim, error) {
 		Admit:          metrics.NewRecorder(time.Second, names),
 		Latency:        make([]*obs.Histogram, n),
 		Servers:        make(map[agreement.Principal][]*cluster.Server),
+		Auditor:        obs.NewAuditor(names),
 		failed:         make(map[int]bool),
 		failureTimeout: cfg.FailureTimeout,
 		meanBytes:      cfg.MeanRequestBytes,
+		stores:         make([]*persist.Store, cfg.Redirectors),
 		byName:         make(map[string]*cluster.Server),
 		owners:         make(map[string]agreement.Principal),
 		baseCap:        make(map[string]float64),
@@ -225,311 +211,136 @@ func New(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	members := s.plane.Members()
-	if len(members) != cfg.Redirectors {
-		return nil, fmt.Errorf("%w: topology has %d members for %d redirectors",
-			ErrConfig, len(members), cfg.Redirectors)
-	}
-	for i, id := range members {
-		if id != ids[i] {
-			return nil, fmt.Errorf("%w: topology members must be 0..%d", ErrConfig, cfg.Redirectors-1)
-		}
+	// Members are ascending and distinct, so this pins exactly 0..n-1.
+	if m := s.plane.Members(); len(m) != len(ids) || m[0] != 0 || m[len(m)-1] != ids[len(ids)-1] {
+		return nil, fmt.Errorf("%w: topology members must be exactly 0..%d", ErrConfig, cfg.Redirectors-1)
 	}
 	s.topo = s.plane.Topology()
 	for i := 0; i < cfg.Redirectors; i++ {
-		id := combining.NodeID(i)
-		send := func(to combining.NodeID, msg combining.Message) {
-			// simnet delivers later; the node only lends msg.
-			s.Net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
-		}
-		rn := &RNode{
-			sim: s,
-			Red: cfg.Engine.NewRedirector(i),
-		}
-		rn.Tree = combining.NewBuilder(id).Place(s.topo).Principals(n).
-			Transport(send).Clock(s.Clock.Now).Build()
+		rn := &RNode{sim: s, id: i}
 		s.Redirectors = append(s.Redirectors, rn)
-		s.Net.Handle(simnet.NodeID(id), func(from simnet.NodeID, msg interface{}) {
-			if s.failed[int(id)] {
-				return // a dead node processes nothing
-			}
-			rn.Tree.OnMessage(combining.NodeID(from), msg)
-			if _, ok := msg.(combining.Broadcast); ok {
-				rn.pushGlobal()
+		if err := s.boot(i); err != nil {
+			return nil, err
+		}
+		s.Net.Handle(simnet.NodeID(i), func(from simnet.NodeID, msg interface{}) {
+			if !s.failed[rn.id] { // a dead node processes nothing
+				rn.OnMessage(0, combining.NodeID(from), msg)
 			}
 		})
 	}
 
-	if cfg.TraceDepth != 0 {
-		depth := cfg.TraceDepth
-		if depth < 0 {
-			depth = obs.DefaultRingDepth
-		}
-		s.Auditor = obs.NewAuditor(names)
-		for i, rn := range s.Redirectors {
-			o := cfg.Engine.NewObserver(i, s.Auditor, depth)
-			tree := rn.Tree
-			o.SetTreeInfo(func() obs.TreeInfo {
-				reports, broadcasts, sent := tree.MessageCounts()
-				return obs.TreeInfo{
-					Epoch:       tree.Epoch(),
-					GlobalEpoch: tree.GlobalEpoch(),
-					MsgsIn:      reports + broadcasts,
-					MsgsOut:     sent,
-				}
-			})
-			rn.Red.SetObserver(o)
-			s.Observers = append(s.Observers, o)
-		}
-	}
-
-	// Window driver: refresh tree locals, run a tree epoch, then start the
-	// new scheduling window once same-instant deliveries have drained.
+	// Window driver, in the two phases of a boundary: every live member
+	// ticks (estimate, tree epoch, root push), then, once same-instant tree
+	// deliveries have drained, every live member starts its window, in
+	// redirector order. The simulator is serial on purpose: a replay that is
+	// deterministic by construction cannot depend on goroutine scheduling.
 	s.windowTicker = s.Clock.ScheduleEvery(cfg.Engine.Window(), func() {
 		if s.failureTimeout > 0 {
 			s.detectFailures()
 		}
-		for i, rn := range s.Redirectors {
-			if s.failed[i] {
-				continue
-			}
-			rn.estBuf = rn.Red.LocalEstimateInto(rn.estBuf)
-			rn.Tree.SetLocal(rn.estBuf)
-		}
-		for i, rn := range s.Redirectors {
-			if s.failed[i] {
-				continue
-			}
-			rn.Tree.Tick()
-		}
-		s.Clock.Schedule(0, func() { s.startWindows() })
+		s.eachLive((*RNode).Tick)
+		s.Clock.Schedule(0, func() {
+			s.eachLive(func(rn *RNode) {
+				if err := rn.StartWindow(); err != nil {
+					panic(fmt.Sprintf("sim: window schedule failed: %v", err))
+				}
+			})
+		})
 	})
 	return s, nil
 }
 
-// startWindows runs every live redirector's window solve, one after the
-// other in redirector order. The simulator is serial on purpose: fleets here
-// are a handful of redirectors whose agreeing views the engine's plan cache
-// already collapses into one LP solve, and a replay that is deterministic by
-// construction cannot depend on goroutine scheduling. Virtual time is frozen
-// while this callback runs, so one timestamp serves every redirector.
-func (s *Sim) startWindows() {
-	now := s.Clock.Now()
+// eachLive calls fn on every live redirector, in redirector order.
+func (s *Sim) eachLive(fn func(*RNode)) {
 	for i, rn := range s.Redirectors {
-		if s.failed[i] {
-			continue
+		if !s.failed[i] {
+			fn(rn)
 		}
-		if rn.Tree.IsRoot() {
-			rn.pushGlobal() // root sees its own broadcast instantly
-		}
-		// Feed the redirector its rollout view before the window starts:
-		// its epoch (local ticks, advanced in lockstep fleet-wide) and the
-		// newest configuration version the tree has delivered to it. The
-		// engine's epoch gate decides whether this window runs the old
-		// generation, the staged one, or the conservative fallback.
-		epoch := rn.Tree.Epoch()
-		if ge := rn.Tree.GlobalEpoch(); ge > epoch {
-			epoch = ge
-		}
-		var known uint64
-		gate := 0
-		if cu := rn.Tree.Config(); cu != nil {
-			known = cu.Version
-			gate = cu.GateEpoch
-		}
-		rn.Red.SetRollout(epoch, known)
-		if err := rn.Red.StartWindow(now); err != nil {
-			panic(fmt.Sprintf("sim: window schedule failed: %v", err))
-		}
-		rn.persistWindow(epoch, known, gate)
 	}
 }
 
-// EnableControlPlane attaches a dynamic agreement control plane to the
-// simulation, rooted (like the paper's combining tree) at the tree root.
-// Accepted mutations are staged on the shared engine behind an epoch gate
-// of the root's current epoch plus lead (<=0 selects ctrlplane.DefaultLead)
-// and piggybacked on the root's downward broadcasts, so every redirector
-// learns the new agreement-set version through the tree before its gate
-// epoch arrives and swaps at a window boundary.
+// boot starts redirector i's member from its durable store, or cold without
+// one, at its current placement in the plane — what a node process does on
+// exec: window 0's blind grant, recovery and the rejoin handshake included.
+// The member admits on one credit shard, so decisions do not depend on which
+// OS thread runs the simulation.
+func (s *Sim) boot(i int) error {
+	id := combining.NodeID(i)
+	send := func(int) combining.SendFunc {
+		return func(to combining.NodeID, msg combining.Message) {
+			// simnet delivers later; the member only lends msg.
+			s.Net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
+		}
+	}
+	m, err := node.NewMember(
+		node.Config{Layer: "sim", Engine: s.Engine, ID: i, AdmissionShards: 1, Persist: s.stores[i]},
+		&node.Placement{ID: id, Parent: s.topo.Parent[id], Children: s.topo.Children[id]},
+		send, s.Clock.Now, s.Auditor)
+	if err != nil {
+		return fmt.Errorf("sim: boot redirector %d: %w", i, err)
+	}
+	if s.reint != nil {
+		m.Observer().SetHealthInfo(s.reint.Degraded)
+	}
+	s.Redirectors[i].Member = m
+	return nil
+}
+
+// EnableControlPlane attaches a dynamic agreement control plane to the live
+// tree root's member (see node.Member.EnableControlPlane): accepted
+// mutations are staged behind an epoch gate of the root's epoch plus lead
+// and ride its downward broadcasts. The plane stays with that member; a
+// restart of the root boots a member without one.
 func (s *Sim) EnableControlPlane(lead int) (*ctrlplane.Plane, error) {
-	var root *RNode
 	for i, rn := range s.Redirectors {
-		if !s.failed[i] && rn.Tree.IsRoot() {
-			root = rn
-			break
+		if !s.failed[i] && rn.Tree().IsRoot() {
+			return rn.EnableControlPlane(lead)
 		}
 	}
-	if root == nil {
-		return nil, fmt.Errorf("%w: no live tree root", ErrConfig)
-	}
-	tree := root.Tree
-	opt := ctrlplane.Options{
-		Lead:  lead,
-		Epoch: tree.Epoch,
-		Publish: func(set *agreement.Set, gate int) {
-			data, err := set.Encode()
-			if err != nil {
-				panic(fmt.Sprintf("sim: encode agreement set v%d: %v", set.Version, err))
-			}
-			tree.SetConfig(&combining.ConfigUpdate{
-				Version:   set.Version,
-				GateEpoch: gate,
-				Payload:   data,
-			})
-			// The control-plane host persists every accepted set at publish
-			// time: a root crash between publish and fleet convergence must
-			// not lose the renegotiation.
-			if st := s.stores[int(tree.ID())]; st != nil {
-				if err := st.SaveSet(set); err != nil {
-					panic(fmt.Sprintf("sim: persist set v%d: %v", set.Version, err))
-				}
-			}
-		},
-	}
-	// Leases ride the same durable store as agreement sets when persistence
-	// is armed: the versioned lease table is saved after every mutation and
-	// the newest table recovered on a fresh attach, so long-lived leases
-	// survive a control-plane restart with at most one mutation lost.
-	if st := s.stores[int(tree.ID())]; st != nil {
-		opt.SaveLeases = func(t *budget.Table) {
-			if err := st.SaveLeases(t); err != nil {
-				panic(fmt.Sprintf("sim: persist lease table v%d: %v", t.Version, err))
-			}
-		}
-		tbl, err := st.LoadNewestLeases()
-		if err != nil {
-			return nil, fmt.Errorf("sim: load lease table: %w", err)
-		}
-		opt.ResumeLeases = tbl
-	}
-	return ctrlplane.New(s.Engine.System(), s.Engine, opt)
+	return nil, fmt.Errorf("%w: no live tree root", ErrConfig)
 }
 
 // EnablePersistence arms the durable-state plane: every redirector gets a
-// persist.Store rooted at dir/r<id>, appends a window record every window
-// (the tightest crash-loss bound), and durably saves each agreement-set
-// snapshot it learns of. Call before Run; RestartRedirector uses the stores
-// to recover.
+// persist.Store rooted at dir/r<id> and is booted afresh on it, so it
+// appends a window record every window and saves every agreement set it
+// learns of; RestartRedirector recovers from it. Call before
+// EnableControlPlane and Run.
 func (s *Sim) EnablePersistence(dir string) error {
-	s.stores = make(map[int]*persist.Store, len(s.Redirectors))
 	for i := range s.Redirectors {
 		st, err := persist.Open(fmt.Sprintf("%s/r%d", dir, i))
 		if err != nil {
 			return err
 		}
 		s.stores[i] = st
+		if err := s.boot(i); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// persistWindow appends the just-started window's durable record (credit,
-// estimate, position) to this node's store and saves any newly learned
-// agreement set; a no-op when persistence is off.
-func (rn *RNode) persistWindow(epoch int, known uint64, gate int) {
-	st := rn.sim.stores[rn.Red.ID()]
-	if st == nil {
-		return
-	}
-	if known > rn.savedSet {
-		if cu := rn.Tree.Config(); cu != nil && cu.Version == known {
-			set, err := agreement.DecodeSet(cu.Payload)
-			if err == nil {
-				if err := st.SaveSet(set); err != nil {
-					panic(fmt.Sprintf("sim: persist set v%d: %v", known, err))
-				}
-				rn.savedSet = known
-			}
-		}
-	}
-	n := rn.sim.Engine.NumPrincipals()
-	if rn.pt == nil {
-		rn.pt = make([]float64, n)
-		rn.pm = make([][]float64, n)
-		for i := range rn.pm {
-			rn.pm[i] = make([]float64, n)
-		}
-	}
-	rn.Red.ExportCredits(rn.pm, rn.pt)
-	rn.pe = rn.Red.ExportEstimate(rn.pe)
-	ws := persist.WindowState{
-		WindowSeq:  rn.Red.Windows,
-		Epoch:      epoch,
-		SetVersion: known,
-		Gate:       gate,
-		Estimate:   rn.pe,
-	}
-	if rn.sim.Engine.Mode() == core.Provider {
-		ws.CreditTotal = rn.pt
-	} else {
-		ws.Credit = rn.pm
-	}
-	if err := st.AppendWindow(ws); err != nil {
-		panic(fmt.Sprintf("sim: persist window: %v", err))
-	}
-}
-
 // FailRedirector kills redirector i (kill -9): it stops participating in
-// the tree and refuses all client submissions, and its in-memory window
-// state is never consulted again — RestartRedirector rebuilds only from the
-// persist store. With FailureTimeout set, survivors detect the silence and
-// rebuild the tree around it.
+// the tree and refuses all client submissions, and its member is never
+// consulted again — RestartRedirector boots a fresh one. With
+// FailureTimeout set, survivors detect the silence and rebuild the tree
+// around it.
 func (s *Sim) FailRedirector(i int) {
 	if i >= 0 && i < len(s.Redirectors) {
 		s.failed[i] = true
 	}
 }
 
-// RestartRedirector boots redirector i back up from its durable state, the
-// virtual-time twin of a crashed process re-exec'ing: a fresh
-// core.Redirector is registered under the old id (re-entering the rollout
-// quorum through the laggard conservative path), the window counter, EWMA
-// estimate and carried credit are restored from the newest persisted
-// record, the tree node is Reset to the durable (epoch, configuration) and
-// announces a rejoin to its parent, and — if failure detection had removed
-// the node — the topology is deterministically rebuilt to include it
-// again and to leave out every redirector still down. Without
-// EnablePersistence the restart is a cold start.
+// RestartRedirector boots redirector i back up from its durable state (a
+// cold start without EnablePersistence), the virtual-time twin of a crashed
+// process re-exec'ing. If failure detection had removed it, the plane is
+// first rebuilt to include it again and to leave out every redirector still
+// down, and every live member is re-placed.
 func (s *Sim) RestartRedirector(i int) {
 	if i < 0 || i >= len(s.Redirectors) || !s.failed[i] {
 		return
 	}
-	rn := s.Redirectors[i]
-	var ws persist.WindowState
-	var set *agreement.Set
-	if st := s.stores[i]; st != nil {
-		ws, _ = st.LastWindow()
-		set, _ = st.LoadNewestSet()
-	}
-	var cu *combining.ConfigUpdate
-	if set != nil {
-		payload, err := set.Encode()
-		if err != nil {
-			panic(fmt.Sprintf("sim: re-encode recovered set v%d: %v", set.Version, err))
-		}
-		cu = &combining.ConfigUpdate{Version: set.Version, GateEpoch: ws.Gate, Payload: payload}
-		// The shared engine survives in the simulation, but a real restart
-		// would re-stage the recovered set; StageSet is idempotent at or
-		// below the newest accepted version, so this is safe either way.
-		if _, err := s.Engine.StageSet(set, 0); err != nil {
-			panic(fmt.Sprintf("sim: restage recovered set v%d: %v", set.Version, err))
-		}
-	}
-	// Fresh admission state under the old identity, rehydrated from the
-	// durable record: at most the in-flight window's credit is lost.
-	rn.Red = s.Engine.NewRedirector(i)
-	rn.Red.RestoreState(ws.WindowSeq, ws.Estimate, ws.Credit, ws.CreditTotal)
-	rn.Red.SetRollout(ws.Epoch, ws.SetVersion)
-	if s.Observers != nil && i < len(s.Observers) {
-		rn.Red.SetObserver(s.Observers[i])
-	}
-	rn.savedSet = ws.SetVersion
-	s.failed[i] = false
-	// Tree node: resume from the durable position in place (transport
-	// closures hold the Node pointer), rebuild the topology if failure
-	// detection had pruned this member, and shake hands with the parent.
-	rn.Tree.Reset(ws.Epoch, cu)
 	id := combining.NodeID(i)
+	s.failed[i] = false
 	if _, present := s.topo.Parent[id]; !present {
 		// The rebuilt tree leaves out every redirector that is down, also
 		// one failure detection has not pruned yet.
@@ -539,33 +350,31 @@ func (s *Sim) RestartRedirector(i int) {
 			}
 		}
 		s.plane = s.plane.Restore(id)
-		s.topo = s.plane.Topology()
-		s.topo.Apply(s.liveNodes())
-		s.Reconfigurations++
-	} else {
-		// Membership unchanged: still re-apply this node's edges so a Reset
-		// root re-learns its children.
-		rn.Tree.Reconfigure(s.topo.Parent[id], s.topo.Children[id])
+		s.repair()
+	}
+	if err := s.boot(i); err != nil {
+		panic(err.Error())
 	}
 	s.lastReconfig = s.Clock.Now() // grace: fresh edges are quiet for a while
-	rn.Tree.AnnounceRejoin()
 }
 
-// liveNodes returns the tree nodes of non-failed redirectors.
-func (s *Sim) liveNodes() map[combining.NodeID]*combining.Node {
-	out := make(map[combining.NodeID]*combining.Node, len(s.Redirectors))
+// repair installs the current plane's placements on every live member.
+func (s *Sim) repair() {
+	s.topo = s.plane.Topology()
 	for i, rn := range s.Redirectors {
-		if !s.failed[i] {
-			out[combining.NodeID(i)] = rn.Tree
+		id := combining.NodeID(i)
+		if p, ok := s.topo.Parent[id]; ok && !s.failed[i] {
+			rn.Tree().Reconfigure(p, s.topo.Children[id])
 		}
 	}
-	return out
+	s.Reconfigurations++
 }
 
 // detectFailures removes tree members whose neighbors have observed
 // silence longer than the failure timeout. Detection uses only what live
 // nodes locally observed: parents miss child reports, children miss parent
-// broadcasts.
+// broadcasts. It is one fleet-wide membership view, where each node process
+// runs its own treenet.PlaneReparenter.
 func (s *Sim) detectFailures() {
 	now := s.Clock.Now()
 	if now-s.lastReconfig < s.failureTimeout {
@@ -577,17 +386,17 @@ func (s *Sim) detectFailures() {
 			continue
 		}
 		id := combining.NodeID(i)
+		silent := func(nb combining.NodeID) bool {
+			lh, heard := rn.Tree().LastHeard(nb)
+			return !heard || now-lh > s.failureTimeout
+		}
 		for _, child := range s.topo.Children[id] {
-			lh, heard := rn.Tree.LastHeard(child)
-			if !heard || now-lh > s.failureTimeout {
+			if silent(child) {
 				suspect = int(child)
 			}
 		}
-		if p := s.topo.Parent[id]; p >= 0 {
-			lh, heard := rn.Tree.LastHeard(p)
-			if !heard || now-lh > s.failureTimeout {
-				suspect = int(p)
-			}
+		if p := s.topo.Parent[id]; p >= 0 && silent(p) {
+			suspect = int(p)
 		}
 	}
 	if suspect < 0 {
@@ -597,43 +406,32 @@ func (s *Sim) detectFailures() {
 		return // already removed
 	}
 	s.plane = s.plane.Remove(combining.NodeID(suspect))
-	s.topo = s.plane.Topology()
-	s.topo.Apply(s.liveNodes())
+	s.repair()
 	// Rollout liveness valve: a member the tree gave up on cannot
 	// acknowledge a staged set, so drop it from the promotion quorum (it is
 	// re-admitted by re-registering on restart).
 	s.Engine.EvictRedirector(suspect)
 	s.lastReconfig = now
-	s.Reconfigurations++
 }
 
-func (rn *RNode) pushGlobal() {
-	agg, at, ok := rn.Tree.Global()
-	if ok {
-		rn.Red.SetGlobal(agg.Sum, at)
-	}
-}
-
-// Submit implements workload.Sink: admit the request and forward it to the
-// least-loaded server of the chosen owner. A refused offer (full backlog)
-// counts as a denial so the client retries.
+// Submit implements workload.Sink: admit the request on the member's
+// admission plane and forward it to the least-loaded server of the chosen
+// owner. A refused offer (full backlog) counts as a denial so the client
+// retries.
 func (rn *RNode) Submit(req workload.Request) bool {
-	if rn.sim.failed[rn.Red.ID()] {
+	s := rn.sim
+	if s.failed[rn.id] {
 		return false // dead redirector: connection refused
 	}
 	cost := 1.0
-	if rn.sim.meanBytes > 0 && req.Size > 0 {
-		cost = float64(req.Size) / rn.sim.meanBytes
+	if s.meanBytes > 0 && req.Size > 0 {
+		cost = float64(req.Size) / s.meanBytes
 	}
-	d := rn.Red.AdmitCost(agreement.Principal(req.Principal), -1, cost)
+	d := rn.Admission().AdmitCost(agreement.Principal(req.Principal), -1, cost)
 	if !d.Admitted {
 		return false
 	}
-	srv := rn.sim.pickServer(d.Owner)
-	if srv == nil {
-		return false
-	}
-	if !srv.Offer(cluster.Request{
+	if srv := s.pickServer(d.Owner); srv == nil || !srv.Offer(cluster.Request{
 		Principal: req.Principal,
 		ID:        req.ID,
 		Cost:      cost,
@@ -641,16 +439,15 @@ func (rn *RNode) Submit(req workload.Request) bool {
 	}) {
 		return false
 	}
-	rn.sim.Admit.Add(rn.sim.Clock.Now(), req.Principal, 1)
+	s.Admit.Add(s.Clock.Now(), req.Principal, 1)
 	return true
 }
 
 // pickServer chooses the owner's least-backlogged live server (crashed
 // servers — see CrashServer — take no new work).
 func (s *Sim) pickServer(owner agreement.Principal) *cluster.Server {
-	servers := s.Servers[owner]
 	var best *cluster.Server
-	for _, srv := range servers {
+	for _, srv := range s.Servers[owner] {
 		if s.crashed[srv.Name()] {
 			continue
 		}
@@ -711,10 +508,9 @@ func (s *Sim) At(d time.Duration, fn func()) {
 func (s *Sim) Run(end time.Duration) { s.Clock.RunUntil(end) }
 
 // Digest folds everything a run observably produced — every per-second
-// completion and admission sample, the auditor's conformance counters when
-// tracing is on, the tree reconfiguration count — and the caller's extra
-// values into one FNV-1a hash: two runs are bit-identical iff their digests
-// match.
+// completion and admission sample, the auditor's conformance counters, the
+// tree reconfiguration count — and the caller's extra values into one
+// FNV-1a hash: two runs are bit-identical iff their digests match.
 func (s *Sim) Digest(extra ...uint64) uint64 {
 	h := fnv.New64a()
 	put := func(v uint64) {
@@ -729,15 +525,14 @@ func (s *Sim) Digest(extra ...uint64) uint64 {
 			}
 		}
 	}
-	if a := s.Auditor; a != nil {
-		for i := 0; i < s.Recorder.NumSeries(); i++ {
-			put(uint64(a.UnderMC(i)))
-			put(uint64(a.OverUB(i)))
-		}
-		put(uint64(a.Windows()))
-		put(uint64(a.Conservative()))
-		put(uint64(a.MixedVersion()))
+	a := s.Auditor
+	for i := 0; i < s.Recorder.NumSeries(); i++ {
+		put(uint64(a.UnderMC(i)))
+		put(uint64(a.OverUB(i)))
 	}
+	put(uint64(a.Windows()))
+	put(uint64(a.Conservative()))
+	put(uint64(a.MixedVersion()))
 	put(uint64(s.Reconfigurations))
 	for _, v := range extra {
 		put(v)
@@ -753,8 +548,10 @@ func (s *Sim) Stop() { s.windowTicker.Stop() }
 func (s *Sim) ClosePersistence() error {
 	var first error
 	for _, st := range s.stores {
-		if err := st.Close(); err != nil && first == nil {
-			first = err
+		if st != nil {
+			if err := st.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
 	return first

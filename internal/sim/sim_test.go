@@ -1,12 +1,17 @@
 package sim
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/agreement"
 	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/workload"
 )
 
@@ -242,11 +247,11 @@ func TestSetTreeDelayAndStop(t *testing.T) {
 	c.SetActive(true)
 	sm.Run(time.Second)
 	// Leaf redirector (1) cannot have received a broadcast yet.
-	if sm.Redirectors[1].Red.HasGlobal() {
+	if _, _, ok := sm.Redirectors[1].WindowStats(); ok {
 		t.Fatal("broadcast arrived before the delay elapsed")
 	}
 	sm.Run(6 * time.Second)
-	if !sm.Redirectors[1].Red.HasGlobal() {
+	if _, _, ok := sm.Redirectors[1].WindowStats(); !ok {
 		t.Fatal("broadcast never arrived")
 	}
 	sm.Stop() // window driver halts; no further events accumulate
@@ -257,6 +262,8 @@ func TestSetTreeDelayAndStop(t *testing.T) {
 	}
 }
 
+// TestTraceDepthWiresObservability: every member traces at the default
+// ring depth, and every observer folds into the one shared Auditor.
 func TestTraceDepthWiresObservability(t *testing.T) {
 	eng, sp, a, b := testEngine(t, 2)
 	sm, err := New(Config{
@@ -264,13 +271,14 @@ func TestTraceDepthWiresObservability(t *testing.T) {
 		Redirectors: 2,
 		Servers:     []ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
 		Names:       []string{"S", "A", "B"},
-		TraceDepth:  32,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.Auditor == nil || len(sm.Observers) != 2 {
-		t.Fatalf("tracing not wired: auditor=%v observers=%d", sm.Auditor, len(sm.Observers))
+	for i, rn := range sm.Redirectors {
+		if o := rn.Observer(); o == nil || o.Auditor() != sm.Auditor {
+			t.Fatalf("redirector %d: observer not folding into the shared auditor", i)
+		}
 	}
 	sm.NewClient(0, workload.Config{Principal: int(a), Rate: 150}).SetActive(true)
 	sm.NewClient(1, workload.Config{Principal: int(b), Rate: 150}).SetActive(true)
@@ -284,8 +292,8 @@ func TestTraceDepthWiresObservability(t *testing.T) {
 	if sm.Auditor.Served(int(a)) <= 0 || sm.Auditor.Served(int(b)) <= 0 {
 		t.Fatal("auditor accumulated no served volume")
 	}
-	for i, o := range sm.Observers {
-		recs := o.Ring().Snapshot(0)
+	for i, rn := range sm.Redirectors {
+		recs := rn.Observer().Ring().Snapshot(0)
 		if len(recs) == 0 {
 			t.Fatalf("observer %d has an empty trace ring", i)
 		}
@@ -296,22 +304,6 @@ func TestTraceDepthWiresObservability(t *testing.T) {
 		if last.TreeMsgsOut == 0 && last.TreeMsgsIn == 0 {
 			t.Fatalf("observer %d has no tree message counts", i)
 		}
-	}
-}
-
-func TestTraceDepthZeroDisablesTracing(t *testing.T) {
-	eng, sp, _, _ := testEngine(t, 1)
-	sm, err := New(Config{
-		Engine:      eng,
-		Redirectors: 1,
-		Servers:     []ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
-		Names:       []string{"S", "A", "B"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.Auditor != nil || sm.Observers != nil {
-		t.Fatal("tracing wired despite TraceDepth 0")
 	}
 }
 
@@ -371,5 +363,86 @@ func TestControlPlaneRacesParallelWindows(t *testing.T) {
 	<-done
 	if plane.Version() == 0 {
 		t.Fatal("no mutation landed")
+	}
+}
+
+// TestPersistentRunCompactsRecordLog runs a durable fleet for 600 windows:
+// each member appends one record per window and compacts its record log
+// every 256 appends, as a node process does, so each log ends with at most
+// 256 records behind one checkpoint — and still replays to the newest
+// window.
+func TestPersistentRunCompactsRecordLog(t *testing.T) {
+	eng, sp, a, b := testEngine(t, 2)
+	sm, err := New(Config{
+		Engine:      eng,
+		Redirectors: 2,
+		Servers:     []ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := sm.EnablePersistence(dir); err != nil {
+		t.Fatal(err)
+	}
+	sm.NewClient(0, workload.Config{Principal: int(a), Rate: 80}).SetActive(true)
+	sm.NewClient(1, workload.Config{Principal: int(b), Rate: 80}).SetActive(true)
+	sm.Run(60 * time.Second)
+	if err := sm.ClosePersistence(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sm.Redirectors {
+		sub := filepath.Join(dir, fmt.Sprintf("r%d", i))
+		wal, err := os.ReadFile(filepath.Join(sub, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Frames: 4-byte payload length, 4-byte CRC, payload.
+		frames := 0
+		for off := 0; off+8 <= len(wal); off += 8 + int(binary.LittleEndian.Uint32(wal[off:])) {
+			frames++
+		}
+		if frames == 0 || frames > 256+1 {
+			t.Fatalf("redirector %d: record log holds %d frames after 600 windows, want at most 257", i, frames)
+		}
+		st, err := persist.Open(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, ok := st.LastWindow()
+		st.Close()
+		if windows, _, _ := sm.Redirectors[i].WindowStats(); !ok || last.WindowSeq != windows {
+			t.Fatalf("redirector %d: newest record is window %d (%v), want %d", i, last.WindowSeq, ok, windows)
+		}
+	}
+}
+
+// TestAdmitsGoThroughTheAdmissionPlane: every request the simulation
+// admitted was decided by the member's admission plane, the path l4 and l7
+// admit on — each redirector's plane counts exactly the admissions recorded
+// for the one principal whose client it serves.
+func TestAdmitsGoThroughTheAdmissionPlane(t *testing.T) {
+	eng, sp, a, b := testEngine(t, 2)
+	sm, err := New(Config{
+		Engine:      eng,
+		Redirectors: 2,
+		Servers:     []ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm.NewClient(0, workload.Config{Principal: int(a), Rate: 150}).SetActive(true)
+	sm.NewClient(1, workload.Config{Principal: int(b), Rate: 150}).SetActive(true)
+	sm.Run(20 * time.Second)
+	for i, p := range []agreement.Principal{a, b} {
+		recorded := 0.0
+		for _, v := range sm.Admit.Series(int(p)) {
+			recorded += v
+		}
+		admits, rejects := sm.Redirectors[i].Admission().Counts()
+		if recorded == 0 || rejects == 0 || float64(admits) != recorded {
+			t.Fatalf("redirector %d: plane admitted %d (rejected %d), recorder holds %v admissions",
+				i, admits, rejects, recorded)
+		}
 	}
 }

@@ -7,14 +7,16 @@ package vclock
 
 import (
 	"container/heap"
+	"sync/atomic"
 	"time"
 )
 
 // Clock is a virtual clock with an event queue. The zero value is ready to
-// use and starts at virtual time 0. Clock is not safe for concurrent use:
-// the simulation driver owns it.
+// use and starts at virtual time 0. Only Now is safe for concurrent use (a
+// control plane stamping a publish from the goroutine that accepted it);
+// everything else belongs to the simulation driver.
 type Clock struct {
-	now    time.Duration
+	now    atomic.Int64 // time.Duration
 	events eventHeap
 	seq    uint64
 }
@@ -45,7 +47,7 @@ type event struct {
 func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() time.Duration { return c.now }
+func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
 
 // Schedule runs fn at Now()+delay. A non-positive delay schedules the event
 // at the current instant, after already-queued events for that instant.
@@ -53,7 +55,7 @@ func (c *Clock) Schedule(delay time.Duration, fn func()) *Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := &event{at: c.now + delay, seq: c.seq, fn: fn}
+	ev := &event{at: c.Now() + delay, seq: c.seq, fn: fn}
 	c.seq++
 	heap.Push(&c.events, ev)
 	return &Timer{ev: ev}
@@ -106,7 +108,7 @@ func (c *Clock) Step() bool {
 		if ev.cancelled {
 			continue
 		}
-		c.now = ev.at
+		c.now.Store(int64(ev.at))
 		ev.fired = true
 		ev.fn()
 		return true
@@ -128,13 +130,13 @@ func (c *Clock) RunUntil(t time.Duration) {
 		}
 		c.Step()
 	}
-	if c.now < t {
-		c.now = t
+	if c.Now() < t {
+		c.now.Store(int64(t))
 	}
 }
 
 // RunFor advances the clock by d. See RunUntil.
-func (c *Clock) RunFor(d time.Duration) { c.RunUntil(c.now + d) }
+func (c *Clock) RunFor(d time.Duration) { c.RunUntil(c.Now() + d) }
 
 // Pending reports the number of queued (non-cancelled) events.
 func (c *Clock) Pending() int {
