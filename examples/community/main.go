@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -23,18 +22,12 @@ func main() {
 	// B lets A use exactly half of its server, guaranteed.
 	sys.MustSetAgreement(b, a, 0.5, 0.5)
 
-	eng, err := repro.NewEngine(repro.EngineConfig{
-		Mode:           repro.Community,
-		System:         sys,
-		NumRedirectors: 1,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var _ *core.Engine = eng // the facade returns the core engine directly
-
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: repro.EngineConfig{
+			Mode:           repro.Community,
+			System:         sys,
+			NumRedirectors: 1,
+		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{
 			{Owner: a, Capacity: 320, Count: 1},

@@ -24,17 +24,13 @@ func main() {
 	sys.MustSetAgreement(s, a, 0.8, 1.0)
 	sys.MustSetAgreement(s, b, 0.2, 1.0)
 
-	eng, err := repro.NewEngine(repro.EngineConfig{
-		Mode:              repro.Provider,
-		System:            sys,
-		ProviderPrincipal: s,
-		NumRedirectors:    2,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: repro.EngineConfig{
+			Mode:              repro.Provider,
+			System:            sys,
+			ProviderPrincipal: s,
+			NumRedirectors:    2,
+		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: s, Capacity: 320, Count: 1}},
 		TreeDelay:   10 * time.Second, // the deliberately large WAN lag

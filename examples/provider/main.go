@@ -23,17 +23,13 @@ func main() {
 	sys.MustSetAgreement(s, a, 0.8, 1.0) // A: 80% guaranteed, pays 2/req extra
 	sys.MustSetAgreement(s, b, 0.2, 1.0) // B: 20% guaranteed, pays 1/req extra
 
-	eng, err := repro.NewEngine(repro.EngineConfig{
-		Mode:              repro.Provider,
-		System:            sys,
-		ProviderPrincipal: s,
-		Prices:            map[repro.Principal]float64{a: 2, b: 1},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: repro.EngineConfig{
+			Mode:              repro.Provider,
+			System:            sys,
+			ProviderPrincipal: s,
+			Prices:            map[repro.Principal]float64{a: 2, b: 1},
+		},
 		Redirectors: 1,
 		Servers:     []sim.ServerSpec{{Owner: s, Capacity: 320, Count: 2}},
 		Names:       []string{"S", "A", "B"},

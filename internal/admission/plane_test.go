@@ -362,8 +362,8 @@ func TestCountsFoldShards(t *testing.T) {
 }
 
 // TestLeaseCreditFlowsThroughShards pins the admission half of the lease
-// plane: credit deposited from an engine lease (core.Engine.SetLeaseCredits)
-// must be exported into the shard pools at every window swap and stay
+// plane: credit deposited from a lease in the engine's agreement set
+// (core.Engine.StageSet) must be exported into the shard pools at every window swap and stay
 // spendable window after window, on top of the holder's planned share.
 func TestLeaseCreditFlowsThroughShards(t *testing.T) {
 	s := agreement.New()
@@ -386,11 +386,14 @@ func TestLeaseCreditFlowsThroughShards(t *testing.T) {
 	}
 	// B holds a 100 req/s lease: 10 requests per 100 ms window on top of
 	// its planned 0.2 × 64 = 12.8.
-	total := make([]float64, 3)
-	total[b] = 100
-	if err := e.SetLeaseCredits(nil, total); err != nil {
-		t.Fatal(err)
+	stage := func(v uint64, leases ...agreement.SetLease) {
+		set := s.Clone().Snapshot(v)
+		set.Leases = leases
+		if _, err := e.StageSet(set, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
+	stage(1, agreement.SetLease{Holder: b, Owner: sp, Rate: 100})
 	demand := []float64{0, 64, 30}
 	warm(t, pl, red, demand, 5)
 
@@ -417,10 +420,9 @@ func TestLeaseCreditFlowsThroughShards(t *testing.T) {
 		now += 100 * time.Millisecond
 	}
 
-	// Clearing the lease drops B back to its planned share at the next swap.
-	if err := e.SetLeaseCredits(nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	// A set without the lease drops B back to its planned share at the
+	// next swap.
+	stage(2)
 	red.SetGlobal(demand, now)
 	if err := pl.StartWindow(now); err != nil {
 		t.Fatal(err)

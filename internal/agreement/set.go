@@ -17,20 +17,34 @@ type SetPrincipal struct {
 	Capacity float64 `json:"capacity"`
 }
 
+// SetLease is one active lease in a Set snapshot: Rate requests/second of
+// Owner's capacity dedicated to Holder. The owner's published capacity in
+// the same set already has the rate set aside; every engine applying the
+// set deposits the rate as the holder's per-window credit.
+type SetLease struct {
+	Holder Principal `json:"holder"`
+	Owner  Principal `json:"owner"`
+	Rate   float64   `json:"rate"`
+}
+
 // Set is an immutable, monotonically versioned snapshot of the whole
 // agreement state: the control plane produces one per accepted mutation and
 // the combining tree distributes it to every redirector. Snapshots are
 // self-contained (full state, not deltas), so a node that missed
-// intermediate versions converges by applying only the newest one.
+// intermediate versions converges by applying only the newest one. A set
+// without leases encodes no lease key, so its bytes read the same to a
+// build that predates the lease list.
 type Set struct {
 	Version    uint64         `json:"version"`
 	Principals []SetPrincipal `json:"principals"`
 	Agreements []Agreement    `json:"agreements"`
+	Leases     []SetLease     `json:"leases,omitempty"`
 }
 
 // Snapshot captures the system's current principals and agreements as a Set
 // stamped with the given version. The agreements are in the deterministic
-// (owner, user) order of Agreements.
+// (owner, user) order of Agreements. The set carries no leases: the control
+// plane, which owns them, attaches them.
 func (s *System) Snapshot(version uint64) *Set {
 	set := &Set{Version: version, Principals: make([]SetPrincipal, len(s.names))}
 	for i, name := range s.names {
@@ -67,7 +81,8 @@ func (s *System) Clone() *System {
 }
 
 // ApplySet reconciles the system in place with the snapshot: capacities are
-// updated and the direct agreement edges are replaced wholesale. The
+// updated and the direct agreement edges are replaced wholesale. Leases are
+// validated but not stored: the system holds no lease state. The
 // principal universe is fixed — the set must name the same principals in the
 // same order (join/leave are capacity and agreement changes over a
 // pre-declared universe, keeping Principal indices stable fleet-wide). The
@@ -92,6 +107,14 @@ func (s *System) ApplySet(set *Set) ([]Principal, error) {
 		}
 		if math.IsNaN(p.Capacity) || math.IsInf(p.Capacity, 0) || p.Capacity < 0 {
 			return nil, fmt.Errorf("%w: %q has capacity %v", ErrBadCapacity, p.Name, p.Capacity)
+		}
+	}
+	for _, l := range set.Leases {
+		if !s.valid(l.Holder) || !s.valid(l.Owner) {
+			return nil, fmt.Errorf("%w: lease %d→%d", ErrUnknown, int(l.Owner), int(l.Holder))
+		}
+		if math.IsNaN(l.Rate) || math.IsInf(l.Rate, 0) || l.Rate < 0 {
+			return nil, fmt.Errorf("%w: lease rate %v", ErrBadCapacity, l.Rate)
 		}
 	}
 	// Validate, then bucket the edges by owner on one backing array (a

@@ -2,6 +2,7 @@ package agreement
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -217,5 +218,44 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if p, ok := c.Lookup("B"); !ok || p != b {
 		t.Fatal("clone lost name index")
+	}
+}
+
+// leaseFreeSet is the two-principal set the encoding tests share.
+func leaseFreeSet() *Set {
+	s := New()
+	a := s.MustAddPrincipal("A", 320)
+	b := s.MustAddPrincipal("B", 160.5)
+	s.MustSetAgreement(b, a, 0.25, 0.75)
+	return s.Snapshot(7)
+}
+
+// TestSetLeasesRoundTrip: a set carrying leases survives Encode/DecodeSet,
+// and one without leases encodes without a lease key, byte for byte the
+// format a build without the lease list writes and reads.
+func TestSetLeasesRoundTrip(t *testing.T) {
+	const golden = `{"version":7,"principals":[{"name":"A","capacity":320},{"name":"B","capacity":160.5}],` +
+		`"agreements":[{"owner":1,"user":0,"lb":0.25,"ub":0.75}]}`
+	plain := leaseFreeSet()
+	data, err := plain.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != golden {
+		t.Fatalf("lease-free set encodes to\n%s\nwant\n%s", data, golden)
+	}
+
+	leased := leaseFreeSet()
+	leased.Leases = []SetLease{{Holder: 0, Owner: 1, Rate: 40}, {Holder: 0, Owner: 1, Rate: 2.5}}
+	data, err = leased.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSet(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, leased) {
+		t.Fatalf("round trip = %+v, want %+v", got, leased)
 	}
 }

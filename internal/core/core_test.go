@@ -319,11 +319,13 @@ func TestAdmitUnknownPrincipal(t *testing.T) {
 }
 
 func TestTwoRedirectorsSplitByLocalDemand(t *testing.T) {
-	// Two redirectors; all of A's demand arrives at r0, all of B's at r1.
-	// With global aggregates both enforce the same totals as a single node.
-	e, a, b := communityEngine(t, 2)
-	r0 := e.NewRedirector(0)
-	r1 := e.NewRedirector(1)
+	// Two redirectors, each on its own engine; all of A's demand arrives at
+	// r0, all of B's at r1. With global aggregates both enforce the same
+	// totals as a single node.
+	e0, a, b := communityEngine(t, 2)
+	e1, _, _ := communityEngine(t, 2)
+	r0 := e0.NewRedirector(0)
+	r1 := e1.NewRedirector(1)
 	now := time.Duration(0)
 	var adA, adB float64
 	for w := 0; w < 20; w++ {

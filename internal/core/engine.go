@@ -5,12 +5,13 @@
 //
 // An Engine captures the static side — the agreement graph folded into
 // entitlements (internal/agreement) and the scheduling model
-// (internal/sched) — and stamps out one Redirector per admission point.
-// Each Redirector implements the credit scheme of §4.1 (implicit queuing):
-// at every window boundary it solves the LP on *global* queue estimates,
-// scales the plan to its local share (§3.2), and converts the result into
-// per-principal credits that admit or self-redirect individual requests
-// with O(1) work per request.
+// (internal/sched) — for one admission point, and stamps out its Redirector:
+// each admission point runs its own engine, as in the paper each redirector
+// enforces its own windows. The Redirector implements the credit scheme of
+// §4.1 (implicit queuing): at every window boundary it solves the LP on
+// *global* queue estimates, scales the plan to its local share (§3.2), and
+// converts the result into per-principal credits that admit or
+// self-redirect individual requests with O(1) work per request.
 package core
 
 import (
@@ -82,16 +83,6 @@ type Config struct {
 	// the mandatory rate and overloads servers. Never enable in production.
 	AggressiveWhenBlind bool
 
-	// RolloutGraceEpochs is the rollout liveness valve: when a staged set
-	// is still unpromoted this many epochs past its gate, any registered
-	// redirector that has not crossed is presumed dead and evicted from
-	// the promotion quorum, letting the survivors commit. Dead processes
-	// schedule no windows and a live laggard runs the conservative claim
-	// (it lacks the new set), so promoting cannot create mixed-version
-	// enforcement. Zero disables the valve; eviction then happens only via
-	// explicit EvictRedirector calls from failure detection.
-	RolloutGraceEpochs int
-
 	// Logger receives enforcement-degradation events (floor fallbacks,
 	// conservative windows) from the engine and its schedulers. Nil falls
 	// back to the process-wide obs.Default logger.
@@ -104,7 +95,7 @@ type Config struct {
 // scheduled entirely against one generation, never a mix.
 type Version uint64
 
-// Engine holds the precomputed enforcement state shared by redirectors.
+// Engine holds the precomputed enforcement state of one admission point.
 // Entitlements fold the agreement graph once; capacity changes re-scale
 // them cheaply via UpdateCapacities (the paper's dynamic interpretation of
 // agreements, §2.2). The mutex makes scheduler swaps safe against
@@ -114,9 +105,9 @@ type Version uint64
 //
 // UpdateCapacities, UpdateSystem, SetAgreement, and StageSet share one
 // locked rebuild path: each validates its input, derives a complete new
-// generation (entitlements, scheduler, plan caches) under e.mu, and either
-// commits it atomically or rolls the configuration back, returning the
-// Version now active. They are safe to call concurrently with
+// generation (entitlements, scheduler, plan caches, lease credit) under
+// e.mu, and either commits it atomically or rolls the configuration back,
+// returning the Version now active. They are safe to call concurrently with
 // each other and with running redirector windows: a window that raced the
 // mutation finishes on the generation it snapshotted, and the next
 // StartWindow picks up the new one. Plan caches are created fresh exactly
@@ -127,7 +118,7 @@ type Engine struct {
 	n       int
 	windowS float64
 	flows   *agreement.Flows
-	stats   *metrics.SolverStats // shared fast-path telemetry (never nil)
+	stats   *metrics.SolverStats // fast-path telemetry (never nil)
 
 	mu  sync.RWMutex
 	cur schedState // active generation (version == e.version)
@@ -137,48 +128,27 @@ type Engine struct {
 	version   Version // active generation number
 	lastBuilt Version // monotonic generation counter (staged included)
 	lastSet   uint64  // newest agreement.Set version accepted
-	// registered tracks the admission-point ids sharing this engine;
-	// evicted marks the subset removed from the promotion quorum by
-	// failure detection (or the grace valve). Registration is idempotent
-	// per id, so a restarted redirector re-registering under its old
-	// identity does not inflate the quorum — and re-registration clears
-	// its eviction, re-admitting it through the laggard conservative path.
-	registered map[int]bool
-	evicted    map[int]bool
-	rollouts   uint64 // epoch-gated rollouts completed
+	// lease is the per-window lease credit of the newest accepted set (nil
+	// while no lease is active), shared by every generation built from it.
+	lease []float64
+	// served and redID record the one admission point this engine serves
+	// (NewRedirector): a staged generation promotes when it crosses.
+	served   bool
+	redID    int
+	rollouts uint64 // epoch-gated rollouts completed
 
 	// rolloutGate is 0 whenever no rollout is in flight — the steady-state
 	// fast path: stateFor does one atomic load and falls through to the
 	// plain RLock snapshot, keeping the window hot path unchanged.
 	rolloutGate atomic.Int64
-
-	// leases holds the immutable per-window lease-credit snapshot (nil when
-	// no lease is active). A lease reserves capacity out of the agreement
-	// fold — the control plane lowers the owner's effective capacity through
-	// the versioned-set path — and this is the other half: the dedicated
-	// credit the holder draws each window, deposited by StartWindow on top
-	// of the LP plan. Kept outside schedState so lease-credit updates never
-	// rebuild a scheduling generation on their own.
-	leases atomic.Pointer[leaseCredits]
 }
 
-// leaseCredits is one immutable lease-credit snapshot, in requests/window.
-// matrix[holder][owner] feeds Community credits; total[holder] feeds
-// Provider credits.
-type leaseCredits struct {
-	matrix [][]float64
-	total  []float64
-}
-
-// stagedGen is a generation staged behind an epoch gate: redirectors swap to
-// state individually once their tree epoch reaches gateEpoch and they have
-// acknowledged the set version; the generation is promoted to cur when every
-// registered redirector has crossed.
+// stagedGen is a generation staged behind an epoch gate: it is promoted to
+// cur when the engine's redirector reaches gateEpoch having acknowledged the
+// set version the generation was built from.
 type stagedGen struct {
-	state      schedState
-	setVersion uint64
-	gateEpoch  int
-	crossed    map[int]bool
+	state     schedState
+	gateEpoch int
 }
 
 // RolloutInfo is a snapshot of the engine's version state for the admin API
@@ -192,13 +162,7 @@ type RolloutInfo struct {
 	// tree epoch the staged generation is gated on.
 	SetVersion uint64 `json:"set_version"`
 	GateEpoch  int    `json:"gate_epoch,omitempty"`
-	// Crossed counts redirectors that have swapped to the staged generation,
-	// out of Redirectors registered; Evicted counts those removed from the
-	// promotion quorum by failure detection or the grace valve.
-	Crossed     int `json:"crossed"`
-	Redirectors int `json:"redirectors"`
-	Evicted     int `json:"evicted,omitempty"`
-	// Rollouts counts epoch-gated rollouts fully converged since start.
+	// Rollouts counts staged generations promoted since start.
 	Rollouts uint64 `json:"rollouts"`
 }
 
@@ -232,13 +196,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:        cfg,
-		n:          n,
-		windowS:    cfg.Window.Seconds(),
-		flows:      flows,
-		stats:      &metrics.SolverStats{},
-		registered: make(map[int]bool),
-		evicted:    make(map[int]bool),
+		cfg:     cfg,
+		n:       n,
+		windowS: cfg.Window.Seconds(),
+		flows:   flows,
+		stats:   &metrics.SolverStats{},
 	}
 	st, err := e.buildState(flows, cfg.System.Capacities())
 	if err != nil {
@@ -250,10 +212,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // buildState derives a complete new scheduling generation — entitlements,
 // scheduler, fresh plan caches — from flows and the given capacity vector
-// (requests/second). Nothing visible to redirectors changes until the caller
+// (requests/second), stamped with the newest accepted set's version and
+// lease credit. Nothing visible to redirectors changes until the caller
 // commits or stages the result. Callers hold e.mu or own e exclusively.
 func (e *Engine) buildState(flows *agreement.Flows, capacities []float64) (schedState, error) {
-	var st schedState
+	st := schedState{setVersion: e.lastSet, lease: e.lease}
 	access, err := flows.ScaledAccess(capacities, e.windowS)
 	if err != nil {
 		return st, err
@@ -453,15 +416,16 @@ func (e *Engine) SetAgreement(owner, user agreement.Principal, lb, ub float64) (
 	return e.version, nil
 }
 
-// StageSet applies a versioned agreement set (a control-plane snapshot) and
-// stages the resulting generation behind gateEpoch: every redirector keeps
-// scheduling on the active generation until its combining-tree epoch reaches
-// the gate AND it has learned of the set (Redirector.SetRollout), then swaps
-// at its next window boundary. gateEpoch <= 0 — or an engine with no
-// registered redirectors — commits immediately. Sets at or below the newest
-// accepted version are ignored (idempotent re-delivery). Returns the staged
-// (or committed) Version. See the Engine mutator contract; the incremental
-// refold covers exactly the owners the set changed.
+// StageSet applies a versioned agreement set (a control-plane snapshot),
+// leases included, and stages the resulting generation behind gateEpoch: the
+// redirector keeps scheduling on the active generation until its
+// combining-tree epoch reaches the gate AND it has learned of the set
+// (Redirector.SetRollout), then swaps at its next window boundary and the
+// generation is promoted. gateEpoch <= 0 — or an engine with no redirector —
+// commits immediately. Sets at or below the newest accepted version are
+// ignored (idempotent re-delivery). Returns the staged (or committed)
+// Version. See the Engine mutator contract; the incremental refold covers
+// exactly the owners the set changed.
 func (e *Engine) StageSet(set *agreement.Set, gateEpoch int) (Version, error) {
 	if set == nil {
 		return e.Version(), fmt.Errorf("%w: nil agreement set", ErrConfig)
@@ -486,18 +450,14 @@ func (e *Engine) StageSet(set *agreement.Set, gateEpoch int) (Version, error) {
 		_, _ = e.cfg.System.ApplySet(undo)
 		return e.version, err
 	}
-	e.lastSet = set.Version
-	if gateEpoch <= 0 || e.quorumLocked() == 0 {
+	st.setVersion, st.lease = set.Version, e.leaseCredits(set.Leases)
+	e.lastSet, e.lease = st.setVersion, st.lease
+	if gateEpoch <= 0 || !e.served {
 		e.commitLocked(flows, st)
 		return e.version, nil
 	}
 	e.flows = flows
-	e.staged = &stagedGen{
-		state:      st,
-		setVersion: set.Version,
-		gateEpoch:  gateEpoch,
-		crossed:    make(map[int]bool),
-	}
+	e.staged = &stagedGen{state: st, gateEpoch: gateEpoch}
 	e.rolloutGate.Store(int64(gateEpoch))
 	return st.version, nil
 }
@@ -521,17 +481,10 @@ func (e *Engine) LastSetVersion() uint64 {
 func (e *Engine) Rollout() RolloutInfo {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	info := RolloutInfo{
-		Active:      e.version,
-		SetVersion:  e.lastSet,
-		Redirectors: len(e.registered),
-		Evicted:     len(e.evicted),
-		Rollouts:    e.rollouts,
-	}
+	info := RolloutInfo{Active: e.version, SetVersion: e.lastSet, Rollouts: e.rollouts}
 	if e.staged != nil {
 		info.Staged = e.staged.state.version
 		info.GateEpoch = e.staged.gateEpoch
-		info.Crossed = len(e.staged.crossed)
 	}
 	return info
 }
@@ -541,7 +494,16 @@ func (e *Engine) Rollout() RolloutInfo {
 // racing a rebuild stores its plan in the cache generation that matches the
 // scheduler it solved with.
 type schedState struct {
-	version   Version
+	version Version
+	// setVersion is the agreement-set version the generation was built from
+	// (0: the boot configuration) — what window records carry, so equal
+	// sets compare equal across engines.
+	setVersion uint64
+	// lease is the dedicated per-window credit of the set's leases, in
+	// requests/window: holder×owner cells flattened as [holder*n+owner] in
+	// Community mode, one total per holder in Provider mode. Nil while no
+	// lease is active.
+	lease     []float64
 	access    *agreement.Access
 	community *sched.Community
 	provider  *sched.Provider
@@ -565,18 +527,17 @@ func (e *Engine) snapshot() schedState {
 	return e.cur
 }
 
-// stateFor resolves the generation redirector id's next window schedules
-// against. epoch is the redirector's current combining-tree epoch (the max
-// of local and global-broadcast epochs) and known the newest agreement-set
-// version it has seen from the tree. On the steady-state hot path — no
-// rollout in flight — this is one atomic load on top of the plain snapshot.
-// During a rollout, a redirector whose epoch and known version have both
-// reached the staged gate swaps to the staged generation (and the generation
-// is promoted once all redirectors have); one past the gate epoch that has
-// NOT learned of the new set is stale, and the second result tells it to
-// fall back to the conservative claim rather than enforce superseded
+// stateFor resolves the generation the redirector's next window schedules
+// against. epoch is its current combining-tree epoch (the max of local and
+// global-broadcast epochs) and known the newest agreement-set version it has
+// seen from the tree. On the steady-state hot path — no rollout in flight —
+// this is one atomic load on top of the plain snapshot. During a rollout, a
+// redirector whose epoch and known version have both reached the staged gate
+// promotes the staged generation; one past the gate epoch that has NOT
+// learned of the new set is stale, and the second result tells it to fall
+// back to the conservative claim rather than enforce superseded
 // entitlements.
-func (e *Engine) stateFor(id, epoch int, known uint64) (schedState, bool) {
+func (e *Engine) stateFor(epoch int, known uint64) (schedState, bool) {
 	if e.rolloutGate.Load() == 0 {
 		return e.snapshot(), false
 	}
@@ -589,78 +550,18 @@ func (e *Engine) stateFor(id, epoch int, known uint64) (schedState, bool) {
 	if epoch < sg.gateEpoch {
 		return e.cur, false // rollout not due yet at this admission point
 	}
-	if known < sg.setVersion {
+	if known < sg.state.setVersion {
 		return e.cur, true // past the gate without the set: conservative
-	}
-	sg.crossed[id] = true
-	// Liveness valve: a caller this far past the gate proves the fleet kept
-	// ticking; quorum members that still have not crossed are presumed dead
-	// and evicted so the rollout can commit (see Config.RolloutGraceEpochs).
-	if g := e.cfg.RolloutGraceEpochs; g > 0 && epoch >= sg.gateEpoch+g {
-		for rid := range e.registered {
-			if !sg.crossed[rid] && !e.evicted[rid] {
-				e.evicted[rid] = true
-			}
-		}
-	}
-	if e.maybePromoteLocked() {
-		return e.cur, false
-	}
-	return sg.state, false
-}
-
-// quorumLocked counts the admission points promotion waits on: registered
-// and not evicted. Callers hold e.mu.
-func (e *Engine) quorumLocked() int {
-	q := 0
-	for id := range e.registered {
-		if !e.evicted[id] {
-			q++
-		}
-	}
-	return q
-}
-
-// maybePromoteLocked promotes the staged generation when every quorum
-// member has crossed (or the quorum is empty), reporting whether a
-// promotion happened. Callers hold e.mu.
-func (e *Engine) maybePromoteLocked() bool {
-	sg := e.staged
-	if sg == nil {
-		return false
-	}
-	for id := range e.registered {
-		if !e.evicted[id] && !sg.crossed[id] {
-			return false
-		}
 	}
 	e.rollouts++
 	e.commitLocked(e.flows, sg.state)
-	return true
-}
-
-// EvictRedirector removes a registered admission point from the rollout
-// promotion quorum — the liveness valve failure detection pulls when a
-// redirector misses consecutive epochs. If a rollout is in flight and the
-// evicted member was the last holdout, the staged generation commits
-// immediately. A later NewRedirector with the same id (the process
-// restarting) re-admits it: until its rejoin delivers the current set it
-// simply runs the laggard conservative-fallback path. Evicting an unknown
-// id is a no-op.
-func (e *Engine) EvictRedirector(id int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.registered[id] || e.evicted[id] {
-		return
-	}
-	e.evicted[id] = true
-	e.maybePromoteLocked()
+	return e.cur, false
 }
 
 // communityPlan copies the window plan for the global queue vector n into
-// dst (nil: only warm the cache), serving it from the generation's shared
-// plan cache: the R redirectors holding the same quantized aggregate trigger
-// one LP solve per window instead of R. It reports whether the plan was
+// dst (nil: only warm the cache), serving it from the generation's plan
+// cache: an aggregate that has not moved (to the cache quantum) since an
+// earlier window reuses that window's solve. It reports whether the plan was
 // already cached (trace records expose it per window).
 func (e *Engine) communityPlan(st schedState, n []float64, dst *sched.Plan) (bool, error) {
 	return st.plans.Do(n, dst, func(plan *sched.Plan) error {
@@ -679,7 +580,7 @@ func (e *Engine) providerPlan(st schedState, n []float64, dst *sched.ProviderPla
 	})
 }
 
-// Stats exposes the engine's shared fast-path telemetry: plan-cache hit and
+// Stats exposes the engine's fast-path telemetry: plan-cache hit and
 // miss counts, LP solve count and latency, and mandatory-floor fallbacks.
 func (e *Engine) Stats() *metrics.SolverStats { return e.stats }
 
@@ -736,75 +637,43 @@ func (e *Engine) Access() *agreement.Access {
 	return e.cur.access
 }
 
-// SetLeaseCredits installs the lease-credit snapshot redirectors deposit on
-// top of the LP plan each window. matrix[holder][owner] and total[holder]
-// are dedicated rates in requests/second (scaled to the window here);
-// Community deposits from the matrix, Provider from the totals. Passing nil
-// for both clears all lease credit. The snapshot swaps atomically — a
-// window in flight finishes on the credits it read — and deliberately does
-// NOT bump the scheduling generation: the entitlement side of a lease (the
-// owner's capacity set-aside) rides the versioned mutator path, while the
-// credit side is plain per-window data.
-func (e *Engine) SetLeaseCredits(matrix [][]float64, total []float64) error {
-	if matrix == nil && total == nil {
-		e.leases.Store(nil)
+// leaseCredits lays a set's (validated) leases out as a generation's
+// per-window lease credit (see schedState.lease): nil without a lease, so
+// the common lease-free set allocates nothing.
+func (e *Engine) leaseCredits(leases []agreement.SetLease) []float64 {
+	if len(leases) == 0 {
 		return nil
 	}
-	lc := &leaseCredits{}
-	if matrix != nil {
-		if len(matrix) != e.n {
-			return fmt.Errorf("%w: lease matrix has %d holders, want %d", ErrConfig, len(matrix), e.n)
-		}
-		lc.matrix = make([][]float64, e.n)
-		for h := range matrix {
-			if len(matrix[h]) != e.n {
-				return fmt.Errorf("%w: lease matrix row %d has %d owners, want %d",
-					ErrConfig, h, len(matrix[h]), e.n)
-			}
-			lc.matrix[h] = make([]float64, e.n)
-			for o, v := range matrix[h] {
-				if v < 0 {
-					return fmt.Errorf("%w: negative lease rate %v", ErrConfig, v)
-				}
-				lc.matrix[h][o] = v * e.windowS
-			}
-		}
+	size := e.n
+	if e.cfg.Mode == Community {
+		size *= e.n
 	}
-	if total != nil {
-		if len(total) != e.n {
-			return fmt.Errorf("%w: lease totals have %d holders, want %d", ErrConfig, len(total), e.n)
+	lc := make([]float64, size)
+	for _, l := range leases {
+		cell := int(l.Holder)
+		if e.cfg.Mode == Community {
+			cell = cell*e.n + int(l.Owner)
 		}
-		lc.total = make([]float64, e.n)
-		for h, v := range total {
-			if v < 0 {
-				return fmt.Errorf("%w: negative lease rate %v", ErrConfig, v)
-			}
-			lc.total[h] = v * e.windowS
-		}
+		lc[cell] += l.Rate * e.windowS
 	}
-	e.leases.Store(lc)
-	return nil
+	return lc
 }
 
-// LeaseCredits reports the currently installed lease-credit rates in
-// requests/second (summed over owners per holder), or nil when none are set.
+// LeaseCredits reports the active generation's lease-credit rates in
+// requests/second (summed over owners per holder), or nil when no lease is
+// active.
 func (e *Engine) LeaseCredits() []float64 {
-	lc := e.leases.Load()
+	lc := e.snapshot().lease
 	if lc == nil {
 		return nil
 	}
 	out := make([]float64, e.n)
-	switch {
-	case lc.matrix != nil:
-		for h := range lc.matrix {
-			for _, v := range lc.matrix[h] {
-				out[h] += v / e.windowS
-			}
+	for cell, v := range lc {
+		h := cell
+		if e.cfg.Mode == Community {
+			h = cell / e.n
 		}
-	case lc.total != nil:
-		for h, v := range lc.total {
-			out[h] = v / e.windowS
-		}
+		out[h] += v / e.windowS
 	}
 	return out
 }

@@ -7,17 +7,12 @@ import (
 )
 
 // TestSharedPlanCacheCollapsesSolves is the engine-level fast-path contract:
-// R redirectors holding the same global aggregate cost one LP solve per
-// window, not R.
+// a redirector holding the same global aggregate window after window costs
+// one LP solve, not one per window — on each of R engines alike.
 func TestSharedPlanCacheCollapsesSolves(t *testing.T) {
-	const R = 4
-	e, _, _ := communityEngine(t, R)
-	reds := make([]*Redirector, R)
-	for i := range reds {
-		reds[i] = e.NewRedirector(i)
-	}
+	const R, windows = 4, 10
+	engs, reds, _, _ := fleet(t, R)
 	global := []float64{80, 40}
-	const windows = 10
 	now := time.Duration(0)
 	for w := 0; w < windows; w++ {
 		for _, r := range reds {
@@ -28,17 +23,16 @@ func TestSharedPlanCacheCollapsesSolves(t *testing.T) {
 		}
 		now += 100 * time.Millisecond
 	}
-	st := e.Stats()
-	// All R redirectors share the identical vector every window: one miss in
-	// window 1, hits everywhere else.
-	if st.CacheMisses() != 1 {
-		t.Fatalf("misses = %d, want 1 (%v)", st.CacheMisses(), st)
-	}
-	if want := int64(R*windows - 1); st.CacheHits() != want {
-		t.Fatalf("hits = %d, want %d (%v)", st.CacheHits(), want, st)
-	}
-	if st.Solves() != 1 {
-		t.Fatalf("solves = %d, want 1", st.Solves())
+	// The identical vector every window: one miss in window 1, hits
+	// everywhere else.
+	for _, e := range engs {
+		st := e.Stats()
+		if st.CacheMisses() != 1 || st.Solves() != 1 {
+			t.Fatalf("misses/solves = %d/%d, want 1/1 (%v)", st.CacheMisses(), st.Solves(), st)
+		}
+		if st.CacheHits() != windows-1 {
+			t.Fatalf("hits = %d, want %d (%v)", st.CacheHits(), windows-1, st)
+		}
 	}
 }
 
@@ -82,27 +76,27 @@ func TestCacheInvalidatedOnRebuild(t *testing.T) {
 	}
 }
 
+// TestProviderPlanCacheShared is the provider counterpart: a steady
+// aggregate costs the engine one solve over five windows.
 func TestProviderPlanCacheShared(t *testing.T) {
 	e, a, b := providerEngine(t, 2)
-	r1, r2 := e.NewRedirector(0), e.NewRedirector(1)
+	r := e.NewRedirector(0)
 	global := make([]float64, e.NumPrincipals())
 	global[a] = 60
 	global[b] = 30
 	for w := 0; w < 5; w++ {
 		now := time.Duration(w) * 100 * time.Millisecond
-		for _, r := range []*Redirector{r1, r2} {
-			r.SetGlobal(global, now)
-			if err := r.StartWindow(now); err != nil {
-				t.Fatal(err)
-			}
+		r.SetGlobal(global, now)
+		if err := r.StartWindow(now); err != nil {
+			t.Fatal(err)
 		}
 	}
 	st := e.Stats()
 	if st.Solves() != 1 || st.CacheMisses() != 1 {
 		t.Fatalf("solves/misses = %d/%d, want 1/1", st.Solves(), st.CacheMisses())
 	}
-	if st.CacheHits() != 9 {
-		t.Fatalf("hits = %d, want 9", st.CacheHits())
+	if st.CacheHits() != 4 {
+		t.Fatalf("hits = %d, want 4", st.CacheHits())
 	}
 }
 

@@ -4,9 +4,22 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/agreement"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b)) }
+
+// stageLeases commits set version v — the engine's agreements unchanged,
+// carrying leases — as a control plane's lease grant or revocation would.
+func stageLeases(t *testing.T, e *Engine, v uint64, leases ...agreement.SetLease) {
+	t.Helper()
+	set := e.System().Clone().Snapshot(v)
+	set.Leases = leases
+	if _, err := e.StageSet(set, 0); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestLeaseDepositProviderConservative pins the blind-window deposit: a
 // customer holding a lease gets its conservative mandatory share plus the
@@ -24,11 +37,8 @@ func TestLeaseDepositProviderConservative(t *testing.T) {
 		t.Fatalf("baseline credit for B = %v, want 13.8", base)
 	}
 
-	total := make([]float64, e.NumPrincipals())
-	total[b] = 100 // req/s → 10 req/window at 100ms
-	if err := e.SetLeaseCredits(nil, total); err != nil {
-		t.Fatal(err)
-	}
+	// 100 req/s → 10 req/window at 100ms.
+	stageLeases(t, e, 1, agreement.SetLease{Holder: b, Owner: e.ProviderPrincipal(), Rate: 100})
 	if err := r.StartWindow(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +50,8 @@ func TestLeaseDepositProviderConservative(t *testing.T) {
 		t.Fatalf("leased blind credit for B = %v, want %v", got, want)
 	}
 
-	// Clearing the snapshot removes the deposit from the next window.
-	if err := e.SetLeaseCredits(nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	// A set without the lease removes the deposit from the next window.
+	stageLeases(t, e, 2)
 	if err := r.StartWindow(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func TestLeaseDepositProviderConservative(t *testing.T) {
 }
 
 // TestLeaseDepositCommunityConservative is the Community-mode counterpart:
-// the deposit lands in the holder→owner credit cell named by the matrix.
+// the deposit lands in the holder→owner credit cell the lease names.
 func TestLeaseDepositCommunityConservative(t *testing.T) {
 	e, a, b := communityEngine(t, 1)
 	r := e.NewRedirector(0)
@@ -67,14 +75,8 @@ func TestLeaseDepositCommunityConservative(t *testing.T) {
 		t.Fatalf("baseline credit for A = %v, want 50", base)
 	}
 
-	matrix := make([][]float64, e.NumPrincipals())
-	for i := range matrix {
-		matrix[i] = make([]float64, e.NumPrincipals())
-	}
-	matrix[a][b] = 50 // A draws 50 req/s of leased credit on B's servers
-	if err := e.SetLeaseCredits(matrix, nil); err != nil {
-		t.Fatal(err)
-	}
+	// A draws 50 req/s of leased credit on B's servers.
+	stageLeases(t, e, 1, agreement.SetLease{Holder: a, Owner: b, Rate: 50})
 	if err := r.StartWindow(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +104,7 @@ func TestLeaseDepositCommunityConservative(t *testing.T) {
 func TestLeaseDepositScalesWithDemandFraction(t *testing.T) {
 	e, _, b := providerEngine(t, 1)
 	r := e.NewRedirector(0)
-	total := make([]float64, e.NumPrincipals())
-	total[b] = 100
-	if err := e.SetLeaseCredits(nil, total); err != nil {
-		t.Fatal(err)
-	}
+	stageLeases(t, e, 1, agreement.SetLease{Holder: b, Owner: e.ProviderPrincipal(), Rate: 100})
 	demand := make([]float64, e.NumPrincipals())
 	demand[b] = 20 // req/window
 	var withLease float64
@@ -133,21 +131,24 @@ func TestLeaseDepositScalesWithDemandFraction(t *testing.T) {
 	}
 }
 
-// TestSetLeaseCreditsValidates rejects malformed snapshots.
-func TestSetLeaseCreditsValidates(t *testing.T) {
-	e, _, _ := providerEngine(t, 1)
-	if err := e.SetLeaseCredits(nil, []float64{1}); err == nil {
-		t.Fatal("short totals accepted")
+// TestStageSetValidatesLeases rejects a set whose leases name an unknown
+// principal or carry a negative or non-finite rate, installing nothing.
+func TestStageSetValidatesLeases(t *testing.T) {
+	e, a, b := providerEngine(t, 1)
+	for _, bad := range []agreement.SetLease{
+		{Holder: 99, Owner: a, Rate: 1},
+		{Holder: b, Owner: -1, Rate: 1},
+		{Holder: b, Owner: a, Rate: -1},
+		{Holder: b, Owner: a, Rate: math.NaN()},
+		{Holder: b, Owner: a, Rate: math.Inf(1)},
+	} {
+		set := e.System().Clone().Snapshot(1)
+		set.Leases = []agreement.SetLease{bad}
+		if _, err := e.StageSet(set, 0); err == nil {
+			t.Fatalf("lease %+v accepted", bad)
+		}
 	}
-	if err := e.SetLeaseCredits(make([][]float64, 1), nil); err == nil {
-		t.Fatal("short matrix accepted")
-	}
-	bad := make([]float64, e.NumPrincipals())
-	bad[0] = -1
-	if err := e.SetLeaseCredits(nil, bad); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if e.LeaseCredits() != nil {
-		t.Fatal("failed SetLeaseCredits installed a snapshot")
+	if e.LeaseCredits() != nil || e.LastSetVersion() != 0 {
+		t.Fatalf("a refused set installed credit %v or version %d", e.LeaseCredits(), e.LastSetVersion())
 	}
 }

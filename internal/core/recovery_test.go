@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"repro/internal/agreement"
 )
 
 // runWindows drives the given redirectors through windows [from, to] with a
@@ -27,124 +25,48 @@ func runWindows(t *testing.T, reds []*Redirector, from, to int, known uint64) {
 	}
 }
 
-// TestEvictionUnblocksRollout is the satellite-1 regression: one of three
-// registered redirectors dies before ever calling SetRollout; promotion
-// must not stall forever. Failure detection evicts the dead member and the
-// set commits on the survivors alone.
-func TestEvictionUnblocksRollout(t *testing.T) {
-	e, a, b := communityEngine(t, 3)
-	reds := []*Redirector{e.NewRedirector(0), e.NewRedirector(1), e.NewRedirector(2)}
-	runWindows(t, reds, 1, 3, 0)
-
-	stageRenegotiation(t, e, a, b, 0.25, 0.25, 1, 5)
-	reds[2] = nil // redirector 2 crashes before the gate: no SetRollout ever
-
-	runWindows(t, reds, 4, 8, 1)
-	if info := e.Rollout(); info.Staged == 0 || info.Rollouts != 0 {
-		t.Fatalf("rollout promoted (or vanished) without full quorum: %+v", info)
-	}
-
-	// Failure detection notices the silent member and evicts it: the two
-	// survivors, both past the gate with the set, now form the whole quorum
-	// and the staged generation commits immediately.
-	e.EvictRedirector(2)
-	info := e.Rollout()
-	if info.Staged != 0 || info.Rollouts != 1 {
-		t.Fatalf("eviction did not unblock the rollout: %+v", info)
-	}
-	if info.Evicted != 1 || info.Redirectors != 3 {
-		t.Fatalf("eviction bookkeeping: %+v", info)
-	}
-	if mc := e.Access().MC[a]; mc != 40 {
-		t.Fatalf("post-commit MC_A = %v, want 40", mc)
-	}
-}
-
-// TestGraceValveEvictsLaggards pins the automatic liveness valve: with
-// RolloutGraceEpochs set, a quorum member that stays silent this many
-// epochs past the gate is evicted by the survivors' own window progress —
-// no explicit failure-detector call needed.
-func TestGraceValveEvictsLaggards(t *testing.T) {
-	s := agreement.New()
-	a := s.MustAddPrincipal("A", 320)
-	b := s.MustAddPrincipal("B", 320)
-	s.MustSetAgreement(b, a, 0.5, 0.5)
-	e, err := NewEngine(Config{
-		Mode:               Community,
-		System:             s,
-		Window:             100 * time.Millisecond,
-		NumRedirectors:     2,
-		RolloutGraceEpochs: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reds := []*Redirector{e.NewRedirector(0), e.NewRedirector(1)}
-	runWindows(t, reds, 1, 3, 0)
-	stageRenegotiation(t, e, a, b, 0.25, 0.25, 1, 5)
-	reds[1] = nil // dies without ever acknowledging
-
-	// Windows 5..7: past the gate but within grace — promotion holds.
-	runWindows(t, reds, 5, 7, 1)
-	if info := e.Rollout(); info.Staged == 0 {
-		t.Fatalf("promoted inside the grace window: %+v", info)
-	}
-	// Window 8 = gate+3: the valve opens, the laggard is evicted, the
-	// survivor's crossing commits the set.
-	runWindows(t, reds, 8, 8, 1)
-	info := e.Rollout()
-	if info.Staged != 0 || info.Rollouts != 1 || info.Evicted != 1 {
-		t.Fatalf("grace valve did not evict and promote: %+v", info)
-	}
+// TestNewRedirectorOneID pins one engine per admission point: the engine
+// accepts its redirector's id again — a restarted process re-registering —
+// and panics on a second, distinct id, so an engine cannot be shared.
+func TestNewRedirectorOneID(t *testing.T) {
+	e, _, _ := communityEngine(t, 2)
+	e.NewRedirector(3)
+	e.NewRedirector(3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second redirector id shared the engine")
+		}
+	}()
+	e.NewRedirector(4)
 }
 
 // TestReregistrationIdempotent pins restart identity semantics: a crashed
-// redirector re-registering under its old id neither inflates the quorum
-// nor stays evicted — it is re-admitted and must cross before the next
-// rollout promotes.
+// redirector re-registering under its old id gets fresh state on the same
+// engine. Restored but not yet caught up with a staged set, it runs the
+// conservative claim past the gate, and only its crossing with the set
+// promotes the rollout.
 func TestReregistrationIdempotent(t *testing.T) {
 	e, a, b := communityEngine(t, 2)
-	r0 := e.NewRedirector(0)
-	_ = e.NewRedirector(1)
-	if info := e.Rollout(); info.Redirectors != 2 {
-		t.Fatalf("registered %d, want 2", info.Redirectors)
-	}
-	e.EvictRedirector(1)
-	// The restarted process re-registers under id 1: same quorum size,
-	// eviction cleared.
-	r1 := e.NewRedirector(1)
-	info := e.Rollout()
-	if info.Redirectors != 2 || info.Evicted != 0 {
-		t.Fatalf("re-registration bookkeeping: %+v", info)
-	}
-
-	runWindows(t, []*Redirector{r0, r1}, 1, 3, 0)
+	runWindows(t, []*Redirector{e.NewRedirector(0)}, 1, 3, 0)
 	stageRenegotiation(t, e, a, b, 0.25, 0.25, 1, 5)
-	// Only r0 crosses: the re-admitted r1 (restored but not yet caught up,
-	// known=0) blocks promotion and runs the conservative claim, exactly
-	// the laggard fallback path.
+	r0 := e.NewRedirector(0) // the process restarts
 	global := []float64{80, 40}
 	now := 600 * time.Millisecond
 	r0.SetGlobal(global, now)
-	r0.SetRollout(6, 1)
+	r0.SetRollout(6, 0)
+	cons := r0.Conservative
 	if err := r0.StartWindow(now); err != nil {
 		t.Fatal(err)
 	}
-	r1.SetGlobal(global, now)
-	r1.SetRollout(6, 0)
-	cons := r1.Conservative
-	if err := r1.StartWindow(now); err != nil {
-		t.Fatal(err)
-	}
-	if r1.Conservative != cons+1 {
-		t.Fatal("re-admitted redirector did not fall back to the conservative claim")
+	if r0.Conservative != cons+1 {
+		t.Fatal("re-registered redirector did not fall back to the conservative claim")
 	}
 	if info := e.Rollout(); info.Staged == 0 || info.Rollouts != 0 {
-		t.Fatalf("promoted without the re-admitted member: %+v", info)
+		t.Fatalf("promoted before the redirector learned the set: %+v", info)
 	}
-	// The rejoin handshake delivers the set; r1 crosses and the rollout
-	// converges.
-	runWindows(t, []*Redirector{r0, r1}, 7, 7, 1)
+	// The rejoin handshake delivers the set; the redirector crosses and the
+	// rollout converges.
+	runWindows(t, []*Redirector{r0}, 7, 7, 1)
 	if info := e.Rollout(); info.Staged != 0 || info.Rollouts != 1 {
 		t.Fatalf("rollout did not converge after rejoin: %+v", info)
 	}

@@ -82,14 +82,11 @@ type Redirector struct {
 	Partial int
 }
 
-// NewRedirector stamps out admission state for one redirector node and
-// registers it with the engine's rollout gate: a staged configuration is
-// promoted only after every registered, non-evicted redirector has
-// crossed. Registration is idempotent per id — a restarted redirector
-// re-registering under its old identity does not inflate the quorum, and
-// any eviction recorded against the id is cleared (the fresh instance is
-// re-admitted through the laggard conservative-fallback path until it
-// learns the current set).
+// NewRedirector stamps out the admission state of the one redirector node
+// the engine serves; a staged configuration is promoted when it crosses the
+// rollout gate. It panics when the engine already serves a different id —
+// an engine is never shared between admission points — while a restarted
+// redirector re-registering under its old id gets fresh state.
 //
 // The redirector serves from the moment it exists: window 0, the span
 // before the first StartWindow, is a blind window holding exactly the
@@ -98,8 +95,11 @@ type Redirector struct {
 // scale.
 func (e *Engine) NewRedirector(id int) *Redirector {
 	e.mu.Lock()
-	e.registered[id] = true
-	delete(e.evicted, id)
+	if e.served && e.redID != id {
+		e.mu.Unlock()
+		panic(fmt.Sprintf("core: engine serves redirector %d, not %d: build one engine per redirector", e.redID, id))
+	}
+	e.served, e.redID = true, id
 	e.mu.Unlock()
 	r := &Redirector{
 		e:            e,
@@ -125,7 +125,7 @@ func (e *Engine) NewRedirector(id int) *Redirector {
 // credit after RestoreState — and records the grant for its trace.
 func (r *Redirector) armWindowZero() {
 	st := r.e.snapshot()
-	r.boot.ConfigVersion = uint64(st.version)
+	r.boot.ConfigVersion = st.setVersion
 	r.conservativeCredits(st, r.boot)
 	r.recordCells(r.boot)
 	if r.obsv != nil {
@@ -308,10 +308,10 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 		r.admittedP[i] = 0
 	}
 
-	st, lagging := r.e.stateFor(r.id, r.rolloutEpoch, r.rolloutKnown)
+	st, lagging := r.e.stateFor(r.rolloutEpoch, r.rolloutKnown)
 	rec := r.openWindowRecord(now)
 	if rec != nil {
-		rec.ConfigVersion = uint64(st.version)
+		rec.ConfigVersion = st.setVersion
 	}
 	// lagging marks a redirector past a rollout's gate epoch that has not
 	// received the new agreement set: its entitlements are superseded, so it
@@ -361,9 +361,8 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 
 	switch r.e.cfg.Mode {
 	case Community:
-		// Plans come from the engine's shared cache: redirectors holding the
-		// same quantized aggregate share one LP solve per window, and each
-		// takes its own copy.
+		// Plans come from the engine's plan cache: an aggregate unchanged
+		// since an earlier window reuses its solve.
 		plan := &r.plan
 		hit, err := r.e.communityPlan(st, n, plan)
 		if rec != nil {
@@ -403,7 +402,7 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 				rec.Floor[i] = floor * frac
 				rec.Ceil[i] = (st.access.MC[i]+st.access.OC[i])*frac + carried
 			}
-			r.depositLeaseCommunity(rec, i, frac)
+			r.depositLeaseCommunity(st, rec, i, frac)
 		}
 		r.topUpCommunity(st, plan, rec)
 	case Provider:
@@ -447,7 +446,7 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 				rec.Floor[p] = floor * frac
 				rec.Ceil[p] += (st.access.MC[p] + st.access.OC[p]) * frac
 			}
-			r.depositLeaseProvider(rec, int(p), frac)
+			r.depositLeaseProvider(st, rec, int(p), frac)
 		}
 		r.topUpProvider(st, plan, rec)
 	}
@@ -726,7 +725,7 @@ func (r *Redirector) conservativeCommunity(st schedState, rec *obs.Record, i int
 		rec.Granted[i], rec.Floor[i] = g, g
 		rec.Ceil[i] = g + carried
 	}
-	r.depositLeaseCommunity(rec, i, share)
+	r.depositLeaseCommunity(st, rec, i, share)
 }
 
 // conservativeProvider claims customer p's conservative share in Provider
@@ -739,25 +738,26 @@ func (r *Redirector) conservativeProvider(st schedState, rec *obs.Record, p int,
 		rec.Granted[p], rec.Floor[p] = g, g
 		rec.Ceil[p] = g + c
 	}
-	r.depositLeaseProvider(rec, p, share)
+	r.depositLeaseProvider(st, rec, p, share)
 }
 
-// depositLeaseCommunity adds principal i's lease credit for this window on
-// top of the LP-planned Community credits. scale is this redirector's share
-// of the holder's global demand (frac on the fresh path, the conservative
-// 1/R on blind or stale windows), so the fleet-wide deposit sums to about
-// the leased rate. The deposit widens Granted and Ceil in the trace record —
-// admitting leased work is never an over-admission — but leaves Floor alone:
-// a holder is not obliged to draw its lease, and the under-floor audit must
-// not flag the idle case.
-func (r *Redirector) depositLeaseCommunity(rec *obs.Record, i int, scale float64) {
-	lc := r.e.leases.Load()
-	if lc == nil || lc.matrix == nil || scale <= 0 {
+// depositLeaseCommunity adds principal i's lease credit for this window, from
+// the generation the window schedules against, on top of the LP-planned
+// Community credits. scale is this redirector's share of the holder's global
+// demand (frac on the fresh path, the conservative 1/R on blind or stale
+// windows); every engine of the fleet holds the same leases, so the
+// fleet-wide deposit sums to about the leased rate. The deposit widens
+// Granted and Ceil in the trace record — admitting leased work is never an
+// over-admission — but leaves Floor alone: a holder is not obliged to draw
+// its lease, and the under-floor audit must not flag the idle case.
+func (r *Redirector) depositLeaseCommunity(st schedState, rec *obs.Record, i int, scale float64) {
+	if st.lease == nil || scale <= 0 {
 		return
 	}
+	row := st.lease[i*r.e.n : (i+1)*r.e.n]
 	d := 0.0
-	for k := 0; k < r.e.n; k++ {
-		v := lc.matrix[i][k] * scale
+	for k, l := range row {
+		v := l * scale
 		r.credits[i][k] += v
 		d += v
 	}
@@ -769,12 +769,11 @@ func (r *Redirector) depositLeaseCommunity(rec *obs.Record, i int, scale float64
 
 // depositLeaseProvider is depositLeaseCommunity for Provider mode: the
 // holder's leased total lands in its single credit bucket.
-func (r *Redirector) depositLeaseProvider(rec *obs.Record, p int, scale float64) {
-	lc := r.e.leases.Load()
-	if lc == nil || lc.total == nil || scale <= 0 {
+func (r *Redirector) depositLeaseProvider(st schedState, rec *obs.Record, p int, scale float64) {
+	if st.lease == nil || scale <= 0 {
 		return
 	}
-	v := lc.total[p] * scale
+	v := st.lease[p] * scale
 	if v <= 0 {
 		return
 	}
@@ -951,7 +950,7 @@ func (r *Redirector) AddWindowSample(arrivals, admitted []float64, admits, rejec
 	r.Rejected += rejects
 }
 
-// Presolve warms the engine's shared plan cache with the plan the next
+// Presolve warms the engine's plan cache with the plan the next
 // StartWindow will need, using the freshest global aggregate. Called off the
 // request path (on combining-tree broadcast arrival), it makes the window
 // boundary's solve a cache hit so the boundary never stalls on the LP. A

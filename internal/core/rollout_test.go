@@ -23,25 +23,38 @@ func stageRenegotiation(t *testing.T, e *Engine, a, b agreement.Principal, lb, u
 	}
 }
 
+// fleet builds n community redirectors, each on its own engine as every
+// node process runs one, returning the engines, the redirectors and the two
+// principals.
+func fleet(t *testing.T, n int) ([]*Engine, []*Redirector, agreement.Principal, agreement.Principal) {
+	t.Helper()
+	engs, reds := make([]*Engine, n), make([]*Redirector, n)
+	var a, b agreement.Principal
+	for i := range engs {
+		engs[i], a, b = communityEngine(t, n)
+		reds[i] = engs[i].NewRedirector(i)
+	}
+	return engs, reds, a, b
+}
+
 // TestEpochGatedSwapGolden pins the rollout contract at the swap boundary:
-// with a set staged behind gate epoch 8 and both redirectors learning the
-// version before the gate, every window runs a single agreement version
-// fleet-wide — the generation flips for both redirectors at exactly the
-// gate window, the auditor sees zero mixed-version windows, and no window
-// (including the boundary one) under-serves a mandatory floor.
+// with a set staged behind gate epoch 8 on both members' engines and both
+// redirectors learning the version before the gate, every window runs a
+// single agreement version fleet-wide — the set version flips for both
+// redirectors at exactly the gate window, the auditor sees zero
+// mixed-version windows, and no window (including the boundary one)
+// under-serves a mandatory floor.
 func TestEpochGatedSwapGolden(t *testing.T) {
 	const (
 		gate    = 8
 		windows = 12
 	)
-	e, a, b := communityEngine(t, 2)
-	auditor := obs.NewAuditor(e.PrincipalNames())
-	reds := make([]*Redirector, 2)
-	for i := range reds {
-		reds[i] = e.NewRedirector(i)
-		reds[i].SetObserver(e.NewObserver(i, auditor, windows+2))
+	engs, reds, a, b := fleet(t, 2)
+	auditor := obs.NewAuditor(engs[0].PrincipalNames())
+	for i, r := range reds {
+		r.SetObserver(engs[i].NewObserver(i, auditor, windows+2))
 	}
-	if mc := e.Access().MC[a]; mc != 48 {
+	if mc := engs[0].Access().MC[a]; mc != 48 {
 		t.Fatalf("initial MC_A = %v, want 48", mc)
 	}
 
@@ -71,9 +84,11 @@ func TestEpochGatedSwapGolden(t *testing.T) {
 			}
 		}
 		if w == 4 {
-			stageRenegotiation(t, e, a, b, 0.25, 0.25, 1, gate)
-			if info := e.Rollout(); info.Staged == 0 || info.GateEpoch != gate {
-				t.Fatalf("staging missing: %+v", info)
+			for _, e := range engs {
+				stageRenegotiation(t, e, a, b, 0.25, 0.25, 1, gate)
+				if info := e.Rollout(); info.Staged == 0 || info.GateEpoch != gate {
+					t.Fatalf("staging missing: %+v", info)
+				}
 			}
 		}
 		if w == 6 {
@@ -84,32 +99,26 @@ func TestEpochGatedSwapGolden(t *testing.T) {
 		}
 	}
 
-	if mc := e.Access().MC[a]; mc != 40 {
-		t.Fatalf("post-swap MC_A = %v, want 40", mc)
-	}
-	info := e.Rollout()
-	if info.Staged != 0 || info.Rollouts != 1 {
-		t.Fatalf("rollout did not converge: %+v", info)
+	for _, e := range engs {
+		if mc := e.Access().MC[a]; mc != 40 {
+			t.Fatalf("post-swap MC_A = %v, want 40", mc)
+		}
+		if info := e.Rollout(); info.Staged != 0 || info.Rollouts != 1 {
+			t.Fatalf("rollout did not converge: %+v", info)
+		}
 	}
 
-	// Golden version sequence: one generation per window, flip at the gate,
-	// identical across redirectors.
-	v0 := uint64(0)
+	// Golden version sequence: the boot configuration (set version 0) up to
+	// the gate, set 1 from the gate window on, identical across redirectors.
 	for id, r := range reds {
 		recs := r.obsv.Ring().Snapshot(windows + 2)
 		if len(recs) < windows {
 			t.Fatalf("redirector %d has %d records", id, len(recs))
 		}
 		for _, rec := range recs {
-			if rec.ConfigVersion == 0 {
-				t.Fatalf("redirector %d window %d has no config version", id, rec.Window)
-			}
-			if v0 == 0 {
-				v0 = recs[0].ConfigVersion // oldest record, pre-swap
-			}
-			want := v0
+			want := uint64(0)
 			if int(rec.Window) >= gate {
-				want = v0 + 1
+				want = 1
 			}
 			if rec.ConfigVersion != want {
 				t.Fatalf("redirector %d window %d ran version %d, want %d",
@@ -128,11 +137,11 @@ func TestEpochGatedSwapGolden(t *testing.T) {
 // TestLaggingRedirectorConservative pins the fallback: a redirector whose
 // epoch passes the gate without having received the staged version must not
 // run the old entitlements as if nothing happened — it falls back to the
-// conservative claim, and the rollout holds (no promotion) until every
-// registered redirector has crossed.
+// conservative claim, and its engine holds the rollout (no promotion) until
+// it crosses, while a peer that has the set promotes on its own.
 func TestLaggingRedirectorConservative(t *testing.T) {
-	e, a, b := communityEngine(t, 2)
-	r0, r1 := e.NewRedirector(0), e.NewRedirector(1)
+	engs, reds, a, b := fleet(t, 2)
+	r0, r1 := reds[0], reds[1]
 	global := []float64{80, 40}
 	for w := 1; w <= 3; w++ {
 		now := time.Duration(w) * 100 * time.Millisecond
@@ -144,7 +153,9 @@ func TestLaggingRedirectorConservative(t *testing.T) {
 			}
 		}
 	}
-	stageRenegotiation(t, e, a, b, 0.25, 0.25, 1, 5)
+	for _, e := range engs {
+		stageRenegotiation(t, e, a, b, 0.25, 0.25, 1, 5)
+	}
 
 	// Window 6 is past the gate. Redirector 0 has the set; redirector 1
 	// never received it.
@@ -164,11 +175,15 @@ func TestLaggingRedirectorConservative(t *testing.T) {
 		t.Fatalf("lagging redirector did not fall back to the conservative claim (%d → %d)",
 			consBefore, r1.Conservative)
 	}
-	if info := e.Rollout(); info.Staged == 0 || info.Rollouts != 0 {
+	if info := engs[0].Rollout(); info.Staged != 0 || info.Rollouts != 1 {
+		t.Fatalf("the redirector with the set did not promote: %+v", info)
+	}
+	if info := engs[1].Rollout(); info.Staged == 0 || info.Rollouts != 0 {
 		t.Fatalf("rollout promoted with a lagging redirector: %+v", info)
 	}
 
-	// The set arrives one window later: both cross, the generation commits.
+	// The set arrives one window later: the laggard crosses and its engine
+	// commits too.
 	now = 700 * time.Millisecond
 	for _, r := range []*Redirector{r0, r1} {
 		r.SetGlobal(global, now)
@@ -177,11 +192,13 @@ func TestLaggingRedirectorConservative(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if info := e.Rollout(); info.Staged != 0 || info.Rollouts != 1 {
-		t.Fatalf("rollout did not converge after the set arrived: %+v", info)
-	}
-	if mc := e.Access().MC[a]; mc != 40 {
-		t.Fatalf("post-swap MC_A = %v, want 40", mc)
+	for _, e := range engs {
+		if info := e.Rollout(); info.Staged != 0 || info.Rollouts != 1 {
+			t.Fatalf("rollout did not converge after the set arrived: %+v", info)
+		}
+		if mc := e.Access().MC[a]; mc != 40 {
+			t.Fatalf("post-swap MC_A = %v, want 40", mc)
+		}
 	}
 }
 
@@ -213,14 +230,13 @@ func TestStageSetIdempotent(t *testing.T) {
 
 // TestConcurrentRolloutRace hammers the rollout machinery from many
 // goroutines — windows starting, admissions flowing, sets staging,
-// capacities re-interpreting — and relies on -race to flag any unsynchronized
-// access. Run with: go test -race.
+// capacities re-interpreting, on every member's engine — and relies on -race
+// to flag any unsynchronized access. Run with: go test -race.
 func TestConcurrentRolloutRace(t *testing.T) {
-	e, a, b := communityEngine(t, 4)
+	engs, reds, a, b := fleet(t, 4)
 	const iters = 200
 	var wg sync.WaitGroup
-	for id := 0; id < 4; id++ {
-		r := e.NewRedirector(id)
+	for id, r := range reds {
 		wg.Add(1)
 		go func(id int, r *Redirector) {
 			defer wg.Done()
@@ -241,7 +257,7 @@ func TestConcurrentRolloutRace(t *testing.T) {
 	// The staging goroutine models the tree-delivery path: sets are built from
 	// a private base system (a ctrlplane.Plane's clone, or a decoded network
 	// payload) — never from the engine's live system, which mutators own.
-	base := e.System().Clone()
+	base := engs[0].System().Clone()
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
@@ -254,9 +270,11 @@ func TestConcurrentRolloutRace(t *testing.T) {
 			if err := clone.SetAgreement(b, a, lb, lb); err != nil {
 				continue
 			}
-			if _, err := e.StageSet(clone.Snapshot(uint64(i+1)), i*4); err != nil {
-				t.Error(err)
-				return
+			for _, e := range engs {
+				if _, err := e.StageSet(clone.Snapshot(uint64(i+1)), i*4); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
@@ -267,11 +285,52 @@ func TestConcurrentRolloutRace(t *testing.T) {
 			if i%2 == 1 {
 				caps = []float64{160, 160}
 			}
-			if _, err := e.UpdateCapacities(caps); err != nil {
-				t.Error(err)
-				return
+			for _, e := range engs {
+				if _, err := e.UpdateCapacities(caps); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
 	wg.Wait()
+}
+
+// TestWindowRecordsCompareSetVersions: window records carry the
+// agreement-set version the generation was built from, not the engine's own
+// generation count. A member restarted after two renegotiations restages
+// only the newest set (two generations) while its peer built three; both
+// enforce set 2, so their windows are not mixed. A member still on the boot
+// configuration is.
+func TestWindowRecordsCompareSetVersions(t *testing.T) {
+	peer, a, b := communityEngine(t, 3)
+	stageRenegotiation(t, peer, a, b, 0.25, 0.25, 1, 0)
+	stageRenegotiation(t, peer, a, b, 0.3, 0.3, 2, 0)
+	restarted, _, _ := communityEngine(t, 3)
+	stageRenegotiation(t, restarted, a, b, 0.3, 0.3, 2, 0)
+	boot, _, _ := communityEngine(t, 3)
+	if peer.Version() == restarted.Version() {
+		t.Fatalf("both engines at generation %d: the scenario needs them to differ", peer.Version())
+	}
+	aud := obs.NewAuditor(peer.PrincipalNames())
+	// runWindow schedules window 1 and commits its record by starting the
+	// next one.
+	runWindow := func(id int, e *Engine) {
+		r := e.NewRedirector(id)
+		r.SetObserver(e.NewObserver(id, aud, 4))
+		for w := 1; w <= 2; w++ {
+			if err := r.StartWindow(time.Duration(w) * 100 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runWindow(0, peer)
+	runWindow(1, restarted)
+	if got := aud.MixedVersion(); got != 0 {
+		t.Fatalf("set 2 on two engines counted %d mixed windows, want 0", got)
+	}
+	runWindow(2, boot)
+	if got := aud.MixedVersion(); got != 1 {
+		t.Fatalf("the boot configuration beside set 2 counted %d mixed windows, want 1", got)
+	}
 }

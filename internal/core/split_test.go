@@ -10,9 +10,10 @@ import (
 	"repro/internal/agreement"
 )
 
-// splitInstance is one generated window: a fleet of R redirectors over one
-// engine, each with its own carried credit and arrivals, and the global view
-// that is the sum of their estimates (the tree's aggregate without lag).
+// splitInstance is one generated window: a fleet of R redirectors, each on
+// its own engine over the same agreements (e is the first), each with its
+// own carried credit and arrivals, and the global view that is the sum of
+// their estimates (the tree's aggregate without lag).
 type splitInstance struct {
 	e    *Engine
 	reds []*Redirector
@@ -67,10 +68,6 @@ func genSplit(rng *rand.Rand, community, slack bool) (*splitInstance, error) {
 			cfg.Prices[p] = float64(rng.Intn(3))
 		}
 	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
 	total := 0.0
 	for _, c := range s.Capacities() {
 		total += c * 0.1
@@ -79,9 +76,17 @@ func genSplit(rng *rand.Rand, community, slack bool) (*splitInstance, error) {
 	if !slack {
 		scale = total * 4
 	}
-	in := &splitInstance{e: e}
+	in := &splitInstance{}
 	global := make([]float64, n)
 	for r := 0; r < R; r++ {
+		cfg.System = s.Clone()
+		e, err := NewEngine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if in.e == nil {
+			in.e = e
+		}
 		red := e.NewRedirector(r)
 		carried := make([][]float64, n)
 		for i := 0; i < n; i++ {

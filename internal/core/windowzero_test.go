@@ -26,11 +26,8 @@ func TestWindowZeroBlindGrant(t *testing.T) {
 	}
 
 	pe, pa, pb := providerEngine(t, 2)
-	total := make([]float64, pe.NumPrincipals())
-	total[pb] = 100 // 10 per window, 5 at the blind scale
-	if err := pe.SetLeaseCredits(nil, total); err != nil {
-		t.Fatal(err)
-	}
+	// 100 req/s: 10 per window, 5 at the blind scale.
+	stageLeases(t, pe, 1, agreement.SetLease{Holder: pb, Owner: pe.ProviderPrincipal(), Rate: 100})
 	pr := pe.NewRedirector(0)
 	if got := pr.CreditsRemaining(pa); !approx(got, 51.2/2) {
 		t.Fatalf("provider window 0 credit for A = %v, want 25.6", got)
@@ -121,7 +118,7 @@ func TestWindowZeroRecordCapsAdmission(t *testing.T) {
 		t.Fatalf("ring holds %d records after the first boundary, want window 0's", len(recs))
 	}
 	rec := recs[0]
-	if rec.Window != 0 || !rec.Conservative || rec.ConfigVersion != uint64(e.Version()) {
+	if rec.Window != 0 || !rec.Conservative || rec.ConfigVersion != e.LastSetVersion() {
 		t.Fatalf("window 0 record = (window %d, conservative %v, version %d)", rec.Window, rec.Conservative, rec.ConfigVersion)
 	}
 	for p, g := range []float64{48, 16} {

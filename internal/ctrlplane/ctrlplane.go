@@ -64,8 +64,8 @@ type Options struct {
 	SaveLeases func(t *budget.Table)
 	// ResumeLeases, when non-nil, is the newest durable lease table a
 	// restarted host recovered: New restores the ledger from it (id sequence
-	// included) and re-installs the active leases' credit on the engine, so
-	// leases survive a crash with at most one un-synced mutation lost.
+	// included), so leases survive a crash with at most one un-synced
+	// mutation lost. Their set-asides and credit ride the resumed set.
 	ResumeLeases *budget.Table
 }
 
@@ -128,11 +128,6 @@ func New(sys *agreement.System, eng *core.Engine, opt Options) (*Plane, error) {
 			// not enforced: the host starts without leases and says so.
 			p.log().Error("recovered lease table refused; starting without leases",
 				"version", opt.ResumeLeases.Version, "err", err)
-		} else {
-			// The resumed agreement set already carries the capacity
-			// set-asides; the credit side is engine-local state and must be
-			// re-installed.
-			p.pushLeaseCreditsLocked()
 		}
 	}
 	return p, nil
@@ -252,7 +247,7 @@ func (p *Plane) publishLocked(undo *agreement.Set, dirty []agreement.Principal) 
 		_, _ = p.sys.ApplySet(undo)
 		return p.version, err
 	}
-	set := p.sys.Snapshot(p.version + 1)
+	set := p.snapshotLocked(p.version + 1)
 	gate := 0
 	if p.opt.Epoch != nil {
 		gate = p.opt.Epoch() + p.lead
@@ -271,10 +266,20 @@ func (p *Plane) publishLocked(undo *agreement.Set, dirty []agreement.Principal) 
 	return p.version, nil
 }
 
-// Snapshot returns the current agreement set at the current version (for
-// introspection; the returned set is private to the caller).
+// Snapshot returns the current agreement set, leases included, at the
+// current version (for introspection; the returned set is private to the
+// caller).
 func (p *Plane) Snapshot() *agreement.Set {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.sys.Snapshot(p.version)
+	return p.snapshotLocked(p.version)
+}
+
+// snapshotLocked is the full agreement state as a set stamped version: the
+// validation clone's principals and agreements plus the active leases.
+// Callers hold p.mu.
+func (p *Plane) snapshotLocked(version uint64) *agreement.Set {
+	set := p.sys.Snapshot(version)
+	set.Leases = p.setLeasesLocked()
+	return set
 }

@@ -179,15 +179,23 @@ func TestPlaneJoinLeave(t *testing.T) {
 
 // TestPlaneConcurrentMutators hammers the control plane from every direction
 // at once — HTTP renegotiations, direct mutator calls, status reads, and
-// parallel per-redirector window scheduling with epoch-gated rollouts in
+// parallel window scheduling on the plane's engine and on a peer member's
+// engine the published sets are delivered to, with epoch-gated rollouts in
 // flight — and relies on -race to flag unsynchronized access (CI runs this
 // package with the race detector on).
 func TestPlaneConcurrentMutators(t *testing.T) {
 	sys, eng := testEngine(t)
+	_, peer := testEngine(t)
 	var epoch atomic.Int64
 	plane, err := New(sys, eng, Options{
 		Lead:  2,
 		Epoch: func() int { return int(epoch.Load()) },
+		// Every accepted set reaches the peer, as the tree delivers it.
+		Publish: func(set *agreement.Set, gate int) {
+			if _, err := peer.StageSet(set, gate); err != nil {
+				t.Error(err)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +205,8 @@ func TestPlaneConcurrentMutators(t *testing.T) {
 
 	const iters = 100
 	var wg sync.WaitGroup
-	for id := 0; id < 2; id++ {
-		r := eng.NewRedirector(id)
+	for id, e := range []*core.Engine{eng, peer} {
+		r := e.NewRedirector(id)
 		wg.Add(1)
 		go func(id int, r *core.Redirector) {
 			defer wg.Done()

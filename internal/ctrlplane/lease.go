@@ -1,24 +1,26 @@
 // Lease operations: /v1/leases rides the same versioned, epoch-gated
-// rollout machinery as agreement mutations. A grant sets the leased rate
-// aside out of the owner's effective capacity (published fleet-wide as the
-// next agreement-set version, so the window LP stops handing that capacity
-// to siblings) and installs the same rate as dedicated per-window credit for
-// the holder on the local engine. Revocation, expiry, and shrink reverse the
-// set-aside through the identical path, which is what bounds reclaim: the
-// restore set is gated Lead epochs ahead and swaps at the next window
-// boundary, so the capacity is back in the shared pool within
-// ReclaimBound() = Lead + 1 scheduling windows.
+// rollout machinery as agreement mutations. A grant publishes the next
+// agreement-set version with the leased rate set aside out of the owner's
+// effective capacity (so the window LP stops handing that capacity to
+// siblings) and the lease itself in the set's lease list, which every
+// engine that applies the set deposits as the holder's dedicated per-window
+// credit — set-aside and credit swap together at the gate, on every member.
+// Revocation, expiry, and shrink reverse both through the identical path,
+// which is what bounds reclaim: the restore set is gated Lead epochs ahead
+// and swaps at the next window boundary, so the capacity is back in the
+// shared pool within ReclaimBound() = Lead + 1 scheduling windows.
 package ctrlplane
 
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/budget"
 )
 
 // GrantLease opens a lease of rate req/s from owner's capacity to holder for
-// the given number of windows (0 = until revoked), publishes the owner's
-// lowered effective capacity, and installs the holder's dedicated credit.
+// the given number of windows (0 = until revoked) and publishes the owner's
+// lowered effective capacity with the holder's dedicated credit.
 func (p *Plane) GrantLease(owner, holder string, rate float64, windows int) (budget.Lease, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -159,9 +161,8 @@ func (p *Plane) nominalLocked(owner string) float64 {
 }
 
 // reapplyLeasesLocked recomputes owner's effective capacity from the ledger
-// (nominal − reserved), publishes it as the next versioned set, refreshes
-// the engine's lease-credit snapshot, and saves the durable lease table.
-// Callers hold p.mu.
+// (nominal − reserved), publishes it with the ledger's active leases as the
+// next versioned set, and saves the durable lease table. Callers hold p.mu.
 func (p *Plane) reapplyLeasesLocked(owner string) error {
 	pr, ok := p.sys.Lookup(owner)
 	if !ok {
@@ -180,45 +181,22 @@ func (p *Plane) reapplyLeasesLocked(owner string) error {
 	if reserved == 0 {
 		delete(p.nominal, owner) // fully restored; re-capture on next grant
 	}
-	p.pushLeaseCreditsLocked()
 	p.saveLeasesLocked()
 	return nil
 }
 
-// pushLeaseCreditsLocked installs the ledger's active leases as the local
-// engine's lease-credit snapshot. The credit deposit is engine-local: in a
-// multi-process deployment each control-plane host funds its own engine, and
-// holders behind other redirectors receive only the published capacity side.
-// Callers hold p.mu.
-func (p *Plane) pushLeaseCreditsLocked() {
-	if p.eng == nil {
-		return
-	}
-	n := p.sys.NumPrincipals()
-	var matrix [][]float64
-	var total []float64
+// setLeasesLocked lists the ledger's active leases for the next published
+// set (nil when none is active). Callers hold p.mu.
+func (p *Plane) setLeasesLocked() []agreement.SetLease {
+	var out []agreement.SetLease
 	for _, ls := range p.ledger.List() {
-		if ls.State != budget.LeaseActive {
-			continue
-		}
 		h, ok := p.sys.Lookup(ls.Holder)
 		o, ok2 := p.sys.Lookup(ls.Owner)
-		if !ok || !ok2 {
-			continue
+		if ls.State == budget.LeaseActive && ok && ok2 {
+			out = append(out, agreement.SetLease{Holder: h, Owner: o, Rate: ls.Rate})
 		}
-		if matrix == nil {
-			matrix = make([][]float64, n)
-			for i := range matrix {
-				matrix[i] = make([]float64, n)
-			}
-			total = make([]float64, n)
-		}
-		matrix[h][o] += ls.Rate
-		total[h] += ls.Rate
 	}
-	if err := p.eng.SetLeaseCredits(matrix, total); err != nil {
-		p.log().Warn("lease credit install failed", "err", err)
-	}
+	return out
 }
 
 // saveLeasesLocked advances the durable lease version and hands the snapshot

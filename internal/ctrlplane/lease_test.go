@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/agreement"
 	"repro/internal/budget"
 )
 
@@ -29,8 +30,12 @@ func TestLeaseGrantRevokeCapacity(t *testing.T) {
 	if got := eng.Capacities()[a]; got != nominal-100 {
 		t.Fatalf("capacity after grant = %v, want %v", got, nominal-100)
 	}
-	// The credit half landed on the engine: B holds 100 req/s of lease credit.
+	// The credit half rides the published set to the engine: B holds
+	// 100 req/s of lease credit.
 	b, _ := sys.Lookup("B")
+	if got := plane.Snapshot().Leases; len(got) != 1 || got[0] != (agreement.SetLease{Holder: b, Owner: a, Rate: 100}) {
+		t.Fatalf("published leases = %+v, want B's 100 req/s from A", got)
+	}
 	if rates := eng.LeaseCredits(); rates == nil || rates[b] != 100 {
 		t.Fatalf("engine lease credits = %v, want 100 for B", rates)
 	}
@@ -95,7 +100,8 @@ func TestLeaseExpiryReleasesCapacity(t *testing.T) {
 }
 
 // TestLeaseResume restores a ledger from a durable table: id numbering
-// continues and the active leases' credit is re-installed on the engine.
+// continues, and the resumed set carries the active leases' credit to the
+// engine.
 func TestLeaseResume(t *testing.T) {
 	sys, eng := testEngine(t)
 	plane, err := New(sys, eng, Options{})

@@ -46,17 +46,13 @@ func windowSweepRun(window time.Duration) (float64, error) {
 	a := s.MustAddPrincipal("A", 320)
 	b := s.MustAddPrincipal("B", 320)
 	s.MustSetAgreement(b, a, 0.5, 0.5)
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: 1,
-		Window:         window,
-	})
-	if err != nil {
-		return 0, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: 1,
+			Window:         window,
+		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{
 			{Owner: a, Capacity: 320, Count: 1},
@@ -103,18 +99,14 @@ func AblationConservativeFallback() (*Result, error) {
 		b := s.MustAddPrincipal("B", 0)
 		s.MustSetAgreement(sp, a, 0.8, 1)
 		s.MustSetAgreement(sp, b, 0.2, 1)
-		eng, cErr := core.NewEngine(core.Config{
-			Mode:                core.Provider,
-			System:              s,
-			ProviderPrincipal:   sp,
-			NumRedirectors:      3,
-			AggressiveWhenBlind: aggressive,
-		})
-		if cErr != nil {
-			return 0, 0, cErr
-		}
 		sm, cErr := sim.New(sim.Config{
-			Engine:      eng,
+			Engine: core.Config{
+				Mode:                core.Provider,
+				System:              s,
+				ProviderPrincipal:   sp,
+				NumRedirectors:      3,
+				AggressiveWhenBlind: aggressive,
+			},
 			Redirectors: 3, // 0 is the root; 1 and 2 are blind leaves
 			Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 320, Count: 1}},
 			TreeDelay:   10 * time.Second,

@@ -74,17 +74,13 @@ func runBudget() (*budgetOutcome, uint64, error) {
 	a2, _ := s.Lookup("A2")
 	b, _ := s.Lookup("B")
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    2,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    2,
+		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 80, Count: 2}},
 		Names:       []string{"S", "T1", "A1", "A2", "B", "C"},
@@ -103,7 +99,7 @@ func runBudget() (*budgetOutcome, uint64, error) {
 	batch := sm.NewClient(1, workload.Config{Principal: int(c), Rate: 40})
 
 	out := &budgetOutcome{sm: sm, reclaimBound: plane.ReclaimBound()}
-	window := eng.Window()
+	window := sm.Redirectors[0].Engine().Window()
 	bound := time.Duration(out.reclaimBound) * window
 
 	var leaseID budget.LeaseID
@@ -128,9 +124,10 @@ func runBudget() (*budgetOutcome, uint64, error) {
 		leaseID = ls.ID
 		batch.SetActive(true)
 	})
-	// One reclaim bound past the grant, the set-aside has rolled out.
+	// One reclaim bound past the grant, the set-aside has rolled out to the
+	// member that serves C, away from the control-plane host.
 	sm.At(40*time.Second+bound+window/2, func() {
-		out.capAfterGrant = eng.Capacities()[sp]
+		out.capAfterGrant = sm.Redirectors[1].Engine().Capacities()[sp]
 	})
 	sm.At(40*time.Second+2*settle, func() {
 		out.leasedMarkA1 = sm.Auditor.UnderMC(int(a1))
@@ -150,7 +147,7 @@ func runBudget() (*budgetOutcome, uint64, error) {
 		}
 	})
 	sm.At(80*time.Second+bound+window/2, func() {
-		out.capAfterRevoke = eng.Capacities()[sp]
+		out.capAfterRevoke = sm.Redirectors[1].Engine().Capacities()[sp]
 	})
 	sm.At(80*time.Second+2*settle, func() {
 		out.reclaimedMarkA1 = sm.Auditor.UnderMC(int(a1))

@@ -34,17 +34,13 @@ func ExtChaos() (*Result, error) {
 	s.MustSetAgreement(sp, a, 0.8, 1)
 	s.MustSetAgreement(sp, b, 0.2, 1)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    2,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    2,
+		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 200, Count: 2}},
 		Names:       []string{"S", "A", "B"},

@@ -30,16 +30,12 @@ func ExtReselling() (*Result, error) {
 	s.MustSetAgreement(m, x, 0.4, 0.6)
 	s.MustSetAgreement(m, y, 0.4, 0.6)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: 1,
+		},
 		Redirectors: 1,
 		Servers:     []sim.ServerSpec{{Owner: asp, Capacity: 400, Count: 1}},
 		Names:       []string{"S", "M", "X", "Y"},
@@ -101,16 +97,12 @@ func ExtDynamicCapacity() (*Result, error) {
 	b := s.MustAddPrincipal("B", 320)
 	s.MustSetAgreement(b, a, 0.5, 0.5)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: 1,
+		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{
 			{Owner: a, Capacity: 320, Count: 1},
@@ -129,7 +121,7 @@ func ExtDynamicCapacity() (*Result, error) {
 
 	sm.At(60*time.Second, func() {
 		sm.Servers[b][0].SetCapacity(160)
-		if _, err := eng.UpdateCapacities([]float64{320, 160}); err != nil {
+		if _, err := sm.UpdateCapacities([]float64{320, 160}); err != nil {
 			panic(err)
 		}
 	})
@@ -170,17 +162,13 @@ func ExtFailover() (*Result, error) {
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.7, 1)
 	s.MustSetAgreement(sp, b, 0.3, 1)
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    3,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:         eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    3,
+		},
 		Redirectors:    3,
 		Servers:        []sim.ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
 		Names:          []string{"S", "A", "B"},
@@ -241,12 +229,8 @@ func ExtLocality() (*Result, error) {
 		if withCap {
 			cfg.LocalityCaps = []float64{math.Inf(1), 280}
 		}
-		eng, err := core.NewEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
 		sm, err := sim.New(sim.Config{
-			Engine:      eng,
+			Engine:      cfg,
 			Redirectors: 1,
 			Servers: []sim.ServerSpec{
 				{Owner: a, Capacity: 320, Count: 1},

@@ -42,17 +42,13 @@ func runHier() (*hierOutcome, uint64, error) {
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.7, 1)
 	s.MustSetAgreement(sp, b, 0.3, 1)
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    6,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    6,
+		},
 		Redirectors: 6,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
 		Topology: &topology.Spec{

@@ -20,16 +20,12 @@ func Fig9() (*Result, error) {
 	b := s.MustAddPrincipal("B", 320)
 	s.MustSetAgreement(b, a, 0.5, 0.5)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: 1,
+		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{
 			{Owner: a, Capacity: 320, Count: 1},
@@ -94,18 +90,14 @@ func Fig10() (*Result, error) {
 	s.MustSetAgreement(sp, a, 0.8, 1)
 	s.MustSetAgreement(sp, b, 0.2, 1)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    1,
-		Prices:            map[agreement.Principal]float64{a: 2, b: 1},
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    1,
+			Prices:            map[agreement.Principal]float64{a: 2, b: 1},
+		},
 		Redirectors: 1,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 320, Count: 2}},
 		Names:       []string{"S", "A", "B"},

@@ -26,17 +26,13 @@ func Fig6() (*Result, error) {
 	s.MustSetAgreement(sp, a, 0.2, 1)
 	s.MustSetAgreement(sp, b, 0.8, 1)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    2,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    2,
+		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 320, Count: 1}},
 		Names:       []string{"S", "A", "B"},
@@ -94,16 +90,12 @@ func Fig7() (*Result, error) {
 	s.MustSetAgreement(sp, a, 0.2, 1)
 	s.MustSetAgreement(sp, b, 0.2, 1)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: 2,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: 2,
+		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 250, Count: 1}},
 		Names:       []string{"S", "A", "B"},
@@ -150,17 +142,13 @@ func Fig8() (*Result, error) {
 	s.MustSetAgreement(sp, a, 0.8, 1)
 	s.MustSetAgreement(sp, b, 0.2, 1)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    2,
-	})
-	if err != nil {
-		return nil, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    2,
+		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 320, Count: 1}},
 		TreeDelay:   10 * time.Second,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/agreement"
@@ -46,16 +47,12 @@ func runReconfig() (*reconfigOutcome, uint64, error) {
 	b := s.MustAddPrincipal("B", 320)
 	s.MustSetAgreement(b, a, 0.5, 0.5)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: 2,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: 2,
+		},
 		Redirectors: 2,
 		Servers: []sim.ServerSpec{
 			{Owner: a, Capacity: 160, Count: 2},
@@ -75,7 +72,7 @@ func runReconfig() (*reconfigOutcome, uint64, error) {
 	sm.NewClient(1, workload.Config{Principal: int(b), Rate: 600}).SetActive(true)
 
 	out := &reconfigOutcome{sm: sm}
-	window := eng.Window()
+	window := sm.Redirectors[0].Engine().Window()
 
 	// The renegotiation: B halves A's grant mid-run, over the same API an
 	// operator would hit (Plane.SetAgreement is what POST /v1/agreements
@@ -84,15 +81,13 @@ func runReconfig() (*reconfigOutcome, uint64, error) {
 		if _, err := plane.SetAgreement("B", "A", 0.25, 0.25); err != nil {
 			panic(fmt.Sprintf("ext-reconfig: renegotiation rejected: %v", err))
 		}
-		info := eng.Rollout()
-		out.gateEpoch = info.GateEpoch
+		out.gateEpoch = sm.Redirectors[0].Engine().Rollout().GateEpoch
 	})
-	// One window past the gate, the rollout must have converged: the staged
-	// generation promoted (Staged == 0) in exactly one epoch-gated swap.
+	// One window past the gate, the rollout must have converged: every
+	// member's engine promoted the staged generation (Staged == 0) in exactly
+	// one epoch-gated swap.
 	sm.At(60*time.Second+time.Duration(reconfigLead+1)*window+window/2, func() {
-		info := eng.Rollout()
-		out.stagedAfterGate = info.Staged
-		out.rollouts = info.Rollouts
+		out.stagedAfterGate, out.rollouts = fleetRollout(sm)
 		out.swapEpoch = sm.Redirectors[0].Tree().Epoch()
 	})
 
@@ -108,6 +103,18 @@ func runReconfig() (*reconfigOutcome, uint64, error) {
 	sm.Run(120 * time.Second)
 	out.planeVersion = plane.Version()
 	return out, sm.Digest(out.rollouts), nil
+}
+
+// fleetRollout folds the members' rollout state: the newest generation any
+// member's engine still stages (0 once all promoted) and the fewest
+// rollouts any of them completed.
+func fleetRollout(sm *sim.Sim) (staged core.Version, rollouts uint64) {
+	rollouts = math.MaxUint64
+	for _, rn := range sm.Redirectors {
+		info := rn.Engine().Rollout()
+		staged, rollouts = max(staged, info.Staged), min(rollouts, info.Rollouts)
+	}
+	return staged, rollouts
 }
 
 // ExtReconfig is the dynamic-reconfiguration experiment: a mid-run SLA

@@ -41,19 +41,17 @@ const (
 type soakOutcome struct {
 	sm *sim.Sim
 	// Version-monotonicity violations observed by the 500 ms sampling loop
-	// (engine set version and control-plane version must never move
-	// backwards, crashes and restarts included).
+	// (each member's set version and the control-plane version must never
+	// move backwards, crashes and restarts included).
 	monotoneViolations int
-	// evictedPeak is the largest evicted-quorum count sampled — both crashed
-	// members must pass through the eviction valve for the rollout to
-	// commit; evictedFinal must be zero again once both re-registered.
-	evictedPeak, evictedFinal int
-	rollouts                  uint64
-	staged                    core.Version
-	planeVersion              uint64
-	reconverged               bool // every tree holds the newest set at run end
-	preA, preB                int64
-	postA, postB              int64
+	// rollouts is the survivor's promotion count: it commits the staged set
+	// on its own crossing, whoever else is dead.
+	rollouts     uint64
+	planeVersion uint64
+	converged    bool // every engine enforces the newest set at run end
+	reconverged  bool // every tree holds the newest set at run end
+	preA, preB   int64
+	postA, postB int64
 }
 
 // runSoak executes one deterministic crash/recovery soak: the ext-reconfig
@@ -66,16 +64,12 @@ func runSoak() (*soakOutcome, uint64, error) {
 	b := s.MustAddPrincipal("B", 320)
 	s.MustSetAgreement(b, a, 0.5, 0.5)
 
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: 3,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
 	sm, err := sim.New(sim.Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: 3,
+		},
 		Redirectors: 3,
 		Servers: []sim.ServerSpec{
 			{Owner: a, Capacity: 160, Count: 2},
@@ -83,8 +77,8 @@ func runSoak() (*soakOutcome, uint64, error) {
 		},
 		Names:      []string{"A", "B"},
 		MaxBacklog: 200,
-		// Failure detection drives both the tree rebuilds and the rollout
-		// quorum evictions; 2 s is well clear of the (zero-delay) tree RTT.
+		// Failure detection drives the tree rebuilds; 2 s is well clear of
+		// the (zero-delay) tree RTT.
 		FailureTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -124,18 +118,22 @@ func runSoak() (*soakOutcome, uint64, error) {
 		}
 	})
 
-	// Sampling loop: the accepted set version and the control-plane version
-	// must be monotone through every crash, eviction, and restart.
-	var lastSet, lastPlane uint64
+	// Sampling loop: each member's accepted set version and the
+	// control-plane version must be monotone through every crash and restart.
+	lastSet := make([]uint64, len(sm.Redirectors))
+	var lastPlane uint64
 	for t := 500 * time.Millisecond; t < soakEnd; t += 500 * time.Millisecond {
 		sm.At(t, func() {
-			info := eng.Rollout()
-			if info.SetVersion < lastSet || plane.Version() < lastPlane {
+			if plane.Version() < lastPlane {
 				out.monotoneViolations++
 			}
-			lastSet, lastPlane = info.SetVersion, plane.Version()
-			if info.Evicted > out.evictedPeak {
-				out.evictedPeak = info.Evicted
+			lastPlane = plane.Version()
+			for i, rn := range sm.Redirectors {
+				if v := rn.Engine().LastSetVersion(); v < lastSet[i] {
+					out.monotoneViolations++
+				} else {
+					lastSet[i] = v
+				}
 			}
 		})
 	}
@@ -158,13 +156,14 @@ func runSoak() (*soakOutcome, uint64, error) {
 
 	sm.Run(soakEnd)
 
-	info := eng.Rollout()
-	out.rollouts, out.staged, out.evictedFinal = info.Rollouts, info.Staged, info.Evicted
+	out.rollouts = sm.Redirectors[1].Engine().Rollout().Rollouts
 	out.planeVersion = plane.Version()
-	out.reconverged = true
+	out.converged, out.reconverged = true, true
 	for _, rn := range sm.Redirectors {
-		cu := rn.Tree().Config()
-		if cu == nil || cu.Version != plane.Version() {
+		if info := rn.Engine().Rollout(); info.Staged != 0 || info.SetVersion != out.planeVersion {
+			out.converged = false
+		}
+		if cu := rn.Tree().Config(); cu == nil || cu.Version != out.planeVersion {
 			out.reconverged = false
 		}
 	}
@@ -177,9 +176,9 @@ func runSoak() (*soakOutcome, uint64, error) {
 // ExtSoak is the restart-safety soak: a mid-run renegotiation with the
 // leaf killed just before the new agreement set exists, the root killed
 // just after publishing it, and both processes later restarted from their
-// durable stores. The rollout must commit anyway — failure detection
-// evicts the silent members from the promotion quorum — and the restarted
-// nodes must rejoin the combining tree, recover their carried credit and
+// durable stores. The rollout must commit anyway — the survivor promotes on
+// its own crossing, waiting on no dead member — and the restarted nodes
+// must rejoin the combining tree, recover their carried credit and
 // demand estimates, learn the newest set through the rejoin handshake, and
 // re-enter enforcement without a single settled under-floor window, a
 // mixed-version window, or a version moving backwards. The whole run
@@ -190,7 +189,7 @@ func ExtSoak() (*Result, error) {
 		return nil, err
 	}
 	converged := 0.0
-	if first.staged == 0 && first.rollouts == 1 {
+	if first.converged {
 		converged = 1.0
 	}
 	reconverged := 0.0
@@ -210,8 +209,6 @@ func ExtSoak() (*Result, error) {
 			"version@plane":           float64(first.planeVersion),
 			"rollouts@plane":          float64(first.rollouts),
 			"converged@plane":         converged,
-			"evicted-peak@plane":      float64(first.evictedPeak),
-			"evicted-final@plane":     float64(first.evictedFinal),
 			"reconverged@fleet":       reconverged,
 			"monotone-violations@ver": float64(first.monotoneViolations),
 			"mixed-version@windows":   float64(sm.Auditor.MixedVersion()),
@@ -230,13 +227,11 @@ func ExtSoak() (*Result, error) {
 			{Phase: "recovered", Series: "A", Paper: 400},
 			{Phase: "recovered", Series: "B", Paper: 240},
 			{Phase: "plane", Series: "version", Paper: 1, AbsTol: 0.1},
-			// The staged set committed exactly once, despite two of three
-			// quorum members being dead: the eviction valve unblocked it.
+			// The survivor promoted the staged set exactly once with two of
+			// three members dead, and every engine, the restarted ones
+			// included, enforces the newest set at the end.
 			{Phase: "plane", Series: "rollouts", Paper: 1, AbsTol: 0.1},
 			{Phase: "plane", Series: "converged", Paper: 1, AbsTol: 0.1},
-			{Phase: "plane", Series: "evicted-peak", Paper: 2, AbsTol: 0.1},
-			// Both restarted processes re-registered and re-entered the quorum.
-			{Phase: "plane", Series: "evicted-final", Paper: 0, AbsTol: 0.1},
 			// Every tree node holds the newest set at run end.
 			{Phase: "fleet", Series: "reconverged", Paper: 1, AbsTol: 0.1},
 			// Versions never move backwards, crashes included.

@@ -205,13 +205,6 @@ func TestTwoRedirectorsCoordinateOverTree(t *testing.T) {
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.75, 1)
 	s.MustSetAgreement(sp, b, 0.25, 1)
-	eng, err := core.NewEngine(core.Config{
-		Mode: core.Provider, System: s, ProviderPrincipal: sp,
-		NumRedirectors: 2, Window: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bk, err := NewBackend("127.0.0.1:0", 240)
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +216,14 @@ func TestTwoRedirectorsCoordinateOverTree(t *testing.T) {
 		spec := &treenet.Spec{NodeID: combining.NodeID(id), Parent: combining.NodeID(parent)}
 		for _, c := range children {
 			spec.Children = append(spec.Children, combining.NodeID(c))
+		}
+		// Each redirector runs its own engine, as separate processes do.
+		eng, err := core.NewEngine(core.Config{
+			Mode: core.Provider, System: s.Clone(), ProviderPrincipal: sp,
+			NumRedirectors: 2, Window: 20 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		r, err := NewRedirector(Config{
 			Engine:   eng,

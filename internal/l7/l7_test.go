@@ -74,15 +74,19 @@ func l7Rig(t *testing.T, capacity float64, lbA, lbB float64, n int) (*Backend, [
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, lbA, 1)
 	s.MustSetAgreement(sp, b, lbB, 1)
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    n,
-		Window:            20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Each redirector runs its own engine, as separate processes do.
+	newEngine := func() *core.Engine {
+		eng, err := core.NewEngine(core.Config{
+			Mode:              core.Provider,
+			System:            s.Clone(),
+			ProviderPrincipal: sp,
+			NumRedirectors:    n,
+			Window:            20 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
 	backend, err := NewBackend("127.0.0.1:0", capacity*1.5)
 	if err != nil {
@@ -96,7 +100,7 @@ func l7Rig(t *testing.T, capacity float64, lbA, lbB float64, n int) (*Backend, [
 	var reds []*Redirector
 	if n == 1 {
 		r, err := NewRedirector(RedirectorConfig{
-			Engine: eng, ID: 0, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
+			Engine: newEngine(), ID: 0, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +115,7 @@ func l7Rig(t *testing.T, capacity float64, lbA, lbB float64, n int) (*Backend, [
 		topo := combining.BuildTree(ids, 2)
 		for i := 0; i < n; i++ {
 			r, err := NewRedirector(RedirectorConfig{
-				Engine: eng, ID: i, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
+				Engine: newEngine(), ID: i, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
 				Tree: &TreeConfig{
 					NodeID:   combining.NodeID(i),
 					Parent:   topo.Parent[combining.NodeID(i)],

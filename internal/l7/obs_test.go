@@ -28,16 +28,20 @@ func staleRig(t *testing.T, staleness, failureTimeout time.Duration) (root, chil
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.75, 1)
 	s.MustSetAgreement(sp, b, 0.25, 1)
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    2,
-		Window:            20 * time.Millisecond,
-		Staleness:         staleness,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Each redirector runs its own engine, as separate processes do.
+	newEngine := func() *core.Engine {
+		eng, err := core.NewEngine(core.Config{
+			Mode:              core.Provider,
+			System:            s.Clone(),
+			ProviderPrincipal: sp,
+			NumRedirectors:    2,
+			Window:            20 * time.Millisecond,
+			Staleness:         staleness,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
 	backend, err := NewBackend("127.0.0.1:0", 300)
 	if err != nil {
@@ -51,7 +55,7 @@ func staleRig(t *testing.T, staleness, failureTimeout time.Duration) (root, chil
 	for i := 0; i < 2; i++ {
 		// The flat tree 0 → 1 is the one-region plane over {0, 1}.
 		r, err := NewRedirector(RedirectorConfig{
-			Engine: eng, ID: i, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
+			Engine: newEngine(), ID: i, Addr: "127.0.0.1:0", Orgs: orgs, Backends: backends,
 			Tree: &TreeConfig{
 				NodeID:         combining.NodeID(i),
 				Topology:       &topology.Spec{Regions: []topology.Region{{Name: "flat", Members: []int{0, 1}}}},

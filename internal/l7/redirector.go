@@ -32,7 +32,7 @@ type TreeConfig = treenet.Spec
 // RedirectorConfig parameterizes a Layer-7 redirector.
 type RedirectorConfig struct {
 	Engine *core.Engine
-	// ID distinguishes redirectors of the same engine.
+	// ID is the redirector's identity: its combining-tree node id.
 	ID int
 	// Addr is the HTTP bind address (use "127.0.0.1:0" for tests).
 	Addr string

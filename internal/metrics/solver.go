@@ -8,10 +8,11 @@ import (
 
 // SolverStats aggregates scheduling fast-path telemetry: plan-cache hits and
 // misses, LP solve count and latency, and how often a scheduler had to drop
-// mandatory floors to keep a window feasible. One instance is shared by every
-// redirector of an engine, so all methods are safe for concurrent use, and a
-// nil *SolverStats is a valid no-op receiver (standalone schedulers need not
-// wire one up).
+// mandatory floors to keep a window feasible. One instance serves an engine
+// and every scheduling generation it builds, read by scrapes while windows
+// record into it, so all methods are safe for concurrent use, and a nil
+// *SolverStats is a valid no-op receiver (standalone schedulers need not wire
+// one up).
 type SolverStats struct {
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64

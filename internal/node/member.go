@@ -154,7 +154,7 @@ func (m *Member) recoverLocked() error {
 	}
 	if set != nil {
 		// Gate 0: a recovered set the fleet already converged on commits
-		// locally at the next window boundary, no quorum round needed.
+		// at once, before window 0 is armed.
 		if _, serr := eng.StageSet(set, 0); serr != nil {
 			eng.Logger().Error("restage recovered set", "version", set.Version, "err", serr)
 			set = nil
@@ -377,6 +377,9 @@ func (m *Member) persistWindowLocked(epoch int, known uint64, gate int) {
 		}
 	}
 }
+
+// Engine exposes the member's own enforcement engine.
+func (m *Member) Engine() *core.Engine { return m.cfg.Engine }
 
 // Admission exposes the sharded admission plane: front-ends admit on it
 // directly and read its counters; the window boundary is the member's.

@@ -46,9 +46,10 @@ import (
 type Config struct {
 	// Layer names the front-end ("l4", "l7") in error messages.
 	Layer string
-	// Engine is the shared enforcement engine; it must not be nil.
+	// Engine is the node's own enforcement engine (one per node); it must
+	// not be nil.
 	Engine *core.Engine
-	// ID distinguishes redirectors of the same engine.
+	// ID is the redirector's identity: its combining-tree node id.
 	ID int
 	// Backends maps owner principals to backend targets; the health plane
 	// probes them and re-interprets capacity per owner.

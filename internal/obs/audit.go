@@ -45,9 +45,10 @@ type Auditor struct {
 	// versionSlots detects mixed-version windows during configuration
 	// rollouts: slot w%128 holds window<<16 | version&0xffff for the newest
 	// window number observed in it. Two redirectors committing the same
-	// window number with different configuration versions bump mixedVersion
-	// — the epoch-gate invariant ("no window mixes old and new
-	// entitlements") as a scrapeable counter. Window 0 is each redirector's
+	// window number under different agreement-set versions bump
+	// mixedVersion — the epoch-gate invariant ("no window mixes old and new
+	// entitlements") as a scrapeable counter. Version 0 is the boot
+	// configuration, a version like any other. Window 0 is each redirector's
 	// own boot window, aligned with no other redirector's, so it is not
 	// compared and the zero slot never aliases a real observation.
 	versionSlots [versionSlotCount]atomic.Uint64
@@ -104,7 +105,7 @@ func (a *Auditor) Observe(rec *Record) {
 	if rec.Degraded {
 		a.degraded.Add(1)
 	}
-	if rec.ConfigVersion > 0 && rec.Window > 0 {
+	if rec.Window > 0 {
 		slot := &a.versionSlots[rec.Window%versionSlotCount]
 		packed := rec.Window<<16 | (rec.ConfigVersion & 0xffff)
 		for {
@@ -216,7 +217,7 @@ func (a *Auditor) Degraded() int64 {
 }
 
 // MixedVersion reports how many times two redirectors ran the same window
-// number against different configuration versions — zero whenever the
+// number against different agreement-set versions — zero whenever the
 // epoch-gated rollout swapped every admission point atomically at a window
 // boundary.
 func (a *Auditor) MixedVersion() int64 {

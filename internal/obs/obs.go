@@ -72,7 +72,7 @@ type Record struct {
 	// re-interpreted capacities (§2.2).
 	Degraded bool `json:"degraded"`
 
-	// CacheHit reports the window plan came from the engine's shared plan
+	// CacheHit reports the window plan came from the engine's plan
 	// cache; SolveNanos is the wall-clock latency of acquiring the plan
 	// (lookup or LP solve). SolveErr marks a window whose solve failed, so
 	// the previous window's credits stayed in force.
@@ -80,9 +80,11 @@ type Record struct {
 	SolveNanos int64 `json:"solve_ns"`
 	SolveErr   bool  `json:"solve_err"`
 
-	// ConfigVersion is the engine configuration generation (see
-	// core.Engine.Version) the window was scheduled against — the rollout
-	// audit trail for runtime renegotiations. 0 when unknown.
+	// ConfigVersion is the agreement-set version (see
+	// core.Engine.LastSetVersion) of the generation the window was scheduled
+	// against, 0 for the boot configuration — the rollout audit trail for
+	// runtime renegotiations. Engines enforcing the same set record the same
+	// version whatever their local generation counts.
 	ConfigVersion uint64 `json:"config_version"`
 
 	// Local is the EWMA demand estimate the window scheduled with; Global is

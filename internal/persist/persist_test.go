@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -183,6 +184,31 @@ func TestDuplicateRecordsNewestWins(t *testing.T) {
 	}
 	if set == nil || set.Version != 3 {
 		t.Fatalf("LoadNewestSet = %+v, want version 3", set)
+	}
+}
+
+// TestSetLeasesSurviveStore: a set's lease list is part of what the store
+// keeps, so a recovered member deposits the same lease credit.
+func TestSetLeasesSurviveStore(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	sys := agreement.New()
+	a := sys.MustAddPrincipal("A", 100)
+	b := sys.MustAddPrincipal("B", 60)
+	set := sys.Snapshot(2)
+	set.Leases = []agreement.SetLease{{Holder: b, Owner: a, Rate: 40}}
+	if err := s.SaveSet(set); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2 := openStore(t, dir)
+	defer s2.Close()
+	got, err := s2.LoadNewestSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, set) {
+		t.Fatalf("LoadNewestSet = %+v, want %+v", got, set)
 	}
 }
 

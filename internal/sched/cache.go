@@ -17,16 +17,16 @@ const DefaultQuantum = 1e-6
 
 // CacheCap is the number of plans a cache holds. A cache serves the windows
 // of one scheduling generation, and what those look up is small and recent:
-// a redirector process asks for two vectors a window (the broadcast-time
-// Presolve and the boundary, a demand estimate apart), the R = 6 redirectors
-// of the simulator for at most six. Sixteen covers both with room for a
-// window of lag, and keeps a lookup a scan of a few cache lines.
+// a redirector asks its engine for two vectors a window (the broadcast-time
+// Presolve and the boundary, a demand estimate apart). Sixteen covers that
+// with room for a window of lag, and keeps a lookup a scan of a few cache
+// lines.
 const CacheCap = 16
 
 // PlanCache memoizes window scheduling decisions, keyed by the quantized
-// global queue vector. The paper's design has every one of the R redirectors
-// solve the window LP over the *same* global aggregate; sharing one cache
-// turns those R identical solves into one solve plus R−1 lookups.
+// global queue vector. A redirector whose global aggregate has not moved
+// since an earlier window (still demand, or the broadcast-time Presolve
+// followed by the boundary) reuses that window's solve.
 //
 // The cache is a fixed ring of at most CacheCap entries, each owning its key
 // and its plan buffers, filled lazily and recycled by CLOCK: a hit marks its

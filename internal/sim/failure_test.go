@@ -21,17 +21,13 @@ func failureRig(t *testing.T) (*Sim, agreement.Principal, agreement.Principal) {
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.7, 1)
 	s.MustSetAgreement(sp, b, 0.3, 1)
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sm, err := New(Config{
-		Engine:         eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    3,
+		},
 		Redirectors:    3,
 		Servers:        []ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
 		FailureTimeout: 2 * time.Second,

@@ -14,15 +14,15 @@ import (
 
 // EnableCapacityReinterpretation arms the paper's §2.2 dynamic capacity
 // model for fault injection: when a server crashes (CrashServer), its
-// owner's effective capacity shrinks proportionally and the engine
-// recomputes every entitlement against the new level; a restore reverses
-// it. Every member's window trace flags the windows scheduled while a
-// server is down (obs.Record.Degraded). Call before Run. The returned
-// re-interpreter exposes degraded / recovered transition counters for
-// assertions.
+// owner's effective capacity shrinks proportionally and every live member's
+// engine recomputes its entitlements against the new level at the same
+// instant (UpdateCapacities); a restore reverses it. Every member's window
+// trace flags the windows scheduled while a server is down
+// (obs.Record.Degraded). Call before Run. The returned re-interpreter
+// exposes degraded / recovered transition counters for assertions.
 func (s *Sim) EnableCapacityReinterpretation() *health.Reinterpreter {
 	if s.reint == nil {
-		s.reint = health.NewReinterpreter(s.Engine, s.owners)
+		s.reint = health.NewReinterpreter(s, s.owners)
 		for _, rn := range s.Redirectors {
 			rn.Observer().SetHealthInfo(s.reint.Degraded)
 		}

@@ -22,17 +22,13 @@ func hierRig(t *testing.T) (*Sim, agreement.Principal, agreement.Principal) {
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.7, 1)
 	s.MustSetAgreement(sp, b, 0.3, 1)
-	eng, err := core.NewEngine(core.Config{
-		Mode:              core.Provider,
-		System:            s,
-		ProviderPrincipal: sp,
-		NumRedirectors:    6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sm, err := New(Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:              core.Provider,
+			System:            s,
+			ProviderPrincipal: sp,
+			NumRedirectors:    6,
+		},
 		Redirectors: 6,
 		Servers:     []ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
 		Topology: &topology.Spec{

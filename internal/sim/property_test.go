@@ -41,17 +41,13 @@ func TestRandomPhasedScenarioInvariants(t *testing.T) {
 		lbB := 0.9 - lbA
 		s.MustSetAgreement(sp, a, lbA, 1)
 		s.MustSetAgreement(sp, b, lbB, 1)
-		eng, err := core.NewEngine(core.Config{
-			Mode:              core.Provider,
-			System:            s,
-			ProviderPrincipal: sp,
-			NumRedirectors:    2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		sm, err := New(Config{
-			Engine:      eng,
+			Engine: core.Config{
+				Mode:              core.Provider,
+				System:            s,
+				ProviderPrincipal: sp,
+				NumRedirectors:    2,
+			},
 			Redirectors: 2,
 			Servers:     []ServerSpec{{Owner: sp, Capacity: s.Capacity(sp), Count: 1}},
 		})
@@ -128,14 +124,6 @@ func runRandomScenario(t *testing.T, rng *rand.Rand) {
 		}
 	}
 	redirectors := 1 + rng.Intn(3)
-	eng, err := core.NewEngine(core.Config{
-		Mode:           core.Community,
-		System:         s,
-		NumRedirectors: redirectors,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var servers []ServerSpec
 	for i := 0; i < n; i++ {
 		if c := s.Capacity(agreement.Principal(i)); c > 0 {
@@ -143,7 +131,11 @@ func runRandomScenario(t *testing.T, rng *rand.Rand) {
 		}
 	}
 	sm, err := New(Config{
-		Engine:      eng,
+		Engine: core.Config{
+			Mode:           core.Community,
+			System:         s,
+			NumRedirectors: redirectors,
+		},
 		Redirectors: redirectors,
 		Servers:     servers,
 	})

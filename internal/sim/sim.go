@@ -5,11 +5,12 @@
 // execute deterministically in milliseconds.
 //
 // Topology mirrors Figure 4: clients submit requests to redirectors; each
-// redirector is a node.Member — the core redirector, its admission plane,
-// the combining forest, the window boundary, durable recovery and the window
-// observer, exactly as l4 and l7 run them — with its tree messages carried
-// by simnet; admitted requests go to the least-loaded server of the owner
-// the scheduler chose; completions are recorded per principal per second.
+// redirector is a node.Member on its own core.Engine — the core redirector,
+// its admission plane, the combining forest, the window boundary, durable
+// recovery and the window observer, exactly as l4 and l7 run them — with its
+// tree messages carried by simnet; admitted requests go to the least-loaded
+// server of the owner the scheduler chose; completions are recorded per
+// principal per second.
 package sim
 
 import (
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/agreement"
@@ -49,7 +51,9 @@ type ServerSpec struct {
 
 // Config parameterizes a simulation.
 type Config struct {
-	Engine      *core.Engine
+	// Engine configures every member's engine: each boot builds a fresh one
+	// over a clone of Engine.System, as a node process does on exec.
+	Engine      core.Config
 	Redirectors int
 	Servers     []ServerSpec
 	// TreeDelay is the one-way message delay on every combining-tree link
@@ -83,7 +87,6 @@ type Config struct {
 // Sim is a running simulation.
 type Sim struct {
 	Clock    *vclock.Clock
-	Engine   *core.Engine
 	Net      *simnet.Network
 	Recorder *metrics.Recorder // completed requests per principal
 	Admit    *metrics.Recorder // admitted requests per principal
@@ -98,6 +101,8 @@ type Sim struct {
 	// trace (each member's observer folds into it).
 	Auditor *obs.Auditor
 
+	engine         core.Config
+	caps           []float64 // capacities set by UpdateCapacities, nil before
 	topo           combining.Topology
 	plane          *topology.Plane
 	failed         map[int]bool
@@ -134,8 +139,8 @@ type RNode struct {
 // New builds a simulation. The engine's window drives both scheduling and
 // tree epochs.
 func New(cfg Config) (*Sim, error) {
-	if cfg.Engine == nil {
-		return nil, fmt.Errorf("%w: nil engine", ErrConfig)
+	if cfg.Engine.System == nil {
+		return nil, fmt.Errorf("%w: nil agreement system", ErrConfig)
 	}
 	if cfg.Redirectors <= 0 {
 		return nil, fmt.Errorf("%w: need at least one redirector", ErrConfig)
@@ -146,7 +151,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.MaxBacklog <= 0 {
 		cfg.MaxBacklog = 5000
 	}
-	n := cfg.Engine.NumPrincipals()
+	n := cfg.Engine.System.NumPrincipals()
 	names := cfg.Names
 	if names == nil {
 		names = make([]string, n)
@@ -160,7 +165,7 @@ func New(cfg Config) (*Sim, error) {
 
 	s := &Sim{
 		Clock:          vclock.New(),
-		Engine:         cfg.Engine,
+		engine:         cfg.Engine,
 		Recorder:       metrics.NewRecorder(time.Second, names),
 		Admit:          metrics.NewRecorder(time.Second, names),
 		Latency:        make([]*obs.Histogram, n),
@@ -234,7 +239,7 @@ func New(cfg Config) (*Sim, error) {
 	// deliveries have drained, every live member starts its window, in
 	// redirector order. The simulator is serial on purpose: a replay that is
 	// deterministic by construction cannot depend on goroutine scheduling.
-	s.windowTicker = s.Clock.ScheduleEvery(cfg.Engine.Window(), func() {
+	s.windowTicker = s.Clock.ScheduleEvery(s.Redirectors[0].Engine().Window(), func() {
 		if s.failureTimeout > 0 {
 			s.detectFailures()
 		}
@@ -261,10 +266,20 @@ func (s *Sim) eachLive(fn func(*RNode)) {
 
 // boot starts redirector i's member from its durable store, or cold without
 // one, at its current placement in the plane — what a node process does on
-// exec: window 0's blind grant, recovery and the rejoin handshake included.
-// The member admits on one credit shard, so decisions do not depend on which
-// OS thread runs the simulation.
+// exec: a fresh engine from the configuration (at the capacities last set by
+// UpdateCapacities), window 0's blind grant, recovery and the rejoin
+// handshake included. The member admits on one credit shard, so decisions do
+// not depend on which OS thread runs the simulation.
 func (s *Sim) boot(i int) error {
+	ec := s.engine
+	ec.System = ec.System.Clone()
+	eng, err := core.NewEngine(ec)
+	if err == nil && s.caps != nil {
+		_, err = eng.UpdateCapacities(s.caps)
+	}
+	if err != nil {
+		return fmt.Errorf("sim: boot redirector %d: %w", i, err)
+	}
 	id := combining.NodeID(i)
 	send := func(int) combining.SendFunc {
 		return func(to combining.NodeID, msg combining.Message) {
@@ -273,7 +288,7 @@ func (s *Sim) boot(i int) error {
 		}
 	}
 	m, err := node.NewMember(
-		node.Config{Layer: "sim", Engine: s.Engine, ID: i, AdmissionShards: 1, Persist: s.stores[i]},
+		node.Config{Layer: "sim", Engine: eng, ID: i, AdmissionShards: 1, Persist: s.stores[i]},
 		&node.Placement{ID: id, Parent: s.topo.Parent[id], Children: s.topo.Children[id]},
 		send, s.Clock.Now, s.Auditor)
 	if err != nil {
@@ -407,11 +422,36 @@ func (s *Sim) detectFailures() {
 	}
 	s.plane = s.plane.Remove(combining.NodeID(suspect))
 	s.repair()
-	// Rollout liveness valve: a member the tree gave up on cannot
-	// acknowledge a staged set, so drop it from the promotion quorum (it is
-	// re-admitted by re-registering on restart).
-	s.Engine.EvictRedirector(suspect)
 	s.lastReconfig = now
+}
+
+// UpdateCapacities re-interprets the agreements against new capacities
+// (requests/second, indexed by principal) on every live member's engine at
+// the same instant, and members booted later start from them. It returns the
+// last member's new generation. With Capacities it makes the simulation the
+// engine a health.Reinterpreter drives.
+func (s *Sim) UpdateCapacities(caps []float64) (core.Version, error) {
+	var v core.Version
+	for i, rn := range s.Redirectors {
+		if s.failed[i] {
+			continue
+		}
+		var err error
+		if v, err = rn.Engine().UpdateCapacities(caps); err != nil {
+			return v, err
+		}
+	}
+	s.caps = slices.Clone(caps)
+	return v, nil
+}
+
+// Capacities returns the capacity vector the fleet boots with: the last
+// UpdateCapacities, or the configured system's.
+func (s *Sim) Capacities() []float64 {
+	if s.caps != nil {
+		return slices.Clone(s.caps)
+	}
+	return s.engine.System.Capacities()
 }
 
 // Submit implements workload.Sink: admit the request on the member's

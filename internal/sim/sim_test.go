@@ -15,7 +15,7 @@ import (
 	"repro/internal/workload"
 )
 
-func testEngine(t testing.TB, redirectors int) (*core.Engine, agreement.Principal, agreement.Principal, agreement.Principal) {
+func testEngine(t testing.TB, redirectors int) (core.Config, agreement.Principal, agreement.Principal, agreement.Principal) {
 	t.Helper()
 	s := agreement.New()
 	sp := s.MustAddPrincipal("S", 100)
@@ -23,14 +23,11 @@ func testEngine(t testing.TB, redirectors int) (*core.Engine, agreement.Principa
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.7, 1)
 	s.MustSetAgreement(sp, b, 0.3, 1)
-	eng, err := core.NewEngine(core.Config{
+	eng := core.Config{
 		Mode:              core.Provider,
 		System:            s,
 		ProviderPrincipal: sp,
 		NumRedirectors:    redirectors,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return eng, sp, a, b
 }
@@ -151,11 +148,8 @@ func TestSizeAwareScheduling(t *testing.T) {
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.5, 0.5)
 	s.MustSetAgreement(sp, b, 0.5, 0.5)
-	eng, err := core.NewEngine(core.Config{
+	eng := core.Config{
 		Mode: core.Provider, System: s, ProviderPrincipal: sp, NumRedirectors: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	sm, err := New(Config{
 		Engine:           eng,
@@ -196,10 +190,7 @@ func TestResponseTimesRecorded(t *testing.T) {
 	b := s.MustAddPrincipal("B", 0)
 	s.MustSetAgreement(sp, a, 0.2, 1)
 	s.MustSetAgreement(sp, b, 0.2, 1)
-	eng, err := core.NewEngine(core.Config{Mode: core.Community, System: s, NumRedirectors: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := core.Config{Mode: core.Community, System: s, NumRedirectors: 1}
 	sm, err := New(Config{
 		Engine:      eng,
 		Redirectors: 1,
@@ -318,10 +309,7 @@ func TestControlPlaneRacesParallelWindows(t *testing.T) {
 	a := s.MustAddPrincipal("A", 320)
 	b := s.MustAddPrincipal("B", 320)
 	s.MustSetAgreement(b, a, 0.5, 0.5)
-	eng, err := core.NewEngine(core.Config{Mode: core.Community, System: s, NumRedirectors: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := core.Config{Mode: core.Community, System: s, NumRedirectors: 4}
 	sm, err := New(Config{
 		Engine:      eng,
 		Redirectors: 4,
@@ -341,6 +329,7 @@ func TestControlPlaneRacesParallelWindows(t *testing.T) {
 	sm.NewClient(0, workload.Config{Principal: int(a), Rate: 400}).SetActive(true)
 	sm.NewClient(1, workload.Config{Principal: int(b), Rate: 400}).SetActive(true)
 
+	root := sm.Redirectors[0].Engine() // the control-plane host
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -353,7 +342,7 @@ func TestControlPlaneRacesParallelWindows(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := eng.UpdateSystem(); err != nil {
+			if _, err := root.UpdateSystem(); err != nil {
 				t.Error(err)
 				return
 			}

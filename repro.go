@@ -49,8 +49,8 @@ const (
 // EngineConfig parameterizes an enforcement engine.
 type EngineConfig = core.Config
 
-// Engine holds the folded agreement state shared by all redirectors of a
-// deployment.
+// Engine holds the folded agreement state of one redirector: every
+// admission point of a deployment runs its own.
 type Engine = core.Engine
 
 // Redirector is one admission point's enforcement state: window credits,
