@@ -24,9 +24,8 @@ func main() {
 
 	sm, err := sim.New(sim.Config{
 		Engine: repro.EngineConfig{
-			Mode:           repro.Community,
-			System:         sys,
-			NumRedirectors: 1,
+			Mode:   repro.Community,
+			System: sys,
 		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{

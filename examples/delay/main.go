@@ -29,7 +29,6 @@ func main() {
 			Mode:              repro.Provider,
 			System:            sys,
 			ProviderPrincipal: s,
-			NumRedirectors:    2,
 		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: s, Capacity: 320, Count: 1}},

@@ -266,8 +266,7 @@ func (s *System) String() string {
 // two principals share a component when a chain of agreements connects
 // them. Principals with no agreements form singleton components. Each
 // component's members are ascending; components are ordered by their
-// lowest member. The hierarchical aggregation plane gives each component
-// its own combining tree and epoch counter.
+// lowest member.
 func (s *System) Components() [][]Principal {
 	n := len(s.names)
 	parent := make([]int, n)

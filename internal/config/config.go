@@ -55,10 +55,6 @@ type TopologySpec struct {
 	Regions []TopologyRegion `json:"regions"`
 	// Fanout bounds children per interior node (default 2).
 	Fanout int `json:"fanout"`
-	// Sharding selects the principal-sharding policy: "none" (default,
-	// one tree over all principals) or "component" (one tree with an
-	// independent epoch per disjoint agreement component).
-	Sharding string `json:"sharding"`
 	// DeltaThreshold, when positive, enables delta compression of
 	// upstream queue vectors: a principal's entry is suppressed when none
 	// of its statistics moved by more than this since last sent.
@@ -79,8 +75,7 @@ func (t *TopologySpec) Spec() *topology.Spec {
 		return nil
 	}
 	s := topology.Spec{
-		Fanout:   t.Fanout,
-		Sharding: t.Sharding,
+		Fanout: t.Fanout,
 		Delta: topology.DeltaSpec{
 			Threshold:   t.DeltaThreshold,
 			ResyncEvery: t.DeltaResyncEvery,

@@ -256,7 +256,6 @@ const treeHier = `{
         {"name": "west", "members": [1]}
       ],
       "fanout": 2,
-      "sharding": "component",
       "delta_threshold": 0.5,
       "delta_resync_every": 8,
       "failure_timeout_ms": 1500
@@ -317,7 +316,7 @@ func TestTreeConfigRoundTrip(t *testing.T) {
 	if got := len(pl.Members()); got != 2 {
 		t.Fatalf("members = %d", got)
 	}
-	if spec.Sharding != topology.ShardComponent || spec.Delta.Threshold != 0.5 || spec.Delta.ResyncEvery != 8 {
+	if spec.Delta.Threshold != 0.5 || spec.Delta.ResyncEvery != 8 {
 		t.Fatalf("topology tuning lost: %+v", spec)
 	}
 	if hier.Tree.Topology.FailureTimeoutMS != 1500 {
@@ -337,6 +336,19 @@ func TestTopologySpecRejected(t *testing.T) {
 	}`))
 	if err == nil {
 		t.Fatal("duplicate region name accepted")
+	}
+}
+
+// TestShardingKeyRejected pins the removal of principal sharding: a
+// topology block that still sets "sharding" (any value, the old default
+// "none" included) fails the boot naming the key, rather than running one
+// tree where the file asked for one per agreement component.
+func TestShardingKeyRejected(t *testing.T) {
+	for _, v := range []string{"component", "none"} {
+		raw := strings.Replace(treeHier, `"fanout": 2,`, `"fanout": 2, "sharding": "`+v+`",`, 1)
+		if _, err := Parse([]byte(raw)); !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), `"sharding"`) {
+			t.Fatalf("sharding %q: err = %v, want ErrConfig naming \"sharding\"", v, err)
+		}
 	}
 }
 

@@ -485,7 +485,7 @@ func TestUpdateCapacitiesRescalesEntitlements(t *testing.T) {
 	}
 }
 
-func TestUpdateSystemRefoldsAgreements(t *testing.T) {
+func TestStageSetRefoldsAgreements(t *testing.T) {
 	s := agreement.New()
 	a := s.MustAddPrincipal("A", 320)
 	b := s.MustAddPrincipal("B", 320)
@@ -498,8 +498,9 @@ func TestUpdateSystemRefoldsAgreements(t *testing.T) {
 		t.Fatalf("MC[A] = %v", got)
 	}
 	// The agreement is renegotiated: B now grants only 25%.
-	s.MustSetAgreement(b, a, 0.25, 0.25)
-	if _, err := e.UpdateSystem(); err != nil {
+	next := s.Clone()
+	next.MustSetAgreement(b, a, 0.25, 0.25)
+	if _, err := e.StageSet(next.Snapshot(1), 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Access().MC[a]; math.Abs(got-40) > 1e-9 {

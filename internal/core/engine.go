@@ -103,8 +103,8 @@ type Version uint64
 //
 // # Mutator contract
 //
-// UpdateCapacities, UpdateSystem, SetAgreement, and StageSet share one
-// locked rebuild path: each validates its input, derives a complete new
+// UpdateCapacities and StageSet share one locked rebuild path: each
+// validates its input, derives a complete new
 // generation (entitlements, scheduler, plan caches, lease credit) under
 // e.mu, and either commits it atomically or rolls the configuration back,
 // returning the Version now active. They are safe to call concurrently with
@@ -356,65 +356,10 @@ func (e *Engine) Capacities() []float64 {
 }
 
 // System returns the engine's agreement system. Mutating it directly
-// bypasses the mutator contract — use SetAgreement/StageSet (or a
-// ctrlplane.Plane, which validates on a private clone first) instead;
-// direct mutation followed by UpdateSystem remains supported for static
-// reconfiguration in tests.
+// bypasses the mutator contract: change capacities through
+// UpdateCapacities and agreements through StageSet (or a ctrlplane.Plane,
+// which validates on a private clone first).
 func (e *Engine) System() *agreement.System { return e.cfg.System }
-
-// UpdateSystem refolds the agreement graph after structural changes
-// (SetAgreement calls on the engine's System) and returns the Version now
-// active. More expensive than UpdateCapacities: the simple-path enumeration
-// reruns. See the Engine mutator contract.
-func (e *Engine) UpdateSystem() (Version, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	flows, err := e.cfg.System.Flows()
-	if err != nil {
-		return e.version, err
-	}
-	st, err := e.buildState(flows, e.cfg.System.Capacities())
-	if err != nil {
-		return e.version, err
-	}
-	e.commitLocked(flows, st)
-	return e.version, nil
-}
-
-// SetAgreement renegotiates one direct agreement owner→user to [lb, ub]
-// (lb = ub = 0 removes it) and commits the resulting generation, returning
-// the Version now active. Unlike UpdateSystem it refolds incrementally: only
-// simple paths through the dirty owner are re-enumerated
-// (agreement.RefoldFrom), so the cost is proportional to the affected
-// subgraph. On error the system is rolled back to the prior agreement. See
-// the Engine mutator contract.
-func (e *Engine) SetAgreement(owner, user agreement.Principal, lb, ub float64) (Version, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	oldLB, oldUB, had := e.cfg.System.AgreementBetween(owner, user)
-	if err := e.cfg.System.SetAgreement(owner, user, lb, ub); err != nil {
-		return e.version, err
-	}
-	undo := func() {
-		if had {
-			_ = e.cfg.System.SetAgreement(owner, user, oldLB, oldUB)
-		} else {
-			_ = e.cfg.System.SetAgreement(owner, user, 0, 0)
-		}
-	}
-	flows, err := e.cfg.System.RefoldFrom(e.flows, []agreement.Principal{owner})
-	if err != nil {
-		undo()
-		return e.version, err
-	}
-	st, err := e.buildState(flows, e.cfg.System.Capacities())
-	if err != nil {
-		undo()
-		return e.version, err
-	}
-	e.commitLocked(flows, st)
-	return e.version, nil
-}
 
 // StageSet applies a versioned agreement set (a control-plane snapshot),
 // leases included, and stages the resulting generation behind gateEpoch: the

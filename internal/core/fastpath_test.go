@@ -37,8 +37,8 @@ func TestSharedPlanCacheCollapsesSolves(t *testing.T) {
 }
 
 // TestCacheInvalidatedOnRebuild guards the staleness hazard: plans computed
-// under old entitlements must never be served after UpdateCapacities or
-// UpdateSystem rebuild the schedulers.
+// under old entitlements must never be served after UpdateCapacities
+// rebuilds the schedulers.
 func TestCacheInvalidatedOnRebuild(t *testing.T) {
 	e, a, bPr := communityEngine(t, 1)
 	r := e.NewRedirector(0)

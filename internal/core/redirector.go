@@ -24,24 +24,20 @@ type Redirector struct {
 	globalAt time.Duration
 	haveGlob bool
 
-	// Per-principal aggregate freshness: with principal sharding, each
-	// agreement component's tree delivers its aggregate independently, so
-	// principals age out of date at different times (SetGlobalComponent).
-	globalAtP  []time.Duration
-	globalHasP []bool
-	freshBuf   []bool // scratch for the per-window freshness mask
-
 	// rolloutEpoch/rolloutKnown feed the engine's epoch gate: the combining
 	// tree epoch this redirector has reached and the newest agreement-set
 	// version it has learned of (see SetRollout and Engine.stateFor).
 	rolloutEpoch int
 	rolloutKnown uint64
+	// setVersion is the agreement-set version of the generation the current
+	// window was scheduled against (window 0: armed against).
+	setVersion uint64
 
 	nbuf []float64 // scratch for the per-window global n_i vector
 
 	// Scratch for the credit split's slack top-up (topUpCommunity and
 	// topUpProvider): frac[i] is this window's local share of principal i's
-	// planned grant (-1 for a stale principal), cells one capacity row.
+	// planned grant, cells one capacity row.
 	frac  []float64
 	cells []slackCell
 
@@ -76,10 +72,6 @@ type Redirector struct {
 	Rejected     int
 	Windows      int
 	Conservative int // windows run in conservative fallback
-	// Partial counts mixed windows: at least one agreement component had a
-	// fresh aggregate (planned normally) while another was stale and fell
-	// back to its conservative share.
-	Partial int
 }
 
 // NewRedirector stamps out the admission state of the one redirector node
@@ -125,6 +117,7 @@ func (e *Engine) NewRedirector(id int) *Redirector {
 // credit after RestoreState — and records the grant for its trace.
 func (r *Redirector) armWindowZero() {
 	st := r.e.snapshot()
+	r.setVersion = st.setVersion
 	r.boot.ConfigVersion = st.setVersion
 	r.conservativeCredits(st, r.boot)
 	r.recordCells(r.boot)
@@ -171,50 +164,22 @@ func (r *Redirector) LocalEstimateInto(dst []float64) []float64 {
 // SetGlobal installs the latest global queue-length aggregate (the Sum
 // vector broadcast by the combining tree) with its generation time.
 func (r *Redirector) SetGlobal(queues []float64, at time.Duration) {
-	r.ensureGlobal()
-	copy(r.global, queues)
-	r.globalAt = at
-	r.haveGlob = true
-	for i := range r.globalAtP {
-		r.globalAtP[i] = at
-		r.globalHasP[i] = true
-	}
-}
-
-// SetGlobalComponent installs one agreement component's aggregate:
-// queues[k] is the global figure for principal members[k]. Each component's
-// tree settles independently under principal sharding, so freshness is
-// tracked per principal — StartWindow plans normally for principals whose
-// component is fresh and claims the conservative share for the rest.
-func (r *Redirector) SetGlobalComponent(members []int, queues []float64, at time.Duration) {
-	r.ensureGlobal()
-	for k, p := range members {
-		if p < 0 || p >= r.e.n || k >= len(queues) {
-			continue
-		}
-		r.global[p] = queues[k]
-		r.globalAtP[p] = at
-		r.globalHasP[p] = true
-	}
-	if at > r.globalAt {
-		r.globalAt = at
-	}
-	r.haveGlob = true
-}
-
-// ensureGlobal lazily sizes the aggregate-tracking state.
-func (r *Redirector) ensureGlobal() {
 	if r.global == nil {
 		r.global = make([]float64, r.e.n)
 	}
-	if r.globalAtP == nil {
-		r.globalAtP = make([]time.Duration, r.e.n)
-		r.globalHasP = make([]bool, r.e.n)
-	}
+	copy(r.global, queues)
+	r.globalAt = at
+	r.haveGlob = true
 }
 
 // HasGlobal reports whether any global aggregate has been received.
 func (r *Redirector) HasGlobal() bool { return r.haveGlob }
+
+// SetVersion returns the agreement-set version of the generation the
+// current window was scheduled against (window 0: the one its blind grant
+// was armed against), the version its trace record carries. Call from the
+// goroutine that owns the redirector.
+func (r *Redirector) SetVersion() uint64 { return r.setVersion }
 
 // SetRollout records the redirector's rollout position before a window:
 // epoch is its current combining-tree epoch (use the max of the local and
@@ -309,33 +274,17 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 	}
 
 	st, lagging := r.e.stateFor(r.rolloutEpoch, r.rolloutKnown)
+	r.setVersion = st.setVersion
 	rec := r.openWindowRecord(now)
 	if rec != nil {
 		rec.ConfigVersion = st.setVersion
 	}
 	// lagging marks a redirector past a rollout's gate epoch that has not
 	// received the new agreement set: its entitlements are superseded, so it
-	// falls back to the conservative claim like any other blind window.
-	stale := !r.haveGlob || lagging
-	// Per-principal freshness: under principal sharding each component's
-	// aggregate ages independently. A nil mask means every principal is
-	// fresh; an all-stale mask collapses into the blind path below.
-	var fresh []bool
-	if !stale {
-		fresh = r.freshMask(now)
-		if fresh != nil {
-			any := false
-			for _, f := range fresh {
-				if f {
-					any = true
-					break
-				}
-			}
-			if !any {
-				stale, fresh = true, nil
-			}
-		}
-	}
+	// falls back to the conservative claim like any other blind window, as
+	// does one whose aggregate is older than the staleness budget.
+	stale := !r.haveGlob || lagging ||
+		(r.e.cfg.Staleness > 0 && now-r.globalAt > r.e.cfg.Staleness)
 	if stale {
 		r.Conservative++
 		if rec != nil {
@@ -374,14 +323,6 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 			return fmt.Errorf("core: window schedule: %w", err)
 		}
 		for i := 0; i < r.e.n; i++ {
-			if fresh != nil && !fresh[i] {
-				// This principal's component aggregate is stale: claim the
-				// conservative share while the rest of the window plans
-				// normally.
-				r.conservativeCommunity(st, rec, i)
-				r.frac[i] = -1
-				continue
-			}
 			frac := 0.0
 			if n[i] > 0 {
 				frac = r.estimate[i] / n[i]
@@ -424,13 +365,6 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 			}
 		}
 		for ci, p := range st.customers {
-			if fresh != nil && !fresh[p] {
-				// Stale component: conservative share on top of the carried
-				// credit installed above.
-				r.conservativeProvider(st, rec, int(p), r.creditsTotal[p])
-				r.frac[p] = -1
-				continue
-			}
 			frac := 0.0
 			if n[p] > 0 {
 				frac = r.estimate[p] / n[p]
@@ -449,9 +383,6 @@ func (r *Redirector) StartWindow(now time.Duration) error {
 			r.depositLeaseProvider(st, rec, int(p), frac)
 		}
 		r.topUpProvider(st, plan, rec)
-	}
-	if fresh != nil {
-		r.Partial++
 	}
 	r.recordCells(rec)
 	return nil
@@ -477,41 +408,6 @@ func (r *Redirector) recordCells(rec *obs.Record) {
 		}
 		rec.Cells = max(rec.Cells, cells)
 	}
-}
-
-// freshMask returns the per-principal aggregate-freshness mask for a
-// window starting at now, or nil when every principal is fresh (the flat
-// single-tree fast path: SetGlobal stamps all principals together).
-func (r *Redirector) freshMask(now time.Duration) []bool {
-	if r.globalAtP == nil {
-		return nil
-	}
-	mixed := false
-	for i := range r.globalAtP {
-		if !r.freshAt(i, now) {
-			mixed = true
-			break
-		}
-	}
-	if !mixed {
-		return nil
-	}
-	if r.freshBuf == nil {
-		r.freshBuf = make([]bool, r.e.n)
-	}
-	for i := range r.freshBuf {
-		r.freshBuf[i] = r.freshAt(i, now)
-	}
-	return r.freshBuf
-}
-
-// freshAt reports whether principal i's component aggregate is usable at
-// now (received, and inside the staleness budget when one is configured).
-func (r *Redirector) freshAt(i int, now time.Duration) bool {
-	if !r.globalHasP[i] {
-		return false
-	}
-	return r.e.cfg.Staleness <= 0 || now-r.globalAtP[i] <= r.e.cfg.Staleness
 }
 
 // slackTol is the relative slack under which a capacity row counts as full:
@@ -586,7 +482,7 @@ func spendSlack(budget, share float64, cells []slackCell) {
 // lags arrivals, so a redirector with idle capacity behind it would refuse
 // whatever arrives above its own past average. Each row's slack is split
 // evenly over the R redirectors (spendSlack): a redirector's part first lifts
-// every fresh principal's cell to its floor share MI[k][i]/R (the claim a
+// every principal's cell to its floor share MI[k][i]/R (the claim a
 // blind window makes), then goes to the principals it sees demand from, up to
 // the cell's bound MI+OI. A cell's top-up is at most (MI+OI − X)/R and a
 // row's at most its slack/R, so the fleet stays within every agreement bound
@@ -606,10 +502,8 @@ func (r *Redirector) topUpCommunity(st schedState, plan *sched.Plan, rec *obs.Re
 		}
 		cells := r.cells[:0]
 		for i := 0; i < r.e.n; i++ {
-			if r.frac[i] >= 0 {
-				cells = append(cells, slackCell{p: i, floor: mi[k][i], ub: mi[k][i] + oi[k][i],
-					x: plan.X[i][k], frac: r.frac[i], demand: r.estimate[i] > 0})
-			}
+			cells = append(cells, slackCell{p: i, floor: mi[k][i], ub: mi[k][i] + oi[k][i],
+				x: plan.X[i][k], frac: r.frac[i], demand: r.estimate[i] > 0})
 		}
 		spendSlack(free*share, share, cells)
 		for _, c := range cells {
@@ -634,10 +528,8 @@ func (r *Redirector) topUpProvider(st schedState, plan *sched.ProviderPlan, rec 
 	mc, oc := st.access.MC, st.access.OC
 	cells := r.cells[:0]
 	for ci, p := range st.customers {
-		if r.frac[p] >= 0 {
-			cells = append(cells, slackCell{p: int(p), floor: mc[p], ub: mc[p] + oc[p],
-				x: plan.X[ci], frac: r.frac[p], demand: r.estimate[p] > 0})
-		}
+		cells = append(cells, slackCell{p: int(p), floor: mc[p], ub: mc[p] + oc[p],
+			x: plan.X[ci], frac: r.frac[p], demand: r.estimate[p] > 0})
 	}
 	spendSlack(free*share, share, cells)
 	for _, c := range cells {
@@ -688,14 +580,33 @@ func carry(remaining float64) float64 {
 // doing (Figure 8, phase 1). The grant doubles as floor and ceiling in the
 // trace record: a blind window must admit exactly its conservative share.
 func (r *Redirector) conservativeCredits(st schedState, rec *obs.Record) {
+	share := r.conservativeShare()
 	switch r.e.cfg.Mode {
 	case Community:
 		for i := 0; i < r.e.n; i++ {
-			r.conservativeCommunity(st, rec, i)
+			carried := 0.0
+			for k := 0; k < r.e.n; k++ {
+				c := carry(r.credits[i][k])
+				carried += c
+				r.credits[i][k] = st.access.MI[k][i]*share + c
+			}
+			if rec != nil {
+				g := st.access.MC[i] * share
+				rec.Granted[i], rec.Floor[i] = g, g
+				rec.Ceil[i] = g + carried
+			}
+			r.depositLeaseCommunity(st, rec, i, share)
 		}
 	case Provider:
 		for _, p := range st.customers {
-			r.conservativeProvider(st, rec, int(p), carry(r.creditsTotal[p]))
+			c := carry(r.creditsTotal[p])
+			g := st.access.MC[p] * share
+			r.creditsTotal[p] = g + c
+			if rec != nil {
+				rec.Granted[p], rec.Floor[p] = g, g
+				rec.Ceil[p] = g + c
+			}
+			r.depositLeaseProvider(st, rec, int(p), share)
 		}
 	}
 }
@@ -707,38 +618,6 @@ func (r *Redirector) conservativeShare() float64 {
 		return 1 // ablation only; see Config.AggressiveWhenBlind
 	}
 	return 1 / float64(r.e.cfg.NumRedirectors)
-}
-
-// conservativeCommunity claims principal i's conservative share in
-// Community mode (whole-window fallback, or a single stale component in a
-// mixed window).
-func (r *Redirector) conservativeCommunity(st schedState, rec *obs.Record, i int) {
-	share := r.conservativeShare()
-	carried := 0.0
-	for k := 0; k < r.e.n; k++ {
-		c := carry(r.credits[i][k])
-		carried += c
-		r.credits[i][k] = st.access.MI[k][i]*share + c
-	}
-	if rec != nil {
-		g := st.access.MC[i] * share
-		rec.Granted[i], rec.Floor[i] = g, g
-		rec.Ceil[i] = g + carried
-	}
-	r.depositLeaseCommunity(st, rec, i, share)
-}
-
-// conservativeProvider claims customer p's conservative share in Provider
-// mode on top of the already-carried credit c.
-func (r *Redirector) conservativeProvider(st schedState, rec *obs.Record, p int, c float64) {
-	share := r.conservativeShare()
-	g := st.access.MC[p] * share
-	r.creditsTotal[p] = g + c
-	if rec != nil {
-		rec.Granted[p], rec.Floor[p] = g, g
-		rec.Ceil[p] = g + c
-	}
-	r.depositLeaseProvider(st, rec, p, share)
 }
 
 // depositLeaseCommunity adds principal i's lease credit for this window, from

@@ -48,10 +48,9 @@ func windowSweepRun(window time.Duration) (float64, error) {
 	s.MustSetAgreement(b, a, 0.5, 0.5)
 	sm, err := sim.New(sim.Config{
 		Engine: core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 1,
-			Window:         window,
+			Mode:   core.Community,
+			System: s,
+			Window: window,
 		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{
@@ -104,7 +103,6 @@ func AblationConservativeFallback() (*Result, error) {
 				Mode:                core.Provider,
 				System:              s,
 				ProviderPrincipal:   sp,
-				NumRedirectors:      3,
 				AggressiveWhenBlind: aggressive,
 			},
 			Redirectors: 3, // 0 is the root; 1 and 2 are blind leaves

@@ -79,7 +79,6 @@ func runBudget() (*budgetOutcome, uint64, error) {
 			Mode:              core.Provider,
 			System:            s,
 			ProviderPrincipal: sp,
-			NumRedirectors:    2,
 		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 80, Count: 2}},

@@ -39,7 +39,6 @@ func ExtChaos() (*Result, error) {
 			Mode:              core.Provider,
 			System:            s,
 			ProviderPrincipal: sp,
-			NumRedirectors:    2,
 		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 200, Count: 2}},

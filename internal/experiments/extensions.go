@@ -32,9 +32,8 @@ func ExtReselling() (*Result, error) {
 
 	sm, err := sim.New(sim.Config{
 		Engine: core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 1,
+			Mode:   core.Community,
+			System: s,
 		},
 		Redirectors: 1,
 		Servers:     []sim.ServerSpec{{Owner: asp, Capacity: 400, Count: 1}},
@@ -99,9 +98,8 @@ func ExtDynamicCapacity() (*Result, error) {
 
 	sm, err := sim.New(sim.Config{
 		Engine: core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 1,
+			Mode:   core.Community,
+			System: s,
 		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{
@@ -167,7 +165,6 @@ func ExtFailover() (*Result, error) {
 			Mode:              core.Provider,
 			System:            s,
 			ProviderPrincipal: sp,
-			NumRedirectors:    3,
 		},
 		Redirectors:    3,
 		Servers:        []sim.ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
@@ -222,9 +219,8 @@ func ExtLocality() (*Result, error) {
 		b := s.MustAddPrincipal("B", 320)
 		s.MustSetAgreement(b, a, 0.5, 0.5)
 		cfg := core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 1,
+			Mode:   core.Community,
+			System: s,
 		}
 		if withCap {
 			cfg.LocalityCaps = []float64{math.Inf(1), 280}

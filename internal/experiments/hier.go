@@ -47,7 +47,6 @@ func runHier() (*hierOutcome, uint64, error) {
 			Mode:              core.Provider,
 			System:            s,
 			ProviderPrincipal: sp,
-			NumRedirectors:    6,
 		},
 		Redirectors: 6,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},

@@ -22,9 +22,8 @@ func Fig9() (*Result, error) {
 
 	sm, err := sim.New(sim.Config{
 		Engine: core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 1,
+			Mode:   core.Community,
+			System: s,
 		},
 		Redirectors: 1,
 		Servers: []sim.ServerSpec{
@@ -95,7 +94,6 @@ func Fig10() (*Result, error) {
 			Mode:              core.Provider,
 			System:            s,
 			ProviderPrincipal: sp,
-			NumRedirectors:    1,
 			Prices:            map[agreement.Principal]float64{a: 2, b: 1},
 		},
 		Redirectors: 1,

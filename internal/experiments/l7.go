@@ -31,7 +31,6 @@ func Fig6() (*Result, error) {
 			Mode:              core.Provider,
 			System:            s,
 			ProviderPrincipal: sp,
-			NumRedirectors:    2,
 		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 320, Count: 1}},
@@ -92,9 +91,8 @@ func Fig7() (*Result, error) {
 
 	sm, err := sim.New(sim.Config{
 		Engine: core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 2,
+			Mode:   core.Community,
+			System: s,
 		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 250, Count: 1}},
@@ -147,7 +145,6 @@ func Fig8() (*Result, error) {
 			Mode:              core.Provider,
 			System:            s,
 			ProviderPrincipal: sp,
-			NumRedirectors:    2,
 		},
 		Redirectors: 2,
 		Servers:     []sim.ServerSpec{{Owner: sp, Capacity: 320, Count: 1}},

@@ -49,9 +49,8 @@ func runReconfig() (*reconfigOutcome, uint64, error) {
 
 	sm, err := sim.New(sim.Config{
 		Engine: core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 2,
+			Mode:   core.Community,
+			System: s,
 		},
 		Redirectors: 2,
 		Servers: []sim.ServerSpec{

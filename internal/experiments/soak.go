@@ -66,9 +66,8 @@ func runSoak() (*soakOutcome, uint64, error) {
 
 	sm, err := sim.New(sim.Config{
 		Engine: core.Config{
-			Mode:           core.Community,
-			System:         s,
-			NumRedirectors: 3,
+			Mode:   core.Community,
+			System: s,
 		},
 		Redirectors: 3,
 		Servers: []sim.ServerSpec{

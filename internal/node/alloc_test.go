@@ -29,30 +29,28 @@ type memMsg struct {
 	bcast    combining.Broadcast
 }
 
-func (m *memNet) sender(from combining.NodeID) func(int) combining.SendFunc {
-	return func(int) combining.SendFunc {
-		return func(to combining.NodeID, msg combining.Message) {
-			if len(m.queue) == cap(m.queue) {
-				m.queue = append(m.queue, memMsg{})
-			} else {
-				m.queue = m.queue[:len(m.queue)+1]
-			}
-			slot := &m.queue[len(m.queue)-1]
-			slot.to, slot.from = to, from
-			switch v := msg.(type) {
-			case *combining.Report:
-				agg := slot.report.Agg
-				agg.CopyFrom(v.Agg)
-				slot.kind, slot.report = 'r', *v
-				slot.report.Agg = agg
-			case *combining.Broadcast:
-				agg := slot.bcast.Agg
-				agg.CopyFrom(v.Agg)
-				slot.kind, slot.bcast = 'b', *v
-				slot.bcast.Agg = agg
-			default:
-				panic(fmt.Sprintf("memNet: unexpected %T", msg))
-			}
+func (m *memNet) sender(from combining.NodeID) combining.SendFunc {
+	return func(to combining.NodeID, msg combining.Message) {
+		if len(m.queue) == cap(m.queue) {
+			m.queue = append(m.queue, memMsg{})
+		} else {
+			m.queue = m.queue[:len(m.queue)+1]
+		}
+		slot := &m.queue[len(m.queue)-1]
+		slot.to, slot.from = to, from
+		switch v := msg.(type) {
+		case *combining.Report:
+			agg := slot.report.Agg
+			agg.CopyFrom(v.Agg)
+			slot.kind, slot.report = 'r', *v
+			slot.report.Agg = agg
+		case *combining.Broadcast:
+			agg := slot.bcast.Agg
+			agg.CopyFrom(v.Agg)
+			slot.kind, slot.bcast = 'b', *v
+			slot.bcast.Agg = agg
+		default:
+			panic(fmt.Sprintf("memNet: unexpected %T", msg))
 		}
 	}
 }
@@ -61,9 +59,9 @@ func (m *memNet) deliver() {
 	for ; m.head < len(m.queue); m.head++ {
 		msg := &m.queue[m.head]
 		if msg.kind == 'r' {
-			m.nodes[msg.to].m.OnMessage(0, msg.from, msg.report)
+			m.nodes[msg.to].m.OnMessage(msg.from, msg.report)
 		} else {
-			m.nodes[msg.to].m.OnMessage(0, msg.from, msg.bcast)
+			m.nodes[msg.to].m.OnMessage(msg.from, msg.bcast)
 		}
 	}
 	m.queue, m.head = m.queue[:0], 0
@@ -160,7 +158,7 @@ func TestWindowCycleAllocBudget(t *testing.T) {
 	solvesBefore := root.cfg.Engine.Stats().Solves()
 	cyclesBefore := cycle
 	perCycle := testing.AllocsPerRun(50, runCycle)
-	if _, _, ok := root.m.tree.ComponentGlobal(0); !ok || root.cfg.Engine.Stats().Solves()-solvesBefore < int64(cycle-cyclesBefore) {
+	if _, _, ok := root.m.tree.Global(); !ok || root.cfg.Engine.Stats().Solves()-solvesBefore < int64(cycle-cyclesBefore) {
 		t.Fatalf("the fleet is not exchanging aggregates and solving every window")
 	}
 	if perNodeWindow := perCycle / nodes; perNodeWindow > budget {

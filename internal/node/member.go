@@ -20,17 +20,15 @@ import (
 const persistCheckpointEvery = 256
 
 // Placement is a member's position in the combining plane: its tree id,
-// its parent (−1 at the root) and children, and, under component sharding,
-// one ascending principal list per tree (empty: one tree over all).
+// its parent (−1 at the root) and children.
 type Placement struct {
-	ID         combining.NodeID
-	Parent     combining.NodeID
-	Children   []combining.NodeID
-	Components [][]int
+	ID       combining.NodeID
+	Parent   combining.NodeID
+	Children []combining.NodeID
 }
 
 // Member is the socket-free half of an enforcement node: the core
-// redirector and its admission plane, the combining forest, the window
+// redirector and its admission plane, the combining tree node, the window
 // boundary, durable recovery and rejoin, agreement-set staging, the control
 // plane and the window observer. It owns no socket, goroutine or wall
 // clock: the tree's SendFunc and the clock are constructor arguments, so the
@@ -40,11 +38,11 @@ type Member struct {
 	cfg Config
 	now func() time.Duration
 
-	// mu guards the window-boundary state (core redirector, forest, estimate
+	// mu guards the window-boundary state (core redirector, tree, estimate
 	// and persist buffers). Admission never takes it.
 	mu     sync.Mutex
 	red    *core.Redirector
-	tree   *combining.Forest // nil: the member's own estimate is the global view
+	tree   *combining.Node // nil: the member's own estimate is the global view
 	estBuf []float64
 
 	adm    *admission.Plane
@@ -63,22 +61,20 @@ type Member struct {
 
 // NewMember boots a member from cfg's Engine, ID, AdmissionShards,
 // TraceDepth, Persist and Layer (the rest of Config is the Node's). place
-// and send join a combining forest (place nil: no tree); now is the time
+// and send join a combining tree (place nil: no tree); now is the time
 // base; aud, when non-nil, is an auditor shared with other members. A
 // member with a store restores its durable window position, carried credit,
 // estimate and newest agreement set and announces a rejoin before the
 // admission plane publishes window 0, so it admits from the moment NewMember
 // returns.
-func NewMember(cfg Config, place *Placement, send func(tree int) combining.SendFunc,
+func NewMember(cfg Config, place *Placement, send combining.SendFunc,
 	now func() time.Duration, aud *obs.Auditor) (*Member, error) {
 	eng := cfg.Engine
 	m := &Member{cfg: cfg, now: now, red: eng.NewRedirector(cfg.ID)}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if place != nil {
-		if err := m.joinTreeLocked(place, send); err != nil {
-			return nil, err
-		}
+		m.joinTreeLocked(place, send)
 	}
 	if cfg.Persist != nil {
 		if err := m.recoverLocked(); err != nil {
@@ -107,19 +103,19 @@ func NewMember(cfg Config, place *Placement, send func(tree int) combining.SendF
 	return m, nil
 }
 
-// joinTreeLocked builds the combining forest and its configuration handler.
-func (m *Member) joinTreeLocked(place *Placement, send func(tree int) combining.SendFunc) error {
+// joinTreeLocked builds the combining tree node and its configuration
+// handler.
+func (m *Member) joinTreeLocked(place *Placement, send combining.SendFunc) {
 	eng := m.cfg.Engine
 	m.hop = combining.NewHopMetrics()
-	var err error
-	m.tree, err = combining.NewForest(combining.ForestConfig{
-		ID: place.ID, Parent: place.Parent, Children: place.Children,
-		NumPrincipals: eng.NumPrincipals(), Components: place.Components,
-		Send: send, Now: m.now, Hop: m.hop,
-	})
-	if err != nil {
-		return err
-	}
+	m.tree = combining.NewBuilder(place.ID).
+		Parent(place.Parent).
+		Children(place.Children...).
+		Principals(eng.NumPrincipals()).
+		Transport(send).
+		Clock(m.now).
+		Metrics(m.hop).
+		Build()
 	// Configuration updates arriving from the parent stage a new scheduling
 	// generation behind the sender's epoch gate; the window boundary swaps
 	// once this member's epoch crosses it. Runs under mu (OnMessage).
@@ -138,7 +134,6 @@ func (m *Member) joinTreeLocked(place *Placement, send func(tree int) combining.
 		// instead of rejoining blind.
 		m.saveSet(set)
 	})
-	return nil
 }
 
 // recoverLocked restores the durable window position, carried credit,
@@ -250,30 +245,21 @@ func (m *Member) EnableControlPlane(lead int) (*ctrlplane.Plane, error) {
 // OnMessage delivers one tree message. A broadcast publishes the new global
 // view and pre-solves the plan the next boundary needs, so the boundary's
 // solve is a plan-cache hit.
-func (m *Member) OnMessage(tree int, from combining.NodeID, msg interface{}) {
+func (m *Member) OnMessage(from combining.NodeID, msg interface{}) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.tree.OnMessage(tree, from, msg)
+	m.tree.OnMessage(from, msg)
 	if _, ok := msg.(combining.Broadcast); ok {
 		m.pushGlobalLocked()
 		m.red.Presolve(m.now())
 	}
 }
 
-// pushGlobalLocked publishes the settled aggregates to the engine: the
-// single-tree path keeps the uniform SetGlobal semantics, sharded forests
-// stamp each agreement component with its own tree's timestamp.
+// pushGlobalLocked publishes the tree's settled global aggregate to the
+// redirector.
 func (m *Member) pushGlobalLocked() {
-	if m.tree.Trees() == 1 {
-		if agg, at, ok := m.tree.ComponentGlobal(0); ok {
-			m.red.SetGlobal(agg.Sum, at)
-		}
-		return
-	}
-	for t := 0; t < m.tree.Trees(); t++ {
-		if agg, at, ok := m.tree.ComponentGlobal(t); ok {
-			m.red.SetGlobalComponent(m.tree.Component(t), agg.Sum, at)
-		}
+	if agg, at, ok := m.tree.Global(); ok {
+		m.red.SetGlobal(agg.Sum, at)
 	}
 }
 
@@ -388,8 +374,8 @@ func (m *Member) Admission() *admission.Plane { return m.adm }
 // Observer exposes the window-trace observer (auditor counters, trace ring).
 func (m *Member) Observer() *obs.Observer { return m.obsv }
 
-// Tree exposes the combining forest (nil without a tree).
-func (m *Member) Tree() *combining.Forest { return m.tree }
+// Tree exposes the combining tree node (nil without a tree).
+func (m *Member) Tree() *combining.Node { return m.tree }
 
 // WindowStats snapshots the window position: windows started, windows
 // scheduled conservatively, and whether a global view has arrived.

@@ -4,7 +4,7 @@
 // credits — and it lives here in two layers:
 //
 //   - Member is that mechanism without a socket or a wall clock: the core
-//     redirector and the sharded admission plane, the combining forest and
+//     redirector and the sharded admission plane, the combining tree and
 //     the two-phase window boundary, the epoch-gated configuration rollout,
 //     durable recovery and rejoin, the control-plane and lease wiring, and
 //     the window observer. The simulator (internal/sim) runs one Member per
@@ -35,7 +35,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/persist"
-	"repro/internal/topology"
 	"repro/internal/treenet"
 )
 
@@ -133,14 +132,19 @@ func New(cfg Config) (*Node, error) {
 		n.tracer = obs.NewTracer(*cfg.Trace, cfg.ID)
 	}
 	var place *Placement
-	var send func(int) combining.SendFunc
+	var send combining.SendFunc
 	var err error
 	if cfg.Tree != nil {
 		place, err = n.listen()
-		send = n.transport.TreeSend
+		send = n.transport.Send
 	}
 	if err == nil {
 		n.m, err = NewMember(cfg, place, send, n.elapsed, nil)
+	}
+	if err == nil {
+		// Window 0's spans carry the set version its blind grant was armed
+		// on, as its window record does.
+		n.tracer.StartWindow(0, n.m.red.SetVersion())
 	}
 	close(n.booted)
 	if err == nil && cfg.Ctrl {
@@ -159,7 +163,7 @@ func New(cfg Config) (*Node, error) {
 // listen starts the tree transport and returns this node's placement in the
 // resolved plane.
 func (n *Node) listen() (*Placement, error) {
-	spec, eng := n.cfg.Tree, n.cfg.Engine
+	spec := n.cfg.Tree
 	addr := spec.ListenAddr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -176,32 +180,19 @@ func (n *Node) listen() (*Placement, error) {
 	for id, peerAddr := range spec.Peers {
 		n.transport.SetPeer(id, peerAddr)
 	}
-	place := &Placement{ID: spec.NodeID, Parent: wiring.Parent, Children: wiring.Children}
-	// Principal sharding: under the component policy each disjoint
-	// agreement component runs its own tree (independent epochs) over the
-	// shared plane; otherwise one tree carries the full vector.
 	if top := spec.Topology; top != nil {
-		if top.Sharding == topology.ShardComponent {
-			for _, c := range eng.System().Components() {
-				ms := make([]int, len(c))
-				for i, p := range c {
-					ms[i] = int(p)
-				}
-				place.Components = append(place.Components, ms)
-			}
-		}
 		if d := top.Normalize().Delta; d.Enabled() {
 			n.transport.EnableDelta(d.Threshold, d.ResyncEvery)
 		}
 	}
-	return place, nil
+	return &Placement{ID: spec.NodeID, Parent: wiring.Parent, Children: wiring.Children}, nil
 }
 
 // onTreeMessage is the transport's handler (connection goroutines).
-func (n *Node) onTreeMessage(tree int, from combining.NodeID, msg interface{}) {
+func (n *Node) onTreeMessage(_ int, from combining.NodeID, msg interface{}) {
 	<-n.booted
 	if n.m != nil { // nil: the boot failed and New is closing the transport
-		n.m.OnMessage(tree, from, msg)
+		n.m.OnMessage(from, msg)
 	}
 }
 
@@ -219,7 +210,7 @@ func (n *Node) boundary() error {
 	}
 	m.tickLocked()
 	err := m.startWindowLocked()
-	n.tracer.StartWindow(uint64(m.red.Windows), uint64(n.cfg.Engine.Version()))
+	n.tracer.StartWindow(uint64(m.red.Windows), m.red.SetVersion())
 	return err
 }
 

@@ -57,13 +57,13 @@ func freeAddr(t *testing.T) string {
 }
 
 // spyDetector is a treenet.Detector that never repairs anything and records
-// the forest epoch each Check call saw.
+// the tree epoch each Check call saw.
 type spyDetector struct {
 	epochs []int
 }
 
 func (d *spyDetector) Check(node treenet.TreeNode, _ time.Duration) bool {
-	d.epochs = append(d.epochs, node.(*combining.Forest).Epoch())
+	d.epochs = append(d.epochs, node.(*combining.Node).Epoch())
 	return false
 }
 func (d *spyDetector) Reparents() int { return 0 }
@@ -184,6 +184,70 @@ func TestBoundaryOrderAndHookLockRule(t *testing.T) {
 				t.Fatalf("span begun in the second hook tagged window %d, want 2: the tracer's window follows StartWindow", s.spanWin)
 			}
 		})
+	}
+}
+
+// TestSpanSetVersionMatchesWindowRecord checks that a request span and the
+// trace record of the window it ran in carry the same config_version: the
+// agreement-set version the window was scheduled against (7, recovered from
+// the store), not the engine's generation counter, which the capacity
+// change below moves while the set stays put. It checks window 0, armed at
+// boot, and window 1, the first the loop schedules.
+func TestSpanSetVersionMatchesWindowRecord(t *testing.T) {
+	eng, sys, a := testEngine(t, 5*time.Millisecond)
+	st := openStore(t)
+	if err := st.SaveSet(sys.Snapshot(7)); err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{Layer: "test", Engine: eng, Persist: st, Trace: &obs.TraceConfig{SampleEvery: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := eng.UpdateCapacities([]float64{160, 320}); err != nil {
+		t.Fatal(err)
+	}
+	spanVersion := make(map[uint64]uint64) // window → span config_version
+	sp := n.Begin(a)
+	spanVersion[sp.Window] = sp.ConfigVersion
+	sp.Finish()
+	first := make(chan *obs.Span, 1)
+	calls := 0
+	n.Start(func(error) {
+		if calls++; calls == 1 {
+			first <- n.Begin(a)
+		}
+	})
+	select {
+	case sp = <-first:
+		spanVersion[sp.Window] = sp.ConfigVersion
+		sp.Finish()
+	case <-time.After(5 * time.Second):
+		t.Fatal("no window boundary within 5s")
+	}
+	if len(spanVersion) != 2 {
+		t.Fatalf("spans tagged windows %v, want 0 and 1", spanVersion)
+	}
+	// A window's record is committed when the next window starts.
+	for deadline := time.Now().Add(5 * time.Second); n.Observer().Ring().Len() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("window 1's record never committed")
+		}
+	}
+	checked := 0
+	for _, rec := range n.Observer().Ring().Snapshot(obs.DefaultRingDepth) {
+		want, ok := spanVersion[rec.Window]
+		if !ok {
+			continue
+		}
+		checked++
+		if rec.ConfigVersion != 7 || want != rec.ConfigVersion {
+			t.Fatalf("window %d: span config_version %d, record %d, want both 7 (the set version; generation %d)",
+				rec.Window, want, rec.ConfigVersion, eng.Version())
+		}
+	}
+	if checked != 2 {
+		t.Fatalf("found records for %d of the spans' windows %v", checked, spanVersion)
 	}
 }
 

@@ -46,19 +46,7 @@ func (n *Node) topologyInfo() *obs.TopologyInfo {
 			add(int(c), int(self), level+1)
 		}
 	}
-	for t := 0; t < m.tree.Trees(); t++ {
-		comp := obs.TopologyComponent{
-			Tree:        t,
-			Epoch:       m.tree.Tree(t).Epoch(),
-			GlobalEpoch: m.tree.Tree(t).GlobalEpoch(),
-		}
-		for _, p := range m.tree.Component(t) {
-			if p >= 0 && p < len(n.names) {
-				comp.Principals = append(comp.Principals, n.names[p])
-			}
-		}
-		info.Components = append(info.Components, comp)
-	}
+	info.Epoch, info.GlobalEpoch = m.tree.Epoch(), m.tree.GlobalEpoch()
 	st := n.transport.Stats()
 	info.DeltaBytesSaved = st.Delta.BytesSaved
 	info.DeltaEntriesSuppressed = st.Delta.EntriesSuppressed

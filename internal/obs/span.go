@@ -82,8 +82,8 @@ type Span struct {
 	// exemplars carry the same reference.
 	ID uint64 `json:"id"`
 	// Redirector, Window and ConfigVersion tag the span with the admission
-	// point, its window sequence number, and the engine configuration
-	// generation the window ran under.
+	// point, its window sequence number, and the agreement-set version the
+	// window was scheduled against (the window record's ConfigVersion).
 	Redirector    int    `json:"redirector"`
 	Window        uint64 `json:"window"`
 	ConfigVersion uint64 `json:"config_version"`
@@ -294,8 +294,9 @@ func (tr *Tracer) Enabled() bool {
 }
 
 // StartWindow tags subsequent spans with the new window sequence number and
-// configuration version and resets the slowest-K tail keeper. Call it from
-// the window loop, after the admission plane's own StartWindow.
+// the agreement-set version it was scheduled against, and resets the
+// slowest-K tail keeper. Call it from the window loop, after the admission
+// plane's own StartWindow.
 func (tr *Tracer) StartWindow(window, configVersion uint64) {
 	if tr == nil {
 		return

@@ -23,17 +23,6 @@ type TopologyNode struct {
 	Alive bool `json:"alive"`
 }
 
-// TopologyComponent is one agreement component's tree state.
-type TopologyComponent struct {
-	// Tree is the component-tree index frames are tagged with.
-	Tree int `json:"tree"`
-	// Principals names the component's members.
-	Principals []string `json:"principals"`
-	// Epoch and GlobalEpoch are this node's view of the component tree.
-	Epoch       int `json:"epoch"`
-	GlobalEpoch int `json:"global_epoch"`
-}
-
 // TopologyInfo is the GET /v1/topology response body: the serving node's
 // current view of the combining plane. It mirrors internal/topology and
 // internal/combining state without importing either (obs sits below both).
@@ -45,8 +34,10 @@ type TopologyInfo struct {
 	Levels int `json:"levels"`
 	// Nodes lists every declared member with its live placement.
 	Nodes []TopologyNode `json:"nodes"`
-	// Components lists the per-agreement-component trees and epochs.
-	Components []TopologyComponent `json:"components"`
+	// Epoch and GlobalEpoch are the serving node's local tree epoch and
+	// the epoch of the last global broadcast it applied.
+	Epoch       int `json:"epoch"`
+	GlobalEpoch int `json:"global_epoch"`
 	// Delta compression counters (zero when disabled).
 	DeltaEnabled           bool   `json:"delta_enabled"`
 	DeltaBytesSaved        uint64 `json:"delta_bytes_saved"`

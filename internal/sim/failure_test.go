@@ -54,7 +54,7 @@ func TestLeafFailureReconfigures(t *testing.T) {
 		t.Fatal("failure never detected")
 	}
 	// The surviving tree must have exactly two members.
-	g, _, ok := sm.Redirectors[0].Tree().ComponentGlobal(0)
+	g, _, ok := sm.Redirectors[0].Tree().Global()
 	if !ok || g.Count != 2 {
 		t.Fatalf("surviving aggregate count = %d (ok=%v), want 2", g.Count, ok)
 	}
@@ -80,7 +80,7 @@ func TestRootFailurePromotesNewRoot(t *testing.T) {
 	if sm.Reconfigurations == 0 {
 		t.Fatal("root failure never detected")
 	}
-	var newRoot *combining.Forest
+	var newRoot *combining.Node
 	for i := 1; i < 3; i++ {
 		if sm.Redirectors[i].Tree().IsRoot() {
 			newRoot = sm.Redirectors[i].Tree()
@@ -90,7 +90,7 @@ func TestRootFailurePromotesNewRoot(t *testing.T) {
 		t.Fatal("no new root emerged")
 	}
 	// Broadcasts flow again: the new root's global view is fresh.
-	_, at, ok := newRoot.ComponentGlobal(0)
+	_, at, ok := newRoot.Global()
 	if !ok || at < 40*time.Second {
 		t.Fatalf("new root global stale: at=%v ok=%v", at, ok)
 	}
@@ -142,7 +142,7 @@ func TestRestartLeavesOutUndetectedFailure(t *testing.T) {
 		t.Fatalf("restarted redirector 2 under %d, want the root 0", p2.Parent)
 	}
 	sm.Run(30 * time.Second)
-	g, at, ok := sm.Redirectors[0].Tree().ComponentGlobal(0)
+	g, at, ok := sm.Redirectors[0].Tree().Global()
 	if !ok || g.Count != 2 || at < 25*time.Second {
 		t.Fatalf("root aggregate count = %d at %v (ok=%v), want a fresh count of 2", g.Count, at, ok)
 	}

@@ -6,7 +6,7 @@
 //
 // Topology mirrors Figure 4: clients submit requests to redirectors; each
 // redirector is a node.Member on its own core.Engine — the core redirector,
-// its admission plane, the combining forest, the window boundary, durable
+// its admission plane, the combining tree node, the window boundary, durable
 // recovery and the window observer, exactly as l4 and l7 run them — with its
 // tree messages carried by simnet; admitted requests go to the least-loaded
 // server of the owner the scheduler chose; completions are recorded per
@@ -52,7 +52,8 @@ type ServerSpec struct {
 // Config parameterizes a simulation.
 type Config struct {
 	// Engine configures every member's engine: each boot builds a fresh one
-	// over a clone of Engine.System, as a node process does on exec.
+	// over a clone of Engine.System, as a node process does on exec. Its
+	// NumRedirectors defaults to Redirectors and must equal it when set.
 	Engine      core.Config
 	Redirectors int
 	Servers     []ServerSpec
@@ -145,6 +146,13 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Redirectors <= 0 {
 		return nil, fmt.Errorf("%w: need at least one redirector", ErrConfig)
 	}
+	// R is the fleet size: it sets every blind window's MC_i/R claim.
+	switch r := cfg.Engine.NumRedirectors; {
+	case r == 0:
+		cfg.Engine.NumRedirectors = cfg.Redirectors
+	case r != cfg.Redirectors:
+		return nil, fmt.Errorf("%w: engine configured for %d redirectors, fleet has %d", ErrConfig, r, cfg.Redirectors)
+	}
 	if len(cfg.Servers) == 0 {
 		return nil, fmt.Errorf("%w: need at least one server", ErrConfig)
 	}
@@ -229,7 +237,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 		s.Net.Handle(simnet.NodeID(i), func(from simnet.NodeID, msg interface{}) {
 			if !s.failed[rn.id] { // a dead node processes nothing
-				rn.OnMessage(0, combining.NodeID(from), msg)
+				rn.OnMessage(combining.NodeID(from), msg)
 			}
 		})
 	}
@@ -281,11 +289,9 @@ func (s *Sim) boot(i int) error {
 		return fmt.Errorf("sim: boot redirector %d: %w", i, err)
 	}
 	id := combining.NodeID(i)
-	send := func(int) combining.SendFunc {
-		return func(to combining.NodeID, msg combining.Message) {
-			// simnet delivers later; the member only lends msg.
-			s.Net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
-		}
+	send := func(to combining.NodeID, msg combining.Message) {
+		// simnet delivers later; the member only lends msg.
+		s.Net.Send(simnet.NodeID(id), simnet.NodeID(to), combining.Detach(msg))
 	}
 	m, err := node.NewMember(
 		node.Config{Layer: "sim", Engine: eng, ID: i, AdmissionShards: 1, Persist: s.stores[i]},

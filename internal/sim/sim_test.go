@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -45,6 +46,38 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestRedirectorCountFromFleet pins R to the fleet size: an engine that
+// leaves NumRedirectors at 0 runs exactly as one set to the member count,
+// and one set to anything else is refused rather than silently scaling
+// every blind MC_i/R claim.
+func TestRedirectorCountFromFleet(t *testing.T) {
+	run := func(r int) (uint64, error) {
+		eng, sp, a, b := testEngine(t, r)
+		sm, err := New(Config{
+			Engine:      eng,
+			Redirectors: 2,
+			Servers:     []ServerSpec{{Owner: sp, Capacity: 100, Count: 1}},
+		})
+		if err != nil {
+			return 0, err
+		}
+		sm.NewClient(0, workload.Config{Principal: int(a), Rate: 200}).SetActive(true)
+		sm.NewClient(1, workload.Config{Principal: int(b), Rate: 200}).SetActive(true)
+		sm.Run(3 * time.Second)
+		return sm.Digest(), nil
+	}
+	if _, err := run(1); !errors.Is(err, ErrConfig) {
+		t.Fatalf("engine for 1 redirector in a fleet of 2: err %v, want ErrConfig", err)
+	}
+	set, err := run(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filled, err := run(0); err != nil || filled != set {
+		t.Fatalf("NumRedirectors 0: digest %#x (err %v), want %#x as with 2", filled, err, set)
 	}
 }
 
@@ -342,7 +375,7 @@ func TestControlPlaneRacesParallelWindows(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := root.UpdateSystem(); err != nil {
+			if _, err := root.UpdateCapacities(root.Capacities()); err != nil {
 				t.Error(err)
 				return
 			}

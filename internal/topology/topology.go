@@ -4,8 +4,8 @@
 // joined by a global tier rooted at the global root.
 //
 // A Spec is the declarative description (what operators write in config):
-// named regions with member lists, a shared fanout, the principal-sharding
-// policy, and the delta-compression tuning for upstream queue vectors.
+// named regions with member lists, a shared fanout, and the
+// delta-compression tuning for upstream queue vectors.
 // Compile turns a Spec into a Plane — the concrete parent/child wiring —
 // deterministically, so every node that holds the same Spec (and has removed
 // the same peers in the same order) computes the same tree without
@@ -29,16 +29,6 @@ import (
 	"sort"
 
 	"repro/internal/combining"
-)
-
-// Sharding policies for principal components.
-const (
-	// ShardNone runs one combining tree over all principals (the flat
-	// pre-hierarchy behavior).
-	ShardNone = "none"
-	// ShardComponent gives each disjoint agreement component its own
-	// combining tree with an independent epoch counter.
-	ShardComponent = "component"
 )
 
 // Defaults applied by Spec.Normalize.
@@ -82,21 +72,15 @@ type Spec struct {
 	// Fanout bounds children per interior node (both within regions and in
 	// the global tier); values below 2 mean DefaultFanout.
 	Fanout int
-	// Sharding selects the principal-sharding policy: ShardNone (default)
-	// or ShardComponent.
-	Sharding string
 	// Delta tunes upstream queue-vector compression.
 	Delta DeltaSpec
 }
 
-// Normalize returns the spec with defaults applied (fanout, sharding name,
-// resync cadence).
+// Normalize returns the spec with defaults applied (fanout, resync
+// cadence).
 func (s Spec) Normalize() Spec {
 	if s.Fanout < 2 {
 		s.Fanout = DefaultFanout
-	}
-	if s.Sharding == "" {
-		s.Sharding = ShardNone
 	}
 	if s.Delta.Enabled() && s.Delta.ResyncEvery <= 0 {
 		s.Delta.ResyncEvery = DefaultResyncEvery
@@ -105,8 +89,8 @@ func (s Spec) Normalize() Spec {
 }
 
 // Validate checks the spec for structural errors: no regions, empty or
-// duplicate region names, duplicate or negative members, or an unknown
-// sharding policy.
+// duplicate region names, duplicate or negative members, or a negative
+// delta setting.
 func (s Spec) Validate() error {
 	if len(s.Regions) == 0 {
 		return fmt.Errorf("topology: no regions")
@@ -133,11 +117,6 @@ func (s Spec) Validate() error {
 			}
 			seen[m] = r.Name
 		}
-	}
-	switch s.Sharding {
-	case "", ShardNone, ShardComponent:
-	default:
-		return fmt.Errorf("topology: unknown sharding policy %q", s.Sharding)
 	}
 	if s.Delta.Threshold < 0 {
 		return fmt.Errorf("topology: negative delta threshold %g", s.Delta.Threshold)

@@ -283,7 +283,6 @@ func TestValidate(t *testing.T) {
 		{Regions: []Region{{Name: "a", Members: []int{0}}, {Name: "a", Members: []int{1}}}},
 		{Regions: []Region{{Name: "a", Members: []int{0}}, {Name: "b", Members: []int{0}}}},
 		{Regions: []Region{{Name: "a", Members: []int{-1}}}},
-		{Regions: []Region{{Name: "a", Members: []int{0}}}, Sharding: "zonal"},
 		{Regions: []Region{{Name: "a", Members: []int{0}}}, Delta: DeltaSpec{Threshold: -1}},
 	}
 	for i, spec := range cases {
@@ -301,7 +300,7 @@ func TestNormalize(t *testing.T) {
 		Regions: []Region{{Name: "a", Members: []int{0}}},
 		Delta:   DeltaSpec{Threshold: 0.5},
 	}.Normalize()
-	if s.Fanout != DefaultFanout || s.Sharding != ShardNone || s.Delta.ResyncEvery != DefaultResyncEvery {
+	if s.Fanout != DefaultFanout || s.Delta.ResyncEvery != DefaultResyncEvery {
 		t.Fatalf("normalized = %+v", s)
 	}
 }

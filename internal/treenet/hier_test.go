@@ -1,6 +1,7 @@
 package treenet
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,22 +11,21 @@ import (
 	"repro/internal/topology"
 )
 
-// TestForestDeltaOverTCP runs a two-node, two-component forest over real
-// TCP with delta compression on: component globals must reconstruct
-// exactly at both ends, steady-state epochs must suppress entries, and a
-// genuine move must still propagate.
-func TestForestDeltaOverTCP(t *testing.T) {
-	comps := [][]int{{0, 2}, {1}}
-	forests := make([]*combining.Forest, 2)
+// TestDeltaOverTCP runs a two-node tree over real TCP with delta
+// compression on: the global must reconstruct exactly at the leaf,
+// steady-state epochs must suppress entries, and a genuine move must still
+// propagate.
+func TestDeltaOverTCP(t *testing.T) {
+	nodes := make([]*combining.Node, 2)
 	trs := make([]*Transport, 2)
 	var mu sync.Mutex
 
 	for i := 0; i < 2; i++ {
 		i := i
-		tr, err := Listen(combining.NodeID(i), "127.0.0.1:0", func(tree int, from combining.NodeID, msg interface{}) {
+		tr, err := Listen(combining.NodeID(i), "127.0.0.1:0", func(_ int, from combining.NodeID, msg interface{}) {
 			mu.Lock()
 			defer mu.Unlock()
-			forests[i].OnMessage(tree, from, msg)
+			nodes[i].OnMessage(from, msg)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -37,52 +37,38 @@ func TestForestDeltaOverTCP(t *testing.T) {
 	trs[0].SetPeer(1, trs[1].Addr())
 	trs[1].SetPeer(0, trs[0].Addr())
 	now := func() time.Duration { return time.Duration(time.Now().UnixNano()) }
-	mk := func(i int, parent combining.NodeID, children []combining.NodeID) *combining.Forest {
-		f, err := combining.NewForest(combining.ForestConfig{
-			ID: combining.NodeID(i), Parent: parent, Children: children,
-			NumPrincipals: 3, Components: comps,
-			Send: trs[i].TreeSend, Now: now,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	forests[0] = mk(0, -1, []combining.NodeID{1})
-	forests[1] = mk(1, 0, nil)
-
 	mu.Lock()
-	forests[1].SetLocal([]float64{5, 11, 20})
+	nodes[0] = combining.NewBuilder(0).Children(1).Principals(3).Transport(trs[0].Send).Clock(now).Build()
+	nodes[1] = combining.NewBuilder(1).Parent(0).Principals(3).Transport(trs[1].Send).Clock(now).Build()
+	nodes[1].SetLocal([]float64{5, 11, 20})
 	mu.Unlock()
-	tickUntil := func(want0, want1 float64) {
+	tickUntil := func(want []float64) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			mu.Lock()
-			forests[1].Tick()
-			forests[0].Tick()
-			g0, _, ok0 := forests[1].ComponentGlobal(0)
-			g0 = g0.Clone() // Global aliases the node's buffer; the lock is about to go
-			g1, _, ok1 := forests[1].ComponentGlobal(1)
-			g1 = g1.Clone() // Global aliases the node's buffer; the lock is about to go
+			nodes[1].Tick()
+			nodes[0].Tick()
+			g, _, ok := nodes[1].Global()
+			g = g.Clone() // Global aliases the node's buffer; the lock is about to go
 			mu.Unlock()
-			if ok0 && ok1 && g0.Sum[0] == want0 && g1.Sum[0] == want1 {
+			if ok && slices.Equal(g.Sum, want) {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("leaf never saw globals (%v, %v): got %v/%v ok=%v/%v", want0, want1, g0.Sum, g1.Sum, ok0, ok1)
+				t.Fatalf("leaf never saw global %v: got %v ok=%v", want, g.Sum, ok)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	tickUntil(5, 11)
+	tickUntil([]float64{5, 11, 20})
 
 	// Steady state: many epochs with an unchanged vector must suppress
 	// per-principal entries (delta frames go out near-empty).
 	for i := 0; i < 20; i++ {
 		mu.Lock()
-		forests[1].Tick()
-		forests[0].Tick()
+		nodes[1].Tick()
+		nodes[0].Tick()
 		mu.Unlock()
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -112,9 +98,9 @@ func TestForestDeltaOverTCP(t *testing.T) {
 
 	// A real move must still propagate bit-exactly through the codec.
 	mu.Lock()
-	forests[1].SetLocal([]float64{7, 13, 20})
+	nodes[1].SetLocal([]float64{7, 13, 20})
 	mu.Unlock()
-	tickUntil(7, 13)
+	tickUntil([]float64{7, 13, 20})
 }
 
 // TestPlaneSubRootKillOverTCP kills a regional sub-root on a real-TCP

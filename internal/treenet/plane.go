@@ -9,8 +9,8 @@ import (
 	"repro/internal/topology"
 )
 
-// TreeNode is the slice of combining.Node (or combining.Forest) a failure
-// detector needs: observing neighbor silence and rewiring the placement.
+// TreeNode is the slice of combining.Node a failure detector needs:
+// observing neighbor silence and rewiring the placement.
 type TreeNode interface {
 	LastHeard(nb combining.NodeID) (time.Duration, bool)
 	Reconfigure(parent combining.NodeID, children []combining.NodeID)

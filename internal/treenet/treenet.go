@@ -71,19 +71,20 @@ type Spec struct {
 }
 
 // Handler receives decoded tree messages as values: a combining.Report,
-// combining.Broadcast or combining.Rejoin. tree is the component-tree index
-// the sender tagged the frame with (0 on a single flat tree). It is called
+// combining.Broadcast or combining.Rejoin. tree is always 0 (the decoder
+// refuses any other): the parameter stays only because the frozen
+// reference benchmark's window fleet (bench/window.go) passes a handler of
+// this shape; it goes when that harness thaws (ROADMAP item 7). It is called
 // from connection goroutines: implementations must synchronize access to
-// the combining node or forest. msg.Agg aliases the connection's decode
-// buffer and is overwritten by the next frame: a handler must not retain it
-// after returning (combining.Node.OnMessage copies it in).
+// the combining node. msg.Agg aliases the connection's decode buffer and is
+// overwritten by the next frame: a handler must not retain it after
+// returning (combining.Node.OnMessage copies it in).
 type Handler func(tree int, from combining.NodeID, msg interface{})
 
 // outMsg is one queued message. Slots are recycled through peer.free, so
 // the aggregate copy Send takes reuses its slices.
 type outMsg struct {
 	kind  byte
-	tree  int
 	epoch int
 	ack   uint64
 	agg   combining.Aggregate
@@ -158,7 +159,7 @@ type Stats struct {
 	BytesSent     uint64
 	BytesReceived uint64
 	// Delta aggregates the delta-compression codec counters over every
-	// per-(tree,peer) stream (zero when EnableDelta was never called).
+	// per-peer stream (zero when EnableDelta was never called).
 	Delta combining.DeltaStats
 }
 
@@ -180,8 +181,8 @@ type Transport struct {
 	closed bool
 	stats  Stats
 
-	// delta is under mu. The streams themselves live with their owners:
-	// encoders on the peer, decoders on the inbound connection.
+	// delta is under mu. The stream codecs live with their owners:
+	// the encoder on the peer, the decoder on the inbound connection.
 	delta deltaParams
 
 	stop chan struct{}
@@ -268,9 +269,9 @@ func (t *Transport) dropSend() { t.count(func(st *Stats) { st.SendErrors++ }) }
 
 // EnableDelta turns on delta compression for outbound aggregates: an
 // entry rides the wire only when a statistic moved by more than threshold
-// (or went to zero) since the last transmission on that (tree, peer)
-// stream, with a full-state resync every resyncEvery frames bounding the
-// drift a dropped frame can cause. Call before traffic starts.
+// (or went to zero) since the last transmission to that peer, with a
+// full-state resync every resyncEvery frames bounding the drift a dropped
+// frame can cause. Call before traffic starts.
 func (t *Transport) EnableDelta(threshold float64, resyncEvery int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -278,23 +279,11 @@ func (t *Transport) EnableDelta(threshold float64, resyncEvery int) {
 }
 
 // Send transmits a lent *combining.Report, *combining.Broadcast or
-// *combining.Rejoin to a peer on tree 0. It satisfies combining.SendFunc
-// and never blocks: the message is copied into a slot queued for the
-// peer's writer goroutine, and dropped (counted) if the queue is full, the
-// peer is unknown, the message is nil, or the transport is closed.
+// *combining.Rejoin to a peer. It satisfies combining.SendFunc and never
+// blocks: the message is copied into a slot queued for the peer's writer
+// goroutine, and dropped (counted) if the queue is full, the peer is
+// unknown, the message is nil, or the transport is closed.
 func (t *Transport) Send(to combining.NodeID, msg combining.Message) {
-	t.send(0, to, msg)
-}
-
-// TreeSend returns the SendFunc for one component tree: frames it produces
-// are tagged with the tree index so the receiving forest can route them.
-func (t *Transport) TreeSend(tree int) combining.SendFunc {
-	return func(to combining.NodeID, msg combining.Message) {
-		t.send(tree, to, msg)
-	}
-}
-
-func (t *Transport) send(tree int, to combining.NodeID, msg combining.Message) {
 	t.mu.Lock()
 	p, ok := t.peers[to]
 	closed := t.closed
@@ -306,7 +295,6 @@ func (t *Transport) send(tree int, to combining.NodeID, msg combining.Message) {
 	// Copy into a slot before returning: msg is only lent
 	// (combining.Message). The writer encodes; see writeLoop.
 	m := p.slot()
-	m.tree = tree
 	switch v := msg.(type) {
 	case *combining.Report:
 		m.kind, m.epoch, m.ack = kindReport, v.Epoch, v.AckVersion
@@ -365,7 +353,7 @@ func (t *Transport) writeLoop(p *peer) {
 					continue
 				}
 				// Encode here, per attempt, not in Send: a redial resets
-				// the delta streams, and the frame that opens a connection
+				// the delta stream, and the frame that opens a connection
 				// must be a full one for the far end's fresh decoder.
 				t.mu.Lock()
 				delta := t.delta
@@ -427,7 +415,7 @@ func (t *Transport) redial(p *peer, conn *net.Conn) bool {
 		}
 	})
 	// The far end decodes each connection with fresh stream state (it may
-	// also have restarted): lead every stream with a full resync frame.
+	// also have restarted): lead the stream with a full resync frame.
 	p.encMu.Lock()
 	p.enc.reset()
 	p.encMu.Unlock()
@@ -486,7 +474,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 			}
 		})
 		if ok {
-			t.handler(dec.f.tree, dec.f.from, msg)
+			t.handler(0, dec.f.from, msg)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 //	u8      wire version
 //	u8      kind: report, broadcast, rejoin
 //	u8      flags: cfg | delta | sparse
-//	uvarint from, tree, epoch, ack version
+//	uvarint from, tree (always 0), epoch, ack version
 //	[cfg]   uvarint cfg version, gate epoch, payload length; raw payload
 //	report and broadcast only:
 //	uvarint contributing-node count, vector length n
@@ -26,9 +26,11 @@ import (
 //	sparse: uvarint k, then k × (uvarint index, sum max min sumsq float64 LE)
 //
 // Floats travel as raw IEEE-754 bits, so ±Inf, NaN payloads and −0 survive
-// the wire exactly (the identity aggregate is ±Inf). A frame longer than
-// maxFrameBytes, with another version byte, or that does not parse to its
-// last byte is a protocol error and closes the connection.
+// the wire exactly (the identity aggregate is ±Inf). The tree field is a
+// fixed 0: a node runs one combining tree, and the field is kept so the
+// layout and the wire version stay unchanged. A frame longer than
+// maxFrameBytes, with another version byte, a nonzero tree, or that does
+// not parse to its last byte is a protocol error and closes the connection.
 const (
 	wireVersion = 1
 	// maxFrameBytes bounds a frame body, and with it everything a decode
@@ -58,7 +60,6 @@ var errFrame = errors.New("treenet: malformed frame")
 type frame struct {
 	kind  byte
 	from  combining.NodeID
-	tree  int
 	epoch int
 	ack   uint64
 
@@ -99,7 +100,7 @@ func appendFrame(dst []byte, f *frame) (out []byte, payload int) {
 	}
 	dst = append(dst, 0, 0, 0, 0, wireVersion, f.kind, flags)
 	dst = binary.AppendUvarint(dst, uint64(f.from))
-	dst = binary.AppendUvarint(dst, uint64(f.tree))
+	dst = append(dst, 0) // tree
 	dst = binary.AppendUvarint(dst, uint64(f.epoch))
 	dst = binary.AppendUvarint(dst, f.ack)
 	if f.hasCfg {
@@ -148,13 +149,13 @@ func appendFloat(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// encoder is one peer's outbound codec state: the delta streams toward that
-// peer, one per component tree, and the frame and byte buffer every message
-// is encoded through.
+// encoder is one peer's outbound codec state: the delta stream toward that
+// peer (nil until the first delta frame) and the frame and byte buffer
+// every message is encoded through.
 type encoder struct {
-	streams map[int]*combining.DeltaEncoder
-	f       frame
-	buf     []byte
+	stream *combining.DeltaEncoder
+	f      frame
+	buf    []byte
 }
 
 // encode frames m as sent by self, delta-compressing its aggregate when
@@ -162,21 +163,16 @@ type encoder struct {
 // suppression avoided against the dense form.
 func (e *encoder) encode(self combining.NodeID, m *outMsg, delta deltaParams) (wire []byte, saved uint64) {
 	f := &e.f
-	f.kind, f.from, f.tree, f.epoch, f.ack = m.kind, self, m.tree, m.epoch, m.ack
+	f.kind, f.from, f.epoch, f.ack = m.kind, self, m.epoch, m.ack
 	if f.hasCfg = m.cfg != nil; f.hasCfg {
 		f.cfg = *m.cfg
 	}
 	f.delta = delta.on && m.kind != kindRejoin
 	if f.delta {
-		s := e.streams[m.tree]
-		if n := len(m.agg.Sum); s == nil || n != s.N() {
-			if e.streams == nil {
-				e.streams = make(map[int]*combining.DeltaEncoder)
-			}
-			s = combining.NewDeltaEncoder(n, delta.threshold, delta.resyncEvery)
-			e.streams[m.tree] = s
+		if n := len(m.agg.Sum); e.stream == nil || n != e.stream.N() {
+			e.stream = combining.NewDeltaEncoder(n, delta.threshold, delta.resyncEvery)
 		}
-		s.Encode(m.agg, &f.agg)
+		e.stream.Encode(m.agg, &f.agg)
 	} else {
 		setDense(&f.agg, m.agg)
 	}
@@ -188,30 +184,30 @@ func (e *encoder) encode(self combining.NodeID, m *outMsg, delta deltaParams) (w
 	return e.buf, saved
 }
 
-// reset makes the next frame of every stream a full resync.
+// reset makes the stream's next frame a full resync.
 func (e *encoder) reset() {
-	for _, s := range e.streams {
-		s.Reset()
+	if e.stream != nil {
+		e.stream.Reset()
 	}
 }
 
 func (e *encoder) addStats(into *combining.DeltaStats) {
-	for _, s := range e.streams {
-		into.Add(s.Stats())
+	if e.stream != nil {
+		into.Add(e.stream.Stats())
 	}
 }
 
 // decoder is one inbound connection's codec state: the body buffer and
-// frame every message is decoded through, the delta streams the far end
-// runs over this connection (it opens each with a full frame), their
+// frame every message is decoded through, the delta stream the far end
+// runs over this connection (it opens it with a full frame), its
 // reconstruction target, and the last configuration update delivered.
 type decoder struct {
-	br      *bufio.Reader
-	buf     []byte
-	f       frame
-	agg     combining.Aggregate
-	streams map[int]*combining.DeltaDecoder
-	cfg     *combining.ConfigUpdate
+	br     *bufio.Reader
+	buf    []byte
+	f      frame
+	agg    combining.Aggregate
+	stream *combining.DeltaDecoder
+	cfg    *combining.ConfigUpdate
 }
 
 // read reads the next frame into d.f and returns the wire bytes consumed.
@@ -246,15 +242,10 @@ func (d *decoder) message() (msg interface{}, ok bool) {
 	}
 	agg := combining.Aggregate{Sum: f.agg.Sum, Max: f.agg.Max, Min: f.agg.Min, SumSq: f.agg.SumSq, Count: f.agg.Count}
 	if f.delta {
-		s := d.streams[f.tree]
-		if f.agg.Full && (s == nil || f.agg.N != s.N()) {
-			if d.streams == nil {
-				d.streams = make(map[int]*combining.DeltaDecoder)
-			}
-			s = combining.NewDeltaDecoder(f.agg.N)
-			d.streams[f.tree] = s
+		if f.agg.Full && (d.stream == nil || f.agg.N != d.stream.N()) {
+			d.stream = combining.NewDeltaDecoder(f.agg.N)
 		}
-		if s == nil || !s.Apply(&f.agg, &d.agg) {
+		if d.stream == nil || !d.stream.Apply(&f.agg, &d.agg) {
 			return nil, false
 		}
 		agg = d.agg
@@ -351,7 +342,9 @@ func decodeFrame(body []byte, f *frame) error {
 		return fmt.Errorf("%w: kind %d flags %#x", errFrame, f.kind, flags)
 	}
 	f.from = combining.NodeID(c.uvarint())
-	f.tree = int(c.uvarint())
+	if tree := c.uvarint(); tree != 0 {
+		return fmt.Errorf("%w: tree %d", errFrame, tree)
+	}
 	f.epoch = int(c.uvarint())
 	f.ack = c.uvarint()
 	f.cfg = combining.ConfigUpdate{}

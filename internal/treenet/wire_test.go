@@ -52,7 +52,7 @@ func sampleFrames(n int) []frame {
 	for _, kind := range []byte{kindReport, kindBroadcast} {
 		for _, p := range payloads {
 			for _, cfg := range []bool{false, true} {
-				f := frame{kind: kind, from: 5, tree: 2, epoch: 4711, ack: 12, delta: p.delta, agg: p.agg}
+				f := frame{kind: kind, from: 5, epoch: 4711, ack: 12, delta: p.delta, agg: p.agg}
 				if cfg {
 					f.hasCfg = true
 					f.cfg = combining.ConfigUpdate{Version: 13, GateEpoch: 4720, Payload: []byte(`{"version":13}`)}
@@ -78,7 +78,7 @@ func sameFloats(a, b []float64) bool {
 }
 
 func sameFrame(a, b *frame) error {
-	if a.kind != b.kind || a.from != b.from || a.tree != b.tree || a.epoch != b.epoch || a.ack != b.ack {
+	if a.kind != b.kind || a.from != b.from || a.epoch != b.epoch || a.ack != b.ack {
 		return fmt.Errorf("header %+v != %+v", a, b)
 	}
 	if a.hasCfg != b.hasCfg || a.cfg.Version != b.cfg.Version || a.cfg.GateEpoch != b.cfg.GateEpoch || !bytes.Equal(a.cfg.Payload, b.cfg.Payload) {
@@ -178,6 +178,12 @@ func TestFrameRejects(t *testing.T) {
 		other[4] = wireVersion + 1
 		if err := decodeBytes(other, &f); !errors.Is(err, errFrame) {
 			t.Fatalf("frame %d foreign version: %v", i, err)
+		}
+		// The tree field (after the one-byte from varint) is always 0.
+		other = append(other[:0], wire...)
+		other[8] = 1
+		if err := decodeBytes(other, &f); !errors.Is(err, errFrame) {
+			t.Fatalf("frame %d nonzero tree: %v", i, err)
 		}
 	}
 	huge := binary.LittleEndian.AppendUint32(nil, maxFrameBytes+1)

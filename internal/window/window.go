@@ -1,17 +1,13 @@
-// Package window provides the two admission mechanisms contrasted in §4.1:
-//
-//   - ExplicitQueue: the paper's first implementation — requests are held in
-//     per-principal queues and released in a batch at the start of the next
-//     time window. This bunches requests and, with closed-loop clients,
-//     depresses server throughput (the anomaly the paper reports).
-//   - CreditGate: the credit-based implicit scheme the paper switched to —
-//     per-window allowances consumed one request at a time, forwarding
-//     within-quota requests immediately.
-//
-// internal/core embeds credit logic directly for its two-dimensional
-// (principal × owner) allocation; this package serves the ablation
-// experiment and the Layer-4 pending-connection queue, which reinjects held
-// work in later windows exactly like the paper's kernel module.
+// Package window provides ExplicitQueue, the first of the two admission
+// mechanisms contrasted in §4.1: the paper's first implementation, where
+// requests are held in per-principal queues and released in a batch at the
+// start of the next time window. This bunches requests and, with
+// closed-loop clients, depresses server throughput (the anomaly the paper
+// reports). It serves the explicit-queue ablation experiment. The
+// credit-based implicit scheme the paper switched to — per-window
+// allowances consumed one request at a time, with at most one request of
+// carry — is the enforcement path itself: internal/core computes the
+// (principal × owner) credits and internal/admission spends them.
 package window
 
 // ExplicitQueue holds deferred work per principal and releases it in window
@@ -72,54 +68,4 @@ func (q *ExplicitQueue) Release(quota []float64) []int {
 		ran[p] = allow
 	}
 	return ran
-}
-
-// CreditGate is a per-principal credit counter with one-request carry-over.
-type CreditGate struct {
-	credits []float64
-}
-
-// NewCreditGate creates a gate for n principals.
-func NewCreditGate(n int) *CreditGate {
-	return &CreditGate{credits: make([]float64, n)}
-}
-
-// Refill installs the new window's allowances, carrying over at most one
-// request of unused credit per principal.
-func (g *CreditGate) Refill(alloc []float64) {
-	for p := range g.credits {
-		carry := g.credits[p]
-		if carry < 0 {
-			carry = 0
-		}
-		if carry > 1 {
-			carry = 1
-		}
-		add := 0.0
-		if p < len(alloc) {
-			add = alloc[p]
-		}
-		g.credits[p] = add + carry
-	}
-}
-
-// TryTake consumes one credit for principal p, reporting whether the
-// request is within quota.
-func (g *CreditGate) TryTake(p int) bool {
-	if p < 0 || p >= len(g.credits) {
-		return false
-	}
-	if g.credits[p] >= 1-1e-9 {
-		g.credits[p]--
-		return true
-	}
-	return false
-}
-
-// Remaining reports principal p's unused credit this window.
-func (g *CreditGate) Remaining(p int) float64 {
-	if p < 0 || p >= len(g.credits) {
-		return 0
-	}
-	return g.credits[p]
 }

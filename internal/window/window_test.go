@@ -62,51 +62,3 @@ func TestExplicitQueueBounds(t *testing.T) {
 		t.Fatalf("ran = %v", ran)
 	}
 }
-
-func TestCreditGateTakeAndCarry(t *testing.T) {
-	g := NewCreditGate(1)
-	g.Refill([]float64{2.5})
-	takes := 0
-	for g.TryTake(0) {
-		takes++
-	}
-	if takes != 2 {
-		t.Fatalf("takes = %d", takes)
-	}
-	if r := g.Remaining(0); r < 0.49 || r > 0.51 {
-		t.Fatalf("remaining = %v", r)
-	}
-	g.Refill([]float64{0.5}) // 0.5 + 0.5 carried = 1.0
-	if !g.TryTake(0) {
-		t.Fatal("carried credit not usable")
-	}
-	if g.TryTake(0) {
-		t.Fatal("over-take")
-	}
-}
-
-func TestCreditGateCarryCappedAtOne(t *testing.T) {
-	g := NewCreditGate(1)
-	g.Refill([]float64{5})
-	g.Refill([]float64{0}) // carry capped at 1
-	if !g.TryTake(0) {
-		t.Fatal("capped carry should allow one take")
-	}
-	if g.TryTake(0) {
-		t.Fatal("carry exceeded cap")
-	}
-}
-
-func TestCreditGateBounds(t *testing.T) {
-	g := NewCreditGate(1)
-	if g.TryTake(-1) || g.TryTake(3) {
-		t.Fatal("out-of-range take succeeded")
-	}
-	if g.Remaining(-1) != 0 || g.Remaining(3) != 0 {
-		t.Fatal("out-of-range remaining not 0")
-	}
-	g.Refill(nil) // short alloc slice
-	if g.TryTake(0) {
-		t.Fatal("take from empty gate")
-	}
-}
