@@ -360,43 +360,59 @@ func TestConfigResentToRestartedChild(t *testing.T) {
 	}
 }
 
-// TestConfigHandlerFiresOnceAfterReset pins when a node's configuration
-// handler fires: once per strictly newer version. A re-broadcast of the
-// version it holds — delivered normally, or reinstalled from durable state
-// by Reset after a crash restart — stages nothing again. A Reset node
-// resumes its durable epoch and still rewires with Reconfigure.
-func TestConfigHandlerFiresOnceAfterReset(t *testing.T) {
+// deliverV7 installs version 7 at the root of a two-node rig and runs two
+// epochs so the leaf stages it; it returns the rig, the leaf's handler call
+// count and a re-broadcast of version 7 to the leaf.
+func deliverV7(t *testing.T) (*rig, *Node, *int, func()) {
+	t.Helper()
 	r := newRig(t, 2, 1, 2, 0)
 	root, leaf := r.nodes[0], r.nodes[1]
-	fired := 0
-	leaf.SetConfigHandler(func(*ConfigUpdate) { fired++ })
+	fired := new(int)
+	leaf.SetConfigHandler(func(*ConfigUpdate) { *fired++ })
 	v7 := &ConfigUpdate{Version: 7, Payload: []byte("x")}
 	root.SetConfig(v7)
 	r.tickAll()
 	r.tickAll()
-	if cu := leaf.Config(); fired != 1 || cu == nil || cu.Version != 7 {
-		t.Fatalf("handler fired %d times, leaf holds %+v; want once, version 7", fired, cu)
+	if cu := leaf.Config(); *fired != 1 || cu == nil || cu.Version != 7 {
+		t.Fatalf("handler fired %d times, leaf holds %+v; want once, version 7", *fired, cu)
 	}
 	rebroadcast := func() {
 		leaf.OnMessage(0, Broadcast{Epoch: 50, Agg: NewAggregate(1), Config: v7})
 	}
+	return r, leaf, fired, rebroadcast
+}
+
+// TestConfigHandlerFiresOncePerVersion pins that a node's configuration
+// handler fires once per strictly newer version: a re-broadcast of the
+// version it holds stages nothing again.
+func TestConfigHandlerFiresOncePerVersion(t *testing.T) {
+	_, _, fired, rebroadcast := deliverV7(t)
 	rebroadcast()
-	if fired != 1 {
-		t.Fatalf("re-broadcast version 7 re-fired the handler: %d calls", fired)
+	if *fired != 1 {
+		t.Fatalf("re-broadcast version 7 re-fired the handler: %d calls", *fired)
 	}
+}
+
+// TestConfigHandlerFiresOnceAfterReset pins the handler across a crash
+// restart: a version reinstalled from durable state by Reset stages nothing
+// again when re-broadcast, an older restored version is brought up to date
+// by a Rejoin, and a Reset node resumes its durable epoch and still rewires
+// with Reconfigure.
+func TestConfigHandlerFiresOnceAfterReset(t *testing.T) {
+	r, leaf, fired, rebroadcast := deliverV7(t)
 	leaf.Reset(9, &ConfigUpdate{Version: 7})
 	if e := leaf.Epoch(); e != 9 {
 		t.Fatalf("epoch after Reset = %d, want 9", e)
 	}
 	rebroadcast()
-	if fired != 1 {
-		t.Fatalf("version 7 restored by Reset re-fired the handler: %d calls", fired)
+	if *fired != 1 {
+		t.Fatalf("version 7 restored by Reset re-fired the handler: %d calls", *fired)
 	}
 	leaf.Reset(9, &ConfigUpdate{Version: 3})
 	leaf.AnnounceRejoin() // acks 3: the root replies with version 7
 	r.clock.RunFor(0)
-	if fired != 2 {
-		t.Fatalf("version 7 after a Reset to 3: handler fired %d times, want 2", fired)
+	if *fired != 2 {
+		t.Fatalf("version 7 after a Reset to 3: handler fired %d times, want 2", *fired)
 	}
 	leaf.Reconfigure(-1, nil)
 	if !leaf.IsRoot() {
