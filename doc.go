@@ -19,10 +19,10 @@
 //     entitlement matrices via the ticket/currency flow computation of the
 //     paper's §2–3.1.1.
 //   - Window schedulers (internal/sched) solve, every 100 ms window, a
-//     small linear program (internal/lp, a two-phase simplex) choosing how
-//     many queued requests of each principal to forward where: either
-//     maximizing the minimum served queue fraction (community) or the
-//     provider's income (provider).
+//     small linear program choosing how many queued requests of each
+//     principal to forward where: either maximizing the minimum served
+//     queue fraction (community, solved exactly as a parametric max-flow)
+//     or the provider's income (provider, a fractional knapsack).
 //   - An Engine (internal/core) stamps out one Redirector per admission
 //     point; each converts the LP plan into per-window credits that admit
 //     or turn away individual requests in O(1), scaled to the node's local

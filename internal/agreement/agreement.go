@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Errors reported by System mutation and computation.
@@ -260,54 +259,4 @@ func (s *System) String() string {
 		out += fmt.Sprintf("; %s→%s [%g,%g]", s.names[a.Owner], s.names[a.User], a.LB, a.UB)
 	}
 	return out + "}"
-}
-
-// Components partitions the principals into disjoint agreement components:
-// two principals share a component when a chain of agreements connects
-// them. Principals with no agreements form singleton components. Each
-// component's members are ascending; components are ordered by their
-// lowest member.
-func (s *System) Components() [][]Principal {
-	n := len(s.names)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	for o, es := range s.out {
-		for _, e := range es {
-			union(o, int(e.to))
-		}
-	}
-	groups := make(map[int][]Principal)
-	var roots []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if _, ok := groups[r]; !ok {
-			roots = append(roots, r)
-		}
-		groups[r] = append(groups[r], Principal(i))
-	}
-	sort.Ints(roots)
-	out := make([][]Principal, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, groups[r])
-	}
-	return out
 }

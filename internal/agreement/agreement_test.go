@@ -550,39 +550,3 @@ func BenchmarkAccessScaling(b *testing.B) {
 		}
 	}
 }
-
-func TestComponents(t *testing.T) {
-	s := New()
-	sp := s.MustAddPrincipal("S", 100) // 0
-	a := s.MustAddPrincipal("A", 0)    // 1
-	b := s.MustAddPrincipal("B", 0)    // 2
-	x := s.MustAddPrincipal("X", 50)   // 3
-	y := s.MustAddPrincipal("Y", 0)    // 4
-	lone := s.MustAddPrincipal("L", 0) // 5
-	s.MustSetAgreement(sp, a, 0.1, 1)
-	s.MustSetAgreement(sp, b, 0.1, 1)
-	s.MustSetAgreement(x, y, 0.2, 1)
-
-	comps := s.Components()
-	want := [][]Principal{{sp, a, b}, {x, y}, {lone}}
-	if len(comps) != len(want) {
-		t.Fatalf("components = %v", comps)
-	}
-	for i := range want {
-		if len(comps[i]) != len(want[i]) {
-			t.Fatalf("component %d = %v, want %v", i, comps[i], want[i])
-		}
-		for j := range want[i] {
-			if comps[i][j] != want[i][j] {
-				t.Fatalf("component %d = %v, want %v", i, comps[i], want[i])
-			}
-		}
-	}
-
-	// Bridging the two big components merges them.
-	s.MustSetAgreement(b, x, 0.05, 1)
-	comps = s.Components()
-	if len(comps) != 2 || len(comps[0]) != 5 {
-		t.Fatalf("merged components = %v", comps)
-	}
-}

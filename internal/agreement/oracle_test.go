@@ -12,7 +12,7 @@ import (
 // mapSystem is the edge store System kept before its edges became sorted
 // lists: one map per owner, sorted again on every read whose order matters.
 // It survives here only as the oracle the list store is held to — the same
-// agreements, the same components, and folds equal to the last bit.
+// agreements and folds equal to the last bit.
 type mapSystem struct {
 	names      []string
 	capacities []float64
@@ -171,48 +171,6 @@ func (m *mapSystem) agreementBetween(owner, user Principal) (lb, ub float64, ok 
 	}
 	b, ok := m.edges[owner][user]
 	return b[0], b[1], ok
-}
-
-func (m *mapSystem) components() [][]Principal {
-	n := len(m.names)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for o := range m.edges {
-		for u := range m.edges[o] {
-			ra, rb := find(o), find(int(u))
-			if ra != rb {
-				if rb < ra {
-					ra, rb = rb, ra
-				}
-				parent[rb] = ra
-			}
-		}
-	}
-	groups := make(map[int][]Principal)
-	var roots []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if _, ok := groups[r]; !ok {
-			roots = append(roots, r)
-		}
-		groups[r] = append(groups[r], Principal(i))
-	}
-	sort.Ints(roots)
-	out := make([][]Principal, 0, len(roots))
-	for _, r := range roots {
-		out = append(out, groups[r])
-	}
-	return out
 }
 
 // adjacency is the parent's flowAdjacency: fresh lists sorted by user.
@@ -451,9 +409,6 @@ func (p *oraclePair) check(t *testing.T, step string, dirty []Principal, rng *ra
 			}
 		}
 	}
-	if got, want := p.sys.Components(), p.ora.components(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Components %v, want %v", step, got, want)
-	}
 	full, err := p.sys.Flows()
 	if err != nil {
 		t.Fatalf("%s: Flows: %v", step, err)
@@ -498,8 +453,8 @@ func (p *oraclePair) check(t *testing.T, step string, dirty []Principal, rng *ra
 // store: generated systems go through random SetAgreement, ApplySet and
 // Clone sequences — repeated pairs, [0, 0] entries, unsorted sets, invalid
 // input, mutations of clones and of the systems they were cloned from — in
-// lockstep with mapSystem. Errors, dirty sets, Agreements, AgreementBetween
-// and Components must be equal, and Flows, RefoldFrom, Access and
+// lockstep with mapSystem. Errors, dirty sets, Agreements and
+// AgreementBetween must be equal, and Flows, RefoldFrom, Access and
 // ScaledAccess equal to the last bit.
 func TestEdgeListsMatchMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))

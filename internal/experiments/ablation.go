@@ -8,7 +8,6 @@ import (
 	"repro/internal/combining"
 	"repro/internal/simnet"
 	"repro/internal/vclock"
-	"repro/internal/window"
 )
 
 // AblationQueuing reproduces the §4.1 anomaly: the paper's first Layer-7
@@ -73,16 +72,16 @@ func runQueueMode(explicit bool, threads int) float64 {
 		clock.Schedule(think, submit)
 	})
 
-	eq := window.NewExplicitQueue(1)
+	eq := newExplicitQueue(1)
 	if explicit {
 		clock.ScheduleEvery(windowD, func() {
 			// No contention: the whole window quota is the server capacity.
-			eq.Release([]float64{capacity * windowD.Seconds()})
+			eq.release([]float64{capacity * windowD.Seconds()})
 		})
 	}
 	submit = func() {
 		if explicit {
-			eq.Enqueue(0, func() { srv.Offer(cluster.Request{}) })
+			eq.enqueue(0, func() { srv.Offer(cluster.Request{}) })
 		} else {
 			srv.Offer(cluster.Request{})
 		}
@@ -92,6 +91,48 @@ func runQueueMode(explicit bool, threads int) float64 {
 	}
 	clock.RunUntil(warmup + measure)
 	return float64(completedInWindow) / measure.Seconds()
+}
+
+// explicitQueue is the paper's first admission mechanism (§4.1): deferred
+// work held per principal and released in a batch at the start of the next
+// window. The credit scheme that replaced it is the enforcement path itself
+// (internal/core computes the credits, internal/admission spends them); this
+// queue survives only for the ablation above.
+type explicitQueue struct {
+	queues [][]func()
+}
+
+func newExplicitQueue(n int) *explicitQueue {
+	return &explicitQueue{queues: make([][]func(), n)}
+}
+
+// enqueue defers fn under principal p; out-of-range principals are ignored.
+func (q *explicitQueue) enqueue(p int, fn func()) {
+	if p < 0 || p >= len(q.queues) {
+		return
+	}
+	q.queues[p] = append(q.queues[p], fn)
+}
+
+// release pops and runs up to quota[p] deferred items per principal in FIFO
+// order, returning how many ran per principal. Fractional quotas truncate; a
+// principal past the end of quota releases nothing.
+func (q *explicitQueue) release(quota []float64) []int {
+	ran := make([]int, len(q.queues))
+	for p := range q.queues {
+		allow := 0
+		if p < len(quota) {
+			allow = int(quota[p])
+		}
+		allow = min(allow, len(q.queues[p]))
+		for i := 0; i < allow; i++ {
+			q.queues[p][i]()
+			q.queues[p][i] = nil
+		}
+		q.queues[p] = append(q.queues[p][:0], q.queues[p][allow:]...)
+		ran[p] = allow
+	}
+	return ran
 }
 
 // AblationTree verifies the paper's coordination-cost claim: a combining

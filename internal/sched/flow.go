@@ -15,8 +15,8 @@ import "math"
 // Max-flow is Dinic's: BFS levels over the residual graph, then blocking
 // flows by DFS with a current-arc pointer per node. Adjacency lists run in
 // ascending principal and owner index, so among equally short augmenting
-// paths the lowest-numbered owner is filled first — the order in which the
-// simplex this replaced entered columns.
+// paths the lowest-numbered owner is filled first, which keeps a lightly
+// loaded principal on one owner.
 type flowNet struct {
 	n         int // principals (= owners); nodes: s, principals, owners, t
 	src, sink int

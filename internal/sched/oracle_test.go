@@ -3,25 +3,23 @@ package sched
 import (
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/agreement"
-	"repro/internal/lp"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
 // The schedulers solve their programs combinatorially; this file is their
-// oracle: the same programs built with internal/lp and solved by the simplex,
-// lexicographically (primary objective, then throughput within lexTol of it).
-// An optimal LP does not determine its vertex, so the oracles compare values
-// — θ, throughput, income — and check every constraint of the program on the
-// scheduler's plan, never plan cells against the LP's.
-
-// lexTol is how far below its optimum the oracle lets the primary objective
-// sit during the lexicographic throughput pass.
-const lexTol = 1e-9
+// oracle, and it solves nothing. By duality the optimum of each program is a
+// function of its inputs alone, so the oracle computes that function and
+// checks the plans' values against it — θ, throughput, income and the
+// floor-fallback decision — and every constraint of the program on the
+// plan. An optimal program does not determine its vertex, so plan cells are
+// never compared.
 
 // oracleTol is the agreement the oracles require.
 const oracleTol = 1e-6
@@ -29,148 +27,111 @@ const oracleTol = 1e-6
 // quietLogger swallows the fallback warnings the generated instances provoke.
 var quietLogger = obs.NewLogger(io.Discard, obs.LevelError)
 
-// scheduleSlow solves the community program as an LP: with mandatory floors,
-// and again without them if that is infeasible (fellBack).
-func (c *Community) scheduleSlow(queues []float64) (plan *Plan, fellBack bool, err error) {
-	plan, err = c.solveSlow(queues, true)
-	if err == nil {
-		return plan, false, nil
-	}
-	plan, err = c.solveSlow(queues, false)
-	return plan, true, err
-}
+// maxCutPrincipals bounds the cut enumeration, which visits 2^|A| subsets.
+const maxCutPrincipals = 16
 
-func (c *Community) solveSlow(queues []float64, floors bool) (*Plan, error) {
-	n := c.n
-	b := lp.NewBuilder()
-	theta := b.NewVar(1)
-	b.Bound(theta, 0, 1)
-
-	// x[i][k] variables only where an entitlement exists.
-	x := make([][]lp.Var, n)
-	for i := 0; i < n; i++ {
-		x[i] = make([]lp.Var, n)
-		for k := 0; k < n; k++ {
-			x[i][k] = -1
-			if queues[i] <= 0 {
-				continue
-			}
-			if hi := c.acc.MI[k][i] + c.acc.OI[k][i]; hi > 0 {
-				x[i][k] = b.NewVar(0)
-				b.Bound(x[i][k], 0, hi)
-			}
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		if queues[i] <= 0 {
+// cutOracle computes the community program's optimum by min-cut enumeration
+// (max-flow/min-cut on the bipartite network: Gale's theorem). A are the
+// queued principals holding an entitlement, hi_ik = MI[k][i]+OI[k][i],
+// u_k = min(V_k, c_k), and cut(S) = Σ_k min(u_k, Σ_{i∈S} hi_ik) is what the
+// principals S can push through their owners. Then:
+//
+//   - the floors floor_i = min(n_i, MC_i) are infeasible (fallback) iff some
+//     S has Σ_{i∈S} floor_i > cut(S), within ScheduleInto's tolerance;
+//   - θ* is the minimum of 1 and, over every S, the largest θ with
+//     Σ_{i∈S} max(θ·n_i, floor_i) ≤ cut(S) (floors 0 after a fallback), or
+//     0 when a queued principal has no entitlement;
+//   - the throughput is min_{P⊆A} [Σ_{i∈A∖P} n_i + cut(P)].
+//
+// It reads the scheduler's inputs only, never its network or solver state.
+func cutOracle(t testing.TB, c *Community, queues []float64) (theta, throughput float64, fallback bool) {
+	t.Helper()
+	acc, n := c.acc, c.n
+	theta = 1
+	var A []int
+	for i, q := range queues {
+		if q <= 0 {
 			continue
 		}
-		terms := []lp.Term{lp.T(theta, -queues[i])}
-		var sum []lp.Term
+		entitled := false
 		for k := 0; k < n; k++ {
-			if x[i][k] >= 0 {
-				terms = append(terms, lp.T(x[i][k], 1))
-				sum = append(sum, lp.T(x[i][k], 1))
+			entitled = entitled || acc.MI[k][i]+acc.OI[k][i] > 0
+		}
+		if entitled {
+			A = append(A, i)
+		} else {
+			theta = 0
+		}
+	}
+	m := len(A)
+	if m > maxCutPrincipals {
+		t.Fatalf("cut oracle: %d queued entitled principals, at most %d", m, maxCutPrincipals)
+	}
+	floor := func(i int) float64 { return math.Min(queues[i], acc.MC[i]) }
+	// Ascending floor_i/n_i, the order in which principals leave their
+	// floors as θ rises: subset bits then enumerate members in that order.
+	sort.SliceStable(A, func(a, b int) bool {
+		return floor(A[a])/queues[A[a]] < floor(A[b])/queues[A[b]]
+	})
+	u := make([]float64, n)
+	for k := range u {
+		u[k] = c.capacity[k]
+		if c.locality != nil {
+			u[k] = math.Min(u[k], c.locality[k])
+		}
+	}
+	total := 0.0
+	for _, q := range queues {
+		total += q
+	}
+	tol := 1e-9 * math.Max(1, total) // the solver's floor tolerance
+
+	// load[S·n+k] = Σ_{i∈S} hi_ik, built from S minus its lowest member.
+	cut := make([]float64, 1<<m)
+	load := make([]float64, (1<<m)*n)
+	demand := 0.0
+	for _, i := range A {
+		demand += queues[i]
+	}
+	throughput = demand
+	for s := 1; s < 1<<m; s++ {
+		low := bits.TrailingZeros(uint(s))
+		row, prev := load[s*n:(s+1)*n], load[(s&(s-1))*n:]
+		fl, in := 0.0, 0.0
+		for k := range row {
+			row[k] = prev[k] + acc.MI[k][A[low]] + acc.OI[k][A[low]]
+			cut[s] += math.Min(u[k], row[k])
+		}
+		for r := s; r != 0; r &= r - 1 {
+			i := A[bits.TrailingZeros(uint(r))]
+			fl += floor(i)
+			in += queues[i]
+		}
+		fallback = fallback || fl > cut[s]+tol
+		throughput = math.Min(throughput, demand-in+cut[s])
+	}
+	if theta == 0 {
+		return theta, throughput, fallback
+	}
+	// Σ_{i∈S} max(θ·n_i, floor_i) ≤ cut(S) iff, for every prefix of S in
+	// breakpoint order, θ·Σ_{prefix} n_i + Σ_{rest} floor_i ≤ cut(S).
+	for s := 1; s < 1<<m; s++ {
+		rest, in := 0.0, 0.0
+		if !fallback {
+			for r := s; r != 0; r &= r - 1 {
+				rest += floor(A[bits.TrailingZeros(uint(r))])
 			}
 		}
-		if len(sum) == 0 {
-			// No entitlement anywhere: θ must account for an unserved queue.
-			b.Constrain(lp.LE, 0, lp.T(theta, queues[i]))
-			continue
-		}
-		// Σ_k x_ik − θ n_i ≥ 0.
-		b.Constrain(lp.GE, 0, terms...)
-		// Σ_k x_ik ≤ n_i.
-		b.Constrain(lp.LE, queues[i], sum...)
-		if floors {
-			if floor := math.Min(queues[i], c.acc.MC[i]); floor > 0 {
-				b.Constrain(lp.GE, floor, sum...)
+		for r := s; r != 0; r &= r - 1 {
+			i := A[bits.TrailingZeros(uint(r))]
+			if !fallback {
+				rest -= floor(i)
 			}
+			in += queues[i]
+			theta = math.Min(theta, (cut[s]-rest)/in)
 		}
 	}
-
-	// Server capacity: Σ_i x_ik ≤ V_k, and locality caps.
-	for k := 0; k < n; k++ {
-		var load []lp.Term
-		for i := 0; i < n; i++ {
-			if x[i][k] >= 0 {
-				load = append(load, lp.T(x[i][k], 1))
-			}
-		}
-		if len(load) == 0 {
-			continue
-		}
-		b.Constrain(lp.LE, c.capacity[k], load...)
-		if c.locality != nil && !math.IsInf(c.locality[k], 1) {
-			b.Constrain(lp.LE, c.locality[k], load...)
-		}
-	}
-
-	obj2 := make([]float64, b.NumVars())
-	for j := 1; j < len(obj2); j++ {
-		obj2[j] = 1 // every x variable; θ stays out of the throughput pass
-	}
-	sol, err := lp.SolveLex(b.Problem(), lexTol, obj2)
-	if err != nil {
-		return nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return nil, errFloors
-	}
-	plan := new(Plan)
-	plan.reset(n)
-	plan.Theta = sol.Primary
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			if x[i][k] >= 0 {
-				v := math.Max(sol.X[x[i][k]], 0)
-				plan.X[i][k] = v
-				plan.Total[i] += v
-			}
-		}
-	}
-	return plan, nil
-}
-
-// scheduleSlow solves the provider program as an LP, falling back to scaled
-// mandatory shares when its floors are infeasible (fellBack).
-func (p *Provider) scheduleSlow(queues []float64) (plan *ProviderPlan, fellBack bool, err error) {
-	b := lp.NewBuilder()
-	xs := make([]lp.Var, p.n)
-	var all []lp.Term
-	for i := 0; i < p.n; i++ {
-		q := queues[i]
-		xs[i] = b.NewVar(p.prices[i])
-		lo := math.Min(p.mc[i], q)
-		hi := math.Min(math.Min(p.mc[i]+p.oc[i], q), p.capacity)
-		if hi < lo {
-			hi = lo
-		}
-		b.Bound(xs[i], lo, hi)
-		all = append(all, lp.T(xs[i], 1))
-	}
-	b.Constrain(lp.LE, p.capacity, all...)
-
-	obj2 := make([]float64, p.n)
-	for j := range obj2 {
-		obj2[j] = 1
-	}
-	sol, err := lp.SolveLex(b.Problem(), lexTol, obj2)
-	if err != nil {
-		return nil, false, err
-	}
-	plan = new(ProviderPlan)
-	if sol.Status != lp.Optimal {
-		p.scaledMandatory(queues, plan)
-		return plan, true, nil
-	}
-	plan.reset(p.n)
-	for i := 0; i < p.n; i++ {
-		plan.X[i] = math.Max(sol.X[i], 0)
-		plan.Income += p.prices[i] * (plan.X[i] - p.mc[i])
-	}
-	return plan, false, nil
+	return theta, throughput, fallback
 }
 
 // near reports |a−b| ≤ oracleTol·max(1, scale).
@@ -178,10 +139,10 @@ func near(a, b, scale float64) bool {
 	return math.Abs(a-b) <= oracleTol*math.Max(1, scale)
 }
 
-// checkCommunity schedules queues on c and holds the plan to the LP oracle:
-// the same θ, the same throughput, the same floor-fallback decision, every
-// constraint of the program, and a θ search inside its step bound. It
-// returns the plan and whether the floors fell back.
+// checkCommunity schedules queues on c and holds the plan to the cut
+// oracle: the same θ, the same throughput, the same floor-fallback
+// decision, every constraint of the program, and a θ search inside its step
+// bound. It returns the plan and whether the floors fell back.
 func checkCommunity(t testing.TB, c *Community, queues []float64) (*Plan, bool) {
 	t.Helper()
 	stats := &metrics.SolverStats{}
@@ -191,10 +152,7 @@ func checkCommunity(t testing.TB, c *Community, queues []float64) (*Plan, bool) 
 	if err != nil {
 		t.Fatalf("schedule %v: %v", queues, err)
 	}
-	want, wantFallback, err := c.scheduleSlow(queues)
-	if err != nil {
-		t.Fatalf("oracle %v: %v", queues, err)
-	}
+	theta, throughput, wantFallback := cutOracle(t, c, queues)
 	fellBack := stats.FloorFallbacks() > 0
 	if fellBack != wantFallback {
 		t.Fatalf("queues %v: floor fallback %v, oracle %v", queues, fellBack, wantFallback)
@@ -202,16 +160,15 @@ func checkCommunity(t testing.TB, c *Community, queues []float64) (*Plan, bool) 
 	if c.steps > c.maxSteps() {
 		t.Fatalf("queues %v: θ search took %d flow solves, bound %d", queues, c.steps, c.maxSteps())
 	}
-	if !near(got.Theta, want.Theta, 0) {
-		t.Fatalf("queues %v: θ %.9g, oracle %.9g", queues, got.Theta, want.Theta)
+	if !near(got.Theta, theta, 0) {
+		t.Fatalf("queues %v: θ %.9g, oracle %.9g", queues, got.Theta, theta)
 	}
-	sumGot, sumWant := 0.0, 0.0
-	for i := range got.Total {
-		sumGot += got.Total[i]
-		sumWant += want.Total[i]
+	sum := 0.0
+	for _, x := range got.Total {
+		sum += x
 	}
-	if !near(sumGot, sumWant, sumWant) {
-		t.Fatalf("queues %v: throughput %.9g, oracle %.9g", queues, sumGot, sumWant)
+	if !near(sum, throughput, throughput) {
+		t.Fatalf("queues %v: throughput %.9g, oracle %.9g", queues, sum, throughput)
 	}
 	checkCommunityConstraints(t, c, queues, got, !fellBack)
 	return got, fellBack
@@ -269,8 +226,14 @@ func checkCommunityConstraints(t testing.TB, c *Community, queues []float64, pla
 	}
 }
 
-// checkProvider holds a provider plan to the LP oracle: the same income,
-// throughput and fallback decision, and every constraint of the program.
+// checkProvider holds a provider plan to the knapsack's optimality
+// certificate, the LP dual's price threshold. With lo_i = min(MC_i, n_i),
+// the floors fall back iff Σ lo_i exceeds V beyond ScheduleInto's 1e-9
+// relative tolerance, and the fallback plan is lo_i·V/Σ lo_i. Otherwise,
+// with hi_i = min(MC_i+OC_i, n_i, V), income is optimal iff no customer
+// below its hi outprices a customer above its lo, and throughput is optimal
+// at that income iff Σx = V or every x_i = hi_i. Every constraint of the
+// program and the reported income are checked too.
 func checkProvider(t testing.TB, p *Provider, queues []float64) *ProviderPlan {
 	t.Helper()
 	stats := &metrics.SolverStats{}
@@ -280,39 +243,50 @@ func checkProvider(t testing.TB, p *Provider, queues []float64) *ProviderPlan {
 	if err != nil {
 		t.Fatalf("schedule %v: %v", queues, err)
 	}
-	want, wantFallback, err := p.scheduleSlow(queues)
-	if err != nil {
-		t.Fatalf("oracle %v: %v", queues, err)
+	floors := 0.0
+	for i, q := range queues {
+		floors += math.Min(p.mc[i], q)
 	}
-	fellBack := stats.FloorFallbacks() > 0
-	if fellBack != wantFallback {
+	wantFallback := floors > p.capacity+1e-9*math.Max(1, p.capacity)
+	if fellBack := stats.FloorFallbacks() > 0; fellBack != wantFallback {
 		t.Fatalf("queues %v: floor fallback %v, oracle %v", queues, fellBack, wantFallback)
 	}
-	if !near(got.Income, want.Income, 0) {
-		t.Fatalf("queues %v: income %.9g, oracle %.9g", queues, got.Income, want.Income)
-	}
-	sumGot, sumWant, income := 0.0, 0.0, 0.0
+	sum, income := 0.0, 0.0
+	allHi := true
+	belowHi, aboveLo := math.Inf(-1), math.Inf(1) // max price short of hi, min price past lo
 	for i, x := range got.X {
-		sumGot += x
-		sumWant += want.X[i]
+		sum += x
 		income += p.prices[i] * (x - p.mc[i])
-		if fellBack {
+		lo := math.Min(p.mc[i], queues[i])
+		if wantFallback {
+			if want := lo * p.capacity / floors; !near(x, want, want) {
+				t.Fatalf("queues %v: fallback X[%d] = %g, want %g", queues, i, x, want)
+			}
 			continue
 		}
-		lo := math.Min(p.mc[i], queues[i])
-		hi := math.Min(math.Min(p.mc[i]+p.oc[i], queues[i]), p.capacity)
+		hi := math.Max(math.Min(math.Min(p.mc[i]+p.oc[i], queues[i]), p.capacity), lo)
 		if x < lo-oracleTol || x > hi+oracleTol {
 			t.Fatalf("queues %v: X[%d] = %g outside [%g, %g]", queues, i, x, lo, hi)
 		}
+		if x < hi-oracleTol*math.Max(1, hi) {
+			allHi = false
+			belowHi = math.Max(belowHi, p.prices[i])
+		}
+		if x > lo+oracleTol*math.Max(1, lo) {
+			aboveLo = math.Min(aboveLo, p.prices[i])
+		}
 	}
-	if !near(sumGot, sumWant, sumWant) {
-		t.Fatalf("queues %v: throughput %.9g, oracle %.9g", queues, sumGot, sumWant)
+	if belowHi > aboveLo {
+		t.Fatalf("queues %v: a customer at price %g is short of its cap while one at %g is above its floor", queues, belowHi, aboveLo)
+	}
+	if !wantFallback && !allHi && !near(sum, p.capacity, p.capacity) {
+		t.Fatalf("queues %v: admits %.9g < capacity %g with demand short of its cap", queues, sum, p.capacity)
 	}
 	if !near(income, got.Income, 0) {
 		t.Fatalf("queues %v: reported income %g, plan's %g", queues, got.Income, income)
 	}
-	if sumGot > p.capacity+oracleTol*math.Max(1, p.capacity) {
-		t.Fatalf("queues %v: admits %g > capacity %g", queues, sumGot, p.capacity)
+	if sum > p.capacity+oracleTol*math.Max(1, p.capacity) {
+		t.Fatalf("queues %v: admits %g > capacity %g", queues, sum, p.capacity)
 	}
 	return got
 }
@@ -387,9 +361,56 @@ func genProvider(rng *rand.Rand) (*Provider, []float64, error) {
 	return p, queues, err
 }
 
-// TestSweepMatchesLP is the deterministic sweep: 10⁴ generated
-// instances, each held to its LP oracle.
-func TestSweepMatchesLP(t *testing.T) {
+// TestCutOracleKnownValues runs the cut oracle alone on hand-computed
+// instances, so a broken oracle cannot pass by agreeing with a broken
+// solver.
+func TestCutOracleKnownValues(t *testing.T) {
+	// Fig. 7: A and B hold [0.2, 1] of one 250 req/s owner with queues 270
+	// and 135; the owner binds, θ* = 250/405, floors 50 each fit.
+	fig7 := agreement.New()
+	owner := fig7.MustAddPrincipal("S", 250)
+	fig7.MustSetAgreement(owner, fig7.MustAddPrincipal("A", 0), 0.2, 1)
+	fig7.MustSetAgreement(owner, fig7.MustAddPrincipal("B", 0), 0.2, 1)
+	// An outsider with a queue and no entitlement forces θ* = 0 while A's
+	// 50 is still served in full.
+	outsider := agreement.New()
+	owner = outsider.MustAddPrincipal("S", 100)
+	outsider.MustSetAgreement(owner, outsider.MustAddPrincipal("A", 0), 0.5, 1)
+	outsider.MustAddPrincipal("outsider", 0)
+	community := func(s *agreement.System) *Community {
+		acc, err := s.SystemAccess()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCommunity(acc, s.Capacities(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name              string
+		c                 *Community
+		queues            []float64
+		theta, throughput float64
+		fallback          bool
+	}{
+		{"fig7", community(fig7), []float64{0, 270, 135}, 250.0 / 405, 250, false},
+		{"unentitled", community(outsider), []float64{0, 50, 10}, 0, 50, false},
+		// Floors 300 + 100 overflow the 200 pool: without them θ* = 200/400.
+		{"infeasible-floors", onePool(t, []float64{300, 100}, []float64{0, 0}, 200), []float64{0, 300, 100}, 0.5, 200, true},
+	} {
+		theta, throughput, fallback := cutOracle(t, tc.c, tc.queues)
+		if !near(theta, tc.theta, 0) || !near(throughput, tc.throughput, tc.throughput) || fallback != tc.fallback {
+			t.Errorf("%s: oracle θ %g, throughput %g, fallback %v; want %g, %g, %v",
+				tc.name, theta, throughput, fallback, tc.theta, tc.throughput, tc.fallback)
+		}
+	}
+}
+
+// TestSweepMatchesOracle is the deterministic sweep: 10⁴ generated
+// instances, each held to its oracle.
+func TestSweepMatchesOracle(t *testing.T) {
 	comm, prov := 6000, 4000
 	if testing.Short() {
 		comm, prov = 600, 400
@@ -420,7 +441,7 @@ func TestSweepMatchesLP(t *testing.T) {
 		comm, fallbacks, maxSteps, prov)
 }
 
-func FuzzCommunityMatchesLP(f *testing.F) {
+func FuzzCommunityMatchesOracle(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
@@ -433,7 +454,7 @@ func FuzzCommunityMatchesLP(f *testing.F) {
 	})
 }
 
-func FuzzProviderMatchesLP(f *testing.F) {
+func FuzzProviderMatchesOracle(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
 		f.Add(seed)
 	}
@@ -446,10 +467,10 @@ func FuzzProviderMatchesLP(f *testing.F) {
 	})
 }
 
-// TestCommunityFastMatchesSlow holds the community scheduler to its LP
+// TestCommunityMatchesOracle holds the community scheduler to the cut
 // oracle on all-positive queues, several windows per scheduler so state
 // left by one solve cannot leak into the next.
-func TestCommunityFastMatchesSlow(t *testing.T) {
+func TestCommunityMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 120; iter++ {
 		n := 2 + rng.Intn(4)
@@ -481,10 +502,10 @@ func TestCommunityFastMatchesSlow(t *testing.T) {
 	}
 }
 
-// TestCommunityFastMatchesSlowZeroQueues: a zero queue has no rows in the
-// oracle's program and zero-capacity source edges in the network; it must
-// be served nothing, and the rest must still match.
-func TestCommunityFastMatchesSlowZeroQueues(t *testing.T) {
+// TestCommunityZeroQueuesMatchOracle: a zero queue is in no cut of the
+// oracle and has a zero-capacity source edge in the network; it must be
+// served nothing, and the rest must still match.
+func TestCommunityZeroQueuesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 60; iter++ {
 		n := 2 + rng.Intn(3)
@@ -512,7 +533,7 @@ func TestCommunityFastMatchesSlowZeroQueues(t *testing.T) {
 	}
 }
 
-func TestProviderFastMatchesSlow(t *testing.T) {
+func TestProviderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 150; iter++ {
 		n := 1 + rng.Intn(6)

@@ -18,8 +18,10 @@
 // knapsack filled in price order. Each then maximizes total throughput at the
 // optimal primary objective — the lexicographic second pass — so the plans
 // are work-conserving: no server capacity is left idle while admissible
-// requests wait. The tests check both against the same programs solved by
-// internal/lp: θ, throughput, income and every constraint agree within 1e-6.
+// requests wait. The tests check both against the optimum their duality
+// certificates give from the inputs alone — min-cut enumeration for the
+// community program, the price threshold for the provider program — and
+// check every constraint on the plan, within 1e-6.
 //
 // A scheduler preallocates its working state at construction and writes each
 // result into a plan the caller owns, so a Schedule call allocates nothing
@@ -124,7 +126,7 @@ func (c *Community) log() *obs.Logger {
 type Plan struct {
 	// X[i][k] is the number of requests from principal i's queue to forward
 	// to owner k's servers this window. Fractional values are expected; the
-	// admission layer (internal/window) carries remainders across windows.
+	// admission layer (internal/admission) carries remainders across windows.
 	X [][]float64
 	// Total[i] = Σ_k X[i][k].
 	Total []float64
