@@ -17,6 +17,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -86,7 +87,7 @@ type Config struct {
 	// Logger receives enforcement-degradation events (floor fallbacks,
 	// conservative windows) from the engine and its schedulers. Nil falls
 	// back to the process-wide obs.Default logger.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Version numbers the engine's immutable scheduling generations. Every
@@ -530,7 +531,7 @@ func (e *Engine) providerPlan(st schedState, n []float64, dst *sched.ProviderPla
 func (e *Engine) Stats() *metrics.SolverStats { return e.stats }
 
 // Logger returns the engine's structured logger (never nil).
-func (e *Engine) Logger() *obs.Logger {
+func (e *Engine) Logger() *slog.Logger {
 	if e.cfg.Logger != nil {
 		return e.cfg.Logger
 	}
@@ -557,7 +558,6 @@ func (e *Engine) NewObserver(id int, auditor *obs.Auditor, ringDepth int) *obs.O
 		Names:      e.PrincipalNames(),
 		RingDepth:  ringDepth,
 		Auditor:    auditor,
-		Logger:     e.cfg.Logger,
 	})
 }
 

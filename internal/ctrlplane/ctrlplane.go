@@ -20,6 +20,7 @@ package ctrlplane
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 
 	"repro/internal/agreement"
@@ -50,7 +51,7 @@ type Options struct {
 	// accepted the set, outside any engine lock.
 	Publish func(set *agreement.Set, gateEpoch int)
 	// Logger receives accepted-mutation events; nil uses obs.Default.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Resume, when non-nil, is the newest durable agreement-set snapshot a
 	// restarted control-plane host recovered (internal/persist): New applies
 	// it to the validation clone and resumes version numbering from
@@ -79,6 +80,7 @@ type Plane struct {
 	flows *agreement.Flows  // fold of sys, advanced incrementally
 	eng   *core.Engine
 	opt   Options
+	log   *slog.Logger // opt.Logger (or obs.Default) tagged comp=ctrlplane
 	lead  int
 	// version numbers accepted mutations; snapshots carry it as their
 	// agreement.Set version.
@@ -115,8 +117,13 @@ func New(sys *agreement.System, eng *core.Engine, opt Options) (*Plane, error) {
 	if lead <= 0 {
 		lead = DefaultLead
 	}
+	logger := opt.Logger
+	if logger == nil {
+		logger = obs.Default()
+	}
 	p := &Plane{
 		sys: clone, flows: flows, eng: eng, opt: opt, lead: lead, version: version,
+		log:     logger.With("comp", "ctrlplane"),
 		ledger:  budget.NewLedger(),
 		nominal: make(map[string]float64),
 	}
@@ -126,7 +133,7 @@ func New(sys *agreement.System, eng *core.Engine, opt Options) (*Plane, error) {
 		if err := p.ledger.Restore(opt.ResumeLeases); err != nil {
 			// A table that decodes but could not have come from a ledger is
 			// not enforced: the host starts without leases and says so.
-			p.log().Error("recovered lease table refused; starting without leases",
+			p.log.Error("recovered lease table refused; starting without leases",
 				"version", opt.ResumeLeases.Version, "err", err)
 		}
 	}
@@ -139,13 +146,6 @@ func (p *Plane) Version() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.version
-}
-
-func (p *Plane) log() *obs.Logger {
-	if p.opt.Logger != nil {
-		return p.opt.Logger.With("ctrlplane")
-	}
-	return obs.Default().With("ctrlplane")
 }
 
 // SetAgreement renegotiates (or with lb = ub = 0 removes) the direct
@@ -170,7 +170,7 @@ func (p *Plane) SetAgreement(owner, user string, lb, ub float64) (uint64, error)
 	if err != nil {
 		return v, err
 	}
-	p.log().Info("agreement renegotiated", "owner", owner, "user", user,
+	p.log.Info("agreement renegotiated", "owner", owner, "user", user,
 		"lb", lb, "ub", ub, "version", v)
 	return v, nil
 }
@@ -195,7 +195,7 @@ func (p *Plane) Join(name string, capacity float64) (uint64, error) {
 	if err != nil {
 		return v, err
 	}
-	p.log().Info("principal joined", "principal", name, "capacity", capacity, "version", v)
+	p.log.Info("principal joined", "principal", name, "capacity", capacity, "version", v)
 	return v, nil
 }
 
@@ -233,7 +233,7 @@ func (p *Plane) Leave(name string) (uint64, error) {
 	if err != nil {
 		return v, err
 	}
-	p.log().Info("principal left", "principal", name, "version", v)
+	p.log.Info("principal left", "principal", name, "version", v)
 	return v, nil
 }
 

@@ -43,7 +43,7 @@ func (p *Plane) GrantLease(owner, holder string, rate float64, windows int) (bud
 		_, _ = p.ledger.Revoke(ls.ID)
 		return budget.Lease{}, err
 	}
-	p.log().Info("lease granted", "id", uint64(ls.ID), "owner", owner, "holder", holder,
+	p.log.Info("lease granted", "id", uint64(ls.ID), "owner", owner, "holder", holder,
 		"rate", rate, "windows", windows, "version", p.version)
 	return ls, nil
 }
@@ -59,7 +59,7 @@ func (p *Plane) RenewLease(id budget.LeaseID, windows int) (budget.Lease, error)
 		return budget.Lease{}, err
 	}
 	p.saveLeasesLocked()
-	p.log().Info("lease renewed", "id", uint64(ls.ID), "windows", ls.Windows)
+	p.log.Info("lease renewed", "id", uint64(ls.ID), "windows", ls.Windows)
 	return ls, nil
 }
 
@@ -75,7 +75,7 @@ func (p *Plane) ShrinkLease(id budget.LeaseID, rate float64) (budget.Lease, erro
 	if err := p.reapplyLeasesLocked(ls.Owner); err != nil {
 		return budget.Lease{}, err
 	}
-	p.log().Info("lease shrunk", "id", uint64(ls.ID), "rate", rate, "version", p.version)
+	p.log.Info("lease shrunk", "id", uint64(ls.ID), "rate", rate, "version", p.version)
 	return ls, nil
 }
 
@@ -95,7 +95,7 @@ func (p *Plane) RevokeLease(id budget.LeaseID) (budget.Lease, error) {
 	if err := p.reapplyLeasesLocked(ls.Owner); err != nil {
 		return ls, err
 	}
-	p.log().Info("lease revoked", "id", uint64(ls.ID), "owner", ls.Owner, "version", p.version)
+	p.log.Info("lease revoked", "id", uint64(ls.ID), "owner", ls.Owner, "version", p.version)
 	return ls, nil
 }
 
@@ -118,7 +118,7 @@ func (p *Plane) TickLeases() ([]budget.Lease, error) {
 		if err := p.reapplyLeasesLocked(o); err != nil {
 			return expired, err
 		}
-		p.log().Info("lease expiry released capacity", "owner", o, "version", p.version)
+		p.log.Info("lease expiry released capacity", "owner", o, "version", p.version)
 	}
 	return expired, nil
 }

@@ -1,12 +1,18 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// runAndCheck executes an experiment and fails on any shape violation,
-// printing the paper-vs-measured summary for the log.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/<id>.golden from this build")
+
+// runAndCheck executes an experiment, diffs its output against
+// testdata/<id>.golden (the regression gate: any moved cell fails) and
+// fails on any shape violation against the paper (the reproduction gate).
 func runAndCheck(t *testing.T, id string) *Result {
 	t.Helper()
 	res, err := Run(id)
@@ -14,10 +20,56 @@ func runAndCheck(t *testing.T, id string) *Result {
 		t.Fatalf("Run(%s): %v", id, err)
 	}
 	t.Logf("\n%s", res.Summary())
+	checkGolden(t, id, res)
 	if v := res.Violations(); len(v) > 0 {
 		t.Fatalf("%s does not reproduce the paper: %v", id, v)
 	}
 	return res
+}
+
+func goldenPath(id string) string { return filepath.Join("testdata", id+".golden") }
+
+// checkGolden compares res.Summary(), followed by the per-second series
+// table where the experiment records one, with the experiment's golden
+// file, or rewrites the file under -update.
+func checkGolden(t *testing.T, id string, res *Result) {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString(res.Summary())
+	if res.Recorder != nil {
+		if err := res.Recorder.WriteTable(&sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, path := sb.String(), goldenPath(id)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (go test -run <its test> -update writes it)", id, err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Errorf("%s moved from %s at line %d (rerun with -update if the move is meant):\n- %s\n+ %s",
+				id, path, i+1, w, g)
+			return
+		}
+	}
 }
 
 func TestFig1EndpointViolation(t *testing.T) {
@@ -217,6 +269,11 @@ func TestRegistry(t *testing.T) {
 	if len(ids) != 20 {
 		t.Fatalf("IDs = %v", ids)
 	}
+	for _, id := range ids {
+		if _, err := os.Stat(goldenPath(id)); err != nil {
+			t.Errorf("experiment %s has no golden output: %v", id, err)
+		}
+	}
 	if _, err := Run("nope"); err == nil || !strings.Contains(err.Error(), "unknown id") {
 		t.Fatalf("unknown id error = %v", err)
 	}
@@ -270,6 +327,16 @@ func TestExtHierPlane(t *testing.T) {
 	if res.Values["promoted-parent@west"] != 0 || res.Values["leaf-parent@west"] != 4 {
 		t.Fatalf("west region re-parented wrong: %v", res.Values)
 	}
+}
+
+// TestExtSoak: the crash-recovery soak commits its rollout with two of
+// three members dead, the restarted members rejoin and re-enter
+// enforcement, and the run replays bit-identically.
+func TestExtSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	runAndCheck(t, "ext-soak")
 }
 
 // TestExtBudget: entitlements fold down the budget tree, the burst never

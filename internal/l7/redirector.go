@@ -262,7 +262,7 @@ func (r *Redirector) proxy(c *inConn, owner agreement.Principal, target *upstrea
 			r.retryExhausted.Add(1)
 			break
 		}
-		r.cfg.Engine.Logger().With("l7").WarnRate(r.warnFailover,
+		obs.WarnRate(r.cfg.Engine.Logger().With("comp", "l7"), r.warnFailover,
 			"proxy exchange failed; failing over",
 			"backend", target.target, "err", err)
 		target = r.chooseBackend(owner, target)

@@ -235,7 +235,7 @@ func (n *Node) wireObservability() {
 	if n.tracer != nil && cfg.Flight != nil {
 		fl := *cfg.Flight
 		if fl.Logger == nil {
-			fl.Logger = eng.Logger().With("flight")
+			fl.Logger = eng.Logger().With("comp", "flight")
 		}
 		n.flight = obs.NewFlightRecorder(fl)
 		n.flight.BindTracer(n.tracer)

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,7 +28,7 @@ type FlightConfig struct {
 	// flight-<seq>-<reason>.json under it.
 	Dir string
 	// Logger, when non-nil, gets one warn line per capture.
-	Logger *Logger
+	Logger *slog.Logger
 }
 
 // Capture is one frozen flight-recorder snapshot: the spans and window
@@ -66,7 +67,7 @@ type FlightRecorder struct {
 	cfg FlightConfig
 
 	tracer   *Tracer
-	windows  []*Ring
+	windows  []*Ring[Record]
 	counters func() map[string]float64
 
 	lastWindow atomic.Uint64 // highest window a capture fired for, +1
@@ -104,7 +105,7 @@ func (f *FlightRecorder) BindTracer(tr *Tracer) {
 
 // BindWindows attaches the window trace rings whose recent records each
 // capture freezes.
-func (f *FlightRecorder) BindWindows(rings ...*Ring) {
+func (f *FlightRecorder) BindWindows(rings ...*Ring[Record]) {
 	if f == nil {
 		return
 	}
@@ -149,8 +150,7 @@ func (f *FlightRecorder) noteSpan(s *Span, d time.Duration) {
 	if f.cfg.SLO <= 0 || d < f.cfg.SLO {
 		return
 	}
-	c := *s
-	c.tr = nil
+	c := getSpan(s)
 	f.Trigger("slo_breach", s.Window, s.Principal, &c)
 }
 

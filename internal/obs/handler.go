@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -136,22 +137,6 @@ func (h *Handler) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// promMetric emits one un-labeled series with its HELP/TYPE preamble.
-func promMetric(w io.Writer, name, kind, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
-		name, help, name, kind, name, formatFloat(v))
-}
-
-// promHeader emits just the HELP/TYPE preamble (for labeled families).
-func promHeader(w io.Writer, name, kind, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-}
-
-// promLabeled emits one sample with a principal label.
-func promLabeled(w io.Writer, name, principal string, v float64) {
-	fmt.Fprintf(w, "%s{principal=%q} %s\n", name, principal, formatFloat(v))
-}
-
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
@@ -160,13 +145,14 @@ func formatFloat(v float64) string {
 // preamble — the helper Extra callbacks use to append layer-specific
 // counters (Layer-7 admits, Layer-4 parked connections, backend serves).
 func WriteMetric(w io.Writer, name, kind, help string, v float64) {
-	promMetric(w, name, kind, help, v)
+	WriteMetricHeader(w, name, kind, help)
+	fmt.Fprintf(w, "%s %s\n", name, formatFloat(v))
 }
 
 // WriteMetricHeader emits just the HELP/TYPE preamble of a labeled family;
 // follow it with WriteLabeled samples.
 func WriteMetricHeader(w io.Writer, name, kind, help string) {
-	promHeader(w, name, kind, help)
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
 
 // WriteLabeled emits one sample of a labeled family with a single label
@@ -178,88 +164,88 @@ func WriteLabeled(w io.Writer, name, label, value string, v float64) {
 func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if h.cfg.Mode != "" || h.cfg.Window > 0 {
-		promHeader(w, "rsa_redirector_info", "gauge", "Static redirector configuration.")
+		WriteMetricHeader(w, "rsa_redirector_info", "gauge", "Static redirector configuration.")
 		fmt.Fprintf(w, "rsa_redirector_info{mode=%q,window_ms=%q} 1\n",
 			h.cfg.Mode, strconv.FormatInt(h.cfg.Window.Milliseconds(), 10))
 	}
 	if a := h.cfg.Auditor; a != nil {
-		promMetric(w, "rsa_windows_total", "counter",
+		WriteMetric(w, "rsa_windows_total", "counter",
 			"Scheduling windows audited.", float64(a.Windows()))
-		promMetric(w, "rsa_windows_conservative_total", "counter",
+		WriteMetric(w, "rsa_windows_conservative_total", "counter",
 			"Windows run in the blind 1/R mandatory-claim fallback (missing or stale global view).",
 			float64(a.Conservative()))
-		promMetric(w, "rsa_windows_no_global_total", "counter",
+		WriteMetric(w, "rsa_windows_no_global_total", "counter",
 			"Windows run before any combining-tree aggregate arrived.", float64(a.NoGlobal()))
-		promMetric(w, "rsa_window_solve_errors_total", "counter",
+		WriteMetric(w, "rsa_window_solve_errors_total", "counter",
 			"Windows whose LP solve failed (previous credits kept).", float64(a.SolveErrors()))
-		promMetric(w, "rsa_window_cache_hits_total", "counter",
+		WriteMetric(w, "rsa_window_cache_hits_total", "counter",
 			"Windows planned from the shared plan cache.", float64(a.CacheHits()))
-		promMetric(w, "rsa_windows_degraded_total", "counter",
+		WriteMetric(w, "rsa_windows_degraded_total", "counter",
 			"Windows scheduled on reduced, health-re-interpreted capacity (a backend was down).",
 			float64(a.Degraded()))
-		promMetric(w, "rsa_windows_mixed_version_total", "counter",
+		WriteMetric(w, "rsa_windows_mixed_version_total", "counter",
 			"Same-numbered windows observed under different configuration versions (must stay 0).",
 			float64(a.MixedVersion()))
 
 		names := a.Names()
-		promHeader(w, "rsa_windows_under_mc_total", "counter",
+		WriteMetricHeader(w, "rsa_windows_under_mc_total", "counter",
 			"Windows in which the principal was served below its mandatory entitlement share despite demand.")
 		for i, name := range names {
-			promLabeled(w, "rsa_windows_under_mc_total", name, float64(a.UnderMC(i)))
+			WriteLabeled(w, "rsa_windows_under_mc_total", "principal", name, float64(a.UnderMC(i)))
 		}
-		promHeader(w, "rsa_windows_over_ub_total", "counter",
+		WriteMetricHeader(w, "rsa_windows_over_ub_total", "counter",
 			"Windows in which the principal was admitted above its mandatory+optional ceiling.")
 		for i, name := range names {
-			promLabeled(w, "rsa_windows_over_ub_total", name, float64(a.OverUB(i)))
+			WriteLabeled(w, "rsa_windows_over_ub_total", "principal", name, float64(a.OverUB(i)))
 		}
-		promHeader(w, "rsa_served_requests_total", "counter",
+		WriteMetricHeader(w, "rsa_served_requests_total", "counter",
 			"Admitted request volume per principal (average-request cost units).")
 		for i, name := range names {
-			promLabeled(w, "rsa_served_requests_total", name, a.Served(i))
+			WriteLabeled(w, "rsa_served_requests_total", "principal", name, a.Served(i))
 		}
-		promHeader(w, "rsa_arrived_requests_total", "counter",
+		WriteMetricHeader(w, "rsa_arrived_requests_total", "counter",
 			"Observed demand per principal (average-request cost units).")
 		for i, name := range names {
-			promLabeled(w, "rsa_arrived_requests_total", name, a.Arrived(i))
+			WriteLabeled(w, "rsa_arrived_requests_total", "principal", name, a.Arrived(i))
 		}
 	}
 	if s := h.cfg.Solver; s != nil {
-		promMetric(w, "rsa_solver_solves_total", "counter",
+		WriteMetric(w, "rsa_solver_solves_total", "counter",
 			"LP solves performed.", float64(s.Solves()))
-		promMetric(w, "rsa_solver_cache_hits_total", "counter",
+		WriteMetric(w, "rsa_solver_cache_hits_total", "counter",
 			"Plan-cache hits.", float64(s.CacheHits()))
-		promMetric(w, "rsa_solver_cache_misses_total", "counter",
+		WriteMetric(w, "rsa_solver_cache_misses_total", "counter",
 			"Plan-cache misses.", float64(s.CacheMisses()))
-		promMetric(w, "rsa_solver_floor_fallbacks_total", "counter",
+		WriteMetric(w, "rsa_solver_floor_fallbacks_total", "counter",
 			"Windows re-solved (or scaled) without mandatory floors because entitlements exceed capacity.",
 			float64(s.FloorFallbacks()))
-		promMetric(w, "rsa_solver_solve_seconds_mean", "gauge",
+		WriteMetric(w, "rsa_solver_solve_seconds_mean", "gauge",
 			"Mean LP solve latency.", s.MeanSolve().Seconds())
-		promMetric(w, "rsa_solver_solve_seconds_max", "gauge",
+		WriteMetric(w, "rsa_solver_solve_seconds_max", "gauge",
 			"Max LP solve latency.", s.MaxSolve().Seconds())
 	}
 	if h.cfg.Config != nil {
 		ci := h.cfg.Config()
-		promMetric(w, "rsa_config_version", "gauge",
+		WriteMetric(w, "rsa_config_version", "gauge",
 			"Active engine configuration generation.", float64(ci.Active))
-		promMetric(w, "rsa_config_staged_version", "gauge",
+		WriteMetric(w, "rsa_config_staged_version", "gauge",
 			"Configuration generation staged behind the rollout epoch gate (0 when none).",
 			float64(ci.Staged))
-		promMetric(w, "rsa_config_set_version", "gauge",
+		WriteMetric(w, "rsa_config_set_version", "gauge",
 			"Newest agreement-set version accepted from the control plane.", float64(ci.SetVersion))
-		promMetric(w, "rsa_config_gate_epoch", "gauge",
+		WriteMetric(w, "rsa_config_gate_epoch", "gauge",
 			"Combining-tree epoch the staged generation is gated on (0 when none).",
 			float64(ci.GateEpoch))
-		promMetric(w, "rsa_config_rollouts_total", "counter",
+		WriteMetric(w, "rsa_config_rollouts_total", "counter",
 			"Epoch-gated configuration rollouts fully converged.", float64(ci.Rollouts))
 	}
 	if tr := h.cfg.Tracer; tr != nil {
 		begun, kept, dropped := tr.Counts()
-		promMetric(w, "rsa_trace_spans_begun_total", "counter",
+		WriteMetric(w, "rsa_trace_spans_begun_total", "counter",
 			"Request spans opened by the tracer.", float64(begun))
-		promMetric(w, "rsa_trace_spans_kept_total", "counter",
+		WriteMetric(w, "rsa_trace_spans_kept_total", "counter",
 			"Request spans committed to the span ring (head- or tail-sampled).", float64(kept))
-		promMetric(w, "rsa_trace_spans_dropped_total", "counter",
+		WriteMetric(w, "rsa_trace_spans_dropped_total", "counter",
 			"Request spans dropped on in-flight pool exhaustion.", float64(dropped))
 		admit, park, dial, proxy := tr.PhaseHistograms()
 		WriteHistogram(w, "rsa_trace_phase_admit_seconds",
@@ -272,7 +258,7 @@ func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
 			"Backend-selection-to-close latency of traced requests.", proxy)
 	}
 	if fl := h.cfg.Flight; fl != nil {
-		promMetric(w, "rsa_flight_captures_total", "counter",
+		WriteMetric(w, "rsa_flight_captures_total", "counter",
 			"Flight-recorder captures frozen (under-floor or SLO-breach triggers).",
 			float64(fl.Triggers()))
 	}
@@ -288,24 +274,24 @@ func (h *Handler) serveMetrics(w http.ResponseWriter, r *http.Request) {
 // ?principal= keeps one principal's spans, ?min_ms= drops spans faster than
 // the threshold, ?n= bounds the result (default 64).
 func (h *Handler) serveTrace(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	n := 64
-	if s := q.Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := queryN(w, r, 64)
+	if !ok {
+		return
 	}
+	q := r.URL.Query()
 	var minTotal int64
 	if s := q.Get("min_ms"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v < 0 {
-			http.Error(w, "min_ms must be a non-negative number", http.StatusBadRequest)
+		if err != nil || !(v >= 0) || math.IsInf(v, 1) {
+			http.Error(w, "min_ms must be a finite non-negative number", http.StatusBadRequest)
 			return
 		}
-		minTotal = int64(v * float64(time.Millisecond))
+		// A threshold past int64 nanoseconds keeps no span; converting it
+		// unclamped would wrap to MinInt64 and keep every span.
+		minTotal = math.MaxInt64
+		if ns := v * float64(time.Millisecond); ns < math.MaxInt64 {
+			minTotal = int64(ns)
+		}
 	}
 	principal := q.Get("principal")
 
@@ -327,56 +313,36 @@ func (h *Handler) serveTrace(w http.ResponseWriter, r *http.Request) {
 	if len(filtered) > n {
 		filtered = filtered[:n]
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
+	writeJSON(w, struct {
 		Spans []Span `json:"spans"`
-	}{Spans: filtered}); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	}{Spans: filtered})
 }
 
 // serveFlight returns retained flight captures as JSON, newest first
 // (?n= bounds the count).
 func (h *Handler) serveFlight(w http.ResponseWriter, r *http.Request) {
-	n := 0
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := queryN(w, r, 0)
+	if !ok {
+		return
 	}
 	caps := h.cfg.Flight.Captures(n)
 	if caps == nil {
 		caps = []*Capture{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
+	writeJSON(w, struct {
 		Captures []*Capture `json:"captures"`
-	}{Captures: caps}); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	}{Captures: caps})
 }
 
 // serveWindows returns the last N trace records across all observers as
 // JSON, ordered by (window, redirector). ?n= bounds the per-observer count
 // (default 64).
 func (h *Handler) serveWindows(w http.ResponseWriter, r *http.Request) {
-	n := 64
-	if s := r.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			http.Error(w, "n must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		n = v
+	n, ok := queryN(w, r, 64)
+	if !ok {
+		return
 	}
-	var records []Record
+	records := []Record{}
 	for _, o := range h.cfg.Observers {
 		if o != nil {
 			records = append(records, o.Ring().Snapshot(n)...)
@@ -388,12 +354,32 @@ func (h *Handler) serveWindows(w http.ResponseWriter, r *http.Request) {
 		}
 		return records[i].Redirector < records[j].Redirector
 	})
+	writeJSON(w, struct {
+		Records []Record `json:"records"`
+	}{Records: records})
+}
+
+// queryN reads the ?n= bound, def when absent. A value that is not a
+// positive integer is answered 400, and ok is false.
+func queryN(w http.ResponseWriter, r *http.Request, def int) (n int, ok bool) {
+	s := r.URL.Query().Get("n")
+	if s == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		http.Error(w, "n must be a positive integer", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
+}
+
+// writeJSON answers v as indented JSON.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(struct {
-		Records []Record `json:"records"`
-	}{Records: records}); err != nil {
+	if err := enc.Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

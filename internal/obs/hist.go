@@ -209,7 +209,7 @@ func WriteHistogram(w io.Writer, name, help string, h *Histogram) {
 	if h == nil {
 		return
 	}
-	promHeader(w, name, "histogram", help)
+	WriteMetricHeader(w, name, "histogram", help)
 	cum := h.Snapshot()
 	started := false
 	for b := 0; b < histBuckets; b++ {

@@ -1,8 +1,9 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -10,134 +11,55 @@ import (
 	"time"
 )
 
-// Level orders log severities.
-type Level int32
+// Level orders log severities: slog's levels under the names callers use.
+type Level = slog.Level
 
 // Severity levels, in ascending order.
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-	// LevelOff suppresses everything (Nop loggers).
-	LevelOff
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
+	// LevelOff is above every level a line is logged at (Nop loggers).
+	LevelOff Level = math.MaxInt32
 )
 
-// String names the level for logfmt output.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "off"
+// NewLogger builds the repo's one logfmt logger: a slog text handler writing
+// lines at or above min to w, as
+// `t=<RFC 3339 UTC> level=warn msg="..." comp=sched key=value ...`.
+// Components tag their lines with With("comp", name).
+func NewLogger(w io.Writer, min Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: min, ReplaceAttr: logfmtKeys}))
+}
+
+// logfmtKeys renames slog's time and level attributes to t= (UTC,
+// RFC 3339 with nanoseconds) and a lowercase level=.
+func logfmtKeys(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
 	}
-}
-
-// Logger is a small leveled structured logger emitting logfmt lines
-// (`t=<RFC3339> level=warn comp=sched msg="..." key=value ...`). It replaces
-// the repo's ad-hoc log.Printf calls so enforcement events carry machine-
-// greppable fields. Loggers derived with With share one sink, so lines from
-// different components interleave without tearing. A nil *Logger falls back
-// to Default().
-type Logger struct {
-	sink *logSink
-	comp string
-}
-
-type logSink struct {
-	mu  sync.Mutex
-	w   io.Writer
-	min Level
-	now func() time.Time
-}
-
-// NewLogger builds a logger writing lines at or above min to w.
-func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{sink: &logSink{w: w, min: min, now: time.Now}}
+	switch a.Key {
+	case slog.TimeKey:
+		return slog.String("t", a.Value.Time().UTC().Format(time.RFC3339Nano))
+	case slog.LevelKey:
+		return slog.String("level", strings.ToLower(a.Value.String()))
+	}
+	return a
 }
 
 // Nop returns a logger that discards everything.
-func Nop() *Logger { return NewLogger(io.Discard, LevelOff) }
+func Nop() *slog.Logger { return NewLogger(io.Discard, LevelOff) }
 
 var (
 	defaultOnce sync.Once
-	defaultLog  *Logger
+	defaultLog  *slog.Logger
 )
 
-// Default returns the process-wide fallback logger (stderr, info level).
-func Default() *Logger {
+// Default returns the process-wide fallback logger (stderr, info level) —
+// the logfmt handler, not slog.Default's log-package format.
+func Default() *slog.Logger {
 	defaultOnce.Do(func() { defaultLog = NewLogger(os.Stderr, LevelInfo) })
 	return defaultLog
-}
-
-// With returns a logger tagged with a component name, sharing this logger's
-// sink and level.
-func (l *Logger) With(component string) *Logger {
-	if l == nil {
-		l = Default()
-	}
-	return &Logger{sink: l.sink, comp: component}
-}
-
-// Enabled reports whether lines at lvl would be emitted.
-func (l *Logger) Enabled(lvl Level) bool {
-	if l == nil {
-		l = Default()
-	}
-	return lvl >= l.sink.min && l.sink.min < LevelOff
-}
-
-// Debug logs at debug level. kv alternates keys and values.
-func (l *Logger) Debug(msg string, kv ...interface{}) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kv ...interface{}) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...interface{}) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kv ...interface{}) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(lvl Level, msg string, kv []interface{}) {
-	if l == nil {
-		l = Default()
-	}
-	if !l.Enabled(lvl) {
-		return
-	}
-	var sb strings.Builder
-	sb.Grow(96)
-	sb.WriteString("t=")
-	sb.WriteString(l.sink.now().UTC().Format(time.RFC3339Nano))
-	sb.WriteString(" level=")
-	sb.WriteString(lvl.String())
-	if l.comp != "" {
-		sb.WriteString(" comp=")
-		sb.WriteString(l.comp)
-	}
-	sb.WriteString(" msg=")
-	appendLogValue(&sb, msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		sb.WriteByte(' ')
-		fmt.Fprintf(&sb, "%v", kv[i])
-		sb.WriteByte('=')
-		appendLogValue(&sb, fmt.Sprintf("%v", kv[i+1]))
-	}
-	if len(kv)%2 == 1 {
-		sb.WriteString(" !MISSING-VALUE=")
-		appendLogValue(&sb, fmt.Sprintf("%v", kv[len(kv)-1]))
-	}
-	sb.WriteByte('\n')
-	l.sink.mu.Lock()
-	_, _ = io.WriteString(l.sink.w, sb.String())
-	l.sink.mu.Unlock()
 }
 
 // RateLimit is a token-bucket gate for hot-path log lines: at most burst
@@ -213,11 +135,11 @@ func (rl *RateLimit) Suppressed() int64 {
 	return rl.suppressed.Load()
 }
 
-// WarnRate logs at warn level through a rate limiter: when the limiter
-// denies, the line is dropped (and counted); when it allows after drops,
-// a `suppressed=<n>` field is appended so operators can see the true
+// WarnRate logs msg at warn level on l through a rate limiter: when the
+// limiter denies, the line is dropped (and counted); when it allows after
+// drops, a `suppressed=<n>` field is appended so operators can see the true
 // occurrence rate. A nil limiter degrades to plain Warn.
-func (l *Logger) WarnRate(rl *RateLimit, msg string, kv ...interface{}) {
+func WarnRate(l *slog.Logger, rl *RateLimit, msg string, kv ...any) {
 	ok, suppressed := rl.Allow()
 	if !ok {
 		return
@@ -225,19 +147,5 @@ func (l *Logger) WarnRate(rl *RateLimit, msg string, kv ...interface{}) {
 	if suppressed > 0 {
 		kv = append(kv, "suppressed", suppressed)
 	}
-	l.log(LevelWarn, msg, kv)
-}
-
-// appendLogValue writes v, quoting it when it contains logfmt-breaking
-// characters.
-func appendLogValue(sb *strings.Builder, v string) {
-	if strings.ContainsAny(v, " \"=\n\t") {
-		fmt.Fprintf(sb, "%q", v)
-		return
-	}
-	if v == "" {
-		sb.WriteString(`""`)
-		return
-	}
-	sb.WriteString(v)
+	l.Warn(msg, kv...)
 }

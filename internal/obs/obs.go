@@ -8,9 +8,9 @@
 //     scheduling window (queue snapshots, global-view age, conservative
 //     fallback, combining-tree progress, LP solve status, granted credits
 //     and the admissions actually made) and commits it to a pre-allocated
-//     Ring. The record path performs zero heap allocations, so tracing can
-//     stay on under production load (BenchmarkWindowTraceOverhead guards
-//     this).
+//     Ring — the one ring type, which a Tracer's request spans share. The
+//     record path performs zero heap allocations, so tracing can stay on
+//     under production load (BenchmarkWindowTraceOverhead guards this).
 //   - SLA conformance auditing: an Auditor folds committed records into
 //     per-principal counters of windows served below the mandatory
 //     entitlement share (under-enforcement) and above the mandatory+optional
@@ -19,8 +19,8 @@
 //   - Exposition: Handler serves Prometheus-text /v1/metrics, JSON
 //     /v1/debug/windows (the last N trace records) and net/http/pprof, mounted
 //     on the Layer-7 redirector's mux and on the optional admin listener of
-//     cmd/redirector and cmd/backend. Logger replaces ad-hoc log.Printf
-//     calls with leveled logfmt events.
+//     cmd/redirector and cmd/backend. NewLogger configures log/slog's text
+//     handler for the repo's leveled logfmt events.
 //
 // An Observer bundles the three for one redirector. Every per-principal
 // counter a single redirector exports is that redirector's local share of
@@ -131,20 +131,27 @@ func (r *Record) carve(flat []float64, n int) []float64 {
 	return flat
 }
 
-// copyInto deep-copies r into dst, which must be pre-sized for the same
-// number of principals (ring slots are). No allocations.
-func (r *Record) copyInto(dst *Record) {
+// putRecord deep-copies src into a ring slot's record, whose vectors are
+// pre-sized for the same number of principals. No allocations.
+func putRecord(dst, src *Record, _ uint64) {
 	local, global := dst.Local, dst.Global
 	granted, floor, ceil := dst.Granted, dst.Floor, dst.Ceil
 	arrived, served := dst.Arrived, dst.Served
-	*dst = *r
-	dst.Local = append(local[:0], r.Local...)
-	dst.Global = append(global[:0], r.Global...)
-	dst.Granted = append(granted[:0], r.Granted...)
-	dst.Floor = append(floor[:0], r.Floor...)
-	dst.Ceil = append(ceil[:0], r.Ceil...)
-	dst.Arrived = append(arrived[:0], r.Arrived...)
-	dst.Served = append(served[:0], r.Served...)
+	*dst = *src
+	dst.Local = append(local[:0], src.Local...)
+	dst.Global = append(global[:0], src.Global...)
+	dst.Granted = append(granted[:0], src.Granted...)
+	dst.Floor = append(floor[:0], src.Floor...)
+	dst.Ceil = append(ceil[:0], src.Ceil...)
+	dst.Arrived = append(arrived[:0], src.Arrived...)
+	dst.Served = append(served[:0], src.Served...)
+}
+
+// getRecord copies a ring slot's record out into vectors of its own.
+func getRecord(src *Record) Record {
+	dst := NewRecord(len(src.Local))
+	putRecord(dst, src, 0)
+	return *dst
 }
 
 // TreeInfo is a snapshot of combining-tree progress for trace records.
@@ -170,24 +177,21 @@ type ObserverConfig struct {
 	// engine aggregates all admission points of a process); nil builds a
 	// private one.
 	Auditor *Auditor
-	// Logger, when non-nil, receives window-level events; nil uses Default.
-	Logger *Logger
 }
 
 // DefaultRingDepth is the trace-ring capacity used when none is configured:
 // at the paper's 100 ms windows it retains the last ~25 s of decisions.
 const DefaultRingDepth = 256
 
-// Observer bundles the trace ring, the conformance auditor and the logger
-// for one redirector. Commit is safe to call concurrently with ring
-// snapshots and metric scrapes; each Observer expects a single committing
-// writer (its redirector's window loop).
+// Observer bundles the trace ring and the conformance auditor for one
+// redirector. Commit is safe to call concurrently with ring snapshots and
+// metric scrapes; each Observer expects a single committing writer (its
+// redirector's window loop).
 type Observer struct {
 	id         int
 	n          int
-	ring       *Ring
+	ring       *Ring[Record]
 	auditor    *Auditor
-	logger     *Logger
 	treeInfo   func() TreeInfo
 	healthInfo func() bool
 }
@@ -218,7 +222,6 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		n:       n,
 		ring:    NewRing(depth, n),
 		auditor: aud,
-		logger:  cfg.Logger,
 	}
 }
 
@@ -229,18 +232,10 @@ func (o *Observer) Redirector() int { return o.id }
 func (o *Observer) NumPrincipals() int { return o.n }
 
 // Ring exposes the trace ring (snapshots for /v1/debug/windows and tests).
-func (o *Observer) Ring() *Ring { return o.ring }
+func (o *Observer) Ring() *Ring[Record] { return o.ring }
 
 // Auditor exposes the conformance auditor.
 func (o *Observer) Auditor() *Auditor { return o.auditor }
-
-// Logger returns the observer's logger (never nil).
-func (o *Observer) Logger() *Logger {
-	if o.logger != nil {
-		return o.logger
-	}
-	return Default()
-}
 
 // SetTreeInfo installs a combining-tree snapshot callback, invoked once per
 // committed window from the redirector's window loop. The callback runs
@@ -293,13 +288,11 @@ func (o *Observer) Commit(rec *Record) {
 	o.auditor.Observe(rec)
 }
 
-// nanos converts a duration defensively (negative clamped to 0).
-func nanos(d time.Duration) int64 {
+// Nanos converts a duration for a record or span field, clamping a negative
+// one to 0.
+func Nanos(d time.Duration) int64 {
 	if d < 0 {
 		return 0
 	}
 	return int64(d)
 }
-
-// Nanos is the exported helper record fillers use for duration fields.
-func Nanos(d time.Duration) int64 { return nanos(d) }

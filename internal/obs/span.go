@@ -143,7 +143,7 @@ func (s *Span) AddPark(d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.ParkNanos += nanos(d)
+	s.ParkNanos += Nanos(d)
 	s.Reparks++
 }
 
@@ -196,6 +196,7 @@ func (s *Span) Finish() uint64 {
 	var id uint64
 	if keep {
 		id = tr.ring.Append(s)
+		s.ID = id
 		tr.kept.Add(1)
 	}
 	if fl := tr.flight; fl != nil {
@@ -240,7 +241,7 @@ type spanSlot struct {
 type Tracer struct {
 	cfg        TraceConfig
 	redirector int
-	ring       *SpanRing
+	ring       *Ring[Span]
 	pool       []spanSlot
 	next       atomic.Uint32
 
@@ -275,7 +276,7 @@ func NewTracer(cfg TraceConfig, redirector int) *Tracer {
 	tr := &Tracer{
 		cfg:        cfg,
 		redirector: redirector,
-		ring:       NewSpanRing(cfg.Depth),
+		ring:       newRing(cfg.Depth, putSpan, getSpan),
 		pool:       make([]spanSlot, spanPoolSize),
 		phaseAdmit: NewHistogram(),
 		phasePark:  NewHistogram(),
@@ -419,7 +420,7 @@ func (tr *Tracer) PhaseHistograms() (admit, park, dial, proxy *Histogram) {
 
 // Ring exposes the span ring (snapshots for /v1/debug/trace and flight
 // captures). Nil for a nil tracer.
-func (tr *Tracer) Ring() *SpanRing {
+func (tr *Tracer) Ring() *Ring[Span] {
 	if tr == nil {
 		return nil
 	}
@@ -435,76 +436,15 @@ func (tr *Tracer) Counts() (begun, kept, dropped uint64) {
 	return tr.begun.Load(), tr.kept.Load(), tr.dropped.Load()
 }
 
-// SpanRing is a fixed-capacity buffer of the most recent committed spans,
-// with the same discipline as Ring: one atomic ticket fetch to reserve a
-// slot, a per-slot mutex held only for the bounded struct copy, zero
-// allocations on the write path. The commit ticket doubles as the span's
-// trace reference.
-type SpanRing struct {
-	depth  uint64
-	ticket atomic.Uint64
-	slots  []spanRingSlot
+// putSpan commits a span into its ring slot; the commit ticket is its ID.
+func putSpan(dst, src *Span, ticket uint64) {
+	*dst = *src
+	dst.ID = ticket
 }
 
-type spanRingSlot struct {
-	mu     sync.Mutex
-	ticket uint64 // 1 + the reservation that wrote sp; 0 = never written
-	sp     Span
-}
-
-// NewSpanRing builds a ring retaining the last depth spans (≤ 0 selects
-// DefaultSpanRingDepth).
-func NewSpanRing(depth int) *SpanRing {
-	if depth <= 0 {
-		depth = DefaultSpanRingDepth
-	}
-	return &SpanRing{depth: uint64(depth), slots: make([]spanRingSlot, depth)}
-}
-
-// Depth reports the ring capacity.
-func (r *SpanRing) Depth() int { return int(r.depth) }
-
-// Len reports how many spans have ever been committed.
-func (r *SpanRing) Len() uint64 { return r.ticket.Load() }
-
-// Append commits one span and returns its trace reference (1-based commit
-// ticket, also written to sp.ID). The caller keeps ownership of sp. Zero
-// allocations.
-func (r *SpanRing) Append(sp *Span) uint64 {
-	t := r.ticket.Add(1) - 1
-	sp.ID = t + 1
-	s := &r.slots[t%r.depth]
-	s.mu.Lock()
-	if s.ticket <= t { // a lagging writer must not clobber a newer span
-		s.ticket = t + 1
-		s.sp = *sp
-	}
-	s.mu.Unlock()
-	return t + 1
-}
-
-// Snapshot returns up to max of the most recent spans, oldest first. Slots
-// being rewritten by a wrapping writer are skipped, so the result can be
-// shorter than max even on a full ring.
-func (r *SpanRing) Snapshot(max int) []Span {
-	if max <= 0 || max > int(r.depth) {
-		max = int(r.depth)
-	}
-	end := r.ticket.Load()
-	start := uint64(0)
-	if end > uint64(max) {
-		start = end - uint64(max)
-	}
-	out := make([]Span, 0, end-start)
-	for t := start; t < end; t++ {
-		s := &r.slots[t%r.depth]
-		s.mu.Lock()
-		if s.ticket == t+1 {
-			c := s.sp
-			c.tr = nil
-			out = append(out, c)
-		}
-		s.mu.Unlock()
-	}
-	return out
+// getSpan copies a committed span out, detached from its tracer.
+func getSpan(src *Span) Span {
+	c := *src
+	c.tr = nil
+	return c
 }

@@ -425,11 +425,20 @@ func TestServeTraceFilter(t *testing.T) {
 		t.Errorf("n=2 returned %d spans, slowest %d", len(top), top[0].TotalNanos)
 	}
 
-	req := httptest.NewRequest("GET", "/v1/debug/trace?min_ms=-1", nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != 400 {
-		t.Errorf("negative min_ms: %d, want 400", w.Code)
+	// A threshold too large for int64 nanoseconds keeps no span, rather
+	// than wrapping to a negative one that keeps every span.
+	for _, huge := range []string{"1e300", "1e13"} {
+		if got := get("/v1/debug/trace?min_ms=" + huge); len(got) != 0 {
+			t.Errorf("min_ms=%s: %d spans, want 0", huge, len(got))
+		}
+	}
+
+	for _, bad := range []string{"-1", "NaN", "Inf", "+Inf", "-Inf", "x"} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/debug/trace?min_ms="+bad, nil))
+		if w.Code != 400 {
+			t.Errorf("min_ms=%s: %d, want 400", bad, w.Code)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"net/http"
-)
+import "net/http"
 
 // TopologyNode is one redirector's placement in the combining plane as
 // reported by GET /v1/topology.
@@ -56,10 +53,5 @@ func (h *Handler) serveTopology(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no combining plane configured", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(info); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	writeJSON(w, info)
 }

@@ -37,6 +37,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"slices"
 	"sort"
@@ -67,7 +68,7 @@ type Community struct {
 	steps int       // flow solves of the last θ search (tests)
 
 	stats     *metrics.SolverStats
-	logger    *obs.Logger
+	logger    *slog.Logger
 	warnLimit *obs.RateLimit
 }
 
@@ -113,13 +114,13 @@ func (c *Community) SetStats(s *metrics.SolverStats) { c.stats = s }
 
 // SetLogger wires a structured logger for enforcement-degradation events
 // (nil falls back to the process default).
-func (c *Community) SetLogger(l *obs.Logger) { c.logger = l }
+func (c *Community) SetLogger(l *slog.Logger) { c.logger = l }
 
-func (c *Community) log() *obs.Logger {
+func (c *Community) log() *slog.Logger {
 	if c.logger != nil {
 		return c.logger
 	}
-	return obs.Default().With("sched")
+	return obs.Default().With("comp", "sched")
 }
 
 // Plan is the result of a community scheduling decision.
@@ -197,7 +198,7 @@ func (c *Community) ScheduleInto(queues []float64, plan *Plan) error {
 	// make the disagreement visible: it means some mandatory guarantee is
 	// not enforceable as configured.
 	total := c.stats.FloorFallback()
-	c.log().WarnRate(c.warnLimit, "community window infeasible with mandatory floors; retrying without floors",
+	obs.WarnRate(c.log(), c.warnLimit, "community window infeasible with mandatory floors; retrying without floors",
 		"reason", "entitlements exceed capacities", "err", err, "fallbacks", total)
 	return c.solve(queues, false, plan)
 }
@@ -330,7 +331,7 @@ type Provider struct {
 	byPrice  []int   // customers by descending price, ties by ascending index
 
 	stats     *metrics.SolverStats
-	logger    *obs.Logger
+	logger    *slog.Logger
 	warnLimit *obs.RateLimit
 }
 
@@ -366,13 +367,13 @@ func (p *Provider) SetStats(s *metrics.SolverStats) { p.stats = s }
 
 // SetLogger wires a structured logger for enforcement-degradation events
 // (nil falls back to the process default).
-func (p *Provider) SetLogger(l *obs.Logger) { p.logger = l }
+func (p *Provider) SetLogger(l *slog.Logger) { p.logger = l }
 
-func (p *Provider) log() *obs.Logger {
+func (p *Provider) log() *slog.Logger {
 	if p.logger != nil {
 		return p.logger
 	}
-	return obs.Default().With("sched")
+	return obs.Default().With("comp", "sched")
 }
 
 // ProviderPlan is the result of a provider scheduling decision.
@@ -442,7 +443,7 @@ func (p *Provider) ScheduleInto(queues []float64, plan *ProviderPlan) error {
 		// proportionally instead of failing the window, and surface the
 		// entitlement/capacity disagreement.
 		total := p.stats.FloorFallback()
-		p.log().WarnRate(p.warnLimit, "provider window infeasible with mandatory floors; scaling mandatory shares to capacity",
+		obs.WarnRate(p.log(), p.warnLimit, "provider window infeasible with mandatory floors; scaling mandatory shares to capacity",
 			"reason", "entitlements exceed capacity", "fallbacks", total)
 		p.scaledMandatory(queues, plan)
 		return nil

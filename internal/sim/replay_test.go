@@ -11,6 +11,13 @@ import (
 	"repro/internal/loadgen"
 )
 
+// Pinned replay outcomes: a change that moves either is a change to what
+// the simulator computes, and must say so.
+var (
+	wantPlay   = [6]int{2444, 1457, 987, 1623, 272, 1351}
+	wantDigest = uint64(0xb704e86eedcc6818)
+)
+
 // playOnce builds a fresh one-redirector sim, replays seeded loadgen
 // schedules for principals A and B, and returns the full outcome tuple.
 func playOnce(t *testing.T) [6]int {
@@ -41,6 +48,9 @@ func TestPlayScheduleDeterministicReplay(t *testing.T) {
 	// the exact same admit/deny outcome on every run — schedules are
 	// seeded and the simulator itself is deterministic.
 	first := playOnce(t)
+	if first != wantPlay {
+		t.Errorf("replay outcome %v, pinned %v", first, wantPlay)
+	}
 	if first[0] == 0 || first[3] == 0 {
 		t.Fatalf("no submissions: %v", first)
 	}
@@ -128,6 +138,9 @@ func divergentDigest(t *testing.T) uint64 {
 func TestReplayIndependentOfScheduler(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	one := divergentDigest(t)
+	if one != wantDigest {
+		t.Errorf("digest %#x at GOMAXPROCS=1, pinned %#x", one, wantDigest)
+	}
 	runtime.GOMAXPROCS(4)
 	if four := divergentDigest(t); four != one {
 		t.Fatalf("digest %#x at GOMAXPROCS=4, %#x at 1", four, one)

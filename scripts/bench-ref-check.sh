@@ -10,6 +10,11 @@
 # A run whose only violation is that gate is rerun once; if the rerun is
 # clean, or again fails on nothing but that gate, the line says "noise" and
 # the check does not fail on it.
+#
+# Every run that is not ok (a failure, or generator lag) keeps its stderr
+# and its -out directory (trace spans, persist stores) under
+# .bench_build/bench-ref-check/<n>-<workload>-trace<0|1>/, so a refusal can
+# be diagnosed after the fact. Each invocation starts that directory afresh.
 set -uo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -20,14 +25,19 @@ if [ -z "$workloads" ]; then
     exit 1
 fi
 
-mkdir -p .bench_build/tmp
-errf="$(mktemp .bench_build/tmp/bench-ref-check.XXXXXX)"
-trap 'rm -f "$errf"' EXIT
+keep=.bench_build/bench-ref-check
+rm -rf "$keep"
+runs=0
 
-# check runs one pass and sets last (its JSON line) and verdict: ok, lag
-# (failed on the generator-lag gate alone) or fail.
+# check runs one pass and sets last (its JSON line), dir (where its stderr
+# and -out files are kept unless it is ok) and verdict: ok, lag (failed on
+# the generator-lag gate alone) or fail.
 check() {
-    last="$(bash bench/run.sh --workload "$1" --seed 1 --seconds 5 --trace "$2" 2>"$errf" | tail -n 1)"
+    runs=$((runs + 1))
+    dir="$keep/$runs-$1-trace$2"
+    errf="$dir/stderr"
+    mkdir -p "$dir"
+    last="$(bash bench/run.sh --workload "$1" --seed 1 --seconds 5 --trace "$2" --out "$dir" 2>"$errf" | tail -n 1)"
     status=$? # pipefail: the benchmark's exit code, not tail's
     if [ "$status" -eq 0 ] && [[ "$last" == *'"correct":true'* ]] && [[ "$last" == *'"failed":0'* ]]; then
         verdict=ok
@@ -36,6 +46,9 @@ check() {
         verdict=lag
     else
         verdict=fail
+    fi
+    if [ "$verdict" = ok ]; then
+        rm -rf "$dir"
     fi
 }
 
@@ -55,6 +68,7 @@ for w in $workloads; do
         else
             echo "FAIL $w trace=$trace (exit $status): ${last:0:300}"
             grep 'VIOLATION:' "$errf" | head -n 5
+            echo "     stderr and -out files kept in $dir"
             fail=1
         fi
     done
